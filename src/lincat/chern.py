@@ -32,13 +32,13 @@ from typing import Optional, Sequence
 from .connection import Connection, canonical_connection, tilde_curvature
 from .derham import (
     TildeComplex,
-    commutator_spanning_labeled,
     diagonal_form_from_forms,
     get_complex,
 )
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, TruncationError
 from .exact_linalg import (
+    ZERO,
     MatrixQ,
     Vector,
     is_zero_vector,
@@ -112,11 +112,13 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     omega = diagonal_form_from_forms(w, 2 * q, chern_form(conn, q))
     target = rh.ambient_d(2 * q, rh.ambient_vector(omega))
 
-    labeled = commutator_spanning_labeled(w, degree)
+    labeled = rh.commutator_spans[degree]
     width = rh.ambient_dim(degree)
-    matrix = MatrixQ(width, len(labeled), tuple(
-        tuple(labeled[j][0][i] for j in range(len(labeled))) for i in range(width)
-    ))
+    columns = [[ZERO] * len(labeled) for _ in range(width)]
+    for j, (v, _) in enumerate(labeled):
+        for i, s in v.items():
+            columns[i][j] = s
+    matrix = MatrixQ(width, len(labeled), tuple(map(tuple, columns)))
     solution = solve_in_span(matrix, target)
     if solution is None:
         raise CertificationError(

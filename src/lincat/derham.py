@@ -31,10 +31,13 @@ from typing import Optional, Sequence
 from .dg import DGCategory, Form, render_form
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
+    ZERO,
     MatrixQ,
     QuotientSpace,
+    SparseRow,
     Vector,
     build_quotient,
+    densify,
     is_zero_vector,
     kernel_basis,
     row_space_basis,
@@ -87,49 +90,57 @@ def diagonal_form_from_forms(w: DGCategory, degree: int, forms: Sequence[Form]) 
 # the quotient complex
 
 
-def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:
+def _offsets(dims) -> tuple[int, ...]:
+    offs, total = [], 0
+    for d in dims:
+        offs.append(total)
+        total += d
+    return tuple(offs)
+
+
+def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
     """Graded commutators of basis forms, embedded diagonally, degree n.
 
-    Each generator u.v - (-1)^(pq) v.u comes with a printable label so a
-    certificate can cite the exact commutators it combines.
+    Each generator u.v - (-1)^(pq) v.u, one per pair of opposed basis
+    forms, comes with a printable label so a certificate can cite the
+    exact commutators it combines.  The products are read straight from
+    the composition tensors, and each vector keeps its nonzero entries
+    only, indexed in the ambient diagonal space of degree n.
     """
     nobj = len(w.base.objects)
-    dims = [w.dim(n, x, x) for x in range(nobj)]
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    out: list[tuple[Vector, str]] = []
+    offsets = _offsets(w.dim(n, x, x) for x in range(nobj))
+    out: list[tuple[SparseRow, str]] = []
     for p in range(0, n + 1):
         q = n - p
-        sign = Fraction(-1 if (p * q) % 2 else 1)
+        sign = -1 if (p * q) % 2 else 1
         for x in range(nobj):
             for y in range(nobj):
                 dp, dq = w.dim(p, x, y), w.dim(q, y, x)
                 if dp == 0 or dq == 0:
                     continue
                 ox, oy = w.base.objects[x], w.base.objects[y]
+                fwd_block = w.basis_products(p, q, x, y, x)  # u.v, endomorphism form at x
+                bwd_block = w.basis_products(q, p, y, x, y)  # v.u, endomorphism form at y
+                labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(q, y, x)
+                off_x, off_y = offsets[x], offsets[y]
                 for i in range(dp):
-                    u = w.basis_form(p, oy, ox, i)
                     for j in range(dq):
-                        v = w.basis_form(q, ox, oy, j)
-                        fwd = w.compose(u, v)  # endomorphism form at x
-                        bwd = w.compose(v, u)  # endomorphism form at y
-                        vecv = [Fraction(0)] * total
-                        for k, s in enumerate(fwd.coords):
-                            vecv[offsets[x] + k] += s
-                        for k, s in enumerate(bwd.coords):
-                            vecv[offsets[y] + k] -= sign * s
-                        lu = w.space_labels(p, x, y)[i]
-                        lv = w.space_labels(q, y, x)[j]
-                        label = f"[{lu}, {lv}]@({ox.label},{oy.label})"
-                        out.append((tuple(vecv), label))
+                        vecv: SparseRow = {}
+                        for k, s in fwd_block[i][j]:
+                            vecv[off_x + k] = s
+                        for k, s in bwd_block[j][i]:
+                            key = off_y + k
+                            vecv[key] = vecv.get(key, ZERO) - sign * s
+                        vecv = {k: s for k, s in vecv.items() if s}
+                        label = f"[{labels_u[i]}, {labels_v[j]}]@({ox.label},{oy.label})"
+                        out.append((vecv, label))
     return out
 
 
-def commutator_spanning_vectors(w: DGCategory, n: int) -> list[Vector]:
-    return [v for v, _ in commutator_spanning_labeled(w, n)]
+def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:
+    """`commutator_span` with dense vectors."""
+    total = sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
+    return [(densify(v, total), label) for v, label in commutator_span(w, n)]
 
 
 class DeRhamComplex:
@@ -144,23 +155,22 @@ class DeRhamComplex:
         self.component_offsets: list[tuple[int, ...]] = []
         for n in range(N + 1):
             dims = tuple(w.dim(n, x, x) for x in range(nobj))
-            offs = []
-            total = 0
-            for d in dims:
-                offs.append(total)
-                total += d
             self.component_dims.append(dims)
-            self.component_offsets.append(tuple(offs))
+            self.component_offsets.append(_offsets(dims))
 
+        # the labeled commutator span of each degree, built once: the
+        # quotient, the closure check and the cocycle certificates share it
+        self.commutator_spans = [commutator_span(w, n) for n in range(N + 1)]
         self.quotients: list[QuotientSpace] = []
         for n in range(N + 1):
-            spanning = commutator_spanning_vectors(w, n)
-            self.quotients.append(build_quotient(self.ambient_dim(n), spanning))
+            width = self.ambient_dim(n)
+            self.quotients.append(build_quotient(width, [densify(v, width) for v, _ in self.commutator_spans[n]]))
 
         self._d_mats: list[MatrixQ] = []
         for n in range(N):
-            for s in commutator_spanning_vectors(w, n):
-                if not self.quotients[n + 1].contains(self.ambient_d(n, s)):
+            width = self.ambient_dim(n)
+            for s, _ in self.commutator_spans[n]:
+                if not self.quotients[n + 1].contains(self.ambient_d(n, densify(s, width))):
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )

@@ -21,6 +21,11 @@ path.  Inside it:
 
 All bases are deterministic, so composition tensors and differential
 matrices are reproducible.
+
+Composition tensors are stored sparse: the product of two basis forms is
+kept as the tuple of its nonzero (index, coefficient) pairs, because
+nearly all entries of the dense tensors are zero.  The chain vectors of
+the universal builder are sparse maps for the same reason.
 """
 
 from __future__ import annotations
@@ -30,20 +35,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .category import Category, Morphism, ObjectId, Violation, compose as cat_compose
+from .category import Category, Morphism, ObjectId, Violation
 from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
+    ONE,
+    ZERO,
     MatrixQ,
+    SparseRow,
     Vector,
+    densify,
     is_zero_vector,
     kernel_basis,
-    row_space_basis,
+    rref,
+    sparse,
     unit_vector,
     vec,
     vec_add,
     vec_scale,
     zero_vector,
 )
+
+# the nonzero (index, coefficient) pairs of one product of basis forms
+Terms = tuple[tuple[int, Fraction], ...]
+
+
+def _terms(v: Vector) -> Terms:
+    return tuple((k, s) for k, s in enumerate(v) if s is not ZERO and s)
 
 # ---------------------------------------------------------------------------
 # forms
@@ -82,8 +99,13 @@ class DGCategory:
     Degree 0 always delegates to the base category.  `gr_basis` holds
     the labels of the degree-n bases for n >= 1, `gr_comp` the
     composition tensors for mixed degrees, and `diff` the matrices of
-    the differential; missing tensors denote zero maps and are filled
-    with explicit zeros at construction time.
+    the differential; missing tensors and matrices denote zero maps.
+
+    The tables come in dense and are checked for shape.  Each tensor is
+    then stored sparse: ``gr_comp[(p, q)][(x, y, z)][i][j]`` is the
+    tuple of nonzero (k, s) pairs of the product of basis form i of
+    degree p at (x, y) with basis form j of degree q at (y, z), empty
+    where that product vanishes or no tensor was given.
     """
 
     def __init__(
@@ -110,7 +132,7 @@ class DGCategory:
                     level[(x, y)] = tuple(str(s) for s in labels)
             self.gr_basis[n] = level
 
-        self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
+        self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], tuple[tuple[Terms, ...], ...]]] = {}
         for p in range(0, truncation + 1):
             for q in range(0, truncation + 1 - p):
                 if p == 0 and q == 0:
@@ -129,12 +151,12 @@ class DGCategory:
                             dn = self.dim(p + q, x, z)
                             tensor = given.get((x, y, z))
                             if tensor is None:
-                                rows = tuple(tuple(zero_vector(dn) for _ in range(dq)) for _ in range(dp))
+                                rows = (((),) * dq,) * dp
                             else:
                                 if len(tensor) != dp or any(len(r) != dq for r in tensor):
                                     raise DimensionError(f"composition tensor ({p},{q}) at {(x, y, z)}: bad arity")
                                 rows = tuple(
-                                    tuple(self._checked_vec(tensor[i][j], dn, f"comp ({p},{q}) {(x, y, z)}")
+                                    tuple(_terms(self._checked_vec(tensor[i][j], dn, f"comp ({p},{q}) {(x, y, z)}"))
                                           for j in range(dq))
                                     for i in range(dp)
                                 )
@@ -159,6 +181,7 @@ class DGCategory:
                     level[(x, y)] = m
             self.diff[n] = level
 
+        self._base_products: dict[tuple[int, int, int], tuple[tuple[Terms, ...], ...]] = {}
         self._derham = None  # memo slot used by the quotient-complex builder
 
     @staticmethod
@@ -223,25 +246,38 @@ class DGCategory:
             )
         p, q = f.degree, g.degree
         x, y, z = f.cod.index, f.dom.index, g.dom.index
-        n = p + q
-        result_dim = self.dim(n, x, z)
-        out = list(zero_vector(result_dim))
-        if result_dim and n <= self.truncation:
-            if p == 0 and q == 0:
-                m = cat_compose(self.base, Morphism(f.dom, f.cod, f.coords), Morphism(g.dom, g.cod, g.coords))
-                return Form(0, g.dom, f.cod, m.coords)
-            tensor = self.gr_comp[(p, q)].get((x, y, z))
-            if tensor is not None:
-                for i, a in enumerate(f.coords):
-                    if a == 0:
-                        continue
-                    for j, b in enumerate(g.coords):
-                        if b == 0:
-                            continue
-                        for k, s in enumerate(tensor[i][j]):
-                            if s != 0:
-                                out[k] += a * b * s
-        return Form(n, g.dom, f.cod, tuple(out))
+        out = [ZERO] * self.dim(p + q, x, z)
+        products = self.basis_products(p, q, x, y, z)
+        g_support = [(j, b) for j, b in enumerate(g.coords) if b]
+        for i, a in enumerate(f.coords):
+            if not a:
+                continue
+            row = products[i]
+            for j, b in g_support:
+                ab = a * b
+                for k, s in row[j]:
+                    out[k] += ab * s
+        return Form(p + q, g.dom, f.cod, tuple(out))
+
+    def basis_products(self, p: int, q: int, x: int, y: int, z: int):
+        """Products of the basis forms of degree p at (x, y) with those of degree q at (y, z).
+
+        Entry [i][j] is the tuple of nonzero (k, s) pairs of the product
+        of basis forms i and j, a degree p + q form at (x, z); every entry
+        is empty when p + q lies above the truncation.  Degree 0 products
+        come from the base category.
+        """
+        dp, dq = self.dim(p, x, y), self.dim(q, y, z)
+        if p or q:
+            block = self.gr_comp.get((p, q), {}).get((x, y, z))
+            return (((),) * dq,) * dp if block is None else block
+        block = self._base_products.get((x, y, z))
+        if block is None:
+            block = tuple(
+                tuple(_terms(self.base.compose_basis(x, y, z, i, j)) for j in range(dq)) for i in range(dp)
+            )
+            self._base_products[(x, y, z)] = block
+        return block
 
     def d(self, f: Form) -> Form:
         n = f.degree
@@ -260,24 +296,51 @@ class DGCategory:
         return self.diff[n].get((x, y), MatrixQ.zero(dn1, dn))
 
 
+def _contract(out: list, coefficients: Terms, vectors) -> list:
+    """Add s * vectors[a] to the dense vector `out`, over (a, s) in `coefficients`."""
+    for a, s in coefficients:
+        for c, t in vectors[a]:
+            out[c] += s * t
+    return out
+
+
 def validate_dg(w: DGCategory) -> list[Violation]:
-    """Unit, d.d = 0, Leibniz and associativity failures, as data."""
+    """Unit, d.d = 0, Leibniz and associativity failures, as data.
+
+    Every check runs on every basis form, pair and triple.  Products and
+    differentials of basis forms are read straight from the stored
+    sparse tensors and matrices and contracted there, which is the
+    arithmetic `compose` and `d` would do on basis forms, without
+    building a form per factor.
+    """
     violations: list[Violation] = []
     N = w.truncation
+    nobj = len(w.base.objects)
+    dim, block = w.dim, w.basis_products
 
     def name(n: int, x: int, y: int, k: int) -> str:
         labels = w.space_labels(n, x, y)
         return labels[k] if k < len(labels) else f"deg{n}[{x},{y}]#{k}"
 
+    def dcols(n: int, x: int, y: int) -> tuple[Terms, ...]:
+        """Columns of the degree-n differential at (x, y), as nonzero pairs."""
+        m = w.diff_matrix(n, x, y)
+        return tuple(_terms(m.column(i)) for i in range(m.cols))
+
+    def transpose(b, rows: int, cols: int):
+        return tuple(zip(*b)) if rows else ((),) * cols
+
     for n in range(0, N + 1):
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
-            one_x, one_y = w.identity_form(ox), w.identity_form(oy)
-            for k in range(w.dim(n, x, y)):
-                b = w.basis_form(n, oy, ox, k)
-                if w.compose(one_x, b) != b:
+            one_x, one_y = _terms(w.base.identity[x]), _terms(w.base.identity[y])
+            dn = dim(n, x, y)
+            left, right = transpose(block(0, n, x, x, y), dim(0, x, x), dn), block(n, 0, x, y, y)
+            for k in range(dn):
+                b = list(unit_vector(dn, k))
+                if _contract([ZERO] * dn, one_x, left[k]) != b:
                     violations.append(Violation("dg-identity-left", f"1_{ox.label} . {name(n, x, y, k)}"))
-                if w.compose(b, one_y) != b:
+                if _contract([ZERO] * dn, one_y, right[k]) != b:
                     violations.append(Violation("dg-identity-right", f"{name(n, x, y, k)} . 1_{oy.label}"))
 
     for n in range(0, N):
@@ -286,52 +349,56 @@ def validate_dg(w: DGCategory) -> list[Violation]:
             if not dd.is_zero():
                 violations.append(Violation("dg-d-squared", f"degree {n} at ({w.base.objects[x].label},{w.base.objects[y].label})"))
 
-    nobj = len(w.base.objects)
-    for p in range(0, N + 1):
-        for q in range(0, N - p + 1):
-            if p + q + 1 > N:
-                continue
+    # d(f.g) = df.g + (-1)^p f.dg on basis forms f of degree p, g of degree q
+    for p in range(0, N):
+        for q in range(0, N - p):
             for x in range(nobj):
                 for y in range(nobj):
-                    if w.dim(p, x, y) == 0:
+                    if dim(p, x, y) == 0:
                         continue
+                    d_f = dcols(p, x, y)
                     for z in range(nobj):
-                        if w.dim(q, y, z) == 0:
+                        if dim(q, y, z) == 0:
                             continue
-                        sign = -1 if p % 2 else 1
-                        for i in range(w.dim(p, x, y)):
-                            f = w.basis_form(p, w.base.objects[y], w.base.objects[x], i)
-                            df = w.d(f)
-                            for j in range(w.dim(q, y, z)):
-                                g = w.basis_form(q, w.base.objects[z], w.base.objects[y], j)
-                                lhs = w.d(w.compose(f, g))
-                                rhs = w.compose(df, g) + w.compose(f, w.d(g)).scale(sign)
+                        fg, fdg = block(p, q, x, y, z), block(p, q + 1, x, y, z)
+                        dfg = transpose(block(p + 1, q, x, y, z), dim(p + 1, x, y), dim(q, y, z))
+                        d_fg, d_g = dcols(p + q, x, z), dcols(q, y, z)
+                        if p % 2:
+                            d_g = tuple(tuple((b, -s) for b, s in col) for col in d_g)
+                        dn = dim(p + q + 1, x, z)
+                        for i in range(dim(p, x, y)):
+                            for j in range(dim(q, y, z)):
+                                lhs = _contract([ZERO] * dn, fg[i][j], d_fg)
+                                rhs = _contract(_contract([ZERO] * dn, d_f[i], dfg[j]), d_g[j], fdg[i])
                                 if lhs != rhs:
                                     violations.append(
                                         Violation("dg-leibniz", f"{name(p, x, y, i)} . {name(q, y, z, j)}")
                                     )
 
+    # (f.g).h = f.(g.h) on basis forms of degrees p, q, r
     for p in range(0, N + 1):
         for q in range(0, N - p + 1):
             for r in range(0, N - p - q + 1):
                 for x in range(nobj):
                     for y in range(nobj):
-                        if w.dim(p, x, y) == 0:
+                        if dim(p, x, y) == 0:
                             continue
                         for z in range(nobj):
-                            if w.dim(q, y, z) == 0:
+                            if dim(q, y, z) == 0:
                                 continue
+                            fg = block(p, q, x, y, z)
                             for u in range(nobj):
-                                if w.dim(r, z, u) == 0:
+                                if dim(r, z, u) == 0:
                                     continue
-                                for i in range(w.dim(p, x, y)):
-                                    f = w.basis_form(p, w.base.objects[y], w.base.objects[x], i)
-                                    for j in range(w.dim(q, y, z)):
-                                        g = w.basis_form(q, w.base.objects[z], w.base.objects[y], j)
-                                        fg = w.compose(f, g)
-                                        for k in range(w.dim(r, z, u)):
-                                            h = w.basis_form(r, w.base.objects[u], w.base.objects[z], k)
-                                            if w.compose(fg, h) != w.compose(f, w.compose(g, h)):
+                                gh, f_gh = block(q, r, y, z, u), block(p, q + r, x, y, u)
+                                fg_h = transpose(block(p + q, r, x, z, u), dim(p + q, x, z), dim(r, z, u))
+                                dn = dim(p + q + r, x, u)
+                                for i in range(dim(p, x, y)):
+                                    for j in range(dim(q, y, z)):
+                                        for k in range(dim(r, z, u)):
+                                            lhs = _contract([ZERO] * dn, fg[i][j], fg_h[k])
+                                            rhs = _contract([ZERO] * dn, gh[j][k], f_gh[i])
+                                            if lhs != rhs:
                                                 violations.append(
                                                     Violation(
                                                         "dg-associativity",
@@ -383,33 +450,37 @@ class _Subspace:
     Reduction runs in a preferred column order (chains free of identity
     arrows in differential slots first), so pivots land on clean
     monomials whenever possible; rows are stored back in the natural
-    chain order.  Each basis row is addressed by its pivot chain.
+    chain order, as sparse maps.  Each basis row is addressed by its
+    pivot chain.
     """
 
-    def __init__(self, space: _ChainSpace, spanning, order: tuple[int, ...]):
+    def __init__(self, space: _ChainSpace, spanning: list[SparseRow], order: tuple[int, ...]):
         self.space = space
-        permuted = [tuple(r[j] for j in order) for r in spanning]
-        reduced = row_space_basis(permuted, space.dim)
-        inverse = [0] * space.dim
+        position = [0] * space.dim
         for pos, j in enumerate(order):
-            inverse[j] = pos
-        self.rows = tuple(tuple(r[inverse[j]] for j in range(space.dim)) for r in reduced)
-        self.pivots = tuple(
-            order[next(j for j, v in enumerate(r) if v != 0)] for r in reduced
-        )
+            position[j] = pos
+        permuted = tuple(densify({position[j]: s for j, s in r.items()}, space.dim) for r in spanning)
+        reduced = rref(MatrixQ(len(permuted), space.dim, permuted))
+        self.rows: tuple[SparseRow, ...] = tuple({order[k]: s for k, s in r.items()} for r in reduced.rows)
+        self.pivots = tuple(order[k] for k in reduced.pivots)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def coordinates(self, v: Vector) -> Vector:
-        """Coordinates in the reduced basis; the vector must lie in the span."""
-        coords = tuple(v[p] for p in self.pivots)
-        check = zero_vector(self.space.dim)
+    def coordinates(self, v: SparseRow) -> Vector:
+        """Coordinates in the reduced basis; the vector must lie in the span.
+
+        `v` holds nonzero entries only.  The coordinates are read off at
+        the pivots and substituted back over the whole chain space.
+        """
+        coords = tuple(v.get(p, ZERO) for p in self.pivots)
+        check: SparseRow = {}
         for s, row in zip(coords, self.rows):
-            if s != 0:
-                check = vec_add(check, vec_scale(s, row))
-        if check != v:
+            if s:
+                for j, y in row.items():
+                    check[j] = check.get(j, ZERO) + s * y
+        if {j: x for j, x in check.items() if x} != v:
             raise LincatError("universal builder: vector left the expected span")
         return coords
 
@@ -475,31 +546,30 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                 (z,) = interior
                 cols.append(c.compose_basis(x, z, y, arrows[0], arrows[1]))
             if space.dim == 0:
-                sub[(1, x, y)] = _Subspace(space, (), ())
+                sub[(1, x, y)] = _Subspace(space, [], ())
             else:
                 mu = MatrixQ(target_dim, space.dim, tuple(
                     tuple(cols[j][i] for j in range(space.dim)) for i in range(target_dim)
                 )) if target_dim else MatrixQ.zero(0, space.dim)
-                sub[(1, x, y)] = _Subspace(space, kernel_basis(mu), chain_order(space))
+                sub[(1, x, y)] = _Subspace(space, [sparse(k) for k in kernel_basis(mu)], chain_order(space))
 
-    def merge_vectors(p: int, q: int, x: int, y: int, z: int, u: Vector, v: Vector) -> Vector:
-        """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector."""
+    def merge_vectors(p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
+        """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector.
+
+        A degree-0 factor is indexed by arrow basis index instead of by chain.
+        """
         sp_u = spaces[(p, x, y)] if p >= 1 else None
         sp_v = spaces[(q, y, z)] if q >= 1 else None
-        out_space = spaces[(p + q, x, z)]
-        out = [Fraction(0)] * out_space.dim
-        for ui, uc in enumerate(u):
-            if uc == 0:
-                continue
+        out_pos = spaces[(p + q, x, z)].pos
+        out: SparseRow = {}
+        for ui, uc in u.items():
             if p >= 1:
                 u_int, u_arr = sp_u.elems[ui]
                 u_last_src = u_int[-1] if u_int else x
             else:
                 u_int, u_arr = (), (ui,)
                 u_last_src = x
-            for vi, vc in enumerate(v):
-                if vc == 0:
-                    continue
+            for vi, vc in v.items():
                 if q >= 1:
                     v_int, v_arr = sp_v.elems[vi]
                     v_first_tgt = v_int[0] if v_int else z
@@ -507,20 +577,20 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                     v_int, v_arr = (), (vi,)
                     v_first_tgt = z
                 comp = c.compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0])
+                interior = u_int + v_int
                 for k, s in enumerate(comp):
-                    if s == 0:
+                    if not s:
                         continue
-                    interior = u_int + v_int
-                    arrows = u_arr[:-1] + (k,) + v_arr[1:]
-                    out[out_space.pos[(interior, arrows)]] += uc * vc * s
-        return tuple(out)
+                    key = out_pos[(interior, u_arr[:-1] + (k,) + v_arr[1:])]
+                    out[key] = out.get(key, ZERO) + uc * vc * s
+        return {k: s for k, s in out.items() if s}
 
     # higher degrees: spans of products with degree 1
     for n in range(2, N + 1):
         for x in range(nobj):
             for y in range(nobj):
                 space = spaces[(n, x, y)]
-                prods: list[Vector] = []
+                prods: list[SparseRow] = []
                 for z in range(nobj):
                     left = sub[(n - 1, x, z)]
                     right = sub[(1, z, y)]
@@ -532,9 +602,12 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
     for n in range(1, N + 1):
         for x in range(nobj):
             for y in range(nobj):
-                assert sub[(n, x, y)].dim == _expected_dim(c, n, x, y), (
-                    "universal builder: dimension mismatch against the path-count formula"
-                )
+                built, expected = sub[(n, x, y)].dim, _expected_dim(c, n, x, y)
+                if built != expected:
+                    raise LincatError(
+                        f"universal builder: degree-{n} space at ({c.objects[x].label},"
+                        f"{c.objects[y].label}) has dimension {built}, the path-count formula gives {expected}"
+                    )
 
     # labels: each basis row is named by its pivot chain, rendered as a
     # product a0.da1...dan with an identity head elided
@@ -583,10 +656,10 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                         target = sub[(p + q, x, z)]
                         rows = []
                         for i in range(dp):
-                            uvec = unit_vector(c.dim(x, y), i) if p == 0 else sub[(p, x, y)].rows[i]
+                            uvec = {i: ONE} if p == 0 else sub[(p, x, y)].rows[i]
                             row = []
                             for j in range(dq):
-                                vvec = unit_vector(c.dim(y, z), j) if q == 0 else sub[(q, y, z)].rows[j]
+                                vvec = {j: ONE} if q == 0 else sub[(q, y, z)].rows[j]
                                 w_chain = merge_vectors(p, q, x, y, z, uvec, vvec)
                                 row.append(target.coordinates(w_chain))
                             rows.append(row)
@@ -594,13 +667,11 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
             gr_comp[(p, q)] = table
 
     # differential: alternating identity insertion on chain terms
-    def d_of_chain_vector(n: int, x: int, y: int, v: Vector) -> Vector:
-        out_space = spaces[(n + 1, x, y)]
-        out = [Fraction(0)] * out_space.dim
+    def d_of_chain_vector(n: int, x: int, y: int, v: SparseRow) -> SparseRow:
+        out_pos = spaces[(n + 1, x, y)].pos
+        out: SparseRow = {}
         src_elems = spaces[(n, x, y)].elems if n >= 1 else [((), (k,)) for k in range(c.dim(x, y))]
-        for idx, s in enumerate(v):
-            if s == 0:
-                continue
+        for idx, s in v.items():
             interior, arrows = src_elems[idx]
             path = (x,) + interior + (y,)
             for ins in range(0, n + 2):
@@ -610,11 +681,11 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                 new_path = path[:ins + 1] + (obj,) + path[ins + 1:]
                 new_interior = new_path[1:n + 2]
                 for k, idcoef in enumerate(idc):
-                    if idcoef == 0:
+                    if not idcoef:
                         continue
-                    new_arrows = arrows[:ins] + (k,) + arrows[ins:]
-                    out[out_space.pos[(new_interior, new_arrows)]] += s * sign * idcoef
-        return tuple(out)
+                    key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
+                    out[key] = out.get(key, ZERO) + s * sign * idcoef
+        return {k: s for k, s in out.items() if s}
 
     diff: dict[int, dict[tuple[int, int], MatrixQ]] = {}
     for n in range(0, N):
@@ -627,7 +698,7 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                 target = sub[(n + 1, x, y)]
                 cols = []
                 for i in range(dn):
-                    vv = unit_vector(c.dim(x, y), i) if n == 0 else sub[(n, x, y)].rows[i]
+                    vv = {i: ONE} if n == 0 else sub[(n, x, y)].rows[i]
                     cols.append(target.coordinates(d_of_chain_vector(n, x, y, vv)))
                 level[(x, y)] = MatrixQ(target.dim, dn, tuple(
                     tuple(cols[j][i] for j in range(dn)) for i in range(target.dim)

@@ -1,17 +1,24 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything in the package ultimately reduces to row reduction of dense
+Everything in the package ultimately reduces to row reduction of
 matrices with `fractions.Fraction` entries.  Pivoting is deterministic
 (first nonzero entry in column order, no magnitude heuristics), so every
 derived basis is reproducible byte for byte.
 
 Vectors are plain tuples of Fractions; matrices are immutable tuples of
-row tuples wrapped in :class:`MatrixQ`.
+row tuples wrapped in :class:`MatrixQ`.  Those dense types are what every
+function takes and returns.  Inside, the work runs on sparse rows: maps
+from column index to the nonzero entries of a row (`SparseRow`), because
+the matrices the package reduces are mostly zero and exact arithmetic on
+a zero still costs a `Fraction` operation.  Row reduction, the
+elimination basis of a quotient and matrix application visit nonzeros
+only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -19,13 +26,28 @@ from .errors import DimensionError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def sparse(v: Sequence[Fraction]) -> SparseRow:
+    """The nonzero entries of a dense vector, by index."""
+    # `x is not ZERO` settles the common zero, the shared constant, without
+    # calling into Fraction
+    return {j: x for j, x in enumerate(v) if x is not ZERO and x}
+
+
+def densify(row: SparseRow, n: int) -> Vector:
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def zero_vector(n: int) -> Vector:
@@ -135,11 +157,13 @@ class MatrixQ:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} does not match {self.cols} columns")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = [ZERO] * self.rows
         for i, ri in enumerate(self.entries):
             acc = ZERO
-            for a, x in zip(ri, v):
-                if a != 0 and x != 0:
+            for j, x in support:
+                a = ri[j]
+                if a:
                     acc += a * x
             out[i] = acc
         return tuple(out)
@@ -150,12 +174,25 @@ class MatrixQ:
 
 @dataclass(frozen=True)
 class RrefResult:
-    matrix: MatrixQ
+    """Reduced row echelon form: the nonzero rows, sparse, and their pivots.
+
+    `rows[i]` has a 1 in column `pivots[i]`; the rows are read-only.
+    `matrix` is the dense form, padded with zero rows to the input shape.
+    """
+
+    shape: tuple[int, int]
+    rows: tuple[SparseRow, ...]
     pivots: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def matrix(self) -> MatrixQ:
+        nrows, ncols = self.shape
+        dense = tuple(densify(r, ncols) for r in self.rows)
+        return MatrixQ(nrows, ncols, dense + (zero_vector(ncols),) * (nrows - len(dense)))
 
 
 def rref(m: MatrixQ) -> RrefResult:
@@ -163,33 +200,43 @@ def rref(m: MatrixQ) -> RrefResult:
 
     Scans columns left to right and picks the first row with a nonzero
     entry; no magnitude-based pivot choice is ever made, so the result
-    is a function of the exact input alone.
+    is a function of the exact input alone.  Rows are sparse maps during
+    the elimination, so each row operation touches the nonzeros of the
+    pivot row only.
     """
-    work = [list(r) for r in m.entries]
+    work = [row for row in map(sparse, m.entries) if row]
+    nrows = len(work)
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if work[i][c] != 0:
-                pr = i
-                break
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if c in work[i]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
         pv = work[r][c]
         if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            work[r] = {j: x / pv for j, x in work[r].items()}
+        pivot_items = list(work[r].items())
+        for i in range(nrows):
+            row = work[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, y in pivot_items:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                else:
+                    x -= f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
-    reduced = MatrixQ(m.rows, m.cols, tuple(tuple(row) for row in work))
-    return RrefResult(reduced, tuple(pivots))
+    return RrefResult((m.rows, m.cols), tuple(work[:r]), tuple(pivots))
 
 
 def rank(m: MatrixQ) -> int:
@@ -200,9 +247,8 @@ def row_space_basis(rows: Sequence[Vector], width: int) -> tuple[Vector, ...]:
     """Canonical (reduced echelon) basis of the span of the given rows."""
     if not rows:
         return ()
-    m = MatrixQ.from_rows(rows, cols=width)
-    res = rref(m)
-    return tuple(res.matrix.entries[i] for i in range(res.rank))
+    res = rref(MatrixQ.from_rows(rows, cols=width))
+    return tuple(densify(r, res.shape[1]) for r in res.rows)
 
 
 def kernel_basis(m: MatrixQ) -> tuple[Vector, ...]:
@@ -219,8 +265,10 @@ def kernel_basis(m: MatrixQ) -> tuple[Vector, ...]:
     for c in free_cols:
         v = [ZERO] * m.cols
         v[c] = ONE
-        for r_i, p in enumerate(res.pivots):
-            v[p] = -res.matrix.entries[r_i][c]
+        for row, p in zip(res.rows, res.pivots):
+            x = row.get(c)
+            if x is not None:
+                v[p] = -x
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -239,8 +287,8 @@ def solve_in_span(m: MatrixQ, b: Vector) -> Optional[Vector]:
     if m.cols in res.pivots:
         return None
     x = [ZERO] * m.cols
-    for r_i, p in enumerate(res.pivots):
-        x[p] = res.matrix.entries[r_i][m.cols]
+    for row, p in zip(res.rows, res.pivots):
+        x[p] = row.get(m.cols, ZERO)
     return tuple(x)
 
 
@@ -248,14 +296,14 @@ def solve_in_span(m: MatrixQ, b: Vector) -> Optional[Vector]:
 class QuotientSpace:
     """Ambient space modulo the span of a set of vectors.
 
-    The subspace basis is kept in reduced echelon form.  Coset
-    coordinates of an ambient vector are read off from the non-pivot
-    columns after eliminating the pivot entries, which vanishes exactly
-    on the subspace; `lift` is a section of that map.
+    The subspace basis is kept in reduced echelon form, as sparse rows.
+    Coset coordinates of an ambient vector are read off from the
+    non-pivot columns after eliminating the pivot entries, which vanishes
+    exactly on the subspace; `lift` is a section of that map.
     """
 
     ambient_dim: int
-    subspace_basis: tuple[Vector, ...]
+    rows: tuple[SparseRow, ...]
     pivots: tuple[int, ...]
     free_columns: tuple[int, ...]
 
@@ -265,19 +313,24 @@ class QuotientSpace:
 
     @property
     def subspace_dim(self) -> int:
-        return len(self.subspace_basis)
+        return len(self.rows)
+
+    @cached_property
+    def subspace_basis(self) -> tuple[Vector, ...]:
+        return tuple(densify(r, self.ambient_dim) for r in self.rows)
 
     def reduce(self, v: Vector) -> Vector:
         """Canonical coset representative (pivot coordinates eliminated)."""
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient_dim}")
         out = list(v)
-        for row, p in zip(self.subspace_basis, self.pivots):
-            f = out[p]
-            if f != 0:
-                for j, y in enumerate(row):
-                    if y != 0:
-                        out[j] -= f * y
+        # rows vanish at every pivot but their own, so each pivot entry of
+        # v is eliminated by its own row alone
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                for j, y in row.items():
+                    out[j] -= f * y
         return tuple(out)
 
     def coset_coordinates(self, v: Vector) -> Vector:
@@ -298,11 +351,15 @@ class QuotientSpace:
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[Vector]) -> QuotientSpace:
-    basis = row_space_basis(list(spanning), ambient_dim)
-    pivots = tuple(next(j for j, x in enumerate(row) if x != 0) for row in basis)
+    spanning = list(spanning)
+    if spanning:
+        res = rref(MatrixQ.from_rows(spanning, cols=ambient_dim))
+        rows, pivots = res.rows, res.pivots
+    else:
+        rows, pivots = (), ()
     pivot_set = set(pivots)
     free_cols = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    return QuotientSpace(ambient_dim, basis, pivots, free_cols)
+    return QuotientSpace(ambient_dim, rows, pivots, free_cols)
 
 
 def parse_scalar(text: str) -> Fraction:

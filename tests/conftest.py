@@ -59,6 +59,17 @@ def two_points_category():
     )
 
 
+def m2_category():
+    """The 2x2 matrices: matrix units e_ij, identity e11 + e22 (not a basis arrow)."""
+    units = ["e11", "e12", "e21", "e22"]
+    return build_category(
+        ["x"],
+        {("x", "x"): units},
+        {(a, b): ({f"e{a[1]}{b[2]}": 1} if a[2] == b[1] else {}) for a in units for b in units},
+        {"x": {"e11": 1, "e22": 1}},
+    )
+
+
 def arrow_category():
     return build_category(
         ["s", "t"],

@@ -11,10 +11,11 @@ from lincat.derham import (
     get_complex,
     tilde_commutator_ranks,
 )
-from lincat.errors import DimensionError
-from lincat.exact_linalg import is_zero_vector, vec, zero_vector
+from lincat.dg import DGCategory
+from lincat.errors import DimensionError, LincatError
+from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
 
-from conftest import random_scalar
+from conftest import m2_category, random_scalar
 
 
 def random_class(rh, n, rng):
@@ -192,3 +193,13 @@ def test_diagonal_form_roundtrip(two5):
     assert rh.class_of(lifted) == cls
     combo = df + df.scale(Fraction(1, 2))
     assert rh.class_of(combo) == tuple(s * Fraction(3, 2) for s in cls)
+
+
+def test_closure_check_rejects_tables_that_break_it():
+    # M2 with a degree-1 space {th}, no products and d(e11) = th: the
+    # degree-0 commutator [e12, e21] = e11 - e22 has d = th, while every
+    # degree-1 commutator vanishes, so d does not descend to the quotient
+    c = m2_category()
+    w = DGCategory(c, 1, {1: {(0, 0): ["th"]}}, {}, {0: {(0, 0): MatrixQ.from_rows([[1, 0, 0, 0]])}})
+    with pytest.raises(LincatError, match="not closed under d"):
+        get_complex(w)

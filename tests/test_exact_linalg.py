@@ -133,3 +133,130 @@ def test_row_space_basis_canonical():
         rng.shuffle(shuffled)
         scaled = [vec_scale(Fraction(3), r) for r in shuffled]
         assert row_space_basis(scaled, cols) == basis1
+
+
+# -- the sparse kernel against the dense elimination it replaced -------------
+
+
+def dense_rref(m):
+    """Reference: row reduction on dense rows, scanning every entry."""
+    work = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = None
+        for i in range(r, m.rows):
+            if work[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        if pv != 1:
+            work[r] = [x / pv for x in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return [tuple(row) for row in work], pivots
+
+
+def dense_kernel(m):
+    rows, pivots = dense_rref(m)
+    basis = []
+    for c in range(m.cols):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[c] = Fraction(1)
+        for r_i, p in enumerate(pivots):
+            v[p] = -rows[r_i][c]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def dense_solve(m, b):
+    aug = MatrixQ(m.rows, m.cols + 1, tuple(row + (bb,) for row, bb in zip(m.entries, b)))
+    rows, pivots = dense_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r_i, p in enumerate(pivots):
+        x[p] = rows[r_i][m.cols]
+    return tuple(x)
+
+
+def sparse_matrix(rng, rows, cols):
+    """About 90 % zeros, with some rows and columns forced to zero."""
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    return MatrixQ(rows, cols, tuple(
+        tuple(
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+            if i not in zero_rows and j not in zero_cols and rng.random() < 0.1 else Fraction(0)
+            for j in range(cols)
+        )
+        for i in range(rows)
+    ))
+
+
+def oracle_shapes(rng):
+    yield 0, 4
+    yield 4, 0
+    yield 0, 0
+    for _ in range(60):
+        yield rng.randint(1, 14), rng.randint(1, 14)
+
+
+def test_sparse_rref_matches_dense_reference():
+    rng = random.Random(101)
+    for rows, cols in oracle_shapes(rng):
+        m = sparse_matrix(rng, rows, cols)
+        ref_rows, ref_pivots = dense_rref(m)
+        res = rref(m)
+        assert res.pivots == tuple(ref_pivots)
+        assert res.matrix.entries == tuple(ref_rows)
+        assert (res.matrix.rows, res.matrix.cols) == (rows, cols)
+
+
+def test_sparse_kernel_and_solve_match_dense_reference():
+    rng = random.Random(102)
+    solved = 0
+    for rows, cols in oracle_shapes(rng):
+        m = sparse_matrix(rng, rows, cols)
+        assert kernel_basis(m) == dense_kernel(m)
+        # one right-hand side in the column span, one arbitrary
+        x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
+        for b in (m.apply(x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
+            got = solve_in_span(m, b)
+            assert got == dense_solve(m, b)
+            if got is not None:
+                assert m.apply(got) == b
+                solved += 1
+    assert solved >= 60
+
+
+def test_sparse_quotient_matches_dense_reference():
+    rng = random.Random(103)
+    for rows, cols in oracle_shapes(rng):
+        m = sparse_matrix(rng, rows, cols)
+        q = build_quotient(cols, list(m.entries))
+        ref_rows, ref_pivots = dense_rref(m)
+        rank_ = len(ref_pivots)
+        assert q.pivots == tuple(ref_pivots)
+        assert q.subspace_basis == tuple(ref_rows[:rank_])
+        assert q.free_columns == tuple(c for c in range(cols) if c not in ref_pivots)
+        assert row_space_basis(list(m.entries), cols) == (tuple(ref_rows[:rank_]) if rows else ())
+        for _ in range(3):
+            v = tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0) for _ in range(cols))
+            out = list(v)
+            for row, p in zip(ref_rows[:rank_], ref_pivots):
+                f = out[p]
+                out = [a - f * b for a, b in zip(out, row)]
+            assert q.reduce(v) == tuple(out)
+            assert q.coset_coordinates(v) == tuple(out[c] for c in q.free_columns)

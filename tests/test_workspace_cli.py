@@ -1,5 +1,8 @@
+import contextlib
 import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +328,17 @@ def test_cli_export_and_fixtures(capsys):
     code, out, _ = run(capsys, "fixtures", "--output", "machine")
     assert code == EXIT_OK
     assert json.loads(out)["fixtures"] == ALL_FIXTURES
+
+
+def test_cli_output_matches_recorded_fixture_runs():
+    # every command of the benchmark's CLI mix, with the exit code and the
+    # stdout recorded when that file was made; the file is read, never written
+    recorded = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_fixtures.json"
+    expected = json.loads(recorded.read_text(encoding="utf-8"))
+    assert len(expected) >= 60
+    for key, want in sorted(expected.items()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(want["argv"]))
+        assert code == want["exit"], key
+        assert out.getvalue() == want["stdout"], key
