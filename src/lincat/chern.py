@@ -38,11 +38,12 @@ from .derham import (
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, TruncationError
 from .exact_linalg import (
-    ZERO,
-    MatrixQ,
+    SparseRow,
     Vector,
+    add_scaled,
     is_zero_vector,
-    solve_in_span,
+    solve_rows,
+    sparse,
     vec_sub,
     zero_vector,
 )
@@ -112,21 +113,24 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     omega = diagonal_form_from_forms(w, 2 * q, chern_form(conn, q))
     target = rh.ambient_d(2 * q, rh.ambient_vector(omega))
 
+    # the system has one sparse row per ambient coordinate and one column
+    # per commutator of the spanning set
     labeled = rh.commutator_spans[degree]
-    width = rh.ambient_dim(degree)
-    columns = [[ZERO] * len(labeled) for _ in range(width)]
+    rows: list[SparseRow] = [{} for _ in range(rh.ambient_dim(degree))]
     for j, (v, _) in enumerate(labeled):
         for i, s in v.items():
-            columns[i][j] = s
-    matrix = MatrixQ(width, len(labeled), tuple(map(tuple, columns)))
-    solution = solve_in_span(matrix, target)
+            rows[i][j] = s
+    solution = solve_rows(rows, len(labeled), target)
     if solution is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    residue = vec_sub(matrix.apply(solution), target)
-    if not is_zero_vector(residue):
+    combination: SparseRow = {}
+    for (v, _), s in zip(labeled, solution):
+        if s:
+            add_scaled(combination, s, v)
+    if combination != sparse(target):
         raise CertificationError("commutator combination failed re-substitution")
     if not is_zero_vector(rh.d_class(2 * q, rh.class_of(omega))):
         raise CertificationError("character class is not closed despite the commutator combination")

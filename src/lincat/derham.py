@@ -4,8 +4,17 @@ Degree n of the complex is the direct sum of the endomorphism form
 spaces of all objects, divided by the span of graded commutators
 u.v - (-1)^(pq) v.u taken over opposed pairs of forms (u from y to x of
 degree p, v from x to y of degree q = n - p), each difference embedded
-at its two base objects.  The differential descends to the quotient;
-that it does is asserted on the spanning set rather than assumed.
+at its two base objects.  The differential descends to the quotient,
+and that it does is checked rather than assumed: the reduced echelon
+rows of each commutator subspace span it and d is linear, so d maps
+commutators to commutators exactly when it maps those rows into the
+next commutator subspace.  Each of them is checked, in exact arithmetic,
+and a failure raises `LincatError`.
+
+The commutator rows stay sparse throughout: from the composition
+tensors through the quotient, the closure check and the induced
+differential, with d stored once per degree as sparse columns on the
+ambient diagonal space.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -36,13 +45,14 @@ from .exact_linalg import (
     QuotientSpace,
     SparseRow,
     Vector,
+    add_scaled,
     build_quotient,
     densify,
     is_zero_vector,
     kernel_basis,
     row_space_basis,
     solve_in_span,
-    unit_vector,
+    sparse,
     vec_add,
     vec_scale,
     vec_sub,
@@ -159,29 +169,51 @@ class DeRhamComplex:
             self.component_offsets.append(_offsets(dims))
 
         # the labeled commutator span of each degree, built once: the
-        # quotient, the closure check and the cocycle certificates share it
+        # quotient and the cocycle certificates share it
         self.commutator_spans = [commutator_span(w, n) for n in range(N + 1)]
-        self.quotients: list[QuotientSpace] = []
-        for n in range(N + 1):
-            width = self.ambient_dim(n)
-            self.quotients.append(build_quotient(width, [densify(v, width) for v, _ in self.commutator_spans[n]]))
+        self.quotients: list[QuotientSpace] = [
+            build_quotient(self.ambient_dim(n), [v for v, _ in self.commutator_spans[n]])
+            for n in range(N + 1)
+        ]
+        # d on the ambient diagonal space of each degree, column j holding
+        # d of the j-th basis vector; out of the top degree it is zero
+        self._d_columns: list[list[SparseRow]] = [self._ambient_d_columns(n) for n in range(N + 1)]
 
         self._d_mats: list[MatrixQ] = []
         for n in range(N):
-            width = self.ambient_dim(n)
-            for s, _ in self.commutator_spans[n]:
-                if not self.quotients[n + 1].contains(self.ambient_d(n, densify(s, width))):
+            qn, qn1 = self.quotients[n], self.quotients[n + 1]
+            # the echelon rows span the degree-n commutators and d is linear,
+            # so d preserves commutators exactly when it does on these rows
+            for row in qn.rows:
+                if qn1.reduce_sparse(self._ambient_d_sparse(n, row)):
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
-            qn, qn1 = self.quotients[n], self.quotients[n + 1]
+            # column k: the class of d(e_c), e_c lifting the k-th unit class
             cols = []
-            for k in range(qn.dim):
-                amb = qn.lift(unit_vector(qn.dim, k))
-                cols.append(qn1.coset_coordinates(self.ambient_d(n, amb)))
+            for c in qn.free_columns:
+                reduced = qn1.reduce_sparse(self._d_columns[n][c])
+                cols.append([reduced.get(f, ZERO) for f in qn1.free_columns])
             self._d_mats.append(MatrixQ(qn1.dim, qn.dim, tuple(
                 tuple(cols[j][i] for j in range(qn.dim)) for i in range(qn1.dim)
             )))
+
+    def _ambient_d_columns(self, n: int) -> list[SparseRow]:
+        columns: list[SparseRow] = [{} for _ in range(self.ambient_dim(n))]
+        for x in range(len(self.w.base.objects)):
+            off = self.component_offsets[n][x]
+            off1 = self.component_offsets[n + 1][x] if n < self.w.truncation else 0
+            for i, r in enumerate(self.w.diff_matrix(n, x, x).entries):
+                for j, s in enumerate(r):
+                    if s:
+                        columns[off + j][off1 + i] = s
+        return columns
+
+    def _ambient_d_sparse(self, n: int, v: SparseRow) -> SparseRow:
+        out: SparseRow = {}
+        for j, x in v.items():
+            add_scaled(out, x, self._d_columns[n][j])
+        return out
 
     # -- ambient bookkeeping ----------------------------------------------
 
@@ -192,13 +224,9 @@ class DeRhamComplex:
 
     def ambient_d(self, n: int, v: Vector) -> Vector:
         """Apply d componentwise to an ambient diagonal vector of degree n."""
-        out: list[Fraction] = []
-        for x in range(len(self.w.base.objects)):
-            off, d = self.component_offsets[n][x], self.component_dims[n][x]
-            comp = v[off:off + d]
-            mat = self.w.diff_matrix(n, x, x)
-            out.extend(mat.apply(comp))
-        return tuple(out)
+        if len(v) != self.ambient_dim(n):
+            raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient_dim(n)}")
+        return densify(self._ambient_d_sparse(n, sparse(v)), self.ambient_dim(n + 1))
 
     def ambient_vector(self, df: DiagonalForm) -> Vector:
         n = df.degree

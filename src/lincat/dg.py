@@ -293,7 +293,8 @@ class DGCategory:
         dn, dn1 = self.dim(n, x, y), self.dim(n + 1, x, y)
         if n < 0 or n >= self.truncation or dn == 0:
             return MatrixQ.zero(dn1, dn)
-        return self.diff[n].get((x, y), MatrixQ.zero(dn1, dn))
+        mat = self.diff[n].get((x, y))
+        return MatrixQ.zero(dn1, dn) if mat is None else mat
 
 
 def _contract(out: list, coefficients: Terms, vectors) -> list:

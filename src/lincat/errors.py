@@ -17,6 +17,10 @@ class DimensionError(LincatError):
     """A vector or matrix has the wrong shape for the requested operation."""
 
 
+class ScalarTypeError(LincatError):
+    """An entry handed to exact linear algebra is not a `fractions.Fraction`."""
+
+
 class CompositionError(LincatError):
     """Endpoint or degree mismatch when composing morphisms or forms."""
 

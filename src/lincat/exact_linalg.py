@@ -1,28 +1,37 @@
 """Exact linear algebra over the rationals.
 
 Everything in the package ultimately reduces to row reduction of
-matrices with `fractions.Fraction` entries.  Pivoting is deterministic
-(first nonzero entry in column order, no magnitude heuristics), so every
-derived basis is reproducible byte for byte.
+matrices with `fractions.Fraction` entries, always to the reduced row
+echelon form, which is unique for a row space: no pivot is chosen by
+magnitude or by the order of the work, so every derived basis is
+reproducible byte for byte.
 
 Vectors are plain tuples of Fractions; matrices are immutable tuples of
-row tuples wrapped in :class:`MatrixQ`.  Those dense types are what every
-function takes and returns.  Inside, the work runs on sparse rows: maps
-from column index to the nonzero entries of a row (`SparseRow`), because
-the matrices the package reduces are mostly zero and exact arithmetic on
-a zero still costs a `Fraction` operation.  Row reduction, the
-elimination basis of a quotient and matrix application visit nonzeros
-only.
+row tuples wrapped in :class:`MatrixQ`, whose entries must be Fractions
+(anything else is refused with `ScalarTypeError`, so no float or int
+ever enters exact arithmetic unnoticed).  The work itself runs on sparse
+rows: maps from column index to the nonzero entries of a row
+(`SparseRow`), because the matrices the package reduces are mostly zero
+and exact arithmetic on a zero still costs a `Fraction` operation.
+
+All elimination goes through one kernel, `echelon`, which takes sparse
+rows and a column count.  Sparse rows enter it directly through
+`build_quotient` (which also accepts dense vectors) and `solve_rows` (a
+linear system given by its sparse rows), and `QuotientSpace.reduce_sparse`
+reduces a sparse vector modulo a quotient without densifying it.
+`rref`, `kernel_basis`, `solve_in_span` and `row_space_basis` are the
+dense front doors: they hand the kernel the nonzeros of a dense input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ScalarTypeError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -78,6 +87,11 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
+def _all_fractions(values: Iterable) -> bool:
+    # map runs isinstance without a Python frame per entry
+    return all(map(isinstance, values, repeat(Fraction)))
+
+
 @dataclass(frozen=True)
 class MatrixQ:
     """Immutable dense matrix over the rationals."""
@@ -89,9 +103,14 @@ class MatrixQ:
     def __post_init__(self):
         if len(self.entries) != self.rows:
             raise DimensionError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
+        for i, r in enumerate(self.entries):
             if len(r) != self.cols:
                 raise DimensionError(f"ragged row: expected {self.cols} columns, got {len(r)}")
+            if not _all_fractions(r):
+                j, x = next((j, x) for j, x in enumerate(r) if not isinstance(x, Fraction))
+                raise ScalarTypeError(
+                    f"matrix entry ({i}, {j}) is {x!r} of type {type(x).__name__}, not a Fraction"
+                )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "MatrixQ":
@@ -195,48 +214,64 @@ class RrefResult:
         return MatrixQ(nrows, ncols, dense + (zero_vector(ncols),) * (nrows - len(dense)))
 
 
-def rref(m: MatrixQ) -> RrefResult:
-    """Reduced row echelon form with deterministic pivoting.
+def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+    """row += f * other, in place, dropping the entries that cancel; f != 0."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = f * y
+        else:
+            x += f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
 
-    Scans columns left to right and picks the first row with a nonzero
-    entry; no magnitude-based pivot choice is ever made, so the result
-    is a function of the exact input alone.  Rows are sparse maps during
-    the elimination, so each row operation touches the nonzeros of the
-    pivot row only.
+
+def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """Reduced row echelon basis of the span of sparse rows, and its pivots.
+
+    This is the one elimination kernel of the package.  The rows are
+    `ncols` wide and are left unmodified.  They are taken one at a time:
+    each is reduced by the basis found so far, and a nonzero remainder
+    joins the basis with its first column as pivot, scaled to 1 there,
+    after which that column is cleared from the older basis rows.  So the
+    basis is in reduced echelon form after every row.  That form is
+    unique for a row space, so the result is a function of the span
+    alone, and every derived basis is reproducible byte for byte.
     """
-    work = [row for row in map(sparse, m.entries) if row]
-    nrows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if c in work[i]), None)
-        if pr is None:
+    basis: dict[int, SparseRow] = {}  # pivot column -> row, 0 at every other pivot
+    for given in rows:
+        if not given:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
+        if min(given) < 0 or max(given) >= ncols:
+            raise DimensionError(f"sparse row has a column outside 0..{ncols - 1}")
+        if not _all_fractions(given.values()):
+            raise ScalarTypeError("sparse row entries must be Fractions")
+        row = {j: x for j, x in given.items() if x}
+        # basis rows vanish at every pivot but their own, so one pass over
+        # the pivots in the row's support clears them all
+        for c in [c for c in row if c in basis]:
+            add_scaled(row, -row[c], basis[c])
+        if not row:
+            continue
+        p = min(row)
+        pv = row[p]
         if pv != 1:
-            work[r] = {j: x / pv for j, x in work[r].items()}
-        pivot_items = list(work[r].items())
-        for i in range(nrows):
-            row = work[i]
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            for j, y in pivot_items:
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * y
-                else:
-                    x -= f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        pivots.append(c)
-        r += 1
-    return RrefResult((m.rows, m.cols), tuple(work[:r]), tuple(pivots))
+            row = {j: x / pv for j, x in row.items()}
+        for other in basis.values():
+            f = other.get(p)
+            if f is not None:
+                add_scaled(other, -f, row)
+        basis[p] = row
+    pivots = tuple(sorted(basis))
+    return tuple(basis[p] for p in pivots), pivots
+
+
+def rref(m: MatrixQ) -> RrefResult:
+    """Reduced row echelon form of a dense matrix, by `echelon`."""
+    rows, pivots = echelon(map(sparse, m.entries), m.cols)
+    return RrefResult((m.rows, m.cols), rows, pivots)
 
 
 def rank(m: MatrixQ) -> int:
@@ -273,23 +308,33 @@ def kernel_basis(m: MatrixQ) -> tuple[Vector, ...]:
     return tuple(basis)
 
 
+def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
+    """One exact solution x of A x = b, A given by its sparse rows, or None.
+
+    None means b lies outside the column span of A.  The augmented rows
+    (b in column `ncols`) go straight to `echelon`; free variables are
+    set to zero, so the solution is again a function of the input alone.
+    """
+    if len(b) != len(rows):
+        raise DimensionError(f"rhs length {len(b)} does not match {len(rows)} rows")
+    augmented = [{**row, ncols: bb} if bb else row for row, bb in zip(rows, b)]
+    echelon_rows, pivots = echelon(augmented, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [ZERO] * ncols
+    for row, p in zip(echelon_rows, pivots):
+        x[p] = row.get(ncols, ZERO)
+    return tuple(x)
+
+
 def solve_in_span(m: MatrixQ, b: Vector) -> Optional[Vector]:
     """One exact solution x of m @ x = b, or None when b is outside the span.
 
-    Free variables are set to zero, so the returned solution is again a
-    deterministic function of the input.
+    The dense front door to `solve_rows`.
     """
     if len(b) != m.rows:
         raise DimensionError(f"rhs length {len(b)} does not match {m.rows} rows")
-    aug = MatrixQ(m.rows, m.cols + 1,
-                  tuple(row + (bb,) for row, bb in zip(m.entries, b)))
-    res = rref(aug)
-    if m.cols in res.pivots:
-        return None
-    x = [ZERO] * m.cols
-    for row, p in zip(res.rows, res.pivots):
-        x[p] = row.get(m.cols, ZERO)
-    return tuple(x)
+    return solve_rows([sparse(r) for r in m.entries], m.cols, b)
 
 
 @dataclass(frozen=True)
@@ -319,19 +364,25 @@ class QuotientSpace:
     def subspace_basis(self) -> tuple[Vector, ...]:
         return tuple(densify(r, self.ambient_dim) for r in self.rows)
 
+    @cached_property
+    def _row_at_pivot(self) -> dict[int, SparseRow]:
+        return dict(zip(self.pivots, self.rows))
+
     def reduce(self, v: Vector) -> Vector:
         """Canonical coset representative (pivot coordinates eliminated)."""
         if len(v) != self.ambient_dim:
             raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient_dim}")
-        out = list(v)
+        return densify(self.reduce_sparse(sparse(v)), self.ambient_dim)
+
+    def reduce_sparse(self, v: SparseRow) -> SparseRow:
+        """`reduce` of a sparse vector, as a sparse vector; empty on the subspace."""
+        row_at = self._row_at_pivot
+        out = {j: x for j, x in v.items() if x}
         # rows vanish at every pivot but their own, so each pivot entry of
         # v is eliminated by its own row alone
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                for j, y in row.items():
-                    out[j] -= f * y
-        return tuple(out)
+        for p in [p for p in out if p in row_at]:
+            add_scaled(out, -out[p], row_at[p])
+        return out
 
     def coset_coordinates(self, v: Vector) -> Vector:
         red = self.reduce(v)
@@ -350,16 +401,20 @@ class QuotientSpace:
         return is_zero_vector(self.reduce(v))
 
 
-def build_quotient(ambient_dim: int, spanning: Sequence[Vector]) -> QuotientSpace:
-    spanning = list(spanning)
-    if spanning:
-        res = rref(MatrixQ.from_rows(spanning, cols=ambient_dim))
-        rows, pivots = res.rows, res.pivots
-    else:
-        rows, pivots = (), ()
+def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | Vector]) -> QuotientSpace:
+    """The quotient by the span of the given rows, sparse maps or dense vectors."""
+    rows, pivots = echelon((_sparse_row(r, ambient_dim) for r in spanning), ambient_dim)
     pivot_set = set(pivots)
     free_cols = tuple(c for c in range(ambient_dim) if c not in pivot_set)
     return QuotientSpace(ambient_dim, rows, pivots, free_cols)
+
+
+def _sparse_row(row: SparseRow | Vector, width: int) -> SparseRow:
+    if isinstance(row, dict):
+        return row
+    if len(row) != width:
+        raise DimensionError(f"vector length {len(row)} does not match ambient {width}")
+    return sparse(vec(row))
 
 
 def parse_scalar(text: str) -> Fraction:

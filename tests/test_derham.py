@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
+from lincat.chern import certify_cocycle, chern_form
 from lincat.derham import (
     DiagonalForm,
     TildeComplex,
@@ -14,8 +16,11 @@ from lincat.derham import (
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError, LincatError
 from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
+from lincat.workspace import load_fixture
 
-from conftest import m2_category, random_scalar
+from conftest import m2_category, random_scalar, two_points_category
+from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
+from test_exact_linalg import dense_rref, dense_solve
 
 
 def random_class(rh, n, rng):
@@ -203,3 +208,92 @@ def test_closure_check_rejects_tables_that_break_it():
     w = DGCategory(c, 1, {1: {(0, 0): ["th"]}}, {}, {0: {(0, 0): MatrixQ.from_rows([[1, 0, 0, 0]])}})
     with pytest.raises(LincatError, match="not closed under d"):
         get_complex(w)
+
+
+def test_closure_check_rejects_a_corrupted_degree_one_differential():
+    # two points at truncation 3 with one entry added to d out of degree 1,
+    # so that d(dc) = c.dc.dc: the degree-1 commutator [c, dc] = 2 c.dc - dc
+    # then has d = 2 dc.dc - c.dc.dc, which is not a degree-2 commutator
+    w = universal_dg(two_points_category(), 3)
+    comp, diff = dense_tables(w)
+    assert get_complex(rebuilt(w, comp, diff)).dim(2) == 1
+    diff[1][(0, 0)][1][0] += 1
+    with pytest.raises(LincatError, match="degree-1 commutators are not closed under d"):
+        get_complex(rebuilt(w, comp, diff))
+
+
+# -- the quotient complex against a dense path built here --------------------
+
+
+def dense_ambient_d(w, n):
+    """d from the ambient diagonal space of degree n, as a dense matrix."""
+    objs = range(len(w.base.objects))
+    width, width1 = (sum(w.dim(k, x, x) for x in objs) for k in (n, n + 1))
+    out = [[Fraction(0)] * width for _ in range(width1)]
+    off = off1 = 0
+    for x in objs:
+        mat = w.diff_matrix(n, x, x)
+        for i, r in enumerate(mat.entries):
+            for j, s in enumerate(r):
+                out[off1 + i][off + j] = s
+        off, off1 = off + mat.cols, off1 + mat.rows
+    return out
+
+
+def dense_quotient(w, n):
+    """Echelon rows, pivots and free columns of the degree-n commutators."""
+    width = sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
+    spanning = tuple(v for v, _ in commutator_spanning_labeled(w, n))
+    rows, pivots = dense_rref(MatrixQ(len(spanning), width, spanning))
+    free = tuple(c for c in range(width) if c not in pivots)
+    return tuple(rows[:len(pivots)]), tuple(pivots), free
+
+
+def dense_d_matrix(w, n, quotient_n, quotient_n1):
+    """The induced differential: d of each free unit vector, reduced, at the free columns."""
+    _, _, free = quotient_n
+    rows1, pivots1, free1 = quotient_n1
+    d = dense_ambient_d(w, n)
+    cols = []
+    for c in free:
+        out = [r[c] for r in d]
+        for row, p in zip(rows1, pivots1):
+            f = out[p]
+            out = [a - f * b for a, b in zip(out, row)]
+        cols.append([out[k] for k in free1])
+    return tuple(tuple(col[i] for col in cols) for i in range(len(free1)))
+
+
+def test_quotient_complex_matches_dense_path():
+    models = [load_fixture(name).dg for name in UNIVERSAL_FIXTURES] + [universal_dg(m2_category(), 3)]
+    for w in models:
+        rh = get_complex(w)
+        quotients = [dense_quotient(w, n) for n in range(w.truncation + 1)]
+        for n, (rows, pivots, free) in enumerate(quotients):
+            q = rh.quotients[n]
+            assert (q.subspace_basis, q.pivots, q.free_columns) == (rows, pivots, free), n
+        for n in range(w.truncation):
+            expected = dense_d_matrix(w, n, quotients[n], quotients[n + 1])
+            assert rh.d_matrix(n).entries == expected, n
+
+
+def test_m2_cocycle_certificate_matches_dense_solve():
+    # a rank-one idempotent and a fixed degree-1 gauge on M2 at truncation 3
+    w = universal_dg(m2_category(), 3)
+    x = w.base.objects[0]
+    idem = [Fraction(a) for a in (2, -2, 1, -1)]
+    gauge = [1, 0, -2, 2, 1, 0, 0, -1, 1, 2, -2, 0]
+    e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, idem),),))
+    conn = Connection(ProjectiveModule(w, "P", e), FormMatrix(1, (x,), (x,), ((w.form(1, x, x, gauge),),)))
+    cert = certify_cocycle(conn, 1)
+
+    (omega,) = chern_form(conn, 1)
+    target = tuple(sum((s * a for s, a in zip(r, omega.coords)), Fraction(0)) for r in dense_ambient_d(w, 2))
+    labeled = commutator_spanning_labeled(w, 3)
+    columns = MatrixQ(len(labeled), len(target), tuple(v for v, _ in labeled)).transpose()
+    solution = dense_solve(columns, target)
+    assert solution is not None
+    expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
+    assert [(t.index, t.coefficient, t.label) for t in cert.terms] == expected
+    assert cert.spanning_size == len(labeled) == 1728
+    assert len(expected) > 10

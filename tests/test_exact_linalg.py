@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from lincat.errors import ScalarTypeError
 from lincat.exact_linalg import (
     MatrixQ,
     build_quotient,
+    densify,
+    echelon,
     format_scalar,
     kernel_basis,
     parse_scalar,
@@ -13,6 +16,8 @@ from lincat.exact_linalg import (
     row_space_basis,
     rref,
     solve_in_span,
+    solve_rows,
+    sparse,
     unit_vector,
     vec,
     vec_add,
@@ -260,3 +265,41 @@ def test_sparse_quotient_matches_dense_reference():
                 out = [a - f * b for a, b in zip(out, row)]
             assert q.reduce(v) == tuple(out)
             assert q.coset_coordinates(v) == tuple(out[c] for c in q.free_columns)
+
+
+def test_sparse_entry_points_match_dense_front_doors():
+    rng = random.Random(104)
+    for rows, cols in oracle_shapes(rng):
+        m = sparse_matrix(rng, rows, cols)
+        sparse_rows = [sparse(r) for r in m.entries]
+        ref_rows, ref_pivots = dense_rref(m)
+        got_rows, got_pivots = echelon(sparse_rows, cols)
+        assert got_pivots == tuple(ref_pivots)
+        assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:len(ref_pivots)])
+        assert sparse_rows == [sparse(r) for r in m.entries]  # inputs left alone
+        q = build_quotient(cols, sparse_rows)
+        assert q == build_quotient(cols, list(m.entries))
+        for _ in range(3):
+            v = tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0) for _ in range(cols))
+            assert q.reduce_sparse(sparse(v)) == sparse(q.reduce(v))
+            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
+            for b in (m.apply(x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
+                assert solve_rows(sparse_rows, cols, b) == dense_solve(m, b)
+
+
+def test_inexact_entries_are_refused():
+    # an int or float entry would turn exact division into float division
+    with pytest.raises(ScalarTypeError):
+        solve_in_span(MatrixQ(1, 1, ((3,),)), (1,))
+    with pytest.raises(ScalarTypeError):
+        rref(MatrixQ(2, 2, ((2, 1), (1, 1))))
+    with pytest.raises(ScalarTypeError, match=r"entry \(0, 1\) is 0.5"):
+        MatrixQ(1, 2, ((Fraction(1), 0.5),))
+    with pytest.raises(ScalarTypeError):
+        build_quotient(2, [{0: 2, 1: Fraction(1)}])
+    with pytest.raises(ScalarTypeError):
+        solve_rows([{0: Fraction(3)}], 1, (1,))
+    # the converting constructors stay exact
+    assert solve_in_span(MatrixQ.from_rows([[3]]), vec([1])) == (Fraction(1, 3),)
+    assert rref(MatrixQ.from_rows([[2, 1], [1, 1]])).matrix == MatrixQ.identity(2)
+    assert build_quotient(2, [(2, 1)]).rows == ({0: Fraction(1), 1: Fraction(1, 2)},)
