@@ -7,19 +7,23 @@ space indexed by the pair ``(x, y)`` consists of the morphisms *from* y
 left of right, like matrix multiplication.
 
 Everything is exact: coordinates are tuples of `Fraction`.
+
+This module holds the category alone: objects, bases, composition and
+the axiom check.  The trace quotient (endomorphisms modulo commutators)
+is degree 0 of the quotient complex of any graded envelope, so its
+classes come from `get_complex(trivial_dg(c)).class_of` (`lincat.derham`)
+rather than from a second implementation here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
-    QuotientSpace,
     Vector,
-    build_quotient,
     is_zero_vector,
     parse_scalar,
     vec,
@@ -59,13 +63,6 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return is_zero_vector(self.coords)
-
-
-@dataclass(frozen=True)
-class DiagonalElement:
-    """One endomorphism-space coordinate vector per object (possibly zero)."""
-
-    components: tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,6 @@ class Category:
                 raise DimensionError(f"object {self.objects[x].label}: identity has wrong length")
             self.identity[x] = v
 
-        self._cab: Optional[QuotientSpace] = None
-
     # -- basic accessors -------------------------------------------------
 
     def dim(self, x: int, y: int) -> int:
@@ -193,80 +188,6 @@ class Category:
         if tensor is None:
             return zero_vector(self.dim(x, z))
         return tensor[i][j]
-
-    # -- diagonal space and its commutator quotient ----------------------
-
-    def diagonal_dims(self) -> tuple[int, ...]:
-        return tuple(self.dim(x, x) for x in range(len(self.objects)))
-
-    def diagonal_dim(self) -> int:
-        return sum(self.diagonal_dims())
-
-    def diagonal_offsets(self) -> tuple[int, ...]:
-        offs, acc = [], 0
-        for d in self.diagonal_dims():
-            offs.append(acc)
-            acc += d
-        return tuple(offs)
-
-    def diagonal_to_vector(self, d: DiagonalElement) -> Vector:
-        dims = self.diagonal_dims()
-        if len(d.components) != len(dims):
-            raise DimensionError("diagonal element has wrong number of components")
-        out: list[Fraction] = []
-        for comp, dim in zip(d.components, dims):
-            if len(comp) != dim:
-                raise DimensionError("diagonal component has wrong length")
-            out.extend(comp)
-        return tuple(out)
-
-    def diagonal_from_vector(self, v: Vector) -> DiagonalElement:
-        dims = self.diagonal_dims()
-        if len(v) != sum(dims):
-            raise DimensionError("vector length does not match the diagonal space")
-        comps, pos = [], 0
-        for dim in dims:
-            comps.append(tuple(v[pos:pos + dim]))
-            pos += dim
-        return DiagonalElement(tuple(comps))
-
-    def diagonal_of(self, f: Morphism) -> DiagonalElement:
-        if f.dom != f.cod:
-            raise CompositionError("only endomorphisms embed into the diagonal space")
-        comps = [zero_vector(d) for d in self.diagonal_dims()]
-        comps[f.dom.index] = f.coords
-        return DiagonalElement(tuple(comps))
-
-    def commutator_spanning_set(self) -> list[Vector]:
-        """Spanning vectors for the commutator subspace of the diagonal.
-
-        One vector b.b' - b'.b for every pair of opposed basis morphisms
-        b: y -> x and b': x -> y, embedded into the concatenated
-        endomorphism coordinates.
-        """
-        n = len(self.objects)
-        offs = self.diagonal_offsets()
-        total = self.diagonal_dim()
-        spanning: list[Vector] = []
-        for x in range(n):
-            for y in range(n):
-                dxy, dyx = self.dim(x, y), self.dim(y, x)
-                for i in range(dxy):
-                    for j in range(dyx):
-                        v = [Fraction(0)] * total
-                        fwd = self.compose_basis(x, y, x, i, j)
-                        for k, s in enumerate(fwd):
-                            v[offs[x] + k] += s
-                        bwd = self.compose_basis(y, x, y, j, i)
-                        for k, s in enumerate(bwd):
-                            v[offs[y] + k] -= s
-                        spanning.append(tuple(v))
-        return spanning
-
-    def cab_quotient(self) -> QuotientSpace:
-        if self._cab is None:
-            self._cab = build_quotient(self.diagonal_dim(), self.commutator_spanning_set())
-        return self._cab
 
 
 def compose(c: Category, f: Morphism, g: Morphism) -> Morphism:
@@ -333,11 +254,6 @@ def validate_category(c: Category) -> list[Violation]:
                                         Violation("associativity", " . ".join(names))
                                     )
     return violations
-
-
-def commutator_class(c: Category, d: DiagonalElement) -> Vector:
-    """Coset coordinates of a diagonal element modulo commutators."""
-    return c.cab_quotient().coset_coordinates(c.diagonal_to_vector(d))
 
 
 def build_category(

@@ -18,7 +18,9 @@ ambient diagonal space.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
-of a differential graded algebra.
+of a differential graded algebra.  So `get_complex(trivial_dg(c))` at
+degree 0 is the trace quotient of a category c; the package has no
+other implementation of it.
 
 The top truncation degree is special: its cohomology is computed for
 the truncated complex (differential out of the top treated as zero) and
@@ -37,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dg import DGCategory, Form, render_form
+from .dg import DGCategory, Form, FormMatrix, render_form
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
+    ONE,
     ZERO,
     MatrixQ,
     QuotientSpace,
@@ -48,8 +51,10 @@ from .exact_linalg import (
     add_scaled,
     build_quotient,
     densify,
+    echelon,
     is_zero_vector,
     kernel_basis,
+    offsets,
     row_space_basis,
     solve_in_span,
     sparse,
@@ -58,7 +63,7 @@ from .exact_linalg import (
     vec_sub,
     zero_vector,
 )
-from .tforms import TildeForm, poly_form, poly_zero, tilde_compose, tilde_form
+from .tforms import PolyMatrix, TildeMatrix, pm_const, pm_shift, tilde_matrix, tm_mul
 
 # ---------------------------------------------------------------------------
 # diagonal forms
@@ -100,14 +105,6 @@ def diagonal_form_from_forms(w: DGCategory, degree: int, forms: Sequence[Form]) 
 # the quotient complex
 
 
-def _offsets(dims) -> tuple[int, ...]:
-    offs, total = [], 0
-    for d in dims:
-        offs.append(total)
-        total += d
-    return tuple(offs)
-
-
 def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
     """Graded commutators of basis forms, embedded diagonally, degree n.
 
@@ -118,7 +115,7 @@ def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
     only, indexed in the ambient diagonal space of degree n.
     """
     nobj = len(w.base.objects)
-    offsets = _offsets(w.dim(n, x, x) for x in range(nobj))
+    offs = offsets(w.dim(n, x, x) for x in range(nobj))
     out: list[tuple[SparseRow, str]] = []
     for p in range(0, n + 1):
         q = n - p
@@ -132,7 +129,7 @@ def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
                 fwd_block = w.basis_products(p, q, x, y, x)  # u.v, endomorphism form at x
                 bwd_block = w.basis_products(q, p, y, x, y)  # v.u, endomorphism form at y
                 labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(q, y, x)
-                off_x, off_y = offsets[x], offsets[y]
+                off_x, off_y = offs[x], offs[y]
                 for i in range(dp):
                     for j in range(dq):
                         vecv: SparseRow = {}
@@ -166,7 +163,7 @@ class DeRhamComplex:
         for n in range(N + 1):
             dims = tuple(w.dim(n, x, x) for x in range(nobj))
             self.component_dims.append(dims)
-            self.component_offsets.append(_offsets(dims))
+            self.component_offsets.append(offsets(dims))
 
         # the labeled commutator span of each degree, built once: the
         # quotient and the cocycle certificates share it
@@ -487,11 +484,12 @@ class TildeComplex:
 def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int, int]:
     """(literal, predicted) rank of the degree-n stratified bracket span.
 
-    The literal side multiplies out extended monomials u t^a (.e) with the
-    actual composition of the extension and embeds the graded commutators
-    in the stratified diagonal space.  The predicted side counts one copy
-    of each plain commutator subspace per stratum: (t_bound + 1) times
-    the commutator dimensions in degrees n and n - 1.
+    The literal side multiplies out extended monomials u t^a (.e), as
+    1 x 1 matrices over the extension, with the actual composition
+    `tm_mul` and embeds the graded commutators in the stratified
+    diagonal space.  The predicted side counts one copy of each plain
+    commutator subspace per stratum: (t_bound + 1) times the commutator
+    dimensions in degrees n and n - 1.
     """
     w = rh.w
     D = t_bound
@@ -499,44 +497,38 @@ def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int
     amb_n, amb_n1 = rh.ambient_dim(n), rh.ambient_dim(n - 1)
     strat_dim = (D + 1) * (amb_n + amb_n1)
 
-    def embed(g: TildeForm, x: int) -> Vector:
-        out = [Fraction(0)] * strat_dim
-        for i, f in enumerate(g.part0.coeffs):
-            if f.is_zero():
-                continue
-            if i > D:
-                raise DimensionError("bracket exceeded the stratification bound")
-            off = i * amb_n + rh.component_offsets[n][x]
-            for k, s in enumerate(f.coords):
-                out[off + k] += s
+    def embed(out: SparseRow, g: TildeMatrix, x: int, sign: Fraction) -> None:
+        """Add sign times g, a 1 x 1 matrix at object x, in stratified coordinates."""
+        parts = [(g.part0, 0, amb_n, rh.component_offsets[n][x])]
         if g.part1 is not None:
-            base = (D + 1) * amb_n
-            for i, f in enumerate(g.part1.coeffs):
+            parts.append((g.part1, (D + 1) * amb_n, amb_n1, rh.component_offsets[n - 1][x]))
+        for part, base, width, off in parts:
+            for i, m in enumerate(part.coeffs):
+                f = m.entries[0][0]
                 if f.is_zero():
                     continue
                 if i > D:
                     raise DimensionError("bracket exceeded the stratification bound")
-                off = base + i * amb_n1 + rh.component_offsets[n - 1][x]
+                start = base + i * width + off
                 for k, s in enumerate(f.coords):
-                    out[off + k] += s
-        return tuple(out)
+                    if s:
+                        out[start + k] = out.get(start + k, ZERO) + sign * s
 
-    def monomials(p: int, x: int, y: int, a: int) -> list[TildeForm]:
+    def monomials(p: int, x: int, y: int, a: int) -> list[TildeMatrix]:
         """Extended monomials of total degree p from object y to object x, times t^a."""
         ox, oy = w.base.objects[x], w.base.objects[y]
-        out = []
-        for i in range(w.dim(p, x, y)):
-            f = w.basis_form(p, oy, ox, i)
-            zero = f.scale(0)
-            out.append(tilde_form(w, poly_form([zero] * a + [f])))
+
+        def basis_poly(degree: int, i: int) -> PolyMatrix:
+            f = w.basis_form(degree, oy, ox, i)
+            return pm_shift(pm_const(FormMatrix(degree, (ox,), (oy,), ((f,),))), a)
+
+        out = [tilde_matrix(w, basis_poly(p, i)) for i in range(w.dim(p, x, y))]
         if p >= 1:
-            for i in range(w.dim(p - 1, x, y)):
-                f = w.basis_form(p - 1, oy, ox, i)
-                zero = f.scale(0)
-                out.append(TildeForm(poly_zero(w, p, oy, ox), poly_form([zero] * a + [f])))
+            zero = pm_const(FormMatrix.zero(w, (ox,), (oy,), p))
+            out += [TildeMatrix(zero, basis_poly(p - 1, i)) for i in range(w.dim(p - 1, x, y))]
         return out
 
-    spanning: list[Vector] = []
+    spanning: list[SparseRow] = []
     for p in range(0, n + 1):
         q = n - p
         sign = Fraction(-1 if (p * q) % 2 else 1)
@@ -548,11 +540,12 @@ def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int
                             if u.part1 is not None and not u.part1.is_zero() \
                                     and v.part1 is not None and not v.part1.is_zero():
                                 continue  # both infinitesimal: product vanishes
-                            fwd = tilde_compose(w, u, v)
-                            bwd = tilde_compose(w, v, u)
-                            spanning.append(vec_sub(embed(fwd, x), vec_scale(sign, embed(bwd, y))))
+                            row: SparseRow = {}
+                            embed(row, tm_mul(w, u, v), x, ONE)
+                            embed(row, tm_mul(w, v, u), y, -sign)
+                            spanning.append(row)
 
-    literal = len(row_space_basis(spanning, strat_dim))
+    literal = len(echelon(spanning, strat_dim)[1])
     predicted = (D + 1) * (
         rh.quotients[n].subspace_dim + (rh.quotients[n - 1].subspace_dim if n >= 1 else 0)
     )

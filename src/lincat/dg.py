@@ -25,7 +25,8 @@ matrices are reproducible.
 Composition tensors are stored sparse: the product of two basis forms is
 kept as the tuple of its nonzero (index, coefficient) pairs, because
 nearly all entries of the dense tensors are zero.  The chain vectors of
-the universal builder are sparse maps for the same reason.
+the universal builder are sparse maps for the same reason, and their
+spans go to the elimination kernel `echelon` as they are.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .exact_linalg import (
     MatrixQ,
     SparseRow,
     Vector,
-    densify,
+    echelon,
     is_zero_vector,
     kernel_basis,
-    rref,
     sparse,
     unit_vector,
     vec,
@@ -460,10 +460,9 @@ class _Subspace:
         position = [0] * space.dim
         for pos, j in enumerate(order):
             position[j] = pos
-        permuted = tuple(densify({position[j]: s for j, s in r.items()}, space.dim) for r in spanning)
-        reduced = rref(MatrixQ(len(permuted), space.dim, permuted))
-        self.rows: tuple[SparseRow, ...] = tuple({order[k]: s for k, s in r.items()} for r in reduced.rows)
-        self.pivots = tuple(order[k] for k in reduced.pivots)
+        rows, pivots = echelon(({position[j]: s for j, s in r.items()} for r in spanning), space.dim)
+        self.rows: tuple[SparseRow, ...] = tuple({order[k]: s for k, s in r.items()} for r in rows)
+        self.pivots = tuple(order[k] for k in pivots)
 
     @property
     def dim(self) -> int:

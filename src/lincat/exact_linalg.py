@@ -19,8 +19,10 @@ rows and a column count.  Sparse rows enter it directly through
 `build_quotient` (which also accepts dense vectors) and `solve_rows` (a
 linear system given by its sparse rows), and `QuotientSpace.reduce_sparse`
 reduces a sparse vector modulo a quotient without densifying it.
-`rref`, `kernel_basis`, `solve_in_span` and `row_space_basis` are the
-dense front doors: they hand the kernel the nonzeros of a dense input.
+Callers that already hold sparse rows (the envelope's chain subspaces,
+the stratified bracket span) call `echelon` itself.  `rref`,
+`kernel_basis`, `solve_in_span` and `row_space_basis` are the dense
+front doors: they hand the kernel the nonzeros of a dense input.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def densify(row: SparseRow, n: int) -> Vector:
     out = [ZERO] * n
     for j, x in row.items():
         out[j] = x
+    return tuple(out)
+
+
+def offsets(dims: Iterable[int]) -> tuple[int, ...]:
+    """Start index of each block when blocks of the given sizes are stacked."""
+    out, total = [], 0
+    for d in dims:
+        out.append(total)
+        total += d
     return tuple(out)
 
 

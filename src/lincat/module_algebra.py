@@ -32,6 +32,7 @@ from .exact_linalg import (
     Vector,
     build_quotient,
     kernel_basis,
+    offsets,
     row_space_basis,
     vec_add,
     vec_scale,
@@ -215,13 +216,8 @@ class EFixedComponent:
         w = module.w
         fam = module.family
         self.block_dims = tuple(w.dim(degree, o.index, anchor.index) for o in fam)
-        offs = []
-        total = 0
-        for d in self.block_dims:
-            offs.append(total)
-            total += d
-        self.offsets = tuple(offs)
-        self.total_dim = total
+        self.offsets = offsets(self.block_dims)
+        self.total_dim = total = sum(self.block_dims)
 
         if total == 0:
             self.rows: tuple[Vector, ...] = ()
@@ -307,13 +303,8 @@ class LiteralTensor:
         self.block_dims = tuple(
             self.fibers[z].dim * w.dim(degree, z, anchor.index) for z in range(nobj)
         )
-        offs = []
-        total = 0
-        for d in self.block_dims:
-            offs.append(total)
-            total += d
-        self.offsets = tuple(offs)
-        self.total_dim = total
+        self.offsets = offsets(self.block_dims)
+        self.total_dim = total = sum(self.block_dims)
 
         spanning: list[Vector] = []
         for z in range(nobj):

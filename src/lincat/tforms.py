@@ -1,10 +1,12 @@
-"""Polynomial and infinitesimal extensions of the form algebra.
+"""Form matrices over Q[t] and Q[t]e, e^2 = 0.
 
-Forms with coefficients in Q[t], and pairs (a0, a1) standing for
-a0 + a1.e with e^2 = 0, support the interpolation argument behind
-homotopy invariance: a one-parameter family of connection data becomes
-a single object over the extended coefficients, specializes at t = 0
-and t = 1, and its e-component integrates to an explicit primitive.
+`PolyMatrix` is a form matrix with coefficients in Q[t], and
+`TildeMatrix` a pair (a0, a1) standing for a0 + a1.e.  They support the
+interpolation argument behind homotopy invariance: a one-parameter
+family of connection data becomes a single matrix over the extended
+coefficients, specializes at t = 0 and t = 1, and its e-component
+integrates to an explicit primitive.  A single form over the extension
+is a 1 x 1 matrix.
 
 Sign conventions, fixed here once and exercised by the tests:
 
@@ -26,192 +28,7 @@ from typing import Optional, Sequence
 
 from .category import ObjectId
 from .dg import DGCategory, Form, FormMatrix
-from .errors import CompositionError, DimensionError
-
-# ---------------------------------------------------------------------------
-# polynomial forms
-
-
-@dataclass(frozen=True)
-class PolyForm:
-    """A form with coefficients in Q[t]; `coeffs[i]` multiplies t^i."""
-
-    degree: int
-    dom: ObjectId
-    cod: ObjectId
-    coeffs: tuple[Form, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise DimensionError("polynomial form needs at least one coefficient")
-        for f in self.coeffs:
-            if (f.degree, f.dom, f.cod) != (self.degree, self.dom, self.cod):
-                raise DimensionError("polynomial form: inconsistent coefficient type")
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-
-def poly_form(coeffs: Sequence[Form]) -> PolyForm:
-    """Normalized constructor: trims trailing zero coefficients."""
-    cs = list(coeffs)
-    if not cs:
-        raise DimensionError("polynomial form needs at least one coefficient")
-    while len(cs) > 1 and cs[-1].is_zero():
-        cs.pop()
-    head = cs[0]
-    return PolyForm(head.degree, head.dom, head.cod, tuple(cs))
-
-
-def poly_const(f: Form) -> PolyForm:
-    return poly_form([f])
-
-
-def poly_zero(w: DGCategory, degree: int, dom: ObjectId, cod: ObjectId) -> PolyForm:
-    return poly_const(w.zero_form(degree, dom, cod))
-
-
-def poly_shift(a: PolyForm, k: int = 1) -> PolyForm:
-    """Multiply by t^k."""
-    zero = a.coeffs[0].scale(0)
-    return poly_form((zero,) * k + a.coeffs)
-
-
-def poly_add(a: PolyForm, b: PolyForm) -> PolyForm:
-    if (a.degree, a.dom, a.cod) != (b.degree, b.dom, b.cod):
-        raise DimensionError("polynomial form addition: type mismatch")
-    zero = a.coeffs[0].scale(0)
-    n = max(len(a.coeffs), len(b.coeffs))
-    padded_a = a.coeffs + (zero,) * (n - len(a.coeffs))
-    padded_b = b.coeffs + (zero,) * (n - len(b.coeffs))
-    return poly_form([x + y for x, y in zip(padded_a, padded_b)])
-
-
-def poly_sub(a: PolyForm, b: PolyForm) -> PolyForm:
-    return poly_add(a, poly_scale(b, -1))
-
-
-def poly_scale(a: PolyForm, s) -> PolyForm:
-    return poly_form([f.scale(s) for f in a.coeffs])
-
-
-def poly_compose(w: DGCategory, a: PolyForm, b: PolyForm) -> PolyForm:
-    if a.dom != b.cod:
-        raise CompositionError("polynomial forms do not compose: endpoint mismatch")
-    out: list[Form] = [
-        w.zero_form(a.degree + b.degree, b.dom, a.cod)
-        for _ in range(len(a.coeffs) + len(b.coeffs) - 1)
-    ]
-    for i, fa in enumerate(a.coeffs):
-        if fa.is_zero():
-            continue
-        for j, fb in enumerate(b.coeffs):
-            if fb.is_zero():
-                continue
-            out[i + j] = out[i + j] + w.compose(fa, fb)
-    return poly_form(out)
-
-
-def poly_d(w: DGCategory, a: PolyForm) -> PolyForm:
-    return poly_form([w.d(f) for f in a.coeffs])
-
-
-def poly_t_derivative(a: PolyForm) -> PolyForm:
-    if len(a.coeffs) == 1:
-        return poly_form([a.coeffs[0].scale(0)])
-    return poly_form([a.coeffs[i].scale(i) for i in range(1, len(a.coeffs))])
-
-
-def poly_integral01(a: PolyForm) -> Form:
-    """Integrate the coefficients over t in [0, 1]."""
-    total = a.coeffs[0].scale(0)
-    for i, f in enumerate(a.coeffs):
-        total = total + f.scale(Fraction(1, i + 1))
-    return total
-
-
-def poly_eval(a: PolyForm, t) -> Form:
-    t = Fraction(t)
-    total = a.coeffs[0].scale(0)
-    power = Fraction(1)
-    for f in a.coeffs:
-        total = total + f.scale(power)
-        power *= t
-    return total
-
-
-# ---------------------------------------------------------------------------
-# forms with an infinitesimal component
-
-
-@dataclass(frozen=True)
-class TildeForm:
-    """part0 + part1.e in total degree part0.degree; part1 one degree lower."""
-
-    part0: PolyForm
-    part1: Optional[PolyForm]
-
-    def __post_init__(self):
-        if self.part0.degree == 0:
-            if self.part1 is not None:
-                raise DimensionError("degree-0 extended form cannot carry an e-component")
-        else:
-            if self.part1 is None:
-                raise DimensionError("positive-degree extended form needs an explicit e-component")
-            if self.part1.degree != self.part0.degree - 1:
-                raise DimensionError("e-component must sit one degree lower")
-            if (self.part1.dom, self.part1.cod) != (self.part0.dom, self.part0.cod):
-                raise DimensionError("e-component endpoints differ from the main component")
-
-    @property
-    def degree(self) -> int:
-        return self.part0.degree
-
-
-def tilde_form(w: DGCategory, part0: PolyForm, part1: Optional[PolyForm] = None) -> TildeForm:
-    if part0.degree >= 1 and part1 is None:
-        part1 = poly_zero(w, part0.degree - 1, part0.dom, part0.cod)
-    return TildeForm(part0, part1)
-
-
-def tilde_add(a: TildeForm, b: TildeForm) -> TildeForm:
-    p1 = None
-    if a.part1 is not None:
-        p1 = poly_add(a.part1, b.part1)
-    return TildeForm(poly_add(a.part0, b.part0), p1)
-
-
-def tilde_scale(a: TildeForm, s) -> TildeForm:
-    return TildeForm(poly_scale(a.part0, s), None if a.part1 is None else poly_scale(a.part1, s))
-
-
-def tilde_compose(w: DGCategory, a: TildeForm, b: TildeForm) -> TildeForm:
-    part0 = poly_compose(w, a.part0, b.part0)
-    n = a.degree + b.degree
-    if n == 0:
-        return TildeForm(part0, None)
-    part1 = poly_zero(w, n - 1, b.part0.dom, a.part0.cod)
-    if b.part1 is not None:
-        part1 = poly_add(part1, poly_compose(w, a.part0, b.part1))
-    if a.part1 is not None:
-        sign = -1 if b.degree % 2 else 1
-        part1 = poly_add(part1, poly_scale(poly_compose(w, a.part1, b.part0), sign))
-    return TildeForm(part0, part1)
-
-
-def tilde_partial(w: DGCategory, a: TildeForm) -> TildeForm:
-    """The differential: d on the main part, d +/- the t-derivative on e."""
-    n = a.degree
-    part0 = poly_d(w, a.part0)
-    sign = 1 if (n + 1) % 2 == 0 else -1
-    part1 = poly_scale(poly_t_derivative(a.part0), sign)
-    if a.part1 is not None:
-        part1 = poly_add(part1, poly_d(w, a.part1))
-    return TildeForm(part0, part1)
-
-
-# ---------------------------------------------------------------------------
-# matrices over the extensions
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)

@@ -1,51 +1,51 @@
+"""Matrices over Q[t] and Q[t]e; a single form over the extension is a 1 x 1 matrix."""
+
 from fractions import Fraction
 import random
 
 import pytest
 
+from lincat import FormMatrix
 from lincat.errors import DimensionError
 from lincat.tforms import (
+    TildeMatrix,
     pm_add,
     pm_const,
     pm_d,
     pm_eval,
     pm_mul,
     pm_scale,
+    pm_shift,
     pm_t_derivative,
-    poly_add,
-    poly_compose,
-    poly_const,
-    poly_d,
-    poly_eval,
-    poly_form,
-    poly_integral01,
     poly_matrix,
-    poly_scale,
-    poly_shift,
-    poly_sub,
-    poly_t_derivative,
-    tilde_add,
-    tilde_compose,
-    tilde_form,
     tilde_matrix,
-    tilde_partial,
-    tilde_scale,
+    tm_add,
     tm_mul,
     tm_partial,
     tm_power,
 )
 
-from conftest import random_form, random_form_matrix
+from conftest import random_form_matrix
+
+
+def one(f):
+    """The 1 x 1 form matrix holding f."""
+    return FormMatrix(f.degree, (f.cod,), (f.dom,), ((f,),))
+
+
+def entry(m):
+    """The form in a 1 x 1 form matrix."""
+    return m.entries[0][0]
 
 
 def random_poly(w, n, dom, cod, rng, tdeg=2):
-    return poly_form([random_form(w, n, dom, cod, rng) for _ in range(tdeg + 1)])
+    return poly_matrix([random_form_matrix(w, n, (cod,), (dom,), rng) for _ in range(tdeg + 1)])
 
 
 def random_tilde(w, n, dom, cod, rng):
     part0 = random_poly(w, n, dom, cod, rng)
     part1 = random_poly(w, n - 1, dom, cod, rng) if n >= 1 else None
-    return tilde_form(w, part0, part1)
+    return tilde_matrix(w, part0, part1)
 
 
 def random_tilde_matrix(w, n, fam, rng):
@@ -56,12 +56,8 @@ def random_tilde_matrix(w, n, fam, rng):
     return tilde_matrix(w, part0, part1)
 
 
-def assert_tilde_eq(a, b):
-    assert poly_sub(a.part0, b.part0).is_zero()
-    if a.part1 is None:
-        assert b.part1 is None or b.part1.is_zero()
-    else:
-        assert poly_sub(a.part1, b.part1).is_zero()
+def tm_scale(a, s):
+    return TildeMatrix(pm_scale(a.part0, s), None if a.part1 is None else pm_scale(a.part1, s))
 
 
 def tm_sub_is_zero(a, b):
@@ -75,14 +71,14 @@ def tm_sub_is_zero(a, b):
 def test_poly_form_trims_and_validates(dual5):
     w = dual5
     x = w.base.objects[0]
-    z = w.zero_form(1, x, x)
-    f = w.basis_form(1, x, x, 0)
-    p = poly_form((f, z, z))
+    z = one(w.zero_form(1, x, x))
+    f = one(w.basis_form(1, x, x, 0))
+    p = poly_matrix((f, z, z))
     assert len(p.coeffs) == 1
     with pytest.raises(DimensionError):
-        poly_form(())
+        poly_matrix(())
     with pytest.raises(DimensionError):
-        poly_form((f, w.basis_form(0, x, x, 0)))  # mixed ambient degrees
+        poly_matrix((f, one(w.basis_form(0, x, x, 0))))  # mixed ambient degrees
 
 
 def test_poly_eval_respects_ring_ops(dual5):
@@ -93,12 +89,12 @@ def test_poly_eval_respects_ring_ops(dual5):
         for _ in range(8):
             a = random_poly(w, 1, x, x, rng)
             b = random_poly(w, 1, x, x, rng)
-            prod = poly_eval(poly_compose(w, a, b), t)
-            assert prod.coords == w.compose(poly_eval(a, t), poly_eval(b, t)).coords
-            total = poly_eval(poly_add(a, b), t)
-            assert total.coords == (poly_eval(a, t) + poly_eval(b, t)).coords
-            half = poly_eval(poly_scale(a, Fraction(1, 2)), t)
-            assert half.coords == poly_eval(a, t).scale(Fraction(1, 2)).coords
+            prod = entry(pm_eval(pm_mul(w, a, b), t))
+            assert prod.coords == w.compose(entry(pm_eval(a, t)), entry(pm_eval(b, t))).coords
+            total = entry(pm_eval(pm_add(a, b), t))
+            assert total.coords == (entry(pm_eval(a, t)) + entry(pm_eval(b, t))).coords
+            half = entry(pm_eval(pm_scale(a, Fraction(1, 2)), t))
+            assert half.coords == entry(pm_eval(a, t)).scale(Fraction(1, 2)).coords
 
 
 def test_poly_d_commutes_with_eval(dual5):
@@ -108,19 +104,16 @@ def test_poly_d_commutes_with_eval(dual5):
     for _ in range(15):
         a = random_poly(w, 1, x, x, rng)
         for t in (Fraction(0), Fraction(1), Fraction(3)):
-            assert poly_eval(poly_d(w, a), t).coords == w.d(poly_eval(a, t)).coords
+            assert entry(pm_eval(pm_d(w, a), t)).coords == w.d(entry(pm_eval(a, t))).coords
 
 
-def test_poly_integral_and_t_derivative(dual5):
+def test_poly_t_derivative(dual5):
     w = dual5
     x = w.base.objects[0]
-    f = w.basis_form(1, x, x, 0)
-    for i in range(4):
-        p = poly_shift(poly_const(f), i)  # f.t^i
-        assert poly_integral01(p).coords == f.scale(Fraction(1, i + 1)).coords
-    dp = poly_t_derivative(poly_shift(poly_const(f), 2))
-    assert dp.coeffs == poly_shift(poly_const(f.scale(2)), 1).coeffs
-    assert poly_t_derivative(poly_const(f)).is_zero()
+    f = one(w.basis_form(1, x, x, 0))
+    dp = pm_t_derivative(pm_shift(pm_const(f), 2))  # d/dt (f.t^2)
+    assert dp.coeffs == pm_shift(pm_const(f.scale(2)), 1).coeffs
+    assert pm_t_derivative(pm_const(f)).is_zero()
 
 
 def test_tilde_partial_squares_to_zero(dual5, two5):
@@ -130,7 +123,7 @@ def test_tilde_partial_squares_to_zero(dual5, two5):
         for n in (1, 2, 3):
             for _ in range(10):
                 a = random_tilde(w, n, x, x, rng)
-                dd = tilde_partial(w, tilde_partial(w, a))
+                dd = tm_partial(w, tm_partial(w, a))
                 assert dd.part0.is_zero()
                 assert dd.part1.is_zero()
 
@@ -144,12 +137,12 @@ def test_tilde_leibniz(dual5, two5):
             q = rng.randint(1, 2)
             a = random_tilde(w, p, x, x, rng)
             b = random_tilde(w, q, x, x, rng)
-            lhs = tilde_partial(w, tilde_compose(w, a, b))
-            rhs = tilde_add(
-                tilde_compose(w, tilde_partial(w, a), b),
-                tilde_scale(tilde_compose(w, a, tilde_partial(w, b)), -1 if p % 2 else 1),
+            lhs = tm_partial(w, tm_mul(w, a, b))
+            rhs = tm_add(
+                tm_mul(w, tm_partial(w, a), b),
+                tm_scale(tm_mul(w, a, tm_partial(w, b)), -1 if p % 2 else 1),
             )
-            assert_tilde_eq(lhs, rhs)
+            assert tm_sub_is_zero(lhs, rhs)
 
 
 def test_tilde_compose_epsilon_sign(dual5):
@@ -158,17 +151,17 @@ def test_tilde_compose_epsilon_sign(dual5):
     x = w.base.objects[0]
     du = w.basis_form(1, x, x, 0)
     u = w.basis_form(0, x, x, 1)
-    a = tilde_form(w, poly_const(du), poly_const(u))
+    a = tilde_matrix(w, pm_const(one(du)), pm_const(one(u)))
 
-    b_even = tilde_form(w, poly_const(w.compose(du, du)), poly_const(du))
-    ab = tilde_compose(w, a, b_even)
+    b_even = tilde_matrix(w, pm_const(one(w.compose(du, du))), pm_const(one(du)))
+    ab = tm_mul(w, a, b_even)
     expected = w.compose(du, du) + w.compose(u, w.compose(du, du))
-    assert ab.part1.coeffs[0].coords == expected.coords
+    assert entry(ab.part1.coeffs[0]).coords == expected.coords
 
-    b_odd = tilde_form(w, poly_const(du), poly_const(u))
-    ab2 = tilde_compose(w, a, b_odd)
+    b_odd = tilde_matrix(w, pm_const(one(du)), pm_const(one(u)))
+    ab2 = tm_mul(w, a, b_odd)
     expected2 = w.compose(du, u) - w.compose(u, du)
-    assert ab2.part1.coeffs[0].coords == expected2.coords
+    assert entry(ab2.part1.coeffs[0]).coords == expected2.coords
 
 
 def test_tilde_partial_t_derivative_sign(dual5):
@@ -178,13 +171,13 @@ def test_tilde_partial_t_derivative_sign(dual5):
     du = w.basis_form(1, x, x, 0)
     u = w.basis_form(0, x, x, 1)
 
-    a1 = tilde_form(w, poly_shift(poly_const(du), 1))  # degree 1: sign +1
-    out1 = tilde_partial(w, a1)
-    assert poly_eval(out1.part1, Fraction(1)).coords == du.coords
+    a1 = tilde_matrix(w, pm_shift(pm_const(one(du)), 1))  # degree 1: sign +1
+    out1 = tm_partial(w, a1)
+    assert entry(pm_eval(out1.part1, Fraction(1))).coords == du.coords
 
-    a0 = tilde_form(w, poly_shift(poly_const(u), 1))  # degree 0: sign -1
-    out0 = tilde_partial(w, a0)
-    assert poly_eval(out0.part1, Fraction(1)).coords == u.scale(-1).coords
+    a0 = tilde_matrix(w, pm_shift(pm_const(one(u)), 1))  # degree 0: sign -1
+    out0 = tm_partial(w, a0)
+    assert entry(pm_eval(out0.part1, Fraction(1))).coords == u.scale(-1).coords
 
 
 def test_tilde_associativity(two5):
@@ -195,9 +188,9 @@ def test_tilde_associativity(two5):
         a = random_tilde(w, rng.randint(1, 2), x, x, rng)
         b = random_tilde(w, rng.randint(1, 2), x, x, rng)
         c = random_tilde(w, 1, x, x, rng)
-        lhs = tilde_compose(w, tilde_compose(w, a, b), c)
-        rhs = tilde_compose(w, a, tilde_compose(w, b, c))
-        assert_tilde_eq(lhs, rhs)
+        lhs = tm_mul(w, tm_mul(w, a, b), c)
+        rhs = tm_mul(w, a, tm_mul(w, b, c))
+        assert tm_sub_is_zero(lhs, rhs)
 
 
 def test_tilde_matrix_partial_squares_to_zero(dual5):
