@@ -6,7 +6,9 @@ space indexed by the pair ``(x, y)`` consists of the morphisms *from* y
 *to* x, so composition pairs ``(x, y) x (y, z) -> (x, z)`` and reads
 left of right, like matrix multiplication.
 
-Everything is exact: coordinates are tuples of `Fraction`.
+Everything is exact: coordinates are tuples of `Fraction`, and the
+structure constants are stored sparse, as the nonzero terms of each
+product of basis arrows.
 
 This module holds the category alone: objects, bases, composition and
 the axiom check.  The trace quotient (endomorphisms modulo commutators)
@@ -23,7 +25,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
+    ZERO,
+    Terms,
     Vector,
+    checked_terms,
+    densify,
     is_zero_vector,
     parse_scalar,
     vec,
@@ -31,6 +37,40 @@ from .exact_linalg import (
     vec_scale,
     zero_vector,
 )
+
+# products of basis elements: entry [i][j] holds the terms of b_i . b_j
+ProductRows = tuple[tuple[Terms, ...], ...]
+
+
+def product_rows(block: Mapping[tuple[int, int], Mapping[int, object]], rows: int, cols: int,
+                 dim: int, where: str) -> ProductRows:
+    """Check a sparse product block ``{(i, j): {k: s}}`` and store it as rows of terms.
+
+    Entry [i][j] is empty where the block gives no product.  An index
+    outside the shape (rows, cols) or a target outside 0..dim-1 raises
+    `DimensionError`.
+    """
+    out = [[()] * cols for _ in range(rows)]
+    for (i, j), entries in block.items():
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise DimensionError(f"{where}: product ({i}, {j}) out of range for shape ({rows}, {cols})")
+        out[i][j] = checked_terms(entries, dim, f"{where}[{i}][{j}]")
+    return tuple(map(tuple, out))
+
+
+def contract(block: ProductRows, u: Vector, v: Vector, dim: int) -> Vector:
+    """Coordinates of the product u . v, from the products of basis elements in `block`."""
+    out = [ZERO] * dim
+    v_support = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = block[i]
+        for j, b in v_support:
+            ab = a * b
+            for k, s in row[j]:
+                out[k] += ab * s
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,10 +124,11 @@ class Category:
         Map (x, y) -> basis labels of the morphisms from y to x.  Absent
         pairs are zero spaces.
     comp:
-        Map (x, y, z) -> composition tensor ``t[i][j]`` giving the
-        coordinates of ``b_i . b_j`` in the (x, z) basis, for b_i in the
-        (x, y) basis and b_j in the (y, z) basis.  Absent tensors with
-        nonzero source dimensions mean all such composites vanish.
+        Map (x, y, z) -> sparse product block ``{(i, j): {k: s}}``: the
+        product ``b_i . b_j`` of b_i in the (x, y) basis and b_j in the
+        (y, z) basis has coefficient s at basis element k of (x, z).
+        Absent products vanish.  The blocks are checked by `product_rows`
+        and stored as its rows of nonzero (k, s) terms.
     identity:
         Map x -> coordinates of the identity in the (x, x) basis.
     """
@@ -96,7 +137,7 @@ class Category:
         self,
         labels: Sequence[str],
         hom_basis: Mapping[tuple[int, int], Sequence[str]],
-        comp: Mapping[tuple[int, int, int], Sequence[Sequence[Sequence]]],
+        comp: Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping[int, object]]],
         identity: Mapping[int, Sequence],
     ):
         self.objects: tuple[ObjectId, ...] = tuple(
@@ -110,34 +151,15 @@ class Category:
             if basis:
                 self.hom_basis[(x, y)] = tuple(str(b) for b in basis)
 
-        self.comp: dict[tuple[int, int, int], tuple[tuple[Vector, ...], ...]] = {}
+        self.comp: dict[tuple[int, int, int], ProductRows] = {}
         for x in range(n):
             for y in range(n):
                 for z in range(n):
-                    dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
-                    if dxy == 0 or dyz == 0:
-                        continue
-                    tensor = comp.get((x, y, z))
-                    if tensor is None:
-                        rows = tuple(tuple(zero_vector(dxz) for _ in range(dyz)) for _ in range(dxy))
-                    else:
-                        if len(tensor) != dxy:
-                            raise DimensionError(f"composition tensor {(x, y, z)}: bad left arity")
-                        rows = []
-                        for i in range(dxy):
-                            if len(tensor[i]) != dyz:
-                                raise DimensionError(f"composition tensor {(x, y, z)}: bad right arity")
-                            row = []
-                            for j in range(dyz):
-                                v = vec(tensor[i][j])
-                                if len(v) != dxz:
-                                    raise DimensionError(
-                                        f"composition tensor {(x, y, z)}[{i}][{j}]: wrong target length"
-                                    )
-                                row.append(v)
-                            rows.append(tuple(row))
-                        rows = tuple(rows)
-                    self.comp[(x, y, z)] = rows
+                    dxy, dyz = self.dim(x, y), self.dim(y, z)
+                    if dxy and dyz:
+                        self.comp[(x, y, z)] = product_rows(
+                            comp.get((x, y, z), {}), dxy, dyz, self.dim(x, z), f"composition {(x, y, z)}"
+                        )
 
         self.identity: dict[int, Vector] = {}
         for x in range(n):
@@ -183,11 +205,10 @@ class Category:
     def identity_morphism(self, x: ObjectId) -> Morphism:
         return Morphism(x, x, self.identity[x.index])
 
-    def compose_basis(self, x: int, y: int, z: int, i: int, j: int) -> Vector:
-        tensor = self.comp.get((x, y, z))
-        if tensor is None:
-            return zero_vector(self.dim(x, z))
-        return tensor[i][j]
+    def compose_basis(self, x: int, y: int, z: int, i: int, j: int) -> Terms:
+        """The nonzero (k, s) terms of b_i . b_j, for b_i at (x, y) and b_j at (y, z)."""
+        block = self.comp.get((x, y, z))
+        return () if block is None else block[i][j]
 
 
 def compose(c: Category, f: Morphism, g: Morphism) -> Morphism:
@@ -197,18 +218,9 @@ def compose(c: Category, f: Morphism, g: Morphism) -> Morphism:
             f"cannot compose: left factor starts at {f.dom.label}, right factor ends at {g.cod.label}"
         )
     x, y, z = f.cod.index, f.dom.index, g.dom.index
-    out = list(zero_vector(c.dim(x, z)))
-    for i, a in enumerate(f.coords):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coords):
-            if b == 0:
-                continue
-            target = c.compose_basis(x, y, z, i, j)
-            for k, s in enumerate(target):
-                if s != 0:
-                    out[k] += a * b * s
-    return Morphism(g.dom, f.cod, tuple(out))
+    if (x, y, z) not in c.comp:
+        return c.zero_morphism(g.dom, f.cod)
+    return Morphism(g.dom, f.cod, contract(c.comp[(x, y, z)], f.coords, g.coords, c.dim(x, z)))
 
 
 def validate_category(c: Category) -> list[Violation]:
@@ -287,40 +299,33 @@ def build_category(
                 raise DimensionError(f"arrow label {a!r} is not globally unique")
             arrow_home[a] = (key[0], key[1], k)
 
-    def expand(pair_dim: tuple[int, int], sparse: Mapping[str, object]) -> Vector:
-        out = [Fraction(0)] * len(hom_basis.get(pair_dim, ()))
-        names = hom_basis.get(pair_dim, ())
-        pos = {a: k for k, a in enumerate(names)}
-        for a, s in sparse.items():
+    def expand(pair: tuple[int, int], terms: Mapping[str, object]) -> dict[int, Fraction]:
+        pos = {a: k for k, a in enumerate(hom_basis.get(pair, ()))}
+        out = {}
+        for a, s in terms.items():
             if a not in pos:
                 raise DimensionError(f"arrow {a!r} does not live in the expected hom space")
             try:
                 out[pos[a]] = parse_scalar(str(s))
             except ValueError as exc:
                 raise DimensionError(f"coefficient of {a!r}: {exc}") from exc
-        return tuple(out)
+        return out
 
-    comp: dict[tuple[int, int, int], list] = {}
-    for (left, right), sparse in products.items():
+    comp: dict[tuple[int, int, int], dict[tuple[int, int], dict[int, Fraction]]] = {}
+    for (left, right), terms in products.items():
         if left not in arrow_home or right not in arrow_home:
             raise DimensionError(f"product ({left}, {right}) names unknown arrows")
         lx, ly, li = arrow_home[left]
         ry, rz, rj = arrow_home[right]
         if ly != ry:
             raise DimensionError(f"product ({left}, {right}) is not composable")
-        key = (lx, ly, rz)
-        if key not in comp:
-            dxy = len(hom_basis.get((lx, ly), ()))
-            dyz = len(hom_basis.get((ly, rz), ()))
-            dxz = len(hom_basis.get((lx, rz), ()))
-            comp[key] = [[zero_vector(dxz) for _ in range(dyz)] for _ in range(dxy)]
-        comp[key][li][rj] = expand((lx, rz), sparse)
+        comp.setdefault((lx, ly, rz), {})[(li, rj)] = expand((lx, rz), terms)
 
     identity: dict[int, Vector] = {}
-    for lab, sparse in identities.items():
+    for lab, terms in identities.items():
         if lab not in index:
             raise DimensionError(f"identity given for unknown object {lab!r}")
         x = index[lab]
-        identity[x] = expand((x, x), sparse)
+        identity[x] = densify(expand((x, x), terms), len(hom_basis.get((x, x), ())))
 
     return Category(labels, hom_basis, comp, identity)

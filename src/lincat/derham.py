@@ -196,14 +196,12 @@ class DeRhamComplex:
             )))
 
     def _ambient_d_columns(self, n: int) -> list[SparseRow]:
-        columns: list[SparseRow] = [{} for _ in range(self.ambient_dim(n))]
+        # the blocks of the objects follow each other in object order, and
+        # out of the top degree every column is empty
+        columns: list[SparseRow] = []
         for x in range(len(self.w.base.objects)):
-            off = self.component_offsets[n][x]
             off1 = self.component_offsets[n + 1][x] if n < self.w.truncation else 0
-            for i, r in enumerate(self.w.diff_matrix(n, x, x).entries):
-                for j, s in enumerate(r):
-                    if s:
-                        columns[off + j][off1 + i] = s
+            columns.extend({off1 + i: s for i, s in col} for col in self.w.diff[n].get((x, x), ()))
         return columns
 
     def _ambient_d_sparse(self, n: int, v: SparseRow) -> SparseRow:

@@ -19,13 +19,14 @@ path.  Inside it:
 * the differential is the alternating sum of identity insertions, which
   on degree 0 reduces to d(f) = 1.f - f.1.
 
-All bases are deterministic, so composition tensors and differential
-matrices are reproducible.
+All bases are deterministic, so composition tensors and differentials
+are reproducible.
 
-Composition tensors are stored sparse: the product of two basis forms is
-kept as the tuple of its nonzero (index, coefficient) pairs, because
-nearly all entries of the dense tensors are zero.  The chain vectors of
-the universal builder are sparse maps for the same reason, and their
+Tables are sparse from end to end, because nearly all entries of the
+dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
+and differentials as ``{j: {i: s}}`` columns, and both are stored as
+tuples of their nonzero (index, coefficient) terms.  The chain vectors
+of the universal builder are sparse maps for the same reason, and their
 spans go to the elimination kernel `echelon` as they are.
 """
 
@@ -36,14 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .category import Category, Morphism, ObjectId, Violation
+from .category import Category, Morphism, ObjectId, ProductRows, Violation, contract, product_rows
 from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
     ONE,
     ZERO,
     MatrixQ,
     SparseRow,
+    Terms,
     Vector,
+    checked_terms,
     echelon,
     is_zero_vector,
     kernel_basis,
@@ -54,13 +57,6 @@ from .exact_linalg import (
     vec_scale,
     zero_vector,
 )
-
-# the nonzero (index, coefficient) pairs of one product of basis forms
-Terms = tuple[tuple[int, Fraction], ...]
-
-
-def _terms(v: Vector) -> Terms:
-    return tuple((k, s) for k, s in enumerate(v) if s is not ZERO and s)
 
 # ---------------------------------------------------------------------------
 # forms
@@ -97,15 +93,20 @@ class DGCategory:
     """Graded hom spaces, graded composition and differential tables.
 
     Degree 0 always delegates to the base category.  `gr_basis` holds
-    the labels of the degree-n bases for n >= 1, `gr_comp` the
-    composition tensors for mixed degrees, and `diff` the matrices of
-    the differential; missing tensors and matrices denote zero maps.
+    the labels of the degree-n bases for n >= 1, `gr_comp` the products
+    of basis forms for mixed degrees, and `diff` the differential; what
+    the tables leave out is zero.
 
-    The tables come in dense and are checked for shape.  Each tensor is
-    then stored sparse: ``gr_comp[(p, q)][(x, y, z)][i][j]`` is the
-    tuple of nonzero (k, s) pairs of the product of basis form i of
-    degree p at (x, y) with basis form j of degree q at (y, z), empty
-    where that product vanishes or no tensor was given.
+    The tables come in sparse.  ``gr_comp[(p, q)][(x, y, z)]`` is a
+    block ``{(i, j): {k: s}}``: the product of basis form i of degree p
+    at (x, y) with basis form j of degree q at (y, z) has coefficient s
+    at basis form k of degree p + q at (x, z).  ``diff[n][(x, y)]`` is
+    ``{j: {i: s}}``: d of basis form j of degree n has coefficient s at
+    basis form i of degree n + 1.  Every index is checked against the
+    dimensions, and the tables are stored as nonzero (index, coefficient)
+    terms sorted by index: ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the
+    terms of that product and ``diff[n][(x, y)][j]`` those of d of basis
+    form j, both empty where the input gave nothing.
     """
 
     def __init__(
@@ -113,8 +114,8 @@ class DGCategory:
         base: Category,
         truncation: int,
         gr_basis: Mapping[int, Mapping[tuple[int, int], Sequence[str]]],
-        gr_comp: Mapping[tuple[int, int], Mapping[tuple[int, int, int], Sequence]],
-        diff: Mapping[int, Mapping[tuple[int, int], MatrixQ]],
+        gr_comp: Mapping[tuple[int, int], Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping]]],
+        diff: Mapping[int, Mapping[tuple[int, int], Mapping[int, Mapping]]],
     ):
         if truncation < 1:
             raise DimensionError("truncation degree must be at least 1")
@@ -132,7 +133,7 @@ class DGCategory:
                     level[(x, y)] = tuple(str(s) for s in labels)
             self.gr_basis[n] = level
 
-        self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], tuple[tuple[Terms, ...], ...]]] = {}
+        self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]] = {}
         for p in range(0, truncation + 1):
             for q in range(0, truncation + 1 - p):
                 if p == 0 and q == 0:
@@ -146,24 +147,16 @@ class DGCategory:
                             continue
                         for z in range(nobj):
                             dq = self.dim(q, y, z)
-                            if dq == 0:
-                                continue
-                            dn = self.dim(p + q, x, z)
-                            tensor = given.get((x, y, z))
-                            if tensor is None:
-                                rows = (((),) * dq,) * dp
-                            else:
-                                if len(tensor) != dp or any(len(r) != dq for r in tensor):
-                                    raise DimensionError(f"composition tensor ({p},{q}) at {(x, y, z)}: bad arity")
-                                rows = tuple(
-                                    tuple(_terms(self._checked_vec(tensor[i][j], dn, f"comp ({p},{q}) {(x, y, z)}"))
-                                          for j in range(dq))
-                                    for i in range(dp)
+                            if dq:
+                                table[(x, y, z)] = product_rows(
+                                    given.get((x, y, z), {}), dp, dq, self.dim(p + q, x, z),
+                                    f"composition ({p},{q}) at {(x, y, z)}",
                                 )
-                            table[(x, y, z)] = rows
                 self.gr_comp[(p, q)] = table
 
-        self.diff: dict[int, dict[tuple[int, int], MatrixQ]] = {}
+        # d out of degree n at (x, y), one tuple of terms per basis form;
+        # out of the top degree every column is empty
+        self.diff: dict[int, dict[tuple[int, int], tuple[Terms, ...]]] = {}
         for n in range(0, truncation + 1):
             given = diff.get(n, {})
             level = {}
@@ -172,24 +165,17 @@ class DGCategory:
                     dn = self.dim(n, x, y)
                     if dn == 0:
                         continue
+                    where = f"differential at degree {n}, {(x, y)}"
+                    columns = given.get((x, y), {})
+                    for j in columns:
+                        if not 0 <= j < dn:
+                            raise DimensionError(f"{where}: source {j} out of range for dimension {dn}")
                     dn1 = self.dim(n + 1, x, y)
-                    m = given.get((x, y))
-                    if m is None:
-                        m = MatrixQ.zero(dn1, dn)
-                    if (m.rows, m.cols) != (dn1, dn):
-                        raise DimensionError(f"differential matrix at degree {n}, {(x, y)}: wrong shape")
-                    level[(x, y)] = m
+                    level[(x, y)] = tuple(checked_terms(columns.get(j, {}), dn1, f"{where}, column {j}")
+                                          for j in range(dn))
             self.diff[n] = level
 
-        self._base_products: dict[tuple[int, int, int], tuple[tuple[Terms, ...], ...]] = {}
         self._derham = None  # memo slot used by the quotient-complex builder
-
-    @staticmethod
-    def _checked_vec(values, expected: int, where: str) -> Vector:
-        v = vec(values)
-        if len(v) != expected:
-            raise DimensionError(f"{where}: wrong target length")
-        return v
 
     # -- dimensions and bases --------------------------------------------
 
@@ -246,18 +232,8 @@ class DGCategory:
             )
         p, q = f.degree, g.degree
         x, y, z = f.cod.index, f.dom.index, g.dom.index
-        out = [ZERO] * self.dim(p + q, x, z)
         products = self.basis_products(p, q, x, y, z)
-        g_support = [(j, b) for j, b in enumerate(g.coords) if b]
-        for i, a in enumerate(f.coords):
-            if not a:
-                continue
-            row = products[i]
-            for j, b in g_support:
-                ab = a * b
-                for k, s in row[j]:
-                    out[k] += ab * s
-        return Form(p + q, g.dom, f.cod, tuple(out))
+        return Form(p + q, g.dom, f.cod, contract(products, f.coords, g.coords, self.dim(p + q, x, z)))
 
     def basis_products(self, p: int, q: int, x: int, y: int, z: int):
         """Products of the basis forms of degree p at (x, y) with those of degree q at (y, z).
@@ -267,34 +243,18 @@ class DGCategory:
         is empty when p + q lies above the truncation.  Degree 0 products
         come from the base category.
         """
-        dp, dq = self.dim(p, x, y), self.dim(q, y, z)
-        if p or q:
-            block = self.gr_comp.get((p, q), {}).get((x, y, z))
-            return (((),) * dq,) * dp if block is None else block
-        block = self._base_products.get((x, y, z))
-        if block is None:
-            block = tuple(
-                tuple(_terms(self.base.compose_basis(x, y, z, i, j)) for j in range(dq)) for i in range(dp)
-            )
-            self._base_products[(x, y, z)] = block
-        return block
+        block = (self.gr_comp.get((p, q), {}) if p or q else self.base.comp).get((x, y, z))
+        return (((),) * self.dim(q, y, z),) * self.dim(p, x, y) if block is None else block
 
     def d(self, f: Form) -> Form:
         n = f.degree
         x, y = f.cod.index, f.dom.index
-        if n >= self.truncation or self.dim(n, x, y) == 0:
-            return self.zero_form(n + 1, f.dom, f.cod)
-        mat = self.diff[n].get((x, y))
-        if mat is None:
-            return self.zero_form(n + 1, f.dom, f.cod)
-        return Form(n + 1, f.dom, f.cod, mat.apply(f.coords))
-
-    def diff_matrix(self, n: int, x: int, y: int) -> MatrixQ:
-        dn, dn1 = self.dim(n, x, y), self.dim(n + 1, x, y)
-        if n < 0 or n >= self.truncation or dn == 0:
-            return MatrixQ.zero(dn1, dn)
-        mat = self.diff[n].get((x, y))
-        return MatrixQ.zero(dn1, dn) if mat is None else mat
+        out = [ZERO] * self.dim(n + 1, x, y)
+        for a, column in zip(f.coords, self.diff.get(n, {}).get((x, y), ())):
+            if a:
+                for i, s in column:
+                    out[i] += a * s
+        return Form(n + 1, f.dom, f.cod, tuple(out))
 
 
 def _contract(out: list, coefficients: Terms, vectors) -> list:
@@ -309,24 +269,18 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     """Unit, d.d = 0, Leibniz and associativity failures, as data.
 
     Every check runs on every basis form, pair and triple.  Products and
-    differentials of basis forms are read straight from the stored
-    sparse tensors and matrices and contracted there, which is the
-    arithmetic `compose` and `d` would do on basis forms, without
-    building a form per factor.
+    differentials of basis forms are read straight from the stored terms
+    and contracted there, which is the arithmetic `compose` and `d`
+    would do on basis forms, without building a form per factor.
     """
     violations: list[Violation] = []
     N = w.truncation
     nobj = len(w.base.objects)
-    dim, block = w.dim, w.basis_products
+    dim, block, diff = w.dim, w.basis_products, w.diff
 
     def name(n: int, x: int, y: int, k: int) -> str:
         labels = w.space_labels(n, x, y)
         return labels[k] if k < len(labels) else f"deg{n}[{x},{y}]#{k}"
-
-    def dcols(n: int, x: int, y: int) -> tuple[Terms, ...]:
-        """Columns of the degree-n differential at (x, y), as nonzero pairs."""
-        m = w.diff_matrix(n, x, y)
-        return tuple(_terms(m.column(i)) for i in range(m.cols))
 
     def transpose(b, rows: int, cols: int):
         return tuple(zip(*b)) if rows else ((),) * cols
@@ -334,7 +288,7 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     for n in range(0, N + 1):
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
-            one_x, one_y = _terms(w.base.identity[x]), _terms(w.base.identity[y])
+            one_x, one_y = tuple(sparse(w.base.identity[x]).items()), tuple(sparse(w.base.identity[y]).items())
             dn = dim(n, x, y)
             left, right = transpose(block(0, n, x, x, y), dim(0, x, x), dn), block(n, 0, x, y, y)
             for k in range(dn):
@@ -346,8 +300,8 @@ def validate_dg(w: DGCategory) -> list[Violation]:
 
     for n in range(0, N):
         for (x, y) in w.hom_pairs(n):
-            dd = w.diff_matrix(n + 1, x, y) @ w.diff_matrix(n, x, y)
-            if not dd.is_zero():
+            d_n1, dn2 = diff[n + 1].get((x, y), ()), dim(n + 2, x, y)
+            if any(any(_contract([ZERO] * dn2, col, d_n1)) for col in diff[n][(x, y)]):
                 violations.append(Violation("dg-d-squared", f"degree {n} at ({w.base.objects[x].label},{w.base.objects[y].label})"))
 
     # d(f.g) = df.g + (-1)^p f.dg on basis forms f of degree p, g of degree q
@@ -357,13 +311,13 @@ def validate_dg(w: DGCategory) -> list[Violation]:
                 for y in range(nobj):
                     if dim(p, x, y) == 0:
                         continue
-                    d_f = dcols(p, x, y)
+                    d_f = diff[p][(x, y)]
                     for z in range(nobj):
                         if dim(q, y, z) == 0:
                             continue
                         fg, fdg = block(p, q, x, y, z), block(p, q + 1, x, y, z)
                         dfg = transpose(block(p + 1, q, x, y, z), dim(p + 1, x, y), dim(q, y, z))
-                        d_fg, d_g = dcols(p + q, x, z), dcols(q, y, z)
+                        d_fg, d_g = diff[p + q].get((x, z), ()), diff[q][(y, z)]
                         if p % 2:
                             d_g = tuple(tuple((b, -s) for b, s in col) for col in d_g)
                         dn = dim(p + q + 1, x, z)
@@ -468,18 +422,17 @@ class _Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def coordinates(self, v: SparseRow) -> Vector:
-        """Coordinates in the reduced basis; the vector must lie in the span.
+    def coordinates(self, v: SparseRow) -> SparseRow:
+        """Nonzero coordinates in the reduced basis; the vector must lie in the span.
 
         `v` holds nonzero entries only.  The coordinates are read off at
         the pivots and substituted back over the whole chain space.
         """
-        coords = tuple(v.get(p, ZERO) for p in self.pivots)
+        coords = {i: v[p] for i, p in enumerate(self.pivots) if p in v}
         check: SparseRow = {}
-        for s, row in zip(coords, self.rows):
-            if s:
-                for j, y in row.items():
-                    check[j] = check.get(j, ZERO) + s * y
+        for i, s in coords.items():
+            for j, y in self.rows[i].items():
+                check[j] = check.get(j, ZERO) + s * y
         if {j: x for j, x in check.items() if x} != v:
             raise LincatError("universal builder: vector left the expected span")
         return coords
@@ -508,7 +461,12 @@ def _expected_dim(c: Category, n: int, x: int, y: int) -> int:
 
 
 def universal_dg(c: Category, truncation: int) -> DGCategory:
-    """Universal differential envelope of `c`, truncated above `truncation`."""
+    """Universal differential envelope of `c`, truncated above `truncation`.
+
+    Products and differentials of basis forms are read off as the sparse
+    coordinates of chain vectors in the reduced bases (each re-checked by
+    substitution) and handed to `DGCategory` in its sparse input format.
+    """
     if truncation < 1:
         raise DimensionError("truncation degree must be at least 1")
     N = truncation
@@ -540,18 +498,15 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
     for x in range(nobj):
         for y in range(nobj):
             space = spaces[(1, x, y)]
-            target_dim = c.dim(x, y)
-            cols = []
-            for (interior, arrows) in space.elems:
-                (z,) = interior
-                cols.append(c.compose_basis(x, z, y, arrows[0], arrows[1]))
             if space.dim == 0:
                 sub[(1, x, y)] = _Subspace(space, [], ())
-            else:
-                mu = MatrixQ(target_dim, space.dim, tuple(
-                    tuple(cols[j][i] for j in range(space.dim)) for i in range(target_dim)
-                )) if target_dim else MatrixQ.zero(0, space.dim)
-                sub[(1, x, y)] = _Subspace(space, [sparse(k) for k in kernel_basis(mu)], chain_order(space))
+                continue
+            mu = [[ZERO] * space.dim for _ in range(c.dim(x, y))]
+            for j, ((z,), arrows) in enumerate(space.elems):
+                for k, s in c.compose_basis(x, z, y, arrows[0], arrows[1]):
+                    mu[k][j] = s
+            kernel = kernel_basis(MatrixQ.from_rows(mu, cols=space.dim))
+            sub[(1, x, y)] = _Subspace(space, [sparse(k) for k in kernel], chain_order(space))
 
     def merge_vectors(p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
         """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector.
@@ -576,11 +531,8 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                 else:
                     v_int, v_arr = (), (vi,)
                     v_first_tgt = z
-                comp = c.compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0])
                 interior = u_int + v_int
-                for k, s in enumerate(comp):
-                    if not s:
-                        continue
+                for k, s in c.compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
                     key = out_pos[(interior, u_arr[:-1] + (k,) + v_arr[1:])]
                     out[key] = out.get(key, ZERO) + uc * vc * s
         return {k: s for k, s in out.items() if s}
@@ -638,12 +590,12 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
         gr_basis[n] = level
 
     # composition tensors
-    gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], list]] = {}
+    gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], dict[tuple[int, int], SparseRow]]] = {}
     for p in range(0, N + 1):
         for q in range(0, N + 1 - p):
             if p == 0 and q == 0:
                 continue
-            table: dict[tuple[int, int, int], list] = {}
+            table: dict[tuple[int, int, int], dict[tuple[int, int], SparseRow]] = {}
             for x in range(nobj):
                 for y in range(nobj):
                     dp = c.dim(x, y) if p == 0 else sub[(p, x, y)].dim
@@ -654,16 +606,14 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                         if dq == 0:
                             continue
                         target = sub[(p + q, x, z)]
-                        rows = []
+                        block = table[(x, y, z)] = {}
                         for i in range(dp):
                             uvec = {i: ONE} if p == 0 else sub[(p, x, y)].rows[i]
-                            row = []
                             for j in range(dq):
                                 vvec = {j: ONE} if q == 0 else sub[(q, y, z)].rows[j]
-                                w_chain = merge_vectors(p, q, x, y, z, uvec, vvec)
-                                row.append(target.coordinates(w_chain))
-                            rows.append(row)
-                        table[(x, y, z)] = rows
+                                coords = target.coordinates(merge_vectors(p, q, x, y, z, uvec, vvec))
+                                if coords:
+                                    block[(i, j)] = coords
             gr_comp[(p, q)] = table
 
     # differential: alternating identity insertion on chain terms
@@ -687,23 +637,19 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                     out[key] = out.get(key, ZERO) + s * sign * idcoef
         return {k: s for k, s in out.items() if s}
 
-    diff: dict[int, dict[tuple[int, int], MatrixQ]] = {}
+    diff: dict[int, dict[tuple[int, int], dict[int, SparseRow]]] = {}
     for n in range(0, N):
-        level = {}
+        level = diff[n] = {}
         for x in range(nobj):
             for y in range(nobj):
                 dn = c.dim(x, y) if n == 0 else sub[(n, x, y)].dim
-                if dn == 0:
-                    continue
                 target = sub[(n + 1, x, y)]
-                cols = []
-                for i in range(dn):
-                    vv = {i: ONE} if n == 0 else sub[(n, x, y)].rows[i]
-                    cols.append(target.coordinates(d_of_chain_vector(n, x, y, vv)))
-                level[(x, y)] = MatrixQ(target.dim, dn, tuple(
-                    tuple(cols[j][i] for j in range(dn)) for i in range(target.dim)
-                ))
-        diff[n] = level
+                columns = level[(x, y)] = {}
+                for j in range(dn):
+                    vv = {j: ONE} if n == 0 else sub[(n, x, y)].rows[j]
+                    coords = target.coordinates(d_of_chain_vector(n, x, y, vv))
+                    if coords:
+                        columns[j] = coords
 
     return DGCategory(c, N, gr_basis, gr_comp, diff)
 

@@ -31,13 +31,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, ScalarTypeError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, Fraction]
+# the nonzero (index, coefficient) pairs of a vector, by increasing index
+Terms = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +47,20 @@ ONE = Fraction(1)
 
 def vec(values: Iterable) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def checked_terms(entries: Mapping[int, object], dim: int, where: str) -> Terms:
+    """The terms of a sparse vector of length `dim`, given as index -> scalar.
+
+    Scalars are converted as by `vec`, zeros are dropped and the terms
+    are sorted by index; an index outside 0..dim-1 raises
+    `DimensionError` naming `where`.
+    """
+    for k in entries:
+        if type(k) is not int or not 0 <= k < dim:
+            raise DimensionError(f"{where}: index {k!r} out of range for dimension {dim}")
+    terms = ((k, s if type(s) is Fraction else Fraction(s)) for k, s in sorted(entries.items()))
+    return tuple((k, s) for k, s in terms if s)
 
 
 def sparse(v: Sequence[Fraction]) -> SparseRow:

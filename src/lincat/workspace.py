@@ -3,8 +3,11 @@
 A workspace bundles one base category, one graded extension (universal,
 trivial, or explicit tables), and named modules, connections, and
 endomorphisms over it.  Parsing is strict: unknown labels, malformed
-scalars, shape mismatches, and non-idempotent module matrices all raise
-`WorkspaceError` with a message naming the offending entry.
+scalars, shape mismatches, products or differentials given twice, and
+non-idempotent module matrices all raise `WorkspaceError` with a message
+naming the offending entry.  Structure constants and explicit tables go
+to the engine as sparse maps of their nonzero terms, the format the
+`Category` and `DGCategory` constructors take, with no dense detour.
 
 Serialization is canonical.  The parser normalizes every coefficient
 and rebuilds the document from the parsed objects, so serializing,
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -34,7 +38,7 @@ from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection
 from .dg import DGCategory, Form, FormMatrix, trivial_dg, universal_dg
 from .errors import LincatError, WorkspaceError
-from .exact_linalg import MatrixQ, format_scalar, parse_scalar, zero_vector
+from .exact_linalg import format_scalar, parse_scalar
 from .module_algebra import ProjectiveModule
 
 FORMAT_NAME = "lincat-workspace"
@@ -171,13 +175,6 @@ class _Parser:
             _require(len(set(basis)) == len(basis), f"form space degree {degree}: duplicate basis labels")
             level[key] = basis
 
-        def space_dim(n: int, x: int, y: int) -> int:
-            if n == 0:
-                return cat.dim(x, y)
-            if n > truncation:
-                return 0
-            return len(gr_basis.get(n, {}).get((x, y), ()))
-
         def locate(ref: Mapping, where: str) -> tuple[int, int, int, int]:
             degree = _int(_get(ref, "degree", where), where)
             cod = self._object(cat, str(_get(ref, "cod", where)))
@@ -190,47 +187,41 @@ class _Parser:
             _require(label in names, f"{where}: no basis element {label!r} in that space")
             return degree, cod.index, dom.index, names.index(label)
 
-        def expand(terms, degree: int, x: int, y: int, where: str):
-            out = list(zero_vector(space_dim(degree, x, y)))
+        def expand(terms, degree: int, x: int, y: int, where: str) -> dict[int, Fraction]:
+            out: dict[int, Fraction] = {}
             _require(isinstance(terms, Sequence) and not isinstance(terms, str), f"{where}: expected a list of terms")
             for t in terms:
                 _require(isinstance(t, Mapping), f"{where}: each term must be an object")
                 coeff = _scalar(t.get("coeff", "1"), where)
                 d2, x2, y2, k = locate(t, where)
                 _require((d2, x2, y2) == (degree, x, y), f"{where}: term lands in the wrong space")
-                out[k] += coeff
-            return tuple(out)
+                out[k] = out.get(k, 0) + coeff
+            return out
 
-        gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], list]] = {}
+        def named(ref: Mapping, n: int, x: int, y: int) -> str:
+            return f"{ref['basis']} in degree {n} at ({cat.objects[x].label},{cat.objects[y].label})"
+
+        gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], dict]] = {}
         for p in fdoc.get("products", []):
-            lp, lx, ly, li = locate(_get(p, "left", "form product"), "form product left factor")
-            rp, ry, rz, rj = locate(_get(p, "right", "form product"), "form product right factor")
+            left, right = _get(p, "left", "form product"), _get(p, "right", "form product")
+            lp, lx, ly, li = locate(left, "form product left factor")
+            rp, ry, rz, rj = locate(right, "form product right factor")
             _require(ly == ry, "form product: factors are not composable")
             _require(lp + rp <= truncation, "form product: total degree exceeds the truncation")
             _require(lp + rp > 0, "form product: degree-0 products belong in the category block")
-            table = gr_comp.setdefault((lp, rp), {})
-            key = (lx, ly, rz)
-            if key not in table:
-                table[key] = [
-                    [zero_vector(space_dim(lp + rp, lx, rz)) for _ in range(space_dim(rp, ry, rz))]
-                    for _ in range(space_dim(lp, lx, ly))
-                ]
-            table[key][li][rj] = expand(_get(p, "result", "form product"), lp + rp, lx, rz, "form product result")
+            block = gr_comp.setdefault((lp, rp), {}).setdefault((lx, ly, rz), {})
+            _require((li, rj) not in block,
+                     f"form product ({named(left, lp, lx, ly)}, {named(right, rp, ry, rz)}) given twice")
+            block[(li, rj)] = expand(_get(p, "result", "form product"), lp + rp, lx, rz, "form product result")
 
-        diff: dict[int, dict[tuple[int, int], MatrixQ]] = {}
-        diff_cols: dict[tuple[int, int, int], dict[int, tuple]] = {}
+        diff: dict[int, dict[tuple[int, int], dict]] = {}
         for dspec in fdoc.get("differentials", []):
-            n, x, y, k = locate(_get(dspec, "of", "differential"), "differential source")
+            source = _get(dspec, "of", "differential")
+            n, x, y, k = locate(source, "differential source")
             _require(n < truncation, "differential: source degree must lie below the truncation")
-            col = expand(_get(dspec, "result", "differential"), n + 1, x, y, "differential result")
-            diff_cols.setdefault((n, x, y), {})[k] = col
-        for (n, x, y), cols in diff_cols.items():
-            dn, dn1 = space_dim(n, x, y), space_dim(n + 1, x, y)
-            entries = tuple(
-                tuple(cols.get(j, zero_vector(dn1))[i] for j in range(dn))
-                for i in range(dn1)
-            )
-            diff.setdefault(n, {})[(x, y)] = MatrixQ(dn1, dn, entries)
+            columns = diff.setdefault(n, {}).setdefault((x, y), {})
+            _require(k not in columns, f"differential of {named(source, n, x, y)} given twice")
+            columns[k] = expand(_get(dspec, "result", "differential"), n + 1, x, y, "differential result")
 
         try:
             return DGCategory(cat, truncation, gr_basis, gr_comp, diff)
@@ -373,23 +364,27 @@ class _Parser:
 # canonical document
 
 
-def _term_docs(dg: DGCategory, f: Form) -> list[dict]:
-    labels = dg.space_labels(f.degree, f.cod.index, f.dom.index)
+def _term_docs(dg: DGCategory, degree: int, dom: ObjectId, cod: ObjectId, terms) -> list[dict]:
+    """Address terms of the form with the given (index, coefficient) terms."""
+    labels = dg.space_labels(degree, cod.index, dom.index)
     return [
         {
             "coeff": format_scalar(s),
-            "degree": f.degree,
-            "dom": f.dom.label,
-            "cod": f.cod.label,
+            "degree": degree,
+            "dom": dom.label,
+            "cod": cod.label,
             "basis": labels[k],
         }
-        for k, s in enumerate(f.coords)
-        if s != 0
+        for k, s in terms
     ]
 
 
+def _form_doc(dg: DGCategory, f: Form) -> list[dict]:
+    return _term_docs(dg, f.degree, f.dom, f.cod, ((k, s) for k, s in enumerate(f.coords) if s != 0))
+
+
 def _matrix_doc(dg: DGCategory, m: FormMatrix) -> list[list[list[dict]]]:
-    return [[_term_docs(dg, f) for f in row] for row in m.entries]
+    return [[_form_doc(dg, f) for f in row] for row in m.entries]
 
 
 def _category_doc(cat: Category) -> dict:
@@ -405,16 +400,14 @@ def _category_doc(cat: Category) -> dict:
             for z in range(nobj):
                 for i, left in enumerate(cat.basis_labels(x, y)):
                     for j, right in enumerate(cat.basis_labels(y, z)):
-                        coords = cat.compose_basis(x, y, z, i, j)
-                        if all(s == 0 for s in coords):
+                        terms = cat.compose_basis(x, y, z, i, j)
+                        if not terms:
                             continue
                         targets = cat.basis_labels(x, z)
                         products.append({
                             "left": left,
                             "right": right,
-                            "result": {
-                                targets[k]: format_scalar(s) for k, s in enumerate(coords) if s != 0
-                            },
+                            "result": {targets[k]: format_scalar(s) for k, s in terms},
                         })
     identities = {}
     for x in range(nobj):
@@ -455,42 +448,29 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
             label = dg.space_labels(n, x, y)[k]
         return {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": label}
 
-    def form_terms(f: Form) -> list[dict]:
-        return _term_docs(dg, f)
-
     products = []
     for p in range(0, dg.truncation + 1):
         for q in range(0, dg.truncation + 1 - p):
             if p == 0 and q == 0:
                 continue
-            for x in range(nobj):
-                for y in range(nobj):
-                    for z in range(nobj):
-                        dp, dq = dg.dim(p, x, y), dg.dim(q, y, z)
-                        if dp == 0 or dq == 0:
-                            continue
-                        for i in range(dp):
-                            f = dg.basis_form(p, cat.objects[y], cat.objects[x], i)
-                            for j in range(dq):
-                                g = dg.basis_form(q, cat.objects[z], cat.objects[y], j)
-                                result = dg.compose(f, g)
-                                if result.is_zero():
-                                    continue
-                                products.append({
-                                    "left": address(p, x, y, i),
-                                    "right": address(q, y, z, j),
-                                    "result": form_terms(result),
-                                })
+            for (x, y, z), block in dg.gr_comp[(p, q)].items():
+                for i, row in enumerate(block):
+                    for j, terms in enumerate(row):
+                        if terms:
+                            products.append({
+                                "left": address(p, x, y, i),
+                                "right": address(q, y, z, j),
+                                "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x], terms),
+                            })
     differentials = []
     for n in range(0, dg.truncation):
-        for x in range(nobj):
-            for y in range(nobj):
-                for k in range(dg.dim(n, x, y)):
-                    f = dg.basis_form(n, cat.objects[y], cat.objects[x], k)
-                    df = dg.d(f)
-                    if df.is_zero():
-                        continue
-                    differentials.append({"of": address(n, x, y, k), "result": form_terms(df)})
+        for (x, y), columns in dg.diff[n].items():
+            for k, terms in enumerate(columns):
+                if terms:
+                    differentials.append({
+                        "of": address(n, x, y, k),
+                        "result": _term_docs(dg, n + 1, cat.objects[y], cat.objects[x], terms),
+                    })
     return {
         "model": "tables",
         "truncation": dg.truncation,

@@ -40,7 +40,6 @@ from lincat.derham import (
 from lincat.dg import DGCategory, FormMatrix, render_form, universal_dg, validate_dg
 from lincat.errors import IdempotentError, TruncationError
 from lincat.exact_linalg import (
-    MatrixQ,
     is_zero_vector,
     rank,
     vec_add,
@@ -148,15 +147,15 @@ def test_criterion_01_axiom_validators():
         2,
         {1: {(0, 0): ("th",)}, 2: {(0, 0): ("si",)}},
         {
-            (0, 1): {(0, 0, 0): [[(1,)]]},
-            (1, 0): {(0, 0, 0): [[(1,)]]},
-            (0, 2): {(0, 0, 0): [[(1,)]]},
-            (2, 0): {(0, 0, 0): [[(1,)]]},
-            (1, 1): {(0, 0, 0): [[(0,)]]},
+            (0, 1): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (0, 2): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (2, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 1): {(0, 0, 0): {(0, 0): {0: 0}}},
         },
         {
-            0: {(0, 0): MatrixQ(1, 1, ((Fraction(1),),))},
-            1: {(0, 0): MatrixQ(1, 1, ((Fraction(1),),))},
+            0: {(0, 0): {0: {0: 1}}},
+            1: {(0, 0): {0: {0: 1}}},
         },
     )
     assert "dg-d-squared" in {v.kind for v in validate_dg(bad_square)}
@@ -167,10 +166,10 @@ def test_criterion_01_axiom_validators():
         1,
         {1: {(0, 0): ("du",)}},
         {
-            (0, 1): {(0, 0, 0): [[(1,)], [(1,)]]},
-            (1, 0): {(0, 0, 0): [[(1,), (0,)]]},
+            (0, 1): {(0, 0, 0): {(0, 0): {0: 1}, (1, 0): {0: 1}}},
+            (1, 0): {(0, 0, 0): {(0, 0): {0: 1}, (0, 1): {0: 0}}},
         },
-        {0: {(0, 0): MatrixQ(1, 2, ((Fraction(0), Fraction(1)),))}},
+        {0: {(0, 0): {1: {0: 1}}}},
     )
     assert "dg-leibniz" in {v.kind for v in validate_dg(bad_leibniz)}
 

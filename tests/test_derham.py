@@ -205,7 +205,7 @@ def test_closure_check_rejects_tables_that_break_it():
     # degree-0 commutator [e12, e21] = e11 - e22 has d = th, while every
     # degree-1 commutator vanishes, so d does not descend to the quotient
     c = m2_category()
-    w = DGCategory(c, 1, {1: {(0, 0): ["th"]}}, {}, {0: {(0, 0): MatrixQ.from_rows([[1, 0, 0, 0]])}})
+    w = DGCategory(c, 1, {1: {(0, 0): ["th"]}}, {}, {0: {(0, 0): {0: {0: 1}}}})
     with pytest.raises(LincatError, match="not closed under d"):
         get_complex(w)
 
@@ -232,11 +232,10 @@ def dense_ambient_d(w, n):
     out = [[Fraction(0)] * width for _ in range(width1)]
     off = off1 = 0
     for x in objs:
-        mat = w.diff_matrix(n, x, x)
-        for i, r in enumerate(mat.entries):
-            for j, s in enumerate(r):
+        for j, terms in enumerate(w.diff[n].get((x, x), ())):
+            for i, s in terms:
                 out[off1 + i][off + j] = s
-        off, off1 = off + mat.cols, off1 + mat.rows
+        off, off1 = off + w.dim(n, x, x), off1 + w.dim(n + 1, x, x)
     return out
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from lincat import FormMatrix, block_diag, render_form, trivial_dg, universal_dg, validate_dg
 from lincat.category import compose as compose_morphisms
+from lincat.category import Category
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError, LincatError
-from lincat.exact_linalg import MatrixQ
-from lincat.workspace import load_fixture
+from lincat.workspace import fixture_names, load_fixture
 
 from conftest import (
     arrow_category,
@@ -152,7 +152,6 @@ def test_d_squared_is_zero_random(dual5, two5, arrow3):
 def test_corrupted_differential_detected():
     # force d(th) != 0 onto a table model whose product cannot support it
     from lincat import DGCategory
-    from lincat.exact_linalg import MatrixQ
 
     c = point_category()
     w = DGCategory(
@@ -160,13 +159,13 @@ def test_corrupted_differential_detected():
         2,
         {1: {(0, 0): ("th",)}, 2: {(0, 0): ("si",)}},
         {
-            (0, 1): {(0, 0, 0): [[(1,)]]},
-            (1, 0): {(0, 0, 0): [[(1,)]]},
-            (0, 2): {(0, 0, 0): [[(1,)]]},
-            (2, 0): {(0, 0, 0): [[(1,)]]},
-            (1, 1): {(0, 0, 0): [[(1,)]]},
+            (0, 1): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (0, 2): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (2, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 1): {(0, 0, 0): {(0, 0): {0: 1}}},
         },
-        {0: {(0, 0): MatrixQ(1, 1, ((Fraction(1),),))}},  # d(1) = th, breaks units
+        {0: {(0, 0): {0: {0: 1}}}},  # d(1) = th, breaks units
     )
     kinds = {v.kind for v in validate_dg(w)}
     assert kinds  # at least one law fails
@@ -174,7 +173,6 @@ def test_corrupted_differential_detected():
 
 def test_corrupted_d_squared_detected():
     from lincat import DGCategory
-    from lincat.exact_linalg import MatrixQ
 
     c = point_category()
     # d(1) = th and d(th) = si, so d(d(1)) = si != 0; products all unital
@@ -183,15 +181,15 @@ def test_corrupted_d_squared_detected():
         2,
         {1: {(0, 0): ("th",)}, 2: {(0, 0): ("si",)}},
         {
-            (0, 1): {(0, 0, 0): [[(1,)]]},
-            (1, 0): {(0, 0, 0): [[(1,)]]},
-            (0, 2): {(0, 0, 0): [[(1,)]]},
-            (2, 0): {(0, 0, 0): [[(1,)]]},
-            (1, 1): {(0, 0, 0): [[(0,)]]},
+            (0, 1): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (0, 2): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (2, 0): {(0, 0, 0): {(0, 0): {0: 1}}},
+            (1, 1): {(0, 0, 0): {(0, 0): {0: 0}}},
         },
         {
-            0: {(0, 0): MatrixQ(1, 1, ((Fraction(1),),))},
-            1: {(0, 0): MatrixQ(1, 1, ((Fraction(1),),))},
+            0: {(0, 0): {0: {0: 1}}},
+            1: {(0, 0): {0: {0: 1}}},
         },
     )
     kinds = {v.kind for v in validate_dg(w)}
@@ -200,7 +198,6 @@ def test_corrupted_d_squared_detected():
 
 def test_leibniz_violation_detected():
     from lincat import DGCategory
-    from lincat.exact_linalg import MatrixQ
     from conftest import dual_category
 
     # dual numbers with a hand-built Omega^1 = span{du} but d(u) = 0:
@@ -212,10 +209,10 @@ def test_leibniz_violation_detected():
         1,
         {1: {(0, 0): ("du",)}},
         {
-            (0, 1): {(0, 0, 0): [[(1,)], [(1,)]]},  # 1.du = du, u.du = du
-            (1, 0): {(0, 0, 0): [[(1,), (0,)]]},    # du.1 = du, du.u = 0
+            (0, 1): {(0, 0, 0): {(0, 0): {0: 1}, (1, 0): {0: 1}}},  # 1.du = du, u.du = du
+            (1, 0): {(0, 0, 0): {(0, 0): {0: 1}, (0, 1): {0: 0}}},  # du.1 = du, du.u = 0
         },
-        {0: {(0, 0): MatrixQ(1, 2, ((Fraction(0), Fraction(1)),))}},  # d(u) = du
+        {0: {(0, 0): {1: {0: 1}}}},  # d(u) = du
     )
     kinds = {v.kind for v in validate_dg(w)}
     assert "dg-leibniz" in kinds
@@ -335,6 +332,28 @@ def test_compose_matches_dense_contraction():
         assert checked or name == "point_universal"
 
 
+def test_stored_terms_are_sorted_nonzero_fractions():
+    # byte-identical export and `compose` rely on this order
+    m2 = universal_dg(m2_category(), 2)
+    for w in [load_fixture(name).dg for name in fixture_names()] + [m2]:
+        tables = [w.base.comp, *w.gr_comp.values()]
+        entries = [terms for table in tables for block in table.values() for row in block for terms in row]
+        entries += [terms for level in w.diff.values() for columns in level.values() for terms in columns]
+        assert any(entries)
+        for terms in entries:
+            indices = [k for k, _ in terms]
+            assert all(a < b for a, b in zip(indices, indices[1:])), terms
+            assert all(type(s) is Fraction and s != 0 for _, s in terms), terms
+    # the same tables with every entry's terms given in decreasing index order
+    gr_comp = {pq: {key: {(i, j): dict(reversed(terms)) for i, row in enumerate(block) for j, terms in enumerate(row)}
+                    for key, block in table.items()}
+               for pq, table in m2.gr_comp.items()}
+    diff = {n: {xy: {j: dict(reversed(terms)) for j, terms in enumerate(columns)} for xy, columns in level.items()}
+            for n, level in m2.diff.items()}
+    again = DGCategory(m2.base, m2.truncation, m2.gr_basis, gr_comp, diff)
+    assert (again.gr_comp, again.diff) == (m2.gr_comp, m2.diff)
+
+
 def test_dense_tables_survive_sparse_storage():
     # random dense input tables, one block left out: every product of basis
     # forms reads back as its table entry, and the missing block as zero
@@ -361,32 +380,65 @@ def test_dense_tables_survive_sparse_storage():
                         assert got.is_zero()
                     else:
                         assert got.coords == tuple(comp[(p, q)][(x, y, z)][i][j])
-    # the dense input is still checked for shape
+    # indices outside the dimensions are refused: a product (i, j), its
+    # target k, a differential's source j and its target i
     x, y, z = dropped
     dp, dq, dn = t.dim(p0, x, y), t.dim(q0, y, z), t.dim(p0 + q0, x, z)
-    for block in ([[[Fraction(1)] * (dn + 1)] * dq] * dp, []):
-        table0[dropped] = block
+    gr_comp, d = sparse_tables(comp, diff)
+    for block in ({(dp, 0): {0: 1}}, {(0, dq): {0: 1}}, {(-1, 0): {0: 1}}, {(0, 0): {dn: 1}}, {(0, 0): {-1: 1}}):
+        gr_comp[(p0, q0)][dropped] = block
         with pytest.raises(DimensionError):
-            rebuilt(w, comp, diff)
+            DGCategory(w.base, w.truncation, w.gr_basis, gr_comp, d)
+    del gr_comp[(p0, q0)][dropped]
+    n, (x, y) = next((n, xy) for n, level in d.items() for xy in level)
+    for columns in ({w.dim(n, x, y): {}}, {-1: {}}, {0: {w.dim(n + 1, x, y): 1}}):
+        d[n][(x, y)] = columns
+        with pytest.raises(DimensionError):
+            DGCategory(w.base, w.truncation, w.gr_basis, gr_comp, d)
+    # and by the base category, for a product (i, j) and its target k
+    c = w.base
+    labels = [o.label for o in c.objects]
+    base_comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
+                 for key, block in c.comp.items()}
+    assert Category(labels, c.hom_basis, base_comp, c.identity).comp == c.comp
+    x, y, z = next(iter(base_comp))
+    dxy, dyz, dxz = c.dim(x, y), c.dim(y, z), c.dim(x, z)
+    for bad in ({(dxy, 0): {0: 1}}, {(0, dyz): {0: 1}}, {(0, 0): {dxz: 1}}):
+        with pytest.raises(DimensionError):
+            Category(labels, c.hom_basis, {**base_comp, (x, y, z): bad}, c.identity)
 
 
 def dense_tables(w):
-    """Products of basis forms and differential matrices, as dense input tables."""
-    objs = w.base.objects
+    """Products of basis forms and differential matrices, as dense tables."""
     comp = {}
     for (p, q), table in w.gr_comp.items():
         comp[(p, q)] = {key: dense_tensor(w, p, q, *key) for key in table}
-    diff = {
-        n: {xy: [list(r) for r in w.diff_matrix(n, *xy).entries] for xy in w.hom_pairs(n)}
-        for n in range(w.truncation)
-    }
+    diff = {}
+    for n in range(w.truncation):
+        diff[n] = {}
+        for xy, columns in w.diff[n].items():
+            rows = diff[n][xy] = [[Fraction(0)] * len(columns) for _ in range(w.dim(n + 1, *xy))]
+            for j, terms in enumerate(columns):
+                for i, s in terms:
+                    rows[i][j] = s
     return comp, diff
 
 
-def rebuilt(w, comp, diff):
-    d = {n: {xy: MatrixQ.from_rows(rows, cols=w.dim(n, *xy)) for xy, rows in level.items()}
+def sparse_tables(comp, diff):
+    """Dense tables as the sparse input of `DGCategory`."""
+    def terms(v):
+        return {k: s for k, s in enumerate(v) if s}
+
+    gr_comp = {pq: {key: {(i, j): terms(v) for i, row in enumerate(block) for j, v in enumerate(row)}
+                    for key, block in table.items()}
+               for pq, table in comp.items()}
+    d = {n: {xy: {j: terms(col) for j, col in enumerate(zip(*rows))} for xy, rows in level.items()}
          for n, level in diff.items()}
-    return DGCategory(w.base, w.truncation, w.gr_basis, comp, d)
+    return gr_comp, d
+
+
+def rebuilt(w, comp, diff):
+    return DGCategory(w.base, w.truncation, w.gr_basis, *sparse_tables(comp, diff))
 
 
 # validate_dg on single corrupted entries, recorded with the dense

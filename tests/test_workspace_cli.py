@@ -137,6 +137,28 @@ def test_parse_rejects_malformed_documents():
     broken(lambda d: d["endomorphisms"][0].update(matrix=[[[], []]]))  # wrong shape
 
 
+def test_tables_refuse_a_repeated_product():
+    # the second entry for 1 . th would silently replace the first
+    doc = json.loads(serialize_workspace(load_fixture("circle_tables")))
+    products = doc["forms"]["products"]
+    products.append(dict(products[0], result=[]))
+    with pytest.raises(WorkspaceError, match=r"form product \(1 in degree 0 at \(x,x\), "
+                                             r"th in degree 1 at \(x,x\)\) given twice"):
+        workspace_from_dict(doc)
+
+
+def test_tables_refuse_a_repeated_differential():
+    # an empty second result for d(1) would wipe out the first
+    doc = json.loads(serialize_workspace(load_fixture("circle_tables")))
+    d_one = {"of": {"degree": 0, "dom": "x", "cod": "x", "basis": "1"},
+             "result": [{"coeff": "1", "degree": 1, "dom": "x", "cod": "x", "basis": "th"}]}
+    doc["forms"]["differentials"] = [d_one]
+    assert workspace_from_dict(doc).document["forms"]["differentials"] == [d_one]
+    doc["forms"]["differentials"].append(dict(d_one, result=[]))
+    with pytest.raises(WorkspaceError, match=r"differential of 1 in degree 0 at \(x,x\) given twice"):
+        workspace_from_dict(doc)
+
+
 def test_k0_expression_parser():
     assert parse_k0_expression("2[M] - [N] + 3*[P]") == [(2, "M"), (-1, "N"), (3, "P")]
     assert parse_k0_expression("[ L ]") == [(1, "L")]
