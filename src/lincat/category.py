@@ -19,6 +19,7 @@ rather than from a second implementation here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -56,6 +57,22 @@ def product_rows(block: Mapping[tuple[int, int], Mapping[int, object]], rows: in
             raise DimensionError(f"{where}: product ({i}, {j}) out of range for shape ({rows}, {cols})")
         out[i][j] = checked_terms(entries, dim, f"{where}[{i}][{j}]")
     return tuple(map(tuple, out))
+
+
+def refuse_unread(table: Mapping, read, valid, where: str) -> None:
+    """Refuse the keys of `table` that a constructor's loops do not read.
+
+    Keys in `read` are read.  A key outside `valid`, the keys of the
+    index ranges, raises `DimensionError`; so does a valid key that is
+    not read (it names a zero space) when its entry is not empty.
+    """
+    for key, entry in table.items():
+        if key in read:
+            continue
+        if key not in valid:
+            raise DimensionError(f"{where}: key {key!r} is out of range")
+        if entry:
+            raise DimensionError(f"{where}: {key!r} is a zero space, but the table gives it entries")
 
 
 def contract(block: ProductRows, u: Vector, v: Vector, dim: int) -> Vector:
@@ -128,9 +145,12 @@ class Category:
         product ``b_i . b_j`` of b_i in the (x, y) basis and b_j in the
         (y, z) basis has coefficient s at basis element k of (x, z).
         Absent products vanish.  The blocks are checked by `product_rows`
-        and stored as its rows of nonzero (k, s) terms.
+        and stored as its rows of nonzero (k, s) terms.  A key outside
+        the object range, or a nonempty block at a zero hom space, raises
+        `DimensionError` (`refuse_unread`).
     identity:
-        Map x -> coordinates of the identity in the (x, x) basis.
+        Map x -> coordinates of the identity in the (x, x) basis; a key
+        that is not an object index raises `DimensionError`.
     """
 
     def __init__(
@@ -160,7 +180,9 @@ class Category:
                         self.comp[(x, y, z)] = product_rows(
                             comp.get((x, y, z), {}), dxy, dyz, self.dim(x, z), f"composition {(x, y, z)}"
                         )
+        refuse_unread(comp, self.comp, set(itertools.product(range(n), repeat=3)), "composition")
 
+        refuse_unread(identity, range(n), (), "identity")
         self.identity: dict[int, Vector] = {}
         for x in range(n):
             coords = identity.get(x)

@@ -19,7 +19,9 @@ formula covers the three ways connections arise here:
 The square of a connection is right-linear over forms, and is
 implemented directly by the matrix Gamma = C.C + e.d(C); agreement of
 that closed form with literally applying the connection twice is one of
-the certified properties, not an assumption.
+the certified properties, not an assumption.  A connection is
+immutable, so Gamma is computed once, on the first call, with both
+products accumulated into one matrix.
 
 The one-parameter family joining two connections on the same module is
 handled by matrices over the polynomial extension; `tilde_curvature`
@@ -30,7 +32,7 @@ path.
 
 from __future__ import annotations
 
-from .dg import DGCategory, FormMatrix, block_diag
+from .dg import DGCategory, FormMatrix, ProductAccumulator, block_diag
 from .errors import DimensionError, ModuleError, TruncationError
 from .module_algebra import DirectSumData, ProjectiveModule
 from .tforms import TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_add, tm_mul, tm_partial
@@ -51,6 +53,7 @@ class Connection:
         self.gauge = gauge
         e = module.idempotent
         self._operational = e.mul(w, gauge.mul(w, e) + e.d(w))
+        self._curvature = None
 
     @property
     def w(self) -> DGCategory:
@@ -72,12 +75,21 @@ class Connection:
         return self._operational.mul(w, column) + self.module.idempotent.mul(w, column.d(w))
 
     def curvature(self) -> FormMatrix:
-        """Gamma = C.C + e.d(C); the square of the connection acts by it."""
+        """Gamma = C.C + e.d(C); the square of the connection acts by it.
+
+        A connection is immutable, so Gamma is computed on the first call
+        and the same matrix is returned after that.
+        """
         w = self.w
         if w.truncation < 2:
             raise TruncationError("curvature needs degree-2 forms; raise the truncation to at least 2")
-        c = self._operational
-        return c.mul(w, c) + self.module.idempotent.mul(w, c.d(w))
+        if self._curvature is None:
+            c = self._operational
+            acc = ProductAccumulator(w, 2, self.module.family, self.module.family)
+            acc.add(c, c)
+            acc.add(self.module.idempotent, c.d(w))
+            self._curvature = acc.matrix()
+        return self._curvature
 
     def curvature_power(self, q: int) -> FormMatrix:
         """Gamma^q, refusing exponents whose degree exceeds the truncation."""

@@ -410,9 +410,6 @@ class TildeComplex:
             p1 = [self.rh.class_of_trace(degree - 1, comps) for comps in part1_traces]
         return self.cochain(degree, p0, p1)
 
-    def zero_cochain(self, degree: int) -> TildeCochain:
-        return self.cochain(degree, [], [] if degree >= 1 else None)
-
     def add(self, a: TildeCochain, b: TildeCochain) -> TildeCochain:
         if a.degree != b.degree:
             raise DimensionError("cochain addition: degree mismatch")

@@ -27,7 +27,16 @@ dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
 and differentials as ``{j: {i: s}}`` columns, and both are stored as
 tuples of their nonzero (index, coefficient) terms.  The chain vectors
 of the universal builder are sparse maps for the same reason, and their
-spans go to the elimination kernel `echelon` as they are.
+spans go to the elimination kernel `echelon` as they are.  A table key
+that the constructor's loops never read (out of range, or with entries
+at a zero space) raises `DimensionError` rather than being ignored.
+
+Products of form matrices have one kernel, `ProductAccumulator`: it
+contracts the stored products of basis forms over the nonzero
+coordinates of both factors into one dense accumulator per entry, and
+builds a single `Form` per entry at the end.  `FormMatrix.mul`, the
+polynomial products of `tforms` and the curvature of a connection all
+use it, so a sum of products builds no intermediate forms.
 """
 
 from __future__ import annotations
@@ -37,7 +46,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .category import Category, Morphism, ObjectId, ProductRows, Violation, contract, product_rows
+from .category import (
+    Category,
+    Morphism,
+    ObjectId,
+    ProductRows,
+    Violation,
+    contract,
+    product_rows,
+    refuse_unread,
+)
 from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
     ONE,
@@ -106,7 +124,9 @@ class DGCategory:
     dimensions, and the tables are stored as nonzero (index, coefficient)
     terms sorted by index: ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the
     terms of that product and ``diff[n][(x, y)][j]`` those of d of basis
-    form j, both empty where the input gave nothing.
+    form j, both empty where the input gave nothing.  A key these loops
+    do not read is refused by `refuse_unread`: a degree outside the
+    truncation, an object index out of range, or entries at a zero space.
     """
 
     def __init__(
@@ -123,8 +143,10 @@ class DGCategory:
         self.truncation = truncation
         nobj = len(base.objects)
 
+        degrees = range(1, truncation + 1)
+        refuse_unread(gr_basis, degrees, (), f"form bases at truncation {truncation}")
         self.gr_basis: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
-        for n in range(1, truncation + 1):
+        for n in degrees:
             level = {}
             for (x, y), labels in gr_basis.get(n, {}).items():
                 if not (0 <= x < nobj and 0 <= y < nobj):
@@ -133,6 +155,8 @@ class DGCategory:
                     level[(x, y)] = tuple(str(s) for s in labels)
             self.gr_basis[n] = level
 
+        pairs = set(itertools.product(range(nobj), repeat=2))
+        triples = set(itertools.product(range(nobj), repeat=3))
         self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]] = {}
         for p in range(0, truncation + 1):
             for q in range(0, truncation + 1 - p):
@@ -152,7 +176,9 @@ class DGCategory:
                                     given.get((x, y, z), {}), dp, dq, self.dim(p + q, x, z),
                                     f"composition ({p},{q}) at {(x, y, z)}",
                                 )
+                refuse_unread(given, table, triples, f"composition ({p},{q})")
                 self.gr_comp[(p, q)] = table
+        refuse_unread(gr_comp, self.gr_comp, (), f"composition at truncation {truncation}")
 
         # d out of degree n at (x, y), one tuple of terms per basis form;
         # out of the top degree every column is empty
@@ -173,7 +199,9 @@ class DGCategory:
                     dn1 = self.dim(n + 1, x, y)
                     level[(x, y)] = tuple(checked_terms(columns.get(j, {}), dn1, f"{where}, column {j}")
                                           for j in range(dn))
+            refuse_unread(given, level, pairs, f"differential at degree {n}")
             self.diff[n] = level
+        refuse_unread(diff, self.diff, (), f"differential at truncation {truncation}")
 
         self._derham = None  # memo slot used by the quotient-complex builder
 
@@ -728,19 +756,9 @@ class FormMatrix:
         ))
 
     def mul(self, w: DGCategory, other: "FormMatrix") -> "FormMatrix":
-        if self.col_family != other.row_family:
-            raise DimensionError("form matrix product: inner families differ")
-        deg = self.degree + other.degree
-        rows = []
-        for i, oi in enumerate(self.row_family):
-            row = []
-            for j, oj in enumerate(other.col_family):
-                acc = w.zero_form(deg, oj, oi)
-                for k in range(len(self.col_family)):
-                    acc = acc + w.compose(self.entries[i][k], other.entries[k][j])
-                row.append(acc)
-            rows.append(tuple(row))
-        return FormMatrix(deg, self.row_family, other.col_family, tuple(rows))
+        acc = ProductAccumulator(w, self.degree + other.degree, self.row_family, other.col_family)
+        acc.add(self, other)
+        return acc.matrix()
 
     def power(self, w: DGCategory, k: int) -> "FormMatrix":
         if self.row_family != self.col_family:
@@ -770,6 +788,65 @@ class FormMatrix:
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
+
+
+def _nonzero(coords: Vector) -> list[tuple[int, Fraction]]:
+    return [(k, s) for k, s in enumerate(coords) if s is not ZERO and s]
+
+
+class ProductAccumulator:
+    """A sum of products of form matrices, kept as dense coordinates per entry.
+
+    `add(a, b, sign)` adds sign * a.b: it walks the nonzero coordinates
+    of both factors and contracts the stored products of basis forms
+    straight into the entries of the result.  `matrix()` then builds one
+    `Form` per entry, so a product or a sum of products costs no
+    intermediate form and no addition of zero vectors.  The arithmetic
+    per entry is that of summing `DGCategory.compose` over the inner
+    index, done once.
+    """
+
+    def __init__(self, w: DGCategory, degree: int, row_family, col_family):
+        self.w = w
+        self.degree = degree
+        self.row_family = tuple(row_family)
+        self.col_family = tuple(col_family)
+        self.coords = [[[ZERO] * w.dim(degree, oi.index, oj.index) for oj in self.col_family]
+                       for oi in self.row_family]
+
+    def add(self, a: FormMatrix, b: FormMatrix, sign: int = 1) -> None:
+        if a.col_family != b.row_family:
+            raise DimensionError("form matrix product: inner families differ")
+        if (a.degree + b.degree, a.row_family, b.col_family) != (self.degree, self.row_family, self.col_family):
+            raise DimensionError("form matrix product: factors do not match the accumulated sum")
+        block, p, q = self.w.basis_products, a.degree, b.degree
+        cols = [oj.index for oj in b.col_family]
+        b_nonzero = [[_nonzero(g.coords) for g in row] for row in b.entries]
+        for oi, a_row, out_row in zip(a.row_family, a.entries, self.coords):
+            x = oi.index
+            for ok, f, b_row in zip(a.col_family, a_row, b_nonzero):
+                f_nonzero = _nonzero(f.coords)
+                if not f_nonzero:
+                    continue
+                if sign != 1:
+                    f_nonzero = [(i, sign * s) for i, s in f_nonzero]
+                y = ok.index
+                for z, g_nonzero, out in zip(cols, b_row, out_row):
+                    if not (g_nonzero and out):
+                        continue
+                    products = block(p, q, x, y, z)
+                    for i, s in f_nonzero:
+                        row = products[i]
+                        for j, t in g_nonzero:
+                            st = s * t
+                            for k, c in row[j]:
+                                out[k] += st * c
+
+    def matrix(self) -> FormMatrix:
+        deg, rf, cf = self.degree, self.row_family, self.col_family
+        return FormMatrix(deg, rf, cf, tuple(
+            tuple(Form(deg, oj, oi, tuple(v)) for oj, v in zip(cf, row)) for oi, row in zip(rf, self.coords)
+        ))
 
 
 def block_diag(w: DGCategory, a: FormMatrix, b: FormMatrix) -> FormMatrix:

@@ -18,6 +18,10 @@ Sign conventions, fixed here once and exercised by the tests:
 With these choices D squares to zero and is a graded derivation for the
 composition above, and the integration operator on diagonal classes
 satisfies an exact homotopy identity (see the quotient-complex module).
+
+Products accumulate once per entry: a polynomial product keeps one
+`ProductAccumulator` per power of t, and the e-part of a product adds
+a0.b1 and (-1)^m a1.b0 into the same accumulators.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .category import ObjectId
-from .dg import DGCategory, Form, FormMatrix
+from .dg import DGCategory, Form, FormMatrix, ProductAccumulator
 from .errors import DimensionError
 
 
@@ -87,18 +91,22 @@ def pm_scale(a: PolyMatrix, s) -> PolyMatrix:
 def pm_mul(w: DGCategory, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a.col_family != b.row_family:
         raise DimensionError("polynomial matrix product: inner families differ")
-    out = [
-        FormMatrix.zero(w, a.row_family, b.col_family, a.degree + b.degree)
-        for _ in range(len(a.coeffs) + len(b.coeffs) - 1)
-    ]
-    for i, ma in enumerate(a.coeffs):
-        if ma.is_zero():
-            continue
-        for j, mb in enumerate(b.coeffs):
-            if mb.is_zero():
-                continue
-            out[i + j] = out[i + j] + ma.mul(w, mb)
-    return poly_matrix(out)
+    return _pm_products(w, a.degree + b.degree, a.row_family, b.col_family, [(a, b, 1)])
+
+
+def _pm_products(w: DGCategory, degree: int, row_family, col_family, products) -> PolyMatrix:
+    """The sum of sign * a.b over the (a, b, sign) in `products`.
+
+    One accumulator per power of t collects every coefficient product,
+    and each power becomes a matrix once at the end.
+    """
+    n = max((len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products), default=1)
+    acc = [ProductAccumulator(w, degree, row_family, col_family) for _ in range(n)]
+    for a, b, sign in products:
+        for i, ma in enumerate(a.coeffs):
+            for j, mb in enumerate(b.coeffs):
+                acc[i + j].add(ma, mb, sign)
+    return poly_matrix([m.matrix() for m in acc])
 
 
 def pm_d(w: DGCategory, a: PolyMatrix) -> PolyMatrix:
@@ -168,13 +176,12 @@ def tm_mul(w: DGCategory, a: TildeMatrix, b: TildeMatrix) -> TildeMatrix:
     n = a.degree + b.degree
     if n == 0:
         return TildeMatrix(part0, None)
-    part1 = pm_const(FormMatrix.zero(w, a.part0.row_family, b.part0.col_family, n - 1))
+    products = []
     if b.part1 is not None:
-        part1 = pm_add(part1, pm_mul(w, a.part0, b.part1))
+        products.append((a.part0, b.part1, 1))
     if a.part1 is not None:
-        sign = -1 if b.degree % 2 else 1
-        part1 = pm_add(part1, pm_scale(pm_mul(w, a.part1, b.part0), sign))
-    return TildeMatrix(part0, part1)
+        products.append((a.part1, b.part0, -1 if b.degree % 2 else 1))
+    return TildeMatrix(part0, _pm_products(w, n - 1, a.part0.row_family, b.part0.col_family, products))
 
 
 def tm_power(w: DGCategory, a: TildeMatrix, k: int) -> TildeMatrix:

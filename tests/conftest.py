@@ -104,6 +104,11 @@ def arrow3():
     return universal_dg(arrow_category(), 3)
 
 
+@pytest.fixture(scope="session")
+def m2_3():
+    return universal_dg(m2_category(), 3)
+
+
 # -- random data -------------------------------------------------------------
 
 

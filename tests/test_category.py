@@ -4,7 +4,8 @@ import random
 import pytest
 
 from lincat import DiagonalForm, build_category, compose, get_complex, trivial_dg, validate_category
-from lincat.errors import CompositionError, LincatError
+from lincat.category import Category
+from lincat.errors import CompositionError, DimensionError, LincatError
 
 from conftest import arrow_category, dual_category, point_category, two_points_category
 
@@ -129,3 +130,39 @@ def test_commutator_class_separates_arrow_category():
     cls_s = commutator_class(c, ((Fraction(1),), (Fraction(0),)))
     cls_t = commutator_class(c, ((Fraction(0),), (Fraction(1),)))
     assert cls_s != cls_t
+
+
+# -- table keys the constructor never reads are refused ------------------------
+
+
+def arrow_inputs():
+    """The arrow category's own constructor input: s = 0, t = 1, hom (s, t) is zero."""
+    c = arrow_category()
+    comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
+            for key, block in c.comp.items()}
+    return c, [o.label for o in c.objects], comp, dict(c.identity)
+
+
+def test_category_accepts_its_own_tables_and_empty_zero_blocks():
+    c, labels, comp, identity = arrow_inputs()
+    assert Category(labels, c.hom_basis, comp, identity).comp == c.comp
+    # an empty block at a zero hom space carries nothing and is accepted
+    assert Category(labels, c.hom_basis, {**comp, (0, 1, 0): {}}, identity).comp == c.comp
+
+
+@pytest.mark.parametrize("key, block", [
+    ((0, 0, 2), {(0, 0): {0: 1}}),  # object triple out of range
+    ((0, 1, 7), {(0, 0): {0: 1}}),  # junk key
+    ((0, 1), {(0, 0): {0: 1}}),  # not a triple
+    ((0, 1, 0), {(0, 0): {0: 1}}),  # nonempty block at the zero hom space (s, t)
+], ids=["triple-out-of-range", "junk-key", "not-a-triple", "zero-hom-space"])
+def test_category_refuses_unread_composition_keys(key, block):
+    c, labels, comp, identity = arrow_inputs()
+    with pytest.raises(DimensionError):
+        Category(labels, c.hom_basis, {**comp, key: block}, identity)
+
+
+def test_category_refuses_identity_of_a_missing_object():
+    c, labels, comp, identity = arrow_inputs()
+    with pytest.raises(DimensionError, match="identity"):
+        Category(labels, c.hom_basis, comp, {**identity, 2: (Fraction(1),)})

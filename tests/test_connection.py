@@ -255,3 +255,55 @@ def test_tilde_curvature_interpolates(dual5, two5):
         assert pm_eval(tc.part1, 0).degree == 1
         with pytest.raises(ModuleError):
             tilde_curvature(c0, canonical_connection(dual_projective(dual5) if w is two5 else line_module(two5)))
+
+
+def test_curvature_is_computed_once(dual5, two5, arrow3):
+    rng = random.Random(71)
+    for w, conn in fixture_connections(dual5, two5, arrow3, rng):
+        gamma = conn.curvature()
+        assert conn.curvature() is gamma
+        assert conn.curvature_power(1) is gamma
+        c, e = conn.operational_matrix(), conn.module.idempotent
+        assert gamma == c.mul(w, c) + e.mul(w, c.d(w))
+
+
+def test_two_points_payloads_unchanged_by_the_curvature_memo(two5):
+    # values recorded before curvature was memoized and before products
+    # accumulated per entry
+    from lincat.chern import certify_cocycle, chern_class, chern_form, invariance_certificate
+    from lincat.tforms import pm_diagonal_trace, tm_power
+
+    def coords(forms):
+        return [str(s) for f in forms for s in f.coords]
+
+    w = two5
+    for module, expected in [
+        (projective_two_points(w), {
+            1: (["1", "0"], ["0"], []),
+            2: (["1", "0"], ["0"], []),
+        }),
+        (line_module(w), {
+            1: (["0", "1"], ["1"], [(2, "-1", "[c, dc.dc.dc]@(x,x)"), (3, "2", "[c, c.dc.dc.dc]@(x,x)")]),
+            2: (["0", "1"], ["1"], [(2, "-1", "[c, dc.dc.dc.dc.dc]@(x,x)"),
+                                    (3, "2", "[c, c.dc.dc.dc.dc.dc]@(x,x)")]),
+        }),
+    ]:
+        conn = random_gauge_connection(module, random.Random(17))
+        for q, (form, cls, terms) in expected.items():
+            assert coords(chern_form(conn, q)) == form
+            assert [str(s) for s in chern_class(conn, q)] == cls
+            cert = certify_cocycle(conn, q)
+            assert [(t.index, str(t.coefficient), t.label) for t in cert.terms] == terms
+            inv = invariance_certificate(canonical_connection(module), conn, q)
+            assert [str(s) for s in inv.class1] == cls
+            assert (inv.difference, inv.primitive_integral, inv.primitive_direct) == ((0,), (), ())
+    conn = random_gauge_connection(projective_two_points(w), random.Random(17))
+    assert [coords(row) for row in conn.curvature().entries] == [["0", "1", "0", "0"], ["1", "0", "1", "-1"]]
+    path = tilde_curvature(canonical_connection(conn.module), conn)
+    for q, part0, part1 in [
+        (1, [["1", "0"], ["-4", "0"], ["4", "0"]], [["0", "-4"]]),
+        (2, [["1", "0"], ["-8", "0"], ["24", "0"], ["-32", "0"], ["16", "0"]], [["0", "-8"], ["0", "32"], ["0", "-32"]]),
+    ]:
+        gamma = tm_power(w, path, q)
+        assert [coords(t) for t in pm_diagonal_trace(w, gamma.part0)] == part0
+        assert [coords(t) for t in pm_diagonal_trace(w, gamma.part1)] == part1

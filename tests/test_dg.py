@@ -554,3 +554,75 @@ def test_validation_reports_single_corruptions_exactly():
                 diff[n][(x, y)][r][c] += 1
             got = validate_dg(rebuilt(w, comp, diff))
             assert [(v.kind, v.where) for v in got] == expected, (name, spec)
+
+
+# -- table keys the constructor never reads are refused ------------------------
+
+
+def own_tables(w):
+    """The sparse constructor input that rebuilds `w`, one block per stored key."""
+    gr_comp = {pq: {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
+                    for key, block in table.items()}
+               for pq, table in w.gr_comp.items()}
+    diff = {n: {xy: {j: dict(terms) for j, terms in enumerate(columns)} for xy, columns in level.items()}
+            for n, level in w.diff.items()}
+    return dict(w.gr_basis), gr_comp, diff
+
+
+def test_own_tables_rebuild_every_fixture():
+    # no fixture and no universal envelope trips the unread-key check
+    models = [load_fixture(name).dg for name in fixture_names()] + [universal_dg(m2_category(), 2)]
+    for w in models:
+        again = DGCategory(w.base, w.truncation, *own_tables(w))
+        assert (again.gr_basis, again.gr_comp, again.diff) == (w.gr_basis, w.gr_comp, w.diff)
+    # the universal builder hands over empty columns at zero hom spaces
+    w = load_fixture("arrow_universal").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    diff[1][(0, 1)] = {}
+    gr_comp[(1, 0)][(0, 0, 0)] = {}
+    assert DGCategory(w.base, w.truncation, gr_basis, gr_comp, diff).diff == w.diff
+
+
+def refused(w, gr_basis, gr_comp, diff):
+    with pytest.raises(DimensionError):
+        DGCategory(w.base, w.truncation, gr_basis, gr_comp, diff)
+
+
+def test_refuses_composition_degrees_above_truncation():
+    w = load_fixture("circle_tables").dg  # truncation 1, one object
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, gr_basis, {**gr_comp, (2, 0): {(0, 0, 0): {(0, 0): {0: 1}}}}, diff)
+    refused(w, gr_basis, {**gr_comp, (1, 1): {}}, diff)
+
+
+def test_refuses_differential_above_truncation():
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, gr_basis, gr_comp, {**diff, 3: {(0, 0): {0: {0: 1}}}})
+
+
+def test_refuses_endpoints_out_of_range():
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, gr_basis, gr_comp, {**diff, 0: {**diff[0], (5, 5): {0: {0: 1}}}})
+    refused(w, gr_basis, {**gr_comp, (0, 1): {**gr_comp[(0, 1)], (0, 0, 1): {(0, 0): {0: 1}}}}, diff)
+
+
+def test_refuses_junk_composition_key():
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, gr_basis, {**gr_comp, (0, 1, 7): {(0, 0, 0): {(0, 0): {0: 1}}}}, diff)
+
+
+def test_refuses_entries_at_a_zero_hom_space():
+    # arrow: degree-1 forms live only at (t, s); (s, s) and (s, t) are zero spaces
+    w = load_fixture("arrow_universal").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, gr_basis, {**gr_comp, (1, 0): {**gr_comp[(1, 0)], (0, 0, 0): {(0, 0): {0: 1}}}}, diff)
+    refused(w, gr_basis, gr_comp, {**diff, 1: {**diff[1], (0, 1): {0: {0: 1}}}})
+
+
+def test_refuses_form_basis_above_truncation():
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    refused(w, {**gr_basis, 2: {(0, 0): ("th2",)}}, gr_comp, diff)

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from lincat import FormMatrix
+from lincat.dg import ProductAccumulator
 from lincat.errors import DimensionError
+from lincat.workspace import load_fixture
 from lincat.tforms import (
     TildeMatrix,
     pm_add,
@@ -26,6 +28,8 @@ from lincat.tforms import (
 )
 
 from conftest import random_form_matrix
+
+UNIVERSAL_FIXTURES = ["arrow_universal", "dual_numbers_universal", "point_universal", "two_points_universal"]
 
 
 def one(f):
@@ -246,3 +250,132 @@ def test_poly_matrix_helpers(dual5):
         n = random_form_matrix(w, 1, fam, fam, rng)
         q = poly_matrix([m, n])  # m + n.t
         assert pm_eval(q, t) == m + n.scale(t)
+
+
+# -- products against an entrywise oracle ------------------------------------
+#
+# The oracle is the plain definition: each entry sums `compose` products
+# with `Form.__add__`, coefficient by coefficient for polynomials, and a
+# TildeMatrix product adds its two e-terms as separate polynomial products.
+
+
+def oracle_mul(w, a, b):
+    deg = a.degree + b.degree
+    rows = []
+    for i, oi in enumerate(a.row_family):
+        row = []
+        for j, oj in enumerate(b.col_family):
+            acc = w.zero_form(deg, oj, oi)
+            for k in range(len(a.col_family)):
+                acc = acc + w.compose(a.entries[i][k], b.entries[k][j])
+            row.append(acc)
+        rows.append(tuple(row))
+    return FormMatrix(deg, a.row_family, b.col_family, tuple(rows))
+
+
+def oracle_pm_mul(w, a, b):
+    deg = a.degree + b.degree
+    coeffs = [FormMatrix.zero(w, a.row_family, b.col_family, deg) for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    for i, ma in enumerate(a.coeffs):
+        for j, mb in enumerate(b.coeffs):
+            coeffs[i + j] = coeffs[i + j] + oracle_mul(w, ma, mb)
+    return poly_matrix(coeffs)
+
+
+def oracle_tm_mul(w, a, b):
+    part0 = oracle_pm_mul(w, a.part0, b.part0)
+    n = a.degree + b.degree
+    if n == 0:
+        return TildeMatrix(part0, None)
+    part1 = pm_const(FormMatrix.zero(w, a.part0.row_family, b.part0.col_family, n - 1))
+    if b.part1 is not None:
+        part1 = pm_add(part1, oracle_pm_mul(w, a.part0, b.part1))
+    if a.part1 is not None:
+        part1 = pm_add(part1, pm_scale(oracle_pm_mul(w, a.part1, b.part0), -1 if b.degree % 2 else 1))
+    return TildeMatrix(part0, part1)
+
+
+def holey_matrix(w, degree, rows, cols, rng):
+    """A random form matrix with about a third of its entries zero."""
+    m = random_form_matrix(w, degree, rows, cols, rng)
+    return FormMatrix(degree, rows, cols, tuple(
+        tuple(f if rng.random() < 0.65 else w.zero_form(degree, f.dom, f.cod) for f in row)
+        for row in m.entries
+    ))
+
+
+def holey_poly(w, degree, rows, cols, rng):
+    """Up to three t-coefficients; a middle one is sometimes zero."""
+    coeffs = [holey_matrix(w, degree, rows, cols, rng) for _ in range(rng.randint(1, 3))]
+    if len(coeffs) == 3 and rng.random() < 0.5:
+        coeffs[1] = FormMatrix.zero(w, rows, cols, degree)
+    return poly_matrix(coeffs)
+
+
+def holey_tilde(w, degree, rows, cols, rng):
+    part1 = holey_poly(w, degree - 1, rows, cols, rng) if degree >= 1 else None
+    return TildeMatrix(holey_poly(w, degree, rows, cols, rng), part1)
+
+
+def product_models(m2_3):
+    return [(name, load_fixture(name).dg) for name in UNIVERSAL_FIXTURES] + [("m2", m2_3)]
+
+
+def random_families(w, rng):
+    """Row, inner and column families of random lengths, objects mixed."""
+    objs = w.base.objects
+    return [tuple(rng.choice(objs) for _ in range(rng.randint(1, 3))) for _ in range(3)]
+
+
+def test_products_match_entrywise_oracle(m2_3):
+    rng = random.Random(61)
+    for name, w in product_models(m2_3):
+        N = w.truncation
+        for p in range(N + 1):
+            # q = N + 1 - p puts the product above the truncation: every entry is empty
+            for q in range(N + 2 - p):
+                rows, inner, cols = random_families(w, rng)
+                a, b = holey_matrix(w, p, rows, inner, rng), holey_matrix(w, q, inner, cols, rng)
+                assert a.mul(w, b) == oracle_mul(w, a, b), (name, p, q)
+                pa, pb = holey_poly(w, p, rows, inner, rng), holey_poly(w, q, inner, cols, rng)
+                assert pm_mul(w, pa, pb) == oracle_pm_mul(w, pa, pb), (name, p, q)
+                if p + q <= N:
+                    ta, tb = holey_tilde(w, p, rows, inner, rng), holey_tilde(w, q, inner, cols, rng)
+                    assert tm_mul(w, ta, tb) == oracle_tm_mul(w, ta, tb), (name, p, q)
+
+
+def test_tilde_product_signs_against_oracle(m2_3):
+    # both signs of the e-term a1.b0: right factors of even and odd degree,
+    # with a nonzero e-part on each side
+    rng = random.Random(62)
+    for name, w in product_models(m2_3):
+        N = w.truncation
+        for p, q in [(1, 1), (1, 2), (2, 1), (0, 2), (2, 0), (0, 0)]:
+            if p + q > N:
+                continue
+            for _ in range(2):
+                rows, inner, cols = random_families(w, rng)
+                ta, tb = holey_tilde(w, p, rows, inner, rng), holey_tilde(w, q, inner, cols, rng)
+                got = tm_mul(w, ta, tb)
+                assert got == oracle_tm_mul(w, ta, tb), (name, p, q)
+                assert all(type(s) is Fraction for m in got.part0.coeffs for row in m.entries
+                           for f in row for s in f.coords)
+
+
+def test_products_refuse_mismatched_inner_families(arrow3):
+    w = arrow3
+    s, t = w.base.objects
+    rng = random.Random(63)
+    a, b = holey_matrix(w, 1, (t, s), (s, t), rng), holey_matrix(w, 0, (t, s), (s,), rng)
+    with pytest.raises(DimensionError, match="inner families differ"):
+        a.mul(w, b)
+    with pytest.raises(DimensionError, match="inner families differ"):
+        pm_mul(w, pm_const(a), pm_const(b))
+    with pytest.raises(DimensionError, match="inner families differ"):
+        tm_mul(w, tilde_matrix(w, pm_const(a)), tilde_matrix(w, pm_const(b)))
+    with pytest.raises(DimensionError, match="inner families differ"):
+        a.mul(w, holey_matrix(w, 0, (s,), (s,), rng))
+    # an accumulator takes only products of its own degree and families
+    acc = ProductAccumulator(w, 2, (t, s), (s,))
+    with pytest.raises(DimensionError, match="do not match"):
+        acc.add(a, holey_matrix(w, 0, (s, t), (s,), rng))
