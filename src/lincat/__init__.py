@@ -9,11 +9,9 @@ of diagonal forms modulo commutators.  All arithmetic is exact.
 
 from .category import (
     Category,
-    Morphism,
     ObjectId,
     Violation,
     build_category,
-    compose,
     validate_category,
 )
 from .chern import (
@@ -107,7 +105,6 @@ __all__ = [
     "LiteralTensor",
     "MatrixQ",
     "ModuleError",
-    "Morphism",
     "ObjectId",
     "ProjectiveModule",
     "ScalarTypeError",
@@ -122,7 +119,6 @@ __all__ = [
     "certify_cocycle",
     "chern_class",
     "chern_form",
-    "compose",
     "compress",
     "conjugate",
     "direct_sum",

@@ -6,15 +6,17 @@ space indexed by the pair ``(x, y)`` consists of the morphisms *from* y
 *to* x, so composition pairs ``(x, y) x (y, z) -> (x, z)`` and reads
 left of right, like matrix multiplication.
 
-Everything is exact: coordinates are tuples of `Fraction`, and the
-structure constants are stored sparse, as the nonzero terms of each
-product of basis arrows.
+Everything is exact and sparse: the structure constants are stored as
+the nonzero (index, coefficient) terms of each product of basis arrows,
+and the identity of each object as the terms of its expansion in the
+basis.  `contract` multiplies two vectors given by their terms.
 
-This module holds the category alone: objects, bases, composition and
-the axiom check.  The trace quotient (endomorphisms modulo commutators)
-is degree 0 of the quotient complex of any graded envelope, so its
-classes come from `get_complex(trivial_dg(c)).class_of` (`lincat.derham`)
-rather than from a second implementation here.
+This module holds the tables alone: objects, bases, composition and
+the axiom check `validate_category`.  A morphism is a degree-0 form of
+any graded envelope of the category (`trivial_dg(c)` has no others), so
+morphisms, their composition and their trace classes live in
+`lincat.dg` and `lincat.derham` rather than in a second implementation
+here.
 """
 
 from __future__ import annotations
@@ -22,22 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import CompositionError, DimensionError, LincatError
-from .exact_linalg import (
-    ZERO,
-    Terms,
-    Vector,
-    checked_terms,
-    densify,
-    is_zero_vector,
-    parse_scalar,
-    vec,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .errors import DimensionError, LincatError
+from .exact_linalg import ONE, ZERO, Terms, checked_terms, parse_scalar, terms_of
 
 # products of basis elements: entry [i][j] holds the terms of b_i . b_j
 ProductRows = tuple[tuple[Terms, ...], ...]
@@ -75,51 +65,22 @@ def refuse_unread(table: Mapping, read, valid, where: str) -> None:
             raise DimensionError(f"{where}: {key!r} is a zero space, but the table gives it entries")
 
 
-def contract(block: ProductRows, u: Vector, v: Vector, dim: int) -> Vector:
-    """Coordinates of the product u . v, from the products of basis elements in `block`."""
-    out = [ZERO] * dim
-    v_support = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
-        if not a:
-            continue
+def contract(block: ProductRows, u: Terms, v: Terms) -> Terms:
+    """The terms of the product u . v, from the products of basis elements in `block`."""
+    out: dict[int, Fraction] = {}
+    for i, a in u:
         row = block[i]
-        for j, b in v_support:
+        for j, b in v:
             ab = a * b
             for k, s in row[j]:
-                out[k] += ab * s
-    return tuple(out)
+                out[k] = out.get(k, ZERO) + ab * s
+    return terms_of(out)
 
 
 @dataclass(frozen=True)
 class ObjectId:
     index: int
     label: str
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A morphism from `dom` to `cod` in hom-space coordinates."""
-
-    dom: ObjectId
-    cod: ObjectId
-    coords: Vector
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise CompositionError("cannot add morphisms with different endpoints")
-        return Morphism(self.dom, self.cod, vec_add(self.coords, other.coords))
-
-    def __neg__(self) -> "Morphism":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        return self + (-other)
-
-    def scale(self, s) -> "Morphism":
-        return Morphism(self.dom, self.cod, vec_scale(Fraction(s), self.coords))
-
-    def is_zero(self) -> bool:
-        return is_zero_vector(self.coords)
 
 
 @dataclass(frozen=True)
@@ -149,8 +110,10 @@ class Category:
         the object range, or a nonempty block at a zero hom space, raises
         `DimensionError` (`refuse_unread`).
     identity:
-        Map x -> coordinates of the identity in the (x, x) basis; a key
-        that is not an object index raises `DimensionError`.
+        Map x -> sparse expansion ``{k: s}`` of the identity of x in the
+        (x, x) basis, checked by `checked_terms` and stored as its terms.
+        A missing object, or a key that is not an object index, raises
+        `DimensionError`.
     """
 
     def __init__(
@@ -158,7 +121,7 @@ class Category:
         labels: Sequence[str],
         hom_basis: Mapping[tuple[int, int], Sequence[str]],
         comp: Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping[int, object]]],
-        identity: Mapping[int, Sequence],
+        identity: Mapping[int, Mapping[int, object]],
     ):
         self.objects: tuple[ObjectId, ...] = tuple(
             ObjectId(i, str(lab)) for i, lab in enumerate(labels)
@@ -183,15 +146,12 @@ class Category:
         refuse_unread(comp, self.comp, set(itertools.product(range(n), repeat=3)), "composition")
 
         refuse_unread(identity, range(n), (), "identity")
-        self.identity: dict[int, Vector] = {}
+        self.identity: dict[int, Terms] = {}
         for x in range(n):
-            coords = identity.get(x)
-            if coords is None:
+            entries = identity.get(x)
+            if entries is None:
                 raise DimensionError(f"object {self.objects[x].label}: identity coordinates missing")
-            v = vec(coords)
-            if len(v) != self.dim(x, x):
-                raise DimensionError(f"object {self.objects[x].label}: identity has wrong length")
-            self.identity[x] = v
+            self.identity[x] = checked_terms(entries, self.dim(x, x), f"identity of {self.objects[x].label}")
 
     # -- basic accessors -------------------------------------------------
 
@@ -207,59 +167,35 @@ class Category:
     def basis_labels(self, x: int, y: int) -> tuple[str, ...]:
         return self.hom_basis.get((x, y), ())
 
-    def morphism(self, dom: ObjectId, cod: ObjectId, coords: Iterable) -> Morphism:
-        v = vec(coords)
-        if len(v) != self.dim(cod.index, dom.index):
-            raise DimensionError(
-                f"morphism {dom.label}->{cod.label}: expected {self.dim(cod.index, dom.index)} coordinates"
-            )
-        return Morphism(dom, cod, v)
-
-    def zero_morphism(self, dom: ObjectId, cod: ObjectId) -> Morphism:
-        return Morphism(dom, cod, zero_vector(self.dim(cod.index, dom.index)))
-
-    def basis_morphism(self, dom: ObjectId, cod: ObjectId, k: int) -> Morphism:
-        d = self.dim(cod.index, dom.index)
-        if not (0 <= k < d):
-            raise DimensionError(f"basis index {k} out of range for dim {d}")
-        return Morphism(dom, cod, tuple(Fraction(1 if i == k else 0) for i in range(d)))
-
-    def identity_morphism(self, x: ObjectId) -> Morphism:
-        return Morphism(x, x, self.identity[x.index])
-
     def compose_basis(self, x: int, y: int, z: int, i: int, j: int) -> Terms:
         """The nonzero (k, s) terms of b_i . b_j, for b_i at (x, y) and b_j at (y, z)."""
         block = self.comp.get((x, y, z))
         return () if block is None else block[i][j]
 
 
-def compose(c: Category, f: Morphism, g: Morphism) -> Morphism:
-    """The composite f . g of f: y -> x and g: z -> y."""
-    if f.dom != g.cod:
-        raise CompositionError(
-            f"cannot compose: left factor starts at {f.dom.label}, right factor ends at {g.cod.label}"
-        )
-    x, y, z = f.cod.index, f.dom.index, g.dom.index
-    if (x, y, z) not in c.comp:
-        return c.zero_morphism(g.dom, f.cod)
-    return Morphism(g.dom, f.cod, contract(c.comp[(x, y, z)], f.coords, g.coords, c.dim(x, z)))
-
-
 def validate_category(c: Category) -> list[Violation]:
-    """All unit and associativity failures on basis elements, as data."""
+    """All unit and associativity failures on basis elements, as data.
+
+    The products are contracted straight from the stored terms of the
+    composition blocks and the identities.
+    """
     violations: list[Violation] = []
     n = len(c.objects)
+
+    def product(x: int, y: int, z: int, u: Terms, v: Terms) -> Terms:
+        block = c.comp.get((x, y, z))
+        return () if block is None else contract(block, u, v)
 
     for x in range(n):
         ox = c.objects[x]
         for y in range(n):
             oy = c.objects[y]
             for k in range(c.dim(x, y)):
-                b = c.basis_morphism(oy, ox, k)
+                b = ((k, ONE),)
                 label = c.basis_labels(x, y)[k]
-                if compose(c, c.identity_morphism(ox), b) != b:
+                if product(x, x, y, c.identity[x], b) != b:
                     violations.append(Violation("identity-left", f"1_{ox.label} . {label}"))
-                if compose(c, b, c.identity_morphism(oy)) != b:
+                if product(x, y, y, b, c.identity[y]) != b:
                     violations.append(Violation("identity-right", f"{label} . 1_{oy.label}"))
 
     for x in range(n):
@@ -269,15 +205,14 @@ def validate_category(c: Category) -> list[Violation]:
                     dxy, dyz, dzw = c.dim(x, y), c.dim(y, z), c.dim(z, w)
                     if dxy * dyz * dzw == 0:
                         continue
+                    fg_block, gh_block = c.comp[(x, y, z)], c.comp[(y, z, w)]
                     for i in range(dxy):
-                        f = c.basis_morphism(c.objects[y], c.objects[x], i)
+                        f = ((i, ONE),)
                         for j in range(dyz):
-                            g = c.basis_morphism(c.objects[z], c.objects[y], j)
-                            fg = compose(c, f, g)
+                            fg = fg_block[i][j]
                             for k in range(dzw):
-                                h = c.basis_morphism(c.objects[w], c.objects[z], k)
-                                left = compose(c, fg, h)
-                                right = compose(c, f, compose(c, g, h))
+                                left = product(x, z, w, fg, ((k, ONE),))
+                                right = product(x, y, w, f, gh_block[j][k])
                                 if left != right:
                                     names = (
                                         c.basis_labels(x, y)[i],
@@ -343,11 +278,11 @@ def build_category(
             raise DimensionError(f"product ({left}, {right}) is not composable")
         comp.setdefault((lx, ly, rz), {})[(li, rj)] = expand((lx, rz), terms)
 
-    identity: dict[int, Vector] = {}
+    identity: dict[int, dict[int, Fraction]] = {}
     for lab, terms in identities.items():
         if lab not in index:
             raise DimensionError(f"identity given for unknown object {lab!r}")
         x = index[lab]
-        identity[x] = densify(expand((x, x), terms), len(hom_basis.get((x, x), ())))
+        identity[x] = expand((x, x), terms)
 
     return Category(labels, hom_basis, comp, identity)

@@ -36,7 +36,7 @@ from .derham import (
     get_complex,
 )
 from .dg import Form
-from .errors import CertificationError, DimensionError, ModuleError, TruncationError
+from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
 from .exact_linalg import (
     SparseRow,
     Vector,
@@ -234,10 +234,19 @@ def k0_character(entries: Sequence[K0Entry], q: int) -> Vector:
 
     Each entry uses its attached connection, defaulting to the canonical
     one; by the invariance certificate the result is independent of
-    those choices.
+    those choices.  A coefficient that is not an `int` (a `bool`, a
+    float, a `Fraction`) raises `ScalarTypeError`: K0 combinations are
+    integral.
     """
     if not entries:
         raise DimensionError("empty formal combination")
+    for i, entry in enumerate(entries):
+        c = entry.coefficient
+        if type(c) is not int:
+            raise ScalarTypeError(
+                f"K0 entry {i} (module {entry.module.name}): coefficient {c!r} "
+                f"of type {type(c).__name__} is not an integer"
+            )
     w = entries[0].module.w
     rh = get_complex(w)
     total = zero_vector(rh.dim(2 * q))

@@ -97,7 +97,7 @@ def diagonal_form_from_forms(w: DGCategory, degree: int, forms: Sequence[Form]) 
     for x, f in enumerate(forms):
         if f.degree != degree or f.dom.index != x or f.cod.index != x:
             raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
-        comps.append(f.coords)
+        comps.append(densify(f.terms, w.dim(degree, x, x)))
     return DiagonalForm(degree, tuple(comps))
 
 
@@ -340,8 +340,7 @@ class DeRhamComplex:
             if is_zero_vector(comp):
                 continue
             o = self.w.base.objects[x]
-            f = Form(n, o, o, comp)
-            pieces.append(f"{o.label}: {render_form(self.w, f)}")
+            pieces.append(f"{o.label}: {render_form(self.w, self.w.form(n, o, o, comp))}")
         return "; ".join(pieces) if pieces else "0"
 
 
@@ -505,9 +504,8 @@ def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int
                 if i > D:
                     raise DimensionError("bracket exceeded the stratification bound")
                 start = base + i * width + off
-                for k, s in enumerate(f.coords):
-                    if s:
-                        out[start + k] = out.get(start + k, ZERO) + sign * s
+                for k, s in f.terms:
+                    out[start + k] = out.get(start + k, ZERO) + sign * s
 
     def monomials(p: int, x: int, y: int, a: int) -> list[TildeMatrix]:
         """Extended monomials of total degree p from object y to object x, times t^a."""

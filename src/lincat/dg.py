@@ -31,12 +31,17 @@ spans go to the elimination kernel `echelon` as they are.  A table key
 that the constructor's loops never read (out of range, or with entries
 at a zero space) raises `DimensionError` rather than being ignored.
 
+A `Form` holds the same sorted, nonzero terms as the tables, and a
+degree-0 form is a morphism of the base category: `trivial_dg(c)` has
+no other forms, so it is the category c itself.  Dense coordinates
+enter a form only through `DGCategory.form`.
+
 Products of form matrices have one kernel, `ProductAccumulator`: it
-contracts the stored products of basis forms over the nonzero
-coordinates of both factors into one dense accumulator per entry, and
-builds a single `Form` per entry at the end.  `FormMatrix.mul`, the
-polynomial products of `tforms` and the curvature of a connection all
-use it, so a sum of products builds no intermediate forms.
+contracts the stored products of basis forms over the terms of both
+factors into one sparse accumulator per entry, and builds a single
+`Form` per entry at the end.  `FormMatrix.mul`, the polynomial products
+of `tforms` and the curvature of a connection all use it, so a sum of
+products builds no intermediate forms.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from typing import Mapping, Sequence
 
 from .category import (
     Category,
-    Morphism,
     ObjectId,
     ProductRows,
     Violation,
@@ -63,17 +67,14 @@ from .exact_linalg import (
     MatrixQ,
     SparseRow,
     Terms,
-    Vector,
+    add_terms,
     checked_terms,
     echelon,
-    is_zero_vector,
     kernel_basis,
     sparse,
+    terms_of,
     unit_vector,
     vec,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,17 +83,22 @@ from .exact_linalg import (
 
 @dataclass(frozen=True)
 class Form:
-    """A homogeneous form of the given degree, from `dom` to `cod`."""
+    """A homogeneous form of the given degree, from `dom` to `cod`.
+
+    `terms` are the nonzero (index, coefficient) pairs of the form in the
+    basis of its space, strictly increasing in index, so equal forms
+    have equal terms.
+    """
 
     degree: int
     dom: ObjectId
     cod: ObjectId
-    coords: Vector
+    terms: Terms
 
     def __add__(self, other: "Form") -> "Form":
         if (self.degree, self.dom, self.cod) != (other.degree, other.dom, other.cod):
             raise CompositionError("cannot add forms of different degree or endpoints")
-        return Form(self.degree, self.dom, self.cod, vec_add(self.coords, other.coords))
+        return Form(self.degree, self.dom, self.cod, add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -101,10 +107,12 @@ class Form:
         return self + (-other)
 
     def scale(self, s) -> "Form":
-        return Form(self.degree, self.dom, self.cod, vec_scale(Fraction(s), self.coords))
+        s = Fraction(s)
+        terms = tuple((k, s * c) for k, c in self.terms) if s else ()
+        return Form(self.degree, self.dom, self.cod, terms)
 
     def is_zero(self) -> bool:
-        return is_zero_vector(self.coords)
+        return not self.terms
 
 
 class DGCategory:
@@ -224,32 +232,25 @@ class DGCategory:
         return [(x, y) for x in range(nobj) for y in range(nobj) if self.dim(n, x, y) > 0]
 
     def zero_form(self, n: int, dom: ObjectId, cod: ObjectId) -> Form:
-        return Form(n, dom, cod, zero_vector(self.dim(n, cod.index, dom.index)))
+        return Form(n, dom, cod, ())
 
     def form(self, n: int, dom: ObjectId, cod: ObjectId, coords) -> Form:
+        """The form with the given dense coordinates; their zeros are dropped."""
         v = vec(coords)
         if len(v) != self.dim(n, cod.index, dom.index):
             raise DimensionError(
                 f"degree-{n} form {dom.label}->{cod.label}: expected {self.dim(n, cod.index, dom.index)} coordinates"
             )
-        return Form(n, dom, cod, v)
+        return Form(n, dom, cod, tuple(sparse(v).items()))
 
     def basis_form(self, n: int, dom: ObjectId, cod: ObjectId, k: int) -> Form:
         d = self.dim(n, cod.index, dom.index)
         if not (0 <= k < d):
             raise DimensionError(f"basis index {k} out of range for dimension {d}")
-        return Form(n, dom, cod, unit_vector(d, k))
+        return Form(n, dom, cod, ((k, ONE),))
 
     def identity_form(self, x: ObjectId) -> Form:
         return Form(0, x, x, self.base.identity[x.index])
-
-    def form_from_morphism(self, f: Morphism) -> Form:
-        return Form(0, f.dom, f.cod, f.coords)
-
-    def morphism_from_form(self, f: Form) -> Morphism:
-        if f.degree != 0:
-            raise CompositionError("only degree-0 forms are morphisms of the base category")
-        return Morphism(f.dom, f.cod, f.coords)
 
     # -- composition and differential ------------------------------------
 
@@ -260,8 +261,7 @@ class DGCategory:
             )
         p, q = f.degree, g.degree
         x, y, z = f.cod.index, f.dom.index, g.dom.index
-        products = self.basis_products(p, q, x, y, z)
-        return Form(p + q, g.dom, f.cod, contract(products, f.coords, g.coords, self.dim(p + q, x, z)))
+        return Form(p + q, g.dom, f.cod, contract(self.basis_products(p, q, x, y, z), f.terms, g.terms))
 
     def basis_products(self, p: int, q: int, x: int, y: int, z: int):
         """Products of the basis forms of degree p at (x, y) with those of degree q at (y, z).
@@ -276,13 +276,12 @@ class DGCategory:
 
     def d(self, f: Form) -> Form:
         n = f.degree
-        x, y = f.cod.index, f.dom.index
-        out = [ZERO] * self.dim(n + 1, x, y)
-        for a, column in zip(f.coords, self.diff.get(n, {}).get((x, y), ())):
-            if a:
-                for i, s in column:
-                    out[i] += a * s
-        return Form(n + 1, f.dom, f.cod, tuple(out))
+        columns = self.diff.get(n, {}).get((f.cod.index, f.dom.index), ())
+        out: dict[int, Fraction] = {}
+        for j, a in f.terms:
+            for i, s in columns[j]:
+                out[i] = out.get(i, ZERO) + a * s
+        return Form(n + 1, f.dom, f.cod, terms_of(out))
 
 
 def _contract(out: list, coefficients: Terms, vectors) -> list:
@@ -316,7 +315,7 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     for n in range(0, N + 1):
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
-            one_x, one_y = tuple(sparse(w.base.identity[x]).items()), tuple(sparse(w.base.identity[y]).items())
+            one_x, one_y = w.base.identity[x], w.base.identity[y]
             dn = dim(n, x, y)
             left, right = transpose(block(0, n, x, x, y), dim(0, x, x), dn), block(n, 0, x, y, y)
             for k in range(dn):
@@ -507,7 +506,7 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
                 spaces[(n, x, y)] = _ChainSpace(c, n, x, y)
 
     def is_identity_arrow(x: int, k: int) -> bool:
-        return c.identity[x] == unit_vector(c.dim(x, x), k)
+        return c.identity[x] == ((k, ONE),)
 
     def chain_order(space: _ChainSpace) -> tuple[int, ...]:
         # identity arrows in differential slots make a chain a poor pivot
@@ -655,12 +654,9 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
             for ins in range(0, n + 2):
                 sign = Fraction(-1 if ins % 2 else 1)
                 obj = path[ins]
-                idc = c.identity[obj]
                 new_path = path[:ins + 1] + (obj,) + path[ins + 1:]
                 new_interior = new_path[1:n + 2]
-                for k, idcoef in enumerate(idc):
-                    if not idcoef:
-                        continue
+                for k, idcoef in c.identity[obj]:
                     key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
                     out[key] = out.get(key, ZERO) + s * sign * idcoef
         return {k: s for k, s in out.items() if s}
@@ -790,20 +786,15 @@ class FormMatrix:
         return all(f.is_zero() for row in self.entries for f in row)
 
 
-def _nonzero(coords: Vector) -> list[tuple[int, Fraction]]:
-    return [(k, s) for k, s in enumerate(coords) if s is not ZERO and s]
-
-
 class ProductAccumulator:
-    """A sum of products of form matrices, kept as dense coordinates per entry.
+    """A sum of products of form matrices, kept as a sparse map per entry.
 
-    `add(a, b, sign)` adds sign * a.b: it walks the nonzero coordinates
-    of both factors and contracts the stored products of basis forms
-    straight into the entries of the result.  `matrix()` then builds one
-    `Form` per entry, so a product or a sum of products costs no
-    intermediate form and no addition of zero vectors.  The arithmetic
-    per entry is that of summing `DGCategory.compose` over the inner
-    index, done once.
+    `add(a, b, sign)` adds sign * a.b: it walks the terms of both
+    factors and contracts the stored products of basis forms straight
+    into the entries of the result.  `matrix()` then builds one `Form`
+    per entry, so a product or a sum of products costs no intermediate
+    form.  The arithmetic per entry is that of summing
+    `DGCategory.compose` over the inner index, done once.
     """
 
     def __init__(self, w: DGCategory, degree: int, row_family, col_family):
@@ -811,8 +802,7 @@ class ProductAccumulator:
         self.degree = degree
         self.row_family = tuple(row_family)
         self.col_family = tuple(col_family)
-        self.coords = [[[ZERO] * w.dim(degree, oi.index, oj.index) for oj in self.col_family]
-                       for oi in self.row_family]
+        self.sums: list[list[dict[int, Fraction]]] = [[{} for _ in self.col_family] for _ in self.row_family]
 
     def add(self, a: FormMatrix, b: FormMatrix, sign: int = 1) -> None:
         if a.col_family != b.row_family:
@@ -821,31 +811,31 @@ class ProductAccumulator:
             raise DimensionError("form matrix product: factors do not match the accumulated sum")
         block, p, q = self.w.basis_products, a.degree, b.degree
         cols = [oj.index for oj in b.col_family]
-        b_nonzero = [[_nonzero(g.coords) for g in row] for row in b.entries]
-        for oi, a_row, out_row in zip(a.row_family, a.entries, self.coords):
+        for oi, a_row, out_row in zip(a.row_family, a.entries, self.sums):
             x = oi.index
-            for ok, f, b_row in zip(a.col_family, a_row, b_nonzero):
-                f_nonzero = _nonzero(f.coords)
-                if not f_nonzero:
+            for ok, f, b_row in zip(a.col_family, a_row, b.entries):
+                f_terms = f.terms
+                if not f_terms:
                     continue
                 if sign != 1:
-                    f_nonzero = [(i, sign * s) for i, s in f_nonzero]
+                    f_terms = [(i, sign * s) for i, s in f_terms]
                 y = ok.index
-                for z, g_nonzero, out in zip(cols, b_row, out_row):
-                    if not (g_nonzero and out):
+                for z, g, out in zip(cols, b_row, out_row):
+                    g_terms = g.terms
+                    if not g_terms:
                         continue
                     products = block(p, q, x, y, z)
-                    for i, s in f_nonzero:
+                    for i, s in f_terms:
                         row = products[i]
-                        for j, t in g_nonzero:
+                        for j, t in g_terms:
                             st = s * t
                             for k, c in row[j]:
-                                out[k] += st * c
+                                out[k] = out.get(k, ZERO) + st * c
 
     def matrix(self) -> FormMatrix:
         deg, rf, cf = self.degree, self.row_family, self.col_family
         return FormMatrix(deg, rf, cf, tuple(
-            tuple(Form(deg, oj, oi, tuple(v)) for oj, v in zip(cf, row)) for oi, row in zip(rf, self.coords)
+            tuple(Form(deg, oj, oi, terms_of(out)) for oj, out in zip(cf, row)) for oi, row in zip(rf, self.sums)
         ))
 
 
@@ -875,9 +865,8 @@ def block_diag(w: DGCategory, a: FormMatrix, b: FormMatrix) -> FormMatrix:
 def render_form(w: DGCategory, f: Form) -> str:
     labels = w.space_labels(f.degree, f.cod.index, f.dom.index)
     terms = []
-    for s, label in zip(f.coords, labels):
-        if s == 0:
-            continue
+    for k, s in f.terms:
+        label = labels[k]
         if s == 1:
             terms.append(("+", label))
         elif s == -1:

@@ -6,13 +6,23 @@ echelon form, which is unique for a row space: no pivot is chosen by
 magnitude or by the order of the work, so every derived basis is
 reproducible byte for byte.
 
-Vectors are plain tuples of Fractions; matrices are immutable tuples of
-row tuples wrapped in :class:`MatrixQ`, whose entries must be Fractions
-(anything else is refused with `ScalarTypeError`, so no float or int
-ever enters exact arithmetic unnoticed).  The work itself runs on sparse
-rows: maps from column index to the nonzero entries of a row
-(`SparseRow`), because the matrices the package reduces are mostly zero
-and exact arithmetic on a zero still costs a `Fraction` operation.
+Dense vectors are plain tuples of Fractions; matrices are immutable
+tuples of row tuples wrapped in :class:`MatrixQ`, whose entries must be
+Fractions (anything else is refused with `ScalarTypeError`, so no float
+or int ever enters exact arithmetic unnoticed).  Sparse vectors come in
+two shapes, because the spaces of the package are mostly zero and exact
+arithmetic on a zero still costs a `Fraction` operation:
+
+* `Terms`, the immutable shape: a tuple of the nonzero (index,
+  coefficient) pairs, strictly increasing in index.  Structure
+  constants, differentials and forms are stored this way, so two equal
+  vectors have equal terms; `checked_terms` builds them from a map of
+  input scalars, `terms_of` from a sum accumulated in a sparse row, and
+  `add_terms` adds two of them.
+* `SparseRow`, the mutable shape: a map from column index to entry,
+  which elimination and the product sums update in place.  Elimination
+  keeps only nonzero entries; a sum may leave cancelled zeros, which
+  `terms_of` drops.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count.  Sparse rows enter it directly through
@@ -63,6 +73,23 @@ def checked_terms(entries: Mapping[int, object], dim: int, where: str) -> Terms:
     return tuple((k, s) for k, s in terms if s)
 
 
+def terms_of(row: SparseRow) -> Terms:
+    """The terms of a sparse row whose entries may have cancelled to zero."""
+    return tuple((k, s) for k, s in sorted(row.items()) if s)
+
+
+def add_terms(a: Terms, b: Terms) -> Terms:
+    """The terms of the sum of two vectors given by their terms."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for k, s in b:
+        out[k] = out.get(k, ZERO) + s
+    return terms_of(out)
+
+
 def sparse(v: Sequence[Fraction]) -> SparseRow:
     """The nonzero entries of a dense vector, by index."""
     # `x is not ZERO` settles the common zero, the shared constant, without
@@ -70,9 +97,10 @@ def sparse(v: Sequence[Fraction]) -> SparseRow:
     return {j: x for j, x in enumerate(v) if x is not ZERO and x}
 
 
-def densify(row: SparseRow, n: int) -> Vector:
+def densify(row: SparseRow | Terms, n: int) -> Vector:
+    """The dense vector of length n with the entries of a sparse row or of terms."""
     out = [ZERO] * n
-    for j, x in row.items():
+    for j, x in row.items() if isinstance(row, dict) else row:
         out[j] = x
     return tuple(out)
 
@@ -422,10 +450,6 @@ class QuotientSpace:
         for c, x in zip(self.free_columns, coords):
             out[c] = x
         return tuple(out)
-
-    def contains(self, v: Vector) -> bool:
-        """Whether v lies in the subspace (has zero coset class)."""
-        return is_zero_vector(self.reduce(v))
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | Vector]) -> QuotientSpace:

@@ -29,8 +29,10 @@ from .errors import DimensionError, IdempotentError, ModuleError
 from .exact_linalg import (
     MatrixQ,
     QuotientSpace,
+    Terms,
     Vector,
     build_quotient,
+    densify,
     kernel_basis,
     offsets,
     row_space_basis,
@@ -98,13 +100,6 @@ class ProjectiveModule:
     def contains_column(self, u: FormMatrix) -> bool:
         """Whether the column matrix is fixed by the idempotent."""
         return self.idempotent.mul(self.w, u) == u
-
-    def require_column(self, u: FormMatrix) -> FormMatrix:
-        if u.row_family != self.family or len(u.col_family) != 1:
-            raise DimensionError(f"module {self.name}: expected a single column over the module family")
-        if not self.contains_column(u):
-            raise ModuleError(f"module {self.name}: column is not fixed by the idempotent")
-        return u
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,7 @@ class EFixedComponent:
                     basis = w.basis_form(degree, anchor, oj, cidx)
                     for i, oi in enumerate(fam):
                         image = w.compose(module.idempotent.entries[i][j], basis)
-                        for k, s in enumerate(image.coords):
+                        for k, s in image.terms:
                             colvec[self.offsets[i] + k] += s
                     colvec[self.offsets[j] + cidx] -= 1
                     for r in range(total):
@@ -252,8 +247,8 @@ class EFixedComponent:
         if u.degree != self.degree:
             raise DimensionError("column degree does not match this component")
         out: list[Fraction] = []
-        for i in range(len(self.module.family)):
-            out.extend(u.entries[i][0].coords)
+        for i, d in enumerate(self.block_dims):
+            out.extend(densify(u.entries[i][0].terms, d))
         return tuple(out)
 
     def column_of_ambient(self, v: Vector) -> FormMatrix:
@@ -261,7 +256,7 @@ class EFixedComponent:
         rows = []
         for i, oi in enumerate(self.module.family):
             off, d = self.offsets[i], self.block_dims[i]
-            rows.append((Form(self.degree, self.anchor, oi, tuple(v[off:off + d])),))
+            rows.append((w.form(self.degree, self.anchor, oi, v[off:off + d]),))
         return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
 
     def basis_column(self, k: int) -> FormMatrix:
@@ -329,9 +324,8 @@ class LiteralTensor:
                                     rel[self._pos(z2, k, widx)] += s
                             # minus v (x) f.w at the fiber over z
                             fw = w.compose(f, omega)
-                            for k, s in enumerate(fw.coords):
-                                if s != 0:
-                                    rel[self._pos(z, uidx, k)] -= s
+                            for k, s in fw.terms:
+                                rel[self._pos(z, uidx, k)] -= s
                             spanning.append(tuple(rel))
         self.quotient: QuotientSpace = build_quotient(total, spanning)
 
@@ -348,14 +342,13 @@ class LiteralTensor:
     def dim(self) -> int:
         return self.quotient.dim
 
-    def class_of_tensor(self, z: int, fiber_coords: Vector, form_coords: Vector) -> Vector:
+    def class_of_tensor(self, z: int, fiber_coords: Vector, form_terms: Terms) -> Vector:
         amb = [Fraction(0)] * self.total_dim
         for k, s in enumerate(fiber_coords):
             if s == 0:
                 continue
-            for l, t in enumerate(form_coords):
-                if t != 0:
-                    amb[self._pos(z, k, l)] += s * t
+            for l, t in form_terms:
+                amb[self._pos(z, k, l)] += s * t
         return self.quotient.coset_coordinates(tuple(amb))
 
     def iso_matrix(self, column_model: EFixedComponent) -> MatrixQ:
@@ -373,7 +366,7 @@ class LiteralTensor:
                 ui = u.entries[i][0]
                 if ui.is_zero():
                     continue
-                acc = vec_add(acc, self.class_of_tensor(oi.index, gen_coords[i], ui.coords))
+                acc = vec_add(acc, self.class_of_tensor(oi.index, gen_coords[i], ui.terms))
             cols.append(acc)
         return MatrixQ(self.dim, column_model.dim, tuple(
             tuple(cols[j][i] for j in range(column_model.dim)) for i in range(self.dim)

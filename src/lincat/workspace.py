@@ -380,7 +380,7 @@ def _term_docs(dg: DGCategory, degree: int, dom: ObjectId, cod: ObjectId, terms)
 
 
 def _form_doc(dg: DGCategory, f: Form) -> list[dict]:
-    return _term_docs(dg, f.degree, f.dom, f.cod, ((k, s) for k, s in enumerate(f.coords) if s != 0))
+    return _term_docs(dg, f.degree, f.dom, f.cod, f.terms)
 
 
 def _matrix_doc(dg: DGCategory, m: FormMatrix) -> list[list[list[dict]]]:
@@ -413,7 +413,7 @@ def _category_doc(cat: Category) -> dict:
     for x in range(nobj):
         names = cat.basis_labels(x, x)
         identities[cat.objects[x].label] = {
-            names[k]: format_scalar(s) for k, s in enumerate(cat.identity[x]) if s != 0
+            names[k]: format_scalar(s) for k, s in cat.identity[x]
         }
     return {
         "objects": [o.label for o in cat.objects],

@@ -121,6 +121,14 @@ def random_form(w, n, dom, cod, rng):
     return w.form(n, dom, cod, tuple(random_scalar(rng) for _ in range(d)))
 
 
+def dense_coords(w, f) -> tuple:
+    """The coordinates of a form in the basis of its space, written out from its terms."""
+    v = [Fraction(0)] * w.dim(f.degree, f.cod.index, f.dom.index)
+    for k, s in f.terms:
+        v[k] = s
+    return tuple(v)
+
+
 def random_form_matrix(w, degree, row_family, col_family, rng):
     return FormMatrix(
         degree,
@@ -142,8 +150,8 @@ def random_gauge_connection(module: ProjectiveModule, rng) -> Connection:
 def projective_two_points(w) -> ProjectiveModule:
     """Rank-two presentation [[c, 0], [1, 1-c]] over the two-point algebra."""
     x = w.base.objects[0]
-    one = w.form_from_morphism(w.base.morphism(x, x, (1, 0)))
-    cc = w.form_from_morphism(w.base.morphism(x, x, (0, 1)))
+    one = w.form(0, x, x, (1, 0))
+    cc = w.form(0, x, x, (0, 1))
     z = w.zero_form(0, x, x)
     e = FormMatrix(0, (x, x), (x, x), ((cc, z), (one, one - cc)))
     return ProjectiveModule(w, "P2", e)
@@ -152,15 +160,15 @@ def projective_two_points(w) -> ProjectiveModule:
 def line_module(w) -> ProjectiveModule:
     """Image of the idempotent c over the two-point algebra."""
     x = w.base.objects[0]
-    cc = w.form_from_morphism(w.base.morphism(x, x, (0, 1)))
+    cc = w.form(0, x, x, (0, 1))
     return ProjectiveModule(w, "L", FormMatrix(0, (x,), (x,), ((cc,),)))
 
 
 def dual_projective(w) -> ProjectiveModule:
     """Presentation [[1, u], [0, 0]] over the dual numbers."""
     x = w.base.objects[0]
-    one = w.form_from_morphism(w.base.morphism(x, x, (1, 0)))
-    uu = w.form_from_morphism(w.base.morphism(x, x, (0, 1)))
+    one = w.form(0, x, x, (1, 0))
+    uu = w.form(0, x, x, (0, 1))
     z = w.zero_form(0, x, x)
     e = FormMatrix(0, (x, x), (x, x), ((one, uu), (z, z)))
     return ProjectiveModule(w, "P", e)
@@ -169,8 +177,8 @@ def dual_projective(w) -> ProjectiveModule:
 def graph_module(w) -> ProjectiveModule:
     """Graph-of-the-arrow presentation [[es, 0], [a, 0]] over the arrow category."""
     s, t = w.base.objects
-    es = w.form_from_morphism(w.base.identity_morphism(s))
-    a = w.form_from_morphism(w.base.basis_morphism(s, t, 0))
+    es = w.identity_form(s)
+    a = w.basis_form(0, s, t, 0)
     e = FormMatrix(0, (s, t), (s, t), (
         (es, w.zero_form(0, t, s)),
         (a, w.zero_form(0, t, t)),

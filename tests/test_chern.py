@@ -24,7 +24,7 @@ from lincat.derham import (
     get_complex,
 )
 from lincat.dg import FormMatrix, universal_dg
-from lincat.errors import TruncationError
+from lincat.errors import ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
 from lincat.module_algebra import ProjectiveModule, direct_sum
 from lincat.tforms import pm_diagonal_trace, tm_power
@@ -215,6 +215,15 @@ def test_k0_relations(dual5, two5, arrow3):
         assert is_zero_vector(
             k0_character([K0Entry(1, p2), K0Entry(-1, f1)], q)
         )
+
+
+@pytest.mark.parametrize("coefficient", [0.5, Fraction(1, 3), True], ids=["float", "fraction", "bool"])
+def test_k0_refuses_a_coefficient_that_is_not_an_integer(two5, coefficient):
+    # K0 combinations are integral: a float would turn the class inexact
+    line = line_module(two5)
+    free = ProjectiveModule.free(two5, "F1", (two5.base.objects[0],))
+    with pytest.raises(ScalarTypeError, match=f"K0 entry 1 \\(module L\\).*{type(coefficient).__name__}"):
+        k0_character([K0Entry(1, free), K0Entry(coefficient, line)], 1)
 
 
 def test_conjugated_presentation_same_classes(dual5):

@@ -18,6 +18,7 @@ from lincat.tforms import pm_eval
 
 from conftest import (
     bundled_modules,
+    dense_coords,
     dual_category,
     dual_projective,
     graph_module,
@@ -274,7 +275,7 @@ def test_two_points_payloads_unchanged_by_the_curvature_memo(two5):
     from lincat.tforms import pm_diagonal_trace, tm_power
 
     def coords(forms):
-        return [str(s) for f in forms for s in f.coords]
+        return [str(s) for f in forms for s in dense_coords(two5, f)]
 
     w = two5
     for module, expected in [

@@ -18,7 +18,7 @@ from lincat.errors import DimensionError, LincatError
 from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
 from lincat.workspace import load_fixture
 
-from conftest import m2_category, random_scalar, two_points_category
+from conftest import dense_coords, m2_category, random_scalar, two_points_category
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
 from test_exact_linalg import dense_rref, dense_solve
 
@@ -287,7 +287,7 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     cert = certify_cocycle(conn, 1)
 
     (omega,) = chern_form(conn, 1)
-    target = tuple(sum((s * a for s, a in zip(r, omega.coords)), Fraction(0)) for r in dense_ambient_d(w, 2))
+    target = tuple(sum((s * a for s, a in zip(r, dense_coords(w, omega))), Fraction(0)) for r in dense_ambient_d(w, 2))
     labeled = commutator_spanning_labeled(w, 3)
     columns = MatrixQ(len(labeled), len(target), tuple(v for v, _ in labeled)).transpose()
     solution = dense_solve(columns, target)

@@ -4,15 +4,27 @@ import random
 
 import pytest
 
-from lincat import FormMatrix, block_diag, render_form, trivial_dg, universal_dg, validate_dg
-from lincat.category import compose as compose_morphisms
+from lincat import (
+    Connection,
+    FormMatrix,
+    ProjectiveModule,
+    block_diag,
+    canonical_connection,
+    chern_form,
+    render_form,
+    tilde_curvature,
+    trivial_dg,
+    universal_dg,
+    validate_dg,
+)
 from lincat.category import Category
 from lincat.dg import DGCategory
-from lincat.errors import DimensionError, LincatError
+from lincat.errors import DimensionError
 from lincat.workspace import fixture_names, load_fixture
 
 from conftest import (
     arrow_category,
+    dense_coords,
     dual_category,
     m2_category,
     point_category,
@@ -80,7 +92,7 @@ def test_differential_of_generators(dual5):
     x = w.base.objects[0]
     u = w.basis_form(0, x, x, 1)
     du = w.d(u)
-    assert du.coords == (Fraction(1), Fraction(0))  # d(u) = du
+    assert du.terms == ((0, Fraction(1)),)  # d(u) = du
     assert w.d(du).is_zero()  # d(du) = 0
     one = w.identity_form(x)
     assert w.d(one).is_zero()  # d of the identity vanishes
@@ -93,11 +105,11 @@ def test_product_relations_dual_numbers(dual5):
     du = w.basis_form(1, x, x, 0)
     u_du = w.basis_form(1, x, x, 1)
     # u.du is literally the product of u and du
-    assert w.compose(u, du).coords == u_du.coords
+    assert w.compose(u, du) == u_du
     # du.u = -u.du, from d(u.u) = 0
-    assert w.compose(du, u).coords == (Fraction(0), Fraction(-1))
+    assert w.compose(du, u).terms == ((1, Fraction(-1)),)
     # du.du is the first degree-2 basis vector
-    assert w.compose(du, du).coords == (Fraction(1), Fraction(0))
+    assert w.compose(du, du).terms == ((0, Fraction(1)),)
 
 
 def test_graded_leibniz_random(dual5, two5):
@@ -112,7 +124,7 @@ def test_graded_leibniz_random(dual5, two5):
             lhs = w.d(w.compose(f, g))
             sign = Fraction(-1 if p % 2 else 1)
             rhs = w.compose(w.d(f), g) + w.compose(f, w.d(g)).scale(sign)
-            assert lhs.coords == rhs.coords
+            assert lhs == rhs
 
 
 def test_associativity_random(two5):
@@ -124,7 +136,7 @@ def test_associativity_random(two5):
         f = random_form(w, p, x, x, rng)
         g = random_form(w, q, x, x, rng)
         h = random_form(w, r, x, x, rng)
-        assert w.compose(w.compose(f, g), h).coords == w.compose(f, w.compose(g, h)).coords
+        assert w.compose(w.compose(f, g), h) == w.compose(f, w.compose(g, h))
 
 
 def test_truncation_kills_high_degrees(dual5):
@@ -251,19 +263,20 @@ def test_block_diag_and_trace(dual5):
     ta = a.diagonal_trace(w)
     tb = b.diagonal_trace(w)
     ts = s.diagonal_trace(w)
-    assert all((ta[i] + tb[i]).coords == ts[i].coords for i in range(len(ts)))
+    assert all(ta[i] + tb[i] == ts[i] for i in range(len(ts)))
 
 
-def test_form_morphism_round_trip(dual5):
+def test_dense_input_drops_zeros_and_checks_its_length(dual5):
     w = dual5
     x = w.base.objects[0]
-    m = w.base.morphism(x, x, (Fraction(2), Fraction(-3)))
-    f = w.form_from_morphism(m)
-    assert f.degree == 0 and f.coords == m.coords
-    back = w.morphism_from_form(f)
-    assert back.coords == m.coords
-    with pytest.raises(LincatError):
-        w.morphism_from_form(w.basis_form(1, x, x, 0))
+    f = w.form(2, x, x, (0, Fraction(-3, 2)))
+    assert f.terms == ((1, Fraction(-3, 2)),)
+    assert type(f.terms[0][1]) is Fraction
+    assert w.form(2, x, x, (Fraction(0), 0)).terms == ()
+    assert w.form(2, x, x, (1, 0)) == w.basis_form(2, x, x, 0)
+    for coords in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionError, match="expected 2 coordinates"):
+            w.form(2, x, x, coords)
 
 
 def test_render_form(dual5):
@@ -289,9 +302,13 @@ def universal_models():
 
 def dense_tensor(w, p, q, x, y, z):
     """The stored products of basis forms written out densely."""
-    dn = w.dim(p + q, x, z)
+    return dense_block(w.gr_comp[(p, q)][(x, y, z)], w.dim(p + q, x, z))
+
+
+def dense_block(block, dn):
+    """Rows of product terms written out as dense vectors of length dn."""
     table = []
-    for terms_row in w.gr_comp[(p, q)][(x, y, z)]:
+    for terms_row in block:
         row = []
         for terms in terms_row:
             v = [Fraction(0)] * dn
@@ -314,36 +331,71 @@ def test_compose_matches_dense_contraction():
                 for _ in range(3):
                     f = random_form(w, p, objs[y], objs[x], rng)
                     g = random_form(w, q, objs[z], objs[y], rng)
-                    expected = [Fraction(0)] * w.dim(p + q, x, z)
-                    for i, a in enumerate(f.coords):
-                        for j, b in enumerate(g.coords):
-                            for k, s in enumerate(tensor[i][j]):
-                                expected[k] += a * b * s
                     got = w.compose(f, g)
-                    assert got.coords == tuple(expected), (name, p, q, (x, y, z))
+                    assert dense_coords(w, got) == contract_dense(w, tensor, f, g), \
+                        (name, p, q, (x, y, z))
                     assert (got.degree, got.dom, got.cod) == (p + q, objs[z], objs[x])
                     checked += 1
         # degree 0 goes through the same contraction, on the base category's products
         for x, y, z in itertools.product(range(len(objs)), repeat=3):
             f = random_form(w, 0, objs[y], objs[x], rng)
             g = random_form(w, 0, objs[z], objs[y], rng)
-            expected = compose_morphisms(w.base, w.morphism_from_form(f), w.morphism_from_form(g))
-            assert w.compose(f, g).coords == expected.coords, (name, (x, y, z))
+            dn = w.dim(0, x, z)
+            block = w.base.comp.get((x, y, z))
+            expected = (Fraction(0),) * dn if block is None else contract_dense(w, dense_block(block, dn), f, g)
+            assert dense_coords(w, w.compose(f, g)) == expected, (name, (x, y, z))
         assert checked or name == "point_universal"
 
 
+def contract_dense(w, tensor, f, g):
+    """The dense coordinates of f.g, summed over every pair of coordinates of f and g."""
+    expected = [Fraction(0)] * w.dim(f.degree + g.degree, f.cod.index, g.dom.index)
+    for i, a in enumerate(dense_coords(w, f)):
+        for j, b in enumerate(dense_coords(w, g)):
+            for k, s in enumerate(tensor[i][j]):
+                expected[k] += a * b * s
+    return tuple(expected)
+
+
+def assert_sorted_nonzero_fractions(terms):
+    indices = [k for k, _ in terms]
+    assert all(a < b for a, b in zip(indices, indices[1:])), terms
+    assert all(type(s) is Fraction and s != 0 for _, s in terms), terms
+
+
+def returned_forms(w, connections):
+    """Every form the engine returns for the given connections over w."""
+    forms = []
+    for conn in connections:
+        matrices = [conn.module.idempotent, conn.operational_matrix()]
+        if w.truncation >= 2:
+            path = tilde_curvature(canonical_connection(conn.module), conn)
+            matrices += [conn.curvature(), *path.part0.coeffs, *path.part1.coeffs]
+        forms += [f for m in matrices for row in m.entries for f in row]
+        forms += [f for q in range(w.truncation // 2 + 1) for f in chern_form(conn, q)]
+    return forms
+
+
 def test_stored_terms_are_sorted_nonzero_fractions():
-    # byte-identical export and `compose` rely on this order
+    # byte-identical export, `compose` and form equality rely on this order
     m2 = universal_dg(m2_category(), 2)
-    for w in [load_fixture(name).dg for name in fixture_names()] + [m2]:
+    x = m2.base.objects[0]
+    idem = FormMatrix(0, (x,), (x,), ((m2.form(0, x, x, (2, -2, 1, -1)),),))
+    gauge = FormMatrix(1, (x,), (x,), ((m2.form(1, x, x, (1, 0, -2, 2, 1, 0, 0, -1, 1, 2, -2, 0)),),))
+    m2_connections = [Connection(ProjectiveModule(m2, "P", idem), gauge)]
+    workspaces = [load_fixture(name) for name in fixture_names()]
+    for w, connections in [(ws.dg, ws.connections.values()) for ws in workspaces] + [(m2, m2_connections)]:
         tables = [w.base.comp, *w.gr_comp.values()]
         entries = [terms for table in tables for block in table.values() for row in block for terms in row]
         entries += [terms for level in w.diff.values() for columns in level.values() for terms in columns]
+        entries += list(w.base.identity.values())
         assert any(entries)
         for terms in entries:
-            indices = [k for k, _ in terms]
-            assert all(a < b for a, b in zip(indices, indices[1:])), terms
-            assert all(type(s) is Fraction and s != 0 for _, s in terms), terms
+            assert_sorted_nonzero_fractions(terms)
+        forms = returned_forms(w, connections)
+        assert any(not f.is_zero() for f in forms)
+        for f in forms:
+            assert_sorted_nonzero_fractions(f.terms)
     # the same tables with every entry's terms given in decreasing index order
     gr_comp = {pq: {key: {(i, j): dict(reversed(terms)) for i, row in enumerate(block) for j, terms in enumerate(row)}
                     for key, block in table.items()}
@@ -379,7 +431,7 @@ def test_dense_tables_survive_sparse_storage():
                     if ((p, q), (x, y, z)) == ((p0, q0), dropped):
                         assert got.is_zero()
                     else:
-                        assert got.coords == tuple(comp[(p, q)][(x, y, z)][i][j])
+                        assert dense_coords(t, got) == tuple(comp[(p, q)][(x, y, z)][i][j])
     # indices outside the dimensions are refused: a product (i, j), its
     # target k, a differential's source j and its target i
     x, y, z = dropped
@@ -400,12 +452,13 @@ def test_dense_tables_survive_sparse_storage():
     labels = [o.label for o in c.objects]
     base_comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
                  for key, block in c.comp.items()}
-    assert Category(labels, c.hom_basis, base_comp, c.identity).comp == c.comp
+    identity = {x: dict(terms) for x, terms in c.identity.items()}
+    assert Category(labels, c.hom_basis, base_comp, identity).comp == c.comp
     x, y, z = next(iter(base_comp))
     dxy, dyz, dxz = c.dim(x, y), c.dim(y, z), c.dim(x, z)
     for bad in ({(dxy, 0): {0: 1}}, {(0, dyz): {0: 1}}, {(0, 0): {dxz: 1}}):
         with pytest.raises(DimensionError):
-            Category(labels, c.hom_basis, {**base_comp, (x, y, z): bad}, c.identity)
+            Category(labels, c.hom_basis, {**base_comp, (x, y, z): bad}, identity)
 
 
 def dense_tables(w):
