@@ -56,6 +56,7 @@ from .exact_linalg import (
     kernel_basis,
     offsets,
     row_space_basis,
+    scalar,
     solve_in_span,
     sparse,
     vec_add,
@@ -82,7 +83,7 @@ class DiagonalForm:
         return DiagonalForm(self.degree, tuple(vec_add(a, b) for a, b in zip(self.components, other.components)))
 
     def scale(self, s) -> "DiagonalForm":
-        s = Fraction(s)
+        s = scalar(s)
         return DiagonalForm(self.degree, tuple(vec_scale(s, c) for c in self.components))
 
     def is_zero(self) -> bool:
@@ -419,7 +420,7 @@ class TildeComplex:
         return TildeCochain(a.degree, p0, p1)
 
     def scale(self, a: TildeCochain, s) -> TildeCochain:
-        s = Fraction(s)
+        s = scalar(s)
         p0 = tuple(vec_scale(s, v) for v in a.part0)
         p1 = None if a.part1 is None else tuple(vec_scale(s, v) for v in a.part1)
         return TildeCochain(a.degree, p0, p1)
@@ -443,7 +444,7 @@ class TildeComplex:
 
     def ev_at(self, a: TildeCochain, t) -> Vector:
         """Evaluation of the main component at a parameter value."""
-        t = Fraction(t)
+        t = scalar(t)
         out = zero_vector(self.rh.dim(a.degree))
         power = Fraction(1)
         for v in a.part0:

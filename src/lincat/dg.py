@@ -9,18 +9,23 @@ degree > N, so every identity checked here survives truncation verbatim.
 Two constructions are provided: `trivial_dg` (no forms above degree 0)
 and `universal_dg`, which realizes the universal differential envelope
 concretely inside "chain" spaces.  The degree-n chain space for the
-endpoint pair (x, y) is the direct sum, over all length-n interior
-object paths, of tensor products of n+1 hom spaces strung along the
-path.  Inside it:
+endpoint pair (x, y) is the direct sum, over the length-n interior
+object paths whose steps are all nonzero hom spaces, of tensor products
+of the n+1 hom spaces strung along the path; degree 0 is the hom space
+itself.  Inside it:
 
-* degree 1 is the kernel of the composition map, with its basis chosen
-  by row reduction in lexicographic path order;
-* higher degrees are spanned by middle-merge products of lower ones;
+* the product is the middle merge: compose the arrows that meet;
 * the differential is the alternating sum of identity insertions, which
-  on degree 0 reduces to d(f) = 1.f - f.1.
+  on degree 0 reduces to d(f) = 1.f - f.1;
+* one span rule gives every basis: degree 0 has the unit rows, and
+  degree n >= 1 is the span of the products omega.db, over the
+  degree-(n-1) basis rows omega and the basis arrows b.  So degree 1 is
+  span{a.db}, the kernel of the composition map, and degree n is the
+  degree-(n-1) forms times dC.
 
-All bases are deterministic, so composition tensors and differentials
-are reproducible.
+Each basis is the reduced echelon basis of its span in a fixed column
+order, which is unique for the span, so composition tensors and
+differentials are reproducible.
 
 Tables are sparse from end to end, because nearly all entries of the
 dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
@@ -64,16 +69,14 @@ from .errors import CompositionError, DimensionError, LincatError
 from .exact_linalg import (
     ONE,
     ZERO,
-    MatrixQ,
     SparseRow,
     Terms,
     add_terms,
     checked_terms,
     echelon,
-    kernel_basis,
+    scalar,
     sparse,
     terms_of,
-    unit_vector,
     vec,
 )
 
@@ -107,7 +110,7 @@ class Form:
         return self + (-other)
 
     def scale(self, s) -> "Form":
-        s = Fraction(s)
+        s = scalar(s)
         terms = tuple((k, s * c) for k, c in self.terms) if s else ()
         return Form(self.degree, self.dom, self.cod, terms)
 
@@ -284,21 +287,30 @@ class DGCategory:
         return Form(n + 1, f.dom, f.cod, terms_of(out))
 
 
-def _contract(out: list, coefficients: Terms, vectors) -> list:
-    """Add s * vectors[a] to the dense vector `out`, over (a, s) in `coefficients`."""
+def _contract(out: SparseRow, coefficients: Terms, vectors) -> SparseRow:
+    """Add s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`."""
     for a, s in coefficients:
         for c, t in vectors[a]:
-            out[c] += s * t
+            out[c] = out.get(c, ZERO) + s * t
     return out
+
+
+def _nonzero(v: SparseRow) -> SparseRow:
+    """The entries of a sum that did not cancel; sums equal as they stand need no filter."""
+    return {k: s for k, s in v.items() if s}
 
 
 def validate_dg(w: DGCategory) -> list[Violation]:
     """Unit, d.d = 0, Leibniz and associativity failures, as data.
 
-    Every check runs on every basis form, pair and triple.  Products and
-    differentials of basis forms are read straight from the stored terms
-    and contracted there, which is the arithmetic `compose` and `d`
-    would do on basis forms, without building a form per factor.
+    Every check runs on every basis form, pair and triple that involves
+    a form of positive degree.  Degree 0 alone is the base category,
+    whose unit and associativity laws belong to `validate_category`, so
+    they are not reported twice; d.d = 0 and Leibniz start at degree 0.
+    Products and differentials of basis forms are read straight from the
+    stored terms and contracted into sparse sums, which is the arithmetic
+    `compose` and `d` would do on basis forms, without building a form
+    per factor.
     """
     violations: list[Violation] = []
     N = w.truncation
@@ -312,23 +324,23 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     def transpose(b, rows: int, cols: int):
         return tuple(zip(*b)) if rows else ((),) * cols
 
-    for n in range(0, N + 1):
+    for n in range(1, N + 1):
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
             one_x, one_y = w.base.identity[x], w.base.identity[y]
             dn = dim(n, x, y)
             left, right = transpose(block(0, n, x, x, y), dim(0, x, x), dn), block(n, 0, x, y, y)
             for k in range(dn):
-                b = list(unit_vector(dn, k))
-                if _contract([ZERO] * dn, one_x, left[k]) != b:
+                b = {k: ONE}
+                if _nonzero(_contract({}, one_x, left[k])) != b:
                     violations.append(Violation("dg-identity-left", f"1_{ox.label} . {name(n, x, y, k)}"))
-                if _contract([ZERO] * dn, one_y, right[k]) != b:
+                if _nonzero(_contract({}, one_y, right[k])) != b:
                     violations.append(Violation("dg-identity-right", f"{name(n, x, y, k)} . 1_{oy.label}"))
 
     for n in range(0, N):
         for (x, y) in w.hom_pairs(n):
-            d_n1, dn2 = diff[n + 1].get((x, y), ()), dim(n + 2, x, y)
-            if any(any(_contract([ZERO] * dn2, col, d_n1)) for col in diff[n][(x, y)]):
+            d_n1 = diff[n + 1].get((x, y), ())
+            if any(any(_contract({}, col, d_n1).values()) for col in diff[n][(x, y)]):
                 violations.append(Violation("dg-d-squared", f"degree {n} at ({w.base.objects[x].label},{w.base.objects[y].label})"))
 
     # d(f.g) = df.g + (-1)^p f.dg on basis forms f of degree p, g of degree q
@@ -347,12 +359,11 @@ def validate_dg(w: DGCategory) -> list[Violation]:
                         d_fg, d_g = diff[p + q].get((x, z), ()), diff[q][(y, z)]
                         if p % 2:
                             d_g = tuple(tuple((b, -s) for b, s in col) for col in d_g)
-                        dn = dim(p + q + 1, x, z)
                         for i in range(dim(p, x, y)):
                             for j in range(dim(q, y, z)):
-                                lhs = _contract([ZERO] * dn, fg[i][j], d_fg)
-                                rhs = _contract(_contract([ZERO] * dn, d_f[i], dfg[j]), d_g[j], fdg[i])
-                                if lhs != rhs:
+                                lhs = _contract({}, fg[i][j], d_fg)
+                                rhs = _contract(_contract({}, d_f[i], dfg[j]), d_g[j], fdg[i])
+                                if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
                                     violations.append(
                                         Violation("dg-leibniz", f"{name(p, x, y, i)} . {name(q, y, z, j)}")
                                     )
@@ -361,6 +372,8 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     for p in range(0, N + 1):
         for q in range(0, N - p + 1):
             for r in range(0, N - p - q + 1):
+                if p == q == r == 0:
+                    continue
                 for x in range(nobj):
                     for y in range(nobj):
                         if dim(p, x, y) == 0:
@@ -374,13 +387,12 @@ def validate_dg(w: DGCategory) -> list[Violation]:
                                     continue
                                 gh, f_gh = block(q, r, y, z, u), block(p, q + r, x, y, u)
                                 fg_h = transpose(block(p + q, r, x, z, u), dim(p + q, x, z), dim(r, z, u))
-                                dn = dim(p + q + r, x, u)
                                 for i in range(dim(p, x, y)):
                                     for j in range(dim(q, y, z)):
                                         for k in range(dim(r, z, u)):
-                                            lhs = _contract([ZERO] * dn, fg[i][j], fg_h[k])
-                                            rhs = _contract([ZERO] * dn, gh[j][k], f_gh[i])
-                                            if lhs != rhs:
+                                            lhs = _contract({}, fg[i][j], fg_h[k])
+                                            rhs = _contract({}, gh[j][k], f_gh[i])
+                                            if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
                                                 violations.append(
                                                     Violation(
                                                         "dg-associativity",
@@ -400,25 +412,22 @@ def trivial_dg(c: Category, truncation: int = 1) -> DGCategory:
 
 
 class _ChainSpace:
-    """Flat enumeration of degree-n chains for one endpoint pair.
+    """Flat enumeration of the degree-n chains for one endpoint pair.
 
     A chain is (interior objects, arrow basis indices): n interior
-    objects and n+1 arrows strung from x to y through them.  Flat order
-    is lexicographic in the interior path, then row-major in the arrow
-    indices, which makes every reduced basis deterministic.
+    objects and n+1 arrows strung from x to y through them.  The
+    interiors are the given walks through nonzero hom spaces; flat order
+    is theirs (lexicographic), then row-major in the arrow indices, which
+    makes every reduced basis deterministic.  In degree 0 the chains are
+    ((), (k,)), so chain k is basis arrow k.
     """
 
-    def __init__(self, c: Category, n: int, x: int, y: int):
-        self.n, self.x, self.y = n, x, y
+    def __init__(self, c: Category, x: int, y: int, interiors: list[tuple[int, ...]]):
+        self.x, self.y = x, y
         self.elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        nobj = len(c.objects)
-        for interior in itertools.product(range(nobj), repeat=n):
-            path = (x,) + interior + (y,)
-            dims = [c.dim(path[i], path[i + 1]) for i in range(n + 1)]
-            if any(d == 0 for d in dims):
-                continue
-            for arrows in itertools.product(*(range(d) for d in dims)):
-                self.elems.append((interior, arrows))
+        for interior in interiors:
+            steps = itertools.pairwise((x,) + interior + (y,))
+            self.elems += ((interior, arrows) for arrows in itertools.product(*(range(c.dim(a, b)) for a, b in steps)))
         self.pos = {e: k for k, e in enumerate(self.elems)}
 
     @property
@@ -436,14 +445,14 @@ class _Subspace:
     pivot chain.
     """
 
-    def __init__(self, space: _ChainSpace, spanning: list[SparseRow], order: tuple[int, ...]):
-        self.space = space
+    def __init__(self, space: _ChainSpace, spanning, order: tuple[int, ...]):
         position = [0] * space.dim
         for pos, j in enumerate(order):
             position[j] = pos
         rows, pivots = echelon(({position[j]: s for j, s in r.items()} for r in spanning), space.dim)
         self.rows: tuple[SparseRow, ...] = tuple({order[k]: s for k, s in r.items()} for r in rows)
         self.pivots = tuple(order[k] for k in pivots)
+        self._index = {p: i for i, p in enumerate(self.pivots)}
 
     @property
     def dim(self) -> int:
@@ -455,7 +464,8 @@ class _Subspace:
         `v` holds nonzero entries only.  The coordinates are read off at
         the pivots and substituted back over the whole chain space.
         """
-        coords = {i: v[p] for i, p in enumerate(self.pivots) if p in v}
+        index = self._index
+        coords = {index[j]: s for j, s in v.items() if j in index}
         check: SparseRow = {}
         for i, s in coords.items():
             for j, y in self.rows[i].items():
@@ -465,45 +475,32 @@ class _Subspace:
         return coords
 
 
-def _reduced_dim(c: Category, z: int, w_: int) -> int:
-    return c.dim(z, w_) - (1 if z == w_ else 0)
-
-
-def _expected_dim(c: Category, n: int, x: int, y: int) -> int:
-    """Closed-form dimension of the degree-n envelope space.
-
-    Counts paths weighted by the hom dimension for the first step and
-    the identity-reduced dimensions afterwards; used as a consistency
-    check on the constructive computation.
-    """
-    nobj = len(c.objects)
-    total = 0
-    for interior in itertools.product(range(nobj), repeat=n):
-        path = (x,) + interior + (y,)
-        prod = c.dim(path[0], path[1])
-        for i in range(1, n + 1):
-            prod *= _reduced_dim(c, path[i], path[i + 1])
-        total += prod
-    return total
-
-
 def universal_dg(c: Category, truncation: int) -> DGCategory:
     """Universal differential envelope of `c`, truncated above `truncation`.
 
-    Products and differentials of basis forms are read off as the sparse
-    coordinates of chain vectors in the reduced bases (each re-checked by
-    substitution) and handed to `DGCategory` in its sparse input format.
+    Degree 0 is the chain space of the arrows themselves, with the unit
+    rows as basis.  Every degree n >= 1 is the reduced echelon span of
+    the products omega.db, over the degree-(n-1) basis rows omega and
+    the basis arrows b.  Products and differentials of basis forms are
+    read off as the sparse coordinates of chain vectors in the reduced
+    bases (each re-checked by substitution) and handed to `DGCategory`
+    in its sparse input format.
     """
     if truncation < 1:
         raise DimensionError("truncation degree must be at least 1")
     N = truncation
     nobj = len(c.objects)
+    objects = range(nobj)
 
+    # chains by a walk: the degree-n interiors from x to y extend the
+    # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
     spaces: dict[tuple[int, int, int], _ChainSpace] = {}
-    for n in range(1, N + 1):
-        for x in range(nobj):
-            for y in range(nobj):
-                spaces[(n, x, y)] = _ChainSpace(c, n, x, y)
+    for y in objects:
+        tails = {x: [()] for x in objects if c.dim(x, y)}
+        for n in range(N + 1):
+            for x in objects:
+                spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []))
+            tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
 
     def is_identity_arrow(x: int, k: int) -> bool:
         return c.identity[x] == ((k, ONE),)
@@ -519,74 +516,67 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
             )
         return tuple(sorted(range(space.dim), key=lambda k: (badness(space.elems[k]), k)))
 
-    sub: dict[tuple[int, int, int], _Subspace] = {}
-
-    # degree 1: kernel of the composition map, reduced deterministically
-    for x in range(nobj):
-        for y in range(nobj):
-            space = spaces[(1, x, y)]
-            if space.dim == 0:
-                sub[(1, x, y)] = _Subspace(space, [], ())
-                continue
-            mu = [[ZERO] * space.dim for _ in range(c.dim(x, y))]
-            for j, ((z,), arrows) in enumerate(space.elems):
-                for k, s in c.compose_basis(x, z, y, arrows[0], arrows[1]):
-                    mu[k][j] = s
-            kernel = kernel_basis(MatrixQ.from_rows(mu, cols=space.dim))
-            sub[(1, x, y)] = _Subspace(space, [sparse(k) for k in kernel], chain_order(space))
-
     def merge_vectors(p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
-        """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector.
-
-        A degree-0 factor is indexed by arrow basis index instead of by chain.
-        """
-        sp_u = spaces[(p, x, y)] if p >= 1 else None
-        sp_v = spaces[(q, y, z)] if q >= 1 else None
+        """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector."""
+        u_elems, v_elems = spaces[(p, x, y)].elems, spaces[(q, y, z)].elems
         out_pos = spaces[(p + q, x, z)].pos
         out: SparseRow = {}
         for ui, uc in u.items():
-            if p >= 1:
-                u_int, u_arr = sp_u.elems[ui]
-                u_last_src = u_int[-1] if u_int else x
-            else:
-                u_int, u_arr = (), (ui,)
-                u_last_src = x
+            u_int, u_arr = u_elems[ui]
+            u_last_src = u_int[-1] if u_int else x
             for vi, vc in v.items():
-                if q >= 1:
-                    v_int, v_arr = sp_v.elems[vi]
-                    v_first_tgt = v_int[0] if v_int else z
-                else:
-                    v_int, v_arr = (), (vi,)
-                    v_first_tgt = z
+                v_int, v_arr = v_elems[vi]
+                v_first_tgt = v_int[0] if v_int else z
                 interior = u_int + v_int
                 for k, s in c.compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
                     key = out_pos[(interior, u_arr[:-1] + (k,) + v_arr[1:])]
                     out[key] = out.get(key, ZERO) + uc * vc * s
         return {k: s for k, s in out.items() if s}
 
-    # higher degrees: spans of products with degree 1
-    for n in range(2, N + 1):
-        for x in range(nobj):
-            for y in range(nobj):
-                space = spaces[(n, x, y)]
-                prods: list[SparseRow] = []
-                for z in range(nobj):
-                    left = sub[(n - 1, x, z)]
-                    right = sub[(1, z, y)]
-                    for urow in left.rows:
-                        for vrow in right.rows:
-                            prods.append(merge_vectors(n - 1, 1, x, z, y, urow, vrow))
-                sub[(n, x, y)] = _Subspace(space, prods, chain_order(space))
+    # the differential: alternating identity insertion on chain terms
+    def d_of_chain_vector(n: int, x: int, y: int, v: SparseRow) -> SparseRow:
+        src_elems, out_pos = spaces[(n, x, y)].elems, spaces[(n + 1, x, y)].pos
+        out: SparseRow = {}
+        for idx, s in v.items():
+            interior, arrows = src_elems[idx]
+            path = (x,) + interior + (y,)
+            for ins in range(0, n + 2):
+                sign = Fraction(-1 if ins % 2 else 1)
+                obj = path[ins]
+                new_interior = (path[:ins + 1] + (obj,) + path[ins + 1:])[1:n + 2]
+                for k, idcoef in c.identity[obj]:
+                    key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
+                    out[key] = out.get(key, ZERO) + s * sign * idcoef
+        return {k: s for k, s in out.items() if s}
 
+    # one span rule: the unit rows in degree 0, the span of omega.db above
+    sub: dict[tuple[int, int, int], _Subspace] = {}
+    for x in objects:
+        for y in objects:
+            space = spaces[(0, x, y)]
+            sub[(0, x, y)] = _Subspace(space, [{k: ONE} for k in range(space.dim)], chain_order(space))
+    d_arrow = {(z, y): [d_of_chain_vector(0, z, y, {b: ONE}) for b in range(c.dim(z, y))]
+               for z in objects for y in objects}
     for n in range(1, N + 1):
-        for x in range(nobj):
-            for y in range(nobj):
-                built, expected = sub[(n, x, y)].dim, _expected_dim(c, n, x, y)
-                if built != expected:
-                    raise LincatError(
-                        f"universal builder: degree-{n} space at ({c.objects[x].label},"
-                        f"{c.objects[y].label}) has dimension {built}, the path-count formula gives {expected}"
-                    )
+        for x in objects:
+            for y in objects:
+                span = (merge_vectors(n - 1, 1, x, z, y, omega, db)
+                        for z in objects for omega in sub[(n - 1, x, z)].rows for db in d_arrow[(z, y)])
+                sub[(n, x, y)] = _Subspace(spaces[(n, x, y)], span, chain_order(spaces[(n, x, y)]))
+
+    # consistency check against the path count: the first step of a path
+    # spans its hom space, every later step the hom space without its identity
+    expected = {(x, y): c.dim(x, y) for x in objects for y in objects}
+    for n in range(1, N + 1):
+        expected = {(x, y): sum(expected[(x, z)] * (c.dim(z, y) - (z == y)) for z in objects)
+                    for x in objects for y in objects}
+        for (x, y), count in expected.items():
+            built = sub[(n, x, y)].dim
+            if built != count:
+                raise LincatError(
+                    f"universal builder: degree-{n} space at ({c.objects[x].label},"
+                    f"{c.objects[y].label}) has dimension {built}, the path-count formula gives {count}"
+                )
 
     # labels: each basis row is named by its pivot chain, rendered as a
     # product a0.da1...dan with an identity head elided
@@ -603,8 +593,8 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
     gr_basis: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
     for n in range(1, N + 1):
         level = {}
-        for x in range(nobj):
-            for y in range(nobj):
+        for x in objects:
+            for y in objects:
                 s = sub[(n, x, y)]
                 if s.dim:
                     names = tuple(render_chain(x, y, spaces[(n, x, y)].elems[p]) for p in s.pivots)
@@ -623,54 +613,32 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
             if p == 0 and q == 0:
                 continue
             table: dict[tuple[int, int, int], dict[tuple[int, int], SparseRow]] = {}
-            for x in range(nobj):
-                for y in range(nobj):
-                    dp = c.dim(x, y) if p == 0 else sub[(p, x, y)].dim
-                    if dp == 0:
+            for x in objects:
+                for y in objects:
+                    left = sub[(p, x, y)].rows
+                    if not left:
                         continue
-                    for z in range(nobj):
-                        dq = c.dim(y, z) if q == 0 else sub[(q, y, z)].dim
-                        if dq == 0:
+                    for z in objects:
+                        right = sub[(q, y, z)].rows
+                        if not right:
                             continue
                         target = sub[(p + q, x, z)]
                         block = table[(x, y, z)] = {}
-                        for i in range(dp):
-                            uvec = {i: ONE} if p == 0 else sub[(p, x, y)].rows[i]
-                            for j in range(dq):
-                                vvec = {j: ONE} if q == 0 else sub[(q, y, z)].rows[j]
+                        for i, uvec in enumerate(left):
+                            for j, vvec in enumerate(right):
                                 coords = target.coordinates(merge_vectors(p, q, x, y, z, uvec, vvec))
                                 if coords:
                                     block[(i, j)] = coords
             gr_comp[(p, q)] = table
 
-    # differential: alternating identity insertion on chain terms
-    def d_of_chain_vector(n: int, x: int, y: int, v: SparseRow) -> SparseRow:
-        out_pos = spaces[(n + 1, x, y)].pos
-        out: SparseRow = {}
-        src_elems = spaces[(n, x, y)].elems if n >= 1 else [((), (k,)) for k in range(c.dim(x, y))]
-        for idx, s in v.items():
-            interior, arrows = src_elems[idx]
-            path = (x,) + interior + (y,)
-            for ins in range(0, n + 2):
-                sign = Fraction(-1 if ins % 2 else 1)
-                obj = path[ins]
-                new_path = path[:ins + 1] + (obj,) + path[ins + 1:]
-                new_interior = new_path[1:n + 2]
-                for k, idcoef in c.identity[obj]:
-                    key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
-                    out[key] = out.get(key, ZERO) + s * sign * idcoef
-        return {k: s for k, s in out.items() if s}
-
     diff: dict[int, dict[tuple[int, int], dict[int, SparseRow]]] = {}
     for n in range(0, N):
         level = diff[n] = {}
-        for x in range(nobj):
-            for y in range(nobj):
-                dn = c.dim(x, y) if n == 0 else sub[(n, x, y)].dim
+        for x in objects:
+            for y in objects:
                 target = sub[(n + 1, x, y)]
                 columns = level[(x, y)] = {}
-                for j in range(dn):
-                    vv = {j: ONE} if n == 0 else sub[(n, x, y)].rows[j]
+                for j, vv in enumerate(sub[(n, x, y)].rows):
                     coords = target.coordinates(d_of_chain_vector(n, x, y, vv))
                     if coords:
                         columns[j] = coords

@@ -9,7 +9,8 @@ reproducible byte for byte.
 Dense vectors are plain tuples of Fractions; matrices are immutable
 tuples of row tuples wrapped in :class:`MatrixQ`, whose entries must be
 Fractions (anything else is refused with `ScalarTypeError`, so no float
-or int ever enters exact arithmetic unnoticed).  Sparse vectors come in
+or int ever enters exact arithmetic unnoticed).  Scalars given by a
+caller go through one conversion, `scalar`, which refuses floats.  Sparse vectors come in
 two shapes, because the spaces of the package are mostly zero and exact
 arithmetic on a zero still costs a `Fraction` operation:
 
@@ -55,21 +56,37 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def scalar(value: object, where: str = "scalar") -> Fraction:
+    """The one conversion of input scalars: exact values only.
+
+    A `Fraction` is kept, an `int` or a "p/q" string is converted
+    exactly.  Anything else, a float or a bool included, raises
+    `ScalarTypeError` naming `where`: a float is already rounded, so its
+    `Fraction` would be exact about the wrong number.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ScalarTypeError(f"{where} is {value!r} of type {type(value).__name__}, not a Fraction, an int or a string")
+
+
 def vec(values: Iterable) -> Vector:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """A dense vector of scalars converted by `scalar`."""
+    return tuple(v if type(v) is Fraction else scalar(v, f"entry {j}") for j, v in enumerate(values))
 
 
 def checked_terms(entries: Mapping[int, object], dim: int, where: str) -> Terms:
     """The terms of a sparse vector of length `dim`, given as index -> scalar.
 
-    Scalars are converted as by `vec`, zeros are dropped and the terms
+    Scalars are converted by `scalar`, zeros are dropped and the terms
     are sorted by index; an index outside 0..dim-1 raises
     `DimensionError` naming `where`.
     """
     for k in entries:
         if type(k) is not int or not 0 <= k < dim:
             raise DimensionError(f"{where}: index {k!r} out of range for dimension {dim}")
-    terms = ((k, s if type(s) is Fraction else Fraction(s)) for k, s in sorted(entries.items()))
+    terms = ((k, s if type(s) is Fraction else scalar(s, f"{where}, entry {k}")) for k, s in sorted(entries.items()))
     return tuple((k, s) for k, s in terms if s)
 
 
@@ -208,7 +225,7 @@ class MatrixQ:
                        tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def scale(self, s) -> "MatrixQ":
-        s = Fraction(s)
+        s = scalar(s)
         return MatrixQ(self.rows, self.cols, tuple(vec_scale(s, r) for r in self.entries))
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .category import ObjectId
 from .dg import DGCategory, Form, FormMatrix, ProductAccumulator
 from .errors import DimensionError
+from .exact_linalg import scalar
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def pm_t_derivative(a: PolyMatrix) -> PolyMatrix:
 
 
 def pm_eval(a: PolyMatrix, t) -> FormMatrix:
-    t = Fraction(t)
+    t = scalar(t)
     total = a.coeffs[0].scale(0)
     power = Fraction(1)
     for m in a.coeffs:

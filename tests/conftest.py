@@ -6,6 +6,10 @@ Four small categories cover the behaviors under test:
 * dual numbers: one object, hom = span{1, u} with u.u = 0.
 * two points: one object, hom = span{1, c} with c.c = c.
 * arrow: two objects s, t and a single arrow a between them.
+
+Two families scale them up: `matrix_units_category(n)` (M_n, one object
+whose identity is not a basis arrow) and `linear_quiver_category(n)`
+(A_n, n objects in a line).
 """
 
 from fractions import Fraction
@@ -59,14 +63,30 @@ def two_points_category():
     )
 
 
-def m2_category():
-    """The 2x2 matrices: matrix units e_ij, identity e11 + e22 (not a basis arrow)."""
-    units = ["e11", "e12", "e21", "e22"]
+def matrix_units_category(n: int):
+    """M_n, the n x n matrices: matrix units e_ij, identity the sum of the e_ii (not a basis arrow)."""
+    units = [f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     return build_category(
         ["x"],
         {("x", "x"): units},
         {(a, b): ({f"e{a[1]}{b[2]}": 1} if a[2] == b[1] else {}) for a in units for b in units},
-        {"x": {"e11": 1, "e22": 1}},
+        {"x": {f"e{i}{i}": 1 for i in range(1, n + 1)}},
+    )
+
+
+def m2_category():
+    return matrix_units_category(2)
+
+
+def linear_quiver_category(n: int):
+    """A_n, the path category of the quiver 0 -> 1 -> ... -> n-1: one arrow p_ij for each i <= j."""
+    objects = [str(i) for i in range(n)]
+    paths = [(i, j) for i in range(n) for j in range(i, n)]
+    return build_category(
+        objects,
+        {(str(j), str(i)): [f"p{i}{j}"] for i, j in paths},
+        {(f"p{j}{k}", f"p{i}{j}"): {f"p{i}{k}": 1} for i, j in paths for k in range(j, n)},
+        {str(i): {f"p{i}{i}": 1} for i in range(n)},
     )
 
 

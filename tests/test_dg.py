@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 import itertools
 import random
 
@@ -19,14 +20,16 @@ from lincat import (
 )
 from lincat.category import Category
 from lincat.dg import DGCategory
-from lincat.errors import DimensionError
+from lincat.errors import DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
 from conftest import (
     arrow_category,
     dense_coords,
     dual_category,
+    linear_quiver_category,
     m2_category,
+    matrix_units_category,
     point_category,
     random_form,
     random_form_matrix,
@@ -277,6 +280,11 @@ def test_dense_input_drops_zeros_and_checks_its_length(dual5):
     for coords in ((1,), (1, 0, 0)):
         with pytest.raises(DimensionError, match="expected 2 coordinates"):
             w.form(2, x, x, coords)
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(ScalarTypeError, match="entry 0 is 0.1 of type float"):
+        w.form(0, x, x, (0.1, 0))
+    with pytest.raises(ScalarTypeError, match="0.1 of type float"):
+        f.scale(0.1)
 
 
 def test_render_form(dual5):
@@ -290,6 +298,27 @@ def test_render_form(dual5):
 def test_universal_rejects_bad_truncation():
     with pytest.raises(DimensionError):
         universal_dg(dual_category(), 0)
+
+
+# sha256 of repr((gr_basis, gr_comp, diff)) of envelopes no fixture
+# covers: identities that are not basis arrows, and more than two objects
+ENVELOPE_DIGESTS = {
+    "M2": (lambda: matrix_units_category(2), 3, 156,
+           "1e4d19da207f08441c92a660e7cd542ac135fc13a62b122bd49dfab4eba43850"),
+    "M3": (lambda: matrix_units_category(3), 2, 648,
+           "93ea65d0c4503532405a2db9109feeecfc0e68d705080827ca2cb7ef20e9671b"),
+    "A4": (lambda: linear_quiver_category(4), 4, 16,
+           "291e0f1a606d7ebafe47bc95ab40701ff363c083690cd6fe792886fda39a0a10"),
+    "A6": (lambda: linear_quiver_category(6), 6, 99,
+           "dfcd28d400283b7b5354150248561bd25e73f179fcc80e5f90d1f217a50b6a85"),
+}
+
+
+@pytest.mark.parametrize("build, truncation, forms, digest", ENVELOPE_DIGESTS.values(), ids=ENVELOPE_DIGESTS.keys())
+def test_envelope_tables_are_pinned(build, truncation, forms, digest):
+    w = universal_dg(build(), truncation)
+    assert sum(len(labels) for level in w.gr_basis.values() for labels in level.values()) == forms
+    assert hashlib.sha256(repr((w.gr_basis, w.gr_comp, w.diff)).encode()).hexdigest() == digest
 
 
 # -- sparse storage: compose against dense contraction, validation strength --
@@ -673,6 +702,15 @@ def test_refuses_entries_at_a_zero_hom_space():
     gr_basis, gr_comp, diff = own_tables(w)
     refused(w, gr_basis, {**gr_comp, (1, 0): {**gr_comp[(1, 0)], (0, 0, 0): {(0, 0): {0: 1}}}}, diff)
     refused(w, gr_basis, gr_comp, {**diff, 1: {**diff[1], (0, 1): {0: {0: 1}}}})
+
+
+def test_tables_refuse_float_entries():
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    with pytest.raises(ScalarTypeError, match=r"composition \(0,1\) at \(0, 0, 0\)\[0\]\[0\], entry 0 is 0.5 of type float"):
+        DGCategory(w.base, w.truncation, gr_basis, {**gr_comp, (0, 1): {(0, 0, 0): {(0, 0): {0: 0.5}}}}, diff)
+    with pytest.raises(ScalarTypeError, match=r"differential at degree 0, \(0, 0\), column 0, entry 0 is 0.5 of type float"):
+        DGCategory(w.base, w.truncation, gr_basis, gr_comp, {**diff, 0: {(0, 0): {0: {0: 0.5}}}})
 
 
 def test_refuses_form_basis_above_truncation():

@@ -7,6 +7,7 @@ from lincat.errors import ScalarTypeError
 from lincat.exact_linalg import (
     MatrixQ,
     build_quotient,
+    checked_terms,
     densify,
     echelon,
     format_scalar,
@@ -15,6 +16,7 @@ from lincat.exact_linalg import (
     rank,
     row_space_basis,
     rref,
+    scalar,
     solve_in_span,
     solve_rows,
     sparse,
@@ -297,7 +299,19 @@ def test_inexact_entries_are_refused():
         build_quotient(2, [{0: 2, 1: Fraction(1)}])
     with pytest.raises(ScalarTypeError):
         solve_rows([{0: Fraction(3)}], 1, (1,))
-    # the converting constructors stay exact
+    # the converting constructors share one rule: a float or a bool is refused
+    assert scalar(3) == Fraction(3) and scalar("-1/2") == Fraction(-1, 2)
+    for bad in (0.5, True, None):
+        with pytest.raises(ScalarTypeError, match=type(bad).__name__):
+            scalar(bad)
+    with pytest.raises(ScalarTypeError, match="entry 1 is 0.1 of type float"):
+        vec([1, 0.1])
+    with pytest.raises(ScalarTypeError, match="row 2, entry 0 is 0.1 of type float"):
+        checked_terms({0: 0.1}, 1, "row 2")
+    with pytest.raises(ScalarTypeError):
+        MatrixQ.from_rows([[Fraction(1), 0.5]])
+    assert checked_terms({1: 2, 0: Fraction(0)}, 2, "row") == ((1, Fraction(2)),)
+    # and stay exact
     assert solve_in_span(MatrixQ.from_rows([[3]]), vec([1])) == (Fraction(1, 3),)
     assert rref(MatrixQ.from_rows([[2, 1], [1, 1]])).matrix == MatrixQ.identity(2)
     assert build_quotient(2, [(2, 1)]).rows == ({0: Fraction(1), 1: Fraction(1, 2)},)

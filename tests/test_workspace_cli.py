@@ -216,6 +216,23 @@ def test_cli_validate_catches_corruption(capsys, tmp_path):
         assert "error" in json.loads(out)
 
 
+def test_cli_validate_reports_a_degree_0_failure_once(capsys, tmp_path):
+    # degree 0 is the base category: its unit and associativity failures
+    # come from validate_category alone, not again with a dg- prefix
+    doc = json.loads(serialize_workspace(load_fixture("dual_numbers_trivial")))
+    for p in doc["category"]["products"]:
+        if (p["left"], p["right"]) == ("1", "u"):
+            p["result"] = {"u": "2"}
+    path = tmp_path / "broken_unit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path), "--output", "machine")
+    assert code == EXIT_INVALID
+    assert json.loads(out)["violations"] == [
+        {"kind": "identity-left", "where": "1_x . u"},
+        {"kind": "associativity", "where": "1 . 1 . u"},
+    ]
+
+
 def test_cli_machine_output_is_byte_stable(capsys):
     args = ("cohomology", "fixture:two_points_universal", "--output", "machine")
     code1, out1, _ = run(capsys, *args)
