@@ -25,7 +25,7 @@ from .category import validate_category
 from .chern import K0Entry, certify_cocycle, chern_class, chern_form, invariance_certificate, k0_character
 from .derham import get_complex
 from .dg import render_form, validate_dg
-from .errors import CertificationError, LincatError, TruncationError, WorkspaceError
+from .errors import CategoryAxiomError, CertificationError, LincatError, TruncationError, WorkspaceError
 from .exact_linalg import Vector, format_scalar
 from .module_algebra import hs_trace
 from .workspace import Workspace, fixture_names, load_fixture, load_workspace, serialize_workspace
@@ -49,9 +49,14 @@ class _ValidationFailed(Exception):
 
 def _load(args) -> Workspace:
     ref: str = args.workspace
-    if ref.startswith("fixture:"):
-        return load_fixture(ref[len("fixture:"):])
-    return load_workspace(ref)
+    try:
+        if ref.startswith("fixture:"):
+            return load_fixture(ref[len("fixture:"):])
+        return load_workspace(ref)
+    except CategoryAxiomError as exc:
+        # a universal-model workspace stops at its broken category: report
+        # the category's violations like those of a workspace that loaded
+        raise _ValidationFailed(exc.workspace, exc.violations) from exc
 
 
 def _violations(ws: Workspace) -> list:
@@ -112,14 +117,18 @@ def _named_connection(ws: Workspace, name: str):
 
 
 def cmd_validate(args) -> int:
-    ws = _load(args)
-    violations = _violations(ws)
+    try:
+        ws = _load(args)
+    except _ValidationFailed as exc:
+        name, violations = exc.name, exc.violations
+    else:
+        name, violations = ws.name, _violations(ws)
     payload = {
-        "workspace": ws.name,
+        "workspace": name,
         "ok": not violations,
         "violations": [{"kind": v.kind, "where": v.where} for v in violations],
     }
-    lines = [f"workspace {ws.name}: checking category and graded identities"]
+    lines = [f"workspace {name}: checking category and graded identities"]
     if violations:
         lines += [f"  FAIL {v.kind}: {v.where}" for v in violations]
         lines.append(f"result: {len(violations)} violation(s)")

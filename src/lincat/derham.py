@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dg import DGCategory, Form, FormMatrix, render_form
+from .dg import DGCategory, Form, FormMatrix, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
     ONE,
@@ -92,13 +92,18 @@ class DiagonalForm:
 
 def diagonal_form_from_forms(w: DGCategory, degree: int, forms: Sequence[Form]) -> DiagonalForm:
     """Package per-object endomorphism forms, validating their types."""
-    if len(forms) != len(w.base.objects):
+    return _diagonal_form(tuple(w.dim(degree, x, x) for x in range(len(w.base.objects))), degree, forms)
+
+
+def _diagonal_form(dims: Sequence[int], degree: int, forms: Sequence[Form]) -> DiagonalForm:
+    """`diagonal_form_from_forms`, given the dimension of each object's degree-n forms."""
+    if len(forms) != len(dims):
         raise DimensionError("need one component per object")
     comps = []
     for x, f in enumerate(forms):
         if f.degree != degree or f.dom.index != x or f.cod.index != x:
             raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
-        comps.append(densify(f.terms, w.dim(degree, x, x)))
+        comps.append(densify(f.terms, dims[x]))
     return DiagonalForm(degree, tuple(comps))
 
 
@@ -155,9 +160,13 @@ class DeRhamComplex:
     """Diagonal forms modulo graded commutators, with induced differential."""
 
     def __init__(self, w: DGCategory):
-        self.w = w
-        N = w.truncation
+        # the envelope memoizes its complex (`get_complex`), so the complex
+        # keeps only what it reads and no reference back: each pair is
+        # freed by reference counting, not by the cyclic collector
+        self.truncation = N = w.truncation
+        self.base = w.base
         nobj = len(w.base.objects)
+        self._labels = [tuple(w.space_labels(n, x, x) for x in range(nobj)) for n in range(N + 1)]
 
         self.component_dims: list[tuple[int, ...]] = []
         self.component_offsets: list[tuple[int, ...]] = []
@@ -175,7 +184,7 @@ class DeRhamComplex:
         ]
         # d on the ambient diagonal space of each degree, column j holding
         # d of the j-th basis vector; out of the top degree it is zero
-        self._d_columns: list[list[SparseRow]] = [self._ambient_d_columns(n) for n in range(N + 1)]
+        self._d_columns: list[list[SparseRow]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
 
         self._d_mats: list[MatrixQ] = []
         for n in range(N):
@@ -196,13 +205,13 @@ class DeRhamComplex:
                 tuple(cols[j][i] for j in range(qn.dim)) for i in range(qn1.dim)
             )))
 
-    def _ambient_d_columns(self, n: int) -> list[SparseRow]:
+    def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
         # the blocks of the objects follow each other in object order, and
         # out of the top degree every column is empty
         columns: list[SparseRow] = []
-        for x in range(len(self.w.base.objects)):
-            off1 = self.component_offsets[n + 1][x] if n < self.w.truncation else 0
-            columns.extend({off1 + i: s for i, s in col} for col in self.w.diff[n].get((x, x), ()))
+        for x in range(len(self.base.objects)):
+            off1 = self.component_offsets[n + 1][x] if n < self.truncation else 0
+            columns.extend({off1 + i: s for i, s in col} for col in w.diff[n].get((x, x), ()))
         return columns
 
     def _ambient_d_sparse(self, n: int, v: SparseRow) -> SparseRow:
@@ -214,7 +223,7 @@ class DeRhamComplex:
     # -- ambient bookkeeping ----------------------------------------------
 
     def ambient_dim(self, n: int) -> int:
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return 0
         return sum(self.component_dims[n])
 
@@ -226,7 +235,7 @@ class DeRhamComplex:
 
     def ambient_vector(self, df: DiagonalForm) -> Vector:
         n = df.degree
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             if all(len(c) == 0 for c in df.components):
                 return ()
             raise DimensionError("diagonal form above the truncation degree must be zero")
@@ -239,7 +248,7 @@ class DeRhamComplex:
 
     def diagonal_from_ambient(self, n: int, v: Vector) -> DiagonalForm:
         comps = []
-        for x in range(len(self.w.base.objects)):
+        for x in range(len(self.base.objects)):
             off, d = self.component_offsets[n][x], self.component_dims[n][x]
             comps.append(tuple(v[off:off + d]))
         return DiagonalForm(n, tuple(comps))
@@ -247,32 +256,34 @@ class DeRhamComplex:
     # -- classes ------------------------------------------------------------
 
     def dim(self, n: int) -> int:
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return 0
         return self.quotients[n].dim
 
     def class_of(self, df: DiagonalForm) -> Vector:
         n = df.degree
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return ()
         return self.quotients[n].coset_coordinates(self.ambient_vector(df))
 
     def class_of_trace(self, degree: int, forms: Sequence[Form]) -> Vector:
-        return self.class_of(diagonal_form_from_forms(self.w, degree, forms))
+        in_range = 0 <= degree <= self.truncation
+        dims = self.component_dims[degree] if in_range else (0,) * len(self.base.objects)
+        return self.class_of(_diagonal_form(dims, degree, forms))
 
     def lift_class(self, n: int, coords: Vector) -> DiagonalForm:
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             if coords:
                 raise DimensionError("no classes above the truncation degree")
-            nobj = len(self.w.base.objects)
+            nobj = len(self.base.objects)
             return DiagonalForm(n, tuple(() for _ in range(nobj)))
         return self.diagonal_from_ambient(n, self.quotients[n].lift(coords))
 
     def d_matrix(self, n: int) -> MatrixQ:
         """Induced differential on classes, degree n to n + 1."""
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return MatrixQ.zero(0, 0)
-        if n == self.w.truncation:
+        if n == self.truncation:
             return MatrixQ.zero(0, self.dim(n))
         return self._d_mats[n]
 
@@ -283,7 +294,7 @@ class DeRhamComplex:
 
     def image_basis(self, n: int) -> tuple[Vector, ...]:
         """Reduced basis of the image of d arriving in degree n."""
-        if n <= 0 or n > self.w.truncation:
+        if n <= 0 or n > self.truncation:
             return ()
         prev = self.d_matrix(n - 1)
         cols = [prev.column(j) for j in range(prev.cols)]
@@ -293,17 +304,17 @@ class DeRhamComplex:
         return kernel_basis(self.d_matrix(n))
 
     def betti(self, n: int) -> int:
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return 0
         return len(self.kernel_basis_of_d(n)) - len(self.image_basis(n))
 
     def truncation_reliable(self, n: int) -> bool:
         """Top-degree kernels may shrink once higher forms are restored."""
-        return n < self.w.truncation
+        return n < self.truncation
 
     def harmonic_representatives(self, n: int) -> tuple[Vector, ...]:
         """One closed class per cohomology generator, canonically reduced."""
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return ()
         image = build_quotient(self.dim(n), self.image_basis(n))
         reduced = [image.reduce(v) for v in self.kernel_basis_of_d(n)]
@@ -318,7 +329,7 @@ class DeRhamComplex:
         Degree 0 admits a primitive only for the zero class, whose
         primitive is the empty vector.
         """
-        if n < 0 or n > self.w.truncation:
+        if n < 0 or n > self.truncation:
             return ()
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
@@ -328,8 +339,8 @@ class DeRhamComplex:
 
     def euler_characteristics(self) -> tuple[int, int]:
         """Alternating sums of space dimensions and of cohomology ranks."""
-        lhs = sum((-1) ** n * self.dim(n) for n in range(self.w.truncation + 1))
-        rhs = sum((-1) ** n * self.betti(n) for n in range(self.w.truncation + 1))
+        lhs = sum((-1) ** n * self.dim(n) for n in range(self.truncation + 1))
+        rhs = sum((-1) ** n * self.betti(n) for n in range(self.truncation + 1))
         return lhs, rhs
 
     # -- rendering ------------------------------------------------------------
@@ -340,8 +351,8 @@ class DeRhamComplex:
         for x, comp in enumerate(df.components):
             if is_zero_vector(comp):
                 continue
-            o = self.w.base.objects[x]
-            pieces.append(f"{o.label}: {render_form(self.w, self.w.form(n, o, o, comp))}")
+            o = self.base.objects[x]
+            pieces.append(f"{o.label}: {render_terms(self._labels[n][x], tuple(sparse(comp).items()))}")
         return "; ".join(pieces) if pieces else "0"
 
 
@@ -476,7 +487,7 @@ class TildeComplex:
 # literal bracket span of the stratified extension
 
 
-def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int, int]:
+def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, int]:
     """(literal, predicted) rank of the degree-n stratified bracket span.
 
     The literal side multiplies out extended monomials u t^a (.e), as
@@ -484,9 +495,9 @@ def tilde_commutator_ranks(rh: DeRhamComplex, n: int, t_bound: int) -> tuple[int
     `tm_mul` and embeds the graded commutators in the stratified
     diagonal space.  The predicted side counts one copy of each plain
     commutator subspace per stratum: (t_bound + 1) times the commutator
-    dimensions in degrees n and n - 1.
+    dimensions in degrees n and n - 1, read from `get_complex(w)`.
     """
-    w = rh.w
+    rh = get_complex(w)
     D = t_bound
     nobj = len(w.base.objects)
     amb_n, amb_n1 = rh.ambient_dim(n), rh.ambient_dim(n - 1)

@@ -52,3 +52,17 @@ class CertificationError(LincatError):
 
 class WorkspaceError(LincatError):
     """A workspace document is malformed or internally inconsistent."""
+
+
+class CategoryAxiomError(WorkspaceError):
+    """The category of a workspace fails its unit or associativity laws.
+
+    Raised before a universal envelope is built on it, because that
+    construction needs a category; `violations` are the failures that
+    `validate_category` reports, and `workspace` names the document.
+    """
+
+    def __init__(self, message: str, workspace: str, violations: list):
+        super().__init__(message)
+        self.workspace = workspace
+        self.violations = violations

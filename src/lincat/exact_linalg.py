@@ -26,10 +26,13 @@ arithmetic on a zero still costs a `Fraction` operation:
   `terms_of` drops.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
-rows and a column count.  Sparse rows enter it directly through
-`build_quotient` (which also accepts dense vectors) and `solve_rows` (a
-linear system given by its sparse rows), and `QuotientSpace.reduce_sparse`
-reduces a sparse vector modulo a quotient without densifying it.
+rows and a column count and adds them one at a time to an `Echelon`;
+a caller that grows a span row by row (the generating set of
+`validate_dg`) holds an `Echelon` itself.  Sparse rows enter the
+kernel directly through `build_quotient` (which also accepts dense
+vectors) and `solve_rows` (a linear system given by its sparse rows),
+and `QuotientSpace.reduce_sparse` reduces a sparse vector modulo a
+quotient without densifying it.
 Callers that already hold sparse rows (the envelope's chain subspaces,
 the stratified bracket span) call `echelon` itself.  `rref`,
 `kernel_basis`, `solve_in_span` and `row_space_basis` are the dense
@@ -304,15 +307,13 @@ def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...
     """Reduced row echelon basis of the span of sparse rows, and its pivots.
 
     This is the one elimination kernel of the package.  The rows are
-    `ncols` wide and are left unmodified.  They are taken one at a time:
-    each is reduced by the basis found so far, and a nonzero remainder
-    joins the basis with its first column as pivot, scaled to 1 there,
-    after which that column is cleared from the older basis rows.  So the
-    basis is in reduced echelon form after every row.  That form is
-    unique for a row space, so the result is a function of the span
-    alone, and every derived basis is reproducible byte for byte.
+    `ncols` wide and are left unmodified.  They are taken one at a time
+    by `Echelon.add`, so the basis is in reduced echelon form after every
+    row.  That form is unique for a row space, so the result is a
+    function of the span alone, and every derived basis is reproducible
+    byte for byte.
     """
-    basis: dict[int, SparseRow] = {}  # pivot column -> row, 0 at every other pivot
+    basis = Echelon()
     for given in rows:
         if not given:
             continue
@@ -320,24 +321,54 @@ def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...
             raise DimensionError(f"sparse row has a column outside 0..{ncols - 1}")
         if not _all_fractions(given.values()):
             raise ScalarTypeError("sparse row entries must be Fractions")
+        basis.add(given)
+    pivots = tuple(sorted(basis.rows))
+    return tuple(basis.rows[p] for p in pivots), pivots
+
+
+class Echelon:
+    """A reduced echelon basis grown one row at a time.
+
+    `rows` maps each pivot column to its row, which is 1 there and 0 at
+    every other pivot.  `add` reduces a row by the basis, and a nonzero
+    remainder joins it with its first column as pivot, scaled to 1
+    there, after which that column is cleared from the older rows.  So
+    the unit vector e_k lies in the span exactly when the row at pivot k
+    is e_k itself (`spans_unit`).
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, SparseRow] = {}
+        # every column where some row may be nonzero: a new pivot outside
+        # it needs no clearing, so adding a row to a basis of unit rows
+        # does not visit them all
+        self._columns: set[int] = set()
+
+    def add(self, given: SparseRow) -> Optional[int]:
+        """Add a row, left unmodified; its pivot, or None when it lies in the span."""
+        basis = self.rows
         row = {j: x for j, x in given.items() if x}
         # basis rows vanish at every pivot but their own, so one pass over
         # the pivots in the row's support clears them all
         for c in [c for c in row if c in basis]:
             add_scaled(row, -row[c], basis[c])
         if not row:
-            continue
+            return None
         p = min(row)
         pv = row[p]
         if pv != 1:
             row = {j: x / pv for j, x in row.items()}
-        for other in basis.values():
-            f = other.get(p)
-            if f is not None:
-                add_scaled(other, -f, row)
+        if p in self._columns:
+            for other in basis.values():
+                f = other.get(p)
+                if f is not None:
+                    add_scaled(other, -f, row)
+        self._columns.update(row)
         basis[p] = row
-    pivots = tuple(sorted(basis))
-    return tuple(basis[p] for p in pivots), pivots
+        return p
+
+    def spans_unit(self, k: int) -> bool:
+        return self.rows.get(k) == {k: ONE}
 
 
 def rref(m: MatrixQ) -> RrefResult:
@@ -431,10 +462,6 @@ class QuotientSpace:
     @property
     def subspace_dim(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def subspace_basis(self) -> tuple[Vector, ...]:
-        return tuple(densify(r, self.ambient_dim) for r in self.rows)
 
     @cached_property
     def _row_at_pivot(self) -> dict[int, SparseRow]:

@@ -27,13 +27,11 @@ a0.b1 and (-1)^m a1.b0 into the same accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .category import ObjectId
 from .dg import DGCategory, Form, FormMatrix, ProductAccumulator
 from .errors import DimensionError
-from .exact_linalg import scalar
 
 
 @dataclass(frozen=True)
@@ -118,16 +116,6 @@ def pm_t_derivative(a: PolyMatrix) -> PolyMatrix:
     if len(a.coeffs) == 1:
         return poly_matrix([a.coeffs[0].scale(0)])
     return poly_matrix([a.coeffs[i].scale(i) for i in range(1, len(a.coeffs))])
-
-
-def pm_eval(a: PolyMatrix, t) -> FormMatrix:
-    t = scalar(t)
-    total = a.coeffs[0].scale(0)
-    power = Fraction(1)
-    for m in a.coeffs:
-        total = total + m.scale(power)
-        power *= t
-    return total
 
 
 def pm_diagonal_trace(w: DGCategory, a: PolyMatrix) -> tuple[tuple[Form, ...], ...]:

@@ -34,10 +34,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .category import Category, ObjectId, build_category
+from .category import Category, ObjectId, build_category, validate_category
 from .connection import Connection, canonical_connection
 from .dg import DGCategory, Form, FormMatrix, trivial_dg, universal_dg
-from .errors import LincatError, WorkspaceError
+from .errors import CategoryAxiomError, LincatError, WorkspaceError
 from .exact_linalg import format_scalar, parse_scalar
 from .module_algebra import ProjectiveModule
 
@@ -144,6 +144,12 @@ class _Parser:
         model = str(_get(fdoc, "model", "forms"))
         if model == "universal":
             truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
+            violations = validate_category(cat)
+            if violations:
+                raise CategoryAxiomError(
+                    f"category fails {len(violations)} identity check(s); no universal envelope is built",
+                    self.name, violations,
+                )
             try:
                 return universal_dg(cat, truncation), model
             except LincatError as exc:

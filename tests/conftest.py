@@ -24,6 +24,7 @@ from lincat import (
     build_category,
     universal_dg,
 )
+from lincat.exact_linalg import densify, scalar
 
 
 def point_category():
@@ -147,6 +148,22 @@ def dense_coords(w, f) -> tuple:
     for k, s in f.terms:
         v[k] = s
     return tuple(v)
+
+
+def pm_eval(a, t):
+    """The form matrix a(t) of a polynomial matrix a at a rational t."""
+    t = scalar(t)
+    total = a.coeffs[0].scale(0)
+    power = Fraction(1)
+    for m in a.coeffs:
+        total = total + m.scale(power)
+        power *= t
+    return total
+
+
+def subspace_basis(q) -> tuple:
+    """The echelon rows of a quotient's subspace, written out as dense vectors."""
+    return tuple(densify(r, q.ambient_dim) for r in q.rows)
 
 
 def random_form_matrix(w, degree, row_family, col_family, rng):

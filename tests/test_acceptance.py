@@ -402,10 +402,9 @@ def test_criterion_07_homotopy(dual5, two5, arrow3):
 
     # stratified commutator ranks at the bound used for degree-2q classes
     for w in (dual5, two5):
-        rh = get_complex(w)
         for q in (1, 2):
             for n in (2, 3):
-                literal, predicted = tilde_commutator_ranks(rh, n, 2 * q)
+                literal, predicted = tilde_commutator_ranks(w, n, 2 * q)
                 assert literal == predicted
     ok(7, f"homotopy identity on {total} random cochains, chain-map checks at t in "
           f"{{0,1,-1,2}} ({evaluated} evaluations), split ranks agree at D = 2q")

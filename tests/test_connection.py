@@ -14,7 +14,6 @@ from lincat.connection import (
 from lincat.dg import FormMatrix, block_diag, universal_dg
 from lincat.errors import DimensionError, ModuleError, TruncationError
 from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
-from lincat.tforms import pm_eval
 
 from conftest import (
     bundled_modules,
@@ -23,6 +22,7 @@ from conftest import (
     dual_projective,
     graph_module,
     line_module,
+    pm_eval,
     projective_two_points,
     random_form_matrix,
     random_gauge_connection,

@@ -1,5 +1,7 @@
 from fractions import Fraction
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,7 +20,7 @@ from lincat.errors import DimensionError, LincatError
 from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
 from lincat.workspace import load_fixture
 
-from conftest import dense_coords, m2_category, random_scalar, two_points_category
+from conftest import dense_coords, m2_category, random_scalar, subspace_basis, two_points_category
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
 from test_exact_linalg import dense_rref, dense_solve
 
@@ -179,10 +181,22 @@ def test_stratified_bracket_span_dimensions(dual5, two5):
     # the literal stratified bracket span is exactly one commutator
     # subspace per stratum: important for splitting the extension
     for w in (dual5, two5):
-        rh = get_complex(w)
         for n, D in ((2, 1), (2, 2), (3, 2), (3, 4)):
-            literal, predicted = tilde_commutator_ranks(rh, n, D)
+            literal, predicted = tilde_commutator_ranks(w, n, D)
             assert literal == predicted
+
+
+def test_a_dropped_envelope_and_its_complex_need_no_cycle_collector():
+    # the envelope memoizes its complex; reference counting alone frees both
+    gc.disable()
+    try:
+        w = universal_dg(m2_category(), 2)
+        get_complex(w)
+        dropped = weakref.ref(w)
+        del w
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_diagonal_form_roundtrip(two5):
@@ -270,7 +284,7 @@ def test_quotient_complex_matches_dense_path():
         quotients = [dense_quotient(w, n) for n in range(w.truncation + 1)]
         for n, (rows, pivots, free) in enumerate(quotients):
             q = rh.quotients[n]
-            assert (q.subspace_basis, q.pivots, q.free_columns) == (rows, pivots, free), n
+            assert (subspace_basis(q), q.pivots, q.free_columns) == (rows, pivots, free), n
         for n in range(w.truncation):
             expected = dense_d_matrix(w, n, quotients[n], quotients[n + 1])
             assert rh.d_matrix(n).entries == expected, n

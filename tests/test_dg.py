@@ -19,7 +19,8 @@ from lincat import (
     validate_dg,
 )
 from lincat.category import Category
-from lincat.dg import DGCategory
+from lincat.dg import DGCategory, _generators, _law_violations, _laws_hold_on, _unit_violations
+from lincat.exact_linalg import Echelon
 from lincat.errors import DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
@@ -619,23 +620,179 @@ CORRUPTIONS = {    "m2": [
 }
 
 
+def corrupted(w, spec):
+    """`w` with the single table entry named by a CORRUPTIONS spec raised by 1."""
+    comp, diff = dense_tables(w)
+    kind, *idx = spec.split(":")
+    idx = [int(s) for s in idx]
+    if kind == "comp":
+        p, q, x, y, z, i, j, k = idx
+        comp[(p, q)][(x, y, z)][i][j][k] += 1
+    else:
+        n, x, y, r, c = idx
+        diff[n][(x, y)][r][c] += 1
+    return rebuilt(w, comp, diff)
+
+
 def test_validation_reports_single_corruptions_exactly():
     models = {"m2": universal_dg(m2_category(), 2), "two_points": universal_dg(two_points_category(), 3)}
     for name, w in models.items():
         comp, diff = dense_tables(w)
         assert validate_dg(rebuilt(w, comp, diff)) == []
         for spec, expected in CORRUPTIONS[name]:
-            comp, diff = dense_tables(w)
-            kind, *idx = spec.split(":")
-            idx = [int(s) for s in idx]
-            if kind == "comp":
-                p, q, x, y, z, i, j, k = idx
-                comp[(p, q)][(x, y, z)][i][j][k] += 1
-            else:
-                n, x, y, r, c = idx
-                diff[n][(x, y)][r][c] += 1
-            got = validate_dg(rebuilt(w, comp, diff))
+            got = validate_dg(corrupted(w, spec))
             assert [(v.kind, v.where) for v in got] == expected, (name, spec)
+
+
+# -- the generation certificate ----------------------------------------------
+
+
+def test_generator_check_alone_rejects_every_corruption():
+    models = {"m2": universal_dg(m2_category(), 2), "two_points": universal_dg(two_points_category(), 3)}
+    for name, w in models.items():
+        assert _laws_hold_on(w, _generators(w))
+        for spec, _ in CORRUPTIONS[name]:
+            v = corrupted(w, spec)
+            assert not _laws_hold_on(v, _generators(v)), (name, spec)
+
+
+def test_d_squared_alone_is_detected():
+    # a curved algebra: d(t) = s and d(s) = u with every product of forms
+    # of positive degree zero, so units, Leibniz and associativity hold and
+    # only d.d = 0 on the generator t fails
+    unit = {(0, 0, 0): {(0, 0): {0: 1}}}
+    w = DGCategory(
+        point_category(), 3,
+        {1: {(0, 0): ("t",)}, 2: {(0, 0): ("s",)}, 3: {(0, 0): ("u",)}},
+        {**{(0, n): unit for n in (1, 2, 3)}, **{(n, 0): unit for n in (1, 2, 3)}},
+        {1: {(0, 0): {0: {0: 1}}}, 2: {(0, 0): {0: {0: 1}}}},
+    )
+    assert [(v.kind, v.where) for v in validate_dg(w)] == [("dg-d-squared", "degree 1 at (pt,pt)")]
+
+
+def test_degree_0_triples_enter_the_generator_check():
+    # a0 (the declared identity) and a1 do not associate in degree 0, and
+    # (a1.a0).t0 != a1.(a0.t0) in degree 1, while every triple (g, y, z)
+    # of positive degree with g a generator associates: the lemma needs its
+    # premise on the degree-0 triples too, though they are reported by
+    # `validate_category` alone
+    c = Category(["x"], {(0, 0): ("a0", "a1")},
+                 {(0, 0, 0): {(0, 0): {0: -1, 1: 1}, (1, 0): {0: 1, 1: -1}}}, {0: {0: 1}})
+    w = DGCategory(c, 1, {1: {(0, 0): ("t0",)}}, {(0, 1): {(0, 0, 0): {(0, 0): {0: -1}}}}, {})
+    assert [(v.kind, v.where) for v in validate_dg(w)] == [
+        ("dg-identity-left", "1_x . t0"),
+        ("dg-identity-right", "t0 . 1_x"),
+        ("dg-associativity", "a1 . a0 . t0"),
+    ]
+
+
+def single_corruptions(w, rng, count):
+    """Copies of `w` with one entry moved by a random nonzero scalar.
+
+    The table is drawn first: the products of basis forms, the
+    differentials or the products of basis arrows of the base category.
+    Then the entry, over every position of that table, zero or not.
+    """
+    c = w.base
+    labels = [o.label for o in c.objects]
+    identity = {x: dict(terms) for x, terms in c.identity.items()}
+    comp, diff = dense_tables(w)
+    tables = [
+        [("comp", pq, key, i, j, k) for pq, table in comp.items() for key, block in table.items()
+         for i, row in enumerate(block) for j, v in enumerate(row) for k in range(len(v))],
+        [("diff", n, xy, r, col) for n, level in diff.items() for xy, rows in level.items()
+         for r, row in enumerate(rows) for col in range(len(row))],
+        [("base", key, i, j, k) for key, block in c.comp.items()
+         for i, row in enumerate(block) for j in range(len(row)) for k in range(c.dim(key[0], key[2]))],
+    ]
+    for _ in range(count):
+        delta = random_scalar(rng) or Fraction(1)
+        place = rng.choice(rng.choice([t for t in tables if t]))
+        comp, diff = dense_tables(w)
+        base = c
+        if place[0] == "comp":
+            _, pq, key, i, j, k = place
+            comp[pq][key][i][j][k] += delta
+        elif place[0] == "diff":
+            _, n, xy, r, col = place
+            diff[n][xy][r][col] += delta
+        else:
+            _, key, i, j, k = place
+            base_comp = {kk: {(a, b): dict(terms) for a, row in enumerate(block) for b, terms in enumerate(row)}
+                         for kk, block in c.comp.items()}
+            entry = base_comp[key].setdefault((i, j), {})
+            entry[k] = entry.get(k, Fraction(0)) + delta
+            base = Category(labels, c.hom_basis, base_comp, identity)
+        yield place, DGCategory(base, w.truncation, w.gr_basis, *sparse_tables(comp, diff))
+
+
+def test_validation_equals_the_full_enumeration_on_random_corruptions():
+    models = {
+        "m2": universal_dg(m2_category(), 2),
+        "two_points": universal_dg(two_points_category(), 3),
+        "circle_tables": load_fixture("circle_tables").dg,
+    }
+    rng = random.Random(43)
+    for name, w in models.items():
+        failing = 0
+        for place, v in single_corruptions(w, rng, 40):
+            full = _unit_violations(v) + _law_violations(v)
+            assert validate_dg(v) == full, (name, place)
+            failing += bool(full)
+        assert failing >= 20, name  # the corruptions are seen, so the fallback ran
+
+
+def word_span_dims(w, gens):
+    """Dimension of the span of the left-normed words in `gens`, per (degree, x, y).
+
+    The words are multiplied out with `compose`, one generator at a time,
+    until no product adds to the span.
+    """
+    spans: dict = {}
+    todo = list(gens)
+    while todo:
+        f = todo.pop()
+        key = (f.degree, f.cod.index, f.dom.index)
+        if spans.setdefault(key, Echelon()).add(dict(f.terms)) is None:
+            continue
+        todo += [w.compose(f, g) for g in gens if g.cod == f.dom and f.degree + g.degree <= w.truncation]
+    return {key: len(basis.rows) for key, basis in spans.items()}
+
+
+@pytest.mark.parametrize("name", fixture_names() + list(ENVELOPE_DIGESTS))
+def test_generator_words_span_every_basis(name):
+    if name in ENVELOPE_DIGESTS:
+        build, truncation, _, _ = ENVELOPE_DIGESTS[name]
+        w = universal_dg(build(), truncation)
+    else:
+        w = load_fixture(name).dg
+    gens = _generators(w)
+    dims = word_span_dims(w, gens)
+    nobj = len(w.base.objects)
+    for n in range(w.truncation + 1):
+        for x in range(nobj):
+            for y in range(nobj):
+                assert dims.get((n, x, y), 0) == w.dim(n, x, y), (name, n, x, y)
+    assert len(gens) <= sum(dims.values())
+
+
+def test_generating_set_is_a_function_of_the_tables():
+    w = universal_dg(m2_category(), 3)
+    gens = _generators(w)
+    # e11, e12, e21 and two forms of degree 1 generate M2 at truncation 3
+    assert [g.degree for g in gens] == [0, 0, 0, 1, 1]
+    assert [render_form(w, g) for g in gens[:3]] == ["e11", "e12", "e21"]
+    # a second build, and the same tables handed over in reversed order
+    gr_basis, gr_comp, diff = own_tables(w)
+
+    def reverse(table):
+        if isinstance(table, dict):
+            return {key: reverse(v) for key, v in reversed(table.items())}
+        return table
+
+    for again in (universal_dg(m2_category(), 3),
+                  DGCategory(w.base, w.truncation, reverse(gr_basis), reverse(gr_comp), reverse(diff))):
+        assert _generators(again) == gens
 
 
 # -- table keys the constructor never reads are refused ------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from lincat.errors import ScalarTypeError
 from lincat.exact_linalg import (
+    Echelon,
     MatrixQ,
     build_quotient,
     checked_terms,
@@ -26,6 +27,8 @@ from lincat.exact_linalg import (
     vec_scale,
     zero_vector,
 )
+
+from conftest import subspace_basis
 
 
 def random_matrix(rng, rows, cols, den=2):
@@ -254,7 +257,7 @@ def test_sparse_quotient_matches_dense_reference():
         ref_rows, ref_pivots = dense_rref(m)
         rank_ = len(ref_pivots)
         assert q.pivots == tuple(ref_pivots)
-        assert q.subspace_basis == tuple(ref_rows[:rank_])
+        assert subspace_basis(q) == tuple(ref_rows[:rank_])
         assert q.free_columns == tuple(c for c in range(cols) if c not in ref_pivots)
         assert row_space_basis(list(m.entries), cols) == (tuple(ref_rows[:rank_]) if rows else ())
         for _ in range(3):
@@ -277,6 +280,13 @@ def test_sparse_entry_points_match_dense_front_doors():
         assert got_pivots == tuple(ref_pivots)
         assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:len(ref_pivots)])
         assert sparse_rows == [sparse(r) for r in m.entries]  # inputs left alone
+        # the same basis grown one row at a time, and unit-vector membership
+        basis = Echelon()
+        assert sum(basis.add(r) is not None for r in sparse_rows) == len(ref_pivots)
+        assert {p: densify(r, cols) for p, r in basis.rows.items()} == dict(zip(ref_pivots, ref_rows))
+        assert [basis.spans_unit(k) for k in range(cols)] == [
+            k in ref_pivots and tuple(ref_rows[ref_pivots.index(k)]) == unit_vector(cols, k) for k in range(cols)
+        ]
         q = build_quotient(cols, sparse_rows)
         assert q == build_quotient(cols, list(m.entries))
         for _ in range(3):

@@ -14,7 +14,6 @@ from lincat.tforms import (
     pm_add,
     pm_const,
     pm_d,
-    pm_eval,
     pm_mul,
     pm_scale,
     pm_shift,
@@ -27,7 +26,7 @@ from lincat.tforms import (
     tm_power,
 )
 
-from conftest import random_form_matrix
+from conftest import pm_eval, random_form_matrix
 
 UNIVERSAL_FIXTURES = ["arrow_universal", "dual_numbers_universal", "point_universal", "two_points_universal"]
 

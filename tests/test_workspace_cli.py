@@ -233,6 +233,29 @@ def test_cli_validate_reports_a_degree_0_failure_once(capsys, tmp_path):
     ]
 
 
+def test_cli_validate_reports_a_broken_category_of_a_universal_workspace(capsys, tmp_path):
+    # the envelope of a category that is not one is not built: the
+    # category's violations are reported instead of a builder error
+    doc = json.loads(serialize_workspace(load_fixture("two_points_universal")))
+    for p in doc["category"]["products"]:
+        if (p["left"], p["right"]) == ("1", "c"):
+            p["result"] = {"c": "2"}
+    path = tmp_path / "broken_unit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = [
+        {"kind": "identity-left", "where": "1_x . c"},
+        {"kind": "associativity", "where": "1 . 1 . c"},
+        {"kind": "associativity", "where": "c . 1 . c"},
+    ]
+    code, out, _ = run(capsys, "validate", str(path), "--output", "machine")
+    assert code == EXIT_INVALID
+    assert json.loads(out) == {"workspace": "two_points_universal", "ok": False, "violations": expected}
+    code, out, _ = run(capsys, "cohomology", str(path), "--output", "machine")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert (error["kind"], error["violations"]) == ("validation", expected)
+
+
 def test_cli_machine_output_is_byte_stable(capsys):
     args = ("cohomology", "fixture:two_points_universal", "--output", "machine")
     code1, out1, _ = run(capsys, *args)
