@@ -43,8 +43,6 @@ from .derham import (
 from .dg import (
     DGCategory,
     Form,
-    FormMatrix,
-    block_diag,
     render_form,
     trivial_dg,
     universal_dg,
@@ -63,6 +61,7 @@ from .errors import (
     WorkspaceError,
 )
 from .exact_linalg import MatrixQ, format_scalar, parse_scalar
+from .form_matrix import FormMatrix, block_diag
 from .module_algebra import (
     DirectSumData,
     EFixedComponent,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError
-from .exact_linalg import ONE, ZERO, Terms, checked_terms, parse_scalar, terms_of
+from .exact_linalg import ONE, ZERO, Terms, checked_terms, scalar, terms_of
 
 # products of basis elements: entry [i][j] holds the terms of b_i . b_j
 ProductRows = tuple[tuple[Terms, ...], ...]
@@ -237,7 +237,8 @@ def build_category(
     must be globally unique.  ``products`` maps a pair of arrow names
     (left, right) to the sparse expansion of their composite; omitted
     pairs compose to zero.  ``identities`` maps each object label to the
-    sparse expansion of its identity.
+    sparse expansion of its identity.  Coefficients are converted by
+    `scalar`: a `Fraction`, an int or a "p/q" string, never a float.
     """
     labels = [str(s) for s in object_labels]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -263,9 +264,9 @@ def build_category(
             if a not in pos:
                 raise DimensionError(f"arrow {a!r} does not live in the expected hom space")
             try:
-                out[pos[a]] = parse_scalar(str(s))
-            except ValueError as exc:
-                raise DimensionError(f"coefficient of {a!r}: {exc}") from exc
+                out[pos[a]] = scalar(s, f"coefficient of {a!r}")
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DimensionError(f"coefficient of {a!r}: not a rational scalar: {s!r}") from exc
         return out
 
     comp: dict[tuple[int, int, int], dict[tuple[int, int], dict[int, Fraction]]] = {}

@@ -60,7 +60,10 @@ def _load(args) -> Workspace:
 
 
 def _violations(ws: Workspace) -> list:
-    return list(validate_category(ws.category)) + list(validate_dg(ws.dg))
+    category = ws.category_violations
+    if category is None:  # parsing did not check the category
+        category = validate_category(ws.category)
+    return list(category) + list(validate_dg(ws.dg))
 
 
 def _checked(args) -> Workspace:

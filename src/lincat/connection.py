@@ -32,8 +32,9 @@ path.
 
 from __future__ import annotations
 
-from .dg import DGCategory, FormMatrix, ProductAccumulator, block_diag
+from .dg import DGCategory
 from .errors import DimensionError, ModuleError, TruncationError
+from .form_matrix import FormMatrix, ProductAccumulator, block_diag
 from .module_algebra import DirectSumData, ProjectiveModule
 from .tforms import TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_add, tm_mul, tm_partial
 

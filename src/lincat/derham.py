@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dg import DGCategory, Form, FormMatrix, render_terms
+from .dg import DGCategory, Form, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
     ONE,
@@ -64,6 +64,7 @@ from .exact_linalg import (
     vec_sub,
     zero_vector,
 )
+from .form_matrix import FormMatrix
 from .tforms import PolyMatrix, TildeMatrix, pm_const, pm_shift, tilde_matrix, tm_mul
 
 # ---------------------------------------------------------------------------

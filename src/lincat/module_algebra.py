@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import ObjectId
-from .dg import DGCategory, Form, FormMatrix, block_diag
+from .dg import DGCategory, Form
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
 from .exact_linalg import (
@@ -40,6 +40,7 @@ from .exact_linalg import (
     vec_scale,
     zero_vector,
 )
+from .form_matrix import FormMatrix, block_diag
 
 # ---------------------------------------------------------------------------
 # modules

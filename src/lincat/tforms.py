@@ -20,8 +20,11 @@ composition above, and the integration operator on diagonal classes
 satisfies an exact homotopy identity (see the quotient-complex module).
 
 Products accumulate once per entry: a polynomial product keeps one
-`ProductAccumulator` per power of t, and the e-part of a product adds
-a0.b1 and (-1)^m a1.b0 into the same accumulators.
+`ProductAccumulator` of `lincat.form_matrix` per power of t, and the
+e-part of a product adds a0.b1 and (-1)^m a1.b0 into the same
+accumulators.  They sum integer numerators over one denominator per
+entry, so the coefficient of each power of t is made of `Fraction`s
+once, when its matrix is built.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .category import ObjectId
-from .dg import DGCategory, Form, FormMatrix, ProductAccumulator
+from .dg import DGCategory, Form
 from .errors import DimensionError
+from .form_matrix import FormMatrix, ProductAccumulator
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .category import Category, ObjectId, build_category, validate_category
+from .category import Category, ObjectId, Violation, build_category, validate_category
 from .connection import Connection, canonical_connection
-from .dg import DGCategory, Form, FormMatrix, trivial_dg, universal_dg
+from .dg import DGCategory, Form, trivial_dg, universal_dg
 from .errors import CategoryAxiomError, LincatError, WorkspaceError
 from .exact_linalg import format_scalar, parse_scalar
+from .form_matrix import FormMatrix
 from .module_algebra import ProjectiveModule
 
 FORMAT_NAME = "lincat-workspace"
@@ -58,6 +59,9 @@ class Workspace:
     connection_kinds: dict[str, str]
     endomorphisms: dict[str, tuple[str, FormMatrix]]
     document: dict = field(repr=False)
+    # the category's violations when parsing checked them (the universal
+    # model does, before it builds the envelope), else None
+    category_violations: Optional[list[Violation]] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,7 @@ class _Parser:
         self.name = str(_get(doc, "name", "workspace"))
         self.doc = doc
         self.arrow_home: dict[str, tuple[int, int, int]] = {}
+        self.category_violations: Optional[list[Violation]] = None
 
     # -- category ---------------------------------------------------------
 
@@ -144,7 +149,7 @@ class _Parser:
         model = str(_get(fdoc, "model", "forms"))
         if model == "universal":
             truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
-            violations = validate_category(cat)
+            violations = self.category_violations = validate_category(cat)
             if violations:
                 raise CategoryAxiomError(
                     f"category fails {len(violations)} identity check(s); no universal envelope is built",
@@ -546,12 +551,15 @@ def workspace_from_dict(doc: Mapping) -> Workspace:
         connection_kinds=kinds,
         endomorphisms=endomorphisms,
         document=document,
+        category_violations=parser.category_violations,
     )
 
 
 def parse_workspace(text: str) -> Workspace:
     try:
-        doc = json.loads(text)
+        # JSON numbers with a fraction or an exponent are kept as their
+        # text, so a coefficient 0.1 is read exactly as 1/10
+        doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"not valid JSON: {exc}") from exc
     return workspace_from_dict(doc)

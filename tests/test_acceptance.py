@@ -37,7 +37,7 @@ from lincat.derham import (
     get_complex,
     tilde_commutator_ranks,
 )
-from lincat.dg import DGCategory, FormMatrix, render_form, universal_dg, validate_dg
+from lincat.dg import DGCategory, render_form, universal_dg, validate_dg
 from lincat.errors import IdempotentError, TruncationError
 from lincat.exact_linalg import (
     is_zero_vector,
@@ -47,6 +47,7 @@ from lincat.exact_linalg import (
     vec_sub,
     zero_vector,
 )
+from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import (
     EFixedComponent,
     LiteralTensor,

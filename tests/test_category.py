@@ -5,7 +5,7 @@ import pytest
 
 from lincat import DiagonalForm, build_category, get_complex, trivial_dg, validate_category
 from lincat.category import Category
-from lincat.errors import CompositionError, DimensionError, LincatError
+from lincat.errors import CompositionError, DimensionError, LincatError, ScalarTypeError
 
 from conftest import arrow_category, dual_category, point_category, two_points_category
 
@@ -167,3 +167,18 @@ def test_category_refuses_identity_of_a_missing_object():
     c, labels, comp, identity = arrow_inputs()
     with pytest.raises(DimensionError, match="identity"):
         Category(labels, c.hom_basis, comp, {**identity, 2: {0: Fraction(1)}})
+
+
+def test_build_category_refuses_float_coefficients():
+    # a float is already rounded: read through its repr, 1/3 was stored as 3333333333333333/10**16
+    def one_object(s):
+        return build_category(["x"], {("x", "x"): ["1"]}, {("1", "1"): {"1": s}}, {"x": {"1": 1}})
+
+    for exact in (1, "1", Fraction(1), " 1/1 "):
+        assert one_object(exact).comp[(0, 0, 0)][0][0] == ((0, Fraction(1)),)
+    for inexact in (1 / 3, 1.0, True):
+        with pytest.raises(ScalarTypeError, match="coefficient of '1'"):
+            one_object(inexact)
+    for malformed in ("one", "1/0"):
+        with pytest.raises(DimensionError, match="not a rational scalar"):
+            one_object(malformed)

@@ -23,9 +23,10 @@ from lincat.derham import (
     diagonal_form_from_forms,
     get_complex,
 )
-from lincat.dg import FormMatrix, universal_dg
+from lincat.dg import universal_dg
 from lincat.errors import ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
+from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import ProjectiveModule, direct_sum
 from lincat.tforms import pm_diagonal_trace, tm_power
 from lincat.connection import tilde_curvature

@@ -11,8 +11,9 @@ from lincat.connection import (
     free_connection,
     tilde_curvature,
 )
-from lincat.dg import FormMatrix, block_diag, universal_dg
+from lincat.dg import universal_dg
 from lincat.errors import DimensionError, ModuleError, TruncationError
+from lincat.form_matrix import FormMatrix, block_diag
 from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
 
 from conftest import (

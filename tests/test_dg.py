@@ -19,8 +19,9 @@ from lincat import (
     validate_dg,
 )
 from lincat.category import Category
-from lincat.dg import DGCategory, _generators, _law_violations, _laws_hold_on, _unit_violations
+from lincat.dg import DGCategory, _generators
 from lincat.exact_linalg import Echelon
+from lincat.laws import law_violations, laws_hold_on, unit_violations
 from lincat.errors import DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
@@ -650,10 +651,10 @@ def test_validation_reports_single_corruptions_exactly():
 def test_generator_check_alone_rejects_every_corruption():
     models = {"m2": universal_dg(m2_category(), 2), "two_points": universal_dg(two_points_category(), 3)}
     for name, w in models.items():
-        assert _laws_hold_on(w, _generators(w))
+        assert laws_hold_on(w, _generators(w))
         for spec, _ in CORRUPTIONS[name]:
             v = corrupted(w, spec)
-            assert not _laws_hold_on(v, _generators(v)), (name, spec)
+            assert not laws_hold_on(v, _generators(v)), (name, spec)
 
 
 def test_d_squared_alone_is_detected():
@@ -736,7 +737,7 @@ def test_validation_equals_the_full_enumeration_on_random_corruptions():
     for name, w in models.items():
         failing = 0
         for place, v in single_corruptions(w, rng, 40):
-            full = _unit_violations(v) + _law_violations(v)
+            full = unit_violations(v) + law_violations(v)
             assert validate_dg(v) == full, (name, place)
             failing += bool(full)
         assert failing >= 20, name  # the corruptions are seen, so the fallback ran

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from lincat.dg import Form, FormMatrix
+from lincat.dg import Form
 from lincat.errors import DimensionError, IdempotentError, ModuleError
 from lincat.exact_linalg import rank, unit_vector
+from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import (
     EFixedComponent,
     LiteralTensor,

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from lincat import FormMatrix
-from lincat.dg import ProductAccumulator
 from lincat.errors import DimensionError
+from lincat.form_matrix import ProductAccumulator
 from lincat.workspace import load_fixture
 from lincat.tforms import (
     TildeMatrix,

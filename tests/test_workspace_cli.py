@@ -1,5 +1,6 @@
 import contextlib
 import copy
+from fractions import Fraction
 import io
 import json
 from pathlib import Path
@@ -123,6 +124,9 @@ def test_parse_rejects_malformed_documents():
     broken(lambda d: d["modules"][0].update(family=["ghost"]))
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
         {"coeff": "x", "word": ["1"]}))
+    # a float is refused in the category, even where its value is right
+    broken(lambda d: [p.update(result={"c": 1.0}) for p in d["category"]["products"]
+                      if (p["left"], p["right"]) == ("c", "c")])
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
         {"coeff": "1", "word": ["ghost"]}))
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
@@ -254,6 +258,49 @@ def test_cli_validate_reports_a_broken_category_of_a_universal_workspace(capsys,
     assert code == EXIT_INVALID
     error = json.loads(out)["error"]
     assert (error["kind"], error["violations"]) == ("validation", expected)
+
+
+def test_cli_checks_a_universal_category_once_per_command(capsys, monkeypatch):
+    # parsing a universal workspace checks its category before the
+    # envelope is built; the command reuses that result
+    import lincat.cli
+    import lincat.workspace
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return validate_category(c)
+
+    monkeypatch.setattr(lincat.workspace, "validate_category", counted)
+    monkeypatch.setattr(lincat.cli, "validate_category", counted)
+    for args, checks in [(("validate", "fixture:two_points_universal"), 1),
+                         (("cohomology", "fixture:point_universal"), 1),
+                         (("validate", "fixture:circle_tables"), 1),
+                         (("cohomology", "fixture:dual_numbers_trivial"), 1)]:
+        calls.clear()
+        code, _, _ = run(capsys, *args)
+        assert (code, len(calls)) == (EXIT_OK, checks), args
+    assert load_fixture("two_points_universal").category_violations == []
+    assert load_fixture("circle_tables").category_violations is None
+
+
+def test_json_numbers_are_read_by_their_text():
+    # a JSON number written with a fraction part reads as the exact value of its text
+    doc = base_doc()
+    for p in doc["category"]["products"]:
+        if (p["left"], p["right"]) == ("c", "c"):
+            p["result"] = {"c": 1.0}
+    doc["modules"][0]["idempotent"][0][0][0]["coeff"] = 1.0
+    text = json.dumps(doc)
+    assert serialize_workspace(parse_workspace(text)) == serialize_workspace(load_fixture("two_points_universal"))
+    # c.c = c/2 and c.c = c/10 are categories too; 0.1 is 1/10, not the float nearest to it
+    for literal, value in [("0.5", Fraction(1, 2)), ("0.1", Fraction(1, 10)), ("5e-1", Fraction(1, 2))]:
+        small = dict(json.loads(text), modules=[], connections=[], endomorphisms=[])
+        ws = parse_workspace(json.dumps(small).replace('{"c": 1.0}', '{"c": %s}' % literal))
+        assert ws.category.comp[(0, 0, 0)][1][1] == ((1, value),), literal
+    # a label written as a number keeps its text
+    assert parse_workspace(text.replace('"name": "two_points_universal"', '"name": 1.50')).name == "1.50"
 
 
 def test_cli_machine_output_is_byte_stable(capsys):
