@@ -38,7 +38,6 @@ from .derham import (
     DiagonalForm,
     TildeComplex,
     get_complex,
-    tilde_commutator_ranks,
 )
 from .dg import (
     DGCategory,
@@ -139,7 +138,6 @@ __all__ = [
     "rank_one",
     "render_form",
     "serialize_workspace",
-    "tilde_commutator_ranks",
     "tilde_curvature",
     "trivial_dg",
     "universal_dg",

@@ -44,9 +44,10 @@ from .category import (
     contract,
     product_rows,
     refuse_unread,
+    validate_category,
 )
 from .envelope import universal_tables
-from .errors import CompositionError, DimensionError
+from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
     ONE,
     ZERO,
@@ -415,8 +416,16 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
     The tables come from the chain model of `lincat.envelope`: degree 0
     is the category itself, and every degree n >= 1 is the reduced
     echelon span of the products omega.db, over the degree-(n-1) basis
-    forms omega and the basis arrows b.
+    forms omega and the basis arrows b.  The tables are derived with
+    the category's unit and associativity laws, so a category that fails
+    `validate_category` raises `CategoryAxiomError` first, before any
+    other check and before any chain is built.
     """
+    violations = validate_category(c)
+    if violations:
+        raise CategoryAxiomError(
+            f"category fails {len(violations)} identity check(s); no universal envelope is built", violations
+        )
     if truncation < 1:
         raise DimensionError("truncation degree must be at least 1")
     return DGCategory(c, truncation, *universal_tables(c, truncation))

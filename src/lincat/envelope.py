@@ -21,16 +21,59 @@ Each basis is the reduced echelon basis of its span in a fixed column
 order, which is unique for the span, so composition tensors and
 differentials are reproducible.  The chain vectors are sparse maps, and
 their spans go to the elimination kernel `echelon` as they are.
+
+The span is the only place where chains are multiplied.  Its products
+give two things, and the chain vectors are dropped after them:
+
+* the right multiplications by db: the coordinates of every spanning
+  product omega.db in the degree-n basis;
+* an expression of every degree-n basis row as a combination of
+  spanning products.  A row that is a multiple of one product is
+  written as that product; the other rows come from one augmented
+  elimination over the remaining products.
+
+The tables then follow by linearity from three rules, in the envelope
+of a category (associative, with units):
+
+1. u.(omega.db) = (u.omega).db, so the product block (p, q), q >= 1, is
+   block (p, q-1) followed by the right multiplications;
+2. (omega.db).a = omega.d(ba) - (omega.b).da, so block (p, 0) is block
+   (p-1, 0) together with the right multiplications;
+3. d(a) = 1.da and d(omega.db) = d(omega).db, so the differential out of
+   degree n is that out of degree n-1 followed by them.
+
+Each derived entry is covered by these checks:
+
+* the rules hold in a category only, so `universal_dg` refuses a
+  category that `validate_category` rejects (`CategoryAxiomError`)
+  before any chain is built;
+* the coordinates of every spanning product are substituted back over
+  the chain space (`_Subspace.coordinates`), and every expression is
+  substituted back in coordinates, which with the former makes it an
+  identity of chain vectors; the entries follow from these identities
+  and the rules in exact arithmetic;
+* the tests pin the table digests of six envelopes, and compare the
+  tables of more with a direct fill (one chain merge and substitution
+  per pair of basis forms) that they keep as an oracle.
+
+The contraction sums Python ints over one denominator per block, in
+the manner of `lincat.form_matrix.ProductAccumulator`; each stored
+coefficient becomes a `Fraction` once.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import ONE, ZERO, SparseRow, echelon
+from .exact_linalg import ONE, ZERO, Echelon, SparseRow, echelon
+
+# sparse vectors over one denominator: (D, rows), where rows holds, nested
+# by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
+IntBlock = tuple[int, list]
 
 
 class _ChainSpace:
@@ -45,7 +88,6 @@ class _ChainSpace:
     """
 
     def __init__(self, c: Category, x: int, y: int, interiors: list[tuple[int, ...]]):
-        self.x, self.y = x, y
         self.elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for interior in interiors:
             steps = itertools.pairwise((x,) + interior + (y,))
@@ -97,49 +139,41 @@ class _Subspace:
         return coords
 
 
-def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
-    """The tables (gr_basis, gr_comp, diff) of the universal envelope of `c`.
+class _Chains:
+    """The chain spaces of a category in degrees 0..N, with their product and differential."""
 
-    Degree 0 is the chain space of the arrows themselves, with the unit
-    rows as basis.  Every degree n >= 1, up to `truncation`, is the
-    reduced echelon span of the products omega.db, over the
-    degree-(n-1) basis rows omega and the basis arrows b.  Products and
-    differentials of basis forms are read off as the sparse coordinates
-    of chain vectors in the reduced bases (each re-checked by
-    substitution), in the sparse input format of `DGCategory`.
-    """
-    N = truncation
-    nobj = len(c.objects)
-    objects = range(nobj)
+    def __init__(self, c: Category, truncation: int):
+        self.c = c
+        objects = range(len(c.objects))
+        # the basis arrow that is an object's identity, where there is one
+        self.unit = {x: terms[0][0] for x, terms in c.identity.items() if len(terms) == 1 and terms[0][1] == 1}
+        # chains by a walk: the degree-n interiors from x to y extend the
+        # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
+        self.spaces: dict[tuple[int, int, int], _ChainSpace] = {}
+        for y in objects:
+            tails = {x: [()] for x in objects if c.dim(x, y)}
+            for n in range(truncation + 1):
+                for x in objects:
+                    self.spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []))
+                tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
 
-    # chains by a walk: the degree-n interiors from x to y extend the
-    # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
-    spaces: dict[tuple[int, int, int], _ChainSpace] = {}
-    for y in objects:
-        tails = {x: [()] for x in objects if c.dim(x, y)}
-        for n in range(N + 1):
-            for x in objects:
-                spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []))
-            tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
+    def order(self, n: int, x: int, y: int) -> tuple[int, ...]:
+        """The preferred column order of a chain space: identity arrows in differential slots make a poor pivot."""
+        space, unit = self.spaces[(n, x, y)], self.unit
+        if not unit:
+            return tuple(range(space.dim))
 
-    def is_identity_arrow(x: int, k: int) -> bool:
-        return c.identity[x] == ((k, ONE),)
-
-    def chain_order(space: _ChainSpace) -> tuple[int, ...]:
-        # identity arrows in differential slots make a chain a poor pivot
         def badness(elem) -> int:
             interior, arrows = elem
-            path = (space.x,) + interior + (space.y,)
-            return sum(
-                1 for i in range(1, len(arrows))
-                if path[i] == path[i + 1] and is_identity_arrow(path[i], arrows[i])
-            )
+            path = (x,) + interior + (y,)
+            return sum(1 for i in range(1, len(arrows)) if path[i] == path[i + 1] and unit.get(path[i]) == arrows[i])
         return tuple(sorted(range(space.dim), key=lambda k: (badness(space.elems[k]), k)))
 
-    def merge_vectors(p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
+    def merge(self, p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
         """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector."""
-        u_elems, v_elems = spaces[(p, x, y)].elems, spaces[(q, y, z)].elems
-        out_pos = spaces[(p + q, x, z)].pos
+        compose_basis = self.c.compose_basis
+        u_elems, v_elems = self.spaces[(p, x, y)].elems, self.spaces[(q, y, z)].elems
+        out_pos = self.spaces[(p + q, x, z)].pos
         out: SparseRow = {}
         for ui, uc in u.items():
             u_int, u_arr = u_elems[ui]
@@ -148,14 +182,15 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
                 v_int, v_arr = v_elems[vi]
                 v_first_tgt = v_int[0] if v_int else z
                 interior = u_int + v_int
-                for k, s in c.compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
+                for k, s in compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
                     key = out_pos[(interior, u_arr[:-1] + (k,) + v_arr[1:])]
                     out[key] = out.get(key, ZERO) + uc * vc * s
         return {k: s for k, s in out.items() if s}
 
-    # the differential: alternating identity insertion on chain terms
-    def d_of_chain_vector(n: int, x: int, y: int, v: SparseRow) -> SparseRow:
-        src_elems, out_pos = spaces[(n, x, y)].elems, spaces[(n + 1, x, y)].pos
+    def d(self, n: int, x: int, y: int, v: SparseRow) -> SparseRow:
+        """The differential of a degree-n (x,y) vector: alternating identity insertion."""
+        identity = self.c.identity
+        src_elems, out_pos = self.spaces[(n, x, y)].elems, self.spaces[(n + 1, x, y)].pos
         out: SparseRow = {}
         for idx, s in v.items():
             interior, arrows = src_elems[idx]
@@ -164,103 +199,316 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
                 sign = Fraction(-1 if ins % 2 else 1)
                 obj = path[ins]
                 new_interior = (path[:ins + 1] + (obj,) + path[ins + 1:])[1:n + 2]
-                for k, idcoef in c.identity[obj]:
+                for k, idcoef in identity[obj]:
                     key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
                     out[key] = out.get(key, ZERO) + s * sign * idcoef
         return {k: s for k, s in out.items() if s}
 
-    # one span rule: the unit rows in degree 0, the span of omega.db above
-    sub: dict[tuple[int, int, int], _Subspace] = {}
-    for x in objects:
-        for y in objects:
-            space = spaces[(0, x, y)]
-            sub[(0, x, y)] = _Subspace(space, [{k: ONE} for k in range(space.dim)], chain_order(space))
-    d_arrow = {(z, y): [d_of_chain_vector(0, z, y, {b: ONE}) for b in range(c.dim(z, y))]
-               for z in objects for y in objects}
-    for n in range(1, N + 1):
-        for x in objects:
-            for y in objects:
-                span = (merge_vectors(n - 1, 1, x, z, y, omega, db)
-                        for z in objects for omega in sub[(n - 1, x, z)].rows for db in d_arrow[(z, y)])
-                sub[(n, x, y)] = _Subspace(spaces[(n, x, y)], span, chain_order(spaces[(n, x, y)]))
-
-    # consistency check against the path count: the first step of a path
-    # spans its hom space, every later step the hom space without its identity
-    expected = {(x, y): c.dim(x, y) for x in objects for y in objects}
-    for n in range(1, N + 1):
-        expected = {(x, y): sum(expected[(x, z)] * (c.dim(z, y) - (z == y)) for z in objects)
-                    for x in objects for y in objects}
-        for (x, y), count in expected.items():
-            built = sub[(n, x, y)].dim
-            if built != count:
-                raise LincatError(
-                    f"universal builder: degree-{n} space at ({c.objects[x].label},"
-                    f"{c.objects[y].label}) has dimension {built}, the path-count formula gives {count}"
-                )
-
-    # labels: each basis row is named by its pivot chain, rendered as a
-    # product a0.da1...dan with an identity head elided
-    def render_chain(x: int, y: int, elem: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
-        interior, arrows = elem
+    def label(self, n: int, x: int, y: int, pivot: int) -> str:
+        """A basis row named by its pivot chain: a0.da1...dan, with an identity head elided."""
+        c = self.c
+        interior, arrows = self.spaces[(n, x, y)].elems[pivot]
         path = (x,) + interior + (y,)
         head_label = c.basis_labels(path[0], path[1])[arrows[0]]
-        head_is_unit = path[0] == path[1] and is_identity_arrow(path[0], arrows[0])
+        head_is_unit = path[0] == path[1] and self.unit.get(path[0]) == arrows[0]
         pieces = [] if head_is_unit else [head_label]
         for i in range(1, len(arrows)):
             pieces.append("d" + c.basis_labels(path[i], path[i + 1])[arrows[i]])
         return ".".join(pieces) if pieces else head_label
 
+
+def _integral(vectors) -> IntBlock:
+    """Sparse vectors, each an iterable of (k, s) pairs, over one denominator."""
+    vectors = [tuple(v) for v in vectors]
+    den = lcm(*{s.denominator for v in vectors for _, s in v})
+    return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
+
+
+def _rows(flat: list, width: int) -> list:
+    """A flat list cut into rows of the given width; no rows when it is 0."""
+    return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
+
+
+def _expressions(coords: list[SparseRow], dim: int) -> list[SparseRow]:
+    """Each basis row k as a combination {j: lam} of spanning products, given their coordinates.
+
+    A row that is a multiple of one spanning product is written as the
+    first such product.  The other rows come from one augmented
+    elimination: the remaining products, reduced modulo those multiples,
+    are picked while they are independent, and the echelon basis of the
+    picked rows, augmented by the unit vector of each product, reads off
+    the combinations.  Every combination is substituted back in
+    coordinates.
+    """
+    first: dict[int, tuple[int, Fraction]] = {}  # k -> (j, s): product j is s times row k
+    for j, v in enumerate(coords):
+        if len(v) == 1:
+            ((k, s),) = v.items()
+            first.setdefault(k, (j, s))
+    out: dict[int, SparseRow] = {k: {j: 1 / s} for k, (j, s) in first.items()}
+    missing = dim - len(first)
+    if missing:
+        picked, augmented = Echelon(), []
+        for j, v in enumerate(coords):
+            rest = {k: s for k, s in v.items() if k not in first}
+            if not rest or picked.add(rest) is None:
+                continue
+            row = {**rest, dim + j: ONE}
+            for k, s in v.items():
+                if k in first:
+                    h, t = first[k]
+                    row[dim + h] = row.get(dim + h, ZERO) - s / t
+            augmented.append(row)
+            if len(augmented) == missing:
+                break
+        for r, k in zip(*echelon(augmented, dim + len(coords))):
+            if k < dim:
+                out[k] = {col - dim: s for col, s in r.items() if col >= dim}
+    for k in range(dim):
+        check: SparseRow = {}
+        for j, lam in out.get(k, {}).items():
+            for m, s in coords[j].items():
+                check[m] = check.get(m, ZERO) + lam * s
+        if {m: s for m, s in check.items() if s} != {k: ONE}:
+            raise LincatError(f"universal builder: basis row {k} is not a combination of spanning products")
+    return [out[k] for k in range(dim)]
+
+
+def _settled(den: int, sums: list) -> IntBlock:
+    """Integer sums over `den` as a block: zeros dropped, the common factor of all entries and den cancelled."""
+    rows = [tuple((k, n) for k, n in s.items() if n) for s in sums]
+    if den != 1:
+        g = gcd(den, *(n for r in rows for _, n in r))
+        if g != 1:
+            den //= g
+            rows = [tuple((k, n // g) for k, n in r) for r in rows]
+    return den, rows
+
+
+def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
+    """The tables (gr_basis, gr_comp, diff) of the universal envelope of `c`.
+
+    Degree 0 is the chain space of the arrows themselves, with the unit
+    rows as basis.  Every degree n >= 1, up to `truncation`, is the
+    reduced echelon span of the products omega.db, over the
+    degree-(n-1) basis rows omega and the basis arrows b.  The products
+    and differentials of basis forms follow from the coordinates of
+    those spanning products by the three rules of the module docstring,
+    in the sparse input format of `DGCategory`.  The rules hold in a
+    category only: `c` must pass `validate_category`, which
+    `lincat.dg.universal_dg` checks before it calls this.
+    """
+    gr_basis, dims, right, expr = _spans(c, truncation)
+    return gr_basis, *_derived_tables(c, truncation, dims, right, expr)
+
+
+def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
+    """The bases of every degree, from the span rule, and what the tables need of their spans.
+
+    Returns gr_basis, the dimensions by (n, x, y), and the blocks
+    `right` and `expr` described below.  The chain vectors of a degree
+    are dropped once the next degree has taken its products.
+    """
+    objects = range(len(c.objects))
+    pairs = [(x, y) for x in objects for y in objects]
+    chains = _Chains(c, N)
+    dims = {(0, x, y): c.dim(x, y) for x, y in pairs}
+
+    # right[(n, x, w, y)]: the degree-n coordinates of omega.db, for the
+    # degree-(n-1) basis row omega at (x, w) and the arrow b at (w, y), rows[i][b];
+    # expr[(n, x, y)]: degree-n basis row k as the (w, i, b, coefficient) terms
+    # of a combination of those products, rows[k]
+    right: dict[tuple[int, int, int, int], IntBlock] = {}
+    expr: dict[tuple[int, int, int], IntBlock] = {}
     gr_basis: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
+
+    # one span rule: the unit rows in degree 0, the span of omega.db above;
+    # each degree keeps the chain rows of the degree below only
+    basis = {(x, y): [{k: ONE} for k in range(c.dim(x, y))] for x, y in pairs}
+    d_arrow = {(w, y): [chains.d(0, w, y, {b: ONE}) for b in range(c.dim(w, y))] for w, y in pairs}
     for n in range(1, N + 1):
-        level = {}
+        level, grown = {}, {}
+        for x, y in pairs:
+            # the path count: the first step of a path spans its hom space,
+            # every later step the hom space without its identity
+            expected = sum(dims[(n - 1, x, w)] * (c.dim(w, y) - (w == y)) for w in objects)
+            span = [(w, i, b, chains.merge(n - 1, 1, x, w, y, omega, db))
+                    for w in objects for i, omega in enumerate(basis[(x, w)]) for b, db in enumerate(d_arrow[(w, y)])]
+            sub = _Subspace(chains.spaces[(n, x, y)], (v for *_, v in span), chains.order(n, x, y))
+            dims[(n, x, y)] = sub.dim
+            if sub.dim != expected:
+                raise LincatError(
+                    f"universal builder: degree-{n} space at ({c.objects[x].label},"
+                    f"{c.objects[y].label}) has dimension {sub.dim}, the path-count formula gives {expected}"
+                )
+            coords = [sub.coordinates(v) for *_, v in span]
+            start = 0
+            for w in objects:
+                size = dims[(n - 1, x, w)] * c.dim(w, y)
+                den, flat = _integral(v.items() for v in coords[start:start + size])
+                right[(n, x, w, y)] = den, _rows(flat, c.dim(w, y))
+                start += size
+            expr[(n, x, y)] = _integral(((span[j][:3], lam) for j, lam in e.items())
+                                        for e in _expressions(coords, sub.dim))
+            grown[(x, y)] = sub.rows
+            if sub.dim:
+                names = tuple(chains.label(n, x, y, p) for p in sub.pivots)
+                if len(set(names)) != len(names):
+                    raise LincatError(
+                        f"degree-{n} basis labels collide at ({c.objects[x].label},"
+                        f"{c.objects[y].label}); rename arrows that start with 'd'"
+                    )
+                level[(x, y)] = names
+        gr_basis[n] = level
+        basis = grown
+    return gr_basis, dims, right, expr
+
+
+class _Ints(dict):
+    """Shared `Fraction`s of integers, made on first use."""
+
+    def __missing__(self, n: int) -> Fraction:
+        f = self[n] = Fraction(n)
+        return f
+
+
+def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
+    """gr_comp and diff of the envelope, by the three rules, from the spanning products.
+
+    `dims`, `right` and `expr` are those of `_spans`.  The blocks of one
+    total degree are made from those of the degree below, over one
+    denominator each; the output holds one `Fraction` per stored
+    coefficient, shared between equal integers.
+    """
+    objects = range(len(c.objects))
+    ints = _Ints()
+
+    def as_fractions(den: int, terms) -> dict[int, Fraction]:
+        if den == 1:
+            return {k: ints[n] for k, n in terms}
+        return {k: Fraction(n, den) for k, n in terms}
+
+    def scaled(e_block: IntBlock, dens: dict) -> IntBlock:
+        """Expression terms (w, i, b, n) whose factors at w have denominator dens[w], over one denominator."""
+        e_den, e_rows = e_block
+        L = lcm(*dens.values())
+        return e_den * L, [[(w, i, b, n * (L // dens[w])) for (w, i, b), n in ev] for ev in e_rows]
+
+    def times_db(e_rows: list, vectors: dict, r_blocks: dict) -> list[dict[int, int]]:
+        """For each expression, the sum of n * (vectors[w][i]).db over its terms (w, i, b, n)."""
+        sums = []
+        for ev in e_rows:
+            acc: dict[int, int] = {}
+            for w, i, b, n in ev:
+                rw = r_blocks[w]
+                for k, s in vectors[w][i]:
+                    s *= n
+                    for m, t in rw[k][b]:
+                        acc[m] = acc.get(m, 0) + s * t
+            sums.append(acc)
+        return sums
+
+    base: dict[tuple[int, int, int], IntBlock] = {}  # products of arrows
+    for (x, y, z), block in c.comp.items():
+        den, flat = _integral(terms for row in block for terms in row)
+        base[(x, y, z)] = den, _rows(flat, c.dim(y, z))
+
+    def times_arrows(p: int, x: int, y: int, z: int, below: dict) -> IntBlock:
+        """Block (p, 0): (omega.db).a = omega.d(ba) - (omega.b).da."""
+        e_den, e_rows = expr[(p, x, y)]
+        r_den, r_yz = right[(p, x, y, z)]
+        dens, arrows, r_wz, forms = {}, {}, {}, {}
+        for w in objects:
+            if dims[(p - 1, x, w)] and c.dim(w, y):
+                (ba_den, arrows[w]), (rw_den, r_wz[w]) = base[(w, y, z)], right[(p, x, w, z)]
+                f_den, forms[w] = below[(p - 1, 0, x, w, y)]
+                dens[(w, 0)], dens[(w, 1)] = ba_den * rw_den, f_den * r_den
+        L = lcm(*dens.values())
+        scale = {key: L // d for key, d in dens.items()}
+        sums = []
+        for ev in e_rows:
+            for a in range(c.dim(y, z)):
+                acc: dict[int, int] = {}
+                for (w, i, b), n in ev:
+                    n0, rw = n * scale[(w, 0)], r_wz[w][i]
+                    for k, s in arrows[w][b][a]:
+                        s *= n0
+                        for m, t in rw[k]:
+                            acc[m] = acc.get(m, 0) + s * t
+                    n1 = n * scale[(w, 1)]
+                    for k, s in forms[w][i][b]:
+                        s *= n1
+                        for m, t in r_yz[k][a]:
+                            acc[m] = acc.get(m, 0) - s * t
+                sums.append(acc)
+        den, flat = _settled(e_den * L, sums)
+        return den, _rows(flat, c.dim(y, z))
+
+    def times_forms(p: int, q: int, x: int, y: int, z: int, below: dict) -> IntBlock:
+        """Block (p, q), q >= 1: u.(omega.db) = (u.omega).db."""
+        dens, left, r_wz = {}, {}, {}
+        for w in objects:
+            if dims[(q - 1, y, w)] and c.dim(w, z):
+                (l_den, left[w]), (rw_den, r_wz[w]) = below[(p, q - 1, x, y, w)], right[(p + q, x, w, z)]
+                dens[w] = l_den * rw_den
+        den, e_rows = scaled(expr[(q, y, z)], dens)
+        sums = []
+        for u in range(dims[(p, x, y)]):
+            sums += times_db(e_rows, {w: rows[u] for w, rows in left.items()}, r_wz)
+        den, flat = _settled(den, sums)
+        return den, _rows(flat, dims[(q, y, z)])
+
+    def d_out(n: int, x: int, y: int, below: dict) -> IntBlock:
+        """d out of degree n: d(a) = 1.da, and d(omega.db) = d(omega).db."""
+        if n == 0:
+            # 1.da is the sum of s * (e_k.da) over the identity's terms (k, s)
+            (i_den, (unit,)), (r_den, r_xy) = _integral([c.identity[x]]), right[(1, x, x, y)]
+            return _settled(i_den * r_den, times_db([[(x, k, a, s) for k, s in unit] for a in range(c.dim(x, y))],
+                                                    {x: [((k, 1),) for k in range(c.dim(x, x))]}, {x: r_xy}))
+        dens, d_w, r_wy = {}, {}, {}
+        for w in objects:
+            if dims[(n - 1, x, w)] and c.dim(w, y):
+                (dw_den, d_w[w]), (rw_den, r_wy[w]) = below[(x, w)], right[(n + 1, x, w, y)]
+                dens[w] = dw_den * rw_den
+        den, e_rows = scaled(expr[(n, x, y)], dens)
+        return _settled(den, times_db(e_rows, d_w, r_wy))
+
+    gr_comp: dict[tuple[int, int], dict] = {}
+    diff: dict[int, dict] = {}
+    below = {(0, 0, x, y, z): block for (x, y, z), block in base.items()}  # product blocks, total degree n-1
+    d_below: dict[tuple[int, int], IntBlock] = {}  # differential blocks out of degree n-1
+    for n in range(1, N + 1):
+        # the differential out of degree n-1, through degree-n right multiplications
+        level = diff[n - 1] = {}
+        d_level = {}
         for x in objects:
             for y in objects:
-                s = sub[(n, x, y)]
-                if s.dim:
-                    names = tuple(render_chain(x, y, spaces[(n, x, y)].elems[p]) for p in s.pivots)
-                    if len(set(names)) != len(names):
-                        raise LincatError(
-                            f"degree-{n} basis labels collide at ({c.objects[x].label},"
-                            f"{c.objects[y].label}); rename arrows that start with 'd'"
-                        )
-                    level[(x, y)] = names
-        gr_basis[n] = level
-
-    # composition tensors
-    gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], dict[tuple[int, int], SparseRow]]] = {}
-    for p in range(0, N + 1):
-        for q in range(0, N + 1 - p):
-            if p == 0 and q == 0:
-                continue
-            table: dict[tuple[int, int, int], dict[tuple[int, int], SparseRow]] = {}
+                columns = level[(x, y)] = {}
+                if dims[(n - 1, x, y)]:
+                    den, rows = d_level[(x, y)] = d_out(n - 1, x, y, d_below)
+                    for j, terms in enumerate(rows):
+                        if terms:
+                            columns[j] = as_fractions(den, terms)
+        d_below = d_level
+        # the products of total degree n
+        blocks = {}
+        for p in range(n, -1, -1):
+            q = n - p
+            table = gr_comp[(p, q)] = {}
             for x in objects:
                 for y in objects:
-                    left = sub[(p, x, y)].rows
-                    if not left:
+                    if not dims[(p, x, y)]:
                         continue
                     for z in objects:
-                        right = sub[(q, y, z)].rows
-                        if not right:
+                        if not dims[(q, y, z)]:
                             continue
-                        target = sub[(p + q, x, z)]
-                        block = table[(x, y, z)] = {}
-                        for i, uvec in enumerate(left):
-                            for j, vvec in enumerate(right):
-                                coords = target.coordinates(merge_vectors(p, q, x, y, z, uvec, vvec))
-                                if coords:
-                                    block[(i, j)] = coords
-            gr_comp[(p, q)] = table
-
-    diff: dict[int, dict[tuple[int, int], dict[int, SparseRow]]] = {}
-    for n in range(0, N):
-        level = diff[n] = {}
-        for x in objects:
-            for y in objects:
-                target = sub[(n + 1, x, y)]
-                columns = level[(x, y)] = {}
-                for j, vv in enumerate(sub[(n, x, y)].rows):
-                    coords = target.coordinates(d_of_chain_vector(n, x, y, vv))
-                    if coords:
-                        columns[j] = coords
-
-    return gr_basis, gr_comp, diff
+                        if q:
+                            den, rows = times_forms(p, q, x, y, z, below)
+                        else:
+                            den, rows = times_arrows(p, x, y, z, below)
+                        if n < N:  # the top degree is the last one derived
+                            blocks[(p, q, x, y, z)] = den, rows
+                        table[(x, y, z)] = {(i, j): as_fractions(den, terms)
+                                            for i, row in enumerate(rows) for j, terms in enumerate(row) if terms}
+        below = blocks
+    return gr_comp, diff

@@ -8,6 +8,8 @@ never a user error -- exits 3.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class LincatError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,14 +57,15 @@ class WorkspaceError(LincatError):
 
 
 class CategoryAxiomError(WorkspaceError):
-    """The category of a workspace fails its unit or associativity laws.
+    """A category fails its unit or associativity laws.
 
-    Raised before a universal envelope is built on it, because that
-    construction needs a category; `violations` are the failures that
-    `validate_category` reports, and `workspace` names the document.
+    Raised by `universal_dg` before it builds anything, because the
+    universal envelope needs a category.  `violations` are the failures
+    that `validate_category` reports; `workspace` names the document
+    when a universal-model workspace is parsed, and is None otherwise.
     """
 
-    def __init__(self, message: str, workspace: str, violations: list):
+    def __init__(self, message: str, violations: list, workspace: Optional[str] = None):
         super().__init__(message)
-        self.workspace = workspace
         self.violations = violations
+        self.workspace = workspace

@@ -18,7 +18,9 @@ The stored products come from `DGCategory.integral_products`, one
 denominator per block, and each factor form is put over the lcm of its
 denominators once per `add`.  Tables and forms with integral
 coefficients, the common case, never leave int arithmetic; other
-denominators take the same path with a denominator above 1.
+denominators take the same path with a denominator above 1.  A caller
+that multiplies one factor by several others, as the polynomial
+products of `tforms` do, converts it once (`_integral_entries`).
 """
 
 from __future__ import annotations
@@ -164,19 +166,21 @@ class ProductAccumulator:
         self.dens: list[list[int]] = [[1] * len(self.col_family) for _ in self.row_family]
 
     def add(self, a: FormMatrix, b: FormMatrix, sign: int = 1) -> None:
+        self._add(a, b, _integral_entries(a), _integral_entries(b), sign)
+
+    def _add(self, a: FormMatrix, b: FormMatrix, a_entries: list, b_entries: list, sign: int) -> None:
+        """`add`, with each factor's entries already over one denominator (`_integral_entries`)."""
         if a.col_family != b.row_family:
             raise DimensionError("form matrix product: inner families differ")
         if (a.degree + b.degree, a.row_family, b.col_family) != (self.degree, self.row_family, self.col_family):
             raise DimensionError("form matrix product: factors do not match the accumulated sum")
         integral, p, q = self.w.integral_products, a.degree, b.degree
         cols = [oj.index for oj in b.col_family]
-        b_entries = [[_over_lcm(g.terms) for g in row] for row in b.entries]
-        for oi, a_row, out_row, den_row in zip(a.row_family, a.entries, self.sums, self.dens):
+        for oi, a_row, out_row, den_row in zip(a.row_family, a_entries, self.sums, self.dens):
             x = oi.index
-            for ok, f, b_row in zip(a.col_family, a_row, b_entries):
-                if not f.terms:
+            for ok, (f_den, f_nums), b_row in zip(a.col_family, a_row, b_entries):
+                if not f_nums:
                     continue
-                f_den, f_nums = _over_lcm(f.terms)
                 if sign != 1:
                     f_nums = [(i, sign * n) for i, n in f_nums]
                 y = ok.index
@@ -210,6 +214,11 @@ class ProductAccumulator:
             tuple(Form(deg, oj, oi, _fraction_terms(out, den)) for oj, out, den in zip(cf, row, dens))
             for oi, row, dens in zip(rf, self.sums, self.dens)
         ))
+
+
+def _integral_entries(m: FormMatrix) -> list[list[tuple[int, Sequence[tuple[int, int]]]]]:
+    """The entries of a form matrix, each over one denominator by `_over_lcm`."""
+    return [[_over_lcm(f.terms) for f in row] for row in m.entries]
 
 
 def _over_lcm(terms) -> tuple[int, Sequence[tuple[int, int]]]:

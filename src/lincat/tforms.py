@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .category import ObjectId
 from .dg import DGCategory, Form
 from .errors import DimensionError
-from .form_matrix import FormMatrix, ProductAccumulator
+from .form_matrix import FormMatrix, ProductAccumulator, _integral_entries
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,17 @@ def _pm_products(w: DGCategory, degree: int, row_family, col_family, products) -
     """The sum of sign * a.b over the (a, b, sign) in `products`.
 
     One accumulator per power of t collects every coefficient product,
-    and each power becomes a matrix once at the end.
+    and each power becomes a matrix once at the end.  Each coefficient
+    matrix is put over integer numerators once per product.
     """
     n = max((len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products), default=1)
     acc = [ProductAccumulator(w, degree, row_family, col_family) for _ in range(n)]
     for a, b, sign in products:
+        b_entries = [_integral_entries(mb) for mb in b.coeffs]
         for i, ma in enumerate(a.coeffs):
+            a_entries = _integral_entries(ma)
             for j, mb in enumerate(b.coeffs):
-                acc[i + j].add(ma, mb, sign)
+                acc[i + j]._add(ma, mb, a_entries, b_entries[j], sign)
     return poly_matrix([m.matrix() for m in acc])
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
-from .category import Category, ObjectId, Violation, build_category, validate_category
+from .category import Category, ObjectId, Violation, build_category
 from .connection import Connection, canonical_connection
 from .dg import DGCategory, Form, trivial_dg, universal_dg
 from .errors import CategoryAxiomError, LincatError, WorkspaceError
@@ -149,16 +149,16 @@ class _Parser:
         model = str(_get(fdoc, "model", "forms"))
         if model == "universal":
             truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
-            violations = self.category_violations = validate_category(cat)
-            if violations:
-                raise CategoryAxiomError(
-                    f"category fails {len(violations)} identity check(s); no universal envelope is built",
-                    self.name, violations,
-                )
+            # universal_dg checks the category first; the command reuses the result
             try:
-                return universal_dg(cat, truncation), model
+                w = universal_dg(cat, truncation)
+            except CategoryAxiomError as exc:
+                self.category_violations, exc.workspace = exc.violations, self.name
+                raise
             except LincatError as exc:
                 raise WorkspaceError(f"forms: {exc}") from exc
+            self.category_violations = []
+            return w, model
         if model == "trivial":
             truncation = _int(fdoc.get("truncation", 1), "forms truncation")
             try:

@@ -9,7 +9,8 @@ Four small categories cover the behaviors under test:
 
 Two families scale them up: `matrix_units_category(n)` (M_n, one object
 whose identity is not a basis arrow) and `linear_quiver_category(n)`
-(A_n, n objects in a line).
+(A_n, n objects in a line).  Two tables fail the category axioms:
+`broken_unit_category` and `broken_associativity_category`.
 """
 
 from fractions import Fraction
@@ -102,6 +103,39 @@ def arrow_category():
             ("a", "es"): {"a": 1},
         },
         {"s": {"es": 1}, "t": {"et": 1}},
+    )
+
+
+def broken_unit_category():
+    """The dual numbers with u named as the identity: the unit laws fail."""
+    return build_category(
+        ["x"],
+        {("x", "x"): ["1", "u"]},
+        {
+            ("1", "1"): {"1": 1},
+            ("1", "u"): {"u": 1},
+            ("u", "1"): {"u": 1},
+            ("u", "u"): {},
+        },
+        {"x": {"u": 1}},  # wrong identity element
+    )
+
+
+def broken_associativity_category():
+    """(a.a).a = b.a = 0 while a.(a.a) = a.b = 1."""
+    return build_category(
+        ["x"],
+        {("x", "x"): ["1", "a", "b"]},
+        {
+            ("1", "1"): {"1": 1},
+            ("1", "a"): {"a": 1},
+            ("a", "1"): {"a": 1},
+            ("1", "b"): {"b": 1},
+            ("b", "1"): {"b": 1},
+            ("a", "a"): {"b": 1},
+            ("a", "b"): {"1": 1},
+        },
+        {"x": {"1": 1}},
     )
 
 

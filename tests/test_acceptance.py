@@ -32,10 +32,8 @@ from lincat.connection import (
 )
 from lincat.derham import (
     TildeComplex,
-    commutator_spanning_labeled,
     diagonal_form_from_forms,
     get_complex,
-    tilde_commutator_ranks,
 )
 from lincat.dg import DGCategory, render_form, universal_dg, validate_dg
 from lincat.errors import IdempotentError, TruncationError
@@ -59,6 +57,7 @@ from lincat.module_algebra import (
 from lincat.tforms import pm_diagonal_trace, tm_power
 from lincat.workspace import fixture_names, load_fixture
 
+from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
     bundled_modules,
     dual_category,

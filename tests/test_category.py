@@ -7,7 +7,14 @@ from lincat import DiagonalForm, build_category, get_complex, trivial_dg, valida
 from lincat.category import Category
 from lincat.errors import CompositionError, DimensionError, LincatError, ScalarTypeError
 
-from conftest import arrow_category, dual_category, point_category, two_points_category
+from conftest import (
+    arrow_category,
+    broken_associativity_category,
+    broken_unit_category,
+    dual_category,
+    point_category,
+    two_points_category,
+)
 
 
 def test_fixture_categories_validate():
@@ -50,37 +57,13 @@ def test_identity_coordinates():
 
 
 def test_broken_unit_detected():
-    c = build_category(
-        ["x"],
-        {("x", "x"): ["1", "u"]},
-        {
-            ("1", "1"): {"1": 1},
-            ("1", "u"): {"u": 1},
-            ("u", "1"): {"u": 1},
-            ("u", "u"): {},
-        },
-        {"x": {"u": 1}},  # wrong identity element
-    )
+    c = broken_unit_category()
     kinds = {v.kind for v in validate_category(c)}
     assert "identity-left" in kinds or "identity-right" in kinds
 
 
 def test_broken_associativity_detected():
-    # (a.a).a = b.a = 0 while a.(a.a) = a.b = 1
-    c = build_category(
-        ["x"],
-        {("x", "x"): ["1", "a", "b"]},
-        {
-            ("1", "1"): {"1": 1},
-            ("1", "a"): {"a": 1},
-            ("a", "1"): {"a": 1},
-            ("1", "b"): {"b": 1},
-            ("b", "1"): {"b": 1},
-            ("a", "a"): {"b": 1},
-            ("a", "b"): {"1": 1},
-        },
-        {"x": {"1": 1}},
-    )
+    c = broken_associativity_category()
     kinds = {v.kind for v in validate_category(c)}
     assert "associativity" in kinds
 

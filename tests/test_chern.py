@@ -19,7 +19,6 @@ from lincat.connection import (
 )
 from lincat.derham import (
     TildeComplex,
-    commutator_spanning_labeled,
     diagonal_form_from_forms,
     get_complex,
 )
@@ -31,6 +30,7 @@ from lincat.module_algebra import ProjectiveModule, direct_sum
 from lincat.tforms import pm_diagonal_trace, tm_power
 from lincat.connection import tilde_curvature
 
+from commutator_oracles import commutator_spanning_labeled
 from conftest import (
     bundled_modules,
     dual_category,

@@ -10,16 +10,15 @@ from lincat.chern import certify_cocycle, chern_form
 from lincat.derham import (
     DiagonalForm,
     TildeComplex,
-    commutator_spanning_labeled,
     diagonal_form_from_forms,
     get_complex,
-    tilde_commutator_ranks,
 )
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError, LincatError
 from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
 from lincat.workspace import load_fixture
 
+from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import dense_coords, m2_category, random_scalar, subspace_basis, two_points_category
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
 from test_exact_linalg import dense_rref, dense_solve

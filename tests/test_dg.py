@@ -10,23 +10,28 @@ from lincat import (
     FormMatrix,
     ProjectiveModule,
     block_diag,
+    build_category,
     canonical_connection,
     chern_form,
     render_form,
     tilde_curvature,
     trivial_dg,
     universal_dg,
+    validate_category,
     validate_dg,
 )
 from lincat.category import Category
 from lincat.dg import DGCategory, _generators
 from lincat.exact_linalg import Echelon
 from lincat.laws import law_violations, laws_hold_on, unit_violations
-from lincat.errors import DimensionError, ScalarTypeError
+from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
+from envelope_oracle import direct_tables
 from conftest import (
     arrow_category,
+    broken_associativity_category,
+    broken_unit_category,
     dense_coords,
     dual_category,
     linear_quiver_category,
@@ -303,7 +308,8 @@ def test_universal_rejects_bad_truncation():
 
 
 # sha256 of repr((gr_basis, gr_comp, diff)) of envelopes no fixture
-# covers: identities that are not basis arrows, and more than two objects
+# covers: identities that are not basis arrows, more than two objects,
+# and the fixture categories at higher truncations
 ENVELOPE_DIGESTS = {
     "M2": (lambda: matrix_units_category(2), 3, 156,
            "1e4d19da207f08441c92a660e7cd542ac135fc13a62b122bd49dfab4eba43850"),
@@ -313,6 +319,10 @@ ENVELOPE_DIGESTS = {
            "291e0f1a606d7ebafe47bc95ab40701ff363c083690cd6fe792886fda39a0a10"),
     "A6": (lambda: linear_quiver_category(6), 6, 99,
            "dfcd28d400283b7b5354150248561bd25e73f179fcc80e5f90d1f217a50b6a85"),
+    "two_points": (two_points_category, 8, 16,
+                   "c7af7397861bdb54cc1b5925a381333f9c3bf1c962965ead927fb4e7f09e6105"),
+    "dual": (dual_category, 6, 12,
+             "21dc7c665b8dd91d4f948620a7263c14b59336ae0b76d925cfd1b5d0de13c8d4"),
 }
 
 
@@ -321,6 +331,74 @@ def test_envelope_tables_are_pinned(build, truncation, forms, digest):
     w = universal_dg(build(), truncation)
     assert sum(len(labels) for level in w.gr_basis.values() for labels in level.values()) == forms
     assert hashlib.sha256(repr((w.gr_basis, w.gr_comp, w.diff)).encode()).hexdigest() == digest
+
+
+def fixture_category(name):
+    ws = load_fixture(name)
+    return ws.category, ws.dg.truncation
+
+
+def scaled_matrix_units(n, k):
+    """M_n in the basis a_ij = k e_ij: products k a_ik, identity (a_11 + ... + a_nn) / k."""
+    units = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    return build_category(
+        ["x"],
+        {("x", "x"): units},
+        {(a, b): ({f"a{a[1]}{b[2]}": k} if a[2] == b[1] else {}) for a in units for b in units},
+        {"x": {f"a{i}{i}": Fraction(1, k) for i in range(1, n + 1)}},
+    )
+
+
+def scaled_quiver(n):
+    """A_n in the basis b_ij = p_ij (i + 2) / (j + 3): each object pair brings its own denominators."""
+    lam = {(i, j): Fraction(i + 2, j + 3) for i in range(n) for j in range(i, n)}
+    return build_category(
+        [str(i) for i in range(n)],
+        {(str(j), str(i)): [f"b{i}{j}"] for i, j in lam},
+        {(f"b{j}{k}", f"b{i}{j}"): {f"b{i}{k}": lam[(i, j)] * lam[(j, k)] / lam[(i, k)]}
+         for i, j in lam for k in range(j, n)},
+        {str(i): {f"b{i}{i}": 1 / lam[(i, i)]} for i in range(n)},
+    )
+
+
+# the derived tables against the direct fill, one chain merge per pair of
+# basis forms; each entry makes (category, truncation)
+ORACLE_ENVELOPES = {
+    **{name: (lambda name=name: fixture_category(name)) for name in UNIVERSAL_FIXTURES},
+    **{f"M2-{n}": (lambda n=n: (m2_category(), n)) for n in range(1, 5)},
+    "M3-2": lambda: (matrix_units_category(3), 2),
+    "A4-4": lambda: (linear_quiver_category(4), 4),
+    "A6-6": lambda: (linear_quiver_category(6), 6),
+    "two_points-8": lambda: (two_points_category(), 8),
+    "dual-6": lambda: (dual_category(), 6),
+    # coefficients with denominators: the contraction's lcm and gcd steps
+    "M2-halves-3": lambda: (scaled_matrix_units(2, 2), 3),
+    "A4-scaled-4": lambda: (scaled_quiver(4), 4),
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_ENVELOPES.values(), ids=ORACLE_ENVELOPES.keys())
+def test_derived_tables_equal_the_direct_fill(make):
+    c, truncation = make()
+    w = universal_dg(c, truncation)
+    direct = DGCategory(c, truncation, w.gr_basis, *direct_tables(c, truncation))
+    assert direct.gr_comp == w.gr_comp
+    assert direct.diff == w.diff
+
+
+@pytest.mark.parametrize("build", [broken_unit_category, broken_associativity_category])
+def test_universal_refuses_a_category_that_fails_its_axioms(build, monkeypatch):
+    import lincat.envelope
+
+    c = build()
+    violations = validate_category(c)
+    assert violations
+    # refused before any chain is built
+    monkeypatch.setattr(lincat.envelope, "_Chains", None)
+    with pytest.raises(CategoryAxiomError) as caught:
+        universal_dg(c, 2)
+    assert caught.value.violations == violations
+    assert caught.value.workspace is None
 
 
 # -- sparse storage: compose against dense contraction, validation strength --

@@ -261,10 +261,10 @@ def test_cli_validate_reports_a_broken_category_of_a_universal_workspace(capsys,
 
 
 def test_cli_checks_a_universal_category_once_per_command(capsys, monkeypatch):
-    # parsing a universal workspace checks its category before the
+    # universal_dg checks a universal workspace's category before the
     # envelope is built; the command reuses that result
     import lincat.cli
-    import lincat.workspace
+    import lincat.dg
 
     calls = []
 
@@ -272,7 +272,7 @@ def test_cli_checks_a_universal_category_once_per_command(capsys, monkeypatch):
         calls.append(c)
         return validate_category(c)
 
-    monkeypatch.setattr(lincat.workspace, "validate_category", counted)
+    monkeypatch.setattr(lincat.dg, "validate_category", counted)
     monkeypatch.setattr(lincat.cli, "validate_category", counted)
     for args, checks in [(("validate", "fixture:two_points_universal"), 1),
                          (("cohomology", "fixture:point_universal"), 1),
