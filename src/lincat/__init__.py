@@ -64,7 +64,6 @@ from .form_matrix import FormMatrix, block_diag
 from .module_algebra import (
     DirectSumData,
     EFixedComponent,
-    LiteralTensor,
     ProjectiveModule,
     direct_sum,
     evaluation_pairing,
@@ -102,7 +101,6 @@ __all__ = [
     "InvarianceCertificate",
     "K0Entry",
     "LincatError",
-    "LiteralTensor",
     "MatrixQ",
     "ModuleError",
     "ObjectId",

@@ -13,8 +13,12 @@ and a failure raises `LincatError`.
 
 The commutator rows stay sparse throughout: from the composition
 tensors through the quotient, the closure check and the induced
-differential, with d stored once per degree as sparse columns on the
-ambient diagonal space.
+differential.  d is stored once per degree as sparse columns, on the
+ambient diagonal space and, induced, on the classes (`d_columns`).
+Cohomology runs on those columns through `echelon`: the image of d is
+their span, its kernel is read off the echelon form of the columns
+augmented by unit vectors, and a primitive is a `solve_rows` on their
+transpose.  Classes enter and leave as dense tuples.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -42,20 +46,19 @@ from typing import Optional, Sequence
 from .dg import DGCategory, Form, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
+    ONE,
     ZERO,
-    MatrixQ,
     QuotientSpace,
     SparseRow,
     Vector,
     add_scaled,
     build_quotient,
     densify,
+    echelon,
     is_zero_vector,
-    kernel_basis,
     offsets,
-    row_space_basis,
     scalar,
-    solve_in_span,
+    solve_rows,
     sparse,
     vec_add,
     vec_scale,
@@ -175,9 +178,12 @@ class DeRhamComplex:
         ]
         # d on the ambient diagonal space of each degree, column j holding
         # d of the j-th basis vector; out of the top degree it is zero
-        self._d_columns: list[list[SparseRow]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
+        self._ambient_columns: list[list[SparseRow]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
 
-        self._d_mats: list[MatrixQ] = []
+        # the induced differential, as sparse columns: column k of degree n
+        # is the class of d(e_c), e_c lifting the k-th unit class, indexed
+        # by the classes of degree n + 1; out of the top degree it is zero
+        self.d_columns: list[list[SparseRow]] = []
         for n in range(N):
             qn, qn1 = self.quotients[n], self.quotients[n + 1]
             # the echelon rows span the degree-n commutators and d is linear,
@@ -187,14 +193,13 @@ class DeRhamComplex:
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
-            # column k: the class of d(e_c), e_c lifting the k-th unit class
-            cols = []
-            for c in qn.free_columns:
-                reduced = qn1.reduce_sparse(self._d_columns[n][c])
-                cols.append([reduced.get(f, ZERO) for f in qn1.free_columns])
-            self._d_mats.append(MatrixQ(qn1.dim, qn.dim, tuple(
-                tuple(cols[j][i] for j in range(qn.dim)) for i in range(qn1.dim)
-            )))
+            # reduction leaves entries at free columns only
+            class_index = {c: k for k, c in enumerate(qn1.free_columns)}
+            self.d_columns.append([
+                {class_index[c]: x for c, x in qn1.reduce_sparse(self._ambient_columns[n][c]).items()}
+                for c in qn.free_columns
+            ])
+        self.d_columns.append([{} for _ in range(self.dim(N))])
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
         # the blocks of the objects follow each other in object order, and
@@ -208,7 +213,7 @@ class DeRhamComplex:
     def _ambient_d_sparse(self, n: int, v: SparseRow) -> SparseRow:
         out: SparseRow = {}
         for j, x in v.items():
-            add_scaled(out, x, self._d_columns[n][j])
+            add_scaled(out, x, self._ambient_columns[n][j])
         return out
 
     # -- ambient bookkeeping ----------------------------------------------
@@ -270,29 +275,39 @@ class DeRhamComplex:
             return DiagonalForm(n, tuple(() for _ in range(nobj)))
         return self.diagonal_from_ambient(n, self.quotients[n].lift(coords))
 
-    def d_matrix(self, n: int) -> MatrixQ:
-        """Induced differential on classes, degree n to n + 1."""
-        if n < 0 or n > self.truncation:
-            return MatrixQ.zero(0, 0)
-        if n == self.truncation:
-            return MatrixQ.zero(0, self.dim(n))
-        return self._d_mats[n]
-
     def d_class(self, n: int, coords: Vector) -> Vector:
-        return self.d_matrix(n).apply(coords)
+        """The induced differential on classes, degree n to n + 1."""
+        if len(coords) != self.dim(n):
+            raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        if n < 0 or n > self.truncation:
+            return ()
+        out: SparseRow = {}
+        for x, col in zip(coords, self.d_columns[n]):
+            if x:
+                add_scaled(out, x, col)
+        return densify(out, self.dim(n + 1))
 
     # -- cohomology ----------------------------------------------------------
 
-    def image_basis(self, n: int) -> tuple[Vector, ...]:
-        """Reduced basis of the image of d arriving in degree n."""
+    def image_basis(self, n: int) -> tuple[SparseRow, ...]:
+        """Reduced echelon basis of the image of d arriving in degree n, as sparse rows."""
         if n <= 0 or n > self.truncation:
             return ()
-        prev = self.d_matrix(n - 1)
-        cols = [prev.column(j) for j in range(prev.cols)]
-        return row_space_basis(cols, self.dim(n))
+        return echelon(self.d_columns[n - 1], self.dim(n))[0]
 
-    def kernel_basis_of_d(self, n: int) -> tuple[Vector, ...]:
-        return kernel_basis(self.d_matrix(n))
+    def kernel_basis_of_d(self, n: int) -> tuple[SparseRow, ...]:
+        """Reduced echelon basis of the kernel of d out of degree n, as sparse rows.
+
+        An echelon row of the augmented rows [d(e_k) | e_k] has its pivot
+        in the e-part exactly when its d-part is zero, so the e-parts of
+        those rows lie in the kernel, and they span it.
+        """
+        if n < 0 or n > self.truncation:
+            return ()
+        m = self.dim(n + 1)
+        augmented = ({**col, m + k: ONE} for k, col in enumerate(self.d_columns[n]))
+        rows, pivots = echelon(augmented, m + self.dim(n))
+        return tuple({j - m: x for j, x in row.items()} for row, p in zip(rows, pivots) if p >= m)
 
     def betti(self, n: int) -> int:
         if n < 0 or n > self.truncation:
@@ -307,12 +322,13 @@ class DeRhamComplex:
         """One closed class per cohomology generator, canonically reduced."""
         if n < 0 or n > self.truncation:
             return ()
-        image = build_quotient(self.dim(n), self.image_basis(n))
-        reduced = [image.reduce(v) for v in self.kernel_basis_of_d(n)]
-        reps = row_space_basis([r for r in reduced if not is_zero_vector(r)], self.dim(n))
-        if len(reps) != self.betti(n):
+        image = self.image_basis(n)
+        kernel = self.kernel_basis_of_d(n)
+        quotient = build_quotient(self.dim(n), image)
+        reps, _ = echelon((quotient.reduce_sparse(v) for v in kernel), self.dim(n))
+        if len(reps) != len(kernel) - len(image):
             raise LincatError(f"degree-{n} representative count disagrees with the rank computation")
-        return reps
+        return tuple(densify(r, self.dim(n)) for r in reps)
 
     def is_coboundary(self, n: int, coords: Vector) -> Optional[Vector]:
         """A primitive class one degree lower, or None when there is none.
@@ -326,7 +342,12 @@ class DeRhamComplex:
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
         if n == 0:
             return () if is_zero_vector(coords) else None
-        return solve_in_span(self.d_matrix(n - 1), coords)
+        # the rows of d out of degree n - 1, read off its columns
+        rows: list[SparseRow] = [{} for _ in range(self.dim(n))]
+        for k, col in enumerate(self.d_columns[n - 1]):
+            for i, x in col.items():
+                rows[i][k] = x
+        return solve_rows(rows, self.dim(n - 1), coords)
 
     def euler_characteristics(self) -> tuple[int, int]:
         """Alternating sums of space dimensions and of cohomology ranks."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -50,7 +49,6 @@ from .envelope import universal_tables
 from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
     ONE,
-    ZERO,
     Echelon,
     SparseRow,
     Terms,
@@ -73,7 +71,9 @@ class Form:
 
     `terms` are the nonzero (index, coefficient) pairs of the form in the
     basis of its space, strictly increasing in index, so equal forms
-    have equal terms.
+    have equal terms.  They are trusted, not checked: forms are built by
+    `DGCategory` (`form`, `basis_form`, `compose`, `d`), by `terms_of`
+    and by `ProductAccumulator`, which all keep them sorted and nonzero.
     """
 
     degree: int
@@ -283,11 +283,7 @@ class DGCategory:
     def d(self, f: Form) -> Form:
         n = f.degree
         columns = self.diff.get(n, {}).get((f.cod.index, f.dom.index), ())
-        out: dict[int, Fraction] = {}
-        for j, a in f.terms:
-            for i, s in columns[j]:
-                out[i] = out.get(i, ZERO) + a * s
-        return Form(n + 1, f.dom, f.cod, terms_of(out))
+        return Form(n + 1, f.dom, f.cod, terms_of(contract_into({}, f.terms, columns)))
 
 
 def validate_dg(w: DGCategory) -> list[Violation]:

@@ -6,13 +6,12 @@ echelon form, which is unique for a row space: no pivot is chosen by
 magnitude or by the order of the work, so every derived basis is
 reproducible byte for byte.
 
-Dense vectors are plain tuples of Fractions; matrices are immutable
-tuples of row tuples wrapped in :class:`MatrixQ`, whose entries must be
-Fractions (anything else is refused with `ScalarTypeError`, so no float
-or int ever enters exact arithmetic unnoticed).  Scalars given by a
-caller go through one conversion, `scalar`, which refuses floats.  Sparse vectors come in
-two shapes, because the spaces of the package are mostly zero and exact
-arithmetic on a zero still costs a `Fraction` operation:
+Dense vectors are plain tuples of Fractions: classes of the quotient
+complex enter and leave its methods this way.  Scalars given by a
+caller go through one conversion, `scalar`, which refuses floats.
+Sparse vectors come in two shapes, because the spaces of the package
+are mostly zero and exact arithmetic on a zero still costs a
+`Fraction` operation:
 
 * `Terms`, the immutable shape: a tuple of the nonzero (index,
   coefficient) pairs, strictly increasing in index.  Structure
@@ -28,15 +27,19 @@ arithmetic on a zero still costs a `Fraction` operation:
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
 a caller that grows a span row by row (the generating set of
-`validate_dg`) holds an `Echelon` itself.  Sparse rows enter the
-kernel directly through `build_quotient` (which also accepts dense
-vectors) and `solve_rows` (a linear system given by its sparse rows),
-and `QuotientSpace.reduce_sparse` reduces a sparse vector modulo a
-quotient without densifying it.
-Callers that already hold sparse rows (the envelope's chain subspaces,
-the stratified bracket span) call `echelon` itself.  `rref`,
-`kernel_basis`, `solve_in_span` and `row_space_basis` are the dense
-front doors: they hand the kernel the nonzeros of a dense input.
+`validate_dg`) holds an `Echelon` itself.  `build_quotient` divides by
+the span of sparse rows, `solve_rows` solves a linear system given by
+its sparse rows, and `QuotientSpace.reduce_sparse` reduces a sparse
+vector modulo a quotient without densifying it.  Callers that already
+hold sparse rows (the envelope's chain subspaces, the cohomology of the
+quotient complex, the fixed columns of a module) call `echelon` itself.
+
+`rref` is the one dense front door: it hands the kernel the nonzeros of
+a `MatrixQ`, an immutable dense matrix whose entries must be Fractions
+(anything else is refused with `ScalarTypeError`, so no float or int
+ever enters exact arithmetic unnoticed).  No library module calls it;
+it stays because the benchmark's tracer (`perfbench/tracing.py`) wraps
+`exact_linalg.rref` by name and reads the shape of its `MatrixQ`.
 """
 
 from __future__ import annotations
@@ -138,10 +141,6 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def unit_vector(n: int, k: int) -> Vector:
-    return tuple(ONE if i == k else ZERO for i in range(n))
-
-
 def vec_add(a: Vector, b: Vector) -> Vector:
     if len(a) != len(b):
         raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
@@ -198,80 +197,12 @@ class MatrixQ:
             width = cols
         return cls(len(entries), width, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, tuple(unit_vector(n, i) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
-    def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shapes differ under addition")
-        return MatrixQ(self.rows, self.cols,
-                       tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shapes differ under subtraction")
-        return MatrixQ(self.rows, self.cols,
-                       tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, s) -> "MatrixQ":
-        s = scalar(s)
-        return MatrixQ(self.rows, self.cols, tuple(vec_scale(s, r) for r in self.entries))
-
-    def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            row = [ZERO] * other.cols
-            for k, a in enumerate(ri):
-                if a == 0:
-                    continue
-                rk = other.entries[k]
-                for j, b in enumerate(rk):
-                    if b != 0:
-                        row[j] += a * b
-            out.append(tuple(row))
-        return MatrixQ(self.rows, other.cols, tuple(out))
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionError(f"vector length {len(v)} does not match {self.cols} columns")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        out = [ZERO] * self.rows
-        for i, ri in enumerate(self.entries):
-            acc = ZERO
-            for j, x in support:
-                a = ri[j]
-                if a:
-                    acc += a * x
-            out[i] = acc
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vector(r) for r in self.entries)
-
 
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row echelon form: the nonzero rows, sparse, and their pivots.
 
     `rows[i]` has a 1 in column `pivots[i]`; the rows are read-only.
-    `matrix` is the dense form, padded with zero rows to the input shape.
     """
 
     shape: tuple[int, int]
@@ -281,12 +212,6 @@ class RrefResult:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @cached_property
-    def matrix(self) -> MatrixQ:
-        nrows, ncols = self.shape
-        dense = tuple(densify(r, ncols) for r in self.rows)
-        return MatrixQ(nrows, ncols, dense + (zero_vector(ncols),) * (nrows - len(dense)))
 
 
 def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
@@ -377,40 +302,6 @@ def rref(m: MatrixQ) -> RrefResult:
     return RrefResult((m.rows, m.cols), rows, pivots)
 
 
-def rank(m: MatrixQ) -> int:
-    return rref(m).rank
-
-
-def row_space_basis(rows: Sequence[Vector], width: int) -> tuple[Vector, ...]:
-    """Canonical (reduced echelon) basis of the span of the given rows."""
-    if not rows:
-        return ()
-    res = rref(MatrixQ.from_rows(rows, cols=width))
-    return tuple(densify(r, res.shape[1]) for r in res.rows)
-
-
-def kernel_basis(m: MatrixQ) -> tuple[Vector, ...]:
-    """Basis of the right null space, one vector per free column.
-
-    The free-column construction on the reduced echelon form yields a
-    deterministic basis: for each non-pivot column c the vector has 1 in
-    position c and the negated pivot-row entries above.
-    """
-    res = rref(m)
-    pivot_set = set(res.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for c in free_cols:
-        v = [ZERO] * m.cols
-        v[c] = ONE
-        for row, p in zip(res.rows, res.pivots):
-            x = row.get(c)
-            if x is not None:
-                v[p] = -x
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
     """One exact solution x of A x = b, A given by its sparse rows, or None.
 
@@ -428,16 +319,6 @@ def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> 
     for row, p in zip(echelon_rows, pivots):
         x[p] = row.get(ncols, ZERO)
     return tuple(x)
-
-
-def solve_in_span(m: MatrixQ, b: Vector) -> Optional[Vector]:
-    """One exact solution x of m @ x = b, or None when b is outside the span.
-
-    The dense front door to `solve_rows`.
-    """
-    if len(b) != m.rows:
-        raise DimensionError(f"rhs length {len(b)} does not match {m.rows} rows")
-    return solve_rows([sparse(r) for r in m.entries], m.cols, b)
 
 
 @dataclass(frozen=True)
@@ -496,20 +377,12 @@ class QuotientSpace:
         return tuple(out)
 
 
-def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | Vector]) -> QuotientSpace:
-    """The quotient by the span of the given rows, sparse maps or dense vectors."""
-    rows, pivots = echelon((_sparse_row(r, ambient_dim) for r in spanning), ambient_dim)
+def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow]) -> QuotientSpace:
+    """The quotient by the span of the given sparse rows."""
+    rows, pivots = echelon(spanning, ambient_dim)
     pivot_set = set(pivots)
     free_cols = tuple(c for c in range(ambient_dim) if c not in pivot_set)
     return QuotientSpace(ambient_dim, rows, pivots, free_cols)
-
-
-def _sparse_row(row: SparseRow | Vector, width: int) -> SparseRow:
-    if isinstance(row, dict):
-        return row
-    if len(row) != width:
-        raise DimensionError(f"vector length {len(row)} does not match ambient {width}")
-    return sparse(vec(row))
 
 
 def parse_scalar(text: str) -> Fraction:

@@ -5,40 +5,33 @@ degree-0 form matrix e over that family; the module is the image of e
 acting on columns.  Generators are the columns of e, dual generators
 its rows, and endomorphisms are matrices U with U = e.U.e.
 
-Two models of the module tensored with degree-n forms are implemented:
-
-* the column model: columns of degree-n forms fixed by e, computed as
-  the kernel of (e - 1) acting blockwise;
-* the literal model: the direct sum of fiber (x) form tensor products
-  modulo the bimodule relations v.f (x) w = v (x) f.w.
-
-They are canonically isomorphic; the isomorphism is constructed
-explicitly so tests can verify it is bijective and natural rather than
-taking the equivalence on faith.
+The module tensored with degree-n forms is modelled by columns: at
+each anchor object, the columns of degree-n forms fixed by e
+(`EFixedComponent`).  Since e is idempotent, the kernel of (e - 1) is
+the image of e, so the fixed columns are spanned by the e-images of the
+basis columns, and their basis is the `echelon` basis of those images.
+The literal model, fibers tensored with forms modulo the bimodule
+relations v.f (x) w = v (x) f.w, is canonically isomorphic; it lives in
+`tests/module_oracles.py`, where the tests check that the isomorphism
+is bijective rather than taking the equivalence on faith.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import ObjectId
-from .dg import DGCategory, Form
+from .dg import DGCategory
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
 from .exact_linalg import (
-    MatrixQ,
-    QuotientSpace,
-    Terms,
+    ZERO,
+    SparseRow,
     Vector,
-    build_quotient,
+    add_scaled,
     densify,
-    kernel_basis,
+    echelon,
     offsets,
-    row_space_basis,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 from .form_matrix import FormMatrix, block_diag
 
@@ -201,8 +194,10 @@ class EFixedComponent:
     """Columns of degree-n forms anchored at one object and fixed by e.
 
     The coordinate space stacks the form coordinates of the blocks
-    `hom-forms(family[i], anchor)`; the subspace basis is the kernel of
-    (e - 1) acting blockwise, in reduced echelon form.
+    `hom-forms(family[i], anchor)`.  Since e is idempotent, the columns
+    it fixes, the kernel of (e - 1), are exactly its image, so the
+    subspace basis `rows` is the reduced echelon basis of the e-images
+    of the basis columns, as sparse rows.
     """
 
     def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
@@ -213,44 +208,30 @@ class EFixedComponent:
         fam = module.family
         self.block_dims = tuple(w.dim(degree, o.index, anchor.index) for o in fam)
         self.offsets = offsets(self.block_dims)
-        self.total_dim = total = sum(self.block_dims)
+        self.total_dim = sum(self.block_dims)
 
-        if total == 0:
-            self.rows: tuple[Vector, ...] = ()
-        else:
-            entries = []
-            for i in range(len(fam)):
-                for r in range(self.block_dims[i]):
-                    entries.append([Fraction(0)] * total)
-            # matrix of (e - 1) acting on stacked coordinates
-            for j, oj in enumerate(fam):
-                for cidx in range(self.block_dims[j]):
-                    colvec = [Fraction(0)] * total
-                    basis = w.basis_form(degree, anchor, oj, cidx)
-                    for i, oi in enumerate(fam):
-                        image = w.compose(module.idempotent.entries[i][j], basis)
-                        for k, s in image.terms:
-                            colvec[self.offsets[i] + k] += s
-                    colvec[self.offsets[j] + cidx] -= 1
-                    for r in range(total):
-                        entries[r][self.offsets[j] + cidx] = colvec[r]
-            mat = MatrixQ(total, total, tuple(tuple(r) for r in entries))
-            self.rows = row_space_basis(kernel_basis(mat), total)
-        self.pivots = tuple(next(j for j, v in enumerate(r) if v != 0) for r in self.rows)
+        images: list[SparseRow] = []
+        for j, oj in enumerate(fam):
+            for cidx in range(self.block_dims[j]):
+                basis = w.basis_form(degree, anchor, oj, cidx)
+                image: SparseRow = {}
+                for i in range(len(fam)):
+                    for k, s in w.compose(module.idempotent.entries[i][j], basis).terms:
+                        image[self.offsets[i] + k] = s
+                images.append(image)
+        self.rows, self.pivots = echelon(images, self.total_dim)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def ambient_of_column(self, u: FormMatrix) -> Vector:
+    def ambient_of_column(self, u: FormMatrix) -> SparseRow:
+        """The stacked coordinates of a column, as a sparse row."""
         if u.col_family != (self.anchor,) or u.row_family != self.module.family:
             raise DimensionError("column does not match this component")
         if u.degree != self.degree:
             raise DimensionError("column degree does not match this component")
-        out: list[Fraction] = []
-        for i, d in enumerate(self.block_dims):
-            out.extend(densify(u.entries[i][0].terms, d))
-        return tuple(out)
+        return {off + k: s for off, (f,) in zip(self.offsets, u.entries) for k, s in f.terms}
 
     def column_of_ambient(self, v: Vector) -> FormMatrix:
         w = self.module.w
@@ -261,114 +242,16 @@ class EFixedComponent:
         return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
 
     def basis_column(self, k: int) -> FormMatrix:
-        return self.column_of_ambient(self.rows[k])
+        return self.column_of_ambient(densify(self.rows[k], self.total_dim))
 
     def coordinates(self, u: FormMatrix) -> Vector:
         """Coordinates of an e-fixed column in the reduced basis."""
         v = self.ambient_of_column(u)
-        coords = tuple(v[p] for p in self.pivots)
-        check = zero_vector(self.total_dim)
+        coords = tuple(v.get(p, ZERO) for p in self.pivots)
+        check: SparseRow = {}
         for s, row in zip(coords, self.rows):
-            if s != 0:
-                check = vec_add(check, vec_scale(s, row))
+            if s:
+                add_scaled(check, s, row)
         if check != v:
             raise ModuleError("column is not fixed by the module idempotent")
         return coords
-
-
-# ---------------------------------------------------------------------------
-# the literal tensor model
-
-
-class LiteralTensor:
-    """Fibers tensored with forms, modulo the actual bimodule relations.
-
-    Serves as an independent oracle for the column model: same
-    dimensions, and `iso_matrix` carries the column basis to classes of
-    generator (x) form tensors bijectively.
-    """
-
-    def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
-        self.module = module
-        self.degree = degree
-        self.anchor = anchor
-        w = module.w
-        nobj = len(w.base.objects)
-        self.fibers = [EFixedComponent(module, 0, o) for o in w.base.objects]
-
-        self.block_dims = tuple(
-            self.fibers[z].dim * w.dim(degree, z, anchor.index) for z in range(nobj)
-        )
-        self.offsets = offsets(self.block_dims)
-        self.total_dim = total = sum(self.block_dims)
-
-        spanning: list[Vector] = []
-        for z in range(nobj):
-            fib = self.fibers[z]
-            if fib.dim == 0:
-                continue
-            oz = w.base.objects[z]
-            for z2 in range(nobj):
-                oz2 = w.base.objects[z2]
-                fib2 = self.fibers[z2]
-                for fidx in range(w.base.dim(z, z2)):
-                    f = w.basis_form(0, oz2, oz, fidx)
-                    for uidx in range(fib.dim):
-                        moved = self._act_right(fib.basis_column(uidx), f)
-                        moved_coords = fib2.coordinates(moved)
-                        for widx in range(w.dim(degree, z2, anchor.index)):
-                            omega = w.basis_form(degree, anchor, oz2, widx)
-                            rel = [Fraction(0)] * total
-                            # v.f (x) w at the fiber over z2
-                            for k, s in enumerate(moved_coords):
-                                if s != 0:
-                                    rel[self._pos(z2, k, widx)] += s
-                            # minus v (x) f.w at the fiber over z
-                            fw = w.compose(f, omega)
-                            for k, s in fw.terms:
-                                rel[self._pos(z, uidx, k)] -= s
-                            spanning.append(tuple(rel))
-        self.quotient: QuotientSpace = build_quotient(total, spanning)
-
-    def _pos(self, z: int, fiber_index: int, form_index: int) -> int:
-        w = self.module.w
-        return self.offsets[z] + fiber_index * w.dim(self.degree, z, self.anchor.index) + form_index
-
-    def _act_right(self, column: FormMatrix, f: Form) -> FormMatrix:
-        w = self.module.w
-        rows = tuple((w.compose(column.entries[i][0], f),) for i in range(len(column.row_family)))
-        return FormMatrix(column.degree + f.degree, column.row_family, (f.dom,), rows)
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def class_of_tensor(self, z: int, fiber_coords: Vector, form_terms: Terms) -> Vector:
-        amb = [Fraction(0)] * self.total_dim
-        for k, s in enumerate(fiber_coords):
-            if s == 0:
-                continue
-            for l, t in form_terms:
-                amb[self._pos(z, k, l)] += s * t
-        return self.quotient.coset_coordinates(tuple(amb))
-
-    def iso_matrix(self, column_model: EFixedComponent) -> MatrixQ:
-        """Map the column-model basis into tensor classes: u -> sum m_i (x) u_i."""
-        w = self.module.w
-        fam = self.module.family
-        gen_coords = []
-        for i, oi in enumerate(fam):
-            gen_coords.append(self.fibers[oi.index].coordinates(self.module.generator(i)))
-        cols = []
-        for k in range(column_model.dim):
-            u = column_model.basis_column(k)
-            acc = zero_vector(self.dim)
-            for i, oi in enumerate(fam):
-                ui = u.entries[i][0]
-                if ui.is_zero():
-                    continue
-                acc = vec_add(acc, self.class_of_tensor(oi.index, gen_coords[i], ui.terms))
-            cols.append(acc)
-        return MatrixQ(self.dim, column_model.dim, tuple(
-            tuple(cols[j][i] for j in range(column_model.dim)) for i in range(self.dim)
-        ))

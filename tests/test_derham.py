@@ -15,13 +15,13 @@ from lincat.derham import (
 )
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError, LincatError
-from lincat.exact_linalg import MatrixQ, is_zero_vector, vec, zero_vector
-from lincat.workspace import load_fixture
+from lincat.exact_linalg import MatrixQ, densify, is_zero_vector, vec, zero_vector
+from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import dense_coords, m2_category, random_scalar, subspace_basis, two_points_category
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
-from test_exact_linalg import dense_rref, dense_solve
+from test_exact_linalg import dense_kernel, dense_rref, dense_solve
 
 
 def random_class(rh, n, rng):
@@ -271,7 +271,8 @@ def dense_d_matrix(w, n, quotient_n, quotient_n1):
         out = [r[c] for r in d]
         for row, p in zip(rows1, pivots1):
             f = out[p]
-            out = [a - f * b for a, b in zip(out, row)]
+            if f:
+                out = [a - f * b for a, b in zip(out, row)]
         cols.append([out[k] for k in free1])
     return tuple(tuple(col[i] for col in cols) for i in range(len(free1)))
 
@@ -286,7 +287,10 @@ def test_quotient_complex_matches_dense_path():
             assert (subspace_basis(q), q.pivots, q.free_columns) == (rows, pivots, free), n
         for n in range(w.truncation):
             expected = dense_d_matrix(w, n, quotients[n], quotients[n + 1])
-            assert rh.d_matrix(n).entries == expected, n
+            columns = [densify(c, rh.dim(n + 1)) for c in rh.d_columns[n]]
+            assert len(columns) == rh.dim(n)
+            assert tuple(tuple(c[i] for c in columns) for i in range(rh.dim(n + 1))) == expected, n
+        assert rh.d_columns[w.truncation] == [{}] * rh.dim(w.truncation)
 
 
 def test_m2_cocycle_certificate_matches_dense_solve():
@@ -302,10 +306,78 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     (omega,) = chern_form(conn, 1)
     target = tuple(sum((s * a for s, a in zip(r, dense_coords(w, omega))), Fraction(0)) for r in dense_ambient_d(w, 2))
     labeled = commutator_spanning_labeled(w, 3)
-    columns = MatrixQ(len(labeled), len(target), tuple(v for v, _ in labeled)).transpose()
+    columns = MatrixQ(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
     solution = dense_solve(columns, target)
     assert solution is not None
     expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
     assert [(t.index, t.coefficient, t.label) for t in cert.terms] == expected
     assert cert.spanning_size == len(labeled) == 1728
     assert len(expected) > 10
+
+
+# -- cohomology against dense elimination on the class-level differential ----
+
+
+def dense_class_d(w, rh, n):
+    """The induced differential out of degree n, densely, from the library's quotients."""
+    if n == w.truncation:
+        return MatrixQ(0, rh.dim(n), ())
+    qn, qn1 = ((subspace_basis(q), q.pivots, q.free_columns) for q in rh.quotients[n:n + 2])
+    entries = dense_d_matrix(w, n, qn, qn1)
+    return MatrixQ(rh.dim(n + 1), rh.dim(n), entries)
+
+
+def dense_cohomology(mats, n):
+    """(betti, representatives) of degree n, by dense row reduction alone.
+
+    `mats[k]` is the dense induced differential out of degree k.
+    """
+    width = mats[n].cols
+    kernel = dense_kernel(mats[n])
+    image = ()
+    if n > 0:
+        prev = mats[n - 1]
+        cols = tuple(tuple(r[j] for r in prev.entries) for j in range(prev.cols))
+        rows, pivots = dense_rref(MatrixQ(len(cols), width, cols))
+        image = tuple(zip(rows, pivots))
+    reduced = []
+    for v in kernel:
+        for row, p in image:
+            if v[p]:
+                v = tuple(a - v[p] * b for a, b in zip(v, row))
+        if any(v):
+            reduced.append(v)
+    reps = ()
+    if reduced:
+        rows, pivots = dense_rref(MatrixQ(len(reduced), width, tuple(reduced)))
+        reps = tuple(rows[:len(pivots)])
+    return len(kernel) - len(image), reps
+
+
+def test_cohomology_matches_dense_path():
+    # betti numbers, representatives and primitives against a dense path
+    # that shares no elimination with the sparse one
+    rng = random.Random(76)
+    models = [load_fixture(name).dg for name in fixture_names()]
+    models += [universal_dg(m2_category(), 3), universal_dg(m2_category(), 4)]
+    solved = refused = 0
+    for w in models:
+        rh = get_complex(w)
+        mats = [dense_class_d(w, rh, n) for n in range(w.truncation + 1)]
+        for n in range(w.truncation + 1):
+            betti, reps = dense_cohomology(mats, n)
+            assert rh.betti(n) == betti, n
+            assert rh.harmonic_representatives(n) == reps, n
+            if n == 0:
+                continue
+            units = [tuple(Fraction(int(i == k)) for i in range(rh.dim(n))) for k in range(rh.dim(n))]
+            exact = [rh.d_class(n - 1, random_class(rh, n - 1, rng)) for _ in range(3)]
+            for target in units + exact + list(reps):
+                got = rh.is_coboundary(n, target)
+                assert got == dense_solve(mats[n - 1], target), n
+                if got is None:
+                    refused += 1
+                else:
+                    assert rh.d_class(n - 1, got) == target
+                    solved += 1
+    assert (solved, refused) == (92, 73)

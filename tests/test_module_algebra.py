@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from lincat.dg import Form
+from lincat.dg import universal_dg
 from lincat.errors import DimensionError, IdempotentError, ModuleError
-from lincat.exact_linalg import rank, unit_vector
+from lincat.exact_linalg import densify, rref
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import (
     EFixedComponent,
-    LiteralTensor,
     ProjectiveModule,
     direct_sum,
     evaluation_pairing,
@@ -17,14 +16,18 @@ from lincat.module_algebra import (
     rank_one,
 )
 
+from lincat.workspace import fixture_names, load_fixture
+
 from conftest import (
     bundled_modules,
     dual_projective,
     graph_module,
     line_module,
+    m2_category,
     projective_two_points,
     random_form_matrix,
 )
+from module_oracles import LiteralTensor, dense_fixed_rows
 
 
 def random_endomorphism(w, m, rng):
@@ -158,7 +161,7 @@ def test_column_model_matches_tensor_model(dual5, two5, arrow3):
                 assert ef.dim == lt.dim
                 if ef.dim:
                     iso = lt.iso_matrix(ef)
-                    assert rank(iso) == ef.dim
+                    assert rref(iso).rank == ef.dim
 
 
 def test_tensor_model_relations(two5):
@@ -186,10 +189,38 @@ def test_column_model_coordinates(dual5):
     for n in (0, 1, 2):
         ef = EFixedComponent(m, n, x)
         for k in range(ef.dim):
-            assert ef.coordinates(ef.basis_column(k)) == unit_vector(ef.dim, k)
+            assert ef.coordinates(ef.basis_column(k)) == tuple(Fraction(int(i == k)) for i in range(ef.dim))
     ef0 = EFixedComponent(m, 0, x)
     one = w.basis_form(0, x, x, 0)
     zero = w.zero_form(0, x, x)
     loose = FormMatrix(0, m.family, (x,), ((zero,), (one,)))
     with pytest.raises(ModuleError):
         ef0.coordinates(loose)
+
+
+def m2_modules(truncation):
+    """A rank-one idempotent and the free module of rank two over M2."""
+    w = universal_dg(m2_category(), truncation)
+    x = w.base.objects[0]
+    e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, (2, -2, 1, -1)),),))
+    return [ProjectiveModule(w, "P", e), ProjectiveModule.free(w, "F", (x, x))]
+
+
+def test_fixed_columns_match_the_dense_kernel_of_e_minus_one():
+    # the echelon basis of the e-images is the reduced basis of ker(e - 1)
+    modules = [m for name in fixture_names() for m in load_fixture(name).modules.values()]
+    modules += m2_modules(3) + m2_modules(4)
+    compared = nonzero = 0
+    for m in modules:
+        w = m.w
+        for n in range(w.truncation + 1):
+            for anchor in w.base.objects:
+                ef = EFixedComponent(m, n, anchor)
+                expected = dense_fixed_rows(m, n, anchor)
+                assert tuple(densify(r, ef.total_dim) for r in ef.rows) == expected, (m.name, n, anchor)
+                assert ef.pivots == tuple(next(j for j, s in enumerate(r) if s) for r in expected)
+                for k in range(ef.dim):
+                    assert ef.coordinates(ef.basis_column(k)) == tuple(Fraction(int(i == k)) for i in range(ef.dim))
+                compared += 1
+                nonzero += ef.dim > 0
+    assert (compared, nonzero) == (73, 56)
