@@ -35,7 +35,6 @@ from .connection import (
 )
 from .derham import (
     DeRhamComplex,
-    DiagonalForm,
     TildeComplex,
     get_complex,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Connection",
     "DGCategory",
     "DeRhamComplex",
-    "DiagonalForm",
     "DimensionError",
     "DirectSumData",
     "EFixedComponent",

@@ -30,20 +30,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .connection import Connection, canonical_connection, tilde_curvature
-from .derham import (
-    TildeComplex,
-    diagonal_form_from_forms,
-    get_complex,
-)
+from .derham import TildeComplex, get_complex
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
 from .exact_linalg import (
     SparseRow,
     Vector,
     add_scaled,
+    densify,
     is_zero_vector,
     solve_rows,
-    sparse,
     vec_sub,
     zero_vector,
 )
@@ -110,8 +106,8 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
             f"certifying the degree-{2 * q} character needs truncation at least {degree}"
         )
     rh = get_complex(w)
-    omega = diagonal_form_from_forms(w, 2 * q, chern_form(conn, q))
-    target = rh.ambient_d(2 * q, rh.ambient_vector(omega))
+    omega = rh.ambient_row(2 * q, chern_form(conn, q))
+    target = rh.ambient_d(2 * q, omega)
 
     # the system has one sparse row per ambient coordinate and one column
     # per commutator of the spanning set
@@ -120,7 +116,7 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     for j, (v, _) in enumerate(labeled):
         for i, s in v.items():
             rows[i][j] = s
-    solution = solve_rows(rows, len(labeled), target)
+    solution = solve_rows(rows, len(labeled), densify(target, len(rows)))
     if solution is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
@@ -130,9 +126,9 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     for (v, _), s in zip(labeled, solution):
         if s:
             add_scaled(combination, s, v)
-    if combination != sparse(target):
+    if combination != target:
         raise CertificationError("commutator combination failed re-substitution")
-    if not is_zero_vector(rh.d_class(2 * q, rh.class_of(omega))):
+    if not is_zero_vector(rh.d_class(2 * q, rh.quotients[2 * q].coset_coordinates(omega))):
         raise CertificationError("character class is not closed despite the commutator combination")
     terms = tuple(
         CommutatorTerm(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0

@@ -11,14 +11,18 @@ commutators to commutators exactly when it maps those rows into the
 next commutator subspace.  Each of them is checked, in exact arithmetic,
 and a failure raises `LincatError`.
 
-The commutator rows stay sparse throughout: from the composition
-tensors through the quotient, the closure check and the induced
-differential.  d is stored once per degree as sparse columns, on the
-ambient diagonal space and, induced, on the classes (`d_columns`).
-Cohomology runs on those columns through `echelon`: the image of d is
-their span, its kernel is read off the echelon form of the columns
-augmented by unit vectors, and a primitive is a `solve_rows` on their
-transpose.  Classes enter and leave as dense tuples.
+An ambient diagonal vector of degree n (the degree-n endomorphism
+forms of all objects, stacked at `component_offsets[n]`) is a sparse
+row, and so is every commutator.  A trace form enters by its terms
+(`ambient_row`), d maps sparse rows to sparse rows (`ambient_d`), and a
+class is read off the reduced row at the free columns of the quotient
+(`class_of_trace`, and `render_class` the other way).  d is stored once
+per degree as sparse columns, on the ambient diagonal space and,
+induced, on the classes (`d_columns`).  Cohomology runs on those
+columns through `echelon`: the image of d is their span, its kernel is
+read off the echelon form of the columns augmented by unit vectors, and
+a primitive is a `solve_rows` on their transpose.  Classes enter and
+leave as dense tuples of coordinates.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -59,53 +63,11 @@ from .exact_linalg import (
     offsets,
     scalar,
     solve_rows,
-    sparse,
     vec_add,
     vec_scale,
     vec_sub,
     zero_vector,
 )
-
-# ---------------------------------------------------------------------------
-# diagonal forms
-
-
-@dataclass(frozen=True)
-class DiagonalForm:
-    """One degree-n endomorphism form per object, as raw coordinates."""
-
-    degree: int
-    components: tuple[Vector, ...]
-
-    def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
-        if self.degree != other.degree or len(self.components) != len(other.components):
-            raise DimensionError("diagonal form addition: type mismatch")
-        return DiagonalForm(self.degree, tuple(vec_add(a, b) for a, b in zip(self.components, other.components)))
-
-    def scale(self, s) -> "DiagonalForm":
-        s = scalar(s)
-        return DiagonalForm(self.degree, tuple(vec_scale(s, c) for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vector(c) for c in self.components)
-
-
-def diagonal_form_from_forms(w: DGCategory, degree: int, forms: Sequence[Form]) -> DiagonalForm:
-    """Package per-object endomorphism forms, validating their types."""
-    return _diagonal_form(tuple(w.dim(degree, x, x) for x in range(len(w.base.objects))), degree, forms)
-
-
-def _diagonal_form(dims: Sequence[int], degree: int, forms: Sequence[Form]) -> DiagonalForm:
-    """`diagonal_form_from_forms`, given the dimension of each object's degree-n forms."""
-    if len(forms) != len(dims):
-        raise DimensionError("need one component per object")
-    comps = []
-    for x, f in enumerate(forms):
-        if f.degree != degree or f.dom.index != x or f.cod.index != x:
-            raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
-        comps.append(densify(f.terms, dims[x]))
-    return DiagonalForm(degree, tuple(comps))
-
 
 # ---------------------------------------------------------------------------
 # the quotient complex
@@ -189,7 +151,7 @@ class DeRhamComplex:
             # the echelon rows span the degree-n commutators and d is linear,
             # so d preserves commutators exactly when it does on these rows
             for row in qn.rows:
-                if qn1.reduce_sparse(self._ambient_d_sparse(n, row)):
+                if qn1.reduce_sparse(self.ambient_d(n, row)):
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
@@ -210,44 +172,37 @@ class DeRhamComplex:
             columns.extend({off1 + i: s for i, s in col} for col in w.diff[n].get((x, x), ()))
         return columns
 
-    def _ambient_d_sparse(self, n: int, v: SparseRow) -> SparseRow:
-        out: SparseRow = {}
-        for j, x in v.items():
-            add_scaled(out, x, self._ambient_columns[n][j])
-        return out
-
-    # -- ambient bookkeeping ----------------------------------------------
+    # -- ambient diagonal vectors -----------------------------------------
 
     def ambient_dim(self, n: int) -> int:
         if n < 0 or n > self.truncation:
             return 0
         return sum(self.component_dims[n])
 
-    def ambient_d(self, n: int, v: Vector) -> Vector:
-        """Apply d componentwise to an ambient diagonal vector of degree n."""
-        if len(v) != self.ambient_dim(n):
-            raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient_dim(n)}")
-        return densify(self._ambient_d_sparse(n, sparse(v)), self.ambient_dim(n + 1))
+    def ambient_row(self, degree: int, forms: Sequence[Form]) -> SparseRow:
+        """The ambient diagonal vector of one degree-n endomorphism form per object, as a sparse row."""
+        if len(forms) != len(self.base.objects):
+            raise DimensionError("need one component per object")
+        for x, f in enumerate(forms):
+            if f.degree != degree or f.dom.index != x or f.cod.index != x:
+                raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
+        if degree < 0 or degree > self.truncation:
+            # no forms live there, so every component is zero
+            return {}
+        return {off + k: s for off, f in zip(self.component_offsets[degree], forms) for k, s in f.terms}
 
-    def ambient_vector(self, df: DiagonalForm) -> Vector:
-        n = df.degree
-        if n < 0 or n > self.truncation:
-            if all(len(c) == 0 for c in df.components):
-                return ()
-            raise DimensionError("diagonal form above the truncation degree must be zero")
-        out: list[Fraction] = []
-        for x, comp in enumerate(df.components):
-            if len(comp) != self.component_dims[n][x]:
-                raise DimensionError(f"component {x} has wrong length for degree {n}")
-            out.extend(comp)
-        return tuple(out)
-
-    def diagonal_from_ambient(self, n: int, v: Vector) -> DiagonalForm:
-        comps = []
-        for x in range(len(self.base.objects)):
-            off, d = self.component_offsets[n][x], self.component_dims[n][x]
-            comps.append(tuple(v[off:off + d]))
-        return DiagonalForm(n, tuple(comps))
+    def ambient_d(self, n: int, v: SparseRow) -> SparseRow:
+        """Apply d componentwise to an ambient diagonal vector of degree n, a sparse row."""
+        if not v:
+            return {}
+        if not 0 <= n <= self.truncation or min(v) < 0 or max(v) >= len(self._ambient_columns[n]):
+            raise DimensionError(f"sparse vector has a column outside the ambient space of degree {n}")
+        columns = self._ambient_columns[n]
+        out: SparseRow = {}
+        for j, x in v.items():
+            if x:
+                add_scaled(out, x, columns[j])
+        return out
 
     # -- classes ------------------------------------------------------------
 
@@ -256,24 +211,12 @@ class DeRhamComplex:
             return 0
         return self.quotients[n].dim
 
-    def class_of(self, df: DiagonalForm) -> Vector:
-        n = df.degree
-        if n < 0 or n > self.truncation:
-            return ()
-        return self.quotients[n].coset_coordinates(self.ambient_vector(df))
-
     def class_of_trace(self, degree: int, forms: Sequence[Form]) -> Vector:
-        in_range = 0 <= degree <= self.truncation
-        dims = self.component_dims[degree] if in_range else (0,) * len(self.base.objects)
-        return self.class_of(_diagonal_form(dims, degree, forms))
-
-    def lift_class(self, n: int, coords: Vector) -> DiagonalForm:
-        if n < 0 or n > self.truncation:
-            if coords:
-                raise DimensionError("no classes above the truncation degree")
-            nobj = len(self.base.objects)
-            return DiagonalForm(n, tuple(() for _ in range(nobj)))
-        return self.diagonal_from_ambient(n, self.quotients[n].lift(coords))
+        """The class of the diagonal form with one degree-n endomorphism form per object."""
+        row = self.ambient_row(degree, forms)
+        if degree < 0 or degree > self.truncation:
+            return ()
+        return self.quotients[degree].coset_coordinates(row)
 
     def d_class(self, n: int, coords: Vector) -> Vector:
         """The induced differential on classes, degree n to n + 1."""
@@ -336,10 +279,10 @@ class DeRhamComplex:
         Degree 0 admits a primitive only for the zero class, whose
         primitive is the empty vector.
         """
-        if n < 0 or n > self.truncation:
-            return ()
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        if n < 0 or n > self.truncation:
+            return ()
         if n == 0:
             return () if is_zero_vector(coords) else None
         # the rows of d out of degree n - 1, read off its columns
@@ -358,13 +301,23 @@ class DeRhamComplex:
     # -- rendering ------------------------------------------------------------
 
     def render_class(self, n: int, coords: Vector) -> str:
-        df = self.lift_class(n, coords)
+        """The canonical representative of a class, written out per object.
+
+        The representative has the class coordinates at the free columns
+        and zeros elsewhere, so each coordinate is one term of the
+        component of the object whose block holds its column.
+        """
+        if len(coords) != self.dim(n):
+            raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        if n < 0 or n > self.truncation:
+            return "0"
+        entries = [(c, s) for c, s in zip(self.quotients[n].free_columns, coords) if s]
         pieces = []
-        for x, comp in enumerate(df.components):
-            if is_zero_vector(comp):
-                continue
-            o = self.base.objects[x]
-            pieces.append(f"{o.label}: {render_terms(self._labels[n][x], tuple(sparse(comp).items()))}")
+        for o, labels, off, d in zip(self.base.objects, self._labels[n], self.component_offsets[n],
+                                     self.component_dims[n]):
+            terms = tuple((c - off, s) for c, s in entries if off <= c < off + d)
+            if terms:
+                pieces.append(f"{o.label}: {render_terms(labels, terms)}")
         return "; ".join(pieces) if pieces else "0"
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping, Sequence
 
 from .category import (
@@ -54,6 +53,8 @@ from .exact_linalg import (
     Terms,
     add_terms,
     checked_terms,
+    cut_rows,
+    integral_terms,
     scalar,
     sparse,
     terms_of,
@@ -273,11 +274,11 @@ class DGCategory:
         view = self._integral.get(key)
         if view is None:
             block = self.basis_products(p, q, x, y, z)
-            den = lcm(*{s.denominator for row in block for terms in row for _, s in terms})
-            view = self._integral[key] = (den, tuple(
-                tuple(tuple((k, s.numerator * (den // s.denominator)) for k, s in terms) for terms in row)
-                for row in block
-            ))
+            den, flat = integral_terms(terms for row in block for terms in row)
+            width = self.dim(q, y, z)
+            # a row of no products is still a row
+            rows = cut_rows(flat, width) if width else [()] * len(block)
+            view = self._integral[key] = (den, tuple(map(tuple, rows)))
         return view
 
     def d(self, f: Form) -> Form:

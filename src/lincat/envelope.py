@@ -69,7 +69,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import ONE, ZERO, Echelon, SparseRow, echelon
+from .exact_linalg import ONE, ZERO, Echelon, SparseRow, cut_rows, echelon, integral_terms
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -217,18 +217,6 @@ class _Chains:
         return ".".join(pieces) if pieces else head_label
 
 
-def _integral(vectors) -> IntBlock:
-    """Sparse vectors, each an iterable of (k, s) pairs, over one denominator."""
-    vectors = [tuple(v) for v in vectors]
-    den = lcm(*{s.denominator for v in vectors for _, s in v})
-    return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
-
-
-def _rows(flat: list, width: int) -> list:
-    """A flat list cut into rows of the given width; no rows when it is 0."""
-    return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
-
-
 def _expressions(coords: list[SparseRow], dim: int) -> list[SparseRow]:
     """Each basis row k as a combination {j: lam} of spanning products, given their coordinates.
 
@@ -345,10 +333,10 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
             start = 0
             for w in objects:
                 size = dims[(n - 1, x, w)] * c.dim(w, y)
-                den, flat = _integral(v.items() for v in coords[start:start + size])
-                right[(n, x, w, y)] = den, _rows(flat, c.dim(w, y))
+                den, flat = integral_terms(v.items() for v in coords[start:start + size])
+                right[(n, x, w, y)] = den, cut_rows(flat, c.dim(w, y))
                 start += size
-            expr[(n, x, y)] = _integral(((span[j][:3], lam) for j, lam in e.items())
+            expr[(n, x, y)] = integral_terms(((span[j][:3], lam) for j, lam in e.items())
                                         for e in _expressions(coords, sub.dim))
             grown[(x, y)] = sub.rows
             if sub.dim:
@@ -410,8 +398,8 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
 
     base: dict[tuple[int, int, int], IntBlock] = {}  # products of arrows
     for (x, y, z), block in c.comp.items():
-        den, flat = _integral(terms for row in block for terms in row)
-        base[(x, y, z)] = den, _rows(flat, c.dim(y, z))
+        den, flat = integral_terms(terms for row in block for terms in row)
+        base[(x, y, z)] = den, cut_rows(flat, c.dim(y, z))
 
     def times_arrows(p: int, x: int, y: int, z: int, below: dict) -> IntBlock:
         """Block (p, 0): (omega.db).a = omega.d(ba) - (omega.b).da."""
@@ -442,7 +430,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
                             acc[m] = acc.get(m, 0) - s * t
                 sums.append(acc)
         den, flat = _settled(e_den * L, sums)
-        return den, _rows(flat, c.dim(y, z))
+        return den, cut_rows(flat, c.dim(y, z))
 
     def times_forms(p: int, q: int, x: int, y: int, z: int, below: dict) -> IntBlock:
         """Block (p, q), q >= 1: u.(omega.db) = (u.omega).db."""
@@ -456,13 +444,13 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         for u in range(dims[(p, x, y)]):
             sums += times_db(e_rows, {w: rows[u] for w, rows in left.items()}, r_wz)
         den, flat = _settled(den, sums)
-        return den, _rows(flat, dims[(q, y, z)])
+        return den, cut_rows(flat, dims[(q, y, z)])
 
     def d_out(n: int, x: int, y: int, below: dict) -> IntBlock:
         """d out of degree n: d(a) = 1.da, and d(omega.db) = d(omega).db."""
         if n == 0:
             # 1.da is the sum of s * (e_k.da) over the identity's terms (k, s)
-            (i_den, (unit,)), (r_den, r_xy) = _integral([c.identity[x]]), right[(1, x, x, y)]
+            (i_den, (unit,)), (r_den, r_xy) = integral_terms([c.identity[x]]), right[(1, x, x, y)]
             return _settled(i_den * r_den, times_db([[(x, k, a, s) for k, s in unit] for a in range(c.dim(x, y))],
                                                     {x: [((k, 1),) for k in range(c.dim(x, x))]}, {x: r_xy}))
         dens, d_w, r_wy = {}, {}, {}

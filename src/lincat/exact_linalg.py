@@ -24,15 +24,23 @@ are mostly zero and exact arithmetic on a zero still costs a
   keeps only nonzero entries; a sum may leave cancelled zeros, which
   `terms_of` drops.
 
+Integer arithmetic stands in for `Fraction`s where sums are long:
+`integral_terms` puts sparse vectors over one common denominator, as
+`int` numerators, and `cut_rows` cuts such a flat list back into the
+rows of a block.  The envelope builder and the product blocks of
+`DGCategory.integral_products` both convert this way.
+
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
 a caller that grows a span row by row (the generating set of
 `validate_dg`) holds an `Echelon` itself.  `build_quotient` divides by
 the span of sparse rows, `solve_rows` solves a linear system given by
-its sparse rows, and `QuotientSpace.reduce_sparse` reduces a sparse
-vector modulo a quotient without densifying it.  Callers that already
-hold sparse rows (the envelope's chain subspaces, the cohomology of the
-quotient complex, the fixed columns of a module) call `echelon` itself.
+its sparse rows, and a `QuotientSpace` reduces a sparse vector modulo
+the span (`reduce_sparse`) and reads its coset coordinates, a dense
+tuple, off the free columns (`coset_coordinates`), without densifying
+the vector.  Callers that already hold sparse rows (the envelope's
+chain subspaces, the cohomology of the quotient complex, the fixed
+columns of a module) call `echelon` itself.
 
 `rref` is the one dense front door: it hands the kernel the nonzeros of
 a `MatrixQ`, an immutable dense matrix whose entries must be Fractions
@@ -48,6 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, ScalarTypeError
@@ -111,6 +120,22 @@ def add_terms(a: Terms, b: Terms) -> Terms:
     for k, s in b:
         out[k] = out.get(k, ZERO) + s
     return terms_of(out)
+
+
+def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[int, list]:
+    """Sparse vectors over one denominator, as (D, [((k, n), ...)]) with n / D the coefficient at k.
+
+    D is the lcm of the denominators of all the vectors; each vector is
+    an iterable of (k, s) pairs and comes back as a tuple of pairs.
+    """
+    vectors = [tuple(v) for v in vectors]
+    den = lcm(*{s.denominator for v in vectors for _, s in v})
+    return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
+
+
+def cut_rows(flat: list, width: int) -> list:
+    """A flat list cut into rows of the given width; no rows when it is 0."""
+    return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
 
 
 def sparse(v: Sequence[Fraction]) -> SparseRow:
@@ -326,9 +351,9 @@ class QuotientSpace:
     """Ambient space modulo the span of a set of vectors.
 
     The subspace basis is kept in reduced echelon form, as sparse rows.
-    Coset coordinates of an ambient vector are read off from the
-    non-pivot columns after eliminating the pivot entries, which vanishes
-    exactly on the subspace; `lift` is a section of that map.
+    A sparse vector is reduced by eliminating its pivot entries, which
+    leaves entries at the free columns only and vanishes exactly on the
+    subspace; its coset coordinates are the entries at the free columns.
     """
 
     ambient_dim: int
@@ -348,14 +373,8 @@ class QuotientSpace:
     def _row_at_pivot(self) -> dict[int, SparseRow]:
         return dict(zip(self.pivots, self.rows))
 
-    def reduce(self, v: Vector) -> Vector:
-        """Canonical coset representative (pivot coordinates eliminated)."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError(f"vector length {len(v)} does not match ambient {self.ambient_dim}")
-        return densify(self.reduce_sparse(sparse(v)), self.ambient_dim)
-
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
-        """`reduce` of a sparse vector, as a sparse vector; empty on the subspace."""
+        """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
         row_at = self._row_at_pivot
         out = {j: x for j, x in v.items() if x}
         # rows vanish at every pivot but their own, so each pivot entry of
@@ -364,17 +383,12 @@ class QuotientSpace:
             add_scaled(out, -out[p], row_at[p])
         return out
 
-    def coset_coordinates(self, v: Vector) -> Vector:
-        red = self.reduce(v)
-        return tuple(red[c] for c in self.free_columns)
-
-    def lift(self, coords: Vector) -> Vector:
-        if len(coords) != self.dim:
-            raise DimensionError(f"expected {self.dim} coset coordinates, got {len(coords)}")
-        out = [ZERO] * self.ambient_dim
-        for c, x in zip(self.free_columns, coords):
-            out[c] = x
-        return tuple(out)
+    def coset_coordinates(self, v: SparseRow) -> Vector:
+        """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""
+        if v and (min(v) < 0 or max(v) >= self.ambient_dim):
+            raise DimensionError(f"sparse vector has a column outside 0..{self.ambient_dim - 1}")
+        red = self.reduce_sparse(v)
+        return tuple(red.get(c, ZERO) for c in self.free_columns)
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow]) -> QuotientSpace:

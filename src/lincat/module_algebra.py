@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import ObjectId
-from .dg import DGCategory
+from .dg import DGCategory, Form
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
 from .exact_linalg import (
@@ -29,7 +29,7 @@ from .exact_linalg import (
     SparseRow,
     Vector,
     add_scaled,
-    densify,
+    checked_terms,
     echelon,
     offsets,
 )
@@ -233,16 +233,18 @@ class EFixedComponent:
             raise DimensionError("column degree does not match this component")
         return {off + k: s for off, (f,) in zip(self.offsets, u.entries) for k, s in f.terms}
 
-    def column_of_ambient(self, v: Vector) -> FormMatrix:
-        w = self.module.w
+    def column_of_ambient(self, v: SparseRow) -> FormMatrix:
+        """The column with the given stacked coordinates, a sparse row."""
+        if v and (min(v) < 0 or max(v) >= self.total_dim):
+            raise DimensionError(f"sparse row has a column outside 0..{self.total_dim - 1}")
         rows = []
-        for i, oi in enumerate(self.module.family):
-            off, d = self.offsets[i], self.block_dims[i]
-            rows.append((w.form(self.degree, self.anchor, oi, v[off:off + d]),))
+        for i, (oi, off, d) in enumerate(zip(self.module.family, self.offsets, self.block_dims)):
+            block = {j - off: s for j, s in v.items() if off <= j < off + d}
+            rows.append((Form(self.degree, self.anchor, oi, checked_terms(block, d, f"column block {i}")),))
         return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
 
     def basis_column(self, k: int) -> FormMatrix:
-        return self.column_of_ambient(densify(self.rows[k], self.total_dim))
+        return self.column_of_ambient(self.rows[k])
 
     def coordinates(self, u: FormMatrix) -> Vector:
         """Coordinates of an e-fixed column in the reduced basis."""

@@ -72,11 +72,6 @@ def pm_const(m: FormMatrix) -> PolyMatrix:
     return poly_matrix([m])
 
 
-def pm_shift(a: PolyMatrix, k: int = 1) -> PolyMatrix:
-    zero = a.coeffs[0].scale(0)
-    return poly_matrix((zero,) * k + a.coeffs)
-
-
 def pm_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if (a.degree, a.row_family, a.col_family) != (b.degree, b.row_family, b.col_family):
         raise DimensionError("polynomial matrix addition: type mismatch")

@@ -4,7 +4,8 @@
 `lincat.derham` out densely, and `tilde_commutator_ranks` multiplies
 out the bracket span of the stratified extension literally, with the
 product of `lincat.tforms`, to compare its rank with the one the
-quotient complex predicts.
+quotient complex predicts; `pm_shift` multiplies a polynomial matrix
+by a power of t for its monomials.
 """
 
 from fractions import Fraction
@@ -14,7 +15,13 @@ from lincat.dg import DGCategory
 from lincat.errors import DimensionError
 from lincat.exact_linalg import ONE, ZERO, SparseRow, Vector, densify, echelon
 from lincat.form_matrix import FormMatrix
-from lincat.tforms import PolyMatrix, TildeMatrix, pm_const, pm_shift, tilde_matrix, tm_mul
+from lincat.tforms import PolyMatrix, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_mul
+
+
+def pm_shift(a: PolyMatrix, k: int = 1) -> PolyMatrix:
+    """a times t^k."""
+    zero = a.coeffs[0].scale(0)
+    return poly_matrix((zero,) * k + a.coeffs)
 
 
 def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:

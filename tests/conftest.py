@@ -184,6 +184,31 @@ def dense_coords(w, f) -> tuple:
     return tuple(v)
 
 
+def dense_diagonal(w, forms) -> tuple:
+    """The ambient diagonal vector of one endomorphism form per object, written out densely."""
+    return tuple(s for f in forms for s in dense_coords(w, f))
+
+
+def dense_ambient_d(w, n):
+    """d from the ambient diagonal space of degree n, as a dense matrix."""
+    objs = range(len(w.base.objects))
+    width, width1 = (sum(w.dim(k, x, x) for x in objs) for k in (n, n + 1))
+    out = [[Fraction(0)] * width for _ in range(width1)]
+    off = off1 = 0
+    for x in objs:
+        for j, terms in enumerate(w.diff[n].get((x, x), ())):
+            for i, s in terms:
+                out[off1 + i][off + j] = s
+        off, off1 = off + w.dim(n, x, x), off1 + w.dim(n + 1, x, x)
+    return out
+
+
+def dense_trace_d(w, n, forms) -> tuple:
+    """d of the diagonal form of degree n with the given components, by `dense_ambient_d`."""
+    v = dense_diagonal(w, forms)
+    return tuple(sum((s * a for s, a in zip(r, v)), Fraction(0)) for r in dense_ambient_d(w, n))
+
+
 def pm_eval(a, t):
     """The form matrix a(t) of a polynomial matrix a at a rational t."""
     t = scalar(t)

@@ -112,13 +112,14 @@ class LiteralTensor:
         return self.quotient.dim
 
     def class_of_tensor(self, z: int, fiber_coords: Vector, form_terms: Terms) -> Vector:
-        amb = [Fraction(0)] * self.total_dim
+        amb: SparseRow = {}
         for k, s in enumerate(fiber_coords):
             if s == 0:
                 continue
             for l, t in form_terms:
-                amb[self._pos(z, k, l)] += s * t
-        return self.quotient.coset_coordinates(tuple(amb))
+                pos = self._pos(z, k, l)
+                amb[pos] = amb.get(pos, ZERO) + s * t
+        return self.quotient.coset_coordinates(amb)
 
     def iso_matrix(self, column_model: EFixedComponent) -> MatrixQ:
         """Map the column-model basis into tensor classes: u -> sum m_i (x) u_i."""

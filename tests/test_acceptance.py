@@ -30,11 +30,7 @@ from lincat.connection import (
     free_connection,
     tilde_curvature,
 )
-from lincat.derham import (
-    TildeComplex,
-    diagonal_form_from_forms,
-    get_complex,
-)
+from lincat.derham import TildeComplex, get_complex
 from lincat.dg import DGCategory, render_form, universal_dg, validate_dg
 from lincat.errors import IdempotentError, TruncationError
 from lincat.exact_linalg import (
@@ -59,6 +55,7 @@ from lincat.workspace import fixture_names, load_fixture
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
     bundled_modules,
+    dense_trace_d,
     dual_category,
     dual_projective,
     graph_module,
@@ -307,8 +304,7 @@ def test_criterion_05_cocycle_certificates(dual5, two5):
                 cert = certify_cocycle(conn, q)
                 assert cert.q == q and cert.degree == degree
                 # re-substitute the certificate against the spanning set
-                omega = diagonal_form_from_forms(w, 2 * q, chern_form(conn, q))
-                target = rh.ambient_d(2 * q, rh.ambient_vector(omega))
+                target = dense_trace_d(w, 2 * q, chern_form(conn, q))
                 acc = zero_vector(rh.ambient_dim(degree))
                 for term in cert.terms:
                     vec_j, label_j = labeled[term.index]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lincat import DiagonalForm, build_category, get_complex, trivial_dg, validate_category
+from lincat import build_category, get_complex, trivial_dg, validate_category
 from lincat.category import Category
 from lincat.errors import CompositionError, DimensionError, LincatError, ScalarTypeError
 
@@ -92,7 +92,9 @@ def test_unknown_labels_rejected():
 
 def commutator_class(c, components):
     """Class of a diagonal element modulo commutators: degree 0 of the quotient complex."""
-    return get_complex(trivial_dg(c)).class_of(DiagonalForm(0, components))
+    rh = get_complex(trivial_dg(c))
+    row = {off + k: s for off, comp in zip(rh.component_offsets[0], components) for k, s in enumerate(comp) if s}
+    return rh.quotients[0].coset_coordinates(row)
 
 
 def test_commutator_class_is_trace_like():

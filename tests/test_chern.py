@@ -17,11 +17,7 @@ from lincat.connection import (
     direct_sum_connection,
     free_connection,
 )
-from lincat.derham import (
-    TildeComplex,
-    diagonal_form_from_forms,
-    get_complex,
-)
+from lincat.derham import TildeComplex, get_complex
 from lincat.dg import universal_dg
 from lincat.errors import ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
@@ -33,6 +29,7 @@ from lincat.connection import tilde_curvature
 from commutator_oracles import commutator_spanning_labeled
 from conftest import (
     bundled_modules,
+    dense_trace_d,
     dual_category,
     dual_projective,
     graph_module,
@@ -99,8 +96,7 @@ def test_cocycle_certificates_random(dual5, two5):
                 assert cert.q == q and cert.degree == degree
                 assert cert.spanning_size == len(labeled)
                 # independent re-substitution
-                omega = diagonal_form_from_forms(w, 2 * q, chern_form(conn, q))
-                target = rh.ambient_d(2 * q, rh.ambient_vector(omega))
+                target = dense_trace_d(w, 2 * q, chern_form(conn, q))
                 acc = zero_vector(rh.ambient_dim(degree))
                 for term in cert.terms:
                     vec_j, label_j = labeled[term.index]

@@ -7,19 +7,23 @@ import pytest
 
 from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
 from lincat.chern import certify_cocycle, chern_form
-from lincat.derham import (
-    DiagonalForm,
-    TildeComplex,
-    diagonal_form_from_forms,
-    get_complex,
-)
-from lincat.dg import DGCategory
+from lincat.derham import TildeComplex, get_complex
+from lincat.dg import DGCategory, render_terms
 from lincat.errors import DimensionError, LincatError
-from lincat.exact_linalg import MatrixQ, densify, is_zero_vector, vec, zero_vector
+from lincat.exact_linalg import MatrixQ, densify, is_zero_vector, sparse, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
-from conftest import dense_coords, m2_category, random_scalar, subspace_basis, two_points_category
+from conftest import (
+    dense_ambient_d,
+    dense_diagonal,
+    dense_trace_d,
+    m2_category,
+    random_form,
+    random_scalar,
+    subspace_basis,
+    two_points_category,
+)
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
 from test_exact_linalg import dense_kernel, dense_rref, dense_solve
 
@@ -58,7 +62,7 @@ def test_commutators_annihilate_in_the_quotient(dual5, two5):
         rh = get_complex(w)
         for n in range(w.truncation + 1):
             for v, label in commutator_spanning_labeled(w, n):
-                assert is_zero_vector(rh.quotients[n].coset_coordinates(v)), label
+                assert is_zero_vector(rh.quotients[n].coset_coordinates(sparse(v))), label
 
 
 def test_d_class_matches_ambient_d(dual5, two5):
@@ -67,10 +71,15 @@ def test_d_class_matches_ambient_d(dual5, two5):
         rh = get_complex(w)
         for n in range(w.truncation):
             for _ in range(6):
-                amb = tuple(random_scalar(rng) for _ in range(rh.ambient_dim(n)))
+                amb = sparse([random_scalar(rng) for _ in range(rh.ambient_dim(n))])
                 via_class = rh.d_class(n, rh.quotients[n].coset_coordinates(amb))
                 directly = rh.quotients[n + 1].coset_coordinates(rh.ambient_d(n, amb))
                 assert via_class == directly
+    # a column outside the ambient space, or a degree outside 0..N, is refused
+    rh = get_complex(two5)
+    for n, j in ((0, rh.ambient_dim(0)), (0, -1), (-1, 0), (6, 0)):
+        with pytest.raises(DimensionError, match=f"outside the ambient space of degree {n}"):
+            rh.ambient_d(n, {j: Fraction(1)})
 
 
 def test_harmonic_representatives(dual5, two5, arrow3):
@@ -104,6 +113,14 @@ def test_is_coboundary_positive_and_negative(dual5, two5):
     rh1 = get_complex(dual5)
     assert rh1.is_coboundary(0, zero_vector(rh1.dim(0))) == ()
     assert rh1.is_coboundary(0, rh1.class_of_trace(0, [dual5.basis_form(0, dual5.base.objects[0], dual5.base.objects[0], 0)])) is None
+    # outside 0..N the only class is the empty one, as for d_class
+    rh3 = get_complex(two5)
+    for n, coords in ((6, (1,)), (-1, (1, 2))):
+        with pytest.raises(DimensionError, match="expected 0 class coordinates"):
+            rh3.is_coboundary(n, coords)
+        with pytest.raises(DimensionError, match="expected 0 class coordinates"):
+            rh3.d_class(n, coords)
+    assert rh3.is_coboundary(6, ()) == ()
 
 
 def test_render_class(dual5):
@@ -198,19 +215,19 @@ def test_a_dropped_envelope_and_its_complex_need_no_cycle_collector():
         gc.enable()
 
 
-def test_diagonal_form_roundtrip(two5):
+def test_class_of_trace_is_linear_and_checks_its_components(two5):
     w = two5
     rh = get_complex(w)
     x = w.base.objects[0]
     c = w.basis_form(0, x, x, 1)
-    df = diagonal_form_from_forms(w, 0, [c])
-    amb = rh.ambient_vector(df)
-    assert rh.diagonal_from_ambient(0, amb) == df
-    cls = rh.class_of(df)
-    lifted = rh.lift_class(0, cls)
-    assert rh.class_of(lifted) == cls
-    combo = df + df.scale(Fraction(1, 2))
-    assert rh.class_of(combo) == tuple(s * Fraction(3, 2) for s in cls)
+    cls = rh.class_of_trace(0, [c])
+    assert rh.class_of_trace(0, [c + c.scale(Fraction(1, 2))]) == tuple(s * Fraction(3, 2) for s in cls)
+    with pytest.raises(DimensionError, match="need one component per object"):
+        rh.class_of_trace(0, [c, c])
+    with pytest.raises(DimensionError, match="component 0 is not a degree-1 endomorphism form of object 0"):
+        rh.class_of_trace(1, [c])
+    # above the truncation there are no forms and no classes
+    assert rh.class_of_trace(6, [w.zero_form(6, x, x)]) == ()
 
 
 def test_closure_check_rejects_tables_that_break_it():
@@ -236,20 +253,6 @@ def test_closure_check_rejects_a_corrupted_degree_one_differential():
 
 
 # -- the quotient complex against a dense path built here --------------------
-
-
-def dense_ambient_d(w, n):
-    """d from the ambient diagonal space of degree n, as a dense matrix."""
-    objs = range(len(w.base.objects))
-    width, width1 = (sum(w.dim(k, x, x) for x in objs) for k in (n, n + 1))
-    out = [[Fraction(0)] * width for _ in range(width1)]
-    off = off1 = 0
-    for x in objs:
-        for j, terms in enumerate(w.diff[n].get((x, x), ())):
-            for i, s in terms:
-                out[off1 + i][off + j] = s
-        off, off1 = off + w.dim(n, x, x), off1 + w.dim(n + 1, x, x)
-    return out
 
 
 def dense_quotient(w, n):
@@ -293,6 +296,61 @@ def test_quotient_complex_matches_dense_path():
         assert rh.d_columns[w.truncation] == [{}] * rh.dim(w.truncation)
 
 
+def dense_class(quotient, v):
+    """The class of a dense ambient vector: pivot entries eliminated, read at the free columns."""
+    rows, pivots, free = quotient
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            v = tuple(a - f * b for a, b in zip(v, row))
+    return tuple(v[c] for c in free)
+
+
+def dense_render(w, n, quotient, coords):
+    """A class rendered from its dense representative: coordinates at the free columns, zeros elsewhere."""
+    _, _, free = quotient
+    rep = [Fraction(0)] * sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
+    for c, s in zip(free, coords):
+        rep[c] = s
+    pieces, off = [], 0
+    for o in w.base.objects:
+        d = w.dim(n, o.index, o.index)
+        comp = sparse(rep[off:off + d])
+        if comp:
+            pieces.append(f"{o.label}: {render_terms(w.space_labels(n, o.index, o.index), tuple(comp.items()))}")
+        off += d
+    return "; ".join(pieces) if pieces else "0"
+
+
+def test_trace_classes_match_dense_reduction():
+    # class_of_trace, ambient_d and render_class on sparse rows against a
+    # dense reduction by the rows, pivots and free columns of `dense_quotient`
+    rng = random.Random(77)
+    models = [load_fixture(name).dg for name in fixture_names()] + [universal_dg(m2_category(), 3)]
+    checked = 0
+    for w in models:
+        rh = get_complex(w)
+        objs = w.base.objects
+        quotients = [dense_quotient(w, n) for n in range(w.truncation + 1)]
+        for n, quotient in enumerate(quotients):
+            for k in range(6):
+                forms = [random_form(w, n, o, o, rng) for o in objs]
+                if k == 0:
+                    forms = [w.zero_form(n, o, o) for o in objs]
+                elif k == 1:
+                    # one component only, the others zero
+                    forms = [f if o == objs[-1] else w.zero_form(n, o, o) for f, o in zip(forms, objs)]
+                cls = rh.class_of_trace(n, forms)
+                assert cls == dense_class(quotient, dense_diagonal(w, forms)), (n, k)
+                assert rh.render_class(n, cls) == dense_render(w, n, quotient, cls), (n, k)
+                d_row = rh.ambient_d(n, rh.ambient_row(n, forms))
+                assert densify(d_row, rh.ambient_dim(n + 1)) == dense_trace_d(w, n, forms), (n, k)
+                if n < w.truncation:
+                    assert rh.d_class(n, cls) == dense_class(quotients[n + 1], dense_trace_d(w, n, forms))
+                checked += 1
+    assert checked == 6 * sum(w.truncation + 1 for w in models)
+
+
 def test_m2_cocycle_certificate_matches_dense_solve():
     # a rank-one idempotent and a fixed degree-1 gauge on M2 at truncation 3
     w = universal_dg(m2_category(), 3)
@@ -304,7 +362,7 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     cert = certify_cocycle(conn, 1)
 
     (omega,) = chern_form(conn, 1)
-    target = tuple(sum((s * a for s, a in zip(r, dense_coords(w, omega))), Fraction(0)) for r in dense_ambient_d(w, 2))
+    target = dense_trace_d(w, 2, (omega,))
     labeled = commutator_spanning_labeled(w, 3)
     columns = MatrixQ(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
     solution = dense_solve(columns, target)

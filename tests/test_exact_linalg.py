@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lincat.errors import ScalarTypeError
+from lincat.errors import DimensionError, ScalarTypeError
 from lincat.exact_linalg import (
     Echelon,
     MatrixQ,
@@ -77,9 +77,12 @@ def test_quotient_space():
     q = build_quotient(3, [{0: Fraction(1)}, {0: Fraction(2)}])
     assert q.dim == 2
     assert q.subspace_dim == 1
-    assert q.reduce(vec([5, 1, 2])) == q.reduce(vec([0, 1, 2]))
-    coords = q.coset_coordinates(vec([7, 3, -1]))
-    assert q.reduce(q.lift(coords)) == q.reduce(vec([7, 3, -1]))
+    assert q.reduce_sparse(sparse(vec([5, 1, 2]))) == q.reduce_sparse(sparse(vec([0, 1, 2])))
+    assert q.coset_coordinates(sparse(vec([7, 3, -1]))) == (3, -1)
+    assert q.coset_coordinates({}) == (0, 0)
+    for outside in ({3: Fraction(1)}, {-1: Fraction(1)}):
+        with pytest.raises(DimensionError, match="outside 0..2"):
+            q.coset_coordinates(outside)
 
 
 def test_quotient_zero_and_full():
@@ -87,7 +90,8 @@ def test_quotient_zero_and_full():
     assert q_all.dim == 0
     q_none = build_quotient(2, [])
     assert q_none.dim == 2
-    assert q_none.coset_coordinates(vec([3, 4])) == (3, 4)
+    assert q_all.coset_coordinates(sparse(vec([3, 4]))) == ()
+    assert q_none.coset_coordinates(sparse(vec([3, 4]))) == (3, 4)
 
 
 def test_echelon_basis_is_canonical():
@@ -260,8 +264,8 @@ def test_sparse_quotient_matches_dense_reference():
             for row, p in zip(ref_rows[:rank_], ref_pivots):
                 f = out[p]
                 out = [a - f * b for a, b in zip(out, row)]
-            assert q.reduce(v) == tuple(out)
-            assert q.coset_coordinates(v) == tuple(out[c] for c in q.free_columns)
+            assert q.reduce_sparse(sparse(v)) == sparse(out)
+            assert q.coset_coordinates(sparse(v)) == tuple(out[c] for c in q.free_columns)
 
 
 def test_sparse_entry_points_match_dense_front_doors():
@@ -284,7 +288,10 @@ def test_sparse_entry_points_match_dense_front_doors():
         q = build_quotient(cols, sparse_rows)
         for _ in range(3):
             v = tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0) for _ in range(cols))
-            assert q.reduce_sparse(sparse(v)) == sparse(q.reduce(v))
+            # reduction leaves entries at free columns only, which the coordinates read
+            red = q.reduce_sparse(sparse(v))
+            assert set(red) <= set(q.free_columns)
+            assert q.coset_coordinates(sparse(v)) == tuple(red.get(c, 0) for c in q.free_columns)
             x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
             for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
                 assert solve_rows(sparse_rows, cols, b) == dense_solve(m, b)

@@ -196,6 +196,11 @@ def test_column_model_coordinates(dual5):
     loose = FormMatrix(0, m.family, (x,), ((zero,), (one,)))
     with pytest.raises(ModuleError):
         ef0.coordinates(loose)
+    # a stacked sparse row is split into the blocks of the family
+    assert ef0.column_of_ambient(ef0.ambient_of_column(loose)) == loose
+    for outside in ({ef0.total_dim: Fraction(1)}, {-1: Fraction(1)}):
+        with pytest.raises(DimensionError, match="outside"):
+            ef0.column_of_ambient(outside)
 
 
 def m2_modules(truncation):

@@ -16,7 +16,6 @@ from lincat.tforms import (
     pm_d,
     pm_mul,
     pm_scale,
-    pm_shift,
     pm_t_derivative,
     poly_matrix,
     tilde_matrix,
@@ -26,6 +25,7 @@ from lincat.tforms import (
     tm_power,
 )
 
+from commutator_oracles import pm_shift
 from conftest import pm_eval, random_form_matrix
 
 UNIVERSAL_FIXTURES = ["arrow_universal", "dual_numbers_universal", "point_universal", "two_points_universal"]
