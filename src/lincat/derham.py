@@ -63,6 +63,7 @@ from .exact_linalg import (
     offsets,
     scalar,
     solve_rows,
+    vec,
     vec_add,
     vec_scale,
     vec_sub,
@@ -222,6 +223,7 @@ class DeRhamComplex:
         """The induced differential on classes, degree n to n + 1."""
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        coords = vec(coords)
         if n < 0 or n > self.truncation:
             return ()
         out: SparseRow = {}
@@ -281,6 +283,7 @@ class DeRhamComplex:
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        coords = vec(coords)
         if n < 0 or n > self.truncation:
             return ()
         if n == 0:
@@ -309,6 +312,7 @@ class DeRhamComplex:
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
+        coords = vec(coords)
         if n < 0 or n > self.truncation:
             return "0"
         entries = [(c, s) for c, s in zip(self.quotients[n].free_columns, coords) if s]
@@ -363,7 +367,7 @@ class TildeComplex:
                     raise DimensionError("polynomial degree exceeds the stratification bound")
             classes = classes[:D + 1]
         pad = [zero_vector(self.rh.dim(n))] * (D + 1 - len(classes))
-        return tuple(classes) + tuple(pad)
+        return tuple(vec(v) for v in classes) + tuple(pad)
 
     def cochain(self, degree: int, part0: Sequence[Vector], part1: Optional[Sequence[Vector]]) -> TildeCochain:
         p0 = self._pad(degree, list(part0))
@@ -385,21 +389,6 @@ class TildeComplex:
         if part1_traces is not None:
             p1 = [self.rh.class_of_trace(degree - 1, comps) for comps in part1_traces]
         return self.cochain(degree, p0, p1)
-
-    def add(self, a: TildeCochain, b: TildeCochain) -> TildeCochain:
-        if a.degree != b.degree:
-            raise DimensionError("cochain addition: degree mismatch")
-        p0 = tuple(vec_add(u, v) for u, v in zip(a.part0, b.part0))
-        p1 = None
-        if a.part1 is not None:
-            p1 = tuple(vec_add(u, v) for u, v in zip(a.part1, b.part1))
-        return TildeCochain(a.degree, p0, p1)
-
-    def scale(self, a: TildeCochain, s) -> TildeCochain:
-        s = scalar(s)
-        p0 = tuple(vec_scale(s, v) for v in a.part0)
-        p1 = None if a.part1 is None else tuple(vec_scale(s, v) for v in a.part1)
-        return TildeCochain(a.degree, p0, p1)
 
     def is_zero(self, a: TildeCochain) -> bool:
         if any(not is_zero_vector(v) for v in a.part0):

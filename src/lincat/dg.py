@@ -305,12 +305,14 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     too, so Leibniz on the pairs (g, y) gives it everywhere; then d.d is
     a derivation, and d.d = 0 on G gives it everywhere.  No product is
     sampled: y and z run over every basis form, and in the worst case G
-    is the whole basis.  Only when a check on G fails are all basis
-    pairs and triples enumerated, so the failures are reported on basis
-    forms, exactly as that enumeration finds them.
+    is the whole basis.  Only when a check on G fails does the same
+    check run with every basis form on the left, so the failures are
+    reported on basis forms, sorted by law, degrees, objects and basis
+    indices.
 
-    The checks on basis forms, on G and the enumeration, are those of
-    `lincat.laws`; `_generators` is here, because G is made of forms.
+    The unit check and the one check of the other laws, on G and on the
+    basis, are those of `lincat.laws`; `_generators` is here, because G
+    is made of forms.
     """
     violations = unit_violations(w)
     if not laws_hold_on(w, _generators(w)):

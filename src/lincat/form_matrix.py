@@ -86,9 +86,6 @@ class FormMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_family), len(self.col_family))
 
-    def entry(self, i: int, j: int) -> Form:
-        return self.entries[i][j]
-
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if (self.degree, self.row_family, self.col_family) != (other.degree, other.row_family, other.col_family):
             raise DimensionError("form matrix addition: shape or degree mismatch")

@@ -562,6 +562,8 @@ def parse_workspace(text: str) -> Workspace:
         doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WorkspaceError("cannot parse JSON nested this deeply") from exc
     return workspace_from_dict(doc)
 
 
@@ -571,6 +573,8 @@ def load_workspace(path: str) -> Workspace:
             text = fh.read()
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError(f"workspace file is not UTF-8: {exc}") from exc
     return parse_workspace(text)
 
 

@@ -9,7 +9,7 @@ from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
 from lincat.chern import certify_cocycle, chern_form
 from lincat.derham import TildeComplex, get_complex
 from lincat.dg import DGCategory, render_terms
-from lincat.errors import DimensionError, LincatError
+from lincat.errors import DimensionError, LincatError, ScalarTypeError
 from lincat.exact_linalg import MatrixQ, densify, is_zero_vector, sparse, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
@@ -121,6 +121,15 @@ def test_is_coboundary_positive_and_negative(dual5, two5):
         with pytest.raises(DimensionError, match="expected 0 class coordinates"):
             rh3.d_class(n, coords)
     assert rh3.is_coboundary(6, ()) == ()
+    # class coordinates are exact: a float is refused in every degree,
+    # the zero class of degree 0 included
+    for rh, n in ((rh1, 0), (rh3, 0), (rh3, 2)):
+        floats = (0.5,) * rh.dim(n)
+        with pytest.raises(ScalarTypeError):
+            rh.is_coboundary(n, floats)
+        with pytest.raises(ScalarTypeError):
+            rh.d_class(n, floats)
+    assert rh1.d_class(0, (0,) * rh1.dim(0)) == zero_vector(rh1.dim(1))
 
 
 def test_render_class(dual5):
@@ -131,6 +140,9 @@ def test_render_class(dual5):
     cls = rh.class_of_trace(1, [du])
     assert rh.render_class(1, cls) == "x: du"
     assert rh.render_class(1, zero_vector(rh.dim(1))) == "0"
+    assert rh.render_class(1, tuple(int(s) for s in cls)) == "x: du"
+    with pytest.raises(ScalarTypeError):
+        rh.render_class(1, (0.5,) * rh.dim(1))
 
 
 def test_truncation_reliable_flag(dual5):
@@ -191,6 +203,12 @@ def test_cochain_validation(dual5):
         tc.cochain(0, [one], [one])  # degree 0 has no infinitesimal part
     with pytest.raises(DimensionError):
         TildeComplex(rh, -1)
+    # the classes are converted exactly, so a float is refused
+    with pytest.raises(ScalarTypeError):
+        tc.cochain(0, [(0.5,) * rh.dim(0)], None)
+    with pytest.raises(ScalarTypeError):
+        tc.cochain(1, [zero_vector(rh.dim(1))], [(0.5,) * rh.dim(0)])
+    assert tc.ev_at(tc.cochain(0, [(1,) * rh.dim(0)], None), 1) == one
 
 
 def test_stratified_bracket_span_dimensions(dual5, two5):

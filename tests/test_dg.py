@@ -28,6 +28,7 @@ from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
 from envelope_oracle import direct_tables
+from law_oracle import law_violations as enumerated_violations
 from conftest import (
     arrow_category,
     broken_associativity_category,
@@ -815,7 +816,9 @@ def test_validation_equals_the_full_enumeration_on_random_corruptions():
     for name, w in models.items():
         failing = 0
         for place, v in single_corruptions(w, rng, 40):
-            full = unit_violations(v) + law_violations(v)
+            enumerated = enumerated_violations(v)
+            assert law_violations(v) == enumerated, (name, place)
+            full = unit_violations(v) + enumerated
             assert validate_dg(v) == full, (name, place)
             failing += bool(full)
         assert failing >= 20, name  # the corruptions are seen, so the fallback ran

@@ -76,6 +76,19 @@ def test_load_workspace_from_file(tmp_path):
     assert ws.name == "dual_numbers_universal"
     with pytest.raises(WorkspaceError):
         load_workspace(str(tmp_path / "missing.json"))
+    for name, data in UNDECODABLE.items():
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        with pytest.raises(WorkspaceError):
+            load_workspace(str(bad))
+
+
+# workspace files that cannot be decoded: bytes that are not UTF-8, and
+# JSON nested deeper than the parser's recursion limit
+UNDECODABLE = {
+    "not_utf8.json": b"\xff\xfe{}",
+    "too_deep.json": b"[" * 200_000 + b"]" * 200_000,
+}
 
 
 def test_word_and_address_terms_agree():
@@ -204,20 +217,33 @@ def test_cli_validate_catches_corruption(capsys, tmp_path):
         if p["left"]["degree"] == 0
     ]  # th.1 now composes to 0: the unit law fails in degree 1
 
-    for doc in (with_bad_d, with_bad_product):
+    cases = (
+        (with_bad_d, [{"kind": "dg-leibniz", "where": "1 . 1"}]),
+        (with_bad_product, [{"kind": "dg-identity-right", "where": "th . 1_x"}]),
+    )
+    for doc, expected in cases:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "validate", str(path), "--output", "machine")
         assert code == EXIT_INVALID
         payload = json.loads(out)
         assert payload["ok"] is False
-        assert payload["violations"]
+        assert payload["violations"] == expected
         # other subcommands refuse to compute on a broken workspace
         code, out, _ = run(
             capsys, "cohomology", str(path), "--output", "machine"
         )
         assert code == EXIT_INVALID
         assert "error" in json.loads(out)
+
+
+def test_cli_validate_refuses_an_undecodable_file(capsys, tmp_path):
+    for name, data in UNDECODABLE.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, _ = run(capsys, "validate", str(path), "--output", "machine")
+        assert code == EXIT_INVALID
+        assert json.loads(out)["error"]["kind"] == "workspace", name
 
 
 def test_cli_validate_reports_a_degree_0_failure_once(capsys, tmp_path):
