@@ -111,11 +111,7 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
 
     # the system has one sparse row per ambient coordinate and one column
     # per commutator of the spanning set
-    labeled = rh.commutator_spans[degree]
-    rows: list[SparseRow] = [{} for _ in range(rh.ambient_dim(degree))]
-    for j, (v, _) in enumerate(labeled):
-        for i, s in v.items():
-            rows[i][j] = s
+    labeled, rows = rh.commutator_spans[degree], rh.commutator_rows(degree)
     solution = solve_rows(rows, len(labeled), densify(target, len(rows)))
     if solution is None:
         raise CertificationError(

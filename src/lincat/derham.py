@@ -21,8 +21,10 @@ per degree as sparse columns, on the ambient diagonal space and,
 induced, on the classes (`d_columns`).  Cohomology runs on those
 columns through `echelon`: the image of d is their span, its kernel is
 read off the echelon form of the columns augmented by unit vectors, and
-a primitive is a `solve_rows` on their transpose.  Classes enter and
-leave as dense tuples of coordinates.
+a primitive is a `solve_rows` on their transpose.  That transpose, and
+the transposed commutator span that a cocycle certificate solves
+against (`commutator_rows`), are built once per degree, on first use.
+Classes enter and leave as dense tuples of coordinates.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -163,6 +165,10 @@ class DeRhamComplex:
                 for c in qn.free_columns
             ])
         self.d_columns.append([{} for _ in range(self.dim(N))])
+        # the two linear systems solved against this complex, each built on
+        # first use in a degree and kept: the commutator span and d, by rows
+        self._commutator_rows: dict[int, list[SparseRow]] = {}
+        self._d_rows: dict[int, list[SparseRow]] = {}
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
         # the blocks of the objects follow each other in object order, and
@@ -204,6 +210,19 @@ class DeRhamComplex:
             if x:
                 add_scaled(out, x, columns[j])
         return out
+
+    def commutator_rows(self, n: int) -> list[SparseRow]:
+        """The commutator span of degree n as a linear system, by rows.
+
+        Row i holds coordinate i of every commutator of
+        `commutator_spans[n]`, at the commutator's index in it.  The rows
+        are built once per degree and shared; they are not to be modified.
+        """
+        rows = self._commutator_rows.get(n)
+        if rows is None:
+            rows = self._commutator_rows[n] = _transpose([v for v, _ in self.commutator_spans[n]],
+                                                         self.ambient_dim(n))
+        return rows
 
     # -- classes ------------------------------------------------------------
 
@@ -288,11 +307,10 @@ class DeRhamComplex:
             return ()
         if n == 0:
             return () if is_zero_vector(coords) else None
-        # the rows of d out of degree n - 1, read off its columns
-        rows: list[SparseRow] = [{} for _ in range(self.dim(n))]
-        for k, col in enumerate(self.d_columns[n - 1]):
-            for i, x in col.items():
-                rows[i][k] = x
+        # the rows of d out of degree n - 1, read off its columns once
+        rows = self._d_rows.get(n)
+        if rows is None:
+            rows = self._d_rows[n] = _transpose(self.d_columns[n - 1], self.dim(n))
         return solve_rows(rows, self.dim(n - 1), coords)
 
     def euler_characteristics(self) -> tuple[int, int]:
@@ -323,6 +341,15 @@ class DeRhamComplex:
             if terms:
                 pieces.append(f"{o.label}: {render_terms(labels, terms)}")
         return "; ".join(pieces) if pieces else "0"
+
+
+def _transpose(columns: Sequence[SparseRow], nrows: int) -> list[SparseRow]:
+    """The rows of the matrix with the given sparse columns."""
+    rows: list[SparseRow] = [{} for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            rows[i][j] = x
+    return rows
 
 
 def get_complex(w: DGCategory) -> DeRhamComplex:
@@ -359,21 +386,28 @@ class TildeComplex:
         self.rh = rh
         self.t_bound = t_bound
 
-    def _pad(self, n: int, classes: Sequence[Vector]) -> tuple[Vector, ...]:
-        D = self.t_bound
+    def _pad(self, degree: int, part: int, classes: Sequence[Vector]) -> tuple[Vector, ...]:
+        """The classes of part 0 or 1 of a degree-`degree` cochain, one per t^i, i = 0..t_bound."""
+        D, dim = self.t_bound, self.rh.dim(degree - part)
+        for i, v in enumerate(classes):
+            if len(v) != dim:
+                raise DimensionError(
+                    f"degree-{degree} cochain, part {part}, stratum t^{i}: "
+                    f"expected {dim} class coordinates, got {len(v)}"
+                )
         if len(classes) > D + 1:
             for extra in classes[D + 1:]:
                 if not is_zero_vector(extra):
                     raise DimensionError("polynomial degree exceeds the stratification bound")
             classes = classes[:D + 1]
-        pad = [zero_vector(self.rh.dim(n))] * (D + 1 - len(classes))
+        pad = [zero_vector(dim)] * (D + 1 - len(classes))
         return tuple(vec(v) for v in classes) + tuple(pad)
 
     def cochain(self, degree: int, part0: Sequence[Vector], part1: Optional[Sequence[Vector]]) -> TildeCochain:
-        p0 = self._pad(degree, list(part0))
+        p0 = self._pad(degree, 0, list(part0))
         p1 = None
         if degree >= 1:
-            p1 = self._pad(degree - 1, list(part1) if part1 is not None else [])
+            p1 = self._pad(degree, 1, list(part1) if part1 is not None else [])
         elif part1 is not None and any(not is_zero_vector(v) for v in part1):
             raise DimensionError("degree-0 cochain cannot carry an infinitesimal part")
         return TildeCochain(degree, p0, p1)

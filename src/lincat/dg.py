@@ -17,8 +17,9 @@ and differentials as ``{j: {i: s}}`` columns, and both are stored as
 tuples of their nonzero (index, coefficient) terms.  A table key that
 the constructor's loops never read (out of range, or with entries at a
 zero space) raises `DimensionError` rather than being ignored.  For the
-product kernel of `lincat.form_matrix`, `integral_products` also keeps
-each product block over one denominator, as integer numerators.
+product kernel of `lincat.form_matrix` and the law checks of
+`lincat.laws`, `integral_products` also keeps each product block over
+one denominator, as integer numerators.
 
 A `Form` holds the same sorted, nonzero terms as the tables, and a
 degree-0 form is a morphism of the base category: `trivial_dg(c)` has

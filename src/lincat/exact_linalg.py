@@ -27,8 +27,10 @@ are mostly zero and exact arithmetic on a zero still costs a
 Integer arithmetic stands in for `Fraction`s where sums are long:
 `integral_terms` puts sparse vectors over one common denominator, as
 `int` numerators, and `cut_rows` cuts such a flat list back into the
-rows of a block.  The envelope builder and the product blocks of
-`DGCategory.integral_products` both convert this way.
+rows of a block.  The envelope builder, the product blocks of
+`DGCategory.integral_products`, and the law kernel of `lincat.laws`
+(each degree of the differential, and each form it checks) all
+convert this way.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;

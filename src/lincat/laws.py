@@ -10,14 +10,26 @@ and differentials of basis forms straight from the stored terms of a
 `DGCategory` and contract them into sparse sums (`contract_into`),
 which is the arithmetic `compose` and `d` would do, without building a
 form per factor.
+
+The checks sum integer numerators, with no `Fraction` arithmetic.
+Each product block comes over one denominator from
+`DGCategory.integral_products`, and each degree of the differential
+goes over one denominator through `integral_terms` (`_differentials`).
+A left factor goes over the lcm of its own denominators, which then
+drops out: both sides of every law are linear in it.  The two sides of
+a law are summed from different blocks, so each is cross-multiplied by
+the denominators of the other before they are compared; where every
+denominator is 1, as in most tables, nothing is scaled.  A law holds
+when the difference of its two sides has no nonzero numerator.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .category import Violation
-from .exact_linalg import ONE, ZERO, SparseRow, Terms
+from .exact_linalg import SparseRow, Terms, integral_terms
 
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
@@ -26,17 +38,18 @@ if TYPE_CHECKING:
 _LAWS = ("dg-d-squared", "dg-leibniz", "dg-associativity")
 
 
-def contract_into(out: SparseRow, coefficients: Terms, vectors) -> SparseRow:
-    """Add s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`."""
+def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
+    """Add m * s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`.
+
+    The entries may be `Fraction`s or integer numerators; a sum may
+    leave cancelled zeros in `out`.
+    """
     for a, s in coefficients:
+        if m != 1:
+            s *= m
         for c, t in vectors[a]:
-            out[c] = out.get(c, ZERO) + s * t
+            out[c] = out.get(c, 0) + s * t
     return out
-
-
-def _nonzero(v: SparseRow) -> SparseRow:
-    """The entries of a sum that did not cancel; sums equal as they stand need no filter."""
-    return {k: s for k, s in v.items() if s}
 
 
 def _transpose(b, rows: int, cols: int):
@@ -51,96 +64,117 @@ def _basis_name(w: DGCategory, n: int, x: int, y: int, k: int) -> str:
 def unit_violations(w: DGCategory) -> list[Violation]:
     """Unit-law failures on every basis form of positive degree."""
     violations: list[Violation] = []
-    dim, block = w.dim, w.basis_products
+    dim, block = w.dim, w.integral_products
     for n in range(1, w.truncation + 1):
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
-            one_x, one_y = w.base.identity[x], w.base.identity[y]
             dn = dim(n, x, y)
-            left, right = _transpose(block(0, n, x, x, y), dim(0, x, x), dn), block(n, 0, x, y, y)
+            (den_x, (one_x,)), (den_y, (one_y,)) = (integral_terms((w.base.identity[o],)) for o in (x, y))
+            left_den, left = block(0, n, x, x, y)
+            right_den, right = block(n, 0, x, y, y)
+            left = _transpose(left, dim(0, x, x), dn)
             for k in range(dn):
-                b = {k: ONE}
-                if _nonzero(contract_into({}, one_x, left[k])) != b:
+                # 1.b - b and b.1 - b, over the denominators of the unit and of the block
+                if any(contract_into({k: -den_x * left_den}, one_x, left[k]).values()):
                     violations.append(Violation("dg-identity-left", f"1_{ox.label} . {_basis_name(w, n, x, y, k)}"))
-                if _nonzero(contract_into({}, one_y, right[k])) != b:
+                if any(contract_into({k: -den_y * right_den}, one_y, right[k]).values()):
                     violations.append(Violation("dg-identity-right", f"{_basis_name(w, n, x, y, k)} . 1_{oy.label}"))
     return violations
 
 
 def _columns(w: DGCategory):
-    """The product blocks of `w` transposed, column j holding the products with basis form j.
+    """The integral product blocks of `w` transposed: (D, columns), column j the products with basis form j.
 
     Each block is transposed once and then shared by every left factor.
     """
-    dim, block = w.dim, w.basis_products
-    transposed: dict[tuple[int, int, int, int, int], tuple] = {}
+    dim, block = w.dim, w.integral_products
+    transposed: dict[tuple[int, int, int, int, int], tuple[int, tuple]] = {}
 
-    def columns(p: int, q: int, x: int, y: int, z: int):
+    def columns(p: int, q: int, x: int, y: int, z: int) -> tuple[int, tuple]:
         key = (p, q, x, y, z)
         t = transposed.get(key)
         if t is None:
-            t = transposed[key] = _transpose(block(p, q, x, y, z), dim(p, x, y), dim(q, y, z))
+            den, rows = block(p, q, x, y, z)
+            t = transposed[key] = den, _transpose(rows, dim(p, x, y), dim(q, y, z))
         return t
 
     return columns
 
 
-def _failures(w: DGCategory, p: int, x: int, y: int, terms: Terms, columns) -> Iterator[tuple]:
+def _differentials(w: DGCategory) -> dict[int, tuple[int, dict]]:
+    """The differential of `w`, each degree n over one denominator: n -> (D, {(x, y): columns})."""
+    out = {}
+    for n, level in w.diff.items():
+        den, flat = integral_terms(column for columns in level.values() for column in columns)
+        it = iter(flat)
+        out[n] = den, {xy: tuple(next(it) for _ in columns) for xy, columns in level.items()}
+    return out
+
+
+def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterator[tuple]:
     """d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c), where they fail.
 
-    g is the form of degree p at (x, y) with the given terms; b and c run
-    over every basis form.  Each failure is yielded as (law, degrees,
-    objects, indices): the degrees of the factors, the objects they pass
-    through, and the indices of the basis forms on the right.  The
-    products of g with the basis forms of one block are summed once, so
-    a pair or a triple costs what it costs on basis forms.
-    Associativity includes the degree-0 triples.
+    g is the form of degree p at (x, y) with the given integer
+    numerators; b and c run over every basis form.  `columns` is a
+    `_columns` of `w` and `diff` its `_differentials`.  Each failure is
+    yielded as (law, degrees, objects, indices): the degrees of the
+    factors, the objects they pass through, and the indices of the basis
+    forms on the right.  The products of g with the basis forms of one
+    block are summed once, so a pair or a triple costs what it costs on
+    basis forms.  Associativity includes the degree-0 triples.
     """
     N, nobj = w.truncation, len(w.base.objects)
-    dim, block, diff = w.dim, w.basis_products, w.diff
-    rows: dict[tuple[int, int], tuple] = {}
+    dim, block = w.dim, w.integral_products
+    rows: dict[tuple[int, int], tuple[int, tuple]] = {}
 
-    def row(q: int, z: int):
-        """g times each basis form of degree q at (y, z), as terms."""
+    def row(q: int, z: int) -> tuple[int, tuple]:
+        """g times each basis form of degree q at (y, z): (D, sums), D the denominator of the block."""
         r = rows.get((q, z))
         if r is None:
-            r = rows[(q, z)] = tuple(_nonzero(contract_into({}, terms, col)).items() for col in columns(p, q, x, y, z))
+            den, cols = columns(p, q, x, y, z)
+            r = rows[(q, z)] = den, tuple(tuple((k, n) for k, n in contract_into({}, g, col).items() if n)
+                                          for col in cols)
         return r
 
-    if p < N:
-        dg = tuple(contract_into({}, terms, diff[p][(x, y)]).items())
-        if any(contract_into({}, dg, diff[p + 1].get((x, y), ())).values()):
-            yield _LAWS[0], (p,), (x, y), ()
-    # d(g.b) = dg.b + (-1)^p g.db
+    d_den, d_p = diff[p]
+    dg = tuple(contract_into({}, g, d_p[(x, y)]).items())  # over d_den; empty out of the top degree
+    if p < N and any(contract_into({}, dg, diff[p + 1][1].get((x, y), ())).values()):
+        yield _LAWS[0], (p,), (x, y), ()
+    # d(g.b) - dg.b - (-1)^p g.db = 0
+    sign = 1 if p % 2 else -1
     for q in range(0, N - p):
+        (d_gb_den, d_gb), (d_b_den, d_b) = diff[p + q], diff[q]
         for z in range(nobj):
             if dim(q, y, z) == 0:
                 continue
-            gb, gdb, dgb = row(q, z), row(q + 1, z), columns(p + 1, q, x, y, z)
-            d_gb, d_b = diff[p + q].get((x, z), ()), diff[q][(y, z)]
-            if p % 2:
-                d_b = tuple(tuple((b, -s) for b, s in col) for col in d_b)
+            (gb_den, gb), (gdb_den, gdb), (dgb_den, dgb) = row(q, z), row(q + 1, z), columns(p + 1, q, x, y, z)
+            lhs, rhs_dg, rhs_db = gb_den * d_gb_den, d_den * dgb_den, gdb_den * d_b_den
+            common = lcm(lhs, rhs_dg, rhs_db)
+            m, m_dg, m_db = common // lhs, -(common // rhs_dg), sign * (common // rhs_db)
+            d_gbz, d_bz = d_gb.get((x, z), ()), d_b[(y, z)]
             for j in range(dim(q, y, z)):
-                lhs = contract_into({}, gb[j], d_gb)
-                rhs = contract_into(contract_into({}, dg, dgb[j]), d_b[j], gdb)
-                if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
+                out = contract_into(contract_into({}, gb[j], d_gbz, m), dg, dgb[j], m_dg)
+                if any(contract_into(out, d_bz[j], gdb, m_db).values()):
                     yield _LAWS[1], (p, q), (x, y, z), (j,)
-    # (g.b).c = g.(b.c)
+    # (g.b).c - g.(b.c) = 0
     for q in range(0, N - p + 1):
         for r in range(0, N - p - q + 1):
             for z in range(nobj):
                 if dim(q, y, z) == 0:
                     continue
-                gb = row(q, z)
+                gb_den, gb = row(q, z)
                 for u in range(nobj):
                     if dim(r, z, u) == 0:
                         continue
-                    bc, g_bc, gb_c = block(q, r, y, z, u), row(q + r, u), columns(p + q, r, x, z, u)
+                    (bc_den, bc), (g_bc_den, g_bc), (gb_c_den, gb_c) = (
+                        block(q, r, y, z, u), row(q + r, u), columns(p + q, r, x, z, u))
+                    lhs, rhs = gb_den * gb_c_den, bc_den * g_bc_den
+                    common = lcm(lhs, rhs)
+                    m, m_rhs = common // lhs, -(common // rhs)
                     for j in range(dim(q, y, z)):
                         for k in range(dim(r, z, u)):
-                            lhs = contract_into({}, gb[j], gb_c[k])
-                            rhs = contract_into({}, bc[j][k], g_bc)
-                            if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
+                            out = contract_into({}, gb[j], gb_c[k], m)
+                            if any(contract_into(out, bc[j][k], g_bc, m_rhs).values()):
                                 yield _LAWS[2], (p, q, r), (x, y, z, u), (j, k)
 
 
@@ -151,9 +185,10 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     triples, which the lemma of `validate_dg` needs though
     `validate_category` reports them.
     """
-    columns = _columns(w)
+    columns, diff = _columns(w), _differentials(w)
     for g in gens:
-        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, g.terms, columns):
+        _, (numerators,) = integral_terms((g.terms,))  # g over the lcm of its denominators
+        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, diff):
             return False
     return True
 
@@ -167,12 +202,12 @@ def law_violations(w: DGCategory) -> list[Violation]:
     objects and basis indices, in that order.  `validate_dg` runs this
     only once a check on its generating set has failed.
     """
-    columns = _columns(w)
+    columns, diff = _columns(w), _differentials(w)
     found: set[tuple] = set()
     for p in range(w.truncation + 1):
         for (x, y) in w.hom_pairs(p):
             for i in range(w.dim(p, x, y)):
-                for law, degrees, objects, indices in _failures(w, p, x, y, ((i, ONE),), columns):
+                for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, diff):
                     if law == _LAWS[0]:
                         found.add((0, degrees, objects, ()))  # named by its space, so found once per space
                     elif law == _LAWS[1] or any(degrees):  # degree-0 triples are `validate_category`'s

@@ -1,10 +1,14 @@
-"""The d.d = 0, Leibniz and associativity failures by direct enumeration, as an oracle.
+"""The laws of a graded category by direct enumeration in `Fraction`s, as an oracle.
 
 `law_violations` loops over every basis form, pair and triple of a
-graded category and reports which of them break a law, in loop order.
-It reads the tables through the accessors of `DGCategory` alone and
-shares no code with `lincat.laws`, which writes the same laws once with
-one form on the left; the two must report the same list.
+graded category and reports which of them break d.d = 0, Leibniz or
+associativity, in loop order; `unit_violations` does the same for the
+unit laws on every basis form of positive degree.  `law_defects`
+computes what the same three laws leave over with one given form on the
+left.  They read
+the tables through the accessors of `DGCategory` alone and share no
+code with `lincat.laws`, which writes the laws once with one form on
+the left, over integer numerators; the two must agree.
 """
 
 from lincat.category import Violation
@@ -97,3 +101,90 @@ def law_violations(w):
                                                     f"{name(p, x, y, i)} . {name(q, y, z, j)} . {name(r, z, u, k)}",
                                                 ))
     return violations
+
+
+def unit_violations(w):
+    """Unit-law failures on every basis form of positive degree, in loop order."""
+    violations = []
+    for n in range(1, w.truncation + 1):
+        for (x, y) in w.hom_pairs(n):
+            ox, oy = w.base.objects[x], w.base.objects[y]
+            left, right = w.basis_products(0, n, x, x, y), w.basis_products(n, 0, x, y, y)
+            for k in range(w.dim(n, x, y)):
+                labels = w.space_labels(n, x, y)
+                if _contract(w.base.identity[x], [row[k] for row in left]) != {k: 1}:
+                    violations.append(Violation("dg-identity-left", f"1_{ox.label} . {labels[k]}"))
+                if _contract(w.base.identity[y], right[k]) != {k: 1}:
+                    violations.append(Violation("dg-identity-right", f"{labels[k]} . 1_{oy.label}"))
+    return violations
+
+
+def _product(w, f, g):
+    """f.g for forms written (degree, x, y, {k: s}), f at (x, y) and g at (y, z)."""
+    p, x, y, a = f
+    q, _, z, b = g
+    out = {}
+    if p + q <= w.truncation:
+        block = w.basis_products(p, q, x, y, z)
+        for i, s in a.items():
+            for j, t in b.items():
+                for k, u in block[i][j]:
+                    out[k] = out.get(k, 0) + s * t * u
+    return p + q, x, z, {k: s for k, s in out.items() if s}
+
+
+def _d(w, f):
+    p, x, y, a = f
+    out = {}
+    if p < w.truncation:
+        columns = w.diff[p].get((x, y), ())
+        for j, s in a.items():
+            for i, t in columns[j]:
+                out[i] = out.get(i, 0) + s * t
+    return p + 1, x, y, {i: s for i, s in out.items() if s}
+
+
+def _plus(a, b, sign=1):
+    """a + sign * b, for {k: s} coefficients."""
+    out = dict(a)
+    for k, s in b.items():
+        out[k] = out.get(k, 0) + sign * s
+    return {k: s for k, s in out.items() if s}
+
+
+def law_defects(w, p, x, y, coefficients):
+    """What d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c) leave over.
+
+    g is the form of degree p at (x, y) with the given {k: s}
+    coefficients; b and c run over every basis form, the degree-0
+    triples included.  The defects are linear in g: the nonzero
+    coefficients of lhs - rhs, keyed by the law, the basis forms on the
+    right and the coefficient's index.  The laws hold with g on the left
+    exactly when there are none.
+    """
+    N, nobj = w.truncation, len(w.base.objects)
+    g = (p, x, y, {k: s for k, s in coefficients.items() if s})
+    defects = {}
+
+    def basis(lo, hi, y0):
+        for q in range(lo, hi + 1):
+            for z in range(nobj):
+                for j in range(w.dim(q, y0, z)):
+                    yield q, y0, z, {j: 1}
+
+    def record(key, difference):
+        defects.update(((key, k), s) for k, s in difference.items())
+
+    dg = _d(w, g)
+    if p < N:
+        record(("dg-d-squared",), _d(w, dg)[3])
+    sign = -1 if p % 2 else 1
+    for b in basis(0, N - p - 1, y):
+        rhs = _plus(_product(w, dg, b)[3], _product(w, g, _d(w, b))[3], sign)
+        record(("dg-leibniz", b[:3], *b[3]), _plus(_d(w, _product(w, g, b))[3], rhs, -1))
+    for b in basis(0, N - p, y):
+        gb = _product(w, g, b)
+        for c in basis(0, N - p - b[0], b[2]):
+            record(("dg-associativity", b[:3], *b[3], c[:3], *c[3]),
+                   _plus(_product(w, gb, c)[3], _product(w, g, _product(w, b, c))[3], -1))
+    return defects

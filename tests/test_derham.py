@@ -16,6 +16,7 @@ from lincat.workspace import fixture_names, load_fixture
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
     dense_ambient_d,
+    dual_category,
     dense_diagonal,
     dense_trace_d,
     m2_category,
@@ -211,6 +212,23 @@ def test_cochain_validation(dual5):
     assert tc.ev_at(tc.cochain(0, [(1,) * rh.dim(0)], None), 1) == one
 
 
+def test_cochain_refuses_classes_of_the_wrong_length():
+    # dual numbers at truncation 3: one class coordinate in degrees 0 to 3
+    w = universal_dg(dual_category(), 3)
+    rh = get_complex(w)
+    assert [rh.dim(n) for n in range(4)] == [2, 1, 1, 1]
+    tc = TildeComplex(rh, 1)
+    with pytest.raises(DimensionError, match=r"degree-1 cochain, part 0, stratum t\^0: expected 1 class coordinates, got 5"):
+        tc.cochain(1, [(1, 2, 3, 4, 5)], [])
+    with pytest.raises(DimensionError, match=r"degree-2 cochain, part 1, stratum t\^1: expected 1 class coordinates, got 2"):
+        tc.cochain(2, [(1,)], [(1,), (1, 2)])
+    # a class past the bound is checked too, zero or not
+    with pytest.raises(DimensionError, match=r"part 0, stratum t\^2: expected 2 class coordinates, got 0"):
+        tc.cochain(0, [(1, 0), (0, 1), ()], None)
+    a = tc.cochain(2, [(1,), (2,)], [(3,)])
+    assert (a.part0, a.part1) == (((1,), (2,)), ((3,), (0,)))
+
+
 def test_stratified_bracket_span_dimensions(dual5, two5):
     # the literal stratified bracket span is exactly one commutator
     # subspace per stratum: important for splitting the extension
@@ -389,6 +407,11 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     assert [(t.index, t.coefficient, t.label) for t in cert.terms] == expected
     assert cert.spanning_size == len(labeled) == 1728
     assert len(expected) > 10
+    # the system is built once for the degree and kept on the complex; a
+    # second certificate on it is the same
+    rh = get_complex(w)
+    assert rh.commutator_rows(3) is rh.commutator_rows(3)
+    assert certify_cocycle(conn, 1) == cert
 
 
 # -- cohomology against dense elimination on the class-level differential ----

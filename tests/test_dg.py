@@ -22,13 +22,15 @@ from lincat import (
 )
 from lincat.category import Category
 from lincat.dg import DGCategory, _generators
-from lincat.exact_linalg import Echelon
-from lincat.laws import law_violations, laws_hold_on, unit_violations
+from lincat.exact_linalg import Echelon, MatrixQ
+from lincat.laws import law_violations, laws_hold_on
 from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
 from envelope_oracle import direct_tables
+from test_exact_linalg import dense_kernel
 from law_oracle import law_violations as enumerated_violations
+from law_oracle import law_defects, unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
     broken_associativity_category,
@@ -347,6 +349,18 @@ def scaled_matrix_units(n, k):
         {("x", "x"): units},
         {(a, b): ({f"a{a[1]}{b[2]}": k} if a[2] == b[1] else {}) for a in units for b in units},
         {"x": {f"a{i}{i}": Fraction(1, k) for i in range(1, n + 1)}},
+    )
+
+
+def weighted_matrix_units(n):
+    """M_n in the basis a_ij = e_ij (i + 1) / (j + 2): the identity is no longer a multiple of a_11 + ... + a_nn."""
+    lam = {(i, j): Fraction(i + 1, j + 2) for i in range(1, n + 1) for j in range(1, n + 1)}
+    return build_category(
+        ["x"],
+        {("x", "x"): [f"a{i}{j}" for i, j in lam]},
+        {(f"a{i}{j}", f"a{j2}{k}"): ({f"a{i}{k}": lam[(i, j)] * lam[(j, k)] / lam[(i, k)]} if j == j2 else {})
+         for i, j in lam for j2, k in lam},
+        {"x": {f"a{i}{i}": 1 / lam[(i, i)] for i in range(1, n + 1)}},
     )
 
 
@@ -818,10 +832,61 @@ def test_validation_equals_the_full_enumeration_on_random_corruptions():
         for place, v in single_corruptions(w, rng, 40):
             enumerated = enumerated_violations(v)
             assert law_violations(v) == enumerated, (name, place)
-            full = unit_violations(v) + enumerated
+            full = enumerated_unit_violations(v) + enumerated
             assert validate_dg(v) == full, (name, place)
             failing += bool(full)
         assert failing >= 20, name  # the corruptions are seen, so the fallback ran
+
+
+def test_law_kernel_over_denominators_equals_the_enumeration():
+    # A4 and M2 in rescaled bases: their product blocks, differentials and
+    # generators carry denominators other than 1, so the law kernel
+    # cross-multiplies where the two sides of a law come from blocks over
+    # different denominators
+    failing, outcomes, cancelled = 0, {True: 0, False: 0}, 0
+    models = ((universal_dg(scaled_quiver(4), 4), 25), (universal_dg(weighted_matrix_units(2), 2), 10))
+    for w, count in models:
+        rng = random.Random(44)
+        products = (s for table in w.gr_comp.values() for block in table.values()
+                    for row in block for terms in row for _, s in terms)
+        differentials = (s for level in w.diff.values() for columns in level.values()
+                         for column in columns for _, s in column)
+        assert any(s.denominator > 1 for s in products)
+        assert any(s.denominator > 1 for s in differentials)
+        assert any(s.denominator > 1 for g in _generators(w) for _, s in g.terms)
+        assert validate_dg(w) == enumerated_unit_violations(w) == enumerated_violations(w) == []
+
+        for place, v in [("clean", w)] + list(single_corruptions(w, rng, count)):
+            enumerated = enumerated_violations(v)
+            assert law_violations(v) == enumerated, place
+            full = enumerated_unit_violations(v) + enumerated
+            assert validate_dg(v) == full, place
+            failing += bool(full)
+            # forms with fractional coefficients on the left: one at random
+            # per space, and where it fails, one whose defects cancel
+            for p in range(v.truncation + 1):
+                for (x, y) in v.hom_pairs(p):
+                    dim = v.dim(p, x, y)
+                    forms = [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5])) for _ in range(dim)]]
+                    if law_defects(v, p, x, y, dict(enumerate(forms[0]))):
+                        defects = [law_defects(v, p, x, y, {i: 1}) for i in range(dim)]
+                        keys = sorted(set().union(*defects), key=repr)
+                        kernel = dense_kernel(MatrixQ(len(keys), dim, tuple(
+                            tuple(Fraction(d.get(key, 0)) for d in defects) for key in keys)))
+                        scales = [Fraction(rng.choice([1, -1]), rng.choice([2, 3, 5, 7])) for _ in kernel]
+                        mixed = [sum(s * u[i] for s, u in zip(scales, kernel)) for i in range(dim)]
+                        if any(mixed[i] and defects[i] for i in range(dim)):
+                            assert not law_defects(v, p, x, y, dict(enumerate(mixed)))
+                            forms.append(mixed)
+                            cancelled += 1
+                    for coords in forms:
+                        g = v.form(p, v.base.objects[y], v.base.objects[x], coords)
+                        expected = not law_defects(v, p, x, y, dict(g.terms))
+                        assert laws_hold_on(v, [g]) == expected, (place, p, x, y, coords)
+                        outcomes[expected] += 1
+    assert failing >= 25, failing
+    assert min(outcomes.values()) >= 40, outcomes
+    assert cancelled >= 3, cancelled
 
 
 def word_span_dims(w, gens):
