@@ -58,7 +58,7 @@ from .errors import (
     TruncationError,
     WorkspaceError,
 )
-from .exact_linalg import MatrixQ, format_scalar, parse_scalar
+from .exact_linalg import format_scalar, parse_scalar
 from .form_matrix import FormMatrix, block_diag
 from .module_algebra import (
     DirectSumData,
@@ -99,7 +99,6 @@ __all__ = [
     "InvarianceCertificate",
     "K0Entry",
     "LincatError",
-    "MatrixQ",
     "ModuleError",
     "ObjectId",
     "ProjectiveModule",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError
-from .exact_linalg import ONE, ZERO, Terms, checked_terms, scalar, terms_of
+from .exact_linalg import ONE, Terms, checked_terms, contract_into, scalar, terms_of
 
 # products of basis elements: entry [i][j] holds the terms of b_i . b_j
 ProductRows = tuple[tuple[Terms, ...], ...]
@@ -63,18 +63,6 @@ def refuse_unread(table: Mapping, read, valid, where: str) -> None:
             raise DimensionError(f"{where}: key {key!r} is out of range")
         if entry:
             raise DimensionError(f"{where}: {key!r} is a zero space, but the table gives it entries")
-
-
-def contract(block: ProductRows, u: Terms, v: Terms) -> Terms:
-    """The terms of the product u . v, from the products of basis elements in `block`."""
-    out: dict[int, Fraction] = {}
-    for i, a in u:
-        row = block[i]
-        for j, b in v:
-            ab = a * b
-            for k, s in row[j]:
-                out[k] = out.get(k, ZERO) + ab * s
-    return terms_of(out)
 
 
 @dataclass(frozen=True)
@@ -183,8 +171,12 @@ def validate_category(c: Category) -> list[Violation]:
     n = len(c.objects)
 
     def product(x: int, y: int, z: int, u: Terms, v: Terms) -> Terms:
+        out: dict[int, Fraction] = {}
         block = c.comp.get((x, y, z))
-        return () if block is None else contract(block, u, v)
+        if block is not None:
+            for i, a in u:
+                contract_into(out, v, block[i], a)
+        return terms_of(out)
 
     for x in range(n):
         ox = c.objects[x]

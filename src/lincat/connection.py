@@ -48,8 +48,6 @@ class Connection:
             raise DimensionError("connection gauge matrix must consist of degree-1 forms")
         if (gauge.row_family, gauge.col_family) != (module.family, module.family):
             raise DimensionError("connection gauge matrix does not match the module family")
-        if w.truncation < 1:
-            raise TruncationError("connections need at least degree-1 forms")
         self.module = module
         self.gauge = gauge
         e = module.idempotent

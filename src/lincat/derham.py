@@ -244,7 +244,8 @@ class DeRhamComplex:
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
         coords = vec(coords)
         if n < 0 or n > self.truncation:
-            return ()
+            # d out of a zero space: the zero class of degree n + 1
+            return zero_vector(self.dim(n + 1))
         out: SparseRow = {}
         for x, col in zip(coords, self.d_columns[n]):
             if x:
@@ -297,16 +298,14 @@ class DeRhamComplex:
     def is_coboundary(self, n: int, coords: Vector) -> Optional[Vector]:
         """A primitive class one degree lower, or None when there is none.
 
-        Degree 0 admits a primitive only for the zero class, whose
-        primitive is the empty vector.
+        No d arrives in degree 0 or outside the complex, so there only
+        the zero class has a primitive: the zero class of degree n - 1.
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
         coords = vec(coords)
-        if n < 0 or n > self.truncation:
-            return ()
-        if n == 0:
-            return () if is_zero_vector(coords) else None
+        if n <= 0 or n > self.truncation:
+            return zero_vector(self.dim(n - 1)) if is_zero_vector(coords) else None
         # the rows of d out of degree n - 1, read off its columns once
         rows = self._d_rows.get(n)
         if rows is None:

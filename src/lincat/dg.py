@@ -40,7 +40,6 @@ from .category import (
     ObjectId,
     ProductRows,
     Violation,
-    contract,
     product_rows,
     refuse_unread,
     validate_category,
@@ -54,6 +53,7 @@ from .exact_linalg import (
     Terms,
     add_terms,
     checked_terms,
+    contract_into,
     cut_rows,
     integral_terms,
     scalar,
@@ -61,7 +61,7 @@ from .exact_linalg import (
     terms_of,
     vec,
 )
-from .laws import contract_into, law_violations, laws_hold_on, unit_violations
+from .laws import law_violations, laws_hold_on, unit_violations
 
 # ---------------------------------------------------------------------------
 # forms
@@ -249,8 +249,11 @@ class DGCategory:
                 f"cannot compose: left factor starts at {f.dom.label}, right factor ends at {g.cod.label}"
             )
         p, q = f.degree, g.degree
-        x, y, z = f.cod.index, f.dom.index, g.dom.index
-        return Form(p + q, g.dom, f.cod, contract(self.basis_products(p, q, x, y, z), f.terms, g.terms))
+        block = self.basis_products(p, q, f.cod.index, f.dom.index, g.dom.index)
+        out: SparseRow = {}
+        for i, a in f.terms:
+            contract_into(out, g.terms, block[i], a)
+        return Form(p + q, g.dom, f.cod, terms_of(out))
 
     def basis_products(self, p: int, q: int, x: int, y: int, z: int):
         """Products of the basis forms of degree p at (x, y) with those of degree q at (y, z).

@@ -47,14 +47,15 @@ Each derived entry is covered by these checks:
 * the rules hold in a category only, so `universal_dg` refuses a
   category that `validate_category` rejects (`CategoryAxiomError`)
   before any chain is built;
-* the coordinates of every spanning product are substituted back over
-  the chain space (`_Subspace.coordinates`), and every expression is
-  substituted back in coordinates, which with the former makes it an
-  identity of chain vectors; the entries follow from these identities
-  and the rules in exact arithmetic;
+* every spanning product is reduced by the basis over the whole chain
+  space, and must leave nothing (`_Subspace.coordinates`), so its
+  coordinates are exact; every expression is substituted back in
+  coordinates, which with the former makes it an identity of chain
+  vectors; the entries follow from these identities and the rules in
+  exact arithmetic;
 * the tests pin the table digests of six envelopes, and compare the
-  tables of more with a direct fill (one chain merge and substitution
-  per pair of basis forms) that they keep as an oracle.
+  tables of more with a direct fill (one chain merge and reduction per
+  pair of basis forms) that they keep as an oracle.
 
 The contraction sums Python ints over one denominator per block, in
 the manner of `lincat.form_matrix.ProductAccumulator`; each stored
@@ -69,7 +70,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import ONE, ZERO, Echelon, SparseRow, cut_rows, echelon, integral_terms
+from .exact_linalg import ONE, ZERO, Echelon, SparseRow, cut_rows, echelon, integral_terms, over_lcm, reduce_by
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -81,17 +82,29 @@ class _ChainSpace:
 
     A chain is (interior objects, arrow basis indices): n interior
     objects and n+1 arrows strung from x to y through them.  The
-    interiors are the given walks through nonzero hom spaces; flat order
-    is theirs (lexicographic), then row-major in the arrow indices, which
-    makes every reduced basis deterministic.  In degree 0 the chains are
-    ((), (k,)), so chain k is basis arrow k.
+    interiors are the given walks through nonzero hom spaces.  The
+    enumeration runs over them (lexicographic), then row-major in the
+    arrow indices, and is then sorted, stably, by the number of
+    differential slots (every slot but the first) that hold the
+    identity arrow of their object: such a chain makes a poor pivot, so
+    these come last.  Every reduced basis is taken in this column
+    order, which makes it deterministic and puts pivots on clean
+    monomials whenever possible.  A degree-0 chain has no differential
+    slot, so in degree 0 the chains are ((), (k,)) in order, and chain k
+    is basis arrow k.
     """
 
-    def __init__(self, c: Category, x: int, y: int, interiors: list[tuple[int, ...]]):
-        self.elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    def __init__(self, c: Category, x: int, y: int, interiors: list[tuple[int, ...]], unit: dict[int, int]):
+        elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for interior in interiors:
             steps = itertools.pairwise((x,) + interior + (y,))
-            self.elems += ((interior, arrows) for arrows in itertools.product(*(range(c.dim(a, b)) for a, b in steps)))
+            elems += ((interior, arrows) for arrows in itertools.product(*(range(c.dim(a, b)) for a, b in steps)))
+
+        def identities(elem) -> int:
+            interior, arrows = elem
+            path = (x,) + interior + (y,)
+            return sum(1 for i in range(1, len(arrows)) if path[i] == path[i + 1] and unit.get(path[i]) == arrows[i])
+        self.elems = sorted(elems, key=identities) if unit else elems
         self.pos = {e: k for k, e in enumerate(self.elems)}
 
     @property
@@ -102,20 +115,14 @@ class _ChainSpace:
 class _Subspace:
     """A subspace of a chain space with a reduced-echelon basis.
 
-    Reduction runs in a preferred column order (chains free of identity
-    arrows in differential slots first), so pivots land on clean
-    monomials whenever possible; rows are stored back in the natural
-    chain order, as sparse maps.  Each basis row is addressed by its
-    pivot chain.
+    The basis rows are sparse maps over the chain space, reduced in its
+    enumeration order (`_ChainSpace`); each is addressed by its pivot
+    chain.
     """
 
-    def __init__(self, space: _ChainSpace, spanning, order: tuple[int, ...]):
-        position = [0] * space.dim
-        for pos, j in enumerate(order):
-            position[j] = pos
-        rows, pivots = echelon(({position[j]: s for j, s in r.items()} for r in spanning), space.dim)
-        self.rows: tuple[SparseRow, ...] = tuple({order[k]: s for k, s in r.items()} for r in rows)
-        self.pivots = tuple(order[k] for k in pivots)
+    def __init__(self, space: _ChainSpace, spanning):
+        self.rows, self.pivots = echelon(spanning, space.dim)
+        self._row_at_pivot = dict(zip(self.pivots, self.rows))
         self._index = {p: i for i, p in enumerate(self.pivots)}
 
     @property
@@ -125,18 +132,14 @@ class _Subspace:
     def coordinates(self, v: SparseRow) -> SparseRow:
         """Nonzero coordinates in the reduced basis; the vector must lie in the span.
 
-        `v` holds nonzero entries only.  The coordinates are read off at
-        the pivots and substituted back over the whole chain space.
+        The vector lies in the span exactly when `reduce_by` leaves
+        nothing of it, and then its coordinates are its entries at the
+        pivots.
         """
-        index = self._index
-        coords = {index[j]: s for j, s in v.items() if j in index}
-        check: SparseRow = {}
-        for i, s in coords.items():
-            for j, y in self.rows[i].items():
-                check[j] = check.get(j, ZERO) + s * y
-        if {j: x for j, x in check.items() if x} != v:
+        if reduce_by(v, self._row_at_pivot):
             raise LincatError("universal builder: vector left the expected span")
-        return coords
+        index = self._index
+        return {index[j]: s for j, s in v.items() if j in index}
 
 
 class _Chains:
@@ -154,20 +157,8 @@ class _Chains:
             tails = {x: [()] for x in objects if c.dim(x, y)}
             for n in range(truncation + 1):
                 for x in objects:
-                    self.spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []))
+                    self.spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []), self.unit)
                 tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
-
-    def order(self, n: int, x: int, y: int) -> tuple[int, ...]:
-        """The preferred column order of a chain space: identity arrows in differential slots make a poor pivot."""
-        space, unit = self.spaces[(n, x, y)], self.unit
-        if not unit:
-            return tuple(range(space.dim))
-
-        def badness(elem) -> int:
-            interior, arrows = elem
-            path = (x,) + interior + (y,)
-            return sum(1 for i in range(1, len(arrows)) if path[i] == path[i + 1] and unit.get(path[i]) == arrows[i])
-        return tuple(sorted(range(space.dim), key=lambda k: (badness(space.elems[k]), k)))
 
     def merge(self, p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
         """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector."""
@@ -322,7 +313,7 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
             expected = sum(dims[(n - 1, x, w)] * (c.dim(w, y) - (w == y)) for w in objects)
             span = [(w, i, b, chains.merge(n - 1, 1, x, w, y, omega, db))
                     for w in objects for i, omega in enumerate(basis[(x, w)]) for b, db in enumerate(d_arrow[(w, y)])]
-            sub = _Subspace(chains.spaces[(n, x, y)], (v for *_, v in span), chains.order(n, x, y))
+            sub = _Subspace(chains.spaces[(n, x, y)], (v for *_, v in span))
             dims[(n, x, y)] = sub.dim
             if sub.dim != expected:
                 raise LincatError(
@@ -450,7 +441,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         """d out of degree n: d(a) = 1.da, and d(omega.db) = d(omega).db."""
         if n == 0:
             # 1.da is the sum of s * (e_k.da) over the identity's terms (k, s)
-            (i_den, (unit,)), (r_den, r_xy) = integral_terms([c.identity[x]]), right[(1, x, x, y)]
+            (i_den, unit), (r_den, r_xy) = over_lcm(c.identity[x]), right[(1, x, x, y)]
             return _settled(i_den * r_den, times_db([[(x, k, a, s) for k, s in unit] for a in range(c.dim(x, y))],
                                                     {x: [((k, 1),) for k in range(c.dim(x, x))]}, {x: r_xy}))
         dens, d_w, r_wy = {}, {}, {}

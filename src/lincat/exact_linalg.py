@@ -27,29 +27,38 @@ are mostly zero and exact arithmetic on a zero still costs a
 Integer arithmetic stands in for `Fraction`s where sums are long:
 `integral_terms` puts sparse vectors over one common denominator, as
 `int` numerators, and `cut_rows` cuts such a flat list back into the
-rows of a block.  The envelope builder, the product blocks of
-`DGCategory.integral_products`, and the law kernel of `lincat.laws`
-(each degree of the differential, and each form it checks) all
-convert this way.
+rows of a block; `over_lcm` puts a single vector over the lcm of its
+own denominators.  The envelope builder, the product blocks of
+`DGCategory.integral_products`, the law kernel of `lincat.laws` and the
+product kernel of `lincat.form_matrix` all convert this way.  One
+contraction, `contract_into`, adds combinations of sparse vectors into
+a sparse sum, over `Fraction`s or over numerators: products and
+differentials of forms, and every law check, are made of it.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
 a caller that grows a span row by row (the generating set of
-`validate_dg`) holds an `Echelon` itself.  `build_quotient` divides by
-the span of sparse rows, `solve_rows` solves a linear system given by
-its sparse rows, and a `QuotientSpace` reduces a sparse vector modulo
-the span (`reduce_sparse`) and reads its coset coordinates, a dense
-tuple, off the free columns (`coset_coordinates`), without densifying
-the vector.  Callers that already hold sparse rows (the envelope's
+`validate_dg`) holds an `Echelon` itself.  Every reduction of a vector
+by a reduced echelon basis is one function, `reduce_by`: its remainder
+is empty exactly when the vector lies in the span, and then the
+coordinates of the vector are its entries at the pivots.  `Echelon.add`
+reduces each new row this way, a `QuotientSpace` reduces a sparse
+vector modulo the span (`reduce_sparse`) and reads its coset
+coordinates, a dense tuple, off the free columns (`coset_coordinates`),
+and the chain subspaces of the envelope and the fixed columns of a
+module test membership with it.  `build_quotient` divides by the span
+of sparse rows and `solve_rows` solves a linear system given by its
+sparse rows; callers that already hold sparse rows (the envelope's
 chain subspaces, the cohomology of the quotient complex, the fixed
 columns of a module) call `echelon` itself.
 
-`rref` is the one dense front door: it hands the kernel the nonzeros of
-a `MatrixQ`, an immutable dense matrix whose entries must be Fractions
-(anything else is refused with `ScalarTypeError`, so no float or int
-ever enters exact arithmetic unnoticed).  No library module calls it;
-it stays because the benchmark's tracer (`perfbench/tracing.py`) wraps
-`exact_linalg.rref` by name and reads the shape of its `MatrixQ`.
+There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
+any dense matrix given by its `rows`, `cols` and `entries`, which must
+be Fractions (anything else is refused with `ScalarTypeError`, so no
+float or int ever enters exact arithmetic unnoticed).  No library
+module calls it; it stays because the benchmark's tracer
+(`perfbench/tracing.py`) wraps `exact_linalg.rref` by name and reads
+the shape of its argument.
 """
 
 from __future__ import annotations
@@ -135,6 +144,30 @@ def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[i
     return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
 
 
+def over_lcm(terms: Terms) -> tuple[int, Sequence[tuple[int, int]]]:
+    """One sparse vector over the lcm of its denominators: (D, [(k, n)]) with n / D the coefficient at k."""
+    if not terms:
+        return 1, ()
+    d = lcm(*[s.denominator for _, s in terms])
+    if d == 1:
+        return 1, [(k, s.numerator) for k, s in terms]
+    return d, [(k, s.numerator * (d // s.denominator)) for k, s in terms]
+
+
+def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
+    """Add m * s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`.
+
+    The entries may be `Fraction`s or integer numerators; a sum may
+    leave cancelled zeros in `out`.
+    """
+    for a, s in coefficients:
+        if m != 1:
+            s *= m
+        for c, t in vectors[a]:
+            out[c] = out.get(c, 0) + s * t
+    return out
+
+
 def cut_rows(flat: list, width: int) -> list:
     """A flat list cut into rows of the given width; no rows when it is 0."""
     return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
@@ -193,54 +226,6 @@ def _all_fractions(values: Iterable) -> bool:
     return all(map(isinstance, values, repeat(Fraction)))
 
 
-@dataclass(frozen=True)
-class MatrixQ:
-    """Immutable dense matrix over the rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for i, r in enumerate(self.entries):
-            if len(r) != self.cols:
-                raise DimensionError(f"ragged row: expected {self.cols} columns, got {len(r)}")
-            if not _all_fractions(r):
-                j, x = next((j, x) for j, x in enumerate(r) if not isinstance(x, Fraction))
-                raise ScalarTypeError(
-                    f"matrix entry ({i}, {j}) is {x!r} of type {type(x).__name__}, not a Fraction"
-                )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "MatrixQ":
-        entries = tuple(vec(r) for r in rows)
-        if entries:
-            width = len(entries[0])
-        else:
-            if cols is None:
-                raise DimensionError("empty matrix needs an explicit column count")
-            width = cols
-        return cls(len(entries), width, entries)
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    """Reduced row echelon form: the nonzero rows, sparse, and their pivots.
-
-    `rows[i]` has a 1 in column `pivots[i]`; the rows are read-only.
-    """
-
-    shape: tuple[int, int]
-    rows: tuple[SparseRow, ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
     """row += f * other, in place, dropping the entries that cancel; f != 0."""
     for j, y in other.items():
@@ -253,6 +238,21 @@ def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
                 row[j] = x
             else:
                 del row[j]
+
+
+def reduce_by(v: SparseRow, rows_at: Mapping[int, SparseRow]) -> SparseRow:
+    """The remainder of v, left unmodified, by a reduced echelon basis keyed by pivot column.
+
+    Each basis row vanishes at every pivot but its own, so one pass over
+    the pivots in v's support clears them all, each by its own row
+    scaled by v's entry there.  So the remainder is empty exactly when v
+    lies in the span, and then v's entries at the pivots are its
+    coordinates.  The remainder keeps nonzero entries only.
+    """
+    row = {j: x for j, x in v.items() if x}
+    for p in [p for p in row if p in rows_at]:
+        add_scaled(row, -row[p], rows_at[p])
+    return row
 
 
 def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
@@ -282,8 +282,8 @@ class Echelon:
     """A reduced echelon basis grown one row at a time.
 
     `rows` maps each pivot column to its row, which is 1 there and 0 at
-    every other pivot.  `add` reduces a row by the basis, and a nonzero
-    remainder joins it with its first column as pivot, scaled to 1
+    every other pivot.  `add` reduces a row by the basis (`reduce_by`),
+    and a nonzero remainder joins it with its first column as pivot, scaled to 1
     there, after which that column is cleared from the older rows.  So
     the unit vector e_k lies in the span exactly when the row at pivot k
     is e_k itself (`spans_unit`).
@@ -299,11 +299,7 @@ class Echelon:
     def add(self, given: SparseRow) -> Optional[int]:
         """Add a row, left unmodified; its pivot, or None when it lies in the span."""
         basis = self.rows
-        row = {j: x for j, x in given.items() if x}
-        # basis rows vanish at every pivot but their own, so one pass over
-        # the pivots in the row's support clears them all
-        for c in [c for c in row if c in basis]:
-            add_scaled(row, -row[c], basis[c])
+        row = reduce_by(given, basis)
         if not row:
             return None
         p = min(row)
@@ -323,10 +319,9 @@ class Echelon:
         return self.rows.get(k) == {k: ONE}
 
 
-def rref(m: MatrixQ) -> RrefResult:
-    """Reduced row echelon form of a dense matrix, by `echelon`."""
-    rows, pivots = echelon(map(sparse, m.entries), m.cols)
-    return RrefResult((m.rows, m.cols), rows, pivots)
+def rref(m) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """`echelon` of the nonzeros of a dense matrix with `rows`, `cols` and Fraction `entries`."""
+    return echelon(map(sparse, m.entries), m.cols)
 
 
 def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
@@ -377,13 +372,7 @@ class QuotientSpace:
 
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
         """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
-        row_at = self._row_at_pivot
-        out = {j: x for j, x in v.items() if x}
-        # rows vanish at every pivot but their own, so each pivot entry of
-        # v is eliminated by its own row alone
-        for p in [p for p in out if p in row_at]:
-            add_scaled(out, -out[p], row_at[p])
-        return out
+        return reduce_by(v, self._row_at_pivot)
 
     def coset_coordinates(self, v: SparseRow) -> Vector:
         """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""

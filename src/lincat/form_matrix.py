@@ -33,6 +33,7 @@ from typing import Sequence
 from .category import ObjectId
 from .dg import DGCategory, Form
 from .errors import DimensionError
+from .exact_linalg import over_lcm
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ class FormMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_family), len(self.col_family))
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "FormMatrix":
+        """The matrix of the given rows and columns, in the given order."""
+        return FormMatrix(self.degree, tuple(self.row_family[i] for i in rows),
+                          tuple(self.col_family[j] for j in cols),
+                          tuple(tuple(self.entries[i][j] for j in cols) for i in rows))
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if (self.degree, self.row_family, self.col_family) != (other.degree, other.row_family, other.col_family):
@@ -214,18 +221,8 @@ class ProductAccumulator:
 
 
 def _integral_entries(m: FormMatrix) -> list[list[tuple[int, Sequence[tuple[int, int]]]]]:
-    """The entries of a form matrix, each over one denominator by `_over_lcm`."""
-    return [[_over_lcm(f.terms) for f in row] for row in m.entries]
-
-
-def _over_lcm(terms) -> tuple[int, Sequence[tuple[int, int]]]:
-    """Terms over one denominator: (D, [(k, n)]) with n / D the coefficient at k."""
-    if not terms:
-        return 1, ()
-    d = lcm(*[s.denominator for _, s in terms])
-    if d == 1:
-        return 1, [(k, s.numerator) for k, s in terms]
-    return d, [(k, s.numerator * (d // s.denominator)) for k, s in terms]
+    """The entries of a form matrix, each over one denominator by `over_lcm`."""
+    return [[over_lcm(f.terms) for f in row] for row in m.entries]
 
 
 def _fraction_terms(out: dict[int, int], den: int):

@@ -7,20 +7,21 @@ form on the left and every basis form on the right; `laws_hold_on` runs
 it on a generating set, and `law_violations` runs it with every basis
 form on the left and names what fails.  All of them read the products
 and differentials of basis forms straight from the stored terms of a
-`DGCategory` and contract them into sparse sums (`contract_into`),
-which is the arithmetic `compose` and `d` would do, without building a
-form per factor.
+`DGCategory` and contract them into sparse sums with
+`lincat.exact_linalg.contract_into`, the contraction that `compose` and
+`d` run too, without building a form per factor.
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
 `DGCategory.integral_products`, and each degree of the differential
 goes over one denominator through `integral_terms` (`_differentials`).
-A left factor goes over the lcm of its own denominators, which then
-drops out: both sides of every law are linear in it.  The two sides of
-a law are summed from different blocks, so each is cross-multiplied by
-the denominators of the other before they are compared; where every
-denominator is 1, as in most tables, nothing is scaled.  A law holds
-when the difference of its two sides has no nonzero numerator.
+A left factor goes over the lcm of its own denominators (`over_lcm`),
+which then drops out: both sides of every law are linear in it.  The
+two sides of a law are summed from different blocks, so each is
+cross-multiplied by the denominators of the other before they are
+compared; where every denominator is 1, as in most tables, nothing is
+scaled.  A law holds when the difference of its two sides has no
+nonzero numerator.
 """
 
 from __future__ import annotations
@@ -29,27 +30,13 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .category import Violation
-from .exact_linalg import SparseRow, Terms, integral_terms
+from .exact_linalg import contract_into, integral_terms, over_lcm
 
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
 
 # the laws of `_failures`, in the order `law_violations` reports them
 _LAWS = ("dg-d-squared", "dg-leibniz", "dg-associativity")
-
-
-def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
-    """Add m * s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`.
-
-    The entries may be `Fraction`s or integer numerators; a sum may
-    leave cancelled zeros in `out`.
-    """
-    for a, s in coefficients:
-        if m != 1:
-            s *= m
-        for c, t in vectors[a]:
-            out[c] = out.get(c, 0) + s * t
-    return out
 
 
 def _transpose(b, rows: int, cols: int):
@@ -69,7 +56,7 @@ def unit_violations(w: DGCategory) -> list[Violation]:
         for (x, y) in w.hom_pairs(n):
             ox, oy = w.base.objects[x], w.base.objects[y]
             dn = dim(n, x, y)
-            (den_x, (one_x,)), (den_y, (one_y,)) = (integral_terms((w.base.identity[o],)) for o in (x, y))
+            (den_x, one_x), (den_y, one_y) = (over_lcm(w.base.identity[o]) for o in (x, y))
             left_den, left = block(0, n, x, x, y)
             right_den, right = block(n, 0, x, y, y)
             left = _transpose(left, dim(0, x, x), dn)
@@ -187,7 +174,7 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     """
     columns, diff = _columns(w), _differentials(w)
     for g in gens:
-        _, (numerators,) = integral_terms((g.terms,))  # g over the lcm of its denominators
+        _, numerators = over_lcm(g.terms)  # g over the lcm of its denominators
         for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, diff):
             return False
     return True

@@ -28,10 +28,10 @@ from .exact_linalg import (
     ZERO,
     SparseRow,
     Vector,
-    add_scaled,
     checked_terms,
     echelon,
     offsets,
+    reduce_by,
 )
 from .form_matrix import FormMatrix, block_diag
 
@@ -74,12 +74,11 @@ class ProjectiveModule:
 
     def generator(self, i: int) -> FormMatrix:
         """The i-th generator: column i of the idempotent."""
-        col = tuple((row[i],) for row in self.idempotent.entries)
-        return FormMatrix(0, self.family, (self.family[i],), col)
+        return self.idempotent.submatrix(range(self.size), (i,))
 
     def dual_generator(self, i: int) -> FormMatrix:
         """The i-th coordinate functional: row i of the idempotent."""
-        return FormMatrix(0, (self.family[i],), self.family, (self.idempotent.entries[i],))
+        return self.idempotent.submatrix((i,), range(self.size))
 
     def involution(self) -> FormMatrix:
         """2e - 1; squares to the identity."""
@@ -113,42 +112,14 @@ def direct_sum(a: ProjectiveModule, b: ProjectiveModule, name: str = "") -> Dire
         raise DimensionError("direct sum: modules live over different graded categories")
     e = block_diag(w, a.idempotent, b.idempotent)
     total = ProjectiveModule(w, name or f"{a.name}+{b.name}", e)
-    fam, fa, fb = total.family, a.family, b.family
-
-    def block_column(src: ProjectiveModule, top: bool) -> FormMatrix:
-        rows = []
-        for i, oi in enumerate(fam):
-            row = []
-            for j, oj in enumerate(src.family):
-                if top and i < len(fa):
-                    row.append(src.idempotent.entries[i][j])
-                elif not top and i >= len(fa):
-                    row.append(src.idempotent.entries[i - len(fa)][j])
-                else:
-                    row.append(w.zero_form(0, oj, oi))
-            rows.append(tuple(row))
-        return FormMatrix(0, fam, src.family, tuple(rows))
-
-    def block_row(src: ProjectiveModule, left: bool) -> FormMatrix:
-        rows = []
-        for i, oi in enumerate(src.family):
-            row = []
-            for j, oj in enumerate(fam):
-                if left and j < len(fa):
-                    row.append(src.idempotent.entries[i][j])
-                elif not left and j >= len(fa):
-                    row.append(src.idempotent.entries[i][j - len(fa)])
-                else:
-                    row.append(w.zero_form(0, oj, oi))
-            rows.append(tuple(row))
-        return FormMatrix(0, src.family, fam, tuple(rows))
-
+    # the injections are the column blocks of e, the projections its row blocks
+    every, top, bottom = range(total.size), range(a.size), range(a.size, total.size)
     return DirectSumData(
         module=total,
-        inj1=block_column(a, True),
-        inj2=block_column(b, False),
-        proj1=block_row(a, True),
-        proj2=block_row(b, False),
+        inj1=e.submatrix(every, top),
+        inj2=e.submatrix(every, bottom),
+        proj1=e.submatrix(top, every),
+        proj2=e.submatrix(bottom, every),
     )
 
 
@@ -197,7 +168,9 @@ class EFixedComponent:
     `hom-forms(family[i], anchor)`.  Since e is idempotent, the columns
     it fixes, the kernel of (e - 1), are exactly its image, so the
     subspace basis `rows` is the reduced echelon basis of the e-images
-    of the basis columns, as sparse rows.
+    of the basis columns, as sparse rows.  A column is fixed exactly
+    when `reduce_by` leaves nothing of it, and its coordinates are then
+    its entries at the pivots.
     """
 
     def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
@@ -220,6 +193,7 @@ class EFixedComponent:
                         image[self.offsets[i] + k] = s
                 images.append(image)
         self.rows, self.pivots = echelon(images, self.total_dim)
+        self._row_at_pivot = dict(zip(self.pivots, self.rows))
 
     @property
     def dim(self) -> int:
@@ -249,11 +223,6 @@ class EFixedComponent:
     def coordinates(self, u: FormMatrix) -> Vector:
         """Coordinates of an e-fixed column in the reduced basis."""
         v = self.ambient_of_column(u)
-        coords = tuple(v.get(p, ZERO) for p in self.pivots)
-        check: SparseRow = {}
-        for s, row in zip(coords, self.rows):
-            if s:
-                add_scaled(check, s, row)
-        if check != v:
+        if reduce_by(v, self._row_at_pivot):
             raise ModuleError("column is not fixed by the module idempotent")
-        return coords
+        return tuple(v.get(p, ZERO) for p in self.pivots)

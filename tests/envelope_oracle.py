@@ -4,7 +4,7 @@
 spaces and the span rule), then fills the product table and the
 differential the direct way: one chain merge or identity insertion per
 pair of basis forms, or per basis form, with its coordinates read off
-and substituted back.  It shares no table rule with the builder, which
+after a reduction that must leave nothing.  It shares no table rule with the builder, which
 derives both tables from the span's own products, so the two must
 agree entry for entry.
 """
@@ -21,15 +21,14 @@ def direct_tables(c, truncation):
     sub = {}
     for x in objects:
         for y in objects:
-            sub[(0, x, y)] = _Subspace(chains.spaces[(0, x, y)], [{k: ONE} for k in range(c.dim(x, y))],
-                                       chains.order(0, x, y))
+            sub[(0, x, y)] = _Subspace(chains.spaces[(0, x, y)], [{k: ONE} for k in range(c.dim(x, y))])
     d_arrow = {(z, y): [chains.d(0, z, y, {b: ONE}) for b in range(c.dim(z, y))] for z in objects for y in objects}
     for n in range(1, N + 1):
         for x in objects:
             for y in objects:
                 span = [chains.merge(n - 1, 1, x, z, y, omega, db)
                         for z in objects for omega in sub[(n - 1, x, z)].rows for db in d_arrow[(z, y)]]
-                sub[(n, x, y)] = _Subspace(chains.spaces[(n, x, y)], span, chains.order(n, x, y))
+                sub[(n, x, y)] = _Subspace(chains.spaces[(n, x, y)], span)
 
     gr_comp = {}
     for p in range(0, N + 1):

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from lincat.category import ObjectId
 from lincat.dg import Form
-from lincat.exact_linalg import ZERO, MatrixQ, QuotientSpace, SparseRow, Terms, Vector, build_quotient, offsets
+from lincat.exact_linalg import ZERO, QuotientSpace, SparseRow, Terms, Vector, build_quotient, offsets
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import EFixedComponent, ProjectiveModule
 
-from test_exact_linalg import dense_kernel, dense_rref
+from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref
 
 
 def dense_fixed_rows(module: ProjectiveModule, degree: int, anchor: ObjectId) -> tuple[Vector, ...]:
@@ -39,11 +39,11 @@ def dense_fixed_rows(module: ProjectiveModule, degree: int, anchor: ObjectId) ->
                     col[offs[i] + k] += s
             col[offs[j] + cidx] -= 1
             columns.append(col)
-    e_minus_1 = MatrixQ(total, total, tuple(tuple(col[r] for col in columns) for r in range(total)))
+    e_minus_1 = DenseMatrix(total, total, tuple(tuple(col[r] for col in columns) for r in range(total)))
     kernel = dense_kernel(e_minus_1)
     if not kernel:
         return ()
-    rows, pivots = dense_rref(MatrixQ(len(kernel), total, kernel))
+    rows, pivots = dense_rref(DenseMatrix(len(kernel), total, kernel))
     return tuple(rows[:len(pivots)])
 
 
@@ -121,7 +121,7 @@ class LiteralTensor:
                 amb[pos] = amb.get(pos, ZERO) + s * t
         return self.quotient.coset_coordinates(amb)
 
-    def iso_matrix(self, column_model: EFixedComponent) -> MatrixQ:
+    def iso_matrix(self, column_model: EFixedComponent) -> DenseMatrix:
         """Map the column-model basis into tensor classes: u -> sum m_i (x) u_i."""
         fam = self.module.family
         gen_coords = []
@@ -137,6 +137,6 @@ class LiteralTensor:
                     continue
                 acc = [a + b for a, b in zip(acc, self.class_of_tensor(oi.index, gen_coords[i], ui.terms))]
             cols.append(acc)
-        return MatrixQ(self.dim, column_model.dim, tuple(
+        return DenseMatrix(self.dim, column_model.dim, tuple(
             tuple(cols[j][i] for j in range(column_model.dim)) for i in range(self.dim)
         ))

@@ -454,7 +454,7 @@ def test_criterion_09_tensor_models_agree(dual5, two5, arrow3):
                 lt = LiteralTensor(m, n, anchor)
                 assert ef.dim == lt.dim
                 if ef.dim:
-                    assert rref(lt.iso_matrix(ef)).rank == ef.dim  # square, so bijective
+                    assert len(rref(lt.iso_matrix(ef))[1]) == ef.dim  # square, so bijective
                 compared += 1
     ok(9, f"column model and quotient tensor model agree at {compared} (module, degree, object) sites")
 

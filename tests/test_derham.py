@@ -10,7 +10,7 @@ from lincat.chern import certify_cocycle, chern_form
 from lincat.derham import TildeComplex, get_complex
 from lincat.dg import DGCategory, render_terms
 from lincat.errors import DimensionError, LincatError, ScalarTypeError
-from lincat.exact_linalg import MatrixQ, densify, is_zero_vector, sparse, zero_vector
+from lincat.exact_linalg import densify, is_zero_vector, sparse, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
@@ -26,7 +26,7 @@ from conftest import (
     two_points_category,
 )
 from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
-from test_exact_linalg import dense_kernel, dense_rref, dense_solve
+from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
 
 
 def random_class(rh, n, rng):
@@ -160,12 +160,27 @@ def test_homotopy_defect_vanishes(dual5, two5, arrow3):
         checked = 0
         for D in (1, 2, 3):
             tc = TildeComplex(rh, D)
-            for n in range(1, w.truncation + 1):
+            # degree 0 included: there d(k(a)) is d out of degree -1
+            for n in range(0, w.truncation + 1):
                 for _ in range(3):
                     a = random_cochain(tc, n, rng)
                     assert is_zero_vector(tc.homotopy_defect(a))
                     checked += 1
         assert checked >= 20
+
+
+def test_class_maps_return_the_zero_class_at_the_ends_of_the_complex():
+    # two points at truncation 4: class dimensions 2, 0, 1, 0, 1
+    rh = get_complex(universal_dg(two_points_category(), 4))
+    assert [rh.dim(n) for n in range(-1, 6)] == [0, 2, 0, 1, 0, 1, 0]
+    # d out of degree -1 lands in degree 0, the primitive of a degree-5
+    # class lives in degree 4
+    assert rh.d_class(-1, ()) == zero_vector(2)
+    assert rh.d_class(5, ()) == ()
+    assert rh.is_coboundary(5, ()) == zero_vector(1)
+    assert rh.is_coboundary(-1, ()) == ()
+    # so the round trip through the top degree closes
+    assert rh.d_class(4, rh.is_coboundary(5, ())) == ()
 
 
 def test_evaluation_is_a_chain_map(dual5, two5):
@@ -295,7 +310,7 @@ def dense_quotient(w, n):
     """Echelon rows, pivots and free columns of the degree-n commutators."""
     width = sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
     spanning = tuple(v for v, _ in commutator_spanning_labeled(w, n))
-    rows, pivots = dense_rref(MatrixQ(len(spanning), width, spanning))
+    rows, pivots = dense_rref(DenseMatrix(len(spanning), width, spanning))
     free = tuple(c for c in range(width) if c not in pivots)
     return tuple(rows[:len(pivots)]), tuple(pivots), free
 
@@ -400,7 +415,7 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     (omega,) = chern_form(conn, 1)
     target = dense_trace_d(w, 2, (omega,))
     labeled = commutator_spanning_labeled(w, 3)
-    columns = MatrixQ(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
+    columns = DenseMatrix(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
     solution = dense_solve(columns, target)
     assert solution is not None
     expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
@@ -420,10 +435,10 @@ def test_m2_cocycle_certificate_matches_dense_solve():
 def dense_class_d(w, rh, n):
     """The induced differential out of degree n, densely, from the library's quotients."""
     if n == w.truncation:
-        return MatrixQ(0, rh.dim(n), ())
+        return DenseMatrix(0, rh.dim(n), ())
     qn, qn1 = ((subspace_basis(q), q.pivots, q.free_columns) for q in rh.quotients[n:n + 2])
     entries = dense_d_matrix(w, n, qn, qn1)
-    return MatrixQ(rh.dim(n + 1), rh.dim(n), entries)
+    return DenseMatrix(rh.dim(n + 1), rh.dim(n), entries)
 
 
 def dense_cohomology(mats, n):
@@ -437,7 +452,7 @@ def dense_cohomology(mats, n):
     if n > 0:
         prev = mats[n - 1]
         cols = tuple(tuple(r[j] for r in prev.entries) for j in range(prev.cols))
-        rows, pivots = dense_rref(MatrixQ(len(cols), width, cols))
+        rows, pivots = dense_rref(DenseMatrix(len(cols), width, cols))
         image = tuple(zip(rows, pivots))
     reduced = []
     for v in kernel:
@@ -448,7 +463,7 @@ def dense_cohomology(mats, n):
             reduced.append(v)
     reps = ()
     if reduced:
-        rows, pivots = dense_rref(MatrixQ(len(reduced), width, tuple(reduced)))
+        rows, pivots = dense_rref(DenseMatrix(len(reduced), width, tuple(reduced)))
         reps = tuple(rows[:len(pivots)])
     return len(kernel) - len(image), reps
 

@@ -22,13 +22,14 @@ from lincat import (
 )
 from lincat.category import Category
 from lincat.dg import DGCategory, _generators
-from lincat.exact_linalg import Echelon, MatrixQ
+from lincat.envelope import _Chains, _Subspace
+from lincat.exact_linalg import ONE, Echelon
 from lincat.laws import law_violations, laws_hold_on
-from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
+from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
 
 from envelope_oracle import direct_tables
-from test_exact_linalg import dense_kernel
+from test_exact_linalg import DenseMatrix, dense_kernel
 from law_oracle import law_violations as enumerated_violations
 from law_oracle import law_defects, unit_violations as enumerated_unit_violations
 from conftest import (
@@ -399,6 +400,25 @@ def test_derived_tables_equal_the_direct_fill(make):
     direct = DGCategory(c, truncation, w.gr_basis, *direct_tables(c, truncation))
     assert direct.gr_comp == w.gr_comp
     assert direct.diff == w.diff
+
+
+def test_chain_subspace_refuses_a_vector_outside_its_span():
+    # degree 1 of M2: the span of a.db inside the chains of one object
+    c = m2_category()
+    chains = _Chains(c, 1)
+    space = chains.spaces[(1, 0, 0)]
+    d_arrow = [chains.d(0, 0, 0, {b: ONE}) for b in range(c.dim(0, 0))]
+    sub = _Subspace(space, [chains.merge(0, 1, 0, 0, 0, {a: ONE}, db) for a in range(c.dim(0, 0)) for db in d_arrow])
+    assert 0 < sub.dim < space.dim
+    for i, row in enumerate(sub.rows):
+        assert sub.coordinates(row) == {i: ONE}
+    # one entry off a basis row, at a column that is no pivot
+    free = next(j for j in range(space.dim) if j not in sub.pivots)
+    for row in sub.rows:
+        moved = dict(row)
+        moved[free] = moved.get(free, 0) + ONE
+        with pytest.raises(LincatError, match="vector left the expected span"):
+            sub.coordinates({j: s for j, s in moved.items() if s})
 
 
 @pytest.mark.parametrize("build", [broken_unit_category, broken_associativity_category])
@@ -871,7 +891,7 @@ def test_law_kernel_over_denominators_equals_the_enumeration():
                     if law_defects(v, p, x, y, dict(enumerate(forms[0]))):
                         defects = [law_defects(v, p, x, y, {i: 1}) for i in range(dim)]
                         keys = sorted(set().union(*defects), key=repr)
-                        kernel = dense_kernel(MatrixQ(len(keys), dim, tuple(
+                        kernel = dense_kernel(DenseMatrix(len(keys), dim, tuple(
                             tuple(Fraction(d.get(key, 0)) for d in defects) for key in keys)))
                         scales = [Fraction(rng.choice([1, -1]), rng.choice([2, 3, 5, 7])) for _ in kernel]
                         mixed = [sum(s * u[i] for s, u in zip(scales, kernel)) for i in range(dim)]

@@ -5,7 +5,7 @@ import pytest
 
 from lincat.dg import universal_dg
 from lincat.errors import DimensionError, IdempotentError, ModuleError
-from lincat.exact_linalg import densify, rref
+from lincat.exact_linalg import build_quotient, densify, rref, zero_vector
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import (
     EFixedComponent,
@@ -63,6 +63,10 @@ def test_dual_basis_identity(dual5, two5, arrow3):
     for w, m in bundled_modules(dual5, two5, arrow3):
         total = FormMatrix.zero(w, m.family, m.family, 0)
         for i in range(m.size):
+            # column i and row i of e
+            assert m.generator(i) == FormMatrix(0, m.family, (m.family[i],),
+                                                tuple((row[i],) for row in m.idempotent.entries))
+            assert m.dual_generator(i) == FormMatrix(0, (m.family[i],), m.family, (m.idempotent.entries[i],))
             total = total + rank_one(m, m.generator(i), m.dual_generator(i))
         assert total == m.idempotent
         assert m.idempotent.mul(w, m.idempotent) == m.idempotent
@@ -134,6 +138,13 @@ def test_direct_sum_identities(dual5, two5, arrow3):
     for w, a, b in pairs:
         s = direct_sum(a, b)
         assert s.module.idempotent.mul(w, s.module.idempotent) == s.module.idempotent
+        # the blocks are the summands' idempotents, padded with zero forms
+        fam = s.module.family
+        za, zb = FormMatrix.zero(w, b.family, a.family, 0), FormMatrix.zero(w, a.family, b.family, 0)
+        assert s.inj1 == FormMatrix(0, fam, a.family, a.idempotent.entries + za.entries)
+        assert s.inj2 == FormMatrix(0, fam, b.family, zb.entries + b.idempotent.entries)
+        assert s.proj1 == FormMatrix(0, a.family, fam, tuple(r + z for r, z in zip(a.idempotent.entries, zb.entries)))
+        assert s.proj2 == FormMatrix(0, b.family, fam, tuple(z + r for z, r in zip(za.entries, b.idempotent.entries)))
         assert s.proj1.mul(w, s.inj1) == a.idempotent
         assert s.proj2.mul(w, s.inj2) == b.idempotent
         assert s.proj1.mul(w, s.inj2) == FormMatrix.zero(w, a.family, b.family, 0)
@@ -161,7 +172,7 @@ def test_column_model_matches_tensor_model(dual5, two5, arrow3):
                 assert ef.dim == lt.dim
                 if ef.dim:
                     iso = lt.iso_matrix(ef)
-                    assert rref(iso).rank == ef.dim
+                    assert len(rref(iso)[1]) == ef.dim
 
 
 def test_tensor_model_relations(two5):
@@ -194,8 +205,15 @@ def test_column_model_coordinates(dual5):
     one = w.basis_form(0, x, x, 0)
     zero = w.zero_form(0, x, x)
     loose = FormMatrix(0, m.family, (x,), ((zero,), (one,)))
-    with pytest.raises(ModuleError):
+    with pytest.raises(ModuleError, match="not fixed by the module idempotent"):
         ef0.coordinates(loose)
+    # the quotient by the same span reduces the loose column to a nonzero
+    # remainder, which is its class; a fixed column reduces to nothing
+    q = build_quotient(ef0.total_dim, ef0.rows)
+    remainder = q.reduce_sparse(ef0.ambient_of_column(loose))
+    assert remainder and set(remainder) <= set(q.free_columns)
+    assert q.coset_coordinates(ef0.ambient_of_column(loose)) != zero_vector(q.dim)
+    assert all(not q.reduce_sparse(row) for row in ef0.rows)
     # a stacked sparse row is split into the blocks of the family
     assert ef0.column_of_ambient(ef0.ambient_of_column(loose)) == loose
     for outside in ({ef0.total_dim: Fraction(1)}, {-1: Fraction(1)}):
