@@ -9,14 +9,15 @@ left of right, like matrix multiplication.
 Everything is exact and sparse: the structure constants are stored as
 the nonzero (index, coefficient) terms of each product of basis arrows,
 and the identity of each object as the terms of its expansion in the
-basis.  `contract` multiplies two vectors given by their terms.
+basis.
 
-This module holds the tables alone: objects, bases, composition and
-the axiom check `validate_category`.  A morphism is a degree-0 form of
-any graded envelope of the category (`trivial_dg(c)` has no others), so
-morphisms, their composition and their trace classes live in
-`lincat.dg` and `lincat.derham` rather than in a second implementation
-here.
+This module holds the tables alone: objects, bases and composition.
+Its axiom check, `validate_category`, is degree 0 of the one law
+kernel of `lincat.laws`, run on `trivial_dg(c)`.  A morphism is a
+degree-0 form of any graded envelope of the category (`trivial_dg(c)`
+has no others), so morphisms, their composition and their trace
+classes live in `lincat.dg` and `lincat.derham` rather than in a second
+implementation here.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DimensionError, LincatError
-from .exact_linalg import ONE, Terms, checked_terms, contract_into, scalar, terms_of
+from .errors import DimensionError, LincatError, ScalarTypeError
+from .exact_linalg import Terms, checked_terms, scalar
 
 # products of basis elements: entry [i][j] holds the terms of b_i . b_j
 ProductRows = tuple[tuple[Terms, ...], ...]
@@ -162,59 +163,17 @@ class Category:
 
 
 def validate_category(c: Category) -> list[Violation]:
-    """All unit and associativity failures on basis elements, as data.
+    """All unit and associativity failures on basis arrows, as data.
 
-    The products are contracted straight from the stored terms of the
-    composition blocks and the identities.
+    This is degree 0 of the law kernel of `lincat.laws`: its report on
+    `trivial_dg(c)`, where d = 0 and no form lies above degree 0, so only
+    the unit and associativity laws of `c` can fail.
     """
-    violations: list[Violation] = []
-    n = len(c.objects)
+    # imported here, because `lincat.dg` and `lincat.laws` import this module
+    from .dg import trivial_dg
+    from .laws import _report
 
-    def product(x: int, y: int, z: int, u: Terms, v: Terms) -> Terms:
-        out: dict[int, Fraction] = {}
-        block = c.comp.get((x, y, z))
-        if block is not None:
-            for i, a in u:
-                contract_into(out, v, block[i], a)
-        return terms_of(out)
-
-    for x in range(n):
-        ox = c.objects[x]
-        for y in range(n):
-            oy = c.objects[y]
-            for k in range(c.dim(x, y)):
-                b = ((k, ONE),)
-                label = c.basis_labels(x, y)[k]
-                if product(x, x, y, c.identity[x], b) != b:
-                    violations.append(Violation("identity-left", f"1_{ox.label} . {label}"))
-                if product(x, y, y, b, c.identity[y]) != b:
-                    violations.append(Violation("identity-right", f"{label} . 1_{oy.label}"))
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    dxy, dyz, dzw = c.dim(x, y), c.dim(y, z), c.dim(z, w)
-                    if dxy * dyz * dzw == 0:
-                        continue
-                    fg_block, gh_block = c.comp[(x, y, z)], c.comp[(y, z, w)]
-                    for i in range(dxy):
-                        f = ((i, ONE),)
-                        for j in range(dyz):
-                            fg = fg_block[i][j]
-                            for k in range(dzw):
-                                left = product(x, z, w, fg, ((k, ONE),))
-                                right = product(x, y, w, f, gh_block[j][k])
-                                if left != right:
-                                    names = (
-                                        c.basis_labels(x, y)[i],
-                                        c.basis_labels(y, z)[j],
-                                        c.basis_labels(z, w)[k],
-                                    )
-                                    violations.append(
-                                        Violation("associativity", " . ".join(names))
-                                    )
-    return violations
+    return _report(trivial_dg(c))
 
 
 def build_category(
@@ -257,7 +216,9 @@ def build_category(
                 raise DimensionError(f"arrow {a!r} does not live in the expected hom space")
             try:
                 out[pos[a]] = scalar(s, f"coefficient of {a!r}")
-            except (ValueError, ZeroDivisionError) as exc:
+            except ScalarTypeError as exc:
+                if not isinstance(s, str):
+                    raise
                 raise DimensionError(f"coefficient of {a!r}: not a rational scalar: {s!r}") from exc
         return out
 

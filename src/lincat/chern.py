@@ -226,8 +226,9 @@ def k0_character(entries: Sequence[K0Entry], q: int) -> Vector:
 
     Each entry uses its attached connection, defaulting to the canonical
     one; by the invariance certificate the result is independent of
-    those choices.  A coefficient that is not an `int` (a `bool`, a
-    float, a `Fraction`) raises `ScalarTypeError`: K0 combinations are
+    those choices.  A connection on another module than its entry's
+    raises `ModuleError`.  A coefficient that is not an `int` (a `bool`,
+    a float, a `Fraction`) raises `ScalarTypeError`: K0 combinations are
     integral.
     """
     if not entries:
@@ -238,6 +239,10 @@ def k0_character(entries: Sequence[K0Entry], q: int) -> Vector:
             raise ScalarTypeError(
                 f"K0 entry {i} (module {entry.module.name}): coefficient {c!r} "
                 f"of type {type(c).__name__} is not an integer"
+            )
+        if entry.connection is not None and entry.connection.module is not entry.module:
+            raise ModuleError(
+                f"K0 entry {i} (module {entry.module.name}): its connection is on module {entry.connection.module.name}"
             )
     w = entries[0].module.w
     rh = get_complex(w)

@@ -125,9 +125,12 @@ def compress(conn: Connection, sub: ProjectiveModule) -> Connection:
 
 
 def direct_sum_connection(sum_data: DirectSumData, a: Connection, b: Connection) -> Connection:
+    """The connection a + b on the direct sum of the modules of a and b, in that order."""
     w = a.w
-    if sum_data.module.family != a.module.family + b.module.family:
-        raise DimensionError("direct sum data does not match the two connections")
+    if sum_data.module.idempotent != block_diag(w, a.module.idempotent, b.module.idempotent):
+        raise ModuleError(
+            f"direct sum {sum_data.module.name} is not the sum of {a.module.name} and {b.module.name}, in that order"
+        )
     return Connection(sum_data.module, block_diag(w, a.gauge, b.gauge))
 
 

@@ -61,7 +61,7 @@ from .exact_linalg import (
     terms_of,
     vec,
 )
-from .laws import law_violations, laws_hold_on, unit_violations
+from .laws import law_violations, laws_hold_on
 
 # ---------------------------------------------------------------------------
 # forms
@@ -296,32 +296,29 @@ def validate_dg(w: DGCategory) -> list[Violation]:
 
     Degree 0 alone is the base category, whose unit and associativity
     laws belong to `validate_category`, so they are not reported twice;
-    d.d = 0 and Leibniz start at degree 0.  The unit laws are checked on
-    every basis form of positive degree.
+    d.d = 0 and Leibniz start at degree 0.
 
-    The other laws are certified on a generating set.  Let G be a set of
-    forms whose left-normed words (..(g1.g2)...).gk, taken with the
-    stored product, span every basis form; `_generators` builds one.
-    The forms x with (x.y).z = x.(y.z) for all y, z make a subspace
-    closed under products, so associativity on the triples (g, y, z),
-    g in G, gives it on all triples.  Given associativity, the forms
-    that satisfy the Leibniz rule with every y are closed under products
-    too, so Leibniz on the pairs (g, y) gives it everywhere; then d.d is
-    a derivation, and d.d = 0 on G gives it everywhere.  No product is
-    sampled: y and z run over every basis form, and in the worst case G
-    is the whole basis.  Only when a check on G fails does the same
-    check run with every basis form on the left, so the failures are
-    reported on basis forms, sorted by law, degrees, objects and basis
-    indices.
+    Every law is certified on a generating set.  Let G be a set of forms
+    whose left-normed words (..(g1.g2)...).gk, taken with the stored
+    product, span every basis form; `_generators` builds one.  The forms
+    x with (x.y).z = x.(y.z) for all y, z make a subspace closed under
+    products, so associativity on the triples (g, y, z), g in G, gives
+    it on all triples.  Then the unit laws on G give them on every word:
+    1.(v.g) = (1.v).g = v.g and (v.g).1 = v.(g.1) = v.g, by induction
+    on the length of v, and by linearity on every form.  Given
+    associativity, the forms that satisfy the Leibniz rule with every y
+    are closed under products too, so Leibniz on the pairs (g, y) gives
+    it everywhere; then d.d is a derivation, and d.d = 0 on G gives it
+    everywhere.  No product is sampled: y and z run over every basis
+    form, and in the worst case G is the whole basis.  Only when a check
+    on G fails does the same check run with every basis form on the
+    left, so the failures are reported on basis forms, sorted by law,
+    degrees, objects and basis indices.
 
-    The unit check and the one check of the other laws, on G and on the
-    basis, are those of `lincat.laws`; `_generators` is here, because G
-    is made of forms.
+    The one check of every law, on G and on the basis, is that of
+    `lincat.laws`; `_generators` is here, because G is made of forms.
     """
-    violations = unit_violations(w)
-    if not laws_hold_on(w, _generators(w)):
-        violations += law_violations(w)
-    return violations
+    return [] if laws_hold_on(w, _generators(w)) else law_violations(w)
 
 
 def _generators(w: DGCategory) -> list[Form]:

@@ -20,7 +20,7 @@ class DimensionError(LincatError):
 
 
 class ScalarTypeError(LincatError):
-    """An entry handed to exact linear algebra is not a `fractions.Fraction`."""
+    """A scalar handed to exact linear algebra is not an exact rational number."""
 
 
 class CompositionError(LincatError):

@@ -86,14 +86,18 @@ def scalar(value: object, where: str = "scalar") -> Fraction:
     """The one conversion of input scalars: exact values only.
 
     A `Fraction` is kept, an `int` or a "p/q" string is converted
-    exactly.  Anything else, a float or a bool included, raises
-    `ScalarTypeError` naming `where`: a float is already rounded, so its
-    `Fraction` would be exact about the wrong number.
+    exactly.  Anything else, a float, a bool or a string that is no
+    rational number included, raises `ScalarTypeError` naming `where`: a
+    float is already rounded, so its `Fraction` would be exact about the
+    wrong number.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScalarTypeError(f"{where} is {value!r}, not a rational scalar") from exc
     raise ScalarTypeError(f"{where} is {value!r} of type {type(value).__name__}, not a Fraction, an int or a string")
 
 

@@ -1,27 +1,31 @@
 """The laws of a graded category, checked on the stored products of basis forms.
 
-`validate_dg` in `lincat.dg` runs these checks.  `unit_violations`
-checks the unit laws on every basis form of positive degree.  d.d = 0,
-Leibniz and associativity are written once, in `_failures`, with one
-form on the left and every basis form on the right; `laws_hold_on` runs
-it on a generating set, and `law_violations` runs it with every basis
-form on the left and names what fails.  All of them read the products
-and differentials of basis forms straight from the stored terms of a
-`DGCategory` and contract them into sparse sums with
-`lincat.exact_linalg.contract_into`, the contraction that `compose` and
-`d` run too, without building a form per factor.
+Every law is written once, in `_failures`, with one form g on the left
+and every basis form on the right: the unit laws 1.g = g and g.1 = g,
+d.d = 0, Leibniz and associativity.  `laws_hold_on` runs it on a
+generating set, and `_report` runs it with every basis form on the left
+and names what fails.  Two reports share `_report`: `law_violations`,
+its failures that involve d or a form of positive degree, which
+`validate_dg` in `lincat.dg` returns once the check on its generating
+set has failed, and `validate_category` in `lincat.category`, the report
+on `trivial_dg(c)`, where d = 0 and no form lies above degree 0, so
+only the unit and associativity laws of the category can fail.  All of
+them read the products and differentials of basis forms straight from
+the stored terms of a `DGCategory` and contract them into sparse sums
+with `lincat.exact_linalg.contract_into`, the contraction that
+`compose` and `d` run too, without building a form per factor.
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
-`DGCategory.integral_products`, and each degree of the differential
-goes over one denominator through `integral_terms` (`_differentials`).
-A left factor goes over the lcm of its own denominators (`over_lcm`),
-which then drops out: both sides of every law are linear in it.  The
-two sides of a law are summed from different blocks, so each is
-cross-multiplied by the denominators of the other before they are
-compared; where every denominator is 1, as in most tables, nothing is
-scaled.  A law holds when the difference of its two sides has no
-nonzero numerator.
+`DGCategory.integral_products`, each degree of the differential goes
+over one denominator through `integral_terms` (`_differentials`), and
+each identity over the lcm of its own denominators (`over_lcm`).  A
+left factor goes over the lcm of its own denominators too, which then
+drops out: both sides of every law are linear in it.  The two sides of
+a law are summed from different blocks, so each is cross-multiplied by
+the denominators of the other before they are compared; where every
+denominator is 1, as in most tables, nothing is scaled.  A law holds
+when the difference of its two sides has no nonzero numerator.
 """
 
 from __future__ import annotations
@@ -35,8 +39,13 @@ from .exact_linalg import contract_into, integral_terms, over_lcm
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
 
-# the laws of `_failures`, in the order `law_violations` reports them
-_LAWS = ("dg-d-squared", "dg-leibniz", "dg-associativity")
+# the laws of `_failures`, by index, named as `validate_category` reports
+# them; a failure of d.d = 0 or Leibniz, or one that involves a form of
+# positive degree, is named with the prefix "dg-"
+_LAWS = ("identity-left", "identity-right", "d-squared", "leibniz", "associativity")
+# the place of each law in a sorted report: the unit laws share theirs, so
+# the left unit of a basis form comes just before its right unit
+_PLACE = (0, 0, 1, 2, 3)
 
 
 def _transpose(b, rows: int, cols: int):
@@ -46,27 +55,6 @@ def _transpose(b, rows: int, cols: int):
 def _basis_name(w: DGCategory, n: int, x: int, y: int, k: int) -> str:
     labels = w.space_labels(n, x, y)
     return labels[k] if k < len(labels) else f"deg{n}[{x},{y}]#{k}"
-
-
-def unit_violations(w: DGCategory) -> list[Violation]:
-    """Unit-law failures on every basis form of positive degree."""
-    violations: list[Violation] = []
-    dim, block = w.dim, w.integral_products
-    for n in range(1, w.truncation + 1):
-        for (x, y) in w.hom_pairs(n):
-            ox, oy = w.base.objects[x], w.base.objects[y]
-            dn = dim(n, x, y)
-            (den_x, one_x), (den_y, one_y) = (over_lcm(w.base.identity[o]) for o in (x, y))
-            left_den, left = block(0, n, x, x, y)
-            right_den, right = block(n, 0, x, y, y)
-            left = _transpose(left, dim(0, x, x), dn)
-            for k in range(dn):
-                # 1.b - b and b.1 - b, over the denominators of the unit and of the block
-                if any(contract_into({k: -den_x * left_den}, one_x, left[k]).values()):
-                    violations.append(Violation("dg-identity-left", f"1_{ox.label} . {_basis_name(w, n, x, y, k)}"))
-                if any(contract_into({k: -den_y * right_den}, one_y, right[k]).values()):
-                    violations.append(Violation("dg-identity-right", f"{_basis_name(w, n, x, y, k)} . 1_{oy.label}"))
-    return violations
 
 
 def _columns(w: DGCategory):
@@ -99,16 +87,17 @@ def _differentials(w: DGCategory) -> dict[int, tuple[int, dict]]:
 
 
 def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterator[tuple]:
-    """d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c), where they fail.
+    """The unit laws and d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c), where they fail.
 
     g is the form of degree p at (x, y) with the given integer
     numerators; b and c run over every basis form.  `columns` is a
     `_columns` of `w` and `diff` its `_differentials`.  Each failure is
-    yielded as (law, degrees, objects, indices): the degrees of the
-    factors, the objects they pass through, and the indices of the basis
-    forms on the right.  The products of g with the basis forms of one
-    block are summed once, so a pair or a triple costs what it costs on
-    basis forms.  Associativity includes the degree-0 triples.
+    yielded as (law, degrees, objects, indices): the index of the law in
+    `_LAWS`, the degrees of the factors, the objects they pass through,
+    and the indices of the basis forms on the right.  The products of g
+    with the basis forms of one block are summed once, so a pair or a
+    triple costs what it costs on basis forms.  Associativity includes
+    the degree-0 triples.
     """
     N, nobj = w.truncation, len(w.base.objects)
     dim, block = w.dim, w.integral_products
@@ -123,10 +112,20 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterat
                                           for col in cols)
         return r
 
+    # 1.g - g and g.1 - g, over the denominators of the unit and of the block
+    (one_den, one), (den, one_g) = over_lcm(w.base.identity[x]), columns(0, p, x, x, y)
+    out = {k: -one_den * den * n for k, n in g}
+    for j, n in g:
+        contract_into(out, one, one_g[j], n)
+    if any(out.values()):
+        yield 0, (p,), (x, y), ()
+    (one_den, one), (den, g_one) = over_lcm(w.base.identity[y]), row(0, y)
+    if any(contract_into({k: -one_den * den * n for k, n in g}, one, g_one).values()):
+        yield 1, (p,), (x, y), ()
     d_den, d_p = diff[p]
     dg = tuple(contract_into({}, g, d_p[(x, y)]).items())  # over d_den; empty out of the top degree
     if p < N and any(contract_into({}, dg, diff[p + 1][1].get((x, y), ())).values()):
-        yield _LAWS[0], (p,), (x, y), ()
+        yield 2, (p,), (x, y), ()
     # d(g.b) - dg.b - (-1)^p g.db = 0
     sign = 1 if p % 2 else -1
     for q in range(0, N - p):
@@ -142,7 +141,7 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterat
             for j in range(dim(q, y, z)):
                 out = contract_into(contract_into({}, gb[j], d_gbz, m), dg, dgb[j], m_dg)
                 if any(contract_into(out, d_bz[j], gdb, m_db).values()):
-                    yield _LAWS[1], (p, q), (x, y, z), (j,)
+                    yield 3, (p, q), (x, y, z), (j,)
     # (g.b).c - g.(b.c) = 0
     for q in range(0, N - p + 1):
         for r in range(0, N - p - q + 1):
@@ -162,15 +161,15 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterat
                         for k in range(dim(r, z, u)):
                             out = contract_into({}, gb[j], gb_c[k], m)
                             if any(contract_into(out, bc[j][k], g_bc, m_rhs).values()):
-                                yield _LAWS[2], (p, q, r), (x, y, z, u), (j, k)
+                                yield 4, (p, q, r), (x, y, z, u), (j, k)
 
 
 def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     """Whether `_failures` finds nothing with any g in `gens` on the left.
 
-    Stops at the first failure.  Associativity includes the degree-0
-    triples, which the lemma of `validate_dg` needs though
-    `validate_category` reports them.
+    Stops at the first failure.  The unit laws and associativity include
+    degree 0, which the lemma of `validate_dg` needs though
+    `validate_category` reports its failures.
     """
     columns, diff = _columns(w), _differentials(w)
     for g in gens:
@@ -180,14 +179,15 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     return True
 
 
-def law_violations(w: DGCategory) -> list[Violation]:
-    """d.d = 0, Leibniz and associativity failures on every basis form, pair and triple.
+def _report(w: DGCategory) -> list[Violation]:
+    """Every failure of `_failures` with each basis form on the left, named and sorted.
 
-    `_failures` runs with each basis form on the left.  d.d = 0 is
-    reported once per space, and the degree-0 triples are left to
-    `validate_category`.  The failures are sorted by law, then degrees,
-    objects and basis indices, in that order.  `validate_dg` runs this
-    only once a check on its generating set has failed.
+    d.d = 0 is reported once per space.  A unit or associativity failure
+    whose forms all have degree 0 is the category's, named
+    "identity-left", "identity-right" or "associativity"; every other
+    failure gets the prefix "dg-".  The failures are sorted by law (the
+    unit laws first, the left unit of a basis form before its right),
+    then degrees, objects and basis indices, in that order.
     """
     columns, diff = _columns(w), _differentials(w)
     found: set[tuple] = set()
@@ -195,17 +195,31 @@ def law_violations(w: DGCategory) -> list[Violation]:
         for (x, y) in w.hom_pairs(p):
             for i in range(w.dim(p, x, y)):
                 for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, diff):
-                    if law == _LAWS[0]:
-                        found.add((0, degrees, objects, ()))  # named by its space, so found once per space
-                    elif law == _LAWS[1] or any(degrees):  # degree-0 triples are `validate_category`'s
-                        found.add((_LAWS.index(law), degrees, objects, (i,) + indices))
+                    # d.d = 0 is named by its space, so it is found once per space
+                    indices = () if law == 2 else (i,) + indices
+                    found.add((_PLACE[law], degrees, objects, indices, law))
     violations: list[Violation] = []
-    for law, degrees, objects, indices in sorted(found):
+    for _, degrees, objects, indices, law in sorted(found):
+        x, y = (w.base.objects[o].label for o in objects[:2])
+        where = " . ".join(_basis_name(w, n, objects[f], objects[f + 1], k)
+                           for f, (n, k) in enumerate(zip(degrees, indices)))
         if law == 0:
-            x, y = (w.base.objects[o].label for o in objects)
+            where = f"1_{x} . {where}"
+        elif law == 1:
+            where = f"{where} . 1_{y}"
+        elif law == 2:
             where = f"degree {degrees[0]} at ({x},{y})"
-        else:
-            where = " . ".join(_basis_name(w, n, objects[f], objects[f + 1], k)
-                               for f, (n, k) in enumerate(zip(degrees, indices)))
-        violations.append(Violation(_LAWS[law], where))
+        category_law = law in (0, 1, 4) and not any(degrees)
+        violations.append(Violation(_LAWS[law] if category_law else f"dg-{_LAWS[law]}", where))
     return violations
+
+
+def law_violations(w: DGCategory) -> list[Violation]:
+    """The failures of `_report` that involve d or a form of positive degree.
+
+    These are the failures that `validate_dg` reports; it runs this
+    only once a check on its generating set has failed.  The failures of
+    the base category, the unit and associativity laws in degree 0, are
+    left to `validate_category`.
+    """
+    return [v for v in _report(w) if v.kind.startswith("dg-")]

@@ -3,13 +3,17 @@
 `law_violations` loops over every basis form, pair and triple of a
 graded category and reports which of them break d.d = 0, Leibniz or
 associativity, in loop order; `unit_violations` does the same for the
-unit laws on every basis form of positive degree.  `law_defects`
-computes what the same three laws leave over with one given form on the
-left.  They read
-the tables through the accessors of `DGCategory` alone and share no
-code with `lincat.laws`, which writes the laws once with one form on
-the left, over integer numerators; the two must agree.
+unit laws on every basis form of positive degree, and
+`category_violations` for the unit and associativity laws of a category
+on its basis arrows.  `law_defects` computes what the unit laws, d.d = 0,
+Leibniz and associativity leave over with one given form on the left.
+They read the tables through the accessors of `DGCategory` and
+`Category` alone and share no code with `lincat.laws`, which writes the
+laws once with one form on the left, over integer numerators, and runs
+them for `validate_dg` and `validate_category`; the two must agree.
 """
+
+import itertools
 
 from lincat.category import Violation
 
@@ -119,6 +123,42 @@ def unit_violations(w):
     return violations
 
 
+def category_violations(c):
+    """Unit and associativity failures on every basis arrow, pair and triple of a category, in loop order."""
+    violations = []
+    n = len(c.objects)
+
+    def product(x, y, z, u, v):
+        """u.v for u at (x, y) and v at (y, z), both given as (k, s) pairs."""
+        out = {}
+        block = c.comp.get((x, y, z))
+        if block is not None:
+            for i, s in u:
+                for k, t in _contract(v, block[i]).items():
+                    out[k] = out.get(k, 0) + s * t
+        return {k: s for k, s in out.items() if s}
+
+    for x in range(n):
+        for y in range(n):
+            for k in range(c.dim(x, y)):
+                label = c.basis_labels(x, y)[k]
+                if product(x, x, y, c.identity[x], [(k, 1)]) != {k: 1}:
+                    violations.append(Violation("identity-left", f"1_{c.objects[x].label} . {label}"))
+                if product(x, y, y, [(k, 1)], c.identity[y]) != {k: 1}:
+                    violations.append(Violation("identity-right", f"{label} . 1_{c.objects[y].label}"))
+
+    for x, y, z, u in itertools.product(range(n), repeat=4):
+        for i in range(c.dim(x, y)):
+            for j in range(c.dim(y, z)):
+                for k in range(c.dim(z, u)):
+                    left = product(x, z, u, c.comp[(x, y, z)][i][j], [(k, 1)])
+                    right = product(x, y, u, [(i, 1)], c.comp[(y, z, u)][j][k])
+                    if left != right:
+                        names = (c.basis_labels(x, y)[i], c.basis_labels(y, z)[j], c.basis_labels(z, u)[k])
+                        violations.append(Violation("associativity", " . ".join(names)))
+    return violations
+
+
 def _product(w, f, g):
     """f.g for forms written (degree, x, y, {k: s}), f at (x, y) and g at (y, z)."""
     p, x, y, a = f
@@ -153,14 +193,14 @@ def _plus(a, b, sign=1):
 
 
 def law_defects(w, p, x, y, coefficients):
-    """What d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c) leave over.
+    """What the unit laws and d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c) leave over.
 
     g is the form of degree p at (x, y) with the given {k: s}
-    coefficients; b and c run over every basis form, the degree-0
-    triples included.  The defects are linear in g: the nonzero
-    coefficients of lhs - rhs, keyed by the law, the basis forms on the
-    right and the coefficient's index.  The laws hold with g on the left
-    exactly when there are none.
+    coefficients; the unit laws are 1_x.g = g and g.1_y = g, and b and c
+    run over every basis form, the degree-0 triples included.  The
+    defects are linear in g: the nonzero coefficients of lhs - rhs, keyed
+    by the law, the basis forms on the right and the coefficient's index.
+    The laws hold with g on the left exactly when there are none.
     """
     N, nobj = w.truncation, len(w.base.objects)
     g = (p, x, y, {k: s for k, s in coefficients.items() if s})
@@ -175,6 +215,9 @@ def law_defects(w, p, x, y, coefficients):
     def record(key, difference):
         defects.update(((key, k), s) for k, s in difference.items())
 
+    for law, product in (("dg-identity-left", _product(w, (0, x, x, dict(w.base.identity[x])), g)),
+                         ("dg-identity-right", _product(w, g, (0, y, y, dict(w.base.identity[y]))))):
+        record((law,), _plus(product[3], g[3], -1))
     dg = _d(w, g)
     if p < N:
         record(("dg-d-squared",), _d(w, dg)[3])

@@ -19,11 +19,12 @@ from lincat.connection import (
 )
 from lincat.derham import TildeComplex, get_complex
 from lincat.dg import universal_dg
-from lincat.errors import ScalarTypeError, TruncationError
+from lincat.errors import ModuleError, ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import ProjectiveModule, direct_sum
 from lincat.tforms import pm_diagonal_trace, tm_power
+from lincat.workspace import load_fixture
 from lincat.connection import tilde_curvature
 
 from commutator_oracles import commutator_spanning_labeled
@@ -221,6 +222,17 @@ def test_k0_refuses_a_coefficient_that_is_not_an_integer(two5, coefficient):
     free = ProjectiveModule.free(two5, "F1", (two5.base.objects[0],))
     with pytest.raises(ScalarTypeError, match=f"K0 entry 1 \\(module L\\).*{type(coefficient).__name__}"):
         k0_character([K0Entry(1, free), K0Entry(coefficient, line)], 1)
+
+
+def test_k0_refuses_a_connection_on_another_module():
+    # the connection of L would give [M] the class of L, (1,), where the
+    # canonical connection of M gives (0,)
+    ws = load_fixture("two_points_universal")
+    m, l = ws.modules["M"], ws.modules["L"]
+    assert k0_character([K0Entry(1, m)], 1) == (Fraction(0),)
+    assert k0_character([K0Entry(1, l, ws.connections["levi_L"])], 1) == (Fraction(1),)
+    with pytest.raises(ModuleError, match="K0 entry 1 \\(module M\\): its connection is on module L"):
+        k0_character([K0Entry(1, l), K0Entry(1, m, ws.connections["levi_L"])], 1)
 
 
 def test_conjugated_presentation_same_classes(dual5):

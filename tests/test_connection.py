@@ -15,6 +15,7 @@ from lincat.dg import universal_dg
 from lincat.errors import DimensionError, ModuleError, TruncationError
 from lincat.form_matrix import FormMatrix, block_diag
 from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
+from lincat.workspace import load_fixture
 
 from conftest import (
     bundled_modules,
@@ -178,6 +179,19 @@ def test_direct_sum_connection_blocks(dual5, two5):
         assert cs.operational_matrix() == block_diag(w, ca.operational_matrix(), cb.operational_matrix())
         assert cs.curvature() == block_diag(w, ca.curvature(), cb.curvature())
         assert cs.curvature_power(2) == block_diag(w, ca.curvature_power(2), cb.curvature_power(2))
+
+
+def test_direct_sum_connection_refuses_other_summands():
+    # the summands of L+M are L and M, in that order: M and L would give
+    # the operational matrix of twist_L in both blocks
+    ws = load_fixture("two_points_universal")
+    w, c = ws.dg, ws.connections
+    s = direct_sum(ws.modules["L"], ws.modules["M"])
+    cs = direct_sum_connection(s, c["twist_L"], c["flat_M"])
+    assert cs.operational_matrix() == block_diag(w, c["twist_L"].operational_matrix(), c["flat_M"].operational_matrix())
+    for a, b in (("flat_M", "twist_L"), ("levi_P", "flat_M"), ("twist_L", "levi_P")):
+        with pytest.raises(ModuleError, match="direct sum L\\+M is not the sum of"):
+            direct_sum_connection(s, c[a], c[b])
 
 
 def test_conjugate_preserves_traces(dual5):

@@ -31,7 +31,7 @@ from lincat.workspace import fixture_names, load_fixture
 from envelope_oracle import direct_tables
 from test_exact_linalg import DenseMatrix, dense_kernel
 from law_oracle import law_violations as enumerated_violations
-from law_oracle import law_defects, unit_violations as enumerated_unit_violations
+from law_oracle import category_violations, law_defects, unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
     broken_associativity_category,
@@ -800,6 +800,77 @@ def test_degree_0_triples_enter_the_generator_check():
     ]
 
 
+def test_unit_laws_alone_fail_the_generator_check():
+    # the point with one form t of degree 1 and no products: 1.t = 0 and
+    # t.1 = 0, so the unit laws fail on t, while d = 0, Leibniz and
+    # associativity hold; t is a generator, since no word reaches it
+    w = DGCategory(point_category(), 1, {1: {(0, 0): ("t",)}}, {}, {})
+    assert {key[0][0] for key in law_defects(w, 1, 0, 0, {0: 1})} == {"dg-identity-left", "dg-identity-right"}
+    assert enumerated_violations(w) == []
+    assert not laws_hold_on(w, _generators(w))
+    assert [(v.kind, v.where) for v in validate_dg(w)] == [
+        ("dg-identity-left", "1_pt . t"),
+        ("dg-identity-right", "t . 1_pt"),
+    ]
+
+
+def random_category(rng, nobj):
+    """A category with random hom dimensions, fractional structure constants and identities."""
+    hom_basis = {(x, y): [f"b{x}{y}{k}" for k in range(rng.randint(0, 2))]
+                 for x in range(nobj) for y in range(nobj)}
+    dim = {xy: len(basis) for xy, basis in hom_basis.items()}
+
+    def vector(d):
+        return {k: random_scalar(rng) for k in range(d) if rng.random() < 0.6}
+
+    comp = {(x, y, z): {(i, j): vector(dim[(x, z)]) for i in range(dim[(x, y)]) for j in range(dim[(y, z)])}
+            for x, y, z in itertools.product(range(nobj), repeat=3) if dim[(x, y)] and dim[(y, z)]}
+    identity = {x: vector(dim[(x, x)]) for x in range(nobj)}
+    return Category([f"o{x}" for x in range(nobj)], hom_basis, comp, identity)
+
+
+def category_corruptions(c, rng, count):
+    """Copies of `c` with one product or identity entry moved by a random nonzero scalar."""
+    labels = [o.label for o in c.objects]
+    places = [("comp", key, i, j, k) for key, block in c.comp.items()
+              for i, row in enumerate(block) for j in range(len(row)) for k in range(c.dim(key[0], key[2]))]
+    places += [("identity", x, k) for x in range(len(labels)) for k in range(c.dim(x, x))]
+    for _ in range(count):
+        delta = random_scalar(rng) or Fraction(1)
+        comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
+                for key, block in c.comp.items()}
+        identity = {x: dict(terms) for x, terms in c.identity.items()}
+        place = rng.choice(places)
+        if place[0] == "comp":
+            _, key, i, j, k = place
+            entry = comp[key][(i, j)]
+        else:
+            _, x, k = place
+            entry = identity[x]
+        entry[k] = entry.get(k, Fraction(0)) + delta
+        yield place, Category(labels, c.hom_basis, comp, identity)
+
+
+def test_validate_category_equals_the_category_oracle():
+    # random fractional tables, which mostly fail, and single corruptions of
+    # M2, M3 and an A3 quiver in a rescaled basis, which start out holding;
+    # the kernel's sorted report must equal the oracle's loop order
+    rng = random.Random(45)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        c = random_category(rng, rng.randint(1, 3))
+        expected = category_violations(c)
+        assert validate_category(c) == expected
+        outcomes[not expected] += 1
+    for c in (m2_category(), matrix_units_category(3), scaled_quiver(3)):
+        assert validate_category(c) == category_violations(c) == []
+        for place, v in category_corruptions(c, rng, 40):
+            expected = category_violations(v)
+            assert validate_category(v) == expected, place
+            outcomes[not expected] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def single_corruptions(w, rng, count):
     """Copies of `w` with one entry moved by a random nonzero scalar.
 
@@ -851,7 +922,7 @@ def test_validation_equals_the_full_enumeration_on_random_corruptions():
         failing = 0
         for place, v in single_corruptions(w, rng, 40):
             enumerated = enumerated_violations(v)
-            assert law_violations(v) == enumerated, (name, place)
+            assert law_violations(v) == enumerated_unit_violations(v) + enumerated, (name, place)
             full = enumerated_unit_violations(v) + enumerated
             assert validate_dg(v) == full, (name, place)
             failing += bool(full)
@@ -878,7 +949,7 @@ def test_law_kernel_over_denominators_equals_the_enumeration():
 
         for place, v in [("clean", w)] + list(single_corruptions(w, rng, count)):
             enumerated = enumerated_violations(v)
-            assert law_violations(v) == enumerated, place
+            assert law_violations(v) == enumerated_unit_violations(v) + enumerated, place
             full = enumerated_unit_violations(v) + enumerated
             assert validate_dg(v) == full, place
             failing += bool(full)

@@ -53,6 +53,36 @@ def test_scalar_parse_format_round_trip():
         parse_scalar("")
 
 
+def test_malformed_scalar_strings_raise_scalar_type_error():
+    # Fraction("1/0") and Fraction("one") raise ZeroDivisionError and
+    # ValueError, which are no LincatError; every caller of `scalar` refuses
+    from lincat import FormMatrix, TildeComplex, get_complex
+    from lincat.workspace import load_fixture
+
+    w = load_fixture("two_points_universal").dg
+    x = w.base.objects[0]
+    rh = get_complex(w)
+    tc = TildeComplex(rh, 1)
+    zero = tc.cochain(0, [(0, 0)], None)
+    calls = {
+        "form": lambda: w.form(0, x, x, ("1/0", 0)),
+        "Form.scale": lambda: w.basis_form(0, x, x, 0).scale("one"),
+        "FormMatrix.scale": lambda: FormMatrix.identity(w, (x,)).scale("1/0"),
+        "d_class": lambda: rh.d_class(0, ("x", 0)),
+        "is_coboundary": lambda: rh.is_coboundary(0, ("1/0", 0)),
+        "render_class": lambda: rh.render_class(0, ("x", 0)),
+        "ev_at": lambda: tc.ev_at(zero, "1/0"),
+        "cochain": lambda: tc.cochain(0, [("abc", 0)], None),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ScalarTypeError, match="is '(1/0|one|x|abc)', not a rational scalar"):
+            call()
+            pytest.fail(f"{name} accepted a malformed scalar")
+    assert scalar("6/4", "here") == Fraction(3, 2)
+    with pytest.raises(ScalarTypeError, match="^here is '1/0'"):
+        scalar("1/0", "here")
+
+
 def test_vector_helpers():
     v = vec([1, "1/2", Fraction(2, 3)])
     assert v == (Fraction(1), Fraction(1, 2), Fraction(2, 3))
