@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .connection import Connection, canonical_connection, tilde_curvature
-from .derham import TildeComplex, get_complex
+from .derham import TildeComplex, commutator_system, get_complex
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
 from .exact_linalg import (
@@ -111,7 +111,7 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
 
     # the system has one sparse row per ambient coordinate and one column
     # per commutator of the spanning set
-    labeled, rows = rh.commutator_spans[degree], rh.commutator_rows(degree)
+    labeled, rows = commutator_system(w, degree)
     solution = solve_rows(rows, len(labeled), densify(target, len(rows)))
     if solution is None:
         raise CertificationError(

@@ -4,12 +4,29 @@ Degree n of the complex is the direct sum of the endomorphism form
 spaces of all objects, divided by the span of graded commutators
 u.v - (-1)^(pq) v.u taken over opposed pairs of forms (u from y to x of
 degree p, v from x to y of degree q = n - p), each difference embedded
-at its two base objects.  The differential descends to the quotient,
-and that it does is checked rather than assumed: the reduced echelon
-rows of each commutator subspace span it and d is linear, so d maps
-commutators to commutators exactly when it maps those rows into the
-next commutator subspace.  Each of them is checked, in exact arithmetic,
-and a failure raises `LincatError`.
+at its two base objects.
+
+The quotient is built from fewer commutators.  In a graded associative
+category, [ab, c] = [a, bc] + (-1)^(|a|(|b|+|c|)) [b, ca], so by
+induction on the length of a left-normed word (..(g1.g2)...).gk the
+commutator of a word with any form is a combination of the [g, v] with
+g in G and v a form.  When the words of G, the generating set of
+`validate_dg`, span every basis form, the commutators of degree n are
+therefore spanned by the [g, v] with g in G and v a basis form of
+degree n - |g| (`generator_span`); truncation is a quotient by an
+ideal, so the identity holds in the truncated category too.  It needs
+associativity, so this spanning set is used only when the laws hold on
+G (`certified_generators`, which `validate_dg` shares); on tables that
+fail a law there, the quotient is taken by every commutator of basis
+forms (`commutator_span`).  The reduced echelon basis of a span is
+unique, so both give the same rows, pivots and classes.
+
+The differential descends to the quotient, and that it does is checked
+rather than assumed: the reduced echelon rows of each commutator
+subspace span it and d is linear, so d maps commutators to commutators
+exactly when it maps those rows into the next commutator subspace.
+Each of them is checked, in exact arithmetic, and a failure raises
+`LincatError`.
 
 An ambient diagonal vector of degree n (the degree-n endomorphism
 forms of all objects, stacked at `component_offsets[n]`) is a sparse
@@ -21,9 +38,12 @@ per degree as sparse columns, on the ambient diagonal space and,
 induced, on the classes (`d_columns`).  Cohomology runs on those
 columns through `echelon`: the image of d is their span, its kernel is
 read off the echelon form of the columns augmented by unit vectors, and
-a primitive is a `solve_rows` on their transpose.  That transpose, and
-the transposed commutator span that a cocycle certificate solves
-against (`commutator_rows`), are built once per degree, on first use.
+a primitive is a `solve_rows` on their transpose.  That transpose is
+built once per degree, on first use, and so is the system a cocycle
+certificate solves (`commutator_system`): the full labeled span of
+`commutator_span`, one commutator per pair of opposed basis forms, so
+that a certificate cites commutators of basis forms by label, with its
+transpose.  It is built only in the degree a certificate asks for.
 Classes enter and leave as dense tuples of coordinates.
 
 Degree 0 of this complex is the plain trace quotient of the base
@@ -49,11 +69,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dg import DGCategory, Form, render_terms
+from .dg import DGCategory, Form, certified_generators, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
     ONE,
-    ZERO,
     QuotientSpace,
     SparseRow,
     Vector,
@@ -76,43 +95,73 @@ from .exact_linalg import (
 # the quotient complex
 
 
-def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
-    """Graded commutators of basis forms, embedded diagonally, degree n.
+def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[SparseRow]:
+    """The graded commutators [g, v] of degree n, g in `gens` and v a basis form, embedded diagonally.
 
-    Each generator u.v - (-1)^(pq) v.u, one per pair of opposed basis
-    forms, comes with a printable label so a certificate can cite the
-    exact commutators it combines.  The products are read straight from
-    the composition tensors, and each vector keeps its nonzero entries
-    only, indexed in the ambient diagonal space of degree n.
+    For g of degree p from y to x, v runs over the basis forms of degree
+    q = n - p from x to y, and g.v - (-1)^(pq) v.g has g.v at x and v.g
+    at y.  The products are read straight from the composition tensors,
+    and each vector keeps its nonzero entries only, indexed in the
+    ambient diagonal space of degree n.  Every [g, v] is a combination of
+    the commutators of basis forms, and when G is the generating set of
+    `validate_dg` and the laws hold on it, they span all of them, by the
+    identity in the module docstring.
     """
     nobj = len(w.base.objects)
     offs = offsets(w.dim(n, x, x) for x in range(nobj))
-    out: list[tuple[SparseRow, str]] = []
-    for p in range(0, n + 1):
+    out: list[SparseRow] = []
+    for g in gens:
+        p, x, y = g.degree, g.cod.index, g.dom.index
         q = n - p
+        dq = w.dim(q, y, x)
+        if dq == 0:
+            continue
         sign = -1 if (p * q) % 2 else 1
-        for x in range(nobj):
-            for y in range(nobj):
-                dp, dq = w.dim(p, x, y), w.dim(q, y, x)
-                if dp == 0 or dq == 0:
-                    continue
-                ox, oy = w.base.objects[x], w.base.objects[y]
-                fwd_block = w.basis_products(p, q, x, y, x)  # u.v, endomorphism form at x
-                bwd_block = w.basis_products(q, p, y, x, y)  # v.u, endomorphism form at y
-                labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(q, y, x)
-                off_x, off_y = offs[x], offs[y]
-                for i in range(dp):
-                    for j in range(dq):
-                        vecv: SparseRow = {}
-                        for k, s in fwd_block[i][j]:
-                            vecv[off_x + k] = s
-                        for k, s in bwd_block[j][i]:
-                            key = off_y + k
-                            vecv[key] = vecv.get(key, ZERO) - sign * s
-                        vecv = {k: s for k, s in vecv.items() if s}
-                        label = f"[{labels_u[i]}, {labels_v[j]}]@({ox.label},{oy.label})"
-                        out.append((vecv, label))
+        fwd_block = w.basis_products(p, q, x, y, x)  # g.v, endomorphism form at x
+        bwd_block = w.basis_products(q, p, y, x, y)  # v.g, endomorphism form at y
+        off_x, off_y = offs[x], offs[y]
+        # each term of g with its coefficient in g.v and in -(-1)^(pq) v.g;
+        # a coefficient of 1 or -1, as on a basis form, multiplies nothing
+        terms = [(fwd_block[i], i, a, -sign * a) for i, a in g.terms]
+        for j in range(dq):
+            vecv: SparseRow = {}
+            for fwd, i, a, b in terms:
+                for k, s in fwd[j]:
+                    key = off_x + k
+                    t = s if a == 1 else a * s
+                    vecv[key] = vecv[key] + t if key in vecv else t
+                for k, s in bwd_block[j][i]:
+                    key = off_y + k
+                    t = s if b == 1 else -s if b == -1 else b * s
+                    vecv[key] = vecv[key] + t if key in vecv else t
+            out.append({k: s for k, s in vecv.items() if s})
     return out
+
+
+def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
+    """Graded commutators of basis forms, embedded diagonally, degree n.
+
+    Each commutator u.v - (-1)^(pq) v.u, one per pair of opposed basis
+    forms, comes with a printable label so a certificate can cite the
+    exact commutators it combines.  The vectors are those of
+    `generator_span` with every basis form u of degree 0..n as a
+    generator, in the order (p, x, y, i, j) of u and v.  This is the
+    spanning set of the cocycle certificates (`commutator_system`), and of
+    the quotient when the laws fail on the generating set.
+    """
+    objs = w.base.objects
+    basis: list[Form] = []
+    labels: list[str] = []
+    for p in range(0, n + 1):
+        for x, ox in enumerate(objs):
+            for y, oy in enumerate(objs):
+                labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(n - p, y, x)
+                if not labels_v:
+                    continue
+                for i, label_u in enumerate(labels_u):
+                    basis.append(Form(p, oy, ox, ((i, ONE),)))
+                    labels.extend(f"[{label_u}, {label_v}]@({ox.label},{oy.label})" for label_v in labels_v)
+    return list(zip(generator_span(w, n, basis), labels))
 
 
 class DeRhamComplex:
@@ -134,11 +183,12 @@ class DeRhamComplex:
             self.component_dims.append(dims)
             self.component_offsets.append(offsets(dims))
 
-        # the labeled commutator span of each degree, built once: the
-        # quotient and the cocycle certificates share it
-        self.commutator_spans = [commutator_span(w, n) for n in range(N + 1)]
+        # the commutators of each degree, spanned by [g, v] with g in G
+        # once the laws hold on G, else by every commutator of basis forms
+        gens, lawful = certified_generators(w)
         self.quotients: list[QuotientSpace] = [
-            build_quotient(self.ambient_dim(n), [v for v, _ in self.commutator_spans[n]])
+            build_quotient(self.ambient_dim(n), generator_span(w, n, gens) if lawful
+                           else [v for v, _ in commutator_span(w, n)])
             for n in range(N + 1)
         ]
         # d on the ambient diagonal space of each degree, column j holding
@@ -166,8 +216,9 @@ class DeRhamComplex:
             ])
         self.d_columns.append([{} for _ in range(self.dim(N))])
         # the two linear systems solved against this complex, each built on
-        # first use in a degree and kept: the commutator span and d, by rows
-        self._commutator_rows: dict[int, list[SparseRow]] = {}
+        # first use in a degree and kept: the labeled commutator span of
+        # `commutator_system`, with its rows, and d, by rows
+        self._commutator_systems: dict[int, tuple[list[tuple[SparseRow, str]], list[SparseRow]]] = {}
         self._d_rows: dict[int, list[SparseRow]] = {}
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
@@ -210,19 +261,6 @@ class DeRhamComplex:
             if x:
                 add_scaled(out, x, columns[j])
         return out
-
-    def commutator_rows(self, n: int) -> list[SparseRow]:
-        """The commutator span of degree n as a linear system, by rows.
-
-        Row i holds coordinate i of every commutator of
-        `commutator_spans[n]`, at the commutator's index in it.  The rows
-        are built once per degree and shared; they are not to be modified.
-        """
-        rows = self._commutator_rows.get(n)
-        if rows is None:
-            rows = self._commutator_rows[n] = _transpose([v for v, _ in self.commutator_spans[n]],
-                                                         self.ambient_dim(n))
-        return rows
 
     # -- classes ------------------------------------------------------------
 
@@ -356,6 +394,23 @@ def get_complex(w: DGCategory) -> DeRhamComplex:
     if w._derham is None:
         w._derham = DeRhamComplex(w)
     return w._derham
+
+
+def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[SparseRow, str]], list[SparseRow]]:
+    """The labeled commutator span of degree n, and the same span as a linear system, by rows.
+
+    The span is `commutator_span(w, n)`, one commutator per pair of
+    opposed basis forms, whatever spans the quotient.  Row i of the
+    system holds coordinate i of every commutator, at the commutator's
+    index in the span.  Both are built on first use in a degree and kept
+    on `get_complex(w)`; they are not to be modified.
+    """
+    rh = get_complex(w)
+    system = rh._commutator_systems.get(n)
+    if system is None:
+        labeled = commutator_span(w, n)
+        system = rh._commutator_systems[n] = labeled, _transpose([v for v, _ in labeled], rh.ambient_dim(n))
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,7 @@ class DGCategory:
         refuse_unread(diff, self.diff, (), f"differential at truncation {truncation}")
 
         self._derham = None  # memo slot used by the quotient-complex builder
+        self._generating_set = None  # memo slot of `certified_generators`
         self._integral: dict[tuple[int, int, int, int, int], tuple[int, tuple]] = {}
 
     # -- dimensions and bases --------------------------------------------
@@ -317,8 +318,24 @@ def validate_dg(w: DGCategory) -> list[Violation]:
 
     The one check of every law, on G and on the basis, is that of
     `lincat.laws`; `_generators` is here, because G is made of forms.
+    G and the verdict of the check on it are built once per envelope
+    and kept (`certified_generators`), so the quotient complex of
+    `lincat.derham`, which builds its commutators from G once the laws
+    hold there, reads them instead of building them again.
     """
-    return [] if laws_hold_on(w, _generators(w)) else law_violations(w)
+    return [] if certified_generators(w)[1] else law_violations(w)
+
+
+def certified_generators(w: DGCategory) -> tuple[list[Form], bool]:
+    """(G, whether every law holds on G), built on first use and kept on `w`.
+
+    G is `_generators(w)` and the verdict `laws_hold_on(w, G)`; the
+    tables of `w` are not to be modified once either has been read.
+    """
+    if w._generating_set is None:
+        gens = _generators(w)
+        w._generating_set = gens, laws_hold_on(w, gens)
+    return w._generating_set
 
 
 def _generators(w: DGCategory) -> list[Form]:

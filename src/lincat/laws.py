@@ -76,6 +76,14 @@ def _columns(w: DGCategory):
     return columns
 
 
+def _dims(w: DGCategory) -> tuple:
+    """The dimensions of `w`, read once: entry [n][x][y] is w.dim(n, x, y), and None for a degree with no forms."""
+    nobj = len(w.base.objects)
+    dims = (tuple(tuple(w.dim(n, x, y) for y in range(nobj)) for x in range(nobj))
+            for n in range(w.truncation + 1))
+    return tuple(d if any(map(any, d)) else None for d in dims)
+
+
 def _differentials(w: DGCategory) -> dict[int, tuple[int, dict]]:
     """The differential of `w`, each degree n over one denominator: n -> (D, {(x, y): columns})."""
     out = {}
@@ -86,12 +94,14 @@ def _differentials(w: DGCategory) -> dict[int, tuple[int, dict]]:
     return out
 
 
-def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterator[tuple]:
+def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff, dims) -> Iterator[tuple]:
     """The unit laws and d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c), where they fail.
 
     g is the form of degree p at (x, y) with the given integer
     numerators; b and c run over every basis form.  `columns` is a
-    `_columns` of `w` and `diff` its `_differentials`.  Each failure is
+    `_columns` of `w`, `diff` its `_differentials` and `dims` its
+    `_dims`.  The loops skip a degree with no forms, and a law whose
+    two sides lie in a zero space, where it holds.  Each failure is
     yielded as (law, degrees, objects, indices): the index of the law in
     `_LAWS`, the degrees of the factors, the objects they pass through,
     and the indices of the basis forms on the right.  The products of g
@@ -99,8 +109,7 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterat
     triple costs what it costs on basis forms.  Associativity includes
     the degree-0 triples.
     """
-    N, nobj = w.truncation, len(w.base.objects)
-    dim, block = w.dim, w.integral_products
+    N, nobj, block = w.truncation, len(w.base.objects), w.integral_products
     rows: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def row(q: int, z: int) -> tuple[int, tuple]:
@@ -126,39 +135,51 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff) -> Iterat
     dg = tuple(contract_into({}, g, d_p[(x, y)]).items())  # over d_den; empty out of the top degree
     if p < N and any(contract_into({}, dg, diff[p + 1][1].get((x, y), ())).values()):
         yield 2, (p,), (x, y), ()
-    # d(g.b) - dg.b - (-1)^p g.db = 0
+    # d(g.b) - dg.b - (-1)^p g.db = 0, in degree p + q + 1
     sign = 1 if p % 2 else -1
     for q in range(0, N - p):
+        dims_q, dims_out = dims[q], dims[p + q + 1]
+        if dims_q is None or dims_out is None:
+            continue
         (d_gb_den, d_gb), (d_b_den, d_b) = diff[p + q], diff[q]
         for z in range(nobj):
-            if dim(q, y, z) == 0:
+            dq = dims_q[y][z]
+            if dq == 0 or dims_out[x][z] == 0:
                 continue
             (gb_den, gb), (gdb_den, gdb), (dgb_den, dgb) = row(q, z), row(q + 1, z), columns(p + 1, q, x, y, z)
             lhs, rhs_dg, rhs_db = gb_den * d_gb_den, d_den * dgb_den, gdb_den * d_b_den
             common = lcm(lhs, rhs_dg, rhs_db)
             m, m_dg, m_db = common // lhs, -(common // rhs_dg), sign * (common // rhs_db)
             d_gbz, d_bz = d_gb.get((x, z), ()), d_b[(y, z)]
-            for j in range(dim(q, y, z)):
+            for j in range(dq):
                 out = contract_into(contract_into({}, gb[j], d_gbz, m), dg, dgb[j], m_dg)
                 if any(contract_into(out, d_bz[j], gdb, m_db).values()):
                     yield 3, (p, q), (x, y, z), (j,)
-    # (g.b).c - g.(b.c) = 0
+    # (g.b).c - g.(b.c) = 0, in degree p + q + r
     for q in range(0, N - p + 1):
+        dims_q = dims[q]
+        if dims_q is None:
+            continue
         for r in range(0, N - p - q + 1):
+            dims_r, dims_out = dims[r], dims[p + q + r]
+            if dims_r is None or dims_out is None:
+                continue
             for z in range(nobj):
-                if dim(q, y, z) == 0:
+                dq = dims_q[y][z]
+                if dq == 0:
                     continue
                 gb_den, gb = row(q, z)
                 for u in range(nobj):
-                    if dim(r, z, u) == 0:
+                    dr = dims_r[z][u]
+                    if dr == 0 or dims_out[x][u] == 0:
                         continue
                     (bc_den, bc), (g_bc_den, g_bc), (gb_c_den, gb_c) = (
                         block(q, r, y, z, u), row(q + r, u), columns(p + q, r, x, z, u))
                     lhs, rhs = gb_den * gb_c_den, bc_den * g_bc_den
                     common = lcm(lhs, rhs)
                     m, m_rhs = common // lhs, -(common // rhs)
-                    for j in range(dim(q, y, z)):
-                        for k in range(dim(r, z, u)):
+                    for j in range(dq):
+                        for k in range(dr):
                             out = contract_into({}, gb[j], gb_c[k], m)
                             if any(contract_into(out, bc[j][k], g_bc, m_rhs).values()):
                                 yield 4, (p, q, r), (x, y, z, u), (j, k)
@@ -171,10 +192,10 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     degree 0, which the lemma of `validate_dg` needs though
     `validate_category` reports its failures.
     """
-    columns, diff = _columns(w), _differentials(w)
+    columns, diff, dims = _columns(w), _differentials(w), _dims(w)
     for g in gens:
         _, numerators = over_lcm(g.terms)  # g over the lcm of its denominators
-        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, diff):
+        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, diff, dims):
             return False
     return True
 
@@ -189,15 +210,16 @@ def _report(w: DGCategory) -> list[Violation]:
     unit laws first, the left unit of a basis form before its right),
     then degrees, objects and basis indices, in that order.
     """
-    columns, diff = _columns(w), _differentials(w)
+    columns, diff, dims = _columns(w), _differentials(w), _dims(w)
     found: set[tuple] = set()
-    for p in range(w.truncation + 1):
-        for (x, y) in w.hom_pairs(p):
-            for i in range(w.dim(p, x, y)):
-                for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, diff):
-                    # d.d = 0 is named by its space, so it is found once per space
-                    indices = () if law == 2 else (i,) + indices
-                    found.add((_PLACE[law], degrees, objects, indices, law))
+    for p, dims_p in enumerate(dims):
+        for x, dims_x in enumerate(dims_p or ()):
+            for y, d in enumerate(dims_x):
+                for i in range(d):
+                    for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, diff, dims):
+                        # d.d = 0 is named by its space, so it is found once per space
+                        indices = () if law == 2 else (i,) + indices
+                        found.add((_PLACE[law], degrees, objects, indices, law))
     violations: list[Violation] = []
     for _, degrees, objects, indices, law in sorted(found):
         x, y = (w.base.objects[o].label for o in objects[:2])

@@ -1,19 +1,19 @@
 """Cross-checks of the quotient complex that only the tests use.
 
 `commutator_spanning_labeled` writes the commutator spanning set of
-`lincat.derham` out densely, and `tilde_commutator_ranks` multiplies
-out the bracket span of the stratified extension literally, with the
-product of `lincat.tforms`, to compare its rank with the one the
-quotient complex predicts; `pm_shift` multiplies a polynomial matrix
-by a power of t for its monomials.
+`lincat.derham` out densely, with `DGCategory.compose`, and
+`tilde_commutator_ranks` multiplies out the bracket span of the
+stratified extension literally, with the product of `lincat.tforms`, to
+compare its rank with the one the quotient complex predicts; `pm_shift`
+multiplies a polynomial matrix by a power of t for its monomials.
 """
 
 from fractions import Fraction
 
-from lincat.derham import commutator_span, get_complex
+from lincat.derham import get_complex
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError
-from lincat.exact_linalg import ONE, ZERO, SparseRow, Vector, densify, echelon
+from lincat.exact_linalg import ONE, ZERO, SparseRow, Vector, echelon
 from lincat.form_matrix import FormMatrix
 from lincat.tforms import PolyMatrix, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_mul
 
@@ -25,9 +25,32 @@ def pm_shift(a: PolyMatrix, k: int = 1) -> PolyMatrix:
 
 
 def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:
-    """`commutator_span` with dense vectors."""
-    total = sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
-    return [(densify(v, total), label) for v, label in commutator_span(w, n)]
+    """Every commutator of basis forms of degree n, dense, with its label.
+
+    The commutators and labels of `lincat.derham.commutator_span`, in its
+    order, written out one pair u, v of opposed basis forms at a time with
+    `DGCategory.compose`: u.v at the codomain x of u, minus (-1)^(pq) v.u
+    at its domain y.
+    """
+    objs = w.base.objects
+    dims = [w.dim(n, x, x) for x in range(len(objs))]
+    out = []
+    for p in range(n + 1):
+        q = n - p
+        sign = -1 if (p * q) % 2 else 1
+        for x, ox in enumerate(objs):
+            for y, oy in enumerate(objs):
+                for i, label_u in enumerate(w.space_labels(p, x, y)):
+                    u = w.basis_form(p, oy, ox, i)
+                    for j, label_v in enumerate(w.space_labels(q, y, x)):
+                        v = w.basis_form(q, ox, oy, j)
+                        vec = [ZERO] * sum(dims)
+                        for k, s in w.compose(u, v).terms:
+                            vec[sum(dims[:x]) + k] += s
+                        for k, s in w.compose(v, u).terms:
+                            vec[sum(dims[:y]) + k] -= sign * s
+                        out.append((tuple(vec), f"[{label_u}, {label_v}]@({ox.label},{oy.label})"))
+    return out
 
 
 def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, int]:

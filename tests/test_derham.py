@@ -7,10 +7,12 @@ import pytest
 
 from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
 from lincat.chern import certify_cocycle, chern_form
-from lincat.derham import TildeComplex, get_complex
-from lincat.dg import DGCategory, render_terms
+import lincat.derham
+import lincat.dg
+from lincat.derham import TildeComplex, commutator_span, commutator_system, generator_span, get_complex
+from lincat.dg import DGCategory, _generators, certified_generators, render_terms, validate_dg
 from lincat.errors import DimensionError, LincatError, ScalarTypeError
-from lincat.exact_linalg import densify, is_zero_vector, sparse, zero_vector
+from lincat.exact_linalg import build_quotient, densify, is_zero_vector, sparse, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
@@ -19,7 +21,9 @@ from conftest import (
     dual_category,
     dense_diagonal,
     dense_trace_d,
+    linear_quiver_category,
     m2_category,
+    matrix_units_category,
     random_form,
     random_scalar,
     subspace_basis,
@@ -303,6 +307,98 @@ def test_closure_check_rejects_a_corrupted_degree_one_differential():
         get_complex(rebuilt(w, comp, diff))
 
 
+# -- the quotient from the generating set against the full commutator span ---
+
+
+def full_span_quotient(w, n):
+    """The quotient by every commutator of basis forms, from the oracle's dense span."""
+    return build_quotient(get_complex(w).ambient_dim(n), [sparse(v) for v, _ in commutator_spanning_labeled(w, n)])
+
+
+GENERATOR_SPAN_MODELS = {
+    **{name: (lambda name=name: load_fixture(name).dg) for name in fixture_names()},
+    **{f"M2-{n}": (lambda n=n: universal_dg(m2_category(), n)) for n in range(1, 5)},
+    "M3-2": lambda: universal_dg(matrix_units_category(3), 2),
+    "two_points-6": lambda: universal_dg(two_points_category(), 6),
+    "dual-5": lambda: universal_dg(dual_category(), 5),
+    "A4-5": lambda: universal_dg(linear_quiver_category(4), 5),
+}
+
+
+@pytest.mark.parametrize("make", GENERATOR_SPAN_MODELS.values(), ids=GENERATOR_SPAN_MODELS.keys())
+def test_generator_span_quotient_equals_the_full_span_quotient(make):
+    # [ab, c] = [a, bc] + (-1)^(|a|(|b|+|c|)) [b, ca]: once the laws hold on
+    # G, the [g, v] with g in G span every commutator, and the reduced
+    # echelon basis of a span is unique
+    w = make()
+    assert certified_generators(w)[1]
+    rh = get_complex(w)
+    for n in range(w.truncation + 1):
+        labeled = commutator_spanning_labeled(w, n)
+        # the full span, `generator_span` over every basis form, is the
+        # oracle's commutators of composed basis forms, labels and order too
+        assert [(densify(v, rh.ambient_dim(n)), label) for v, label in commutator_span(w, n)] == labeled, n
+        # the same echelon rows, pivots and free columns
+        assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
+
+
+def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):
+    # the rows the quotient eliminates on M2 at truncation 3, against one per
+    # pair of opposed basis forms: G holds 3 forms of degree 0 and 2 of
+    # degree 1, and degree n has 4 * 3^n basis forms
+    spanning = []
+
+    def counted(ambient_dim, rows):
+        spanning.append(len(rows))
+        return build_quotient(ambient_dim, rows)
+
+    monkeypatch.setattr(lincat.derham, "build_quotient", counted)
+    w = universal_dg(m2_category(), 3)
+    rh = get_complex(w)
+    full = [len(commutator_spanning_labeled(w, n)) for n in range(4)]
+    assert spanning == [3 * 4, 3 * 12 + 2 * 4, 3 * 36 + 2 * 12, 3 * 108 + 2 * 36]
+    assert (sum(spanning), sum(full)) == (584, 2272)
+    assert sum(q.subspace_dim for q in rh.quotients) == 142
+
+
+def test_quotient_falls_back_to_the_full_span_where_a_law_fails_on_g():
+    # two points at truncation 2 with one entry added to the product of the
+    # second degree-1 basis form with itself: associativity fails on G, the
+    # [g, v] then span less than the commutators, and the quotient is still
+    # the one by every commutator of basis forms
+    w = universal_dg(two_points_category(), 2)
+    comp, diff = dense_tables(w)
+    comp[(1, 1)][(0, 0, 0)][1][1][1] += 1
+    v = rebuilt(w, comp, diff)
+    gens, lawful = certified_generators(v)
+    assert not lawful
+    assert {x.kind for x in validate_dg(v)} == {"dg-associativity"}
+    rh = get_complex(v)
+    narrow = build_quotient(rh.ambient_dim(2), generator_span(v, 2, gens))
+    assert narrow != full_span_quotient(v, 2)
+    for n in range(v.truncation + 1):
+        assert rh.quotients[n] == full_span_quotient(v, n), n
+
+
+def test_generating_set_is_built_once_for_validation_and_the_quotient(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return _generators(w)
+
+    monkeypatch.setattr(lincat.dg, "_generators", counted)
+    w = universal_dg(m2_category(), 2)
+    assert validate_dg(w) == []
+    get_complex(w)
+    assert calls == [w]
+    # the other way round, too
+    again = universal_dg(m2_category(), 2)
+    get_complex(again)
+    assert validate_dg(again) == []
+    assert calls == [w, again]
+
+
 # -- the quotient complex against a dense path built here --------------------
 
 
@@ -424,8 +520,7 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     assert len(expected) > 10
     # the system is built once for the degree and kept on the complex; a
     # second certificate on it is the same
-    rh = get_complex(w)
-    assert rh.commutator_rows(3) is rh.commutator_rows(3)
+    assert commutator_system(w, 3) is commutator_system(w, 3)
     assert certify_cocycle(conn, 1) == cert
 
 
