@@ -141,6 +141,7 @@ class Category:
             if entries is None:
                 raise DimensionError(f"object {self.objects[x].label}: identity coordinates missing")
             self.identity[x] = checked_terms(entries, self.dim(x, x), f"identity of {self.objects[x].label}")
+        self._violations = None  # memo slot of `validate_category`
 
     # -- basic accessors -------------------------------------------------
 
@@ -167,13 +168,16 @@ def validate_category(c: Category) -> list[Violation]:
 
     This is degree 0 of the law kernel of `lincat.laws`: its report on
     `trivial_dg(c)`, where d = 0 and no form lies above degree 0, so only
-    the unit and associativity laws of `c` can fail.
+    the unit and associativity laws of `c` can fail.  The report is made
+    once per category; every call returns a fresh list of it.
     """
-    # imported here, because `lincat.dg` and `lincat.laws` import this module
-    from .dg import trivial_dg
-    from .laws import _report
+    if c._violations is None:
+        # imported here, because `lincat.dg` and `lincat.laws` import this module
+        from .dg import trivial_dg
+        from .laws import _report
 
-    return _report(trivial_dg(c))
+        c._violations = tuple(_report(trivial_dg(c)))
+    return list(c._violations)
 
 
 def build_category(

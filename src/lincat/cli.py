@@ -60,10 +60,7 @@ def _load(args) -> Workspace:
 
 
 def _violations(ws: Workspace) -> list:
-    category = ws.category_violations
-    if category is None:  # parsing did not check the category
-        category = validate_category(ws.category)
-    return list(category) + list(validate_dg(ws.dg))
+    return validate_category(ws.category) + validate_dg(ws.dg)
 
 
 def _checked(args) -> Workspace:

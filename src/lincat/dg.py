@@ -217,10 +217,6 @@ class DGCategory:
             return self.base.basis_labels(x, y)
         return self.gr_basis.get(n, {}).get((x, y), ())
 
-    def hom_pairs(self, n: int) -> list[tuple[int, int]]:
-        nobj = len(self.base.objects)
-        return [(x, y) for x in range(nobj) for y in range(nobj) if self.dim(n, x, y) > 0]
-
     def zero_form(self, n: int, dom: ObjectId, cod: ObjectId) -> Form:
         return Form(n, dom, cod, ())
 

@@ -20,7 +20,7 @@ along the path; degree 0 is the hom space itself.  Inside it:
 Each basis is the reduced echelon basis of its span in a fixed column
 order, which is unique for the span, so composition tensors and
 differentials are reproducible.  The chain vectors are sparse maps, and
-their spans go to the elimination kernel `echelon` as they are.
+their spans go to `build_quotient` as they are.
 
 The span is the only place where chains are multiplied.  Its products
 give two things, and the chain vectors are dropped after them:
@@ -48,7 +48,7 @@ Each derived entry is covered by these checks:
   category that `validate_category` rejects (`CategoryAxiomError`)
   before any chain is built;
 * every spanning product is reduced by the basis over the whole chain
-  space, and must leave nothing (`_Subspace.coordinates`), so its
+  space, and must leave nothing (`QuotientSpace.coordinates`), so its
   coordinates are exact; every expression is substituted back in
   coordinates, which with the former makes it an identity of chain
   vectors; the entries follow from these identities and the rules in
@@ -70,7 +70,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import ONE, ZERO, Echelon, SparseRow, cut_rows, echelon, integral_terms, over_lcm, reduce_by
+from .exact_linalg import ONE, ZERO, Echelon, SparseRow, build_quotient, cut_rows, echelon, integral_terms, over_lcm
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -110,36 +110,6 @@ class _ChainSpace:
     @property
     def dim(self) -> int:
         return len(self.elems)
-
-
-class _Subspace:
-    """A subspace of a chain space with a reduced-echelon basis.
-
-    The basis rows are sparse maps over the chain space, reduced in its
-    enumeration order (`_ChainSpace`); each is addressed by its pivot
-    chain.
-    """
-
-    def __init__(self, space: _ChainSpace, spanning):
-        self.rows, self.pivots = echelon(spanning, space.dim)
-        self._row_at_pivot = dict(zip(self.pivots, self.rows))
-        self._index = {p: i for i, p in enumerate(self.pivots)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def coordinates(self, v: SparseRow) -> SparseRow:
-        """Nonzero coordinates in the reduced basis; the vector must lie in the span.
-
-        The vector lies in the span exactly when `reduce_by` leaves
-        nothing of it, and then its coordinates are its entries at the
-        pivots.
-        """
-        if reduce_by(v, self._row_at_pivot):
-            raise LincatError("universal builder: vector left the expected span")
-        index = self._index
-        return {index[j]: s for j, s in v.items() if j in index}
 
 
 class _Chains:
@@ -313,14 +283,16 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
             expected = sum(dims[(n - 1, x, w)] * (c.dim(w, y) - (w == y)) for w in objects)
             span = [(w, i, b, chains.merge(n - 1, 1, x, w, y, omega, db))
                     for w in objects for i, omega in enumerate(basis[(x, w)]) for b, db in enumerate(d_arrow[(w, y)])]
-            sub = _Subspace(chains.spaces[(n, x, y)], (v for *_, v in span))
-            dims[(n, x, y)] = sub.dim
-            if sub.dim != expected:
+            sub = build_quotient(chains.spaces[(n, x, y)].dim, [v for *_, v in span])
+            dim = dims[(n, x, y)] = sub.subspace_dim
+            if dim != expected:
                 raise LincatError(
                     f"universal builder: degree-{n} space at ({c.objects[x].label},"
-                    f"{c.objects[y].label}) has dimension {sub.dim}, the path-count formula gives {expected}"
+                    f"{c.objects[y].label}) has dimension {dim}, the path-count formula gives {expected}"
                 )
             coords = [sub.coordinates(v) for *_, v in span]
+            if None in coords:
+                raise LincatError("universal builder: vector left the expected span")
             start = 0
             for w in objects:
                 size = dims[(n - 1, x, w)] * c.dim(w, y)
@@ -328,9 +300,9 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
                 right[(n, x, w, y)] = den, cut_rows(flat, c.dim(w, y))
                 start += size
             expr[(n, x, y)] = integral_terms(((span[j][:3], lam) for j, lam in e.items())
-                                        for e in _expressions(coords, sub.dim))
+                                        for e in _expressions(coords, dim))
             grown[(x, y)] = sub.rows
-            if sub.dim:
+            if dim:
                 names = tuple(chains.label(n, x, y, p) for p in sub.pivots)
                 if len(set(names)) != len(names):
                     raise LincatError(

@@ -42,15 +42,17 @@ a caller that grows a span row by row (the generating set of
 by a reduced echelon basis is one function, `reduce_by`: its remainder
 is empty exactly when the vector lies in the span, and then the
 coordinates of the vector are its entries at the pivots.  `Echelon.add`
-reduces each new row this way, a `QuotientSpace` reduces a sparse
-vector modulo the span (`reduce_sparse`) and reads its coset
-coordinates, a dense tuple, off the free columns (`coset_coordinates`),
-and the chain subspaces of the envelope and the fixed columns of a
-module test membership with it.  `build_quotient` divides by the span
-of sparse rows and `solve_rows` solves a linear system given by its
-sparse rows; callers that already hold sparse rows (the envelope's
-chain subspaces, the cohomology of the quotient complex, the fixed
-columns of a module) call `echelon` itself.
+reduces each new row this way.  A finished span is a `QuotientSpace`,
+built from sparse rows by `build_quotient`; it reduces a sparse vector
+modulo the span (`reduce_sparse`), reads its coset coordinates, a dense
+tuple, off the free columns (`coset_coordinates`), and reads the
+coordinates of a vector of the span in its basis, or None outside it
+(`coordinates`).  So `Echelon` (a basis being grown) and `QuotientSpace`
+(a finished one) are the two span types, and no other module reads
+`reduce_by`: the chain subspaces of the envelope, the quotient complex
+and the fixed columns of a module are all `QuotientSpace`s.
+`solve_rows` solves a linear system given by its sparse rows, and the
+cohomology of the quotient complex calls `echelon` itself.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
 any dense matrix given by its `rows`, `cols` and `entries`, which must
@@ -349,12 +351,14 @@ def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> 
 
 @dataclass(frozen=True)
 class QuotientSpace:
-    """Ambient space modulo the span of a set of vectors.
+    """Ambient space modulo the span of a set of vectors, and that span itself.
 
     The subspace basis is kept in reduced echelon form, as sparse rows.
     A sparse vector is reduced by eliminating its pivot entries, which
     leaves entries at the free columns only and vanishes exactly on the
-    subspace; its coset coordinates are the entries at the free columns.
+    subspace; its coset coordinates are the entries at the free columns,
+    and a vector of the subspace has its coordinates in the basis at the
+    pivots (`coordinates`).
     """
 
     ambient_dim: int
@@ -373,6 +377,22 @@ class QuotientSpace:
     @cached_property
     def _row_at_pivot(self) -> dict[int, SparseRow]:
         return dict(zip(self.pivots, self.rows))
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {p: i for i, p in enumerate(self.pivots)}
+
+    def coordinates(self, v: SparseRow) -> Optional[SparseRow]:
+        """The coordinates of a sparse vector in the reduced basis, by row; None outside the span.
+
+        The vector lies in the span exactly when `reduce_sparse` leaves
+        nothing of it, and then its coordinates are its entries at the
+        pivots.
+        """
+        if self.reduce_sparse(v):
+            return None
+        position = self._position
+        return {position[j]: s for j, s in v.items() if j in position}
 
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
         """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""

@@ -8,8 +8,9 @@ its rows, and endomorphisms are matrices U with U = e.U.e.
 The module tensored with degree-n forms is modelled by columns: at
 each anchor object, the columns of degree-n forms fixed by e
 (`EFixedComponent`).  Since e is idempotent, the kernel of (e - 1) is
-the image of e, so the fixed columns are spanned by the e-images of the
-basis columns, and their basis is the `echelon` basis of those images.
+the image of e, so the fixed columns are the span of the e-images of
+the basis columns, a `QuotientSpace` that gives their reduced echelon
+basis and the coordinates of a fixed column in it.
 The literal model, fibers tensored with forms modulo the bimodule
 relations v.f (x) w = v (x) f.w, is canonically isomorphic; it lives in
 `tests/module_oracles.py`, where the tests check that the isomorphism
@@ -24,15 +25,7 @@ from .category import ObjectId
 from .dg import DGCategory, Form
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
-from .exact_linalg import (
-    ZERO,
-    SparseRow,
-    Vector,
-    checked_terms,
-    echelon,
-    offsets,
-    reduce_by,
-)
+from .exact_linalg import SparseRow, Vector, build_quotient, checked_terms, densify, offsets
 from .form_matrix import FormMatrix, block_diag
 
 # ---------------------------------------------------------------------------
@@ -166,11 +159,10 @@ class EFixedComponent:
 
     The coordinate space stacks the form coordinates of the blocks
     `hom-forms(family[i], anchor)`.  Since e is idempotent, the columns
-    it fixes, the kernel of (e - 1), are exactly its image, so the
-    subspace basis `rows` is the reduced echelon basis of the e-images
-    of the basis columns, as sparse rows.  A column is fixed exactly
-    when `reduce_by` leaves nothing of it, and its coordinates are then
-    its entries at the pivots.
+    it fixes, the kernel of (e - 1), are exactly its image: `span`, the
+    span of the e-images of the basis columns.  Its reduced echelon
+    basis, as sparse rows, is `rows`, with `pivots`, and a column is
+    fixed exactly when it has coordinates in that basis.
     """
 
     def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
@@ -192,12 +184,12 @@ class EFixedComponent:
                     for k, s in w.compose(module.idempotent.entries[i][j], basis).terms:
                         image[self.offsets[i] + k] = s
                 images.append(image)
-        self.rows, self.pivots = echelon(images, self.total_dim)
-        self._row_at_pivot = dict(zip(self.pivots, self.rows))
+        self.span = build_quotient(self.total_dim, images)
+        self.rows, self.pivots = self.span.rows, self.span.pivots
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.span.subspace_dim
 
     def ambient_of_column(self, u: FormMatrix) -> SparseRow:
         """The stacked coordinates of a column, as a sparse row."""
@@ -222,7 +214,7 @@ class EFixedComponent:
 
     def coordinates(self, u: FormMatrix) -> Vector:
         """Coordinates of an e-fixed column in the reduced basis."""
-        v = self.ambient_of_column(u)
-        if reduce_by(v, self._row_at_pivot):
+        coords = self.span.coordinates(self.ambient_of_column(u))
+        if coords is None:
             raise ModuleError("column is not fixed by the module idempotent")
-        return tuple(v.get(p, ZERO) for p in self.pivots)
+        return densify(coords, self.dim)

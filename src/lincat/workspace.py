@@ -32,9 +32,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .category import Category, ObjectId, Violation, build_category
+from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection
 from .dg import DGCategory, Form, trivial_dg, universal_dg
 from .errors import CategoryAxiomError, LincatError, WorkspaceError
@@ -59,9 +59,6 @@ class Workspace:
     connection_kinds: dict[str, str]
     endomorphisms: dict[str, tuple[str, FormMatrix]]
     document: dict = field(repr=False)
-    # the category's violations when parsing checked them (the universal
-    # model does, before it builds the envelope), else None
-    category_violations: Optional[list[Violation]] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,6 @@ class _Parser:
         self.name = str(_get(doc, "name", "workspace"))
         self.doc = doc
         self.arrow_home: dict[str, tuple[int, int, int]] = {}
-        self.category_violations: Optional[list[Violation]] = None
 
     # -- category ---------------------------------------------------------
 
@@ -149,16 +145,14 @@ class _Parser:
         model = str(_get(fdoc, "model", "forms"))
         if model == "universal":
             truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
-            # universal_dg checks the category first; the command reuses the result
+            # universal_dg checks the category first, and the category keeps the verdict
             try:
-                w = universal_dg(cat, truncation)
+                return universal_dg(cat, truncation), model
             except CategoryAxiomError as exc:
-                self.category_violations, exc.workspace = exc.violations, self.name
+                exc.workspace = self.name
                 raise
             except LincatError as exc:
                 raise WorkspaceError(f"forms: {exc}") from exc
-            self.category_violations = []
-            return w, model
         if model == "trivial":
             truncation = _int(fdoc.get("truncation", 1), "forms truncation")
             try:
@@ -453,10 +447,7 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
                     })
 
     def address(n: int, x: int, y: int, k: int) -> dict:
-        if n == 0:
-            label = cat.basis_labels(x, y)[k]
-        else:
-            label = dg.space_labels(n, x, y)[k]
+        label = dg.space_labels(n, x, y)[k]
         return {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": label}
 
     products = []
@@ -551,7 +542,6 @@ def workspace_from_dict(doc: Mapping) -> Workspace:
         connection_kinds=kinds,
         endomorphisms=endomorphisms,
         document=document,
-        category_violations=parser.category_violations,
     )
 
 

@@ -9,8 +9,17 @@ derives both tables from the span's own products, so the two must
 agree entry for entry.
 """
 
-from lincat.envelope import _Chains, _Subspace
-from lincat.exact_linalg import ONE
+from lincat.envelope import _Chains
+from lincat.errors import LincatError
+from lincat.exact_linalg import ONE, build_quotient
+
+
+def _coordinates(target, v):
+    """The coordinates of a chain vector in the basis of `target`, a span it must lie in."""
+    coords = target.coordinates(v)
+    if coords is None:
+        raise LincatError("direct fill: vector left the expected span")
+    return coords
 
 
 def direct_tables(c, truncation):
@@ -21,14 +30,14 @@ def direct_tables(c, truncation):
     sub = {}
     for x in objects:
         for y in objects:
-            sub[(0, x, y)] = _Subspace(chains.spaces[(0, x, y)], [{k: ONE} for k in range(c.dim(x, y))])
+            sub[(0, x, y)] = build_quotient(chains.spaces[(0, x, y)].dim, [{k: ONE} for k in range(c.dim(x, y))])
     d_arrow = {(z, y): [chains.d(0, z, y, {b: ONE}) for b in range(c.dim(z, y))] for z in objects for y in objects}
     for n in range(1, N + 1):
         for x in objects:
             for y in objects:
                 span = [chains.merge(n - 1, 1, x, z, y, omega, db)
                         for z in objects for omega in sub[(n - 1, x, z)].rows for db in d_arrow[(z, y)]]
-                sub[(n, x, y)] = _Subspace(chains.spaces[(n, x, y)], span)
+                sub[(n, x, y)] = build_quotient(chains.spaces[(n, x, y)].dim, span)
 
     gr_comp = {}
     for p in range(0, N + 1):
@@ -47,7 +56,7 @@ def direct_tables(c, truncation):
                         block = table[(x, y, z)] = {}
                         for i, u in enumerate(left):
                             for j, v in enumerate(right):
-                                coords = target.coordinates(chains.merge(p, q, x, y, z, u, v))
+                                coords = _coordinates(target, chains.merge(p, q, x, y, z, u, v))
                                 if coords:
                                     block[(i, j)] = coords
 
@@ -59,7 +68,7 @@ def direct_tables(c, truncation):
                 target = sub[(n + 1, x, y)]
                 columns = level[(x, y)] = {}
                 for j, v in enumerate(sub[(n, x, y)].rows):
-                    coords = target.coordinates(chains.d(n, x, y, v))
+                    coords = _coordinates(target, chains.d(n, x, y, v))
                     if coords:
                         columns[j] = coords
     return gr_comp, diff

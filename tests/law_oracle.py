@@ -27,6 +27,12 @@ def _contract(coefficients, vectors):
     return {c: s for c, s in out.items() if s}
 
 
+def hom_pairs(w, n):
+    """The (x, y) whose degree-n form space is nonzero, in object order."""
+    nobj = len(w.base.objects)
+    return [(x, y) for x in range(nobj) for y in range(nobj) if w.dim(n, x, y) > 0]
+
+
 def _columns(block, rows, cols):
     """Column j of a product block: the products of every left basis form with form j."""
     return tuple(zip(*block)) if rows else ((),) * cols
@@ -48,7 +54,7 @@ def law_violations(w):
         return labels[k] if k < len(labels) else f"deg{n}[{x},{y}]#{k}"
 
     for n in range(0, N):
-        for (x, y) in w.hom_pairs(n):
+        for (x, y) in hom_pairs(w, n):
             d_n1 = diff[n + 1].get((x, y), ())
             if any(_contract(col, d_n1) for col in diff[n][(x, y)]):
                 violations.append(Violation("dg-d-squared", f"degree {n} at ({w.base.objects[x].label},{w.base.objects[y].label})"))
@@ -111,7 +117,7 @@ def unit_violations(w):
     """Unit-law failures on every basis form of positive degree, in loop order."""
     violations = []
     for n in range(1, w.truncation + 1):
-        for (x, y) in w.hom_pairs(n):
+        for (x, y) in hom_pairs(w, n):
             ox, oy = w.base.objects[x], w.base.objects[y]
             left, right = w.basis_products(0, n, x, x, y), w.basis_products(n, 0, x, y, y)
             for k in range(w.dim(n, x, y)):

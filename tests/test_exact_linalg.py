@@ -305,6 +305,12 @@ def test_sparse_quotient_matches_dense_reference():
                 out = [a - f * b for a, b in zip(out, row)]
             assert q.reduce_sparse(sparse(v)) == sparse(out)
             assert q.coset_coordinates(sparse(v)) == tuple(out[c] for c in q.free_columns)
+            # coordinates exactly on the span
+            assert (q.coordinates(sparse(v)) is None) == bool(q.reduce_sparse(sparse(v)))
+            # a random combination of the reference rows has that combination as coordinates
+            lam = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rank_)]
+            combo = [sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)]
+            assert q.coordinates(sparse(combo)) == {i: s for i, s in enumerate(lam) if s}
 
 
 def test_sparse_entry_points_match_dense_front_doors():

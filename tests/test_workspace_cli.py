@@ -288,27 +288,25 @@ def test_cli_validate_reports_a_broken_category_of_a_universal_workspace(capsys,
 
 def test_cli_checks_a_universal_category_once_per_command(capsys, monkeypatch):
     # universal_dg checks a universal workspace's category before the
-    # envelope is built; the command reuses that result
-    import lincat.cli
-    import lincat.dg
+    # envelope is built, and the category keeps the verdict for the command,
+    # so the law kernel's report runs once per command
+    import lincat.laws
 
     calls = []
+    report = lincat.laws._report
 
-    def counted(c):
-        calls.append(c)
-        return validate_category(c)
+    def counted(w):
+        calls.append(w)
+        return report(w)
 
-    monkeypatch.setattr(lincat.dg, "validate_category", counted)
-    monkeypatch.setattr(lincat.cli, "validate_category", counted)
-    for args, checks in [(("validate", "fixture:two_points_universal"), 1),
-                         (("cohomology", "fixture:point_universal"), 1),
-                         (("validate", "fixture:circle_tables"), 1),
-                         (("cohomology", "fixture:dual_numbers_trivial"), 1)]:
+    monkeypatch.setattr(lincat.laws, "_report", counted)
+    for args in [("validate", "fixture:two_points_universal"),
+                 ("cohomology", "fixture:point_universal"),
+                 ("validate", "fixture:circle_tables"),
+                 ("cohomology", "fixture:dual_numbers_trivial")]:
         calls.clear()
         code, _, _ = run(capsys, *args)
-        assert (code, len(calls)) == (EXIT_OK, checks), args
-    assert load_fixture("two_points_universal").category_violations == []
-    assert load_fixture("circle_tables").category_violations is None
+        assert (code, len(calls)) == (EXIT_OK, 1), args
 
 
 def test_json_numbers_are_read_by_their_text():
