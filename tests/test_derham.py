@@ -1,5 +1,6 @@
 from fractions import Fraction
 import gc
+import hashlib
 import random
 import weakref
 
@@ -340,6 +341,40 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
         assert [(densify(v, rh.ambient_dim(n)), label) for v, label in commutator_span(w, n)] == labeled, n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
+
+
+# G and the echelon rows and pivots of every degree's quotient, as sha256
+# of their repr; a row is read by increasing column, so the digest does not
+# depend on the order in which elimination filled its dict
+GENERATOR_QUOTIENT_DIGESTS = {
+    "M2-3": (lambda: universal_dg(m2_category(), 3),
+             "b39e602ae4aee8e5278e229d8b57082ade30b73d44ab33c317f54ad4de2694d2",
+             "c19d08570ff2e912465848499f74b547c77defef627b23dff2a7a426cc5dfdc7"),
+    "M3-2": (lambda: universal_dg(matrix_units_category(3), 2),
+             "ed78f5207469d78b80262930488f7603884517c032fa19d369fb1a38c66a470c",
+             "4333e34c489db1a555c269fc42c0838339bfa104e562b04bc5936793381b21e4"),
+    "two_points-8": (lambda: universal_dg(two_points_category(), 8),
+                     "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
+                     "90a7c0fe92d2d6cf28c16ff16a35797c1fb27fc497d5ec6636c77038a2b9510c"),
+    "dual-6": (lambda: universal_dg(dual_category(), 6),
+               "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
+               "4e33facb55de8785e1652e9a1e03bf763b6cd8b472616b396072aac67dc4c0b9"),
+    "A4-4": (lambda: universal_dg(linear_quiver_category(4), 4),
+             "1c8f178ecce483b5f2e80119b172273f596350fc60e52b6497f76702d70c5a4f",
+             "a2d91a893c2dac3ab946ff1b2b03a6998d4fd1da7a756514c79fa6a3a7709260"),
+}
+
+
+@pytest.mark.parametrize("make, generators, quotients", GENERATOR_QUOTIENT_DIGESTS.values(),
+                         ids=GENERATOR_QUOTIENT_DIGESTS.keys())
+def test_generators_and_quotients_are_pinned(make, generators, quotients):
+    w = make()
+    gens = certified_generators(w)[0]
+    g_repr = repr([(g.degree, g.dom.index, g.cod.index, g.terms) for g in gens])
+    rh = get_complex(w)
+    q_repr = repr([([sorted(row.items()) for row in q.rows], q.pivots) for q in rh.quotients])
+    assert hashlib.sha256(g_repr.encode()).hexdigest() == generators
+    assert hashlib.sha256(q_repr.encode()).hexdigest() == quotients
 
 
 def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):
