@@ -20,15 +20,16 @@ are mostly zero and exact arithmetic on a zero still costs a
   input scalars, `terms_of` from a sum accumulated in a sparse row, and
   `add_terms` adds two of them.
 * `SparseRow`, the mutable shape: a map from column index to entry,
-  which elimination and the product sums update in place.  Elimination
-  keeps only nonzero entries; a sum may leave cancelled zeros, which
-  `terms_of` drops.
+  which the product sums update in place.  Elimination takes its rows
+  in this shape and hands back rows and remainders in it, with nonzero
+  entries only; a sum may leave cancelled zeros, which `terms_of`
+  drops.
 
-Integer arithmetic stands in for `Fraction`s where sums are long:
-`integral_terms` puts sparse vectors over one common denominator, as
-`int` numerators, and `cut_rows` cuts such a flat list back into the
-rows of a block; `over_lcm` puts a single vector over the lcm of its
-own denominators.  The envelope builder, the product blocks of
+Integer arithmetic stands in for `Fraction`s where sums are long, and
+in elimination (below): `integral_terms` puts sparse vectors over one
+common denominator, as `int` numerators, and `cut_rows` cuts such a
+flat list back into the rows of a block; `over_lcm` puts a single
+vector over the lcm of its own denominators.  The envelope builder, the product blocks of
 `DGCategory.integral_products`, the law kernel of `lincat.laws` and the
 product kernel of `lincat.form_matrix` all convert this way.  One
 contraction, `contract_into`, adds combinations of sparse vectors into
@@ -38,38 +39,50 @@ differentials of forms, and every law check, are made of it.
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
 a caller that grows a span row by row (the generating set of
-`validate_dg`) holds an `Echelon` itself.  Every reduction of a vector
-by a reduced echelon basis is one function, `reduce_by`: its remainder
-is empty exactly when the vector lies in the span, and then the
-coordinates of the vector are its entries at the pivots.  `Echelon.add`
-reduces each new row this way.  A finished span is a `QuotientSpace`,
-built from sparse rows by `build_quotient`; it reduces a sparse vector
-modulo the span (`reduce_sparse`), reads its coset coordinates, a dense
-tuple, off the free columns (`coset_coordinates`), and reads the
-coordinates of a vector of the span in its basis, or None outside it
-(`coordinates`).  So `Echelon` (a basis being grown) and `QuotientSpace`
-(a finished one) are the two span types, and no other module reads
-`reduce_by`: the chain subspaces of the envelope, the quotient complex
-and the fixed columns of a module are all `QuotientSpace`s.
-`solve_rows` solves a linear system given by its sparse rows, and the
-cohomology of the quotient complex calls `echelon` itself.
+`validate_dg`, the expressions of the envelope builder) holds an
+`Echelon` itself.  The kernel runs over integer numerators: `Echelon`
+keeps each basis row as `int` numerators over one positive denominator,
+the numerator at its pivot equal to that denominator, with no common
+factor.  A new row is put over the lcm of its denominators and reduced
+by cross-multiplying, v.d - v[p].row, which is pure `int` arithmetic
+while every denominator is 1, the common case; a new pivot is then
+cleared only from the rows that a column index lists there.  A
+finished span is a `QuotientSpace`, built from sparse rows by
+`build_quotient`; it keeps the integer rows of its `Echelon` and reduces
+over them a sparse vector modulo the span (`reduce_sparse`), reads its
+coset coordinates, a dense tuple, off the free columns
+(`coset_coordinates`), and reads the coordinates of a vector of the
+span in its basis, or None outside it (`coordinates`), deciding
+membership on the integer remainder.  So `Echelon` (a basis being
+grown) and `QuotientSpace` (a finished one) are the two span types, and
+no other module reads their integer rows: the chain subspaces of the
+envelope, the quotient complex and the fixed columns of a module are
+all `QuotientSpace`s.  `solve_rows` solves a linear system given by its
+sparse rows, and the cohomology of the quotient complex calls `echelon`
+itself.
+
+Every row and vector handed to the kernel must have `Fraction`
+entries; anything else is refused with `ScalarTypeError`, so no float
+enters exact arithmetic and no int passes for a `Fraction`.  The ints
+of the kernel live only inside `Echelon` and `QuotientSpace`, are never
+divided with `/` (only by an exact common factor, with `//`), and leave
+as `Fraction`s: every row, remainder, coordinate and solution handed
+back holds `Fraction`s, with each pivot entry exactly 1.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
 any dense matrix given by its `rows`, `cols` and `entries`, which must
-be Fractions (anything else is refused with `ScalarTypeError`, so no
-float or int ever enters exact arithmetic unnoticed).  No library
-module calls it; it stays because the benchmark's tracer
-(`perfbench/tracing.py`) wraps `exact_linalg.rref` by name and reads
-the shape of its argument.
+be Fractions.  No library module calls it; it stays because the
+benchmark's tracer (`perfbench/tracing.py`) wraps `exact_linalg.rref` by
+name and reads the shape of its argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, ScalarTypeError
@@ -246,83 +259,169 @@ def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
                 del row[j]
 
 
-def reduce_by(v: SparseRow, rows_at: Mapping[int, SparseRow]) -> SparseRow:
-    """The remainder of v, left unmodified, by a reduced echelon basis keyed by pivot column.
+# -- the elimination kernel, over integer numerators -------------------------
+
+# a sparse row of integer numerators, by column
+IntRow = dict[int, int]
+# a reduced basis row as (d, numerators) with d > 0, the numerator at its
+# pivot equal to d and no common factor of d and the numerators: so the row
+# is the numerators divided by d, and equal rows have equal pairs
+IntBasis = dict[int, tuple[int, IntRow]]
+
+
+def _numerators(v: SparseRow) -> tuple[int, IntRow]:
+    """A sparse row of Fractions as (D, numerators): n / D is the entry at column j, zeros dropped.
+
+    D is the lcm of the denominators.  An entry that is not a Fraction
+    raises `ScalarTypeError`: an int or a float is refused, not reduced
+    in whatever arithmetic it brings.
+    """
+    if not _all_fractions(v.values()):
+        raise ScalarTypeError("sparse row entries must be Fractions")
+    den = lcm(*[x.denominator for x in v.values()])
+    if den == 1:
+        return 1, {j: n for j, x in v.items() if (n := x.numerator)}
+    return den, {j: n for j, x in v.items() if (n := x.numerator * (den // x.denominator))}
+
+
+def _fractions(den: int, nums: IntRow) -> SparseRow:
+    """Numerators over a positive denominator as a sparse row of Fractions, by increasing column."""
+    if den == 1:
+        return {j: Fraction(n) for j, n in sorted(nums.items())}
+    return {j: Fraction(n, den) for j, n in sorted(nums.items())}
+
+
+def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
+    """A basis row over the gcd of its denominator and numerators, a divisor of den, its pivot numerator."""
+    if den != 1 and (g := gcd(den, *nums.values())) != 1:
+        return den // g, {j: n // g for j, n in nums.items()}
+    return den, nums
+
+
+def _eliminate(v: IntRow, p: int, den: int, row: IntRow) -> int:
+    """Clear column p of v, in place, by a row whose numerator there is den; the factor by which v was scaled.
+
+    With g the gcd of den and v[p], v becomes v * den / g - v[p] / g * row,
+    so the arithmetic stays in `int`s and the factor is den / g; the
+    entries that cancel are dropped.
+    """
+    f = v[p]
+    g = gcd(den, f)
+    m, f = den // g, f // g
+    if m != 1:
+        for j in v:
+            v[j] *= m
+    for j, x in row.items():
+        y = v.get(j)
+        if y is None:
+            v[j] = -f * x
+        elif y := y - f * x:
+            v[j] = y
+        else:
+            del v[j]
+    return m
+
+
+def _reduce(v: IntRow, basis: IntBasis) -> int:
+    """Reduce numerators v in place by a reduced basis; the factor by which v was scaled.
 
     Each basis row vanishes at every pivot but its own, so one pass over
-    the pivots in v's support clears them all, each by its own row
-    scaled by v's entry there.  So the remainder is empty exactly when v
-    lies in the span, and then v's entries at the pivots are its
-    coordinates.  The remainder keeps nonzero entries only.
+    the pivots in v's support clears them all (`_eliminate`).  So v ends
+    up as the remainder times the returned factor, with no entry at a
+    pivot, and is empty exactly when it lay in the span.
     """
-    row = {j: x for j, x in v.items() if x}
-    for p in [p for p in row if p in rows_at]:
-        add_scaled(row, -row[p], rows_at[p])
-    return row
+    scale = 1
+    for p in [p for p in v if p in basis]:
+        scale *= _eliminate(v, p, *basis[p])
+    return scale
 
 
-def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """Reduced row echelon basis of the span of sparse rows, and its pivots.
-
-    This is the one elimination kernel of the package.  The rows are
-    `ncols` wide and are left unmodified.  They are taken one at a time
-    by `Echelon.add`, so the basis is in reduced echelon form after every
-    row.  That form is unique for a row space, so the result is a
-    function of the span alone, and every derived basis is reproducible
-    byte for byte.
-    """
+def _spanned(rows: Iterable[SparseRow], ncols: int) -> "Echelon":
+    """An `Echelon` grown by the given sparse rows, which must lie in 0..ncols-1."""
     basis = Echelon()
     for given in rows:
         if not given:
             continue
         if min(given) < 0 or max(given) >= ncols:
             raise DimensionError(f"sparse row has a column outside 0..{ncols - 1}")
-        if not _all_fractions(given.values()):
-            raise ScalarTypeError("sparse row entries must be Fractions")
         basis.add(given)
-    pivots = tuple(sorted(basis.rows))
-    return tuple(basis.rows[p] for p in pivots), pivots
+    return basis
+
+
+def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """Reduced row echelon basis of the span of sparse rows, and its pivots.
+
+    This is the one elimination kernel of the package.  The rows are
+    `ncols` wide, must have `Fraction` entries and are left unmodified.
+    They are taken one at a time by `Echelon.add`, so the basis is in
+    reduced echelon form after every row.  That form is unique for a row
+    space, so the result is a function of the span alone, and every
+    derived basis is reproducible byte for byte.
+    """
+    basis = _spanned(rows, ncols)._basis
+    pivots = tuple(sorted(basis))
+    return tuple(_fractions(*basis[p]) for p in pivots), pivots
 
 
 class Echelon:
     """A reduced echelon basis grown one row at a time.
 
-    `rows` maps each pivot column to its row, which is 1 there and 0 at
-    every other pivot.  `add` reduces a row by the basis (`reduce_by`),
-    and a nonzero remainder joins it with its first column as pivot, scaled to 1
-    there, after which that column is cleared from the older rows.  So
-    the unit vector e_k lies in the span exactly when the row at pivot k
-    is e_k itself (`spans_unit`).
+    The basis is kept over integer numerators: each row as (d,
+    numerators), its pivot numerator equal to d, so the row is 1 at its
+    pivot and 0 at every other pivot; the row is sign-normalised and
+    divided by the gcd of d and its numerators.  `add` reduces a row by
+    the basis, cross-multiplying, which is pure `int` arithmetic while
+    every denominator is 1.  A nonzero remainder joins the basis with its
+    first column p as pivot, and p is cleared from the older rows that
+    `_users` lists there, not from every row: `_users` maps a column to
+    the pivots of the rows that may be nonzero in it, a superset, since
+    an entry that cancels leaves its pivot listed.
+
+    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot, so
+    no integer leaves the basis.  The unit vector e_k lies in the span
+    exactly when the row at pivot k is e_k itself (`spans_unit`).
     """
 
     def __init__(self) -> None:
-        self.rows: dict[int, SparseRow] = {}
-        # every column where some row may be nonzero: a new pivot outside
-        # it needs no clearing, so adding a row to a basis of unit rows
-        # does not visit them all
-        self._columns: set[int] = set()
+        self._basis: IntBasis = {}
+        self._users: dict[int, list[int]] = {}
+
+    @property
+    def rows(self) -> dict[int, SparseRow]:
+        basis = self._basis
+        return {p: _fractions(*basis[p]) for p in sorted(basis)}
 
     def add(self, given: SparseRow) -> Optional[int]:
-        """Add a row, left unmodified; its pivot, or None when it lies in the span."""
-        basis = self.rows
-        row = reduce_by(given, basis)
-        if not row:
+        """Add a row of `Fraction`s, left unmodified; its pivot, or None when it lies in the span."""
+        basis, users = self._basis, self._users
+        _, v = _numerators(given)
+        _reduce(v, basis)
+        if not v:
             return None
-        p = min(row)
-        pv = row[p]
-        if pv != 1:
-            row = {j: x / pv for j, x in row.items()}
-        if p in self._columns:
-            for other in basis.values():
-                f = other.get(p)
-                if f is not None:
-                    add_scaled(other, -f, row)
-        self._columns.update(row)
-        basis[p] = row
+        p = min(v)
+        d = v[p]
+        if d < 0:
+            d = -d
+            v = {j: -n for j, n in v.items()}
+        d, v = _primitive(d, v)
+        for q in users.pop(p, ()):
+            dq, row = basis[q]
+            if p not in row:
+                continue
+            new = v.keys() - row.keys()
+            dq *= _eliminate(row, p, d, v)
+            for j in new:
+                users.setdefault(j, []).append(q)
+            basis[q] = _primitive(dq, row)
+        for j in v:
+            if j != p:
+                users.setdefault(j, []).append(p)
+        basis[p] = d, v
         return p
 
     def spans_unit(self, k: int) -> bool:
-        return self.rows.get(k) == {k: ONE}
+        row = self._basis.get(k)
+        return row is not None and len(row[1]) == 1
 
 
 def rref(m) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
@@ -353,18 +452,20 @@ def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> 
 class QuotientSpace:
     """Ambient space modulo the span of a set of vectors, and that span itself.
 
-    The subspace basis is kept in reduced echelon form, as sparse rows.
-    A sparse vector is reduced by eliminating its pivot entries, which
+    The subspace basis is kept as `Echelon` keeps it, in reduced echelon
+    form over integer numerators (`_basis`, by pivot); `rows` reads it as
+    sparse rows of `Fraction`s, by increasing pivot.  A sparse vector is
+    reduced by eliminating its pivot entries, over its numerators, which
     leaves entries at the free columns only and vanishes exactly on the
     subspace; its coset coordinates are the entries at the free columns,
     and a vector of the subspace has its coordinates in the basis at the
-    pivots (`coordinates`).
+    pivots (`coordinates`).  Every entry handed back is a `Fraction`.
     """
 
     ambient_dim: int
-    rows: tuple[SparseRow, ...]
     pivots: tuple[int, ...]
     free_columns: tuple[int, ...]
+    _basis: IntBasis = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -372,31 +473,36 @@ class QuotientSpace:
 
     @property
     def subspace_dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @cached_property
-    def _row_at_pivot(self) -> dict[int, SparseRow]:
-        return dict(zip(self.pivots, self.rows))
+    def rows(self) -> tuple[SparseRow, ...]:
+        return tuple(_fractions(*self._basis[p]) for p in self.pivots)
 
     @cached_property
     def _position(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.pivots)}
 
+    def _remainder(self, v: SparseRow) -> tuple[int, IntRow]:
+        """The reduction of v as (D, numerators): n / D is its entry at column j."""
+        den, nums = _numerators(v)
+        return den * _reduce(nums, self._basis), nums
+
     def coordinates(self, v: SparseRow) -> Optional[SparseRow]:
         """The coordinates of a sparse vector in the reduced basis, by row; None outside the span.
 
-        The vector lies in the span exactly when `reduce_sparse` leaves
+        The vector lies in the span exactly when its reduction leaves
         nothing of it, and then its coordinates are its entries at the
         pivots.
         """
-        if self.reduce_sparse(v):
+        if self._remainder(v)[1]:
             return None
         position = self._position
         return {position[j]: s for j, s in v.items() if j in position}
 
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
         """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
-        return reduce_by(v, self._row_at_pivot)
+        return _fractions(*self._remainder(v))
 
     def coset_coordinates(self, v: SparseRow) -> Vector:
         """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""
@@ -407,11 +513,10 @@ class QuotientSpace:
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow]) -> QuotientSpace:
-    """The quotient by the span of the given sparse rows."""
-    rows, pivots = echelon(spanning, ambient_dim)
-    pivot_set = set(pivots)
-    free_cols = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    return QuotientSpace(ambient_dim, rows, pivots, free_cols)
+    """The quotient by the span of the given sparse rows, which must have `Fraction` entries."""
+    basis = _spanned(spanning, ambient_dim)._basis
+    free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
+    return QuotientSpace(ambient_dim, tuple(sorted(basis)), free_cols, basis)
 
 
 def parse_scalar(text: str) -> Fraction:

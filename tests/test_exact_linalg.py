@@ -143,6 +143,8 @@ def test_echelon_basis_is_canonical():
         rng.shuffle(shuffled)
         scaled = [{j: 3 * x for j, x in r.items()} for r in shuffled]
         assert echelon(scaled, cols) == basis1
+        # so is a quotient, whose equality compares its integer rows
+        assert build_quotient(cols, scaled) == build_quotient(cols, rows)
 
 
 # -- the sparse kernel against the dense elimination it replaced -------------
@@ -313,33 +315,120 @@ def test_sparse_quotient_matches_dense_reference():
             assert q.coordinates(sparse(combo)) == {i: s for i, s in enumerate(lam) if s}
 
 
+def assert_fraction_rows(rows, pivots):
+    """Every entry is a Fraction, not an int that compares equal, and each pivot entry is 1."""
+    for row, p in zip(rows, pivots):
+        assert all(type(x) is Fraction for x in row.values()), row
+        assert type(row[p]) is Fraction and row[p] == 1, (row, p)
+
+
+def entry_points_match_dense_reference(m, rng):
+    """echelon, Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
+
+    Every entry they hand back must be a Fraction: `==` cannot tell 1 from
+    Fraction(1), so the comparisons alone would pass an int leaking out of
+    the kernel's integer rows.
+    """
+    rows, cols = m.rows, m.cols
+    sparse_rows = [sparse(r) for r in m.entries]
+    ref_rows, ref_pivots = dense_rref(m)
+    rank_ = len(ref_pivots)
+    got_rows, got_pivots = echelon(sparse_rows, cols)
+    assert got_pivots == tuple(ref_pivots)
+    assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:rank_])
+    assert_fraction_rows(got_rows, got_pivots)
+    assert sparse_rows == [sparse(r) for r in m.entries]  # inputs left alone
+    # the same basis grown one row at a time, and unit-vector membership
+    basis = Echelon()
+    assert sum(basis.add(r) is not None for r in sparse_rows) == rank_
+    assert basis.rows == dict(zip(got_pivots, got_rows))
+    assert_fraction_rows(basis.rows.values(), basis.rows)
+    assert [basis.spans_unit(k) for k in range(cols)] == [
+        k in ref_pivots and sparse(ref_rows[ref_pivots.index(k)]) == {k: 1} for k in range(cols)
+    ]
+    q = build_quotient(cols, sparse_rows)
+    assert (q.rows, q.pivots) == (got_rows, got_pivots)
+    assert_fraction_rows(q.rows, q.pivots)
+    for _ in range(3):
+        v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.4 else Fraction(0)
+                  for _ in range(cols))
+        out = list(v)
+        for row, p in zip(ref_rows[:rank_], ref_pivots):
+            f = out[p]
+            out = [a - f * b for a, b in zip(out, row)]
+        # reduction leaves entries at free columns only, which the coordinates read
+        red = q.reduce_sparse(sparse(v))
+        assert red == sparse(out)
+        assert set(red) <= set(q.free_columns)
+        assert all(type(x) is Fraction for x in red.values())
+        coset = q.coset_coordinates(sparse(v))
+        assert coset == tuple(red.get(c, 0) for c in q.free_columns)
+        assert all(type(x) is Fraction for x in coset)
+        assert (q.coordinates(sparse(v)) is None) == bool(red)
+        # a combination of the rows has that combination as coordinates
+        lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rank_)]
+        combo = sparse([sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)])
+        coords = q.coordinates(combo)
+        assert coords == {i: s for i, s in enumerate(lam) if s}
+        assert all(type(x) is Fraction for x in coords.values())
+        x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols))
+        for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
+            got = solve_rows(sparse_rows, cols, b)
+            assert got == dense_solve(m, b)
+            assert got is None or all(type(s) is Fraction for s in got)
+
+
 def test_sparse_entry_points_match_dense_front_doors():
     rng = random.Random(104)
     for rows, cols in oracle_shapes(rng):
-        m = sparse_matrix(rng, rows, cols)
-        sparse_rows = [sparse(r) for r in m.entries]
-        ref_rows, ref_pivots = dense_rref(m)
-        got_rows, got_pivots = echelon(sparse_rows, cols)
-        assert got_pivots == tuple(ref_pivots)
-        assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:len(ref_pivots)])
-        assert sparse_rows == [sparse(r) for r in m.entries]  # inputs left alone
-        # the same basis grown one row at a time, and unit-vector membership
-        basis = Echelon()
-        assert sum(basis.add(r) is not None for r in sparse_rows) == len(ref_pivots)
-        assert {p: densify(r, cols) for p, r in basis.rows.items()} == dict(zip(ref_pivots, ref_rows))
-        assert [basis.spans_unit(k) for k in range(cols)] == [
-            k in ref_pivots and sparse(ref_rows[ref_pivots.index(k)]) == {k: 1} for k in range(cols)
-        ]
-        q = build_quotient(cols, sparse_rows)
-        for _ in range(3):
-            v = tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0) for _ in range(cols))
-            # reduction leaves entries at free columns only, which the coordinates read
-            red = q.reduce_sparse(sparse(v))
-            assert set(red) <= set(q.free_columns)
-            assert q.coset_coordinates(sparse(v)) == tuple(red.get(c, 0) for c in q.free_columns)
-            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
-            for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
-                assert solve_rows(sparse_rows, cols, b) == dense_solve(m, b)
+        entry_points_match_dense_reference(sparse_matrix(rng, rows, cols), rng)
+
+
+def dense_random_matrix(rng, rows, cols):
+    """About 30 % fill, denominators up to 7, negative and non-unit entries; some rows combine others."""
+    entries = [
+        [Fraction(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 7)) if rng.random() < 0.3
+         else Fraction(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for i in range(2, rows):
+        if rng.random() < 0.25:
+            a, b = rng.sample(range(i), 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            entries[i] = [s * x + t * y for x, y in zip(entries[a], entries[b])]
+    return DenseMatrix(rows, cols, tuple(map(tuple, entries)))
+
+
+def test_wide_dense_rows_match_dense_reference():
+    # many rows per column, so a new pivot is cleared from many rows through
+    # the column index, and rows over several denominators are normalised by
+    # their gcd
+    rng = random.Random(105)
+    for _ in range(16):
+        entry_points_match_dense_reference(dense_random_matrix(rng, rng.randint(1, 40), rng.randint(1, 40)), rng)
+
+
+def test_a_stale_column_in_the_index_is_skipped():
+    # row 1 is listed under column 3; its entry there cancels when pivot 2
+    # is cleared from it, so pivot 3 visits a stale entry and skips it
+    f = Fraction
+    basis = Echelon()
+    assert basis.add({0: f(1), 2: f(1)}) == 0
+    assert basis.add({1: f(1), 2: f(1), 3: f(1)}) == 1
+    assert basis.add({2: f(1), 3: f(1)}) == 2
+    assert basis.rows == {0: {0: 1, 3: -1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
+    # a non-unit pivot over a denominator lands on the stale column
+    assert basis.add({3: f(-2, 3), 4: f(1)}) == 3
+    expected = {0: {0: 1, 4: f(-3, 2)}, 1: {1: 1}, 2: {2: 1, 4: f(3, 2)}, 3: {3: 1, 4: f(-3, 2)}}
+    assert basis.rows == expected
+    assert_fraction_rows(basis.rows.values(), basis.rows)
+    m = DenseMatrix(4, 5, (vec([1, 0, 1, 0, 0]), vec([0, 1, 1, 1, 0]), vec([0, 0, 1, 1, 0]),
+                           vec([0, 0, 0, "-2/3", 1])))
+    ref_rows, ref_pivots = dense_rref(m)
+    assert {p: densify(r, 5) for p, r in basis.rows.items()} == dict(zip(ref_pivots, ref_rows))
+    assert basis.add({4: f(5, 7)}) == 4
+    assert basis.rows == {k: {k: 1} for k in range(5)}
+    assert all(basis.spans_unit(k) for k in range(5))
 
 
 def test_inexact_entries_are_refused():
@@ -352,6 +441,14 @@ def test_inexact_entries_are_refused():
         build_quotient(2, [{0: 2, 1: Fraction(1)}])
     with pytest.raises(ScalarTypeError):
         solve_rows([{0: Fraction(3)}], 1, (1,))
+    # Echelon.add converts its row to integer numerators: a float would be
+    # reduced in float arithmetic, and an int would pass for a Fraction
+    for bad in ({0: 0.5}, {0: 2}, {1: Fraction(1, 2), 0: 3}):
+        basis = Echelon()
+        basis.add({2: Fraction(1)})
+        with pytest.raises(ScalarTypeError, match="must be Fractions"):
+            basis.add(bad)
+        assert basis.rows == {2: {2: Fraction(1)}}
     # the converting constructors share one rule: a float or a bool is refused
     assert scalar(3) == Fraction(3) and scalar("-1/2") == Fraction(-1, 2)
     for bad in (0.5, True, None):
