@@ -83,7 +83,7 @@ from functools import cached_property
 from itertools import repeat
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, ScalarTypeError
 
@@ -163,8 +163,12 @@ def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[i
     return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
 
 
-def over_lcm(terms: Terms) -> tuple[int, Sequence[tuple[int, int]]]:
-    """One sparse vector over the lcm of its denominators: (D, [(k, n)]) with n / D the coefficient at k."""
+def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, Sequence[tuple[int, int]]]:
+    """One sparse vector over the lcm of its denominators: (D, [(k, n)]) with n / D the coefficient at k.
+
+    The vector is given as (k, coefficient) pairs: its terms, or the
+    items of a sparse row.
+    """
     if not terms:
         return 1, ()
     d = lcm(*[s.denominator for _, s in terms])
@@ -278,10 +282,8 @@ def _numerators(v: SparseRow) -> tuple[int, IntRow]:
     """
     if not _all_fractions(v.values()):
         raise ScalarTypeError("sparse row entries must be Fractions")
-    den = lcm(*[x.denominator for x in v.values()])
-    if den == 1:
-        return 1, {j: n for j, x in v.items() if (n := x.numerator)}
-    return den, {j: n for j, x in v.items() if (n := x.numerator * (den // x.denominator))}
+    den, terms = over_lcm(v.items())
+    return den, {j: n for j, n in terms if n}
 
 
 def _fractions(den: int, nums: IntRow) -> SparseRow:
@@ -463,7 +465,6 @@ class QuotientSpace:
     """
 
     ambient_dim: int
-    pivots: tuple[int, ...]
     free_columns: tuple[int, ...]
     _basis: IntBasis = field(repr=False)
 
@@ -474,6 +475,10 @@ class QuotientSpace:
     @property
     def subspace_dim(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._basis))
 
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
@@ -516,7 +521,7 @@ def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow]) -> QuotientS
     """The quotient by the span of the given sparse rows, which must have `Fraction` entries."""
     basis = _spanned(spanning, ambient_dim)._basis
     free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
-    return QuotientSpace(ambient_dim, tuple(sorted(basis)), free_cols, basis)
+    return QuotientSpace(ambient_dim, free_cols, basis)
 
 
 def parse_scalar(text: str) -> Fraction:
