@@ -13,8 +13,9 @@ commutator of a word with any form is a combination of the [g, v] with
 g in G and v a form.  When the words of G, the generating set of
 `validate_dg`, span every basis form, the commutators of degree n are
 therefore spanned by the [g, v] with g in G and v a basis form of
-degree n - |g| (`generator_span`); truncation is a quotient by an
-ideal, so the identity holds in the truncated category too.  It needs
+degree n - |g| (`generator_span`, numerator rows summed over integer
+blocks); truncation is a quotient by an ideal, so the identity holds
+in the truncated category too.  It needs
 associativity, so this spanning set is used only when the laws hold on
 G (`certified_generators`, which `validate_dg` shares); on tables that
 fail a law there, the quotient is taken by every commutator of basis
@@ -67,12 +68,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .dg import DGCategory, Form, certified_generators, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
     ONE,
+    IntFractions,
+    NumeratorRow,
     QuotientSpace,
     SparseRow,
     Vector,
@@ -82,6 +86,7 @@ from .exact_linalg import (
     echelon,
     is_zero_vector,
     offsets,
+    over_lcm,
     scalar,
     solve_rows,
     vec,
@@ -95,21 +100,21 @@ from .exact_linalg import (
 # the quotient complex
 
 
-def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[SparseRow]:
+def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[NumeratorRow]:
     """The graded commutators [g, v] of degree n, g in `gens` and v a basis form, embedded diagonally.
 
     For g of degree p from y to x, v runs over the basis forms of degree
     q = n - p from x to y, and g.v - (-1)^(pq) v.g has g.v at x and v.g
-    at y.  The products are read straight from the composition tensors,
-    and each vector keeps its nonzero entries only, indexed in the
-    ambient diagonal space of degree n.  Every [g, v] is a combination of
-    the commutators of basis forms, and when G is the generating set of
+    at y.  Each is a `NumeratorRow` of its nonzero entries, summed over
+    the blocks of `integral_products`, each block cross-multiplied by the
+    other's denominator.  Every [g, v] is a combination of the
+    commutators of basis forms, and when G is the generating set of
     `validate_dg` and the laws hold on it, they span all of them, by the
     identity in the module docstring.
     """
     nobj = len(w.base.objects)
     offs = offsets(w.dim(n, x, x) for x in range(nobj))
-    out: list[SparseRow] = []
+    out: list[NumeratorRow] = []
     for g in gens:
         p, x, y = g.degree, g.cod.index, g.dom.index
         q = n - p
@@ -117,24 +122,22 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[SparseRo
         if dq == 0:
             continue
         sign = -1 if (p * q) % 2 else 1
-        fwd_block = w.basis_products(p, q, x, y, x)  # g.v, endomorphism form at x
-        bwd_block = w.basis_products(q, p, y, x, y)  # v.g, endomorphism form at y
+        (fwd_den, fwd_block), (bwd_den, bwd_block) = (
+            w.integral_products(p, q, x, y, x),  # g.v, endomorphism form at x
+            w.integral_products(q, p, y, x, y))  # v.g, endomorphism form at y
+        den = lcm(fwd_den, bwd_den)
+        g_den, g_terms = over_lcm(g.terms)
         off_x, off_y = offs[x], offs[y]
-        # each term of g with its coefficient in g.v and in -(-1)^(pq) v.g;
-        # a coefficient of 1 or -1, as on a basis form, multiplies nothing
-        terms = [(fwd_block[i], i, a, -sign * a) for i, a in g.terms]
+        # each term of g with its numerator in g.v and in -(-1)^(pq) v.g
+        terms = [(fwd_block[i], i, a * (den // fwd_den), -sign * a * (den // bwd_den)) for i, a in g_terms]
         for j in range(dq):
-            vecv: SparseRow = {}
+            row: dict[int, int] = {}
             for fwd, i, a, b in terms:
                 for k, s in fwd[j]:
-                    key = off_x + k
-                    t = s if a == 1 else a * s
-                    vecv[key] = vecv[key] + t if key in vecv else t
+                    row[off_x + k] = row.get(off_x + k, 0) + a * s
                 for k, s in bwd_block[j][i]:
-                    key = off_y + k
-                    t = s if b == 1 else -s if b == -1 else b * s
-                    vecv[key] = vecv[key] + t if key in vecv else t
-            out.append({k: s for k, s in vecv.items() if s})
+                    row[off_y + k] = row.get(off_y + k, 0) + b * s
+            out.append((g_den * den, {k: s for k, s in row.items() if s}))
     return out
 
 
@@ -161,7 +164,11 @@ def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
                 for i, label_u in enumerate(labels_u):
                     basis.append(Form(p, oy, ox, ((i, ONE),)))
                     labels.extend(f"[{label_u}, {label_v}]@({ox.label},{oy.label})" for label_v in labels_v)
-    return list(zip(generator_span(w, n, basis), labels))
+    ints, labeled = IntFractions(), []
+    for (den, row), label in zip(generator_span(w, n, basis), labels):
+        v = {k: ints[s] for k, s in row.items()} if den == 1 else {k: Fraction(s, den) for k, s in row.items()}
+        labeled.append((v, label))
+    return labeled
 
 
 class DeRhamComplex:

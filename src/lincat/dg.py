@@ -17,9 +17,9 @@ and differentials as ``{j: {i: s}}`` columns, and both are stored as
 tuples of their nonzero (index, coefficient) terms.  A table key that
 the constructor's loops never read (out of range, or with entries at a
 zero space) raises `DimensionError` rather than being ignored.  For the
-product kernel of `lincat.form_matrix` and the law checks of
-`lincat.laws`, `integral_products` also keeps each product block over
-one denominator, as integer numerators.
+product kernel, the law checks, G and the [g, v] commutators,
+`integral_products` also keeps each product block over one denominator,
+as integer numerators; a universal envelope keeps its builder's blocks.
 
 A `Form` holds the same sorted, nonzero terms as the tables, and a
 degree-0 form is a morphism of the base category: `trivial_dg(c)` has
@@ -49,6 +49,7 @@ from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
     ONE,
     Echelon,
+    IntRow,
     SparseRow,
     Terms,
     add_terms,
@@ -56,6 +57,7 @@ from .exact_linalg import (
     contract_into,
     cut_rows,
     integral_terms,
+    over_lcm,
     scalar,
     sparse,
     terms_of,
@@ -103,6 +105,10 @@ class Form:
         return not self.terms
 
 
+class _Built(tuple):
+    """(gr_comp, diff, integer blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
+
+
 class DGCategory:
     """Graded hom spaces, graded composition and differential tables.
 
@@ -123,6 +129,10 @@ class DGCategory:
     form j, both empty where the input gave nothing.  A key these loops
     do not read is refused by `refuse_unread`: a degree outside the
     truncation, an object index out of range, or entries at a zero space.
+
+    Only `universal_dg` skips the check, handing over its builder's
+    tables as stored here, with their integer blocks, in a private
+    `_Built`; a test holds that path to the checked one.
     """
 
     def __init__(
@@ -138,6 +148,10 @@ class DGCategory:
         self.base = base
         self.truncation = truncation
         nobj = len(base.objects)
+        self._derham = None  # memo slot used by the quotient-complex builder
+        self._generating_set = None  # memo slot of `certified_generators`
+        # the integer product blocks of `integral_products`, by (p, q, x, y, z)
+        self._integral: dict[tuple[int, int, int, int, int], tuple[int, tuple]] = {}
 
         degrees = range(1, truncation + 1)
         refuse_unread(gr_basis, degrees, (), f"form bases at truncation {truncation}")
@@ -151,6 +165,9 @@ class DGCategory:
                     level[(x, y)] = tuple(str(s) for s in labels)
             self.gr_basis[n] = level
 
+        if type(gr_comp) is _Built:
+            self.gr_comp, self.diff, self._integral = gr_comp
+            return
         pairs = set(itertools.product(range(nobj), repeat=2))
         triples = set(itertools.product(range(nobj), repeat=3))
         self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]] = {}
@@ -198,10 +215,6 @@ class DGCategory:
             refuse_unread(given, level, pairs, f"differential at degree {n}")
             self.diff[n] = level
         refuse_unread(diff, self.diff, (), f"differential at truncation {truncation}")
-
-        self._derham = None  # memo slot used by the quotient-complex builder
-        self._generating_set = None  # memo slot of `certified_generators`
-        self._integral: dict[tuple[int, int, int, int, int], tuple[int, tuple]] = {}
 
     # -- dimensions and bases --------------------------------------------
 
@@ -268,8 +281,9 @@ class DGCategory:
 
         D is the lcm of the block's denominators, and entry [i][j] of
         rows holds the (k, n) pairs with n = D * s, over the terms (k, s)
-        of the product of basis forms i and j.  Each block is built on
-        first use and kept; the tables themselves are not changed.
+        of the product of basis forms i and j.  A block that no builder
+        handed over is built on first use and kept; the tables themselves
+        are not changed.
         """
         key = (p, q, x, y, z)
         view = self._integral.get(key)
@@ -339,7 +353,9 @@ def _generators(w: DGCategory) -> list[Form]:
 
     The words are kept per (degree, x, y) as a reduced echelon basis,
     grown by `Echelon.add` and closed under right multiplication by G
-    with the stored products.  G is built degree by degree: first the
+    with the stored products, over the integer blocks of
+    `integral_products`: a word is kept as numerators, up to a scale that
+    does not matter to a span.  G is built degree by degree: first the
     words of degree n that lower words and generators reach, then d(g)
     of each degree-(n-1) generator g that they do not reach, then each
     basis form, in basis order, that the words still do not reach.
@@ -350,28 +366,29 @@ def _generators(w: DGCategory) -> list[Form]:
     N, objs, dim = w.truncation, w.base.objects, w.dim
     nobj = len(objs)
     words: dict[tuple[int, int, int], Echelon] = {}
-    spanning: dict[tuple[int, int, int], list[SparseRow]] = {}  # the words added to it
+    spanning: dict[tuple[int, int, int], list[IntRow]] = {}  # the words added to it, zeros dropped
     gens: list[Form] = []
     by_source: dict[tuple[int, int], list[tuple[int, Form]]] = {}  # (degree, x) -> generators at (x, .)
     rows_of: dict[tuple[int, int, int], list] = {}  # (generator, n, x) -> g's products by row
     pending: list[Form] = []  # d of the generators of the degree below
     fresh: deque = deque()  # words not yet multiplied by the degree-0 generators
 
-    def times(n: int, x: int, y: int, v: SparseRow, gid: int, g: Form) -> SparseRow:
-        """The word v of degree n at (x, y) times the generator g at (y, z)."""
+    def times(n: int, x: int, y: int, v: IntRow, gid: int, g: Form) -> IntRow:
+        """The word v of degree n at (x, y) times the generator g at (y, z), up to a nonzero scale."""
         key = (gid, n, x)
         rows = rows_of.get(key)
         if rows is None:
-            products = w.basis_products(n, g.degree, x, y, g.dom.index)
-            rows = rows_of[key] = [contract_into({}, g.terms, row).items() for row in products]
+            (_, products), (_, g_numerators) = w.integral_products(n, g.degree, x, y, g.dom.index), over_lcm(g.terms)
+            rows = rows_of[key] = [contract_into({}, g_numerators, row).items() for row in products]
         return contract_into({}, v.items(), rows)
 
-    def add(n: int, x: int, y: int, v: SparseRow) -> bool:
+    def add(n: int, x: int, y: int, v: IntRow) -> bool:
         basis = words.get((n, x, y))
         if basis is None:
             basis = words[(n, x, y)] = Echelon()
-        if basis.add(v) is None:
+        if basis.add((1, v)) is None:
             return False
+        v = {k: s for k, s in v.items() if s}
         spanning.setdefault((n, x, y), []).append(v)
         fresh.append((n, x, y, v))
         return True
@@ -407,13 +424,13 @@ def _generators(w: DGCategory) -> list[Form]:
         close()
         differentials, pending = pending, []
         for g in differentials:
-            if add(n, g.cod.index, g.dom.index, dict(g.terms)):
+            if add(n, g.cod.index, g.dom.index, dict(over_lcm(g.terms)[1])):
                 join(g)
         for x in range(nobj):
             for y in range(nobj):
                 for k in range(dim(n, x, y)):
                     if (n, x, y) not in words or not words[(n, x, y)].spans_unit(k):
-                        add(n, x, y, {k: ONE})
+                        add(n, x, y, {k: 1})
                         join(Form(n, objs[y], objs[x], ((k, ONE),)))
     return gens
 
@@ -441,7 +458,8 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
         )
     if truncation < 1:
         raise DimensionError("truncation degree must be at least 1")
-    return DGCategory(c, truncation, *universal_tables(c, truncation))
+    gr_basis, *stored = universal_tables(c, truncation)
+    return DGCategory(c, truncation, gr_basis, _Built(stored), {})
 
 
 # ---------------------------------------------------------------------------

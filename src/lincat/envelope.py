@@ -1,8 +1,8 @@
 """The universal differential envelope of a category, chain model.
 
 `universal_tables` computes the tables of the universal envelope
-concretely inside "chain" spaces, in the sparse input format of
-`DGCategory`; `lincat.dg.universal_dg` builds the envelope from them.
+concretely inside "chain" spaces, as `DGCategory` stores them;
+`lincat.dg.universal_dg` builds the envelope from them.
 The degree-n chain space for the endpoint pair (x, y) is the direct
 sum, over the length-n interior object paths whose steps are all
 nonzero hom spaces, of tensor products of the n+1 hom spaces strung
@@ -58,8 +58,10 @@ Each derived entry is covered by these checks:
   pair of basis forms) that they keep as an oracle.
 
 The contraction sums Python ints over one denominator per block, in
-the manner of `lincat.form_matrix.ProductAccumulator`; each stored
-coefficient becomes a `Fraction` once.
+the manner of `lincat.form_matrix.ProductAccumulator`.  Those integer
+blocks are handed on with the tables, as the blocks of
+`DGCategory.integral_products`, and each stored coefficient becomes a
+`Fraction` once, for the stored terms.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import ONE, ZERO, Echelon, SparseRow, build_quotient, cut_rows, echelon, integral_terms, over_lcm
+from .exact_linalg import (ONE, ZERO, Echelon, IntFractions, SparseRow, build_quotient, cut_rows, echelon,
+                           integral_terms, over_lcm)
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -224,26 +227,34 @@ def _expressions(coords: list[SparseRow], dim: int) -> list[SparseRow]:
 
 
 def _settled(den: int, sums: list) -> IntBlock:
-    """Integer sums over `den` as a block: zeros dropped, the common factor of all entries and den cancelled."""
-    rows = [tuple((k, n) for k, n in s.items() if n) for s in sums]
+    """Integer sums over `den` as a block: sorted, nonzero and over the lcm of their denominators.
+
+    The common factor of den and all entries is cancelled, so the block
+    is the one `integral_terms` makes of the same entries.
+    """
+    rows = tuple(tuple((k, n) for k, n in sorted(s.items()) if n) for s in sums)
     if den != 1:
         g = gcd(den, *(n for r in rows for _, n in r))
         if g != 1:
             den //= g
-            rows = [tuple((k, n // g) for k, n in r) for r in rows]
+            rows = tuple(tuple((k, n // g) for k, n in r) for r in rows)
     return den, rows
 
 
-def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
-    """The tables (gr_basis, gr_comp, diff) of the universal envelope of `c`.
+def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict, dict]:
+    """The tables (gr_basis, gr_comp, diff, blocks) of the universal envelope of `c`.
 
     Degree 0 is the chain space of the arrows themselves, with the unit
     rows as basis.  Every degree n >= 1, up to `truncation`, is the
     reduced echelon span of the products omega.db, over the
     degree-(n-1) basis rows omega and the basis arrows b.  The products
     and differentials of basis forms follow from the coordinates of
-    those spanning products by the three rules of the module docstring,
-    in the sparse input format of `DGCategory`.  The rules hold in a
+    those spanning products by the three rules of the module docstring.
+    gr_basis is in the input format of `DGCategory`; gr_comp and diff
+    are as `DGCategory` stores them, rows of sorted nonzero terms in the
+    key order of its loops; blocks holds every product block, those of
+    the category included, over one denominator, by (p, q, x, y, z), as
+    `DGCategory.integral_products` hands them out.  The rules hold in a
     category only: `c` must pass `validate_category`, which
     `lincat.dg.universal_dg` checks before it calls this.
     """
@@ -315,29 +326,21 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
     return gr_basis, dims, right, expr
 
 
-class _Ints(dict):
-    """Shared `Fraction`s of integers, made on first use."""
-
-    def __missing__(self, n: int) -> Fraction:
-        f = self[n] = Fraction(n)
-        return f
-
-
-def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
-    """gr_comp and diff of the envelope, by the three rules, from the spanning products.
+def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict, dict]:
+    """gr_comp, diff and the integer product blocks of the envelope, by the three rules.
 
     `dims`, `right` and `expr` are those of `_spans`.  The blocks of one
     total degree are made from those of the degree below, over one
-    denominator each; the output holds one `Fraction` per stored
-    coefficient, shared between equal integers.
+    denominator each, and all of them are kept; the stored tables hold
+    one `Fraction` per stored coefficient, shared between equal integers.
     """
     objects = range(len(c.objects))
-    ints = _Ints()
+    ints = IntFractions()
 
-    def as_fractions(den: int, terms) -> dict[int, Fraction]:
+    def as_terms(den: int, terms) -> tuple:
         if den == 1:
-            return {k: ints[n] for k, n in terms}
-        return {k: Fraction(n, den) for k, n in terms}
+            return tuple((k, ints[n]) for k, n in terms)
+        return tuple((k, Fraction(n, den)) for k, n in terms)
 
     def scaled(e_block: IntBlock, dens: dict) -> IntBlock:
         """Expression terms (w, i, b, n) whose factors at w have denominator dens[w], over one denominator."""
@@ -362,7 +365,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
     base: dict[tuple[int, int, int], IntBlock] = {}  # products of arrows
     for (x, y, z), block in c.comp.items():
         den, flat = integral_terms(terms for row in block for terms in row)
-        base[(x, y, z)] = den, cut_rows(flat, c.dim(y, z))
+        base[(x, y, z)] = den, tuple(map(tuple, cut_rows(flat, c.dim(y, z))))
 
     def times_arrows(p: int, x: int, y: int, z: int, below: dict) -> IntBlock:
         """Block (p, 0): (omega.db).a = omega.d(ba) - (omega.b).da."""
@@ -393,7 +396,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
                             acc[m] = acc.get(m, 0) - s * t
                 sums.append(acc)
         den, flat = _settled(e_den * L, sums)
-        return den, cut_rows(flat, c.dim(y, z))
+        return den, tuple(cut_rows(flat, c.dim(y, z)))
 
     def times_forms(p: int, q: int, x: int, y: int, z: int, below: dict) -> IntBlock:
         """Block (p, q), q >= 1: u.(omega.db) = (u.omega).db."""
@@ -407,7 +410,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         for u in range(dims[(p, x, y)]):
             sums += times_db(e_rows, {w: rows[u] for w, rows in left.items()}, r_wz)
         den, flat = _settled(den, sums)
-        return den, cut_rows(flat, dims[(q, y, z)])
+        return den, tuple(cut_rows(flat, dims[(q, y, z)]))
 
     def d_out(n: int, x: int, y: int, below: dict) -> IntBlock:
         """d out of degree n: d(a) = 1.da, and d(omega.db) = d(omega).db."""
@@ -424,9 +427,11 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         den, e_rows = scaled(expr[(n, x, y)], dens)
         return _settled(den, times_db(e_rows, d_w, r_wy))
 
-    gr_comp: dict[tuple[int, int], dict] = {}
+    # the stored tables, keyed in the order of the loops of `DGCategory`, and
+    # every product block over one denominator, by (p, q, x, y, z)
+    gr_comp: dict[tuple[int, int], dict] = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
     diff: dict[int, dict] = {}
-    below = {(0, 0, x, y, z): block for (x, y, z), block in base.items()}  # product blocks, total degree n-1
+    blocks = {(0, 0, *key): block for key, block in base.items()}
     d_below: dict[tuple[int, int], IntBlock] = {}  # differential blocks out of degree n-1
     for n in range(1, N + 1):
         # the differential out of degree n-1, through degree-n right multiplications
@@ -434,18 +439,14 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         d_level = {}
         for x in objects:
             for y in objects:
-                columns = level[(x, y)] = {}
                 if dims[(n - 1, x, y)]:
                     den, rows = d_level[(x, y)] = d_out(n - 1, x, y, d_below)
-                    for j, terms in enumerate(rows):
-                        if terms:
-                            columns[j] = as_fractions(den, terms)
+                    level[(x, y)] = tuple(as_terms(den, terms) for terms in rows)
         d_below = d_level
         # the products of total degree n
-        blocks = {}
         for p in range(n, -1, -1):
             q = n - p
-            table = gr_comp[(p, q)] = {}
+            table = gr_comp[(p, q)]
             for x in objects:
                 for y in objects:
                     if not dims[(p, x, y)]:
@@ -453,13 +454,9 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
                     for z in objects:
                         if not dims[(q, y, z)]:
                             continue
-                        if q:
-                            den, rows = times_forms(p, q, x, y, z, below)
-                        else:
-                            den, rows = times_arrows(p, x, y, z, below)
-                        if n < N:  # the top degree is the last one derived
-                            blocks[(p, q, x, y, z)] = den, rows
-                        table[(x, y, z)] = {(i, j): as_fractions(den, terms)
-                                            for i, row in enumerate(rows) for j, terms in enumerate(row) if terms}
-        below = blocks
-    return gr_comp, diff
+                        den, rows = blocks[(p, q, x, y, z)] = (
+                            times_forms(p, q, x, y, z, blocks) if q else times_arrows(p, x, y, z, blocks))
+                        table[(x, y, z)] = tuple(tuple(as_terms(den, terms) for terms in row) for row in rows)
+    # out of the top degree, d is zero
+    diff[N] = {(x, y): ((),) * dims[(N, x, y)] for x in objects for y in objects if dims[(N, x, y)]}
+    return gr_comp, diff, blocks

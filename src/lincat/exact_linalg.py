@@ -29,12 +29,14 @@ Integer arithmetic stands in for `Fraction`s where sums are long, and
 in elimination (below): `integral_terms` puts sparse vectors over one
 common denominator, as `int` numerators, and `cut_rows` cuts such a
 flat list back into the rows of a block; `over_lcm` puts a single
-vector over the lcm of its own denominators.  The envelope builder, the product blocks of
-`DGCategory.integral_products`, the law kernel of `lincat.laws` and the
-product kernel of `lincat.form_matrix` all convert this way.  One
-contraction, `contract_into`, adds combinations of sparse vectors into
-a sparse sum, over `Fraction`s or over numerators: products and
-differentials of forms, and every law check, are made of it.
+vector over the lcm of its own denominators, and `IntFractions` shares
+the `Fraction`s of integers on the way back.  The envelope builder,
+the product blocks of `DGCategory.integral_products`, the law kernel
+of `lincat.laws` and the product kernel of `lincat.form_matrix` all
+convert this way.  One contraction, `contract_into`, adds combinations
+of sparse vectors into a sparse sum, over `Fraction`s or over
+numerators: products and differentials of forms, and every law check,
+are made of it.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
@@ -61,13 +63,16 @@ all `QuotientSpace`s.  `solve_rows` solves a linear system given by its
 sparse rows, and the cohomology of the quotient complex calls `echelon`
 itself.
 
-Every row and vector handed to the kernel must have `Fraction`
-entries; anything else is refused with `ScalarTypeError`, so no float
-enters exact arithmetic and no int passes for a `Fraction`.  The ints
-of the kernel live only inside `Echelon` and `QuotientSpace`, are never
-divided with `/` (only by an exact common factor, with `//`), and leave
-as `Fraction`s: every row, remainder, coordinate and solution handed
-back holds `Fraction`s, with each pivot entry exactly 1.
+A row enters `Echelon.add`, `build_quotient` or `echelon` as a sparse
+row of `Fraction`s or as a `NumeratorRow` (d, {column: int}), d > 0,
+whose scale a span ignores: G and the [g, v] commutators come in so.
+Anything else, a float, a bool or a bare dict of ints, is refused with
+`ScalarTypeError`, as is a vector for a `QuotientSpace` that is not all
+`Fraction`s.  The ints of the kernel live only inside `Echelon` and
+`QuotientSpace`, are never divided with `/` (only by an exact common
+factor, with `//`), and leave as `Fraction`s: every row, remainder,
+coordinate and solution handed back holds `Fraction`s, with each pivot
+entry exactly 1.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
 any dense matrix given by its `rows`, `cols` and `entries`, which must
@@ -177,6 +182,14 @@ def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, Sequence[tup
     return d, [(k, s.numerator * (d // s.denominator)) for k, s in terms]
 
 
+class IntFractions(dict):
+    """Shared `Fraction`s of integers, made on first use: self[n] is Fraction(n)."""
+
+    def __missing__(self, n: int) -> Fraction:
+        f = self[n] = Fraction(n)
+        return f
+
+
 def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
     """Add m * s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`.
 
@@ -271,6 +284,8 @@ IntRow = dict[int, int]
 # pivot equal to d and no common factor of d and the numerators: so the row
 # is the numerators divided by d, and equal rows have equal pairs
 IntBasis = dict[int, tuple[int, IntRow]]
+# a row as (d, numerators), d a positive int: the numerators divided by d
+NumeratorRow = tuple[int, IntRow]
 
 
 def _numerators(v: SparseRow) -> tuple[int, IntRow]:
@@ -284,6 +299,16 @@ def _numerators(v: SparseRow) -> tuple[int, IntRow]:
         raise ScalarTypeError("sparse row entries must be Fractions")
     den, terms = over_lcm(v.items())
     return den, {j: n for j, n in terms if n}
+
+
+def _row(given: SparseRow | NumeratorRow) -> IntRow:
+    """A new dict of the nonzero numerators of a sparse row of Fractions or of a `NumeratorRow`, up to scale."""
+    if type(given) is not tuple:
+        return _numerators(given)[1]
+    d, nums = given if len(given) == 2 else (0, None)
+    if type(d) is not int or d <= 0 or type(nums) is not dict or not {int}.issuperset(map(type, nums.values())):
+        raise ScalarTypeError("a numerator row is (d, {column: int}) with d a positive int")
+    return {j: n for j, n in nums.items() if n}
 
 
 def _fractions(den: int, nums: IntRow) -> SparseRow:
@@ -338,23 +363,22 @@ def _reduce(v: IntRow, basis: IntBasis) -> int:
     return scale
 
 
-def _spanned(rows: Iterable[SparseRow], ncols: int) -> "Echelon":
-    """An `Echelon` grown by the given sparse rows, which must lie in 0..ncols-1."""
+def _spanned(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> "Echelon":
+    """An `Echelon` grown by the given rows, which must lie in 0..ncols-1."""
     basis = Echelon()
     for given in rows:
-        if not given:
-            continue
-        if min(given) < 0 or max(given) >= ncols:
+        basis.add(given)  # which checks the row first
+        columns = given[1] if type(given) is tuple else given
+        if columns and (min(columns) < 0 or max(columns) >= ncols):
             raise DimensionError(f"sparse row has a column outside 0..{ncols - 1}")
-        basis.add(given)
     return basis
 
 
-def echelon(rows: Iterable[SparseRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """Reduced row echelon basis of the span of sparse rows, and its pivots.
 
     This is the one elimination kernel of the package.  The rows are
-    `ncols` wide, must have `Fraction` entries and are left unmodified.
+    `ncols` wide, as `Echelon.add` takes them, and are left unmodified.
     They are taken one at a time by `Echelon.add`, so the basis is in
     reduced echelon form after every row.  That form is unique for a row
     space, so the result is a function of the span alone, and every
@@ -393,10 +417,10 @@ class Echelon:
         basis = self._basis
         return {p: _fractions(*basis[p]) for p in sorted(basis)}
 
-    def add(self, given: SparseRow) -> Optional[int]:
-        """Add a row of `Fraction`s, left unmodified; its pivot, or None when it lies in the span."""
+    def add(self, given: SparseRow | NumeratorRow) -> Optional[int]:
+        """Add a row of `Fraction`s or a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
         basis, users = self._basis, self._users
-        _, v = _numerators(given)
+        v = _row(given)
         _reduce(v, basis)
         if not v:
             return None
@@ -517,8 +541,8 @@ class QuotientSpace:
         return tuple(red.get(c, ZERO) for c in self.free_columns)
 
 
-def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow]) -> QuotientSpace:
-    """The quotient by the span of the given sparse rows, which must have `Fraction` entries."""
+def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | NumeratorRow]) -> QuotientSpace:
+    """The quotient by the span of the given rows, each a sparse row of `Fraction`s or a `NumeratorRow`."""
     basis = _spanned(spanning, ambient_dim)._basis
     free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
     return QuotientSpace(ambient_dim, free_cols, basis)

@@ -17,9 +17,10 @@ with `lincat.exact_linalg.contract_into`, the contraction that
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
-`DGCategory.integral_products`, each degree of the differential goes
-over one denominator through `integral_terms` (`_differentials`), and
-each identity over the lcm of its own denominators (`over_lcm`).  A
+`DGCategory.integral_products` (a universal envelope's are its
+builder's), each degree of the differential goes over one denominator
+through `integral_terms` (`_differentials`), and each identity over the
+lcm of its own denominators (`over_lcm`).  A
 left factor goes over the lcm of its own denominators too, which then
 drops out: both sides of every law are linear in it.  The two sides of
 a law are summed from different blocks, so each is cross-multiplied by

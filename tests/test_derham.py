@@ -30,7 +30,7 @@ from conftest import (
     subspace_basis,
     two_points_category,
 )
-from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt
+from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_quiver, weighted_matrix_units
 from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
 
 
@@ -323,6 +323,9 @@ GENERATOR_SPAN_MODELS = {
     "two_points-6": lambda: universal_dg(two_points_category(), 6),
     "dual-5": lambda: universal_dg(dual_category(), 5),
     "A4-5": lambda: universal_dg(linear_quiver_category(4), 5),
+    # product blocks over denominators, so [g, v] cross-multiplies g.v and v.g
+    "M2-weighted-3": lambda: universal_dg(weighted_matrix_units(2), 3),
+    "A4-scaled-4": lambda: universal_dg(scaled_quiver(4), 4),
 }
 
 
@@ -341,6 +344,34 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
         assert [(densify(v, rh.ambient_dim(n)), label) for v, label in commutator_span(w, n)] == labeled, n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
+
+
+def test_generator_span_rows_are_the_commutators_over_their_denominators():
+    # random product tables whose blocks have different denominators, and
+    # generators with fractional coefficients: each numerator row, read
+    # over its denominator, is the commutator that `compose` makes
+    rng = random.Random(11)
+    w = universal_dg(two_points_category(), 3)
+    comp, diff = dense_tables(w)
+    for table in comp.values():
+        for block in table.values():
+            for row in block:
+                for v in row:
+                    for k in range(len(v)):
+                        v[k] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5])) if rng.random() < 0.5 else 0
+    t = rebuilt(w, comp, diff)
+    x = t.base.objects[0]
+    dens = {(p, q): t.integral_products(p, q, 0, 0, 0)[0] for p in range(4) for q in range(4 - p)}
+    assert any(dens[(p, q)] != dens[(q, p)] for p, q in dens)
+    for n in range(t.truncation + 1):
+        gens = [random_form(t, p, x, x, rng) for p in range(n + 1) for _ in range(2)]
+        expected = []
+        for g in gens:
+            q = n - g.degree
+            for j in range(t.dim(q, 0, 0)):
+                v = t.basis_form(q, x, x, j)
+                expected.append(dict((t.compose(g, v) - t.compose(v, g).scale((-1) ** (g.degree * q))).terms))
+        assert [{k: Fraction(s, d) for k, s in row.items()} for d, row in generator_span(t, n, gens)] == expected, n
 
 
 # G and the echelon rows and pivots of every degree's quotient, as sha256

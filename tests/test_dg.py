@@ -23,7 +23,7 @@ from lincat import (
 from lincat.category import Category
 from lincat.dg import DGCategory, _generators
 from lincat.envelope import _Chains
-from lincat.exact_linalg import ONE, Echelon, build_quotient
+from lincat.exact_linalg import ONE, Echelon, build_quotient, cut_rows, integral_terms
 from lincat.laws import law_violations, laws_hold_on
 from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture
@@ -400,6 +400,41 @@ def test_derived_tables_equal_the_direct_fill(make):
     direct = DGCategory(c, truncation, w.gr_basis, *direct_tables(c, truncation))
     assert direct.gr_comp == w.gr_comp
     assert direct.diff == w.diff
+
+
+# the universal builder hands `DGCategory` its stored tables and integer
+# product blocks unchecked; each entry makes (category, truncation)
+HANDOFF_ENVELOPES = {
+    **{name: (lambda name=name: fixture_category(name)) for name in UNIVERSAL_FIXTURES},
+    **{f"M2-{n}": (lambda n=n: (m2_category(), n)) for n in range(1, 5)},
+    **{f"M3-{n}": (lambda n=n: (matrix_units_category(3), n)) for n in range(1, 4)},
+    "two_points-8": lambda: (two_points_category(), 8),
+    "dual-6": lambda: (dual_category(), 6),
+    "A4-4": lambda: (linear_quiver_category(4), 4),
+    # coefficients with denominators
+    "M2-halves-3": lambda: (scaled_matrix_units(2, 2), 3),
+    "M2-weighted-3": lambda: (weighted_matrix_units(2), 3),
+    "A4-scaled-4": lambda: (scaled_quiver(4), 4),
+}
+
+
+@pytest.mark.parametrize("make", HANDOFF_ENVELOPES.values(), ids=HANDOFF_ENVELOPES.keys())
+def test_trusted_handoff_equals_the_checked_constructor(make):
+    c, truncation = make()
+    w = universal_dg(c, truncation)
+    # the checked constructor, fed the same tables in the sparse input
+    # format, stores the same terms in the same key order
+    checked = DGCategory(c, truncation, *own_tables(w))
+    assert repr((w.gr_basis, w.gr_comp, w.diff)) == repr((checked.gr_basis, checked.gr_comp, checked.diff))
+    # every product block came with its integer block, which is the block
+    # over the lcm of its denominators, as the checked path builds it
+    handed = dict(w._integral)
+    keys = [(0, 0, *key) for key in c.comp] + [(p, q, *key) for (p, q), table in w.gr_comp.items() for key in table]
+    assert sorted(handed) == sorted(keys)
+    for key, block in handed.items():
+        den, flat = integral_terms(terms for row in w.basis_products(*key) for terms in row)
+        assert block == (den, tuple(map(tuple, cut_rows(flat, w.dim(key[1], key[3], key[4]))))), key
+        assert checked.integral_products(*key) == block, key
 
 
 def test_chain_subspace_refuses_a_vector_outside_its_span():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 import random
 from typing import NamedTuple
 
@@ -349,6 +350,24 @@ def entry_points_match_dense_reference(m, rng):
     q = build_quotient(cols, sparse_rows)
     assert (q.rows, q.pivots) == (got_rows, got_pivots)
     assert_fraction_rows(q.rows, q.pivots)
+    # the same rows as numerator rows (d, {column: int}): each over a random
+    # multiple of its denominators, with a random sign and a zero numerator
+    # at a column it leaves out, none of which matters to the span
+    numerator_rows = []
+    for r in sparse_rows:
+        d = lcm(*(x.denominator for x in r.values())) * rng.randint(1, 3)
+        sign = rng.choice((-1, 1))
+        nums = {j: int(x * d) * sign for j, x in r.items()}
+        if len(nums) < cols:
+            nums[rng.choice([j for j in range(cols) if j not in nums])] = 0
+        numerator_rows.append((d, nums))
+    given = repr(numerator_rows)
+    assert echelon(numerator_rows, cols) == (got_rows, got_pivots)
+    grown = Echelon()
+    assert sum(grown.add(r) is not None for r in numerator_rows) == rank_
+    assert grown.rows == basis.rows
+    assert build_quotient(cols, numerator_rows) == q
+    assert repr(numerator_rows) == given  # inputs left alone
     for _ in range(3):
         v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.4 else Fraction(0)
                   for _ in range(cols))
@@ -449,6 +468,18 @@ def test_inexact_entries_are_refused():
         with pytest.raises(ScalarTypeError, match="must be Fractions"):
             basis.add(bad)
         assert basis.rows == {2: {2: Fraction(1)}}
+    # a numerator row is (d, {column: int}) with d a positive int: a bare
+    # dict of ints above, d <= 0, a float or bool d, and a float or bool
+    # numerator are refused by both front doors
+    for bad in ((0, {0: 1}), (-1, {0: 1}), (1.0, {0: 1}), (True, {0: 1}), (1, {0: 0.5}), (1, {0: True}),
+                (1, {0: 1, 1: Fraction(1)}), (1, [(0, 1)]), (1, {0: 1}, 2)):
+        basis = Echelon()
+        basis.add({2: Fraction(1)})
+        with pytest.raises(ScalarTypeError, match="numerator row"):
+            basis.add(bad)
+        assert basis.rows == {2: {2: Fraction(1)}}
+        with pytest.raises(ScalarTypeError, match="numerator row"):
+            build_quotient(3, [bad])
     # the converting constructors share one rule: a float or a bool is refused
     assert scalar(3) == Fraction(3) and scalar("-1/2") == Fraction(-1, 2)
     for bad in (0.5, True, None):
