@@ -30,15 +30,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .connection import Connection, canonical_connection, tilde_curvature
-from .derham import TildeComplex, commutator_system, get_complex
+from .derham import TildeComplex, commutator_label, commutator_system, get_complex
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
 from .exact_linalg import (
-    SparseRow,
+    IntRow,
     Vector,
-    add_scaled,
     densify,
     is_zero_vector,
+    over_lcm,
     solve_rows,
     vec_sub,
     zero_vector,
@@ -109,27 +109,29 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     omega = rh.ambient_row(2 * q, chern_form(conn, q))
     target = rh.ambient_d(2 * q, omega)
 
-    # the system has one sparse row per ambient coordinate and one column
-    # per commutator of the spanning set
-    labeled, rows = commutator_system(w, degree)
-    solution = solve_rows(rows, len(labeled), densify(target, len(rows)))
-    if solution is None:
+    # one row per ambient coordinate, and column j the numerators of
+    # commutator j, that is D_j times it: the pivot columns are those of
+    # the commutators, so x_j = D_j * y_j is their solution, free variables 0
+    span, rows = commutator_system(w, degree)
+    y = solve_rows(rows, len(span), densify(target, len(rows)))
+    if y is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    combination: SparseRow = {}
-    for (v, _), s in zip(labeled, solution):
-        if s:
-            add_scaled(combination, s, v)
-    if combination != target:
+    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators)
+    y_den, y_nums = over_lcm([(j, s) for j, s in enumerate(y) if s])
+    combination: IntRow = {}
+    for j, s in y_nums:
+        for i, n in span[j][1].items():
+            combination[i] = combination.get(i, 0) + s * n
+    t_den, t_nums = over_lcm(target.items())
+    if {i: n * t_den for i, n in combination.items() if n} != {i: n * y_den for i, n in t_nums if n}:
         raise CertificationError("commutator combination failed re-substitution")
     if not is_zero_vector(rh.d_class(2 * q, rh.quotients[2 * q].coset_coordinates(omega))):
         raise CertificationError("character class is not closed despite the commutator combination")
-    terms = tuple(
-        CommutatorTerm(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0
-    )
-    return CocycleCertificate(q=q, degree=degree, terms=terms, spanning_size=len(labeled))
+    terms = tuple(CommutatorTerm(j, span[j][0] * y[j], commutator_label(w, degree, j)) for j, _ in y_nums)
+    return CocycleCertificate(q=q, degree=degree, terms=terms, spanning_size=len(span))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ g in G and v a form.  When the words of G, the generating set of
 therefore spanned by the [g, v] with g in G and v a basis form of
 degree n - |g| (`generator_span`, numerator rows summed over integer
 blocks); truncation is a quotient by an ideal, so the identity holds
-in the truncated category too.  It needs
-associativity, so this spanning set is used only when the laws hold on
-G (`certified_generators`, which `validate_dg` shares); on tables that
+in the truncated category too.  It needs associativity, so this
+spanning set is used only when the laws hold on G
+(`certified_generators`, which `validate_dg` shares); on tables that
 fail a law there, the quotient is taken by every commutator of basis
-forms (`commutator_span`).  The reduced echelon basis of a span is
-unique, so both give the same rows, pivots and classes.
+forms, `generator_span` with every basis form as a generator.  The
+reduced echelon basis of a span is unique, so both give the same rows,
+pivots and classes.
 
 The differential descends to the quotient, and that it does is checked
 rather than assumed: the reduced echelon rows of each commutator
@@ -39,13 +40,13 @@ per degree as sparse columns, on the ambient diagonal space and,
 induced, on the classes (`d_columns`).  Cohomology runs on those
 columns through `echelon`: the image of d is their span, its kernel is
 read off the echelon form of the columns augmented by unit vectors, and
-a primitive is a `solve_rows` on their transpose.  That transpose is
-built once per degree, on first use, and so is the system a cocycle
-certificate solves (`commutator_system`): the full labeled span of
-`commutator_span`, one commutator per pair of opposed basis forms, so
-that a certificate cites commutators of basis forms by label, with its
-transpose.  It is built only in the degree a certificate asks for.
-Classes enter and leave as dense tuples of coordinates.
+a primitive is a `solve_rows` on their transpose, built once per degree
+on first use.  So is the system a cocycle certificate solves
+(`commutator_system`), in the degree it asks for: the full span, one
+commutator of basis forms per pair, as numerator rows, with their
+integer transpose.  A certificate cites a commutator by its index in
+that span, and `commutator_label` names it.  Classes enter and leave as
+dense tuples of coordinates.
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -66,6 +67,7 @@ engine behind the invariance certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -75,7 +77,6 @@ from .dg import DGCategory, Form, certified_generators, render_terms
 from .errors import DimensionError, LincatError
 from .exact_linalg import (
     ONE,
-    IntFractions,
     NumeratorRow,
     QuotientSpace,
     SparseRow,
@@ -141,34 +142,22 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[Numerato
     return out
 
 
-def commutator_span(w: DGCategory, n: int) -> list[tuple[SparseRow, str]]:
-    """Graded commutators of basis forms, embedded diagonally, degree n.
+def _basis_forms(w: DGCategory, n: int) -> list[Form]:
+    """Every basis form of degree 0..n, by degree, endpoints (x, y) and index: the generators of the full span."""
+    blocks = itertools.product(range(n + 1), enumerate(w.base.objects), enumerate(w.base.objects))
+    return [Form(p, oy, ox, ((i, ONE),)) for p, (x, ox), (y, oy) in blocks for i in range(w.dim(p, x, y))]
 
-    Each commutator u.v - (-1)^(pq) v.u, one per pair of opposed basis
-    forms, comes with a printable label so a certificate can cite the
-    exact commutators it combines.  The vectors are those of
-    `generator_span` with every basis form u of degree 0..n as a
-    generator, in the order (p, x, y, i, j) of u and v.  This is the
-    spanning set of the cocycle certificates (`commutator_system`), and of
-    the quotient when the laws fail on the generating set.
-    """
+
+def commutator_label(w: DGCategory, n: int, j: int) -> str:
+    """The label [u, v]@(x,y) of commutator j of the full degree-n span, which runs over (p, x, y), then u, then v."""
     objs = w.base.objects
-    basis: list[Form] = []
-    labels: list[str] = []
-    for p in range(0, n + 1):
-        for x, ox in enumerate(objs):
-            for y, oy in enumerate(objs):
-                labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(n - p, y, x)
-                if not labels_v:
-                    continue
-                for i, label_u in enumerate(labels_u):
-                    basis.append(Form(p, oy, ox, ((i, ONE),)))
-                    labels.extend(f"[{label_u}, {label_v}]@({ox.label},{oy.label})" for label_v in labels_v)
-    ints, labeled = IntFractions(), []
-    for (den, row), label in zip(generator_span(w, n, basis), labels):
-        v = {k: ints[s] for k, s in row.items()} if den == 1 else {k: Fraction(s, den) for k, s in row.items()}
-        labeled.append((v, label))
-    return labeled
+    for p, (x, ox), (y, oy) in itertools.product(range(n + 1), enumerate(objs), enumerate(objs)):
+        labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(n - p, y, x)
+        if j < len(labels_u) * len(labels_v):
+            i, k = divmod(j, len(labels_v))
+            return f"[{labels_u[i]}, {labels_v[k]}]@({ox.label},{oy.label})"
+        j -= len(labels_u) * len(labels_v)
+    raise DimensionError(f"no commutator {j} in the degree-{n} span")
 
 
 class DeRhamComplex:
@@ -194,8 +183,7 @@ class DeRhamComplex:
         # once the laws hold on G, else by every commutator of basis forms
         gens, lawful = certified_generators(w)
         self.quotients: list[QuotientSpace] = [
-            build_quotient(self.ambient_dim(n), generator_span(w, n, gens) if lawful
-                           else [v for v, _ in commutator_span(w, n)])
+            build_quotient(self.ambient_dim(n), generator_span(w, n, gens if lawful else _basis_forms(w, n)))
             for n in range(N + 1)
         ]
         # d on the ambient diagonal space of each degree, column j holding
@@ -223,9 +211,9 @@ class DeRhamComplex:
             ])
         self.d_columns.append([{} for _ in range(self.dim(N))])
         # the two linear systems solved against this complex, each built on
-        # first use in a degree and kept: the labeled commutator span of
+        # first use in a degree and kept: the full commutator span of
         # `commutator_system`, with its rows, and d, by rows
-        self._commutator_systems: dict[int, tuple[list[tuple[SparseRow, str]], list[SparseRow]]] = {}
+        self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
         self._d_rows: dict[int, list[SparseRow]] = {}
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
@@ -403,20 +391,21 @@ def get_complex(w: DGCategory) -> DeRhamComplex:
     return w._derham
 
 
-def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[SparseRow, str]], list[SparseRow]]:
-    """The labeled commutator span of degree n, and the same span as a linear system, by rows.
+def commutator_system(w: DGCategory, n: int) -> tuple[list[NumeratorRow], list[NumeratorRow]]:
+    """The full commutator span of degree n, and its numerators as a linear system, by rows.
 
-    The span is `commutator_span(w, n)`, one commutator per pair of
-    opposed basis forms, whatever spans the quotient.  Row i of the
-    system holds coordinate i of every commutator, at the commutator's
-    index in the span.  Both are built on first use in a degree and kept
-    on `get_complex(w)`; they are not to be modified.
+    The span is `generator_span` over every basis form, one `NumeratorRow`
+    (D_j, numerators) per pair of opposed basis forms.  Row i of the
+    system is (1, {j: n}), n the numerator of commutator j at coordinate
+    i.  Both are built on first use in a degree and kept on
+    `get_complex(w)`; they are not to be modified.
     """
     rh = get_complex(w)
     system = rh._commutator_systems.get(n)
     if system is None:
-        labeled = commutator_span(w, n)
-        system = rh._commutator_systems[n] = labeled, _transpose([v for v, _ in labeled], rh.ambient_dim(n))
+        span = generator_span(w, n, _basis_forms(w, n))
+        rows = [(1, row) for row in _transpose([nums for _, nums in span], rh.ambient_dim(n))]
+        system = rh._commutator_systems[n] = span, rows
     return system
 
 

@@ -16,10 +16,10 @@ dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
 and differentials as ``{j: {i: s}}`` columns, and both are stored as
 tuples of their nonzero (index, coefficient) terms.  A table key that
 the constructor's loops never read (out of range, or with entries at a
-zero space) raises `DimensionError` rather than being ignored.  For the
-product kernel, the law checks, G and the [g, v] commutators,
-`integral_products` also keeps each product block over one denominator,
-as integer numerators; a universal envelope keeps its builder's blocks.
+zero space) raises `DimensionError` rather than being ignored.  Every
+product kernel, `compose` included, reads each product block over one
+denominator, as integer numerators (`integral_products`); a universal
+envelope keeps only its builder's blocks and derives `gr_comp` from them.
 
 A `Form` holds the same sorted, nonzero terms as the tables, and a
 degree-0 form is a morphism of the base category: `trivial_dg(c)` has
@@ -33,6 +33,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .category import (
@@ -49,8 +51,8 @@ from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
     ONE,
     Echelon,
+    IntFractions,
     IntRow,
-    SparseRow,
     Terms,
     add_terms,
     checked_terms,
@@ -106,7 +108,7 @@ class Form:
 
 
 class _Built(tuple):
-    """(gr_comp, diff, integer blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
+    """(diff, integer blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
 
 
 class DGCategory:
@@ -131,8 +133,10 @@ class DGCategory:
     truncation, an object index out of range, or entries at a zero space.
 
     Only `universal_dg` skips the check, handing over its builder's
-    tables as stored here, with their integer blocks, in a private
-    `_Built`; a test holds that path to the checked one.
+    differential and integer product blocks in a private `_Built`; a test
+    holds that path to the checked one.  It keeps only those blocks of its
+    products and derives `gr_comp` on first read (`compose`, like every
+    product kernel, reads `integral_products`).
     """
 
     def __init__(
@@ -166,7 +170,7 @@ class DGCategory:
             self.gr_basis[n] = level
 
         if type(gr_comp) is _Built:
-            self.gr_comp, self.diff, self._integral = gr_comp
+            self.diff, self._integral = gr_comp
             return
         pairs = set(itertools.product(range(nobj), repeat=2))
         triples = set(itertools.product(range(nobj), repeat=3))
@@ -259,41 +263,47 @@ class DGCategory:
                 f"cannot compose: left factor starts at {f.dom.label}, right factor ends at {g.cod.label}"
             )
         p, q = f.degree, g.degree
-        block = self.basis_products(p, q, f.cod.index, f.dom.index, g.dom.index)
-        out: SparseRow = {}
-        for i, a in f.terms:
-            contract_into(out, g.terms, block[i], a)
-        return Form(p + q, g.dom, f.cod, terms_of(out))
+        den, block = self.integral_products(p, q, f.cod.index, f.dom.index, g.dom.index)
+        (f_den, f_nums), (g_den, g_nums) = over_lcm(f.terms), over_lcm(g.terms)
+        out: IntRow = {}
+        for i, a in f_nums:
+            contract_into(out, g_nums, block[i], a)
+        den *= f_den * g_den
+        return Form(p + q, g.dom, f.cod, tuple((k, Fraction(n, den)) for k, n in sorted(out.items()) if n))
 
-    def basis_products(self, p: int, q: int, x: int, y: int, z: int):
-        """Products of the basis forms of degree p at (x, y) with those of degree q at (y, z).
+    @cached_property
+    def gr_comp(self) -> dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]]:
+        """A universal envelope's products as stored terms, derived from its integer blocks on first read.
 
-        Entry [i][j] is the tuple of nonzero (k, s) pairs of the product
-        of basis forms i and j, a degree p + q form at (x, z); every entry
-        is empty when p + q lies above the truncation.  Degree 0 products
-        come from the base category.
+        The checked constructor's own table shadows this.  The keys follow
+        its loops, which is the sorted order of the blocks' keys.
         """
-        block = (self.gr_comp.get((p, q), {}) if p or q else self.base.comp).get((x, y, z))
-        return (((),) * self.dim(q, y, z),) * self.dim(p, x, y) if block is None else block
+        ints, N = IntFractions(), self.truncation
+        out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
+        for (p, q, x, y, z), (den, rows) in sorted(self._integral.items()):
+            if (p, q) in out and self.dim(p, x, y) and self.dim(q, y, z):
+                out[(p, q)][(x, y, z)] = tuple(tuple(ints.terms(den, terms) for terms in row) for row in rows)
+        return out
 
     def integral_products(self, p: int, q: int, x: int, y: int, z: int) -> tuple[int, tuple]:
-        """`basis_products` over one denominator, as (D, rows).
+        """The products of the basis forms of degree p at (x, y) with those of degree q at (y, z), as (D, rows).
 
-        D is the lcm of the block's denominators, and entry [i][j] of
-        rows holds the (k, n) pairs with n = D * s, over the terms (k, s)
-        of the product of basis forms i and j.  A block that no builder
-        handed over is built on first use and kept; the tables themselves
-        are not changed.
+        Entry [i][j] of rows holds (k, D * s) over the terms (k, s) of the
+        product of basis forms i and j, D the lcm of the block's
+        denominators; it is empty when p + q lies above the truncation.
+        A block no builder handed over is made from the stored terms once.
         """
         key = (p, q, x, y, z)
         view = self._integral.get(key)
         if view is None:
-            block = self.basis_products(p, q, x, y, z)
-            den, flat = integral_terms(terms for row in block for terms in row)
-            width = self.dim(q, y, z)
-            # a row of no products is still a row
-            rows = cut_rows(flat, width) if width else [()] * len(block)
-            view = self._integral[key] = (den, tuple(map(tuple, rows)))
+            dp, dq = self.dim(p, x, y), self.dim(q, y, z)
+            if p + q > self.truncation or not dp or not dq:
+                view = 1, (((),) * dq,) * dp
+            else:
+                block = (self.gr_comp[(p, q)] if p or q else self.base.comp)[(x, y, z)]
+                den, flat = integral_terms(terms for row in block for terms in row)
+                view = den, tuple(map(tuple, cut_rows(flat, dq)))
+            self._integral[key] = view
         return view
 
     def d(self, f: Form) -> Form:

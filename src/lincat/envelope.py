@@ -1,12 +1,12 @@
 """The universal differential envelope of a category, chain model.
 
-`universal_tables` computes the tables of the universal envelope
-concretely inside "chain" spaces, as `DGCategory` stores them;
-`lincat.dg.universal_dg` builds the envelope from them.
-The degree-n chain space for the endpoint pair (x, y) is the direct
-sum, over the length-n interior object paths whose steps are all
-nonzero hom spaces, of tensor products of the n+1 hom spaces strung
-along the path; degree 0 is the hom space itself.  Inside it:
+`universal_tables` computes the bases, the differential and the integer
+product blocks of the universal envelope concretely inside "chain"
+spaces; `lincat.dg.universal_dg` builds the envelope from them.  The
+degree-n chain space for the endpoint pair (x, y) is the direct sum,
+over the length-n interior object paths whose steps are all nonzero hom
+spaces, of tensor products of the n+1 hom spaces strung along the path;
+degree 0 is the hom space itself.  Inside it:
 
 * the product is the middle merge: compose the arrows that meet;
 * the differential is the alternating sum of identity insertions, which
@@ -19,8 +19,11 @@ along the path; degree 0 is the hom space itself.  Inside it:
 
 Each basis is the reduced echelon basis of its span in a fixed column
 order, which is unique for the span, so composition tensors and
-differentials are reproducible.  The chain vectors are sparse maps, and
-their spans go to `build_quotient` as they are.
+differentials are reproducible.  Chain vectors are `NumeratorRow`s,
+(d, {chain: int}): the merge multiplies them over the category's integer
+product blocks, each basis of a degree is read off the integer rows of
+its span (`QuotientSpace._basis`), and no coefficient becomes a
+`Fraction` while the tables are built.
 
 The span is the only place where chains are multiplied.  Its products
 give two things, and the chain vectors are dropped after them:
@@ -28,9 +31,7 @@ give two things, and the chain vectors are dropped after them:
 * the right multiplications by db: the coordinates of every spanning
   product omega.db in the degree-n basis;
 * an expression of every degree-n basis row as a combination of
-  spanning products.  A row that is a multiple of one product is
-  written as that product; the other rows come from one augmented
-  elimination over the remaining products.
+  spanning products, over the integers as well.
 
 The tables then follow by linearity from three rules, in the envelope
 of a category (associative, with units):
@@ -55,25 +56,23 @@ Each derived entry is covered by these checks:
   exact arithmetic;
 * the tests pin the table digests of six envelopes, and compare the
   tables of more with a direct fill (one chain merge and reduction per
-  pair of basis forms) that they keep as an oracle.
+  pair of basis forms, in `Fraction`s) that they keep as an oracle.
 
 The contraction sums Python ints over one denominator per block, in
 the manner of `lincat.form_matrix.ProductAccumulator`.  Those integer
-blocks are handed on with the tables, as the blocks of
-`DGCategory.integral_products`, and each stored coefficient becomes a
-`Fraction` once, for the stored terms.
+blocks are what `DGCategory` keeps of the products, as the blocks of
+`integral_products`; only the differential is stored as `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import (ONE, ZERO, Echelon, IntFractions, SparseRow, build_quotient, cut_rows, echelon,
-                           integral_terms, over_lcm)
+from .exact_linalg import (Echelon, IntFractions, IntRow, NumeratorRow, build_quotient, cut_rows, integral_terms,
+                           over_lcm)
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -116,13 +115,19 @@ class _ChainSpace:
 
 
 class _Chains:
-    """The chain spaces of a category in degrees 0..N, with their product and differential."""
+    """The chain spaces of a category in degrees 0..N, with their product and the differential of an arrow."""
 
     def __init__(self, c: Category, truncation: int):
         self.c = c
         objects = range(len(c.objects))
         # the basis arrow that is an object's identity, where there is one
         self.unit = {x: terms[0][0] for x, terms in c.identity.items() if len(terms) == 1 and terms[0][1] == 1}
+        # the category's products over one denominator per block, and their lcm
+        self.products: dict[tuple[int, int, int], IntBlock] = {}
+        for (x, y, z), block in c.comp.items():
+            den, flat = integral_terms(terms for row in block for terms in row)
+            self.products[(x, y, z)] = den, tuple(map(tuple, cut_rows(flat, c.dim(y, z))))
+        self.den = lcm(*(den for den, _ in self.products.values()))
         # chains by a walk: the degree-n interiors from x to y extend the
         # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
         self.spaces: dict[tuple[int, int, int], _ChainSpace] = {}
@@ -133,40 +138,39 @@ class _Chains:
                     self.spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []), self.unit)
                 tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
 
-    def merge(self, p: int, q: int, x: int, y: int, z: int, u: SparseRow, v: SparseRow) -> SparseRow:
-        """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector."""
-        compose_basis = self.c.compose_basis
+    def merge(self, p: int, q: int, x: int, y: int, z: int, u: NumeratorRow, v: NumeratorRow) -> NumeratorRow:
+        """Chain-level product of a degree-p (x,y) and a degree-q (y,z) numerator row, over du * dv * `den`.
+
+        The arrows that meet are multiplied in the category's integer
+        blocks (`products`), each scaled up to their lcm `den`.
+        """
+        products, den = self.products, self.den
         u_elems, v_elems = self.spaces[(p, x, y)].elems, self.spaces[(q, y, z)].elems
         out_pos = self.spaces[(p + q, x, z)].pos
-        out: SparseRow = {}
-        for ui, uc in u.items():
+        (du, u_nums), (dv, v_nums) = u, v
+        out: IntRow = {}
+        for ui, uc in u_nums.items():
             u_int, u_arr = u_elems[ui]
-            u_last_src = u_int[-1] if u_int else x
-            for vi, vc in v.items():
+            u_last_src, head, last = u_int[-1] if u_int else x, u_arr[:-1], u_arr[-1]
+            for vi, vc in v_nums.items():
                 v_int, v_arr = v_elems[vi]
-                v_first_tgt = v_int[0] if v_int else z
-                interior = u_int + v_int
-                for k, s in compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
-                    key = out_pos[(interior, u_arr[:-1] + (k,) + v_arr[1:])]
-                    out[key] = out.get(key, ZERO) + uc * vc * s
-        return {k: s for k, s in out.items() if s}
+                block_den, rows = products[(u_last_src, y, v_int[0] if v_int else z)]
+                m = uc * vc if block_den == den else uc * vc * (den // block_den)
+                interior, tail = u_int + v_int, v_arr[1:]
+                for k, s in rows[last][v_arr[0]]:
+                    key = out_pos[(interior, head + (k,) + tail)]
+                    out[key] = out.get(key, 0) + m * s
+        return du * dv * den, {k: n for k, n in out.items() if n}
 
-    def d(self, n: int, x: int, y: int, v: SparseRow) -> SparseRow:
-        """The differential of a degree-n (x,y) vector: alternating identity insertion."""
-        identity = self.c.identity
-        src_elems, out_pos = self.spaces[(n, x, y)].elems, self.spaces[(n + 1, x, y)].pos
-        out: SparseRow = {}
-        for idx, s in v.items():
-            interior, arrows = src_elems[idx]
-            path = (x,) + interior + (y,)
-            for ins in range(0, n + 2):
-                sign = Fraction(-1 if ins % 2 else 1)
-                obj = path[ins]
-                new_interior = (path[:ins + 1] + (obj,) + path[ins + 1:])[1:n + 2]
-                for k, idcoef in identity[obj]:
-                    key = out_pos[(new_interior, arrows[:ins] + (k,) + arrows[ins:])]
-                    out[key] = out.get(key, ZERO) + s * sign * idcoef
-        return {k: s for k, s in out.items() if s}
+    def d_arrow(self, x: int, y: int, b: int) -> NumeratorRow:
+        """d of basis arrow b at (x, y), a degree-1 numerator row: 1.b - b.1 with the identity in a slot of its own."""
+        (dx, ix), (dy, iy) = over_lcm(self.c.identity[x]), over_lcm(self.c.identity[y])
+        den, pos = lcm(dx, dy), self.spaces[(1, x, y)].pos
+        out: IntRow = {pos[((x,), (k, b))]: n * (den // dx) for k, n in ix}
+        for k, n in iy:
+            key = pos[((y,), (b, k))]
+            out[key] = out.get(key, 0) - n * (den // dy)
+        return den, {k: n for k, n in out.items() if n}
 
     def label(self, n: int, x: int, y: int, pivot: int) -> str:
         """A basis row named by its pivot chain: a0.da1...dan, with an identity head elided."""
@@ -181,49 +185,65 @@ class _Chains:
         return ".".join(pieces) if pieces else head_label
 
 
-def _expressions(coords: list[SparseRow], dim: int) -> list[SparseRow]:
-    """Each basis row k as a combination {j: lam} of spanning products, given their coordinates.
+def _expressions(coords: list[NumeratorRow], dim: int) -> list[NumeratorRow]:
+    """Each basis row k as a combination (d, {j: n}) of spanning products, given their coordinates.
 
     A row that is a multiple of one spanning product is written as the
     first such product.  The other rows come from one augmented
     elimination: the remaining products, reduced modulo those multiples,
     are picked while they are independent, and the echelon basis of the
     picked rows, augmented by the unit vector of each product, reads off
-    the combinations.  Every combination is substituted back in
-    coordinates.
+    the combinations.  All of it runs over integers, each augmented row
+    over a scale of its own, and every combination is substituted back.
     """
-    first: dict[int, tuple[int, Fraction]] = {}  # k -> (j, s): product j is s times row k
-    for j, v in enumerate(coords):
+    first: dict[int, tuple[int, int, int]] = {}  # k -> (j, D, n): product j is n / D times row k
+    for j, (den, v) in enumerate(coords):
         if len(v) == 1:
-            ((k, s),) = v.items()
-            first.setdefault(k, (j, s))
-    out: dict[int, SparseRow] = {k: {j: 1 / s} for k, (j, s) in first.items()}
+            ((k, n),) = v.items()
+            first.setdefault(k, (j, den, n))
+    out: dict[int, NumeratorRow] = {k: (abs(n), {j: den if n > 0 else -den}) for k, (j, den, n) in first.items()}
     missing = dim - len(first)
     if missing:
-        picked, augmented = Echelon(), []
-        for j, v in enumerate(coords):
-            rest = {k: s for k, s in v.items() if k not in first}
-            if not rest or picked.add(rest) is None:
+        picked, augmented = Echelon(), Echelon()
+        for j, (den, v) in enumerate(coords):
+            rest = {k: n for k, n in v.items() if k not in first}
+            if not rest or picked.add((1, rest)) is None:
                 continue
-            row = {**rest, dim + j: ONE}
-            for k, s in v.items():
-                if k in first:
-                    h, t = first[k]
-                    row[dim + h] = row.get(dim + h, ZERO) - s / t
-            augmented.append(row)
-            if len(augmented) == missing:
+            # den * t times product j less, for each row k it shares with a
+            # multiple h, its part there: with t the lcm of those multiples'
+            # numerators, so every entry is an integer
+            shared = [(k, n) for k, n in v.items() if k in first]
+            t = lcm(*(first[k][2] for k, _ in shared))
+            row = {k: n * t for k, n in rest.items()}
+            row[dim + j] = den * t
+            for k, n in shared:
+                h, h_den, h_n = first[k]
+                row[dim + h] = row.get(dim + h, 0) - n * h_den * (t // h_n)
+            augmented.add((1, row))
+            missing -= 1
+            if not missing:
                 break
-        for r, k in zip(*echelon(augmented, dim + len(coords))):
+        for k, (d, row) in augmented._basis.items():
             if k < dim:
-                out[k] = {col - dim: s for col, s in r.items() if col >= dim}
+                out[k] = d, {col - dim: n for col, n in row.items() if col >= dim}
     for k in range(dim):
-        check: SparseRow = {}
-        for j, lam in out.get(k, {}).items():
-            for m, s in coords[j].items():
-                check[m] = check.get(m, ZERO) + lam * s
-        if {m: s for m, s in check.items() if s} != {k: ONE}:
+        d, lam = out.get(k, (1, {}))
+        common = lcm(*(coords[j][0] for j in lam))
+        check: IntRow = {}
+        for j, n in lam.items():
+            den, v = coords[j]
+            n *= common // den
+            for m, s in v.items():
+                check[m] = check.get(m, 0) + n * s
+        if {m: s for m, s in check.items() if s} != {k: d * common}:
             raise LincatError(f"universal builder: basis row {k} is not a combination of spanning products")
     return [out[k] for k in range(dim)]
+
+
+def _over_one(rows: list[NumeratorRow]) -> IntBlock:
+    """Numerator rows over the lcm of their denominators, as (D, [((k, n), ...)])."""
+    den = lcm(*(d for d, _ in rows))
+    return den, [tuple((k, n * (den // d)) for k, n in nums.items()) for d, nums in rows]
 
 
 def _settled(den: int, sums: list) -> IntBlock:
@@ -241,8 +261,8 @@ def _settled(den: int, sums: list) -> IntBlock:
     return den, rows
 
 
-def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict, dict]:
-    """The tables (gr_basis, gr_comp, diff, blocks) of the universal envelope of `c`.
+def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
+    """The tables (gr_basis, diff, blocks) of the universal envelope of `c`.
 
     Degree 0 is the chain space of the arrows themselves, with the unit
     rows as basis.  Every degree n >= 1, up to `truncation`, is the
@@ -250,24 +270,23 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict, di
     degree-(n-1) basis rows omega and the basis arrows b.  The products
     and differentials of basis forms follow from the coordinates of
     those spanning products by the three rules of the module docstring.
-    gr_basis is in the input format of `DGCategory`; gr_comp and diff
-    are as `DGCategory` stores them, rows of sorted nonzero terms in the
-    key order of its loops; blocks holds every product block, those of
-    the category included, over one denominator, by (p, q, x, y, z), as
-    `DGCategory.integral_products` hands them out.  The rules hold in a
-    category only: `c` must pass `validate_category`, which
-    `lincat.dg.universal_dg` checks before it calls this.
+    gr_basis is in the input format of `DGCategory`, and diff as it
+    stores it; blocks holds every product block, those of the category
+    included, by (p, q, x, y, z), as `DGCategory.integral_products` hands
+    them out.  The rules hold in a category only: `c` must pass
+    `validate_category`, which `lincat.dg.universal_dg` checks first.
     """
-    gr_basis, dims, right, expr = _spans(c, truncation)
-    return gr_basis, *_derived_tables(c, truncation, dims, right, expr)
+    gr_basis, products, dims, right, expr = _spans(c, truncation)
+    return gr_basis, *_derived_tables(c, truncation, products, dims, right, expr)
 
 
-def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
+def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict, dict]:
     """The bases of every degree, from the span rule, and what the tables need of their spans.
 
-    Returns gr_basis, the dimensions by (n, x, y), and the blocks
-    `right` and `expr` described below.  The chain vectors of a degree
-    are dropped once the next degree has taken its products.
+    Returns gr_basis, the category's integer product blocks by (x, y, z),
+    the dimensions by (n, x, y), and the blocks `right` and `expr`
+    described below.  The chain vectors of a degree are dropped once the
+    next degree has taken its products.
     """
     objects = range(len(c.objects))
     pairs = [(x, y) for x in objects for y in objects]
@@ -283,9 +302,10 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
     gr_basis: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
 
     # one span rule: the unit rows in degree 0, the span of omega.db above;
-    # each degree keeps the chain rows of the degree below only
-    basis = {(x, y): [{k: ONE} for k in range(c.dim(x, y))] for x, y in pairs}
-    d_arrow = {(w, y): [chains.d(0, w, y, {b: ONE}) for b in range(c.dim(w, y))] for w, y in pairs}
+    # each degree keeps the chain rows of the degree below only, as the
+    # integer rows of its span
+    basis = {(x, y): [(1, {k: 1}) for k in range(c.dim(x, y))] for x, y in pairs}
+    d_arrow = {(w, y): [chains.d_arrow(w, y, b) for b in range(c.dim(w, y))] for w, y in pairs}
     for n in range(1, N + 1):
         level, grown = {}, {}
         for x, y in pairs:
@@ -307,12 +327,12 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
             start = 0
             for w in objects:
                 size = dims[(n - 1, x, w)] * c.dim(w, y)
-                den, flat = integral_terms(v.items() for v in coords[start:start + size])
+                den, flat = _over_one(coords[start:start + size])
                 right[(n, x, w, y)] = den, cut_rows(flat, c.dim(w, y))
                 start += size
-            expr[(n, x, y)] = integral_terms(((span[j][:3], lam) for j, lam in e.items())
-                                        for e in _expressions(coords, dim))
-            grown[(x, y)] = sub.rows
+            expr[(n, x, y)] = _over_one([(d, {span[j][:3]: lam for j, lam in e.items()})
+                                         for d, e in _expressions(coords, dim)])
+            grown[(x, y)] = [sub._basis[p] for p in sub.pivots]
             if dim:
                 names = tuple(chains.label(n, x, y, p) for p in sub.pivots)
                 if len(set(names)) != len(names):
@@ -323,24 +343,19 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
                 level[(x, y)] = names
         gr_basis[n] = level
         basis = grown
-    return gr_basis, dims, right, expr
+    return gr_basis, chains.products, dims, right, expr
 
 
-def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict, dict]:
-    """gr_comp, diff and the integer product blocks of the envelope, by the three rules.
+def _derived_tables(c: Category, N: int, base: dict, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
+    """diff and the integer product blocks of the envelope, by the three rules.
 
-    `dims`, `right` and `expr` are those of `_spans`.  The blocks of one
-    total degree are made from those of the degree below, over one
-    denominator each, and all of them are kept; the stored tables hold
-    one `Fraction` per stored coefficient, shared between equal integers.
+    `base`, `dims`, `right` and `expr` are those of `_spans`.  The blocks
+    of one total degree are made from those of the degree below, over one
+    denominator each, and all of them are kept; the differential is
+    stored as terms, the `Fraction`s of equal integers shared.
     """
     objects = range(len(c.objects))
     ints = IntFractions()
-
-    def as_terms(den: int, terms) -> tuple:
-        if den == 1:
-            return tuple((k, ints[n]) for k, n in terms)
-        return tuple((k, Fraction(n, den)) for k, n in terms)
 
     def scaled(e_block: IntBlock, dens: dict) -> IntBlock:
         """Expression terms (w, i, b, n) whose factors at w have denominator dens[w], over one denominator."""
@@ -361,11 +376,6 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
                         acc[m] = acc.get(m, 0) + s * t
             sums.append(acc)
         return sums
-
-    base: dict[tuple[int, int, int], IntBlock] = {}  # products of arrows
-    for (x, y, z), block in c.comp.items():
-        den, flat = integral_terms(terms for row in block for terms in row)
-        base[(x, y, z)] = den, tuple(map(tuple, cut_rows(flat, c.dim(y, z))))
 
     def times_arrows(p: int, x: int, y: int, z: int, below: dict) -> IntBlock:
         """Block (p, 0): (omega.db).a = omega.d(ba) - (omega.b).da."""
@@ -427,9 +437,8 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         den, e_rows = scaled(expr[(n, x, y)], dens)
         return _settled(den, times_db(e_rows, d_w, r_wy))
 
-    # the stored tables, keyed in the order of the loops of `DGCategory`, and
+    # the differential, keyed in the order of the loops of `DGCategory`, and
     # every product block over one denominator, by (p, q, x, y, z)
-    gr_comp: dict[tuple[int, int], dict] = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
     diff: dict[int, dict] = {}
     blocks = {(0, 0, *key): block for key, block in base.items()}
     d_below: dict[tuple[int, int], IntBlock] = {}  # differential blocks out of degree n-1
@@ -441,22 +450,19 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
             for y in objects:
                 if dims[(n - 1, x, y)]:
                     den, rows = d_level[(x, y)] = d_out(n - 1, x, y, d_below)
-                    level[(x, y)] = tuple(as_terms(den, terms) for terms in rows)
+                    level[(x, y)] = tuple(ints.terms(den, terms) for terms in rows)
         d_below = d_level
         # the products of total degree n
         for p in range(n, -1, -1):
             q = n - p
-            table = gr_comp[(p, q)]
             for x in objects:
                 for y in objects:
                     if not dims[(p, x, y)]:
                         continue
                     for z in objects:
-                        if not dims[(q, y, z)]:
-                            continue
-                        den, rows = blocks[(p, q, x, y, z)] = (
-                            times_forms(p, q, x, y, z, blocks) if q else times_arrows(p, x, y, z, blocks))
-                        table[(x, y, z)] = tuple(tuple(as_terms(den, terms) for terms in row) for row in rows)
+                        if dims[(q, y, z)]:
+                            blocks[(p, q, x, y, z)] = (
+                                times_forms(p, q, x, y, z, blocks) if q else times_arrows(p, x, y, z, blocks))
     # out of the top degree, d is zero
     diff[N] = {(x, y): ((),) * dims[(N, x, y)] for x in objects for y in objects if dims[(N, x, y)]}
-    return gr_comp, diff, blocks
+    return diff, blocks

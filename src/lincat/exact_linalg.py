@@ -1,84 +1,66 @@
 """Exact linear algebra over the rationals.
 
-Everything in the package ultimately reduces to row reduction of
-matrices with `fractions.Fraction` entries, always to the reduced row
-echelon form, which is unique for a row space: no pivot is chosen by
-magnitude or by the order of the work, so every derived basis is
-reproducible byte for byte.
+Everything in the package ultimately reduces to row reduction, always
+to the reduced row echelon form, which is unique for a row space: no
+pivot is chosen by magnitude or by the order of the work, so every
+derived basis is reproducible byte for byte.
 
 Dense vectors are plain tuples of Fractions: classes of the quotient
 complex enter and leave its methods this way.  Scalars given by a
 caller go through one conversion, `scalar`, which refuses floats.
-Sparse vectors come in two shapes, because the spaces of the package
-are mostly zero and exact arithmetic on a zero still costs a
-`Fraction` operation:
+Sparse vectors come in three shapes, because the spaces of the package
+are mostly zero and exact arithmetic on a zero still costs a `Fraction`
+operation:
 
 * `Terms`, the immutable shape: a tuple of the nonzero (index,
   coefficient) pairs, strictly increasing in index.  Structure
   constants, differentials and forms are stored this way, so two equal
-  vectors have equal terms; `checked_terms` builds them from a map of
-  input scalars, `terms_of` from a sum accumulated in a sparse row, and
-  `add_terms` adds two of them.
+  vectors have equal terms;
+  `checked_terms` builds them from a map of input scalars, `terms_of`
+  from a sum accumulated in a sparse row, and `add_terms` adds two.
 * `SparseRow`, the mutable shape: a map from column index to entry,
-  which the product sums update in place.  Elimination takes its rows
-  in this shape and hands back rows and remainders in it, with nonzero
-  entries only; a sum may leave cancelled zeros, which `terms_of`
-  drops.
+  which sums update in place; a sum may leave cancelled zeros, which
+  `terms_of` drops.
+* `NumeratorRow`, (d, {column: int}) with d a positive int: the
+  numerators over d.  Long sums run this way, in `int`s: `integral_terms`
+  puts `Fraction` vectors over one common denominator, `over_lcm` one
+  vector over the lcm of its own, `cut_rows` cuts a flat list into the
+  rows of a block, and `IntFractions` shares the `Fraction`s of integers
+  on the way back.  `contract_into` adds combinations of sparse vectors
+  into a sparse sum, over `Fraction`s or over numerators.
 
-Integer arithmetic stands in for `Fraction`s where sums are long, and
-in elimination (below): `integral_terms` puts sparse vectors over one
-common denominator, as `int` numerators, and `cut_rows` cuts such a
-flat list back into the rows of a block; `over_lcm` puts a single
-vector over the lcm of its own denominators, and `IntFractions` shares
-the `Fraction`s of integers on the way back.  The envelope builder,
-the product blocks of `DGCategory.integral_products`, the law kernel
-of `lincat.laws` and the product kernel of `lincat.form_matrix` all
-convert this way.  One contraction, `contract_into`, adds combinations
-of sparse vectors into a sparse sum, over `Fraction`s or over
-numerators: products and differentials of forms, and every law check,
-are made of it.
+All elimination runs over integer numerators, in one kernel.  `Echelon`
+grows a reduced echelon basis one row at a time, each row as
+numerators over one positive denominator, its pivot numerator equal to
+that denominator, with no common factor.  A new row is reduced by
+cross-multiplying, v.d - v[p].row, and a new pivot is cleared only from
+the rows that a column index lists there; G and the envelope's
+expressions grow one.  `echelon` hands back the basis of a set of rows.
+A finished span is a `QuotientSpace`, built by `build_quotient` (the
+envelope's chain subspaces, the quotient complex, a module's fixed
+columns): it reduces a vector modulo the span (`reduce_sparse`),
+reads its coset coordinates off the free columns (`coset_coordinates`),
+and reads the coordinates of a vector of the span in its basis, or None
+outside it (`coordinates`), deciding membership on the integer
+remainder.  `solve_rows` solves a linear system given by its rows and
+reads only the solution column of the reduced basis.
 
-All elimination goes through one kernel, `echelon`, which takes sparse
-rows and a column count and adds them one at a time to an `Echelon`;
-a caller that grows a span row by row (the generating set of
-`validate_dg`, the expressions of the envelope builder) holds an
-`Echelon` itself.  The kernel runs over integer numerators: `Echelon`
-keeps each basis row as `int` numerators over one positive denominator,
-the numerator at its pivot equal to that denominator, with no common
-factor.  A new row is put over the lcm of its denominators and reduced
-by cross-multiplying, v.d - v[p].row, which is pure `int` arithmetic
-while every denominator is 1, the common case; a new pivot is then
-cleared only from the rows that a column index lists there.  A
-finished span is a `QuotientSpace`, built from sparse rows by
-`build_quotient`; it keeps the integer rows of its `Echelon` and reduces
-over them a sparse vector modulo the span (`reduce_sparse`), reads its
-coset coordinates, a dense tuple, off the free columns
-(`coset_coordinates`), and reads the coordinates of a vector of the
-span in its basis, or None outside it (`coordinates`), deciding
-membership on the integer remainder.  So `Echelon` (a basis being
-grown) and `QuotientSpace` (a finished one) are the two span types, and
-no other module reads their integer rows: the chain subspaces of the
-envelope, the quotient complex and the fixed columns of a module are
-all `QuotientSpace`s.  `solve_rows` solves a linear system given by its
-sparse rows, and the cohomology of the quotient complex calls `echelon`
-itself.
-
-A row enters `Echelon.add`, `build_quotient` or `echelon` as a sparse
-row of `Fraction`s or as a `NumeratorRow` (d, {column: int}), d > 0,
-whose scale a span ignores: G and the [g, v] commutators come in so.
+A row enters `Echelon.add`, `build_quotient`, `echelon` and
+`solve_rows`, and a vector `QuotientSpace.coordinates`, as a sparse row
+of `Fraction`s or as a `NumeratorRow`, whose scale a span ignores.
 Anything else, a float, a bool or a bare dict of ints, is refused with
-`ScalarTypeError`, as is a vector for a `QuotientSpace` that is not all
-`Fraction`s.  The ints of the kernel live only inside `Echelon` and
-`QuotientSpace`, are never divided with `/` (only by an exact common
-factor, with `//`), and leave as `Fraction`s: every row, remainder,
-coordinate and solution handed back holds `Fraction`s, with each pivot
-entry exactly 1.
+`ScalarTypeError`, as is a vector for the other `QuotientSpace` methods
+that is not all `Fraction`s.  The ints of the kernel are never divided
+with `/`, only by an exact common factor with `//`.  Its integer rows
+are read only here and by the envelope builder, which takes its chain
+bases from `QuotientSpace._basis` and its augmented elimination from
+`Echelon._basis`.  Everything else handed back holds `Fraction`s, each
+pivot entry exactly 1, except the coordinates of a `NumeratorRow`, which
+come back as one.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
-any dense matrix given by its `rows`, `cols` and `entries`, which must
-be Fractions.  No library module calls it; it stays because the
-benchmark's tracer (`perfbench/tracing.py`) wraps `exact_linalg.rref` by
-name and reads the shape of its argument.
+a dense matrix of Fractions; no library module calls it, but the
+benchmark's tracer (`perfbench/tracing.py`) wraps it by name.
 """
 
 from __future__ import annotations
@@ -188,6 +170,12 @@ class IntFractions(dict):
     def __missing__(self, n: int) -> Fraction:
         f = self[n] = Fraction(n)
         return f
+
+    def terms(self, den: int, pairs: Iterable[tuple[int, int]]) -> Terms:
+        """(k, n) pairs over a positive denominator as terms of `Fraction`s, those of integers shared."""
+        if den == 1:
+            return tuple((k, self[n]) for k, n in pairs)
+        return tuple((k, Fraction(n, den)) for k, n in pairs)
 
 
 def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
@@ -301,14 +289,14 @@ def _numerators(v: SparseRow) -> tuple[int, IntRow]:
     return den, {j: n for j, n in terms if n}
 
 
-def _row(given: SparseRow | NumeratorRow) -> IntRow:
-    """A new dict of the nonzero numerators of a sparse row of Fractions or of a `NumeratorRow`, up to scale."""
+def _row(given: SparseRow | NumeratorRow) -> tuple[int, IntRow]:
+    """A sparse row of Fractions or a `NumeratorRow` as (d, a new dict of its nonzero numerators)."""
     if type(given) is not tuple:
-        return _numerators(given)[1]
+        return _numerators(given)
     d, nums = given if len(given) == 2 else (0, None)
     if type(d) is not int or d <= 0 or type(nums) is not dict or not {int}.issuperset(map(type, nums.values())):
         raise ScalarTypeError("a numerator row is (d, {column: int}) with d a positive int")
-    return {j: n for j, n in nums.items() if n}
+    return d, {j: n for j, n in nums.items() if n}
 
 
 def _fractions(den: int, nums: IntRow) -> SparseRow:
@@ -377,12 +365,9 @@ def _spanned(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> "Echelon":
 def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """Reduced row echelon basis of the span of sparse rows, and its pivots.
 
-    This is the one elimination kernel of the package.  The rows are
-    `ncols` wide, as `Echelon.add` takes them, and are left unmodified.
-    They are taken one at a time by `Echelon.add`, so the basis is in
-    reduced echelon form after every row.  That form is unique for a row
-    space, so the result is a function of the span alone, and every
-    derived basis is reproducible byte for byte.
+    The rows are `ncols` wide and are left unmodified; `Echelon.add` takes
+    them one at a time.  The reduced echelon form is unique for a row
+    space, so the result is a function of the span alone.
     """
     basis = _spanned(rows, ncols)._basis
     pivots = tuple(sorted(basis))
@@ -403,9 +388,9 @@ class Echelon:
     the pivots of the rows that may be nonzero in it, a superset, since
     an entry that cancels leaves its pivot listed.
 
-    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot, so
-    no integer leaves the basis.  The unit vector e_k lies in the span
-    exactly when the row at pivot k is e_k itself (`spans_unit`).
+    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot.  The
+    unit vector e_k lies in the span exactly when the row at pivot k is
+    e_k itself (`spans_unit`).
     """
 
     def __init__(self) -> None:
@@ -420,7 +405,7 @@ class Echelon:
     def add(self, given: SparseRow | NumeratorRow) -> Optional[int]:
         """Add a row of `Fraction`s or a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
         basis, users = self._basis, self._users
-        v = _row(given)
+        v = _row(given)[1]
         _reduce(v, basis)
         if not v:
             return None
@@ -455,22 +440,31 @@ def rref(m) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     return echelon(map(sparse, m.entries), m.cols)
 
 
-def solve_rows(rows: Sequence[SparseRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution x of A x = b, A given by its sparse rows, or None.
+def solve_rows(rows: Sequence[SparseRow | NumeratorRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
+    """One exact solution x of A x = b, A given by its rows, b by `Fraction`s, or None outside A's column span.
 
-    None means b lies outside the column span of A.  The augmented rows
-    (b in column `ncols`) go straight to `echelon`; free variables are
-    set to zero, so the solution is again a function of the input alone.
+    Each augmented row (b in column `ncols`) is put over integers by
+    itself, which leaves the solutions alone, and grows an `Echelon`; only
+    the column of b is read off it.  Free variables are set to zero, so
+    the solution is again a function of the input alone.
     """
     if len(b) != len(rows):
         raise DimensionError(f"rhs length {len(b)} does not match {len(rows)} rows")
-    augmented = [{**row, ncols: bb} if bb else row for row, bb in zip(rows, b)]
-    echelon_rows, pivots = echelon(augmented, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    augmented = []
+    for row, bb in zip(rows, b):
+        d, nums = _row(row)
+        if bb:
+            if type(bb) is not Fraction:
+                raise ScalarTypeError(f"rhs entry {bb!r} of type {type(bb).__name__} is not a Fraction")
+            nums = {j: n * bb.denominator for j, n in nums.items()}
+            nums[ncols] = bb.numerator * d
+        augmented.append((1, nums))
+    basis = _spanned(augmented, ncols + 1)._basis
+    if ncols in basis:
         return None
     x = [ZERO] * ncols
-    for row, p in zip(echelon_rows, pivots):
-        x[p] = row.get(ncols, ZERO)
+    for p, (d, nums) in basis.items():
+        x[p] = Fraction(nums.get(ncols, 0), d)
     return tuple(x)
 
 
@@ -484,8 +478,7 @@ class QuotientSpace:
     reduced by eliminating its pivot entries, over its numerators, which
     leaves entries at the free columns only and vanishes exactly on the
     subspace; its coset coordinates are the entries at the free columns,
-    and a vector of the subspace has its coordinates in the basis at the
-    pivots (`coordinates`).  Every entry handed back is a `Fraction`.
+    and a vector of the subspace has its coordinates at the pivots.
     """
 
     ambient_dim: int
@@ -512,26 +505,27 @@ class QuotientSpace:
     def _position(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.pivots)}
 
-    def _remainder(self, v: SparseRow) -> tuple[int, IntRow]:
-        """The reduction of v as (D, numerators): n / D is its entry at column j."""
-        den, nums = _numerators(v)
-        return den * _reduce(nums, self._basis), nums
+    def coordinates(self, v: SparseRow | NumeratorRow) -> Optional[SparseRow | NumeratorRow]:
+        """The coordinates of a vector in the reduced basis, by row, in the shape of v; None outside the span.
 
-    def coordinates(self, v: SparseRow) -> Optional[SparseRow]:
-        """The coordinates of a sparse vector in the reduced basis, by row; None outside the span.
-
-        The vector lies in the span exactly when its reduction leaves
-        nothing of it, and then its coordinates are its entries at the
-        pivots.
+        v lies in the span exactly when its reduction leaves nothing of it,
+        and then its coordinates are its entries at the pivots: a sparse
+        row, or (D, {row: n}) for a `NumeratorRow` (D, numerators).
         """
-        if self._remainder(v)[1]:
+        remainder = _row(v)[1]
+        _reduce(remainder, self._basis)
+        if remainder:
             return None
         position = self._position
+        if type(v) is tuple:
+            den, nums = v
+            return den, {position[j]: n for j, n in nums.items() if n and j in position}
         return {position[j]: s for j, s in v.items() if j in position}
 
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
         """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
-        return _fractions(*self._remainder(v))
+        den, nums = _numerators(v)
+        return _fractions(den * _reduce(nums, self._basis), nums)
 
     def coset_coordinates(self, v: SparseRow) -> Vector:
         """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""

@@ -7,8 +7,8 @@ unit laws on every basis form of positive degree, and
 `category_violations` for the unit and associativity laws of a category
 on its basis arrows.  `law_defects` computes what the unit laws, d.d = 0,
 Leibniz and associativity leave over with one given form on the left.
-They read the tables through the accessors of `DGCategory` and
-`Category` alone and share no code with `lincat.laws`, which writes the
+They read the stored tables of `DGCategory` and `Category` alone
+(`basis_products`) and share no code with `lincat.laws`, which writes the
 laws once with one form on the left, over integer numerators, and runs
 them for `validate_dg` and `validate_category`; the two must agree.
 """
@@ -33,6 +33,16 @@ def hom_pairs(w, n):
     return [(x, y) for x in range(nobj) for y in range(nobj) if w.dim(n, x, y) > 0]
 
 
+def basis_products(w, p, q, x, y, z):
+    """The stored product block of the basis forms of degree p at (x, y) and q at (y, z), in `Fraction`s.
+
+    Entry [i][j] holds the terms of the product of basis forms i and j;
+    every entry is empty where the tables store no block.
+    """
+    block = (w.gr_comp.get((p, q), {}) if p or q else w.base.comp).get((x, y, z))
+    return (((),) * w.dim(q, y, z),) * w.dim(p, x, y) if block is None else block
+
+
 def _columns(block, rows, cols):
     """Column j of a product block: the products of every left basis form with form j."""
     return tuple(zip(*block)) if rows else ((),) * cols
@@ -47,7 +57,7 @@ def law_violations(w):
     violations = []
     N = w.truncation
     nobj = len(w.base.objects)
-    dim, block, diff = w.dim, w.basis_products, w.diff
+    dim, diff = w.dim, w.diff
 
     def name(n, x, y, k):
         labels = w.space_labels(n, x, y)
@@ -70,8 +80,8 @@ def law_violations(w):
                     for z in range(nobj):
                         if dim(q, y, z) == 0:
                             continue
-                        fg, fdg = block(p, q, x, y, z), block(p, q + 1, x, y, z)
-                        dfg = _columns(block(p + 1, q, x, y, z), dim(p + 1, x, y), dim(q, y, z))
+                        fg, fdg = basis_products(w, p, q, x, y, z), basis_products(w, p, q + 1, x, y, z)
+                        dfg = _columns(basis_products(w, p + 1, q, x, y, z), dim(p + 1, x, y), dim(q, y, z))
                         d_fg, d_g = diff[p + q].get((x, z), ()), diff[q][(y, z)]
                         sign = -1 if p % 2 else 1
                         for i in range(dim(p, x, y)):
@@ -96,12 +106,12 @@ def law_violations(w):
                         for z in range(nobj):
                             if dim(q, y, z) == 0:
                                 continue
-                            fg = block(p, q, x, y, z)
+                            fg = basis_products(w, p, q, x, y, z)
                             for u in range(nobj):
                                 if dim(r, z, u) == 0:
                                     continue
-                                gh, f_gh = block(q, r, y, z, u), block(p, q + r, x, y, u)
-                                fg_h = _columns(block(p + q, r, x, z, u), dim(p + q, x, z), dim(r, z, u))
+                                gh, f_gh = basis_products(w, q, r, y, z, u), basis_products(w, p, q + r, x, y, u)
+                                fg_h = _columns(basis_products(w, p + q, r, x, z, u), dim(p + q, x, z), dim(r, z, u))
                                 for i in range(dim(p, x, y)):
                                     for j in range(dim(q, y, z)):
                                         for k in range(dim(r, z, u)):
@@ -119,7 +129,7 @@ def unit_violations(w):
     for n in range(1, w.truncation + 1):
         for (x, y) in hom_pairs(w, n):
             ox, oy = w.base.objects[x], w.base.objects[y]
-            left, right = w.basis_products(0, n, x, x, y), w.basis_products(n, 0, x, y, y)
+            left, right = basis_products(w, 0, n, x, x, y), basis_products(w, n, 0, x, y, y)
             for k in range(w.dim(n, x, y)):
                 labels = w.space_labels(n, x, y)
                 if _contract(w.base.identity[x], [row[k] for row in left]) != {k: 1}:
@@ -171,7 +181,7 @@ def _product(w, f, g):
     q, _, z, b = g
     out = {}
     if p + q <= w.truncation:
-        block = w.basis_products(p, q, x, y, z)
+        block = basis_products(w, p, q, x, y, z)
         for i, s in a.items():
             for j, t in b.items():
                 for k, u in block[i][j]:

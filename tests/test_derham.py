@@ -10,7 +10,7 @@ from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
 from lincat.chern import certify_cocycle, chern_form
 import lincat.derham
 import lincat.dg
-from lincat.derham import TildeComplex, commutator_span, commutator_system, generator_span, get_complex
+from lincat.derham import TildeComplex, commutator_label, commutator_system, generator_span, get_complex
 from lincat.dg import DGCategory, _generators, certified_generators, render_terms, validate_dg
 from lincat.errors import DimensionError, LincatError, ScalarTypeError
 from lincat.exact_linalg import build_quotient, densify, is_zero_vector, sparse, zero_vector
@@ -22,15 +22,19 @@ from conftest import (
     dual_category,
     dense_diagonal,
     dense_trace_d,
+    line_module,
     linear_quiver_category,
     m2_category,
     matrix_units_category,
+    projective_two_points,
     random_form,
+    random_gauge_connection,
     random_scalar,
     subspace_basis,
     two_points_category,
 )
-from test_dg import UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_quiver, weighted_matrix_units
+from test_dg import (UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_matrix_units, scaled_quiver,
+                     weighted_matrix_units)
 from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
 
 
@@ -339,9 +343,16 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
     rh = get_complex(w)
     for n in range(w.truncation + 1):
         labeled = commutator_spanning_labeled(w, n)
-        # the full span, `generator_span` over every basis form, is the
-        # oracle's commutators of composed basis forms, labels and order too
-        assert [(densify(v, rh.ambient_dim(n)), label) for v, label in commutator_span(w, n)] == labeled, n
+        # the full span of the certificates, `generator_span` over every
+        # basis form, is the oracle's commutators of composed basis forms,
+        # in its order; the label decoded from each index is the oracle's;
+        # and the system's rows are the transposed numerators
+        span, rows = commutator_system(w, n)
+        dim = rh.ambient_dim(n)
+        assert [densify({k: Fraction(s, d) for k, s in row.items()}, dim) for d, row in span] == [
+            v for v, _ in labeled], n
+        assert [commutator_label(w, n, j) for j in range(len(labeled))] == [label for _, label in labeled], n
+        assert rows == [(1, {j: row[i] for j, (_, row) in enumerate(span) if i in row}) for i in range(dim)], n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
 
@@ -564,6 +575,24 @@ def test_trace_classes_match_dense_reduction():
     assert checked == 6 * sum(w.truncation + 1 for w in models)
 
 
+def certificate_against_dense_solve(conn, q):
+    """The (index, coefficient, label) terms of a cocycle certificate and those of a dense solve, and the span size.
+
+    The dense side solves d of the character form against the oracle's
+    labeled commutators of composed basis forms, free variables zero.
+    """
+    w = conn.w
+    cert = certify_cocycle(conn, q)
+    target = dense_trace_d(w, 2 * q, chern_form(conn, q))
+    labeled = commutator_spanning_labeled(w, 2 * q + 1)
+    columns = DenseMatrix(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
+    solution = dense_solve(columns, target) if labeled else ()
+    assert solution is not None
+    expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
+    assert cert.spanning_size == len(labeled)
+    return [(t.index, t.coefficient, t.label) for t in cert.terms], expected
+
+
 def test_m2_cocycle_certificate_matches_dense_solve():
     # a rank-one idempotent and a fixed degree-1 gauge on M2 at truncation 3
     w = universal_dg(m2_category(), 3)
@@ -572,22 +601,54 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     gauge = [1, 0, -2, 2, 1, 0, 0, -1, 1, 2, -2, 0]
     e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, idem),),))
     conn = Connection(ProjectiveModule(w, "P", e), FormMatrix(1, (x,), (x,), ((w.form(1, x, x, gauge),),)))
-    cert = certify_cocycle(conn, 1)
-
-    (omega,) = chern_form(conn, 1)
-    target = dense_trace_d(w, 2, (omega,))
-    labeled = commutator_spanning_labeled(w, 3)
-    columns = DenseMatrix(len(target), len(labeled), tuple(zip(*(v for v, _ in labeled))))
-    solution = dense_solve(columns, target)
-    assert solution is not None
-    expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
-    assert [(t.index, t.coefficient, t.label) for t in cert.terms] == expected
-    assert cert.spanning_size == len(labeled) == 1728
+    got, expected = certificate_against_dense_solve(conn, 1)
+    assert got == expected
+    assert certify_cocycle(conn, 1).spanning_size == 1728
     assert len(expected) > 10
     # the system is built once for the degree and kept on the complex; a
     # second certificate on it is the same
     assert commutator_system(w, 3) is commutator_system(w, 3)
-    assert certify_cocycle(conn, 1) == cert
+    assert certify_cocycle(conn, 1) == certify_cocycle(conn, 1)
+
+
+def weighted_idempotent(w):
+    """The rank-one idempotent [[2, -2], [1, -1]] of M2, in the basis of `weighted_matrix_units(2)`."""
+    x = w.base.objects[0]
+    # a_ij = e_ij (i + 1) / (j + 2), so e_ij has coordinate (j + 2) / (i + 1) at a_ij
+    coords = [Fraction(s * (j + 2), i + 1) for (i, j), s in zip([(1, 1), (1, 2), (2, 1), (2, 2)], (2, -2, 1, -1))]
+    return ProjectiveModule(w, "P", FormMatrix(0, (x,), (x,), ((w.form(0, x, x, coords),),)))
+
+
+# models whose product blocks have denominators, and a model at a higher
+# truncation: each with the modules to certify on, the character indices,
+# and whether any certificate cites a commutator (a quiver with arrows one
+# way only has no diagonal forms above degree 0, so its span is empty)
+CERTIFICATE_MODELS = {
+    "M2-weighted-3": (lambda: universal_dg(weighted_matrix_units(2), 3),
+                      lambda w: [weighted_idempotent(w), ProjectiveModule.free(w, "F", w.base.objects)], (1,), True),
+    "M2-halves-3": (lambda: universal_dg(scaled_matrix_units(2, 2), 3),
+                    lambda w: [ProjectiveModule.free(w, "F", w.base.objects)], (1,), True),
+    "A4-scaled-4": (lambda: universal_dg(scaled_quiver(4), 4),
+                    lambda w: [ProjectiveModule.free(w, "F", w.base.objects)], (1,), False),
+    "two_points-7": (lambda: universal_dg(two_points_category(), 7),
+                     lambda w: [line_module(w), projective_two_points(w)], (1, 2, 3), True),
+}
+
+
+@pytest.mark.parametrize("make, modules, qs, cites", CERTIFICATE_MODELS.values(), ids=CERTIFICATE_MODELS.keys())
+def test_cocycle_certificate_matches_dense_solve_over_denominators(make, modules, qs, cites):
+    # the certificate solves over the integer numerators of the commutators,
+    # each column scaled by its denominator: its terms must still be those
+    # of the dense solve over the commutators themselves, labels included
+    w = make()
+    rng = random.Random(83)
+    cited = 0
+    for m in modules(w):
+        for q in qs:
+            got, expected = certificate_against_dense_solve(random_gauge_connection(m, rng), q)
+            assert got == expected, (m.name, q)
+            cited += len(got)
+    assert bool(cited) == cites
 
 
 # -- cohomology against dense elimination on the class-level differential ----

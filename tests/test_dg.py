@@ -1,6 +1,7 @@
 from fractions import Fraction
 import hashlib
 import itertools
+from math import lcm
 import random
 
 import pytest
@@ -31,7 +32,8 @@ from lincat.workspace import fixture_names, load_fixture
 from envelope_oracle import direct_tables
 from test_exact_linalg import DenseMatrix, dense_kernel
 from law_oracle import law_violations as enumerated_violations
-from law_oracle import category_violations, hom_pairs, law_defects, unit_violations as enumerated_unit_violations
+from law_oracle import basis_products, category_violations, hom_pairs, law_defects
+from law_oracle import unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
     broken_associativity_category,
@@ -387,8 +389,10 @@ ORACLE_ENVELOPES = {
     "A6-6": lambda: (linear_quiver_category(6), 6),
     "two_points-8": lambda: (two_points_category(), 8),
     "dual-6": lambda: (dual_category(), 6),
-    # coefficients with denominators: the contraction's lcm and gcd steps
+    # coefficients with denominators: the contraction's lcm and gcd steps,
+    # and product blocks over denominators in the chain merge
     "M2-halves-3": lambda: (scaled_matrix_units(2, 2), 3),
+    "M2-weighted-3": lambda: (weighted_matrix_units(2), 3),
     "A4-scaled-4": lambda: (scaled_quiver(4), 4),
 }
 
@@ -432,28 +436,35 @@ def test_trusted_handoff_equals_the_checked_constructor(make):
     keys = [(0, 0, *key) for key in c.comp] + [(p, q, *key) for (p, q), table in w.gr_comp.items() for key in table]
     assert sorted(handed) == sorted(keys)
     for key, block in handed.items():
-        den, flat = integral_terms(terms for row in w.basis_products(*key) for terms in row)
+        den, flat = integral_terms(terms for row in basis_products(w, *key) for terms in row)
         assert block == (den, tuple(map(tuple, cut_rows(flat, w.dim(key[1], key[3], key[4]))))), key
         assert checked.integral_products(*key) == block, key
 
 
 def test_chain_subspace_refuses_a_vector_outside_its_span():
-    # degree 1 of M2: the span of a.db inside the chains of one object
+    # degree 1 of M2: the span of a.db inside the chains of one object, from
+    # the builder's numerator rows
     c = m2_category()
     chains = _Chains(c, 1)
     space = chains.spaces[(1, 0, 0)]
-    d_arrow = [chains.d(0, 0, 0, {b: ONE}) for b in range(c.dim(0, 0))]
-    sub = build_quotient(space.dim, [chains.merge(0, 1, 0, 0, 0, {a: ONE}, db)
+    d_arrow = [chains.d_arrow(0, 0, b) for b in range(c.dim(0, 0))]
+    sub = build_quotient(space.dim, [chains.merge(0, 1, 0, 0, 0, (1, {a: 1}), db)
                                      for a in range(c.dim(0, 0)) for db in d_arrow])
     assert 0 < sub.subspace_dim < space.dim
+    free = next(j for j in range(space.dim) if j not in sub.pivots)
     for i, row in enumerate(sub.rows):
         assert sub.coordinates(row) == {i: ONE}
-    # one entry off a basis row, at a column that is no pivot
-    free = next(j for j in range(space.dim) if j not in sub.pivots)
-    for row in sub.rows:
+        # the same row as numerators over a multiple of its denominators,
+        # whose coordinates come back over that denominator
+        d = 3 * lcm(*(s.denominator for s in row.values()))
+        nums = {j: int(s * d) for j, s in row.items()}
+        assert sub.coordinates((d, nums)) == (d, {i: d})
+        # one entry off a basis row, at a column that is no pivot, in
+        # either shape
         moved = dict(row)
         moved[free] = moved.get(free, 0) + ONE
         assert sub.coordinates({j: s for j, s in moved.items() if s}) is None
+        assert sub.coordinates((d, {**nums, free: nums.get(free, 0) + 1})) is None
 
 
 @pytest.mark.parametrize("build", [broken_unit_category, broken_associativity_category])

@@ -323,6 +323,12 @@ def assert_fraction_rows(rows, pivots):
         assert type(row[p]) is Fraction and row[p] == 1, (row, p)
 
 
+def as_numerators(v, k):
+    """A sparse row of Fractions as a numerator row over k times the lcm of its denominators."""
+    d = k * lcm(*(x.denominator for x in v.values()))
+    return d, {j: int(x * d) for j, x in v.items()}
+
+
 def entry_points_match_dense_reference(m, rng):
     """echelon, Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
 
@@ -384,17 +390,24 @@ def entry_points_match_dense_reference(m, rng):
         assert coset == tuple(red.get(c, 0) for c in q.free_columns)
         assert all(type(x) is Fraction for x in coset)
         assert (q.coordinates(sparse(v)) is None) == bool(red)
+        # as a numerator row too: a vector outside the span is refused
+        assert (q.coordinates(as_numerators(sparse(v), 2)) is None) == bool(red)
         # a combination of the rows has that combination as coordinates
         lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rank_)]
         combo = sparse([sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)])
         coords = q.coordinates(combo)
         assert coords == {i: s for i, s in enumerate(lam) if s}
         assert all(type(x) is Fraction for x in coords.values())
+        # and as a numerator row, over the row's own denominator
+        d, nums = as_numerators(combo, 3)
+        assert q.coordinates((d, nums)) == (d, {i: int(s * d) for i, s in enumerate(lam) if s})
         x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols))
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
             got = solve_rows(sparse_rows, cols, b)
             assert got == dense_solve(m, b)
             assert got is None or all(type(s) is Fraction for s in got)
+            # the same rows as numerator rows, each over its own denominator
+            assert solve_rows([as_numerators(r, 2) for r in sparse_rows], cols, b) == got
 
 
 def test_sparse_entry_points_match_dense_front_doors():

@@ -10,6 +10,7 @@ from lincat.errors import DimensionError
 from lincat.form_matrix import FormMatrix, ProductAccumulator
 
 from conftest import m2_category, two_points_category
+from law_oracle import basis_products
 
 
 def half_idempotent_category():
@@ -118,7 +119,7 @@ def test_non_integral_tables_take_the_path_with_a_denominator(models):
     for p in range(4):
         for q in range(4 - p):
             den, rows = w.integral_products(p, q, 0, 0, 0)
-            block = w.basis_products(p, q, 0, 0, 0)
+            block = basis_products(w, p, q, 0, 0, 0)
             assert [[[(k, Fraction(n, den)) for k, n in t] for t in row] for row in rows] \
                 == [[list(t) for t in row] for row in block]
             assert all(type(n) is int for row in rows for t in row for _, n in t)
