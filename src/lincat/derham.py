@@ -151,12 +151,13 @@ def _basis_forms(w: DGCategory, n: int) -> list[Form]:
 def commutator_label(w: DGCategory, n: int, j: int) -> str:
     """The label [u, v]@(x,y) of commutator j of the full degree-n span, which runs over (p, x, y), then u, then v."""
     objs = w.base.objects
+    rest = j
     for p, (x, ox), (y, oy) in itertools.product(range(n + 1), enumerate(objs), enumerate(objs)):
         labels_u, labels_v = w.space_labels(p, x, y), w.space_labels(n - p, y, x)
-        if j < len(labels_u) * len(labels_v):
-            i, k = divmod(j, len(labels_v))
+        if rest < len(labels_u) * len(labels_v):
+            i, k = divmod(rest, len(labels_v))
             return f"[{labels_u[i]}, {labels_v[k]}]@({ox.label},{oy.label})"
-        j -= len(labels_u) * len(labels_v)
+        rest -= len(labels_u) * len(labels_v)
     raise DimensionError(f"no commutator {j} in the degree-{n} span")
 
 

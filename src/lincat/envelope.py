@@ -22,7 +22,7 @@ order, which is unique for the span, so composition tensors and
 differentials are reproducible.  Chain vectors are `NumeratorRow`s,
 (d, {chain: int}): the merge multiplies them over the category's integer
 product blocks, each basis of a degree is read off the integer rows of
-its span (`QuotientSpace._basis`), and no coefficient becomes a
+its span (`QuotientSpace.numerator_rows`), and no coefficient becomes a
 `Fraction` while the tables are built.
 
 The span is the only place where chains are multiplied.  Its products
@@ -223,7 +223,7 @@ def _expressions(coords: list[NumeratorRow], dim: int) -> list[NumeratorRow]:
             missing -= 1
             if not missing:
                 break
-        for k, (d, row) in augmented._basis.items():
+        for k, (d, row) in augmented.numerator_rows.items():
             if k < dim:
                 out[k] = d, {col - dim: n for col, n in row.items() if col >= dim}
     for k in range(dim):
@@ -332,7 +332,7 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict, dict]:
                 start += size
             expr[(n, x, y)] = _over_one([(d, {span[j][:3]: lam for j, lam in e.items()})
                                          for d, e in _expressions(coords, dim)])
-            grown[(x, y)] = [sub._basis[p] for p in sub.pivots]
+            grown[(x, y)] = sub.numerator_rows
             if dim:
                 names = tuple(chains.label(n, x, y, p) for p in sub.pivots)
                 if len(set(names)) != len(names):

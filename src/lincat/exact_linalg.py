@@ -1,66 +1,88 @@
 """Exact linear algebra over the rationals.
 
-Everything in the package ultimately reduces to row reduction, always
-to the reduced row echelon form, which is unique for a row space: no
-pivot is chosen by magnitude or by the order of the work, so every
-derived basis is reproducible byte for byte.
+Everything in the package ultimately reduces to row reduction of
+matrices with `fractions.Fraction` entries, always to the reduced row
+echelon form, which is unique for a row space: no pivot is chosen by
+magnitude or by the order of the work, so every derived basis is
+reproducible byte for byte.
 
 Dense vectors are plain tuples of Fractions: classes of the quotient
 complex enter and leave its methods this way.  Scalars given by a
 caller go through one conversion, `scalar`, which refuses floats.
-Sparse vectors come in three shapes, because the spaces of the package
-are mostly zero and exact arithmetic on a zero still costs a `Fraction`
-operation:
+Sparse vectors come in two shapes, because the spaces of the package
+are mostly zero and exact arithmetic on a zero still costs a
+`Fraction` operation:
 
 * `Terms`, the immutable shape: a tuple of the nonzero (index,
   coefficient) pairs, strictly increasing in index.  Structure
   constants, differentials and forms are stored this way, so two equal
-  vectors have equal terms;
-  `checked_terms` builds them from a map of input scalars, `terms_of`
-  from a sum accumulated in a sparse row, and `add_terms` adds two.
+  vectors have equal terms; `checked_terms` builds them from a map of
+  input scalars, `terms_of` from a sum accumulated in a sparse row, and
+  `add_terms` adds two of them.
 * `SparseRow`, the mutable shape: a map from column index to entry,
-  which sums update in place; a sum may leave cancelled zeros, which
-  `terms_of` drops.
-* `NumeratorRow`, (d, {column: int}) with d a positive int: the
-  numerators over d.  Long sums run this way, in `int`s: `integral_terms`
-  puts `Fraction` vectors over one common denominator, `over_lcm` one
-  vector over the lcm of its own, `cut_rows` cuts a flat list into the
-  rows of a block, and `IntFractions` shares the `Fraction`s of integers
-  on the way back.  `contract_into` adds combinations of sparse vectors
-  into a sparse sum, over `Fraction`s or over numerators.
+  which the product sums update in place.  Elimination takes its rows
+  in this shape and hands back rows and remainders in it, with nonzero
+  entries only; a sum may leave cancelled zeros, which `terms_of`
+  drops.
 
-All elimination runs over integer numerators, in one kernel.  `Echelon`
-grows a reduced echelon basis one row at a time, each row as
-numerators over one positive denominator, its pivot numerator equal to
-that denominator, with no common factor.  A new row is reduced by
-cross-multiplying, v.d - v[p].row, and a new pivot is cleared only from
-the rows that a column index lists there; G and the envelope's
-expressions grow one.  `echelon` hands back the basis of a set of rows.
-A finished span is a `QuotientSpace`, built by `build_quotient` (the
-envelope's chain subspaces, the quotient complex, a module's fixed
-columns): it reduces a vector modulo the span (`reduce_sparse`),
-reads its coset coordinates off the free columns (`coset_coordinates`),
-and reads the coordinates of a vector of the span in its basis, or None
-outside it (`coordinates`), deciding membership on the integer
-remainder.  `solve_rows` solves a linear system given by its rows and
-reads only the solution column of the reduced basis.
+Integer arithmetic stands in for `Fraction`s where sums are long, and
+in elimination (below): `integral_terms` puts sparse vectors over one
+common denominator, as `int` numerators, and `cut_rows` cuts such a
+flat list back into the rows of a block; `over_lcm` puts a single
+vector over the lcm of its own denominators, and `IntFractions` shares
+the `Fraction`s of integers on the way back.  The envelope builder,
+the product blocks of `DGCategory.integral_products`, the law kernel
+of `lincat.laws` and the product kernel of `lincat.form_matrix` all
+convert this way.  One contraction, `contract_into`, adds combinations
+of sparse vectors into a sparse sum, over `Fraction`s or over
+numerators: products and differentials of forms, and every law check,
+are made of it.
 
-A row enters `Echelon.add`, `build_quotient`, `echelon` and
-`solve_rows`, and a vector `QuotientSpace.coordinates`, as a sparse row
-of `Fraction`s or as a `NumeratorRow`, whose scale a span ignores.
-Anything else, a float, a bool or a bare dict of ints, is refused with
-`ScalarTypeError`, as is a vector for the other `QuotientSpace` methods
-that is not all `Fraction`s.  The ints of the kernel are never divided
-with `/`, only by an exact common factor with `//`.  Its integer rows
-are read only here and by the envelope builder, which takes its chain
-bases from `QuotientSpace._basis` and its augmented elimination from
-`Echelon._basis`.  Everything else handed back holds `Fraction`s, each
-pivot entry exactly 1, except the coordinates of a `NumeratorRow`, which
-come back as one.
+All elimination goes through one kernel, `echelon`, which takes sparse
+rows and a column count and adds them one at a time to an `Echelon`;
+a caller that grows a span row by row (the generating set of
+`validate_dg`, the expressions of the envelope builder) holds an
+`Echelon` itself.  The kernel runs over integer numerators: `Echelon`
+keeps each basis row as `int` numerators over one positive denominator,
+the numerator at its pivot equal to that denominator, with no common
+factor.  A new row is put over the lcm of its denominators and reduced
+by cross-multiplying, v.d - v[p].row, which is pure `int` arithmetic
+while every denominator is 1, the common case; a new pivot is then
+cleared only from the rows that a column index lists there.  A
+finished span is a `QuotientSpace`, built from sparse rows by
+`build_quotient`; it keeps the integer rows of its `Echelon` and reduces
+over them a sparse vector modulo the span (`reduce_sparse`), reads its
+coset coordinates, a dense tuple, off the free columns
+(`coset_coordinates`), and reads the coordinates of a vector of the
+span in its basis, or None outside it (`coordinates`), deciding
+membership on the integer remainder.  So `Echelon` (a basis being
+grown) and `QuotientSpace` (a finished one) are the two span types, and
+other modules see their integer rows only through `numerator_rows`:
+the envelope builder reads its chain bases and its expressions there.
+The chain subspaces of the envelope, the quotient complex and the
+fixed columns of a module are all `QuotientSpace`s.  `solve_rows`
+solves a linear system given by its rows and reads only the solution
+column of the reduced basis, and the cohomology of the quotient
+complex calls `echelon` itself.
+
+A row enters `Echelon.add`, `build_quotient`, `echelon` or `solve_rows`,
+and a vector `QuotientSpace.coordinates`, as a sparse row of
+`Fraction`s or as a `NumeratorRow` (d, {column: int}), d > 0, whose
+scale a span ignores: G, the [g, v] commutators, the certificate's
+system and the envelope's chain products come in so.  Anything else, a
+float, a bool or a bare dict of ints, is refused with `ScalarTypeError`,
+as is a vector for the other `QuotientSpace` methods that is not all
+`Fraction`s.  The ints of the kernel are never divided with `/` (only
+by an exact common factor, with `//`), and leave as `Fraction`s: every
+row, remainder, coordinate and solution handed back holds `Fraction`s,
+with each pivot entry exactly 1, except `numerator_rows` and the
+coordinates of a `NumeratorRow`, which stay integers.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
-a dense matrix of Fractions; no library module calls it, but the
-benchmark's tracer (`perfbench/tracing.py`) wraps it by name.
+any dense matrix given by its `rows`, `cols` and `entries`, which must
+be Fractions.  No library module calls it; it stays because the
+benchmark's tracer (`perfbench/tracing.py`) wraps `exact_linalg.rref` by
+name and reads the shape of its argument.
 """
 
 from __future__ import annotations
@@ -365,9 +387,12 @@ def _spanned(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> "Echelon":
 def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """Reduced row echelon basis of the span of sparse rows, and its pivots.
 
-    The rows are `ncols` wide and are left unmodified; `Echelon.add` takes
-    them one at a time.  The reduced echelon form is unique for a row
-    space, so the result is a function of the span alone.
+    This is the one elimination kernel of the package.  The rows are
+    `ncols` wide, as `Echelon.add` takes them, and are left unmodified.
+    They are taken one at a time by `Echelon.add`, so the basis is in
+    reduced echelon form after every row.  That form is unique for a row
+    space, so the result is a function of the span alone, and every
+    derived basis is reproducible byte for byte.
     """
     basis = _spanned(rows, ncols)._basis
     pivots = tuple(sorted(basis))
@@ -388,9 +413,9 @@ class Echelon:
     the pivots of the rows that may be nonzero in it, a superset, since
     an entry that cancels leaves its pivot listed.
 
-    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot.  The
-    unit vector e_k lies in the span exactly when the row at pivot k is
-    e_k itself (`spans_unit`).
+    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot, and
+    `numerator_rows` to its row as kept.  The unit vector e_k lies in the
+    span exactly when the row at pivot k is e_k itself (`spans_unit`).
     """
 
     def __init__(self) -> None:
@@ -401,6 +426,11 @@ class Echelon:
     def rows(self) -> dict[int, SparseRow]:
         basis = self._basis
         return {p: _fractions(*basis[p]) for p in sorted(basis)}
+
+    @property
+    def numerator_rows(self) -> dict[int, NumeratorRow]:
+        """Each pivot's row as the `NumeratorRow` the basis keeps, by pivot; not to be modified, and valid until `add`."""
+        return dict(sorted(self._basis.items()))
 
     def add(self, given: SparseRow | NumeratorRow) -> Optional[int]:
         """Add a row of `Fraction`s or a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
@@ -478,7 +508,9 @@ class QuotientSpace:
     reduced by eliminating its pivot entries, over its numerators, which
     leaves entries at the free columns only and vanishes exactly on the
     subspace; its coset coordinates are the entries at the free columns,
-    and a vector of the subspace has its coordinates at the pivots.
+    and a vector of the subspace has its coordinates in the basis at the
+    pivots (`coordinates`).  Every entry handed back is a `Fraction`,
+    except the coordinates of a `NumeratorRow` and `numerator_rows`.
     """
 
     ambient_dim: int
@@ -500,6 +532,11 @@ class QuotientSpace:
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
         return tuple(_fractions(*self._basis[p]) for p in self.pivots)
+
+    @property
+    def numerator_rows(self) -> tuple[NumeratorRow, ...]:
+        """The basis rows as the `NumeratorRow`s it keeps, by increasing pivot; not to be modified."""
+        return tuple(self._basis[p] for p in self.pivots)
 
     @cached_property
     def _position(self) -> dict[int, int]:

@@ -450,18 +450,20 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
         label = dg.space_labels(n, x, y)[k]
         return {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": label}
 
-    # gr_comp is keyed by (p, q) in increasing order, (0, 0) left out
     products = []
-    for (p, q), table in dg.gr_comp.items():
-        for (x, y, z), block in table.items():
-            for i, row in enumerate(block):
-                for j, terms in enumerate(row):
-                    if terms:
-                        products.append({
-                            "left": address(p, x, y, i),
-                            "right": address(q, y, z, j),
-                            "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x], terms),
-                        })
+    for p in range(0, dg.truncation + 1):
+        for q in range(0, dg.truncation + 1 - p):
+            if p == 0 and q == 0:
+                continue
+            for (x, y, z), block in dg.gr_comp[(p, q)].items():
+                for i, row in enumerate(block):
+                    for j, terms in enumerate(row):
+                        if terms:
+                            products.append({
+                                "left": address(p, x, y, i),
+                                "right": address(q, y, z, j),
+                                "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x], terms),
+                            })
     differentials = []
     for n in range(0, dg.truncation):
         for (x, y), columns in dg.diff[n].items():

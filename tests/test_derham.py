@@ -352,6 +352,8 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
         assert [densify({k: Fraction(s, d) for k, s in row.items()}, dim) for d, row in span] == [
             v for v, _ in labeled], n
         assert [commutator_label(w, n, j) for j in range(len(labeled))] == [label for _, label in labeled], n
+        with pytest.raises(DimensionError, match=f"no commutator {len(labeled)} in the degree-{n} span"):
+            commutator_label(w, n, len(labeled))
         assert rows == [(1, {j: row[i] for j, (_, row) in enumerate(span) if i in row}) for i in range(dim)], n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
@@ -576,7 +578,7 @@ def test_trace_classes_match_dense_reduction():
 
 
 def certificate_against_dense_solve(conn, q):
-    """The (index, coefficient, label) terms of a cocycle certificate and those of a dense solve, and the span size.
+    """A cocycle certificate, its (index, coefficient, label) terms and those of a dense solve.
 
     The dense side solves d of the character form against the oracle's
     labeled commutators of composed basis forms, free variables zero.
@@ -590,7 +592,7 @@ def certificate_against_dense_solve(conn, q):
     assert solution is not None
     expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
     assert cert.spanning_size == len(labeled)
-    return [(t.index, t.coefficient, t.label) for t in cert.terms], expected
+    return cert, [(t.index, t.coefficient, t.label) for t in cert.terms], expected
 
 
 def test_m2_cocycle_certificate_matches_dense_solve():
@@ -601,14 +603,17 @@ def test_m2_cocycle_certificate_matches_dense_solve():
     gauge = [1, 0, -2, 2, 1, 0, 0, -1, 1, 2, -2, 0]
     e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, idem),),))
     conn = Connection(ProjectiveModule(w, "P", e), FormMatrix(1, (x,), (x,), ((w.form(1, x, x, gauge),),)))
-    got, expected = certificate_against_dense_solve(conn, 1)
+    cert, got, expected = certificate_against_dense_solve(conn, 1)
     assert got == expected
-    assert certify_cocycle(conn, 1).spanning_size == 1728
+    assert cert.spanning_size == 1728
     assert len(expected) > 10
     # the system is built once for the degree and kept on the complex; a
-    # second certificate on it is the same
+    # second certificate on it is the same as the first, made while the
+    # system was built, so the first solve left the kept rows as they were
     assert commutator_system(w, 3) is commutator_system(w, 3)
-    assert certify_cocycle(conn, 1) == certify_cocycle(conn, 1)
+    again = certify_cocycle(conn, 1)
+    assert again == cert
+    assert [(t.index, t.coefficient, t.label) for t in again.terms] == expected
 
 
 def weighted_idempotent(w):
@@ -645,7 +650,7 @@ def test_cocycle_certificate_matches_dense_solve_over_denominators(make, modules
     cited = 0
     for m in modules(w):
         for q in qs:
-            got, expected = certificate_against_dense_solve(random_gauge_connection(m, rng), q)
+            _, got, expected = certificate_against_dense_solve(random_gauge_connection(m, rng), q)
             assert got == expected, (m.name, q)
             cited += len(got)
     assert bool(cited) == cites

@@ -356,6 +356,11 @@ def entry_points_match_dense_reference(m, rng):
     q = build_quotient(cols, sparse_rows)
     assert (q.rows, q.pivots) == (got_rows, got_pivots)
     assert_fraction_rows(q.rows, q.pivots)
+    # the integer rows as kept, by pivot: each over its pivot numerator
+    assert tuple(basis.numerator_rows) == got_pivots
+    for kept in (q.numerator_rows, tuple(basis.numerator_rows.values())):
+        assert [{j: Fraction(n, d) for j, n in nums.items()} for d, nums in kept] == list(got_rows)
+        assert all(nums[p] == d and {type(n) for n in nums.values()} == {int} for (d, nums), p in zip(kept, got_pivots))
     # the same rows as numerator rows (d, {column: int}): each over a random
     # multiple of its denominators, with a random sign and a zero numerator
     # at a column it leaves out, none of which matters to the span
