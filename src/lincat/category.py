@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError, ScalarTypeError
-from .exact_linalg import Terms, checked_terms, scalar
+from .exact_linalg import Terms, checked_terms, integral_block, scalar
 
 # products of basis elements: entry [i][j] holds the terms of b_i . b_j
 ProductRows = tuple[tuple[Terms, ...], ...]
@@ -161,6 +162,14 @@ class Category:
         """The nonzero (k, s) terms of b_i . b_j, for b_i at (x, y) and b_j at (y, z)."""
         block = self.comp.get((x, y, z))
         return () if block is None else block[i][j]
+
+    @cached_property
+    def integral_comp(self) -> dict[tuple[int, int, int], tuple[int, tuple]]:
+        """The blocks of `comp`, each over one denominator (`integral_block`): the one integer copy, made on first read.
+
+        The envelope builder and every `DGCategory` over the category read these blocks.
+        """
+        return {(x, y, z): integral_block(block, self.dim(y, z)) for (x, y, z), block in self.comp.items()}
 
 
 def validate_category(c: Category) -> list[Violation]:

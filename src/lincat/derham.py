@@ -15,13 +15,12 @@ g in G and v a form.  When the words of G, the generating set of
 therefore spanned by the [g, v] with g in G and v a basis form of
 degree n - |g| (`generator_span`, numerator rows summed over integer
 blocks); truncation is a quotient by an ideal, so the identity holds
-in the truncated category too.  It needs associativity, so this
-spanning set is used only when the laws hold on G
-(`certified_generators`, which `validate_dg` shares); on tables that
-fail a law there, the quotient is taken by every commutator of basis
-forms, `generator_span` with every basis form as a generator.  The
-reduced echelon basis of a span is unique, so both give the same rows,
-pivots and classes.
+in the truncated category too.  It needs associativity, so the
+quotient is built only when the laws hold on G (`certified_generators`,
+which `validate_dg` shares).  Tables that fail a law there are no DG
+category, and their quotient is not the complex of the paper, so
+`get_complex` refuses them with `CategoryAxiomError`, naming the first
+violation of `validate_category` and `validate_dg`.
 
 The differential descends to the quotient, and that it does is checked
 rather than assumed: the reduced echelon rows of each commutator
@@ -73,8 +72,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .dg import DGCategory, Form, certified_generators, render_terms
-from .errors import DimensionError, LincatError
+from .category import validate_category
+from .dg import DGCategory, Form, certified_generators, render_terms, validate_dg
+from .errors import CategoryAxiomError, DimensionError, LincatError
 from .exact_linalg import (
     ONE,
     NumeratorRow,
@@ -180,12 +180,16 @@ class DeRhamComplex:
             self.component_dims.append(dims)
             self.component_offsets.append(offsets(dims))
 
-        # the commutators of each degree, spanned by [g, v] with g in G
-        # once the laws hold on G, else by every commutator of basis forms
         gens, lawful = certified_generators(w)
+        if not lawful:
+            # a law that fails at degree 0 alone is one of the category's
+            violations = validate_category(w.base) + validate_dg(w)
+            raise CategoryAxiomError(
+                f"laws fail ({len(violations)} violation(s), first {violations[0].kind} at "
+                f"{violations[0].where}); no quotient complex is built", violations)
+        # the commutators of each degree, spanned by [g, v] with g in G
         self.quotients: list[QuotientSpace] = [
-            build_quotient(self.ambient_dim(n), generator_span(w, n, gens if lawful else _basis_forms(w, n)))
-            for n in range(N + 1)
+            build_quotient(self.ambient_dim(n), generator_span(w, n, gens)) for n in range(N + 1)
         ]
         # d on the ambient diagonal space of each degree, column j holding
         # d of the j-th basis vector; out of the top degree it is zero

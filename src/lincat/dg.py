@@ -13,19 +13,21 @@ the unit, d.d = 0, Leibniz and associativity laws of any of them.
 
 Tables are sparse from end to end, because nearly all entries of the
 dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
-and differentials as ``{j: {i: s}}`` columns, and both are stored as
-tuples of their nonzero (index, coefficient) terms.  A table key that
-the constructor's loops never read (out of range, or with entries at a
-zero space) raises `DimensionError` rather than being ignored.  Every
-product kernel, `compose` included, reads each product block over one
-denominator, as integer numerators (`integral_products`); a universal
-envelope keeps only its builder's blocks and derives `gr_comp` from them.
+and differentials as ``{j: {i: s}}`` columns.  A differential is stored
+as tuples of its nonzero (index, coefficient) terms.  The products have
+one store, whichever constructor builds the envelope: each block over
+one denominator, as integer numerators, the category's own blocks
+included (`integral_products`).  Every product kernel, `compose`
+included, reads that store, and `gr_comp`, the products as terms, is a
+view derived from it on first read.  A table key that the constructor's
+loops never read (out of range, or with entries at a zero space) raises
+`DimensionError` rather than being ignored.
 
-A `Form` holds the same sorted, nonzero terms as the tables, and a
-degree-0 form is a morphism of the base category: `trivial_dg(c)` has
-no other forms, so it is the category c itself.  Dense coordinates
-enter a form only through `DGCategory.form`.  Matrices of forms and
-their products live in `lincat.form_matrix`.
+A `Form` holds sorted, nonzero terms, as the differential and `gr_comp`
+do, and a degree-0 form is a morphism of the base category:
+`trivial_dg(c)` has no other forms, so it is the category c itself.
+Dense coordinates enter a form only through `DGCategory.form`.
+Matrices of forms and their products live in `lincat.form_matrix`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -57,8 +58,8 @@ from .exact_linalg import (
     add_terms,
     checked_terms,
     contract_into,
-    cut_rows,
-    integral_terms,
+    fraction_terms,
+    integral_block,
     over_lcm,
     scalar,
     sparse,
@@ -125,18 +126,18 @@ class DGCategory:
     at basis form k of degree p + q at (x, z).  ``diff[n][(x, y)]`` is
     ``{j: {i: s}}``: d of basis form j of degree n has coefficient s at
     basis form i of degree n + 1.  Every index is checked against the
-    dimensions, and the tables are stored as nonzero (index, coefficient)
-    terms sorted by index: ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the
-    terms of that product and ``diff[n][(x, y)][j]`` those of d of basis
-    form j, both empty where the input gave nothing.  A key these loops
-    do not read is refused by `refuse_unread`: a degree outside the
+    dimensions.  Each product block is stored over one denominator, as
+    `integral_products` hands it out, next to the category's blocks
+    (`Category.integral_comp`); ``gr_comp[(p, q)][(x, y, z)][i][j]``, a
+    view derived on first read, holds the sorted nonzero terms of that
+    product.  ``diff[n][(x, y)][j]`` holds those of d of basis form j.
+    Both are empty where the input gave nothing.  A key these loops do
+    not read is refused by `refuse_unread`: a degree outside the
     truncation, an object index out of range, or entries at a zero space.
 
-    Only `universal_dg` skips the check, handing over its builder's
+    Only `universal_dg` skips the checks, handing over its builder's
     differential and integer product blocks in a private `_Built`; a test
-    holds that path to the checked one.  It keeps only those blocks of its
-    products and derives `gr_comp` on first read (`compose`, like every
-    product kernel, reads `integral_products`).
+    holds that path to the checked one.  The two paths store the same.
     """
 
     def __init__(
@@ -154,8 +155,6 @@ class DGCategory:
         nobj = len(base.objects)
         self._derham = None  # memo slot used by the quotient-complex builder
         self._generating_set = None  # memo slot of `certified_generators`
-        # the integer product blocks of `integral_products`, by (p, q, x, y, z)
-        self._integral: dict[tuple[int, int, int, int, int], tuple[int, tuple]] = {}
 
         degrees = range(1, truncation + 1)
         refuse_unread(gr_basis, degrees, (), f"form bases at truncation {truncation}")
@@ -174,28 +173,22 @@ class DGCategory:
             return
         pairs = set(itertools.product(range(nobj), repeat=2))
         triples = set(itertools.product(range(nobj), repeat=3))
-        self.gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]] = {}
-        for p in range(0, truncation + 1):
-            for q in range(0, truncation + 1 - p):
-                if p == 0 and q == 0:
-                    continue
-                given = gr_comp.get((p, q), {})
-                table = {}
-                for x in range(nobj):
-                    for y in range(nobj):
-                        dp = self.dim(p, x, y)
-                        if dp == 0:
-                            continue
-                        for z in range(nobj):
-                            dq = self.dim(q, y, z)
-                            if dq:
-                                table[(x, y, z)] = product_rows(
-                                    given.get((x, y, z), {}), dp, dq, self.dim(p + q, x, z),
-                                    f"composition ({p},{q}) at {(x, y, z)}",
-                                )
-                refuse_unread(given, table, triples, f"composition ({p},{q})")
-                self.gr_comp[(p, q)] = table
-        refuse_unread(gr_comp, self.gr_comp, (), f"composition at truncation {truncation}")
+        # the one product store, that `universal_dg` hands over too: every
+        # block of `integral_products` by (p, q, x, y, z), the category's included
+        self._integral = {(0, 0, *key): block for key, block in base.integral_comp.items()}
+        degree_pairs = [(p, q) for p in range(truncation + 1) for q in range(truncation + 1 - p) if p or q]
+        for p, q in degree_pairs:
+            given = gr_comp.get((p, q), {})
+            read = set()
+            for x, y, z in itertools.product(range(nobj), repeat=3):
+                dp, dq = self.dim(p, x, y), self.dim(q, y, z)
+                if dp and dq:
+                    rows = product_rows(given.get((x, y, z), {}), dp, dq, self.dim(p + q, x, z),
+                                        f"composition ({p},{q}) at {(x, y, z)}")
+                    self._integral[(p, q, x, y, z)] = integral_block(rows, dq)
+                    read.add((x, y, z))
+            refuse_unread(given, read, triples, f"composition ({p},{q})")
+        refuse_unread(gr_comp, degree_pairs, (), f"composition at truncation {truncation}")
 
         # d out of degree n at (x, y), one tuple of terms per basis form;
         # out of the top degree every column is empty
@@ -268,20 +261,21 @@ class DGCategory:
         out: IntRow = {}
         for i, a in f_nums:
             contract_into(out, g_nums, block[i], a)
-        den *= f_den * g_den
-        return Form(p + q, g.dom, f.cod, tuple((k, Fraction(n, den)) for k, n in sorted(out.items()) if n))
+        return Form(p + q, g.dom, f.cod, fraction_terms(den * f_den * g_den, out))
 
     @cached_property
     def gr_comp(self) -> dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]]:
-        """A universal envelope's products as stored terms, derived from its integer blocks on first read.
+        """The products of positive total degree as stored terms, derived from the integer blocks on first read.
 
-        The checked constructor's own table shadows this.  The keys follow
-        its loops, which is the sorted order of the blocks' keys.
+        A read-only view: ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the
+        terms of the product of basis forms i and j.  The keys come in
+        the sorted order of the blocks' keys, as the checked constructor
+        reads its input.
         """
         ints, N = IntFractions(), self.truncation
         out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
         for (p, q, x, y, z), (den, rows) in sorted(self._integral.items()):
-            if (p, q) in out and self.dim(p, x, y) and self.dim(q, y, z):
+            if p or q:
                 out[(p, q)][(x, y, z)] = tuple(tuple(ints.terms(den, terms) for terms in row) for row in rows)
         return out
 
@@ -290,21 +284,13 @@ class DGCategory:
 
         Entry [i][j] of rows holds (k, D * s) over the terms (k, s) of the
         product of basis forms i and j, D the lcm of the block's
-        denominators; it is empty when p + q lies above the truncation.
-        A block no builder handed over is made from the stored terms once.
+        denominators.  The block is the stored one; it is empty when
+        p + q lies above the truncation or either space is zero.
         """
-        key = (p, q, x, y, z)
-        view = self._integral.get(key)
-        if view is None:
-            dp, dq = self.dim(p, x, y), self.dim(q, y, z)
-            if p + q > self.truncation or not dp or not dq:
-                view = 1, (((),) * dq,) * dp
-            else:
-                block = (self.gr_comp[(p, q)] if p or q else self.base.comp)[(x, y, z)]
-                den, flat = integral_terms(terms for row in block for terms in row)
-                view = den, tuple(map(tuple, cut_rows(flat, dq)))
-            self._integral[key] = view
-        return view
+        block = self._integral.get((p, q, x, y, z))
+        if block is None:
+            return 1, (((),) * self.dim(q, y, z),) * self.dim(p, x, y)
+        return block
 
     def d(self, f: Form) -> Form:
         n = f.degree

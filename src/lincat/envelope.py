@@ -59,9 +59,10 @@ Each derived entry is covered by these checks:
   pair of basis forms, in `Fraction`s) that they keep as an oracle.
 
 The contraction sums Python ints over one denominator per block, in
-the manner of `lincat.form_matrix.ProductAccumulator`.  Those integer
-blocks are what `DGCategory` keeps of the products, as the blocks of
-`integral_products`; only the differential is stored as `Fraction`s.
+the manner of `lincat.form_matrix.ProductAccumulator`, starting from
+the category's own blocks (`Category.integral_comp`).  Those integer
+blocks are the one product store of `DGCategory`, which the checked
+constructor fills too; only the differential is stored as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import (Echelon, IntFractions, IntRow, NumeratorRow, build_quotient, cut_rows, integral_terms,
-                           over_lcm)
+from .exact_linalg import Echelon, IntFractions, IntRow, NumeratorRow, build_quotient, cut_rows, over_lcm
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -123,10 +123,7 @@ class _Chains:
         # the basis arrow that is an object's identity, where there is one
         self.unit = {x: terms[0][0] for x, terms in c.identity.items() if len(terms) == 1 and terms[0][1] == 1}
         # the category's products over one denominator per block, and their lcm
-        self.products: dict[tuple[int, int, int], IntBlock] = {}
-        for (x, y, z), block in c.comp.items():
-            den, flat = integral_terms(terms for row in block for terms in row)
-            self.products[(x, y, z)] = den, tuple(map(tuple, cut_rows(flat, c.dim(y, z))))
+        self.products: dict[tuple[int, int, int], IntBlock] = c.integral_comp
         self.den = lcm(*(den for den, _ in self.products.values()))
         # chains by a walk: the degree-n interiors from x to y extend the
         # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
@@ -276,17 +273,16 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
     them out.  The rules hold in a category only: `c` must pass
     `validate_category`, which `lincat.dg.universal_dg` checks first.
     """
-    gr_basis, products, dims, right, expr = _spans(c, truncation)
-    return gr_basis, *_derived_tables(c, truncation, products, dims, right, expr)
+    gr_basis, dims, right, expr = _spans(c, truncation)
+    return gr_basis, *_derived_tables(c, truncation, dims, right, expr)
 
 
-def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict, dict]:
+def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
     """The bases of every degree, from the span rule, and what the tables need of their spans.
 
-    Returns gr_basis, the category's integer product blocks by (x, y, z),
-    the dimensions by (n, x, y), and the blocks `right` and `expr`
-    described below.  The chain vectors of a degree are dropped once the
-    next degree has taken its products.
+    Returns gr_basis, the dimensions by (n, x, y), and the blocks `right`
+    and `expr` described below.  The chain vectors of a degree are
+    dropped once the next degree has taken its products.
     """
     objects = range(len(c.objects))
     pairs = [(x, y) for x in objects for y in objects]
@@ -343,18 +339,18 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict, dict]:
                 level[(x, y)] = names
         gr_basis[n] = level
         basis = grown
-    return gr_basis, chains.products, dims, right, expr
+    return gr_basis, dims, right, expr
 
 
-def _derived_tables(c: Category, N: int, base: dict, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
+def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
     """diff and the integer product blocks of the envelope, by the three rules.
 
-    `base`, `dims`, `right` and `expr` are those of `_spans`.  The blocks
+    `dims`, `right` and `expr` are those of `_spans`.  The blocks
     of one total degree are made from those of the degree below, over one
     denominator each, and all of them are kept; the differential is
     stored as terms, the `Fraction`s of equal integers shared.
     """
-    objects = range(len(c.objects))
+    objects, base = range(len(c.objects)), c.integral_comp
     ints = IntFractions()
 
     def scaled(e_block: IntBlock, dens: dict) -> IntBlock:

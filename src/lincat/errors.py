@@ -57,12 +57,15 @@ class WorkspaceError(LincatError):
 
 
 class CategoryAxiomError(WorkspaceError):
-    """A category fails its unit or associativity laws.
+    """A category fails its unit or associativity laws, or a graded category its graded laws.
 
     Raised by `universal_dg` before it builds anything, because the
-    universal envelope needs a category.  `violations` are the failures
-    that `validate_category` reports; `workspace` names the document
-    when a universal-model workspace is parsed, and is None otherwise.
+    universal envelope needs a category, and by `get_complex` when the
+    laws fail on the generating set of `validate_dg`, because the
+    quotient complex needs a DG category.  `violations` are the failures
+    that `validate_category` (and `validate_dg`) reports; `workspace` names
+    the document when a universal-model workspace is parsed, and is None
+    otherwise.
     """
 
     def __init__(self, message: str, violations: list, workspace: Optional[str] = None):

@@ -28,9 +28,11 @@ are mostly zero and exact arithmetic on a zero still costs a
 Integer arithmetic stands in for `Fraction`s where sums are long, and
 in elimination (below): `integral_terms` puts sparse vectors over one
 common denominator, as `int` numerators, and `cut_rows` cuts such a
-flat list back into the rows of a block; `over_lcm` puts a single
-vector over the lcm of its own denominators, and `IntFractions` shares
-the `Fraction`s of integers on the way back.  The envelope builder,
+flat list back into the rows of a block (`integral_block` does both
+for a product block); `over_lcm` puts a single vector over the lcm of
+its own denominators.  On the way back, `fraction_terms` makes the
+terms of an integer sum over its denominator, and `IntFractions`
+shares the `Fraction`s of integers.  The envelope builder,
 the product blocks of `DGCategory.integral_products`, the law kernel
 of `lincat.laws` and the product kernel of `lincat.form_matrix` all
 convert this way.  One contraction, `contract_into`, adds combinations
@@ -172,6 +174,12 @@ def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[i
     return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
 
 
+def integral_block(rows: Iterable[Iterable[Terms]], width: int) -> tuple[int, tuple]:
+    """Rows of `width` terms each over one denominator: (D, rows), entry [i][j] holding (k, D * s) over its terms (k, s)."""
+    den, flat = integral_terms(terms for row in rows for terms in row)
+    return den, tuple(map(tuple, cut_rows(flat, width)))
+
+
 def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, Sequence[tuple[int, int]]]:
     """One sparse vector over the lcm of its denominators: (D, [(k, n)]) with n / D the coefficient at k.
 
@@ -198,6 +206,13 @@ class IntFractions(dict):
         if den == 1:
             return tuple((k, self[n]) for k, n in pairs)
         return tuple((k, Fraction(n, den)) for k, n in pairs)
+
+
+def fraction_terms(den: int, row: IntRow) -> Terms:
+    """The terms of the sparse integer sum `row` over a positive `den`: one `Fraction` per nonzero entry."""
+    if den == 1:
+        return tuple((k, Fraction(n)) for k, n in sorted(row.items()) if n)
+    return tuple((k, Fraction(n, den)) for k, n in sorted(row.items()) if n)
 
 
 def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
@@ -321,13 +336,6 @@ def _row(given: SparseRow | NumeratorRow) -> tuple[int, IntRow]:
     return d, {j: n for j, n in nums.items() if n}
 
 
-def _fractions(den: int, nums: IntRow) -> SparseRow:
-    """Numerators over a positive denominator as a sparse row of Fractions, by increasing column."""
-    if den == 1:
-        return {j: Fraction(n) for j, n in sorted(nums.items())}
-    return {j: Fraction(n, den) for j, n in sorted(nums.items())}
-
-
 def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
     """A basis row over the gcd of its denominator and numerators, a divisor of den, its pivot numerator."""
     if den != 1 and (g := gcd(den, *nums.values())) != 1:
@@ -396,7 +404,7 @@ def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple
     """
     basis = _spanned(rows, ncols)._basis
     pivots = tuple(sorted(basis))
-    return tuple(_fractions(*basis[p]) for p in pivots), pivots
+    return tuple(dict(fraction_terms(*basis[p])) for p in pivots), pivots
 
 
 class Echelon:
@@ -425,7 +433,7 @@ class Echelon:
     @property
     def rows(self) -> dict[int, SparseRow]:
         basis = self._basis
-        return {p: _fractions(*basis[p]) for p in sorted(basis)}
+        return {p: dict(fraction_terms(*basis[p])) for p in sorted(basis)}
 
     @property
     def numerator_rows(self) -> dict[int, NumeratorRow]:
@@ -531,7 +539,7 @@ class QuotientSpace:
 
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
-        return tuple(_fractions(*self._basis[p]) for p in self.pivots)
+        return tuple(dict(fraction_terms(*self._basis[p])) for p in self.pivots)
 
     @property
     def numerator_rows(self) -> tuple[NumeratorRow, ...]:
@@ -562,7 +570,7 @@ class QuotientSpace:
     def reduce_sparse(self, v: SparseRow) -> SparseRow:
         """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
         den, nums = _numerators(v)
-        return _fractions(den * _reduce(nums, self._basis), nums)
+        return dict(fraction_terms(den * _reduce(nums, self._basis), nums))
 
     def coset_coordinates(self, v: SparseRow) -> Vector:
         """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""

@@ -26,14 +26,13 @@ products of `tforms` do, converts it once (`_integral_entries`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .category import ObjectId
 from .dg import DGCategory, Form
 from .errors import DimensionError
-from .exact_linalg import over_lcm
+from .exact_linalg import fraction_terms, over_lcm
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ class ProductAccumulator:
     def matrix(self) -> FormMatrix:
         deg, rf, cf = self.degree, self.row_family, self.col_family
         return FormMatrix(deg, rf, cf, tuple(
-            tuple(Form(deg, oj, oi, _fraction_terms(out, den)) for oj, out, den in zip(cf, row, dens))
+            tuple(Form(deg, oj, oi, fraction_terms(den, out)) for oj, out, den in zip(cf, row, dens))
             for oi, row, dens in zip(rf, self.sums, self.dens)
         ))
 
@@ -223,13 +222,6 @@ class ProductAccumulator:
 def _integral_entries(m: FormMatrix) -> list[list[tuple[int, Sequence[tuple[int, int]]]]]:
     """The entries of a form matrix, each over one denominator by `over_lcm`."""
     return [[over_lcm(f.terms) for f in row] for row in m.entries]
-
-
-def _fraction_terms(out: dict[int, int], den: int):
-    """The terms of the sparse integer sum `out` over `den`: one `Fraction` per nonzero entry."""
-    if den == 1:
-        return tuple((k, Fraction(n)) for k, n in sorted(out.items()) if n)
-    return tuple((k, Fraction(n, den)) for k, n in sorted(out.items()) if n)
 
 
 def block_diag(w: DGCategory, a: FormMatrix, b: FormMatrix) -> FormMatrix:

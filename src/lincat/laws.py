@@ -11,16 +11,16 @@ set has failed, and `validate_category` in `lincat.category`, the report
 on `trivial_dg(c)`, where d = 0 and no form lies above degree 0, so
 only the unit and associativity laws of the category can fail.  All of
 them read the products and differentials of basis forms straight from
-the stored terms of a `DGCategory` and contract them into sparse sums
-with `lincat.exact_linalg.contract_into`, the contraction that
-`compose` and `d` run too, without building a form per factor.
+the tables of a `DGCategory` and contract them into sparse sums with
+`lincat.exact_linalg.contract_into`, the contraction that `compose` and
+`d` run too, without building a form per factor.
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
-`DGCategory.integral_products` (a universal envelope's are its
-builder's), each degree of the differential goes over one denominator
-through `integral_terms` (`_differentials`), and each identity over the
-lcm of its own denominators (`over_lcm`).  A
+`DGCategory.integral_products`, as every envelope stores it, each
+degree of the differential goes over one denominator through
+`integral_terms` (`_differentials`), and each identity over the lcm of
+its own denominators (`over_lcm`).  A
 left factor goes over the lcm of its own denominators too, which then
 drops out: both sides of every law are linear in it.  The two sides of
 a law are summed from different blocks, so each is cross-multiplied by

@@ -7,17 +7,20 @@ import weakref
 import pytest
 
 from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
+from lincat.category import validate_category
 from lincat.chern import certify_cocycle, chern_form
 import lincat.derham
 import lincat.dg
 from lincat.derham import TildeComplex, commutator_label, commutator_system, generator_span, get_complex
-from lincat.dg import DGCategory, _generators, certified_generators, render_terms, validate_dg
-from lincat.errors import DimensionError, LincatError, ScalarTypeError
+from lincat.dg import DGCategory, _generators, certified_generators, render_terms, trivial_dg, validate_dg
+from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
 from lincat.exact_linalg import build_quotient, densify, is_zero_vector, sparse, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
+    broken_associativity_category,
+    broken_unit_category,
     dense_ambient_d,
     dual_category,
     dense_diagonal,
@@ -290,6 +293,19 @@ def test_class_of_trace_is_linear_and_checks_its_components(two5):
     assert rh.class_of_trace(6, [w.zero_form(6, x, x)]) == ()
 
 
+def past_the_law_check(w):
+    """`w`, refused by `get_complex`, with the verdict of its law check forced to "holds", as a faulty kernel would.
+
+    On tables that keep the laws, d descends to the quotient; the
+    closure check behind the refusal is reached only through such a
+    verdict.
+    """
+    with pytest.raises(CategoryAxiomError):
+        get_complex(w)
+    w._generating_set = certified_generators(w)[0], True
+    return w
+
+
 def test_closure_check_rejects_tables_that_break_it():
     # M2 with a degree-1 space {th}, no products and d(e11) = th: the
     # degree-0 commutator [e12, e21] = e11 - e22 has d = th, while every
@@ -297,7 +313,7 @@ def test_closure_check_rejects_tables_that_break_it():
     c = m2_category()
     w = DGCategory(c, 1, {1: {(0, 0): ["th"]}}, {}, {0: {(0, 0): {0: {0: 1}}}})
     with pytest.raises(LincatError, match="not closed under d"):
-        get_complex(w)
+        get_complex(past_the_law_check(w))
 
 
 def test_closure_check_rejects_a_corrupted_degree_one_differential():
@@ -309,15 +325,19 @@ def test_closure_check_rejects_a_corrupted_degree_one_differential():
     assert get_complex(rebuilt(w, comp, diff)).dim(2) == 1
     diff[1][(0, 0)][1][0] += 1
     with pytest.raises(LincatError, match="degree-1 commutators are not closed under d"):
-        get_complex(rebuilt(w, comp, diff))
+        get_complex(past_the_law_check(rebuilt(w, comp, diff)))
 
 
 # -- the quotient from the generating set against the full commutator span ---
 
 
+def ambient_dim(w, n):
+    return sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
+
+
 def full_span_quotient(w, n):
     """The quotient by every commutator of basis forms, from the oracle's dense span."""
-    return build_quotient(get_complex(w).ambient_dim(n), [sparse(v) for v, _ in commutator_spanning_labeled(w, n)])
+    return build_quotient(ambient_dim(w, n), [sparse(v) for v, _ in commutator_spanning_labeled(w, n)])
 
 
 GENERATOR_SPAN_MODELS = {
@@ -440,23 +460,31 @@ def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):
     assert sum(q.subspace_dim for q in rh.quotients) == 142
 
 
-def test_quotient_falls_back_to_the_full_span_where_a_law_fails_on_g():
+def test_quotient_refuses_a_model_whose_laws_fail_on_g():
     # two points at truncation 2 with one entry added to the product of the
-    # second degree-1 basis form with itself: associativity fails on G, the
-    # [g, v] then span less than the commutators, and the quotient is still
-    # the one by every commutator of basis forms
+    # second degree-1 basis form with itself: associativity fails on G, and
+    # the [g, v] then span less than the commutators; such tables are no DG
+    # category, so no quotient complex is built, and the refusal names the
+    # first violation
     w = universal_dg(two_points_category(), 2)
     comp, diff = dense_tables(w)
     comp[(1, 1)][(0, 0, 0)][1][1][1] += 1
     v = rebuilt(w, comp, diff)
     gens, lawful = certified_generators(v)
     assert not lawful
-    assert {x.kind for x in validate_dg(v)} == {"dg-associativity"}
-    rh = get_complex(v)
-    narrow = build_quotient(rh.ambient_dim(2), generator_span(v, 2, gens))
-    assert narrow != full_span_quotient(v, 2)
-    for n in range(v.truncation + 1):
-        assert rh.quotients[n] == full_span_quotient(v, n), n
+    violations = validate_dg(v)
+    assert {x.kind for x in violations} == {"dg-associativity"}
+    with pytest.raises(CategoryAxiomError) as caught:
+        get_complex(v)
+    assert caught.value.violations == violations
+    assert f"first dg-associativity at {violations[0].where}" in str(caught.value)
+    assert v._derham is None
+    assert build_quotient(ambient_dim(v, 2), generator_span(v, 2, gens)) != full_span_quotient(v, 2)
+    # a law that fails at degree 0 only is named by the category's report
+    for c in (broken_unit_category(), broken_associativity_category()):
+        with pytest.raises(CategoryAxiomError) as caught:
+            get_complex(trivial_dg(c))
+        assert caught.value.violations == validate_category(c) != []
 
 
 def test_generating_set_is_built_once_for_validation_and_the_quotient(monkeypatch):

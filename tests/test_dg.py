@@ -379,6 +379,17 @@ def scaled_quiver(n):
     )
 
 
+def kronecker_category():
+    """Two objects and two parallel arrows a, b from 0 to 1: hom spaces of dimensions 1 and 2 meet in a product."""
+    return build_category(
+        ["0", "1"],
+        {("0", "0"): ["e0"], ("1", "1"): ["e1"], ("1", "0"): ["a", "b"]},
+        {("e0", "e0"): {"e0": 1}, ("e1", "e1"): {"e1": 1}, ("e1", "a"): {"a": 1}, ("e1", "b"): {"b": 1},
+         ("a", "e0"): {"a": 1}, ("b", "e0"): {"b": 1}},
+        {"0": {"e0": 1}, "1": {"e1": 1}},
+    )
+
+
 # the derived tables against the direct fill, one chain merge per pair of
 # basis forms; each entry makes (category, truncation)
 ORACLE_ENVELOPES = {
@@ -415,6 +426,8 @@ HANDOFF_ENVELOPES = {
     "two_points-8": lambda: (two_points_category(), 8),
     "dual-6": lambda: (dual_category(), 6),
     "A4-4": lambda: (linear_quiver_category(4), 4),
+    # product blocks whose two factors have hom spaces of different dimensions
+    "kronecker-3": lambda: (kronecker_category(), 3),
     # coefficients with denominators
     "M2-halves-3": lambda: (scaled_matrix_units(2, 2), 3),
     "M2-weighted-3": lambda: (weighted_matrix_units(2), 3),
@@ -439,6 +452,35 @@ def test_trusted_handoff_equals_the_checked_constructor(make):
         den, flat = integral_terms(terms for row in basis_products(w, *key) for terms in row)
         assert block == (den, tuple(map(tuple, cut_rows(flat, w.dim(key[1], key[3], key[4]))))), key
         assert checked.integral_products(*key) == block, key
+
+
+@pytest.mark.parametrize("name", [*HANDOFF_ENVELOPES, "circle_tables"])
+def test_checked_constructor_keeps_only_the_integer_store(name):
+    # the checked constructor stores the integer blocks that `universal_dg`
+    # hands over, and no `Fraction` table until `gr_comp` is read; reading
+    # the blocks, as validation does, adds nothing to the store
+    if name == "circle_tables":
+        # its tables, which the workspace has read back into its document:
+        # 1.1 = 1, 1.th = th and th.1 = th, each block over denominator 1
+        tables = load_fixture(name).dg
+        w = DGCategory(tables.base, tables.truncation, *own_tables(tables))
+        store = {key: (1, ((((0, 1),),),)) for key in [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]}
+        envelopes = [w]
+    else:
+        c, truncation = HANDOFF_ENVELOPES[name]()
+        universal = universal_dg(c, truncation)
+        store = dict(universal._integral)
+        w = DGCategory(c, truncation, *own_tables(universal))
+        assert validate_dg(universal) == []
+        assert universal._integral == store
+        envelopes = [w, universal]
+    assert validate_dg(w) == []
+    assert "gr_comp" not in w.__dict__
+    assert w._integral == store
+    # the category's blocks are made once, and every envelope over it keeps them
+    for v in envelopes:
+        for key, block in w.base.integral_comp.items():
+            assert v._integral[(0, 0, *key)] is block, key
 
 
 def test_chain_subspace_refuses_a_vector_outside_its_span():
