@@ -58,7 +58,7 @@ from .errors import (
     TruncationError,
     WorkspaceError,
 )
-from .exact_linalg import format_scalar, parse_scalar
+from .exact_linalg import format_scalar
 from .form_matrix import FormMatrix, block_diag
 from .module_algebra import (
     DirectSumData,
@@ -128,7 +128,6 @@ __all__ = [
     "k0_character",
     "load_fixture",
     "load_workspace",
-    "parse_scalar",
     "parse_workspace",
     "rank_one",
     "render_form",

@@ -6,10 +6,15 @@ space indexed by the pair ``(x, y)`` consists of the morphisms *from* y
 *to* x, so composition pairs ``(x, y) x (y, z) -> (x, z)`` and reads
 left of right, like matrix multiplication.
 
-Everything is exact and sparse: the structure constants are stored as
-the nonzero (index, coefficient) terms of each product of basis arrows,
-and the identity of each object as the terms of its expansion in the
-basis.
+Everything is exact and sparse.  The structure constants have one
+store, `Category.integral_comp`: each block of products of basis arrows
+over one denominator, as the integer numerators of its nonzero terms.
+The envelope builder, every `DGCategory` over the category and the
+workspace export read that store, and no `Fraction` copy of it is
+kept.  The identity of each object is stored as the (index,
+coefficient) terms of its expansion in the basis.  `checked_blocks`
+checks a product table and stores its blocks, for the category and
+for every degree pair of a `DGCategory` alike.
 
 This module holds the tables alone: objects, bases and composition.
 Its axiom check, `validate_category`, is degree 0 of the one law
@@ -25,30 +30,39 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError, ScalarTypeError
 from .exact_linalg import Terms, checked_terms, integral_block, scalar
 
-# products of basis elements: entry [i][j] holds the terms of b_i . b_j
-ProductRows = tuple[tuple[Terms, ...], ...]
+def checked_blocks(table: Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping[int, object]]],
+                   nobj: int, shape, where: str, at: str) -> dict[tuple[int, int, int], tuple[int, tuple]]:
+    """Check a product table over the object triples and store each block over one denominator.
 
-
-def product_rows(block: Mapping[tuple[int, int], Mapping[int, object]], rows: int, cols: int,
-                 dim: int, where: str) -> ProductRows:
-    """Check a sparse product block ``{(i, j): {k: s}}`` and store it as rows of terms.
-
-    Entry [i][j] is empty where the block gives no product.  An index
-    outside the shape (rows, cols) or a target outside 0..dim-1 raises
-    `DimensionError`.
+    `table` maps (x, y, z) to a sparse block ``{(i, j): {k: s}}``, and
+    shape(x, y, z) gives its (rows, cols, dim): the dimensions of the
+    left and right factors' spaces and of the products' space.  A triple
+    whose factors' spaces are both nonzero gets its block, the input's
+    entries checked by `checked_terms` and stored by `integral_block`,
+    empty where the input gives no product.  An index outside the shape
+    or a target outside 0..dim-1 raises `DimensionError`, naming the
+    block by `at` formatted with its triple; a key the loop does not
+    read is refused by `refuse_unread`, naming the table `where`.
     """
-    out = [[()] * cols for _ in range(rows)]
-    for (i, j), entries in block.items():
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise DimensionError(f"{where}: product ({i}, {j}) out of range for shape ({rows}, {cols})")
-        out[i][j] = checked_terms(entries, dim, f"{where}[{i}][{j}]")
-    return tuple(map(tuple, out))
+    blocks = {}
+    for x, y, z in itertools.product(range(nobj), repeat=3):
+        rows, cols, dim = shape(x, y, z)
+        if not (rows and cols):
+            continue
+        name = at.format((x, y, z))
+        block = [[()] * cols for _ in range(rows)]
+        for (i, j), entries in table.get((x, y, z), {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionError(f"{name}: product ({i}, {j}) out of range for shape ({rows}, {cols})")
+            block[i][j] = checked_terms(entries, dim, f"{name}[{i}][{j}]")
+        blocks[(x, y, z)] = integral_block(block, cols)
+    refuse_unread(table, blocks, set(itertools.product(range(nobj), repeat=3)), where)
+    return blocks
 
 
 def refuse_unread(table: Mapping, read, valid, where: str) -> None:
@@ -95,10 +109,12 @@ class Category:
         Map (x, y, z) -> sparse product block ``{(i, j): {k: s}}``: the
         product ``b_i . b_j`` of b_i in the (x, y) basis and b_j in the
         (y, z) basis has coefficient s at basis element k of (x, z).
-        Absent products vanish.  The blocks are checked by `product_rows`
-        and stored as its rows of nonzero (k, s) terms.  A key outside
-        the object range, or a nonempty block at a zero hom space, raises
-        `DimensionError` (`refuse_unread`).
+        Absent products vanish.  The blocks are checked and stored by
+        `checked_blocks`, in `integral_comp`: block (x, y, z) as (D, rows),
+        entry [i][j] of rows holding (k, D * s) over the nonzero terms
+        (k, s) of b_i . b_j, D the lcm of the block's denominators.  A key
+        outside the object range, or a nonempty block at a zero hom
+        space, raises `DimensionError` (`refuse_unread`).
     identity:
         Map x -> sparse expansion ``{k: s}`` of the identity of x in the
         (x, x) basis, checked by `checked_terms` and stored as its terms.
@@ -124,16 +140,9 @@ class Category:
             if basis:
                 self.hom_basis[(x, y)] = tuple(str(b) for b in basis)
 
-        self.comp: dict[tuple[int, int, int], ProductRows] = {}
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    dxy, dyz = self.dim(x, y), self.dim(y, z)
-                    if dxy and dyz:
-                        self.comp[(x, y, z)] = product_rows(
-                            comp.get((x, y, z), {}), dxy, dyz, self.dim(x, z), f"composition {(x, y, z)}"
-                        )
-        refuse_unread(comp, self.comp, set(itertools.product(range(n), repeat=3)), "composition")
+        # the one product store: each block over one denominator, by (x, y, z)
+        self.integral_comp: dict[tuple[int, int, int], tuple[int, tuple]] = checked_blocks(
+            comp, n, lambda x, y, z: (self.dim(x, y), self.dim(y, z), self.dim(x, z)), "composition", "composition {}")
 
         refuse_unread(identity, range(n), (), "identity")
         self.identity: dict[int, Terms] = {}
@@ -157,19 +166,6 @@ class Category:
 
     def basis_labels(self, x: int, y: int) -> tuple[str, ...]:
         return self.hom_basis.get((x, y), ())
-
-    def compose_basis(self, x: int, y: int, z: int, i: int, j: int) -> Terms:
-        """The nonzero (k, s) terms of b_i . b_j, for b_i at (x, y) and b_j at (y, z)."""
-        block = self.comp.get((x, y, z))
-        return () if block is None else block[i][j]
-
-    @cached_property
-    def integral_comp(self) -> dict[tuple[int, int, int], tuple[int, tuple]]:
-        """The blocks of `comp`, each over one denominator (`integral_block`): the one integer copy, made on first read.
-
-        The envelope builder and every `DGCategory` over the category read these blocks.
-        """
-        return {(x, y, z): integral_block(block, self.dim(y, z)) for (x, y, z), block in self.comp.items()}
 
 
 def validate_category(c: Category) -> list[Violation]:

@@ -85,6 +85,7 @@ from .exact_linalg import (
     build_quotient,
     densify,
     echelon,
+    fraction_terms,
     is_zero_vector,
     offsets,
     over_lcm,
@@ -227,7 +228,8 @@ class DeRhamComplex:
         columns: list[SparseRow] = []
         for x in range(len(self.base.objects)):
             off1 = self.component_offsets[n + 1][x] if n < self.truncation else 0
-            columns.extend({off1 + i: s for i, s in col} for col in w.diff[n].get((x, x), ()))
+            den, cols = w.integral_diff(n, x, x)
+            columns.extend({off1 + i: s for i, s in fraction_terms(den, dict(col))} for col in cols)
         return columns
 
     # -- ambient diagonal vectors -----------------------------------------

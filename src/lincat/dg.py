@@ -13,18 +13,21 @@ the unit, d.d = 0, Leibniz and associativity laws of any of them.
 
 Tables are sparse from end to end, because nearly all entries of the
 dense tensors are zero: products come in as ``{(i, j): {k: s}}`` blocks
-and differentials as ``{j: {i: s}}`` columns.  A differential is stored
-as tuples of its nonzero (index, coefficient) terms.  The products have
-one store, whichever constructor builds the envelope: each block over
-one denominator, as integer numerators, the category's own blocks
-included (`integral_products`).  Every product kernel, `compose`
-included, reads that store, and `gr_comp`, the products as terms, is a
-view derived from it on first read.  A table key that the constructor's
-loops never read (out of range, or with entries at a zero space) raises
+and differentials as ``{j: {i: s}}`` columns.  Every table has one
+store, whichever constructor builds the envelope: each block over one
+denominator, as the integer numerators of its nonzero terms.  The
+products are read through `integral_products`, the category's own
+blocks included, and the differential through `integral_diff`.  Every
+kernel reads these stores: `compose` and `d`, the law kernel of
+`lincat.laws`, the quotient complex and the workspace export, each
+turning integers into `Fraction`s only as it reads them.  `gr_comp`,
+the products as `Fraction` terms, is a view derived on first read that
+no library code reads.  A table key that the constructor's loops never
+read (out of range, or with entries at a zero space) raises
 `DimensionError` rather than being ignored.
 
-A `Form` holds sorted, nonzero terms, as the differential and `gr_comp`
-do, and a degree-0 form is a morphism of the base category:
+A `Form` holds sorted, nonzero `Fraction` terms, and a degree-0 form is
+a morphism of the base category:
 `trivial_dg(c)` has no other forms, so it is the category c itself.
 Dense coordinates enter a form only through `DGCategory.form`.
 Matrices of forms and their products live in `lincat.form_matrix`.
@@ -38,32 +41,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .category import (
-    Category,
-    ObjectId,
-    ProductRows,
-    Violation,
-    product_rows,
-    refuse_unread,
-    validate_category,
-)
+from .category import Category, ObjectId, Violation, checked_blocks, refuse_unread, validate_category
 from .envelope import universal_tables
 from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
     ONE,
     Echelon,
-    IntFractions,
     IntRow,
     Terms,
     add_terms,
     checked_terms,
     contract_into,
     fraction_terms,
-    integral_block,
+    integral_terms,
     over_lcm,
     scalar,
     sparse,
-    terms_of,
     vec,
 )
 from .laws import law_violations, laws_hold_on
@@ -109,35 +102,39 @@ class Form:
 
 
 class _Built(tuple):
-    """(diff, integer blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
+    """(product blocks, differential blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
 
 
 class DGCategory:
     """Graded hom spaces, graded composition and differential tables.
 
     Degree 0 always delegates to the base category.  `gr_basis` holds
-    the labels of the degree-n bases for n >= 1, `gr_comp` the products
-    of basis forms for mixed degrees, and `diff` the differential; what
-    the tables leave out is zero.
+    the labels of the degree-n bases for n >= 1; the products of basis
+    forms for mixed degrees and the differential are read through
+    `integral_products` and `integral_diff`.  What the tables leave out
+    is zero.
 
-    The tables come in sparse.  ``gr_comp[(p, q)][(x, y, z)]`` is a
-    block ``{(i, j): {k: s}}``: the product of basis form i of degree p
-    at (x, y) with basis form j of degree q at (y, z) has coefficient s
-    at basis form k of degree p + q at (x, z).  ``diff[n][(x, y)]`` is
-    ``{j: {i: s}}``: d of basis form j of degree n has coefficient s at
-    basis form i of degree n + 1.  Every index is checked against the
-    dimensions.  Each product block is stored over one denominator, as
-    `integral_products` hands it out, next to the category's blocks
-    (`Category.integral_comp`); ``gr_comp[(p, q)][(x, y, z)][i][j]``, a
-    view derived on first read, holds the sorted nonzero terms of that
-    product.  ``diff[n][(x, y)][j]`` holds those of d of basis form j.
-    Both are empty where the input gave nothing.  A key these loops do
-    not read is refused by `refuse_unread`: a degree outside the
+    The tables come in sparse.  The input ``gr_comp[(p, q)][(x, y, z)]``
+    is a block ``{(i, j): {k: s}}``: the product of basis form i of
+    degree p at (x, y) with basis form j of degree q at (y, z) has
+    coefficient s at basis form k of degree p + q at (x, z).  The input
+    ``diff[n][(x, y)]`` is ``{j: {i: s}}``: d of basis form j of degree n
+    has coefficient s at basis form i of degree n + 1.  Every index is
+    checked against the dimensions.  Each product block is checked and
+    stored by `checked_blocks`, as the category's are
+    (`Category.integral_comp`), and each differential block, d out of
+    degree n < N at (x, y), as (D, columns), column j holding (i, D * s)
+    over the terms (i, s) of d of basis form j; D is the lcm of the
+    block's denominators.  Entries are empty where the input gave
+    nothing.  ``gr_comp[(p, q)][(x, y, z)][i][j]``, a view derived on
+    first read, holds the sorted nonzero terms of a product.  A key these
+    loops do not read is refused by `refuse_unread`: a degree outside the
     truncation, an object index out of range, or entries at a zero space.
 
     Only `universal_dg` skips the checks, handing over its builder's
-    differential and integer product blocks in a private `_Built`; a test
-    holds that path to the checked one.  The two paths store the same.
+    integer product and differential blocks in a private `_Built`; a
+    test holds that path to the checked one.  The two paths store the
+    same.
     """
 
     def __init__(
@@ -169,49 +166,44 @@ class DGCategory:
             self.gr_basis[n] = level
 
         if type(gr_comp) is _Built:
-            self.diff, self._integral = gr_comp
+            self._integral, self._diff = gr_comp
             return
-        pairs = set(itertools.product(range(nobj), repeat=2))
-        triples = set(itertools.product(range(nobj), repeat=3))
         # the one product store, that `universal_dg` hands over too: every
         # block of `integral_products` by (p, q, x, y, z), the category's included
         self._integral = {(0, 0, *key): block for key, block in base.integral_comp.items()}
         degree_pairs = [(p, q) for p in range(truncation + 1) for q in range(truncation + 1 - p) if p or q]
         for p, q in degree_pairs:
-            given = gr_comp.get((p, q), {})
-            read = set()
-            for x, y, z in itertools.product(range(nobj), repeat=3):
-                dp, dq = self.dim(p, x, y), self.dim(q, y, z)
-                if dp and dq:
-                    rows = product_rows(given.get((x, y, z), {}), dp, dq, self.dim(p + q, x, z),
-                                        f"composition ({p},{q}) at {(x, y, z)}")
-                    self._integral[(p, q, x, y, z)] = integral_block(rows, dq)
-                    read.add((x, y, z))
-            refuse_unread(given, read, triples, f"composition ({p},{q})")
+            blocks = checked_blocks(gr_comp.get((p, q), {}), nobj,
+                                    lambda x, y, z: (self.dim(p, x, y), self.dim(q, y, z), self.dim(p + q, x, z)),
+                                    f"composition ({p},{q})", f"composition ({p},{q}) at {{}}")
+            self._integral.update(((p, q, *key), block) for key, block in blocks.items())
         refuse_unread(gr_comp, degree_pairs, (), f"composition at truncation {truncation}")
 
-        # d out of degree n at (x, y), one tuple of terms per basis form;
-        # out of the top degree every column is empty
-        self.diff: dict[int, dict[tuple[int, int], tuple[Terms, ...]]] = {}
-        for n in range(0, truncation + 1):
+        # the differential store of `integral_diff`: d out of degree n at
+        # (x, y) over one denominator, by (n, x, y); the columns out of the
+        # top degree are checked, and all empty, so they are not stored
+        pairs = list(itertools.product(range(nobj), repeat=2))
+        self._diff: dict[tuple[int, int, int], tuple[int, tuple]] = {}
+        for n in range(truncation + 1):
             given = diff.get(n, {})
-            level = {}
-            for x in range(nobj):
-                for y in range(nobj):
-                    dn = self.dim(n, x, y)
-                    if dn == 0:
-                        continue
-                    where = f"differential at degree {n}, {(x, y)}"
-                    columns = given.get((x, y), {})
-                    for j in columns:
-                        if not 0 <= j < dn:
-                            raise DimensionError(f"{where}: source {j} out of range for dimension {dn}")
-                    dn1 = self.dim(n + 1, x, y)
-                    level[(x, y)] = tuple(checked_terms(columns.get(j, {}), dn1, f"{where}, column {j}")
-                                          for j in range(dn))
-            refuse_unread(given, level, pairs, f"differential at degree {n}")
-            self.diff[n] = level
-        refuse_unread(diff, self.diff, (), f"differential at truncation {truncation}")
+            read = set()
+            for x, y in pairs:
+                dn = self.dim(n, x, y)
+                if dn == 0:
+                    continue
+                where = f"differential at degree {n}, {(x, y)}"
+                columns = given.get((x, y), {})
+                for j in columns:
+                    if not 0 <= j < dn:
+                        raise DimensionError(f"{where}: source {j} out of range for dimension {dn}")
+                dn1 = self.dim(n + 1, x, y)
+                checked = [checked_terms(columns.get(j, {}), dn1, f"{where}, column {j}") for j in range(dn)]
+                read.add((x, y))
+                if n < truncation:
+                    den, flat = integral_terms(checked)
+                    self._diff[(n, x, y)] = den, tuple(flat)
+            refuse_unread(given, read, pairs, f"differential at degree {n}")
+        refuse_unread(diff, range(truncation + 1), (), f"differential at truncation {truncation}")
 
     # -- dimensions and bases --------------------------------------------
 
@@ -264,19 +256,19 @@ class DGCategory:
         return Form(p + q, g.dom, f.cod, fraction_terms(den * f_den * g_den, out))
 
     @cached_property
-    def gr_comp(self) -> dict[tuple[int, int], dict[tuple[int, int, int], ProductRows]]:
-        """The products of positive total degree as stored terms, derived from the integer blocks on first read.
+    def gr_comp(self) -> dict[tuple[int, int], dict[tuple[int, int, int], tuple]]:
+        """The products of positive total degree as `Fraction` terms, derived from the integer blocks on first read.
 
-        A read-only view: ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the
-        terms of the product of basis forms i and j.  The keys come in
-        the sorted order of the blocks' keys, as the checked constructor
-        reads its input.
+        A read-only view, which no library code reads:
+        ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the terms of the
+        product of basis forms i and j.  The keys come in the sorted order
+        of the blocks' keys, as the checked constructor reads its input.
         """
-        ints, N = IntFractions(), self.truncation
+        N = self.truncation
         out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
         for (p, q, x, y, z), (den, rows) in sorted(self._integral.items()):
             if p or q:
-                out[(p, q)][(x, y, z)] = tuple(tuple(ints.terms(den, terms) for terms in row) for row in rows)
+                out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, dict(terms)) for terms in row) for row in rows)
         return out
 
     def integral_products(self, p: int, q: int, x: int, y: int, z: int) -> tuple[int, tuple]:
@@ -292,10 +284,24 @@ class DGCategory:
             return 1, (((),) * self.dim(q, y, z),) * self.dim(p, x, y)
         return block
 
+    def integral_diff(self, n: int, x: int, y: int) -> tuple[int, tuple]:
+        """d of the basis forms of degree n at (x, y), as (D, columns).
+
+        Column j holds (i, D * s) over the terms (i, s) of d of basis form
+        j, D the lcm of the block's denominators.  The block is the stored
+        one; its columns are empty out of the top degree, and there are
+        none at a zero space.
+        """
+        block = self._diff.get((n, x, y))
+        if block is None:
+            return 1, ((),) * self.dim(n, x, y)
+        return block
+
     def d(self, f: Form) -> Form:
         n = f.degree
-        columns = self.diff.get(n, {}).get((f.cod.index, f.dom.index), ())
-        return Form(n + 1, f.dom, f.cod, terms_of(contract_into({}, f.terms, columns)))
+        den, columns = self.integral_diff(n, f.cod.index, f.dom.index)
+        f_den, f_nums = over_lcm(f.terms)
+        return Form(n + 1, f.dom, f.cod, fraction_terms(den * f_den, contract_into({}, f_nums, columns)))
 
 
 def validate_dg(w: DGCategory) -> list[Violation]:

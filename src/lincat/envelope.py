@@ -61,8 +61,9 @@ Each derived entry is covered by these checks:
 The contraction sums Python ints over one denominator per block, in
 the manner of `lincat.form_matrix.ProductAccumulator`, starting from
 the category's own blocks (`Category.integral_comp`).  Those integer
-blocks are the one product store of `DGCategory`, which the checked
-constructor fills too; only the differential is stored as `Fraction`s.
+blocks, and those of the differential, are the one store of
+`DGCategory`, which the checked constructor fills too: no table of the
+envelope is kept as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import Echelon, IntFractions, IntRow, NumeratorRow, build_quotient, cut_rows, over_lcm
+from .exact_linalg import Echelon, IntRow, NumeratorRow, build_quotient, cut_rows, over_lcm
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -259,7 +260,7 @@ def _settled(den: int, sums: list) -> IntBlock:
 
 
 def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
-    """The tables (gr_basis, diff, blocks) of the universal envelope of `c`.
+    """The tables (gr_basis, blocks, diff) of the universal envelope of `c`.
 
     Degree 0 is the chain space of the arrows themselves, with the unit
     rows as basis.  Every degree n >= 1, up to `truncation`, is the
@@ -267,11 +268,13 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
     degree-(n-1) basis rows omega and the basis arrows b.  The products
     and differentials of basis forms follow from the coordinates of
     those spanning products by the three rules of the module docstring.
-    gr_basis is in the input format of `DGCategory`, and diff as it
-    stores it; blocks holds every product block, those of the category
-    included, by (p, q, x, y, z), as `DGCategory.integral_products` hands
-    them out.  The rules hold in a category only: `c` must pass
-    `validate_category`, which `lincat.dg.universal_dg` checks first.
+    gr_basis is in the input format of `DGCategory`; blocks holds every
+    product block, those of the category included, by (p, q, x, y, z), as
+    `DGCategory.integral_products` hands them out, and diff every block
+    of the differential out of a degree below the truncation, by
+    (n, x, y), as `DGCategory.integral_diff` does.  The rules hold in a
+    category only: `c` must pass `validate_category`, which
+    `lincat.dg.universal_dg` checks first.
     """
     gr_basis, dims, right, expr = _spans(c, truncation)
     return gr_basis, *_derived_tables(c, truncation, dims, right, expr)
@@ -343,15 +346,13 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
 
 
 def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
-    """diff and the integer product blocks of the envelope, by the three rules.
+    """The integer product and differential blocks of the envelope, by the three rules.
 
     `dims`, `right` and `expr` are those of `_spans`.  The blocks
     of one total degree are made from those of the degree below, over one
-    denominator each, and all of them are kept; the differential is
-    stored as terms, the `Fraction`s of equal integers shared.
+    denominator each, and all of them are kept.
     """
     objects, base = range(len(c.objects)), c.integral_comp
-    ints = IntFractions()
 
     def scaled(e_block: IntBlock, dens: dict) -> IntBlock:
         """Expression terms (w, i, b, n) whose factors at w have denominator dens[w], over one denominator."""
@@ -433,20 +434,18 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         den, e_rows = scaled(expr[(n, x, y)], dens)
         return _settled(den, times_db(e_rows, d_w, r_wy))
 
-    # the differential, keyed in the order of the loops of `DGCategory`, and
-    # every product block over one denominator, by (p, q, x, y, z)
-    diff: dict[int, dict] = {}
+    # every product block and every differential block out of degrees
+    # 0..N-1, each over one denominator, by (p, q, x, y, z) and (n, x, y)
     blocks = {(0, 0, *key): block for key, block in base.items()}
+    diff: dict[tuple[int, int, int], IntBlock] = {}
     d_below: dict[tuple[int, int], IntBlock] = {}  # differential blocks out of degree n-1
     for n in range(1, N + 1):
         # the differential out of degree n-1, through degree-n right multiplications
-        level = diff[n - 1] = {}
         d_level = {}
         for x in objects:
             for y in objects:
                 if dims[(n - 1, x, y)]:
-                    den, rows = d_level[(x, y)] = d_out(n - 1, x, y, d_below)
-                    level[(x, y)] = tuple(ints.terms(den, terms) for terms in rows)
+                    d_level[(x, y)] = diff[(n - 1, x, y)] = d_out(n - 1, x, y, d_below)
         d_below = d_level
         # the products of total degree n
         for p in range(n, -1, -1):
@@ -459,6 +458,4 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
                         if dims[(q, y, z)]:
                             blocks[(p, q, x, y, z)] = (
                                 times_forms(p, q, x, y, z, blocks) if q else times_arrows(p, x, y, z, blocks))
-    # out of the top degree, d is zero
-    diff[N] = {(x, y): ((),) * dims[(N, x, y)] for x in objects for y in objects if dims[(N, x, y)]}
-    return diff, blocks
+    return blocks, diff

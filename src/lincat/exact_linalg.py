@@ -14,11 +14,12 @@ are mostly zero and exact arithmetic on a zero still costs a
 `Fraction` operation:
 
 * `Terms`, the immutable shape: a tuple of the nonzero (index,
-  coefficient) pairs, strictly increasing in index.  Structure
-  constants, differentials and forms are stored this way, so two equal
-  vectors have equal terms; `checked_terms` builds them from a map of
-  input scalars, `terms_of` from a sum accumulated in a sparse row, and
-  `add_terms` adds two of them.
+  coefficient) pairs, strictly increasing in index.  Forms and the
+  identities of a category are stored this way, so two equal vectors
+  have equal terms; `checked_terms` builds them from a map of input
+  scalars, `terms_of` from a sum accumulated in a sparse row, and
+  `add_terms` adds two of them.  Structure constants and differentials
+  are checked in this shape and then stored as integer blocks (below).
 * `SparseRow`, the mutable shape: a map from column index to entry,
   which the product sums update in place.  Elimination takes its rows
   in this shape and hands back rows and remainders in it, with nonzero
@@ -30,15 +31,14 @@ in elimination (below): `integral_terms` puts sparse vectors over one
 common denominator, as `int` numerators, and `cut_rows` cuts such a
 flat list back into the rows of a block (`integral_block` does both
 for a product block); `over_lcm` puts a single vector over the lcm of
-its own denominators.  On the way back, `fraction_terms` makes the
-terms of an integer sum over its denominator, and `IntFractions`
-shares the `Fraction`s of integers.  The envelope builder,
-the product blocks of `DGCategory.integral_products`, the law kernel
-of `lincat.laws` and the product kernel of `lincat.form_matrix` all
-convert this way.  One contraction, `contract_into`, adds combinations
-of sparse vectors into a sparse sum, over `Fraction`s or over
-numerators: products and differentials of forms, and every law check,
-are made of it.
+its own denominators.  On the way back, `fraction_terms` is the one
+conversion: it makes the terms of an integer sum over its denominator.
+The envelope builder, the product and differential blocks that
+`Category` and `DGCategory` store, the law kernel of `lincat.laws`
+and the product kernel of `lincat.form_matrix` all convert this way.
+One contraction, `contract_into`, adds combinations of sparse vectors
+into a sparse sum, over `Fraction`s or over numerators: products and
+differentials of forms, and every law check, are made of it.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
@@ -192,20 +192,6 @@ def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, Sequence[tup
     if d == 1:
         return 1, [(k, s.numerator) for k, s in terms]
     return d, [(k, s.numerator * (d // s.denominator)) for k, s in terms]
-
-
-class IntFractions(dict):
-    """Shared `Fraction`s of integers, made on first use: self[n] is Fraction(n)."""
-
-    def __missing__(self, n: int) -> Fraction:
-        f = self[n] = Fraction(n)
-        return f
-
-    def terms(self, den: int, pairs: Iterable[tuple[int, int]]) -> Terms:
-        """(k, n) pairs over a positive denominator as terms of `Fraction`s, those of integers shared."""
-        if den == 1:
-            return tuple((k, self[n]) for k, n in pairs)
-        return tuple((k, Fraction(n, den)) for k, n in pairs)
 
 
 def fraction_terms(den: int, row: IntRow) -> Terms:
@@ -585,14 +571,6 @@ def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | NumeratorRow
     basis = _spanned(spanning, ambient_dim)._basis
     free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
     return QuotientSpace(ambient_dim, free_cols, basis)
-
-
-def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational scalar: {text!r}") from exc
 
 
 def format_scalar(x: Fraction) -> str:

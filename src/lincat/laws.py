@@ -17,10 +17,9 @@ the tables of a `DGCategory` and contract them into sparse sums with
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
-`DGCategory.integral_products`, as every envelope stores it, each
-degree of the differential goes over one denominator through
-`integral_terms` (`_differentials`), and each identity over the lcm of
-its own denominators (`over_lcm`).  A
+`DGCategory.integral_products`, and each block of the differential from
+`DGCategory.integral_diff`, as every envelope stores them; each
+identity goes over the lcm of its own denominators (`over_lcm`).  A
 left factor goes over the lcm of its own denominators too, which then
 drops out: both sides of every law are linear in it.  The two sides of
 a law are summed from different blocks, so each is cross-multiplied by
@@ -35,7 +34,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .category import Violation
-from .exact_linalg import contract_into, integral_terms, over_lcm
+from .exact_linalg import contract_into, over_lcm
 
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
@@ -85,23 +84,13 @@ def _dims(w: DGCategory) -> tuple:
     return tuple(d if any(map(any, d)) else None for d in dims)
 
 
-def _differentials(w: DGCategory) -> dict[int, tuple[int, dict]]:
-    """The differential of `w`, each degree n over one denominator: n -> (D, {(x, y): columns})."""
-    out = {}
-    for n, level in w.diff.items():
-        den, flat = integral_terms(column for columns in level.values() for column in columns)
-        it = iter(flat)
-        out[n] = den, {xy: tuple(next(it) for _ in columns) for xy, columns in level.items()}
-    return out
-
-
-def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff, dims) -> Iterator[tuple]:
+def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, dims) -> Iterator[tuple]:
     """The unit laws and d.d = 0 on g, Leibniz on (g, b) and associativity on (g, b, c), where they fail.
 
     g is the form of degree p at (x, y) with the given integer
     numerators; b and c run over every basis form.  `columns` is a
-    `_columns` of `w`, `diff` its `_differentials` and `dims` its
-    `_dims`.  The loops skip a degree with no forms, and a law whose
+    `_columns` of `w` and `dims` its `_dims`; d is read from
+    `DGCategory.integral_diff`.  The loops skip a degree with no forms, and a law whose
     two sides lie in a zero space, where it holds.  Each failure is
     yielded as (law, degrees, objects, indices): the index of the law in
     `_LAWS`, the degrees of the factors, the objects they pass through,
@@ -110,7 +99,7 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff, dims) -> 
     triple costs what it costs on basis forms.  Associativity includes
     the degree-0 triples.
     """
-    N, nobj, block = w.truncation, len(w.base.objects), w.integral_products
+    N, nobj, block, diff = w.truncation, len(w.base.objects), w.integral_products, w.integral_diff
     rows: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def row(q: int, z: int) -> tuple[int, tuple]:
@@ -132,9 +121,9 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff, dims) -> 
     (one_den, one), (den, g_one) = over_lcm(w.base.identity[y]), row(0, y)
     if any(contract_into({k: -one_den * den * n for k, n in g}, one, g_one).values()):
         yield 1, (p,), (x, y), ()
-    d_den, d_p = diff[p]
-    dg = tuple(contract_into({}, g, d_p[(x, y)]).items())  # over d_den; empty out of the top degree
-    if p < N and any(contract_into({}, dg, diff[p + 1][1].get((x, y), ())).values()):
+    d_den, d_p = diff(p, x, y)
+    dg = tuple(contract_into({}, g, d_p).items())  # over d_den; empty out of the top degree
+    if p < N and any(contract_into({}, dg, diff(p + 1, x, y)[1]).values()):
         yield 2, (p,), (x, y), ()
     # d(g.b) - dg.b - (-1)^p g.db = 0, in degree p + q + 1
     sign = 1 if p % 2 else -1
@@ -142,16 +131,15 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, diff, dims) -> 
         dims_q, dims_out = dims[q], dims[p + q + 1]
         if dims_q is None or dims_out is None:
             continue
-        (d_gb_den, d_gb), (d_b_den, d_b) = diff[p + q], diff[q]
         for z in range(nobj):
             dq = dims_q[y][z]
             if dq == 0 or dims_out[x][z] == 0:
                 continue
             (gb_den, gb), (gdb_den, gdb), (dgb_den, dgb) = row(q, z), row(q + 1, z), columns(p + 1, q, x, y, z)
+            (d_gb_den, d_gbz), (d_b_den, d_bz) = diff(p + q, x, z), diff(q, y, z)
             lhs, rhs_dg, rhs_db = gb_den * d_gb_den, d_den * dgb_den, gdb_den * d_b_den
             common = lcm(lhs, rhs_dg, rhs_db)
             m, m_dg, m_db = common // lhs, -(common // rhs_dg), sign * (common // rhs_db)
-            d_gbz, d_bz = d_gb.get((x, z), ()), d_b[(y, z)]
             for j in range(dq):
                 out = contract_into(contract_into({}, gb[j], d_gbz, m), dg, dgb[j], m_dg)
                 if any(contract_into(out, d_bz[j], gdb, m_db).values()):
@@ -193,10 +181,10 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     degree 0, which the lemma of `validate_dg` needs though
     `validate_category` reports its failures.
     """
-    columns, diff, dims = _columns(w), _differentials(w), _dims(w)
+    columns, dims = _columns(w), _dims(w)
     for g in gens:
         _, numerators = over_lcm(g.terms)  # g over the lcm of its denominators
-        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, diff, dims):
+        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, dims):
             return False
     return True
 
@@ -211,13 +199,13 @@ def _report(w: DGCategory) -> list[Violation]:
     unit laws first, the left unit of a basis form before its right),
     then degrees, objects and basis indices, in that order.
     """
-    columns, diff, dims = _columns(w), _differentials(w), _dims(w)
+    columns, dims = _columns(w), _dims(w)
     found: set[tuple] = set()
     for p, dims_p in enumerate(dims):
         for x, dims_x in enumerate(dims_p or ()):
             for y, d in enumerate(dims_x):
                 for i in range(d):
-                    for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, diff, dims):
+                    for law, degrees, objects, indices in _failures(w, p, x, y, ((i, 1),), columns, dims):
                         # d.d = 0 is named by its space, so it is found once per space
                         indices = () if law == 2 else (i,) + indices
                         found.add((_PLACE[law], degrees, objects, indices, law))

@@ -28,6 +28,7 @@ An entry is a list of such terms; the empty list is the zero form.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,8 +38,8 @@ from typing import Mapping, Sequence
 from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection
 from .dg import DGCategory, Form, trivial_dg, universal_dg
-from .errors import CategoryAxiomError, LincatError, WorkspaceError
-from .exact_linalg import format_scalar, parse_scalar
+from .errors import CategoryAxiomError, LincatError, ScalarTypeError, WorkspaceError
+from .exact_linalg import format_scalar, fraction_terms, scalar
 from .form_matrix import FormMatrix
 from .module_algebra import ProjectiveModule
 
@@ -84,11 +85,11 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _scalar(text, where: str):
+def _scalar(value, where: str) -> Fraction:
     try:
-        return parse_scalar(text)
-    except ValueError as exc:
-        raise WorkspaceError(f"{where}: {exc}") from exc
+        return scalar(value, f"{where}: coefficient")
+    except ScalarTypeError as exc:
+        raise WorkspaceError(str(exc)) from exc
 
 
 class _Parser:
@@ -400,20 +401,16 @@ def _category_doc(cat: Category) -> dict:
             for a in cat.basis_labels(x, y):
                 arrows.append({"label": a, "dom": cat.objects[y].label, "cod": cat.objects[x].label})
     products = []
-    for x in range(nobj):
-        for y in range(nobj):
-            for z in range(nobj):
-                for i, left in enumerate(cat.basis_labels(x, y)):
-                    for j, right in enumerate(cat.basis_labels(y, z)):
-                        terms = cat.compose_basis(x, y, z, i, j)
-                        if not terms:
-                            continue
-                        targets = cat.basis_labels(x, z)
-                        products.append({
-                            "left": left,
-                            "right": right,
-                            "result": {targets[k]: format_scalar(s) for k, s in terms},
-                        })
+    for (x, y, z), (den, rows) in cat.integral_comp.items():
+        targets = cat.basis_labels(x, z)
+        for left, row in zip(cat.basis_labels(x, y), rows):
+            for right, entry in zip(cat.basis_labels(y, z), row):
+                if entry:
+                    products.append({
+                        "left": left,
+                        "right": right,
+                        "result": {targets[k]: format_scalar(s) for k, s in fraction_terms(den, dict(entry))},
+                    })
     identities = {}
     for x in range(nobj):
         names = cat.basis_labels(x, x)
@@ -450,28 +447,34 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
         label = dg.space_labels(n, x, y)[k]
         return {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": label}
 
+    # both written from the integer stores, in the order of their keys
+    triples = list(itertools.product(range(nobj), repeat=3))
     products = []
     for p in range(0, dg.truncation + 1):
         for q in range(0, dg.truncation + 1 - p):
             if p == 0 and q == 0:
                 continue
-            for (x, y, z), block in dg.gr_comp[(p, q)].items():
-                for i, row in enumerate(block):
-                    for j, terms in enumerate(row):
-                        if terms:
+            for x, y, z in triples:
+                den, rows = dg.integral_products(p, q, x, y, z)
+                for i, row in enumerate(rows):
+                    for j, entry in enumerate(row):
+                        if entry:
                             products.append({
                                 "left": address(p, x, y, i),
                                 "right": address(q, y, z, j),
-                                "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x], terms),
+                                "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x],
+                                                     fraction_terms(den, dict(entry))),
                             })
     differentials = []
     for n in range(0, dg.truncation):
-        for (x, y), columns in dg.diff[n].items():
-            for k, terms in enumerate(columns):
-                if terms:
+        for x, y in itertools.product(range(nobj), repeat=2):
+            den, columns = dg.integral_diff(n, x, y)
+            for k, entry in enumerate(columns):
+                if entry:
                     differentials.append({
                         "of": address(n, x, y, k),
-                        "result": _term_docs(dg, n + 1, cat.objects[y], cat.objects[x], terms),
+                        "result": _term_docs(dg, n + 1, cat.objects[y], cat.objects[x],
+                                             fraction_terms(den, dict(entry))),
                     })
     return {
         "model": "tables",

@@ -27,6 +27,8 @@ from lincat import (
 )
 from lincat.exact_linalg import densify, scalar
 
+from law_oracle import diff_terms
+
 
 def point_category():
     return build_category(
@@ -195,8 +197,9 @@ def dense_ambient_d(w, n):
     width, width1 = (sum(w.dim(k, x, x) for x in objs) for k in (n, n + 1))
     out = [[Fraction(0)] * width for _ in range(width1)]
     off = off1 = 0
+    level = diff_terms(w)[n]
     for x in objs:
-        for j, terms in enumerate(w.diff[n].get((x, x), ())):
+        for j, terms in enumerate(level.get((x, x), ())):
             for i, s in terms:
                 out[off1 + i][off + j] = s
         off, off1 = off + w.dim(n, x, x), off1 + w.dim(n + 1, x, x)

@@ -8,7 +8,7 @@ after a reduction that must leave nothing.  It shares no table rule with
 the builder, which derives both tables from the span's own products, and
 no chain arithmetic either: only the enumeration of the chain spaces is
 the builder's, and the merge and the insertion here are written in
-`Fraction`s, straight from `Category.compose_basis` and the identities,
+`Fraction`s, straight from `law_oracle.compose_basis` and the identities,
 where the builder's run over integer blocks.  So the two must agree
 entry for entry.
 """
@@ -18,6 +18,8 @@ from fractions import Fraction
 from lincat.envelope import _Chains
 from lincat.errors import LincatError
 from lincat.exact_linalg import ONE, ZERO, build_quotient
+
+from law_oracle import compose_basis
 
 
 def _coordinates(target, v):
@@ -30,7 +32,7 @@ def _coordinates(target, v):
 
 def merge(chains, p, q, x, y, z, u, v):
     """Chain-level product of a degree-p (x,y) vector and a degree-q (y,z) vector, sparse rows of Fractions."""
-    compose_basis = chains.c.compose_basis
+    c = chains.c
     u_elems, v_elems = chains.spaces[(p, x, y)].elems, chains.spaces[(q, y, z)].elems
     out_pos = chains.spaces[(p + q, x, z)].pos
     out = {}
@@ -40,7 +42,7 @@ def merge(chains, p, q, x, y, z, u, v):
         for vi, vc in v.items():
             v_int, v_arr = v_elems[vi]
             v_first_tgt = v_int[0] if v_int else z
-            for k, s in compose_basis(u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
+            for k, s in compose_basis(c, u_last_src, y, v_first_tgt, u_arr[-1], v_arr[0]):
                 key = out_pos[(u_int + v_int, u_arr[:-1] + (k,) + v_arr[1:])]
                 out[key] = out.get(key, ZERO) + uc * vc * s
     return {k: s for k, s in out.items() if s}

@@ -7,13 +7,14 @@ unit laws on every basis form of positive degree, and
 `category_violations` for the unit and associativity laws of a category
 on its basis arrows.  `law_defects` computes what the unit laws, d.d = 0,
 Leibniz and associativity leave over with one given form on the left.
-They read the stored tables of `DGCategory` and `Category` alone
-(`basis_products`) and share no code with `lincat.laws`, which writes the
+They read the stored tables of `DGCategory` and `Category` alone, in
+`Fraction`s (`basis_products`, `comp_terms`, `diff_terms`), and share no code with `lincat.laws`, which writes the
 laws once with one form on the left, over integer numerators, and runs
 them for `validate_dg` and `validate_category`; the two must agree.
 """
 
 import itertools
+from fractions import Fraction
 
 from lincat.category import Violation
 
@@ -33,13 +34,57 @@ def hom_pairs(w, n):
     return [(x, y) for x in range(nobj) for y in range(nobj) if w.dim(n, x, y) > 0]
 
 
+def _fractions(den, pairs):
+    """(k, n) pairs over a denominator as terms of `Fraction`s."""
+    return tuple((k, Fraction(n, den)) for k, n in pairs)
+
+
+def comp_terms(c):
+    """The products of basis arrows of a category in `Fraction`s, read from its integer store.
+
+    Entry [(x, y, z)][i][j] holds the terms of b_i . b_j, for every
+    (x, y, z) whose two factors' hom spaces are nonzero, in the order of
+    the store.
+    """
+    return {key: tuple(tuple(_fractions(den, terms) for terms in row) for row in rows)
+            for key, (den, rows) in c.integral_comp.items()}
+
+
+def compose_basis(c, x, y, z, i, j):
+    """The terms of b_i . b_j, for b_i at (x, y) and b_j at (y, z), in `Fraction`s."""
+    block = c.integral_comp.get((x, y, z))
+    return () if block is None else _fractions(block[0], block[1][i][j])
+
+
+def diff_terms(w):
+    """The differential of a graded category in `Fraction`s, read from its integer store.
+
+    Entry [n][(x, y)][j] holds the terms of d of basis form j of degree
+    n, for every degree n up to the truncation and every (x, y) whose
+    degree-n space is nonzero, in object order; out of the top degree
+    every column is empty.
+    """
+    out = {}
+    for n in range(w.truncation + 1):
+        out[n] = {}
+        for x, y in hom_pairs(w, n):
+            den, columns = w.integral_diff(n, x, y)
+            out[n][(x, y)] = tuple(_fractions(den, column) for column in columns)
+    return out
+
+
 def basis_products(w, p, q, x, y, z):
     """The stored product block of the basis forms of degree p at (x, y) and q at (y, z), in `Fraction`s.
 
     Entry [i][j] holds the terms of the product of basis forms i and j;
     every entry is empty where the tables store no block.
     """
-    block = (w.gr_comp.get((p, q), {}) if p or q else w.base.comp).get((x, y, z))
+    if p or q:
+        block = w.gr_comp.get((p, q), {}).get((x, y, z))
+    else:
+        block = w.base.integral_comp.get((x, y, z))
+        block = None if block is None else tuple(tuple(_fractions(block[0], terms) for terms in row)
+                                                 for row in block[1])
     return (((),) * w.dim(q, y, z),) * w.dim(p, x, y) if block is None else block
 
 
@@ -57,7 +102,7 @@ def law_violations(w):
     violations = []
     N = w.truncation
     nobj = len(w.base.objects)
-    dim, diff = w.dim, w.diff
+    dim, diff = w.dim, diff_terms(w)
 
     def name(n, x, y, k):
         labels = w.space_labels(n, x, y)
@@ -143,11 +188,12 @@ def category_violations(c):
     """Unit and associativity failures on every basis arrow, pair and triple of a category, in loop order."""
     violations = []
     n = len(c.objects)
+    comp = comp_terms(c)
 
     def product(x, y, z, u, v):
         """u.v for u at (x, y) and v at (y, z), both given as (k, s) pairs."""
         out = {}
-        block = c.comp.get((x, y, z))
+        block = comp.get((x, y, z))
         if block is not None:
             for i, s in u:
                 for k, t in _contract(v, block[i]).items():
@@ -167,8 +213,8 @@ def category_violations(c):
         for i in range(c.dim(x, y)):
             for j in range(c.dim(y, z)):
                 for k in range(c.dim(z, u)):
-                    left = product(x, z, u, c.comp[(x, y, z)][i][j], [(k, 1)])
-                    right = product(x, y, u, [(i, 1)], c.comp[(y, z, u)][j][k])
+                    left = product(x, z, u, comp[(x, y, z)][i][j], [(k, 1)])
+                    right = product(x, y, u, [(i, 1)], comp[(y, z, u)][j][k])
                     if left != right:
                         names = (c.basis_labels(x, y)[i], c.basis_labels(y, z)[j], c.basis_labels(z, u)[k])
                         violations.append(Violation("associativity", " . ".join(names)))
@@ -193,7 +239,8 @@ def _d(w, f):
     p, x, y, a = f
     out = {}
     if p < w.truncation:
-        columns = w.diff[p].get((x, y), ())
+        den, columns = w.integral_diff(p, x, y)
+        columns = [_fractions(den, column) for column in columns]
         for j, s in a.items():
             for i, t in columns[j]:
                 out[i] = out.get(i, 0) + s * t

@@ -1,7 +1,7 @@
 from fractions import Fraction
 import hashlib
 import itertools
-from math import lcm
+from math import gcd, lcm
 import random
 
 import pytest
@@ -13,7 +13,9 @@ from lincat import (
     block_diag,
     build_category,
     canonical_connection,
+    chern_class,
     chern_form,
+    get_complex,
     render_form,
     tilde_curvature,
     trivial_dg,
@@ -32,7 +34,7 @@ from lincat.workspace import fixture_names, load_fixture
 from envelope_oracle import direct_tables
 from test_exact_linalg import DenseMatrix, dense_kernel
 from law_oracle import law_violations as enumerated_violations
-from law_oracle import basis_products, category_violations, hom_pairs, law_defects
+from law_oracle import basis_products, category_violations, comp_terms, diff_terms, hom_pairs, law_defects
 from law_oracle import unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
@@ -336,7 +338,7 @@ ENVELOPE_DIGESTS = {
 def test_envelope_tables_are_pinned(build, truncation, forms, digest):
     w = universal_dg(build(), truncation)
     assert sum(len(labels) for level in w.gr_basis.values() for labels in level.values()) == forms
-    assert hashlib.sha256(repr((w.gr_basis, w.gr_comp, w.diff)).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr((w.gr_basis, w.gr_comp, diff_terms(w))).encode()).hexdigest() == digest
 
 
 def fixture_category(name):
@@ -414,7 +416,7 @@ def test_derived_tables_equal_the_direct_fill(make):
     w = universal_dg(c, truncation)
     direct = DGCategory(c, truncation, w.gr_basis, *direct_tables(c, truncation))
     assert direct.gr_comp == w.gr_comp
-    assert direct.diff == w.diff
+    assert diff_terms(direct) == diff_terms(w)
 
 
 # the universal builder hands `DGCategory` its stored tables and integer
@@ -442,11 +444,12 @@ def test_trusted_handoff_equals_the_checked_constructor(make):
     # the checked constructor, fed the same tables in the sparse input
     # format, stores the same terms in the same key order
     checked = DGCategory(c, truncation, *own_tables(w))
-    assert repr((w.gr_basis, w.gr_comp, w.diff)) == repr((checked.gr_basis, checked.gr_comp, checked.diff))
+    assert (repr((w.gr_basis, w.gr_comp, diff_terms(w)))
+            == repr((checked.gr_basis, checked.gr_comp, diff_terms(checked))))
     # every product block came with its integer block, which is the block
     # over the lcm of its denominators, as the checked path builds it
     handed = dict(w._integral)
-    keys = [(0, 0, *key) for key in c.comp] + [(p, q, *key) for (p, q), table in w.gr_comp.items() for key in table]
+    keys = [(0, 0, *key) for key in c.integral_comp] + [(p, q, *key) for (p, q), table in w.gr_comp.items() for key in table]
     assert sorted(handed) == sorted(keys)
     for key, block in handed.items():
         den, flat = integral_terms(terms for row in basis_products(w, *key) for terms in row)
@@ -456,31 +459,50 @@ def test_trusted_handoff_equals_the_checked_constructor(make):
 
 @pytest.mark.parametrize("name", [*HANDOFF_ENVELOPES, "circle_tables"])
 def test_checked_constructor_keeps_only_the_integer_store(name):
-    # the checked constructor stores the integer blocks that `universal_dg`
-    # hands over, and no `Fraction` table until `gr_comp` is read; reading
-    # the blocks, as validation does, adds nothing to the store
+    # the checked constructor stores the integer product and differential
+    # blocks that `universal_dg` hands over, in the same key order, and no
+    # `Fraction` table until `gr_comp` is read; reading the blocks, as
+    # validation does, adds nothing to either store
     if name == "circle_tables":
         # its tables, which the workspace has read back into its document:
-        # 1.1 = 1, 1.th = th and th.1 = th, each block over denominator 1
+        # 1.1 = 1, 1.th = th and th.1 = th, each block over denominator 1,
+        # and d(1) = 0 out of degree 0, the one degree below the truncation
         tables = load_fixture(name).dg
         w = DGCategory(tables.base, tables.truncation, *own_tables(tables))
         store = {key: (1, ((((0, 1),),),)) for key in [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]}
+        d_store = {(0, 0, 0): (1, ((),))}
         envelopes = [w]
     else:
         c, truncation = HANDOFF_ENVELOPES[name]()
         universal = universal_dg(c, truncation)
-        store = dict(universal._integral)
+        store, d_store = dict(universal._integral), dict(universal._diff)
         w = DGCategory(c, truncation, *own_tables(universal))
         assert validate_dg(universal) == []
-        assert universal._integral == store
+        assert (universal._integral, universal._diff) == (store, d_store)
         envelopes = [w, universal]
     assert validate_dg(w) == []
     assert "gr_comp" not in w.__dict__
     assert w._integral == store
+    assert list(w._diff.items()) == list(d_store.items())
     # the category's blocks are made once, and every envelope over it keeps them
     for v in envelopes:
         for key, block in w.base.integral_comp.items():
             assert v._integral[(0, 0, *key)] is block, key
+
+
+def test_no_fraction_table_is_kept_from_parse_to_chern():
+    # every table has one store, of integer blocks: parsing (which writes
+    # the canonical document), validation, the quotient complex and a
+    # Chern class derive no `Fraction` table from it and keep none
+    for name in fixture_names():
+        ws = load_fixture(name)
+        validate_dg(ws.dg)
+        get_complex(ws.dg)
+        for conn in list(ws.connections.values())[:1]:
+            chern_class(conn, 1 if ws.dg.truncation >= 2 else 0)
+        assert "gr_comp" not in vars(ws.dg), name
+        for holder in (ws.category, ws.dg):
+            assert not hasattr(holder, "comp") and not hasattr(holder, "diff"), (name, holder)
 
 
 def test_chain_subspace_refuses_a_vector_outside_its_span():
@@ -573,7 +595,7 @@ def test_compose_matches_dense_contraction():
             f = random_form(w, 0, objs[y], objs[x], rng)
             g = random_form(w, 0, objs[z], objs[y], rng)
             dn = w.dim(0, x, z)
-            block = w.base.comp.get((x, y, z))
+            block = comp_terms(w.base).get((x, y, z))
             expected = (Fraction(0),) * dn if block is None else contract_dense(w, dense_block(block, dn), f, g)
             assert dense_coords(w, w.compose(f, g)) == expected, (name, (x, y, z))
         assert checked or name == "point_universal"
@@ -608,34 +630,52 @@ def returned_forms(w, connections):
     return forms
 
 
-def test_stored_terms_are_sorted_nonzero_fractions():
-    # byte-identical export, `compose` and form equality rely on this order
+def assert_reduced_block(den, entries):
+    """A stored block over one denominator: D > 0, sorted nonzero numerators, no common factor of D and all of them."""
+    assert type(den) is int and den > 0, den
+    for pairs in entries:
+        indices = [k for k, _ in pairs]
+        assert all(a < b for a, b in zip(indices, indices[1:])), pairs
+        assert all(type(n) is int and n != 0 for _, n in pairs), pairs
+    assert gcd(den, *(n for pairs in entries for _, n in pairs)) == 1, (den, entries)
+
+
+def test_stored_blocks_are_reduced_sorted_and_nonzero():
+    # byte-identical export, `compose`, `d` and form equality rely on this
+    # shape: every product and differential block is stored over the least
+    # denominator of its entries, and every form as sorted nonzero Fractions
     m2 = universal_dg(m2_category(), 2)
     x = m2.base.objects[0]
     idem = FormMatrix(0, (x,), (x,), ((m2.form(0, x, x, (2, -2, 1, -1)),),))
     gauge = FormMatrix(1, (x,), (x,), ((m2.form(1, x, x, (1, 0, -2, 2, 1, 0, 0, -1, 1, 2, -2, 0)),),))
     m2_connections = [Connection(ProjectiveModule(m2, "P", idem), gauge)]
     workspaces = [load_fixture(name) for name in fixture_names()]
-    for w, connections in [(ws.dg, ws.connections.values()) for ws in workspaces] + [(m2, m2_connections)]:
-        tables = [w.base.comp, *w.gr_comp.values()]
-        entries = [terms for table in tables for block in table.values() for row in block for terms in row]
-        entries += [terms for level in w.diff.values() for columns in level.values() for terms in columns]
-        entries += list(w.base.identity.values())
-        assert any(entries)
-        for terms in entries:
+    models = [(ws.dg, ws.connections.values()) for ws in workspaces] + [(m2, m2_connections)]
+    # blocks over denominators other than 1
+    models += [(universal_dg(weighted_matrix_units(2), 2), []), (universal_dg(scaled_quiver(3), 3), [])]
+    dens = set()
+    for w, connections in models:
+        blocks = [(den, [entry for row in rows for entry in row]) for den, rows in w._integral.values()]
+        blocks += list(w._diff.values())
+        assert any(entry for _, entries in blocks for entry in entries)
+        for den, entries in blocks:
+            assert_reduced_block(den, entries)
+            dens.add(den)
+        for terms in w.base.identity.values():
             assert_sorted_nonzero_fractions(terms)
         forms = returned_forms(w, connections)
-        assert any(not f.is_zero() for f in forms)
+        assert any(not f.is_zero() for f in forms) or not connections
         for f in forms:
             assert_sorted_nonzero_fractions(f.terms)
+    assert max(dens) > 1
     # the same tables with every entry's terms given in decreasing index order
     gr_comp = {pq: {key: {(i, j): dict(reversed(terms)) for i, row in enumerate(block) for j, terms in enumerate(row)}
                     for key, block in table.items()}
                for pq, table in m2.gr_comp.items()}
     diff = {n: {xy: {j: dict(reversed(terms)) for j, terms in enumerate(columns)} for xy, columns in level.items()}
-            for n, level in m2.diff.items()}
+            for n, level in diff_terms(m2).items()}
     again = DGCategory(m2.base, m2.truncation, m2.gr_basis, gr_comp, diff)
-    assert (again.gr_comp, again.diff) == (m2.gr_comp, m2.diff)
+    assert (again._integral, again._diff) == (m2._integral, m2._diff)
 
 
 def test_dense_tables_survive_sparse_storage():
@@ -683,9 +723,9 @@ def test_dense_tables_survive_sparse_storage():
     c = w.base
     labels = [o.label for o in c.objects]
     base_comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
-                 for key, block in c.comp.items()}
+                 for key, block in comp_terms(c).items()}
     identity = {x: dict(terms) for x, terms in c.identity.items()}
-    assert Category(labels, c.hom_basis, base_comp, identity).comp == c.comp
+    assert comp_terms(Category(labels, c.hom_basis, base_comp, identity)) == comp_terms(c)
     x, y, z = next(iter(base_comp))
     dxy, dyz, dxz = c.dim(x, y), c.dim(y, z), c.dim(x, z)
     for bad in ({(dxy, 0): {0: 1}}, {(0, dyz): {0: 1}}, {(0, 0): {dxz: 1}}):
@@ -701,7 +741,7 @@ def dense_tables(w):
     diff = {}
     for n in range(w.truncation):
         diff[n] = {}
-        for xy, columns in w.diff[n].items():
+        for xy, columns in diff_terms(w)[n].items():
             rows = diff[n][xy] = [[Fraction(0)] * len(columns) for _ in range(w.dim(n + 1, *xy))]
             for j, terms in enumerate(columns):
                 for i, s in terms:
@@ -920,13 +960,13 @@ def random_category(rng, nobj):
 def category_corruptions(c, rng, count):
     """Copies of `c` with one product or identity entry moved by a random nonzero scalar."""
     labels = [o.label for o in c.objects]
-    places = [("comp", key, i, j, k) for key, block in c.comp.items()
+    places = [("comp", key, i, j, k) for key, block in comp_terms(c).items()
               for i, row in enumerate(block) for j in range(len(row)) for k in range(c.dim(key[0], key[2]))]
     places += [("identity", x, k) for x in range(len(labels)) for k in range(c.dim(x, x))]
     for _ in range(count):
         delta = random_scalar(rng) or Fraction(1)
         comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
-                for key, block in c.comp.items()}
+                for key, block in comp_terms(c).items()}
         identity = {x: dict(terms) for x, terms in c.identity.items()}
         place = rng.choice(places)
         if place[0] == "comp":
@@ -975,7 +1015,7 @@ def single_corruptions(w, rng, count):
          for i, row in enumerate(block) for j, v in enumerate(row) for k in range(len(v))],
         [("diff", n, xy, r, col) for n, level in diff.items() for xy, rows in level.items()
          for r, row in enumerate(rows) for col in range(len(row))],
-        [("base", key, i, j, k) for key, block in c.comp.items()
+        [("base", key, i, j, k) for key, block in comp_terms(c).items()
          for i, row in enumerate(block) for j in range(len(row)) for k in range(c.dim(key[0], key[2]))],
     ]
     for _ in range(count):
@@ -992,7 +1032,7 @@ def single_corruptions(w, rng, count):
         else:
             _, key, i, j, k = place
             base_comp = {kk: {(a, b): dict(terms) for a, row in enumerate(block) for b, terms in enumerate(row)}
-                         for kk, block in c.comp.items()}
+                         for kk, block in comp_terms(c).items()}
             entry = base_comp[key].setdefault((i, j), {})
             entry[k] = entry.get(k, Fraction(0)) + delta
             base = Category(labels, c.hom_basis, base_comp, identity)
@@ -1028,7 +1068,7 @@ def test_law_kernel_over_denominators_equals_the_enumeration():
         rng = random.Random(44)
         products = (s for table in w.gr_comp.values() for block in table.values()
                     for row in block for terms in row for _, s in terms)
-        differentials = (s for level in w.diff.values() for columns in level.values()
+        differentials = (s for level in diff_terms(w).values() for columns in level.values()
                          for column in columns for _, s in column)
         assert any(s.denominator > 1 for s in products)
         assert any(s.denominator > 1 for s in differentials)
@@ -1130,7 +1170,7 @@ def own_tables(w):
                     for key, block in table.items()}
                for pq, table in w.gr_comp.items()}
     diff = {n: {xy: {j: dict(terms) for j, terms in enumerate(columns)} for xy, columns in level.items()}
-            for n, level in w.diff.items()}
+            for n, level in diff_terms(w).items()}
     return dict(w.gr_basis), gr_comp, diff
 
 
@@ -1139,13 +1179,13 @@ def test_own_tables_rebuild_every_fixture():
     models = [load_fixture(name).dg for name in fixture_names()] + [universal_dg(m2_category(), 2)]
     for w in models:
         again = DGCategory(w.base, w.truncation, *own_tables(w))
-        assert (again.gr_basis, again.gr_comp, again.diff) == (w.gr_basis, w.gr_comp, w.diff)
+        assert (again.gr_basis, again.gr_comp, diff_terms(again)) == (w.gr_basis, w.gr_comp, diff_terms(w))
     # the universal builder hands over empty columns at zero hom spaces
     w = load_fixture("arrow_universal").dg
     gr_basis, gr_comp, diff = own_tables(w)
     diff[1][(0, 1)] = {}
     gr_comp[(1, 0)][(0, 0, 0)] = {}
-    assert DGCategory(w.base, w.truncation, gr_basis, gr_comp, diff).diff == w.diff
+    assert diff_terms(DGCategory(w.base, w.truncation, gr_basis, gr_comp, diff)) == diff_terms(w)
 
 
 def refused(w, gr_basis, gr_comp, diff):

@@ -27,6 +27,8 @@ from lincat.workspace import (
     workspace_from_dict,
 )
 
+from law_oracle import comp_terms
+
 ALL_FIXTURES = [
     "arrow_universal",
     "circle_tables",
@@ -137,9 +139,10 @@ def test_parse_rejects_malformed_documents():
     broken(lambda d: d["modules"][0].update(family=["ghost"]))
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
         {"coeff": "x", "word": ["1"]}))
-    # a float is refused in the category, even where its value is right
+    # a float is refused in the category and in a form literal, even where its value is right
     broken(lambda d: [p.update(result={"c": 1.0}) for p in d["category"]["products"]
                       if (p["left"], p["right"]) == ("c", "c")])
+    broken(lambda d: d["modules"][0]["idempotent"][0][0][0].update(coeff=1.0))
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
         {"coeff": "1", "word": ["ghost"]}))
     broken(lambda d: d["modules"][0]["idempotent"][0][0].append(
@@ -322,7 +325,7 @@ def test_json_numbers_are_read_by_their_text():
     for literal, value in [("0.5", Fraction(1, 2)), ("0.1", Fraction(1, 10)), ("5e-1", Fraction(1, 2))]:
         small = dict(json.loads(text), modules=[], connections=[], endomorphisms=[])
         ws = parse_workspace(json.dumps(small).replace('{"c": 1.0}', '{"c": %s}' % literal))
-        assert ws.category.comp[(0, 0, 0)][1][1] == ((1, value),), literal
+        assert comp_terms(ws.category)[(0, 0, 0)][1][1] == ((1, value),), literal
     # a label written as a number keeps its text
     assert parse_workspace(text.replace('"name": "two_points_universal"', '"name": 1.50')).name == "1.50"
 
