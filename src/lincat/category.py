@@ -11,8 +11,8 @@ store, `Category.integral_comp`: each block of products of basis arrows
 over one denominator, as the integer numerators of its nonzero terms.
 The envelope builder, every `DGCategory` over the category and the
 workspace export read that store, and no `Fraction` copy of it is
-kept.  The identity of each object is stored as the (index,
-coefficient) terms of its expansion in the basis.  `checked_blocks`
+kept.  The identity of each object is stored the way a form is, as
+(denominator, numerators) in lowest terms.  `checked_blocks`
 checks a product table and stores its blocks, for the category and
 for every degree pair of a `DGCategory` alike.
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError, ScalarTypeError
-from .exact_linalg import Terms, checked_terms, integral_block, scalar
+from .exact_linalg import IntTerms, checked_terms, integral_block, over_lcm, scalar
 
 def checked_blocks(table: Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping[int, object]]],
                    nobj: int, shape, where: str, at: str) -> dict[tuple[int, int, int], tuple[int, tuple]]:
@@ -117,7 +117,8 @@ class Category:
         space, raises `DimensionError` (`refuse_unread`).
     identity:
         Map x -> sparse expansion ``{k: s}`` of the identity of x in the
-        (x, x) basis, checked by `checked_terms` and stored as its terms.
+        (x, x) basis, checked by `checked_terms` and stored by `over_lcm`
+        as (D, ((k, D * s), ...)), the fields `den` and `nums` of a `Form`.
         A missing object, or a key that is not an object index, raises
         `DimensionError`.
     """
@@ -145,12 +146,12 @@ class Category:
             comp, n, lambda x, y, z: (self.dim(x, y), self.dim(y, z), self.dim(x, z)), "composition", "composition {}")
 
         refuse_unread(identity, range(n), (), "identity")
-        self.identity: dict[int, Terms] = {}
+        self.identity: dict[int, tuple[int, IntTerms]] = {}
         for x in range(n):
             entries = identity.get(x)
             if entries is None:
                 raise DimensionError(f"object {self.objects[x].label}: identity coordinates missing")
-            self.identity[x] = checked_terms(entries, self.dim(x, x), f"identity of {self.objects[x].label}")
+            self.identity[x] = over_lcm(checked_terms(entries, self.dim(x, x), f"identity of {self.objects[x].label}"))
         self._violations = None  # memo slot of `validate_category`
 
     # -- basic accessors -------------------------------------------------

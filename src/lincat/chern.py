@@ -107,30 +107,30 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
         )
     rh = get_complex(w)
     omega = rh.ambient_row(2 * q, chern_form(conn, q))
-    target = rh.ambient_d(2 * q, omega)
+    t_den, target = rh.ambient_d(2 * q, omega)
 
     # one row per ambient coordinate, and column j the numerators of
     # commutator j, that is D_j times it: the pivot columns are those of
-    # the commutators, so x_j = D_j * y_j is their solution, free variables 0
+    # the commutators, so x_j = D_j * y_j / t_den is their solution for
+    # the target's numerators over t_den, free variables 0
     span, rows = commutator_system(w, degree)
-    y = solve_rows(rows, len(span), densify(target, len(rows)))
+    y = solve_rows(rows, len(span), densify({i: Fraction(n) for i, n in target.items()}, len(rows)))
     if y is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators)
+    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators) / t_den
     y_den, y_nums = over_lcm([(j, s) for j, s in enumerate(y) if s])
     combination: IntRow = {}
     for j, s in y_nums:
         for i, n in span[j][1].items():
             combination[i] = combination.get(i, 0) + s * n
-    t_den, t_nums = over_lcm(target.items())
-    if {i: n * t_den for i, n in combination.items() if n} != {i: n * y_den for i, n in t_nums if n}:
+    if {i: n for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
         raise CertificationError("commutator combination failed re-substitution")
     if not is_zero_vector(rh.d_class(2 * q, rh.quotients[2 * q].coset_coordinates(omega))):
         raise CertificationError("character class is not closed despite the commutator combination")
-    terms = tuple(CommutatorTerm(j, span[j][0] * y[j], commutator_label(w, degree, j)) for j, _ in y_nums)
+    terms = tuple(CommutatorTerm(j, span[j][0] * y[j] / t_den, commutator_label(w, degree, j)) for j, _ in y_nums)
     return CocycleCertificate(q=q, degree=degree, terms=terms, spanning_size=len(span))
 
 

@@ -30,14 +30,15 @@ Each of them is checked, in exact arithmetic, and a failure raises
 `LincatError`.
 
 An ambient diagonal vector of degree n (the degree-n endomorphism
-forms of all objects, stacked at `component_offsets[n]`) is a sparse
-row, and so is every commutator.  A trace form enters by its terms
-(`ambient_row`), d maps sparse rows to sparse rows (`ambient_d`), and a
-class is read off the reduced row at the free columns of the quotient
-(`class_of_trace`, and `render_class` the other way).  d is stored once
-per degree as sparse columns, on the ambient diagonal space and,
-induced, on the classes (`d_columns`).  Cohomology runs on those
-columns through `echelon`: the image of d is their span, its kernel is
+forms of all objects, stacked at `component_offsets[n]`) is a
+`NumeratorRow` (D, {column: int}), and so is every commutator.  A trace
+form enters by its numerators (`ambient_row`), d maps numerator rows to
+numerator rows (`ambient_d`), and a class is read off the reduced row at
+the free columns of the quotient (`class_of_trace`, and `render_class`
+the other way).  d is stored once per degree as sparse columns: on the
+ambient diagonal space as integer columns over one denominator, and,
+induced, on the classes as `Fraction`s (`d_columns`).  Cohomology runs
+on those columns through `echelon`: the image of d is their span, its kernel is
 read off the echelon form of the columns augmented by unit vectors, and
 a primitive is a `solve_rows` on their transpose, built once per degree
 on first use.  So is the system a cocycle certificate solves
@@ -73,24 +74,25 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .category import validate_category
-from .dg import DGCategory, Form, certified_generators, render_terms, validate_dg
-from .errors import CategoryAxiomError, DimensionError, LincatError
+from .dg import DGCategory, Form, certified_generators, render_terms, stacked, validate_dg
+from .errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
 from .exact_linalg import (
     ONE,
+    IntTerms,
     NumeratorRow,
     QuotientSpace,
     SparseRow,
     Vector,
     add_scaled,
     build_quotient,
+    contract_into,
     densify,
     echelon,
-    fraction_terms,
     is_zero_vector,
     offsets,
-    over_lcm,
     scalar,
     solve_rows,
+    sparse,
     vec,
     vec_add,
     vec_scale,
@@ -128,10 +130,9 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[Numerato
             w.integral_products(p, q, x, y, x),  # g.v, endomorphism form at x
             w.integral_products(q, p, y, x, y))  # v.g, endomorphism form at y
         den = lcm(fwd_den, bwd_den)
-        g_den, g_terms = over_lcm(g.terms)
         off_x, off_y = offs[x], offs[y]
         # each term of g with its numerator in g.v and in -(-1)^(pq) v.g
-        terms = [(fwd_block[i], i, a * (den // fwd_den), -sign * a * (den // bwd_den)) for i, a in g_terms]
+        terms = [(fwd_block[i], i, a * (den // fwd_den), -sign * a * (den // bwd_den)) for i, a in g.nums]
         for j in range(dq):
             row: dict[int, int] = {}
             for fwd, i, a, b in terms:
@@ -139,14 +140,14 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[Numerato
                     row[off_x + k] = row.get(off_x + k, 0) + a * s
                 for k, s in bwd_block[j][i]:
                     row[off_y + k] = row.get(off_y + k, 0) + b * s
-            out.append((g_den * den, {k: s for k, s in row.items() if s}))
+            out.append((g.den * den, {k: s for k, s in row.items() if s}))
     return out
 
 
 def _basis_forms(w: DGCategory, n: int) -> list[Form]:
     """Every basis form of degree 0..n, by degree, endpoints (x, y) and index: the generators of the full span."""
     blocks = itertools.product(range(n + 1), enumerate(w.base.objects), enumerate(w.base.objects))
-    return [Form(p, oy, ox, ((i, ONE),)) for p, (x, ox), (y, oy) in blocks for i in range(w.dim(p, x, y))]
+    return [Form(p, oy, ox, 1, ((i, 1),)) for p, (x, ox), (y, oy) in blocks for i in range(w.dim(p, x, y))]
 
 
 def commutator_label(w: DGCategory, n: int, j: int) -> str:
@@ -192,9 +193,9 @@ class DeRhamComplex:
         self.quotients: list[QuotientSpace] = [
             build_quotient(self.ambient_dim(n), generator_span(w, n, gens)) for n in range(N + 1)
         ]
-        # d on the ambient diagonal space of each degree, column j holding
-        # d of the j-th basis vector; out of the top degree it is zero
-        self._ambient_columns: list[list[SparseRow]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
+        # d on the ambient diagonal space of each degree, as (D, columns):
+        # column j is D times d of the j-th basis vector, zero out of the top
+        self._ambient_columns: list[tuple[int, list[IntTerms]]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
 
         # the induced differential, as sparse columns: column k of degree n
         # is the class of d(e_c), e_c lifting the k-th unit class, indexed
@@ -204,17 +205,13 @@ class DeRhamComplex:
             qn, qn1 = self.quotients[n], self.quotients[n + 1]
             # the echelon rows span the degree-n commutators and d is linear,
             # so d preserves commutators exactly when it does on these rows
-            for row in qn.rows:
-                if qn1.reduce_sparse(self.ambient_d(n, row)):
+            for row in qn.numerator_rows:
+                if qn1.reduce_sparse(self.ambient_d(n, row))[1]:
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
-            # reduction leaves entries at free columns only
-            class_index = {c: k for k, c in enumerate(qn1.free_columns)}
-            self.d_columns.append([
-                {class_index[c]: x for c, x in qn1.reduce_sparse(self._ambient_columns[n][c]).items()}
-                for c in qn.free_columns
-            ])
+            den, columns = self._ambient_columns[n]
+            self.d_columns.append([sparse(qn1.coset_coordinates((den, dict(columns[c])))) for c in qn.free_columns])
         self.d_columns.append([{} for _ in range(self.dim(N))])
         # the two linear systems solved against this complex, each built on
         # first use in a degree and kept: the full commutator span of
@@ -222,15 +219,16 @@ class DeRhamComplex:
         self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
         self._d_rows: dict[int, list[SparseRow]] = {}
 
-    def _ambient_d_columns(self, w: DGCategory, n: int) -> list[SparseRow]:
-        # the blocks of the objects follow each other in object order, and
-        # out of the top degree every column is empty
-        columns: list[SparseRow] = []
-        for x in range(len(self.base.objects)):
+    def _ambient_d_columns(self, w: DGCategory, n: int) -> tuple[int, list[IntTerms]]:
+        # the blocks of the objects in object order, over the lcm of their
+        # denominators; out of the top degree every column is empty
+        blocks = [w.integral_diff(n, x, x) for x in range(len(self.base.objects))]
+        den = lcm(*[block_den for block_den, _ in blocks])
+        columns: list[IntTerms] = []
+        for x, (block_den, cols) in enumerate(blocks):
             off1 = self.component_offsets[n + 1][x] if n < self.truncation else 0
-            den, cols = w.integral_diff(n, x, x)
-            columns.extend({off1 + i: s for i, s in fraction_terms(den, dict(col))} for col in cols)
-        return columns
+            columns.extend(tuple((off1 + i, s * (den // block_den)) for i, s in col) for col in cols)
+        return den, columns
 
     # -- ambient diagonal vectors -----------------------------------------
 
@@ -239,8 +237,8 @@ class DeRhamComplex:
             return 0
         return sum(self.component_dims[n])
 
-    def ambient_row(self, degree: int, forms: Sequence[Form]) -> SparseRow:
-        """The ambient diagonal vector of one degree-n endomorphism form per object, as a sparse row."""
+    def ambient_row(self, degree: int, forms: Sequence[Form]) -> NumeratorRow:
+        """The ambient diagonal vector of one degree-n endomorphism form per object, as a `NumeratorRow`."""
         if len(forms) != len(self.base.objects):
             raise DimensionError("need one component per object")
         for x, f in enumerate(forms):
@@ -248,21 +246,21 @@ class DeRhamComplex:
                 raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
         if degree < 0 or degree > self.truncation:
             # no forms live there, so every component is zero
-            return {}
-        return {off + k: s for off, f in zip(self.component_offsets[degree], forms) for k, s in f.terms}
+            return 1, {}
+        return stacked(forms, self.component_offsets[degree])
 
-    def ambient_d(self, n: int, v: SparseRow) -> SparseRow:
-        """Apply d componentwise to an ambient diagonal vector of degree n, a sparse row."""
-        if not v:
-            return {}
-        if not 0 <= n <= self.truncation or min(v) < 0 or max(v) >= len(self._ambient_columns[n]):
+    def ambient_d(self, n: int, v: NumeratorRow) -> NumeratorRow:
+        """Apply d componentwise to an ambient diagonal vector of degree n, a `NumeratorRow`; its zeros dropped."""
+        if type(v) is not tuple:
+            raise ScalarTypeError("an ambient diagonal vector is a numerator row (d, {column: int})")
+        v_den, nums = v
+        if not nums:
+            return 1, {}
+        if not 0 <= n <= self.truncation or min(nums) < 0 or max(nums) >= len(self._ambient_columns[n][1]):
             raise DimensionError(f"sparse vector has a column outside the ambient space of degree {n}")
-        columns = self._ambient_columns[n]
-        out: SparseRow = {}
-        for j, x in v.items():
-            if x:
-                add_scaled(out, x, columns[j])
-        return out
+        den, columns = self._ambient_columns[n]
+        out = contract_into({}, nums.items(), columns)
+        return v_den * den, {i: s for i, s in out.items() if s}
 
     # -- classes ------------------------------------------------------------
 

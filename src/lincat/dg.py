@@ -19,15 +19,17 @@ denominator, as the integer numerators of its nonzero terms.  The
 products are read through `integral_products`, the category's own
 blocks included, and the differential through `integral_diff`.  Every
 kernel reads these stores: `compose` and `d`, the law kernel of
-`lincat.laws`, the quotient complex and the workspace export, each
-turning integers into `Fraction`s only as it reads them.  `gr_comp`,
+`lincat.laws` and the quotient complex sum their integers, and only the
+workspace export turns them into `Fraction`s.  `gr_comp`,
 the products as `Fraction` terms, is a view derived on first read that
 no library code reads.  A table key that the constructor's loops never
 read (out of range, or with entries at a zero space) raises
 `DimensionError` rather than being ignored.
 
-A `Form` holds sorted, nonzero `Fraction` terms, and a degree-0 form is
-a morphism of the base category:
+A `Form` holds integer numerators over one denominator, in lowest
+terms, as the tables do, so its sums, products and differentials are
+`int` arithmetic; its `Fraction` terms are derived for rendering and
+export.  A degree-0 form is a morphism of the base category:
 `trivial_dg(c)` has no other forms, so it is the category c itself.
 Dense coordinates enter a form only through `DGCategory.form`.
 Matrices of forms and their products live in `lincat.form_matrix`.
@@ -38,26 +40,27 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from .category import Category, ObjectId, Violation, checked_blocks, refuse_unread, validate_category
 from .envelope import universal_tables
 from .errors import CategoryAxiomError, CompositionError, DimensionError
 from .exact_linalg import (
-    ONE,
     Echelon,
     IntRow,
+    IntTerms,
+    NumeratorRow,
     Terms,
-    add_terms,
     checked_terms,
     contract_into,
     fraction_terms,
     integral_terms,
+    lowest_terms,
     over_lcm,
     scalar,
-    sparse,
-    vec,
 )
 from .laws import law_violations, laws_hold_on
 
@@ -69,22 +72,38 @@ from .laws import law_violations, laws_hold_on
 class Form:
     """A homogeneous form of the given degree, from `dom` to `cod`.
 
-    `terms` are the nonzero (index, coefficient) pairs of the form in the
-    basis of its space, strictly increasing in index, so equal forms
-    have equal terms.  They are trusted, not checked: forms are built by
-    `DGCategory` (`form`, `basis_form`, `compose`, `d`), by `terms_of`
-    and by `ProductAccumulator`, which all keep them sorted and nonzero.
+    The coefficient at basis form k is n / den over the (k, n) in `nums`,
+    the nonzero numerators by increasing k.  den > 0 has no factor common
+    to all of them, and zero is (1, ()), so equal forms have equal fields
+    and hash alike.  The fields are trusted, not checked: every form is
+    built in lowest terms (`lowest_terms`).  `terms`, the coefficients as
+    `Fraction`s, is derived on each read, for rendering and export.
     """
 
     degree: int
     dom: ObjectId
     cod: ObjectId
-    terms: Terms
+    den: int
+    nums: IntTerms
+
+    @property
+    def terms(self) -> Terms:
+        """The nonzero (index, coefficient) pairs, strictly increasing in index, as `Fraction`s."""
+        return fraction_terms(self.den, self.nums)
 
     def __add__(self, other: "Form") -> "Form":
         if (self.degree, self.dom, self.cod) != (other.degree, other.dom, other.cod):
             raise CompositionError("cannot add forms of different degree or endpoints")
-        return Form(self.degree, self.dom, self.cod, add_terms(self.terms, other.terms))
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        den = lcm(self.den, other.den)
+        out = {k: n * (den // self.den) for k, n in self.nums}
+        m = den // other.den
+        for k, n in other.nums:
+            out[k] = out.get(k, 0) + m * n
+        return Form(self.degree, self.dom, self.cod, *lowest_terms(den, out.items()))
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -94,11 +113,17 @@ class Form:
 
     def scale(self, s) -> "Form":
         s = scalar(s)
-        terms = tuple((k, s * c) for k, c in self.terms) if s else ()
-        return Form(self.degree, self.dom, self.cod, terms)
+        pairs = ((k, s.numerator * n) for k, n in self.nums)
+        return Form(self.degree, self.dom, self.cod, *lowest_terms(self.den * s.denominator, pairs))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+
+def stacked(forms: Sequence[Form], offs: Iterable[int]) -> NumeratorRow:
+    """The coordinates of the forms, each shifted by its offset, as one `NumeratorRow` over the lcm of their denominators."""
+    den = lcm(*[f.den for f in forms])
+    return den, {off + k: n * (den // f.den) for off, f in zip(offs, forms) for k, n in f.nums}
 
 
 class _Built(tuple):
@@ -220,25 +245,25 @@ class DGCategory:
         return self.gr_basis.get(n, {}).get((x, y), ())
 
     def zero_form(self, n: int, dom: ObjectId, cod: ObjectId) -> Form:
-        return Form(n, dom, cod, ())
+        return Form(n, dom, cod, 1, ())
 
     def form(self, n: int, dom: ObjectId, cod: ObjectId, coords) -> Form:
-        """The form with the given dense coordinates; their zeros are dropped."""
-        v = vec(coords)
+        """The form with the given dense coordinates, ints and `Fraction`s as they are, others by `scalar`."""
+        v = [s if type(s) is int or type(s) is Fraction else scalar(s, f"entry {k}") for k, s in enumerate(coords)]
         if len(v) != self.dim(n, cod.index, dom.index):
             raise DimensionError(
                 f"degree-{n} form {dom.label}->{cod.label}: expected {self.dim(n, cod.index, dom.index)} coordinates"
             )
-        return Form(n, dom, cod, tuple(sparse(v).items()))
+        return Form(n, dom, cod, *over_lcm([(k, s) for k, s in enumerate(v) if s]))
 
     def basis_form(self, n: int, dom: ObjectId, cod: ObjectId, k: int) -> Form:
         d = self.dim(n, cod.index, dom.index)
         if not (0 <= k < d):
             raise DimensionError(f"basis index {k} out of range for dimension {d}")
-        return Form(n, dom, cod, ((k, ONE),))
+        return Form(n, dom, cod, 1, ((k, 1),))
 
     def identity_form(self, x: ObjectId) -> Form:
-        return Form(0, x, x, self.base.identity[x.index])
+        return Form(0, x, x, *self.base.identity[x.index])
 
     # -- composition and differential ------------------------------------
 
@@ -249,11 +274,10 @@ class DGCategory:
             )
         p, q = f.degree, g.degree
         den, block = self.integral_products(p, q, f.cod.index, f.dom.index, g.dom.index)
-        (f_den, f_nums), (g_den, g_nums) = over_lcm(f.terms), over_lcm(g.terms)
         out: IntRow = {}
-        for i, a in f_nums:
-            contract_into(out, g_nums, block[i], a)
-        return Form(p + q, g.dom, f.cod, fraction_terms(den * f_den * g_den, out))
+        for i, a in f.nums:
+            contract_into(out, g.nums, block[i], a)
+        return Form(p + q, g.dom, f.cod, *lowest_terms(den * f.den * g.den, out.items()))
 
     @cached_property
     def gr_comp(self) -> dict[tuple[int, int], dict[tuple[int, int, int], tuple]]:
@@ -268,7 +292,7 @@ class DGCategory:
         out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
         for (p, q, x, y, z), (den, rows) in sorted(self._integral.items()):
             if p or q:
-                out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, dict(terms)) for terms in row) for row in rows)
+                out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, terms) for terms in row) for row in rows)
         return out
 
     def integral_products(self, p: int, q: int, x: int, y: int, z: int) -> tuple[int, tuple]:
@@ -300,8 +324,7 @@ class DGCategory:
     def d(self, f: Form) -> Form:
         n = f.degree
         den, columns = self.integral_diff(n, f.cod.index, f.dom.index)
-        f_den, f_nums = over_lcm(f.terms)
-        return Form(n + 1, f.dom, f.cod, fraction_terms(den * f_den, contract_into({}, f_nums, columns)))
+        return Form(n + 1, f.dom, f.cod, *lowest_terms(den * f.den, contract_into({}, f.nums, columns).items()))
 
 
 def validate_dg(w: DGCategory) -> list[Violation]:
@@ -380,8 +403,8 @@ def _generators(w: DGCategory) -> list[Form]:
         key = (gid, n, x)
         rows = rows_of.get(key)
         if rows is None:
-            (_, products), (_, g_numerators) = w.integral_products(n, g.degree, x, y, g.dom.index), over_lcm(g.terms)
-            rows = rows_of[key] = [contract_into({}, g_numerators, row).items() for row in products]
+            _, products = w.integral_products(n, g.degree, x, y, g.dom.index)
+            rows = rows_of[key] = [contract_into({}, g.nums, row).items() for row in products]
         return contract_into({}, v.items(), rows)
 
     def add(n: int, x: int, y: int, v: IntRow) -> bool:
@@ -413,7 +436,7 @@ def _generators(w: DGCategory) -> list[Form]:
         close()
         if n < N:
             dg = w.d(g)
-            if dg.terms:
+            if dg.nums:
                 pending.append(dg)
 
     for n in range(N + 1):
@@ -426,14 +449,14 @@ def _generators(w: DGCategory) -> list[Form]:
         close()
         differentials, pending = pending, []
         for g in differentials:
-            if add(n, g.cod.index, g.dom.index, dict(over_lcm(g.terms)[1])):
+            if add(n, g.cod.index, g.dom.index, dict(g.nums)):
                 join(g)
         for x in range(nobj):
             for y in range(nobj):
                 for k in range(dim(n, x, y)):
                     if (n, x, y) not in words or not words[(n, x, y)].spans_unit(k):
                         add(n, x, y, {k: 1})
-                        join(Form(n, objs[y], objs[x], ((k, ONE),)))
+                        join(Form(n, objs[y], objs[x], 1, ((k, 1),)))
     return gens
 
 

@@ -73,7 +73,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import Echelon, IntRow, NumeratorRow, build_quotient, cut_rows, over_lcm
+from .exact_linalg import Echelon, IntRow, NumeratorRow, build_quotient, cut_rows
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -122,7 +122,7 @@ class _Chains:
         self.c = c
         objects = range(len(c.objects))
         # the basis arrow that is an object's identity, where there is one
-        self.unit = {x: terms[0][0] for x, terms in c.identity.items() if len(terms) == 1 and terms[0][1] == 1}
+        self.unit = {x: nums[0][0] for x, (den, nums) in c.identity.items() if len(nums) == 1 and nums[0][1] == den}
         # the category's products over one denominator per block, and their lcm
         self.products: dict[tuple[int, int, int], IntBlock] = c.integral_comp
         self.den = lcm(*(den for den, _ in self.products.values()))
@@ -162,7 +162,7 @@ class _Chains:
 
     def d_arrow(self, x: int, y: int, b: int) -> NumeratorRow:
         """d of basis arrow b at (x, y), a degree-1 numerator row: 1.b - b.1 with the identity in a slot of its own."""
-        (dx, ix), (dy, iy) = over_lcm(self.c.identity[x]), over_lcm(self.c.identity[y])
+        (dx, ix), (dy, iy) = self.c.identity[x], self.c.identity[y]
         den, pos = lcm(dx, dy), self.spaces[(1, x, y)].pos
         out: IntRow = {pos[((x,), (k, b))]: n * (den // dx) for k, n in ix}
         for k, n in iy:
@@ -423,7 +423,7 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         """d out of degree n: d(a) = 1.da, and d(omega.db) = d(omega).db."""
         if n == 0:
             # 1.da is the sum of s * (e_k.da) over the identity's terms (k, s)
-            (i_den, unit), (r_den, r_xy) = over_lcm(c.identity[x]), right[(1, x, x, y)]
+            (i_den, unit), (r_den, r_xy) = c.identity[x], right[(1, x, x, y)]
             return _settled(i_den * r_den, times_db([[(x, k, a, s) for k, s in unit] for a in range(c.dim(x, y))],
                                                     {x: [((k, 1),) for k in range(c.dim(x, x))]}, {x: r_xy}))
         dens, d_w, r_wy = {}, {}, {}

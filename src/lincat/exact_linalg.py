@@ -9,36 +9,29 @@ reproducible byte for byte.
 Dense vectors are plain tuples of Fractions: classes of the quotient
 complex enter and leave its methods this way.  Scalars given by a
 caller go through one conversion, `scalar`, which refuses floats.
-Sparse vectors come in two shapes, because the spaces of the package
-are mostly zero and exact arithmetic on a zero still costs a
-`Fraction` operation:
+Sparse vectors come in three shapes, because the spaces of the package
+are mostly zero:
 
-* `Terms`, the immutable shape: a tuple of the nonzero (index,
-  coefficient) pairs, strictly increasing in index.  Forms and the
-  identities of a category are stored this way, so two equal vectors
-  have equal terms; `checked_terms` builds them from a map of input
-  scalars, `terms_of` from a sum accumulated in a sparse row, and
-  `add_terms` adds two of them.  Structure constants and differentials
-  are checked in this shape and then stored as integer blocks (below).
-* `SparseRow`, the mutable shape: a map from column index to entry,
-  which the product sums update in place.  Elimination takes its rows
-  in this shape and hands back rows and remainders in it, with nonzero
-  entries only; a sum may leave cancelled zeros, which `terms_of`
-  drops.
+* integer numerators over one positive denominator, the shape of the
+  engine.  Forms and the identities of a category are stored as (D,
+  `IntTerms`): the nonzero (index, numerator) pairs, strictly
+  increasing in index, in lowest terms (`lowest_terms`), so two equal
+  vectors have equal pairs.  The product and differential blocks are
+  stored over one denominator per block (`integral_terms`, and
+  `integral_block` with `cut_rows` for a product block).  Elimination
+  takes a `NumeratorRow` (D, {column: int}), the mutable shape.
+* `Terms`, the nonzero (index, `Fraction`) pairs by increasing index:
+  input, checked by `checked_terms`, and the view of a form that
+  rendering and export read.
+* `SparseRow`, a map from column index to `Fraction`: rows, remainders
+  and solutions handed back by elimination.
 
-Integer arithmetic stands in for `Fraction`s where sums are long, and
-in elimination (below): `integral_terms` puts sparse vectors over one
-common denominator, as `int` numerators, and `cut_rows` cuts such a
-flat list back into the rows of a block (`integral_block` does both
-for a product block); `over_lcm` puts a single vector over the lcm of
-its own denominators.  On the way back, `fraction_terms` is the one
-conversion: it makes the terms of an integer sum over its denominator.
-The envelope builder, the product and differential blocks that
-`Category` and `DGCategory` store, the law kernel of `lincat.laws`
-and the product kernel of `lincat.form_matrix` all convert this way.
-One contraction, `contract_into`, adds combinations of sparse vectors
-into a sparse sum, over `Fraction`s or over numerators: products and
-differentials of forms, and every law check, are made of it.
+Two conversions join them: `over_lcm` puts `Fraction`s over the lcm of
+their denominators, where scalars enter, and `fraction_terms` makes the
+`Fraction` terms of integer pairs, where they leave.  One contraction,
+`contract_into`, adds combinations of sparse vectors into a sparse sum:
+products and differentials of forms, and every law check, are made of
+it, over integers.
 
 All elimination goes through one kernel, `echelon`, which takes sparse
 rows and a column count and adds them one at a time to an `Echelon`;
@@ -68,17 +61,17 @@ column of the reduced basis, and the cohomology of the quotient
 complex calls `echelon` itself.
 
 A row enters `Echelon.add`, `build_quotient`, `echelon` or `solve_rows`,
-and a vector `QuotientSpace.coordinates`, as a sparse row of
-`Fraction`s or as a `NumeratorRow` (d, {column: int}), d > 0, whose
-scale a span ignores: G, the [g, v] commutators, the certificate's
-system and the envelope's chain products come in so.  Anything else, a
-float, a bool or a bare dict of ints, is refused with `ScalarTypeError`,
-as is a vector for the other `QuotientSpace` methods that is not all
-`Fraction`s.  The ints of the kernel are never divided with `/` (only
-by an exact common factor, with `//`), and leave as `Fraction`s: every
-row, remainder, coordinate and solution handed back holds `Fraction`s,
-with each pivot entry exactly 1, except `numerator_rows` and the
-coordinates of a `NumeratorRow`, which stay integers.
+and a vector a `QuotientSpace` method, as a sparse row of `Fraction`s
+or as a `NumeratorRow` (d, {column: int}), d > 0, whose scale a span
+ignores: G, the [g, v] commutators, the ambient rows of the quotient
+complex, the certificate's system and the envelope's chain products
+come in so.  Anything else, a float, a bool or a bare dict of ints, is
+refused with `ScalarTypeError`.  The ints of the kernel are never
+divided with `/` (only by an exact common factor, with `//`), and
+leave as `Fraction`s: every row, coset coordinate and solution handed
+back holds `Fraction`s, with each pivot entry exactly 1, except
+`numerator_rows`, and the coordinates and the reduction of a
+`NumeratorRow`, which keep its shape.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
 any dense matrix given by its `rows`, `cols` and `entries`, which must
@@ -103,6 +96,8 @@ Vector = tuple[Fraction, ...]
 SparseRow = dict[int, Fraction]
 # the nonzero (index, coefficient) pairs of a vector, by increasing index
 Terms = tuple[tuple[int, Fraction], ...]
+# the nonzero (index, numerator) pairs of a vector over a denominator, by increasing index
+IntTerms = tuple[tuple[int, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,23 +141,6 @@ def checked_terms(entries: Mapping[int, object], dim: int, where: str) -> Terms:
     return tuple((k, s) for k, s in terms if s)
 
 
-def terms_of(row: SparseRow) -> Terms:
-    """The terms of a sparse row whose entries may have cancelled to zero."""
-    return tuple((k, s) for k, s in sorted(row.items()) if s)
-
-
-def add_terms(a: Terms, b: Terms) -> Terms:
-    """The terms of the sum of two vectors given by their terms."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for k, s in b:
-        out[k] = out.get(k, ZERO) + s
-    return terms_of(out)
-
-
 def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[int, list]:
     """Sparse vectors over one denominator, as (D, [((k, n), ...)]) with n / D the coefficient at k.
 
@@ -180,25 +158,40 @@ def integral_block(rows: Iterable[Iterable[Terms]], width: int) -> tuple[int, tu
     return den, tuple(map(tuple, cut_rows(flat, width)))
 
 
-def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, Sequence[tuple[int, int]]]:
-    """One sparse vector over the lcm of its denominators: (D, [(k, n)]) with n / D the coefficient at k.
+def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, IntTerms]:
+    """One sparse vector over the lcm of its denominators: (D, ((k, n), ...)) with n / D the coefficient at k.
 
-    The vector is given as (k, coefficient) pairs: its terms, or the
-    items of a sparse row.
+    The coefficients of the (k, coefficient) pairs are `Fraction`s or ints.
+    Terms, sorted and nonzero, come out in lowest terms.
     """
     if not terms:
         return 1, ()
     d = lcm(*[s.denominator for _, s in terms])
     if d == 1:
-        return 1, [(k, s.numerator) for k, s in terms]
-    return d, [(k, s.numerator * (d // s.denominator)) for k, s in terms]
+        return 1, tuple([(k, s.numerator) for k, s in terms])
+    return d, tuple([(k, s.numerator * (d // s.denominator)) for k, s in terms])
 
 
-def fraction_terms(den: int, row: IntRow) -> Terms:
-    """The terms of the sparse integer sum `row` over a positive `den`: one `Fraction` per nonzero entry."""
+def lowest_terms(den: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, IntTerms]:
+    """The integer vector with the given (k, n) pairs over a positive `den`, in lowest terms.
+
+    That is (D, the nonzero pairs sorted by index), with den and the
+    numerators divided by their gcd, and (1, ()) for zero: equal vectors
+    come out equal.
+    """
+    nums = sorted((k, n) for k, n in pairs if n)
+    if not nums:
+        return 1, ()
+    if den != 1 and (g := gcd(den, *[n for _, n in nums])) != 1:
+        return den // g, tuple([(k, n // g) for k, n in nums])
+    return den, tuple(nums)
+
+
+def fraction_terms(den: int, pairs: Iterable[tuple[int, int]]) -> Terms:
+    """The terms of the integer vector with the given (k, n) pairs over a positive `den`: one `Fraction` per nonzero n."""
     if den == 1:
-        return tuple((k, Fraction(n)) for k, n in sorted(row.items()) if n)
-    return tuple((k, Fraction(n, den)) for k, n in sorted(row.items()) if n)
+        return tuple((k, Fraction(n)) for k, n in sorted(pairs) if n)
+    return tuple((k, Fraction(n, den)) for k, n in sorted(pairs) if n)
 
 
 def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
@@ -268,11 +261,6 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-def _all_fractions(values: Iterable) -> bool:
-    # map runs isinstance without a Python frame per entry
-    return all(map(isinstance, values, repeat(Fraction)))
-
-
 def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
     """row += f * other, in place, dropping the entries that cancel; f != 0."""
     for j, y in other.items():
@@ -299,27 +287,28 @@ IntBasis = dict[int, tuple[int, IntRow]]
 NumeratorRow = tuple[int, IntRow]
 
 
-def _numerators(v: SparseRow) -> tuple[int, IntRow]:
-    """A sparse row of Fractions as (D, numerators): n / D is the entry at column j, zeros dropped.
-
-    D is the lcm of the denominators.  An entry that is not a Fraction
-    raises `ScalarTypeError`: an int or a float is refused, not reduced
-    in whatever arithmetic it brings.
-    """
-    if not _all_fractions(v.values()):
-        raise ScalarTypeError("sparse row entries must be Fractions")
-    den, terms = over_lcm(v.items())
-    return den, {j: n for j, n in terms if n}
-
-
 def _row(given: SparseRow | NumeratorRow) -> tuple[int, IntRow]:
-    """A sparse row of Fractions or a `NumeratorRow` as (d, a new dict of its nonzero numerators)."""
+    """A sparse row of Fractions or a `NumeratorRow` as (d, a new dict of its nonzero numerators).
+
+    A sparse row goes over the lcm of its denominators.  An entry that is
+    not a Fraction raises `ScalarTypeError`: an int or a float is refused,
+    not reduced in whatever arithmetic it brings.
+    """
     if type(given) is not tuple:
-        return _numerators(given)
+        # map runs isinstance without a Python frame per entry
+        if not all(map(isinstance, given.values(), repeat(Fraction))):
+            raise ScalarTypeError("sparse row entries must be Fractions")
+        den, terms = over_lcm(given.items())
+        return den, {j: n for j, n in terms if n}
     d, nums = given if len(given) == 2 else (0, None)
     if type(d) is not int or d <= 0 or type(nums) is not dict or not {int}.issuperset(map(type, nums.values())):
         raise ScalarTypeError("a numerator row is (d, {column: int}) with d a positive int")
     return d, {j: n for j, n in nums.items() if n}
+
+
+def _fractions(row: NumeratorRow) -> SparseRow:
+    """A `NumeratorRow` as a sparse row of `Fraction`s, its zeros dropped."""
+    return dict(fraction_terms(row[0], row[1].items()))
 
 
 def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
@@ -390,7 +379,7 @@ def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple
     """
     basis = _spanned(rows, ncols)._basis
     pivots = tuple(sorted(basis))
-    return tuple(dict(fraction_terms(*basis[p])) for p in pivots), pivots
+    return tuple(_fractions(basis[p]) for p in pivots), pivots
 
 
 class Echelon:
@@ -419,7 +408,7 @@ class Echelon:
     @property
     def rows(self) -> dict[int, SparseRow]:
         basis = self._basis
-        return {p: dict(fraction_terms(*basis[p])) for p in sorted(basis)}
+        return {p: _fractions(basis[p]) for p in sorted(basis)}
 
     @property
     def numerator_rows(self) -> dict[int, NumeratorRow]:
@@ -504,7 +493,8 @@ class QuotientSpace:
     subspace; its coset coordinates are the entries at the free columns,
     and a vector of the subspace has its coordinates in the basis at the
     pivots (`coordinates`).  Every entry handed back is a `Fraction`,
-    except the coordinates of a `NumeratorRow` and `numerator_rows`.
+    except `numerator_rows`, and the coordinates and the reduction of a
+    `NumeratorRow`, which keep its shape.
     """
 
     ambient_dim: int
@@ -525,7 +515,7 @@ class QuotientSpace:
 
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
-        return tuple(dict(fraction_terms(*self._basis[p])) for p in self.pivots)
+        return tuple(_fractions(self._basis[p]) for p in self.pivots)
 
     @property
     def numerator_rows(self) -> tuple[NumeratorRow, ...]:
@@ -553,17 +543,20 @@ class QuotientSpace:
             return den, {position[j]: n for j, n in nums.items() if n and j in position}
         return {position[j]: s for j, s in v.items() if j in position}
 
-    def reduce_sparse(self, v: SparseRow) -> SparseRow:
-        """Canonical coset representative of a sparse vector, as a sparse vector; empty on the subspace."""
-        den, nums = _numerators(v)
-        return dict(fraction_terms(den * _reduce(nums, self._basis), nums))
+    def reduce_sparse(self, v: SparseRow | NumeratorRow) -> SparseRow | NumeratorRow:
+        """Canonical coset representative of a vector, in the shape of v (over a multiple of D for a `NumeratorRow`)."""
+        den, nums = _row(v)
+        den *= _reduce(nums, self._basis)
+        return (den, nums) if type(v) is tuple else _fractions((den, nums))
 
-    def coset_coordinates(self, v: SparseRow) -> Vector:
-        """The coordinates of the coset of a sparse vector, a dense tuple over the free columns."""
-        if v and (min(v) < 0 or max(v) >= self.ambient_dim):
+    def coset_coordinates(self, v: SparseRow | NumeratorRow) -> Vector:
+        """The coordinates of the coset of a vector, a dense tuple of `Fraction`s over the free columns."""
+        den, nums = _row(v)
+        columns = v[1] if type(v) is tuple else v
+        if columns and (min(columns) < 0 or max(columns) >= self.ambient_dim):
             raise DimensionError(f"sparse vector has a column outside 0..{self.ambient_dim - 1}")
-        red = self.reduce_sparse(v)
-        return tuple(red.get(c, ZERO) for c in self.free_columns)
+        den *= _reduce(nums, self._basis)
+        return tuple(Fraction(nums[c], den) if c in nums else ZERO for c in self.free_columns)
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | NumeratorRow]) -> QuotientSpace:

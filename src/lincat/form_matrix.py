@@ -12,15 +12,13 @@ entry at the end.  `FormMatrix.mul`, the polynomial products of
 products builds no intermediate forms.
 
 The kernel is fraction-free in the manner of Bareiss: the sums hold
-Python ints over one common denominator per entry, and each output
-coordinate is divided once, when `matrix()` builds its `Fraction`.
-The stored products come from `DGCategory.integral_products`, one
-denominator per block, and each factor form is put over the lcm of its
-denominators once per `add`.  Tables and forms with integral
-coefficients, the common case, never leave int arithmetic; other
-denominators take the same path with a denominator above 1.  A caller
-that multiplies one factor by several others, as the polynomial
-products of `tforms` do, converts it once (`_integral_entries`).
+Python ints over one common denominator per entry, and `matrix()`
+divides each entry once, by the gcd of its denominator and numerators,
+into a `Form` in lowest terms.  The stored products come from
+`DGCategory.integral_products`, one denominator per block, and each
+factor form brings its own numerators and denominator, so nothing is
+converted on the way in or out.  Tables and forms with integral
+coefficients, the common case, keep every denominator at 1.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Sequence
 from .category import ObjectId
 from .dg import DGCategory, Form
 from .errors import DimensionError
-from .exact_linalg import fraction_terms, over_lcm
+from .exact_linalg import lowest_terms
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,10 @@ class ProductAccumulator:
     basis forms, also over one denominator, straight into the entries
     of the result.  When a pair of factor forms brings a denominator
     the entry does not hold, the entry is rescaled to the lcm of both.
-    `matrix()` then builds one `Form` per entry, and one `Fraction` per
-    nonzero coordinate, so a product or a sum of products costs no
-    intermediate form and no rational arithmetic.  The value of each
-    entry is that of summing `DGCategory.compose` over the inner index.
+    `matrix()` then builds one `Form` per entry, in lowest terms, so a
+    product or a sum of products costs no intermediate form and no
+    rational arithmetic.  Each entry equals the sum of
+    `DGCategory.compose` over the inner index.
     """
 
     def __init__(self, w: DGCategory, degree: int, row_family, col_family):
@@ -169,31 +167,26 @@ class ProductAccumulator:
         self.dens: list[list[int]] = [[1] * len(self.col_family) for _ in self.row_family]
 
     def add(self, a: FormMatrix, b: FormMatrix, sign: int = 1) -> None:
-        self._add(a, b, _integral_entries(a), _integral_entries(b), sign)
-
-    def _add(self, a: FormMatrix, b: FormMatrix, a_entries: list, b_entries: list, sign: int) -> None:
-        """`add`, with each factor's entries already over one denominator (`_integral_entries`)."""
         if a.col_family != b.row_family:
             raise DimensionError("form matrix product: inner families differ")
         if (a.degree + b.degree, a.row_family, b.col_family) != (self.degree, self.row_family, self.col_family):
             raise DimensionError("form matrix product: factors do not match the accumulated sum")
         integral, p, q = self.w.integral_products, a.degree, b.degree
         cols = [oj.index for oj in b.col_family]
-        for oi, a_row, out_row, den_row in zip(a.row_family, a_entries, self.sums, self.dens):
+        for oi, a_row, out_row, den_row in zip(a.row_family, a.entries, self.sums, self.dens):
             x = oi.index
-            for ok, (f_den, f_nums), b_row in zip(a.col_family, a_row, b_entries):
-                if not f_nums:
+            for ok, f, b_row in zip(a.col_family, a_row, b.entries):
+                if not f.nums:
                     continue
-                if sign != 1:
-                    f_nums = [(i, sign * n) for i, n in f_nums]
+                f_nums = f.nums if sign == 1 else [(i, sign * n) for i, n in f.nums]
                 y = ok.index
-                for c, z in enumerate(cols):
-                    g_den, g_nums = b_row[c]
+                for c, (z, g) in enumerate(zip(cols, b_row)):
+                    g_nums = g.nums
                     if not g_nums:
                         continue
                     block_den, products = integral(p, q, x, y, z)
                     out, den, pair_nums = out_row[c], den_row[c], f_nums
-                    pair_den = f_den * g_den * block_den
+                    pair_den = f.den * g.den * block_den
                     if pair_den != den:
                         common = lcm(den, pair_den)
                         if common != den:
@@ -214,14 +207,9 @@ class ProductAccumulator:
     def matrix(self) -> FormMatrix:
         deg, rf, cf = self.degree, self.row_family, self.col_family
         return FormMatrix(deg, rf, cf, tuple(
-            tuple(Form(deg, oj, oi, fraction_terms(den, out)) for oj, out, den in zip(cf, row, dens))
+            tuple(Form(deg, oj, oi, *lowest_terms(den, out.items())) for oj, out, den in zip(cf, row, dens))
             for oi, row, dens in zip(rf, self.sums, self.dens)
         ))
-
-
-def _integral_entries(m: FormMatrix) -> list[list[tuple[int, Sequence[tuple[int, int]]]]]:
-    """The entries of a form matrix, each over one denominator by `over_lcm`."""
-    return [[over_lcm(f.terms) for f in row] for row in m.entries]
 
 
 def block_diag(w: DGCategory, a: FormMatrix, b: FormMatrix) -> FormMatrix:

@@ -18,10 +18,10 @@ the tables of a `DGCategory` and contract them into sparse sums with
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
 `DGCategory.integral_products`, and each block of the differential from
-`DGCategory.integral_diff`, as every envelope stores them; each
-identity goes over the lcm of its own denominators (`over_lcm`).  A
-left factor goes over the lcm of its own denominators too, which then
-drops out: both sides of every law are linear in it.  The two sides of
+`DGCategory.integral_diff`, as every envelope stores them, and each
+identity over one denominator, as the category stores it.  A left
+factor comes as the numerators of a form, whose denominator drops out:
+both sides of every law are linear in it.  The two sides of
 a law are summed from different blocks, so each is cross-multiplied by
 the denominators of the other before they are compared; where every
 denominator is 1, as in most tables, nothing is scaled.  A law holds
@@ -34,7 +34,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .category import Violation
-from .exact_linalg import contract_into, over_lcm
+from .exact_linalg import contract_into
 
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
@@ -112,13 +112,13 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, dims) -> Iterat
         return r
 
     # 1.g - g and g.1 - g, over the denominators of the unit and of the block
-    (one_den, one), (den, one_g) = over_lcm(w.base.identity[x]), columns(0, p, x, x, y)
+    (one_den, one), (den, one_g) = w.base.identity[x], columns(0, p, x, x, y)
     out = {k: -one_den * den * n for k, n in g}
     for j, n in g:
         contract_into(out, one, one_g[j], n)
     if any(out.values()):
         yield 0, (p,), (x, y), ()
-    (one_den, one), (den, g_one) = over_lcm(w.base.identity[y]), row(0, y)
+    (one_den, one), (den, g_one) = w.base.identity[y], row(0, y)
     if any(contract_into({k: -one_den * den * n for k, n in g}, one, g_one).values()):
         yield 1, (p,), (x, y), ()
     d_den, d_p = diff(p, x, y)
@@ -183,8 +183,8 @@ def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     """
     columns, dims = _columns(w), _dims(w)
     for g in gens:
-        _, numerators = over_lcm(g.terms)  # g over the lcm of its denominators
-        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, numerators, columns, dims):
+        # the laws are linear in g, so its denominator drops out
+        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, g.nums, columns, dims):
             return False
     return True
 

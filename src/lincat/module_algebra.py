@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import ObjectId
-from .dg import DGCategory, Form
+from .dg import DGCategory, Form, stacked
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
-from .exact_linalg import SparseRow, Vector, build_quotient, checked_terms, densify, offsets
+from .exact_linalg import NumeratorRow, SparseRow, Vector, build_quotient, checked_terms, densify, offsets, over_lcm
 from .form_matrix import FormMatrix, block_diag
 
 # ---------------------------------------------------------------------------
@@ -175,15 +175,11 @@ class EFixedComponent:
         self.offsets = offsets(self.block_dims)
         self.total_dim = sum(self.block_dims)
 
-        images: list[SparseRow] = []
+        images: list[NumeratorRow] = []
         for j, oj in enumerate(fam):
             for cidx in range(self.block_dims[j]):
                 basis = w.basis_form(degree, anchor, oj, cidx)
-                image: SparseRow = {}
-                for i in range(len(fam)):
-                    for k, s in w.compose(module.idempotent.entries[i][j], basis).terms:
-                        image[self.offsets[i] + k] = s
-                images.append(image)
+                images.append(stacked([w.compose(row[j], basis) for row in module.idempotent.entries], self.offsets))
         self.span = build_quotient(self.total_dim, images)
         self.rows, self.pivots = self.span.rows, self.span.pivots
 
@@ -206,7 +202,7 @@ class EFixedComponent:
         rows = []
         for i, (oi, off, d) in enumerate(zip(self.module.family, self.offsets, self.block_dims)):
             block = {j - off: s for j, s in v.items() if off <= j < off + d}
-            rows.append((Form(self.degree, self.anchor, oi, checked_terms(block, d, f"column block {i}")),))
+            rows.append((Form(self.degree, self.anchor, oi, *over_lcm(checked_terms(block, d, f"column block {i}"))),))
         return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
 
     def basis_column(self, k: int) -> FormMatrix:

@@ -22,9 +22,9 @@ satisfies an exact homotopy identity (see the quotient-complex module).
 Products accumulate once per entry: a polynomial product keeps one
 `ProductAccumulator` of `lincat.form_matrix` per power of t, and the
 e-part of a product adds a0.b1 and (-1)^m a1.b0 into the same
-accumulators.  They sum integer numerators over one denominator per
-entry, so the coefficient of each power of t is made of `Fraction`s
-once, when its matrix is built.
+accumulators.  They sum the integer numerators of the forms over one
+denominator per entry, so the coefficient of each power of t is put in
+lowest terms once, when its matrix is built.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .category import ObjectId
 from .dg import DGCategory, Form
 from .errors import DimensionError
-from .form_matrix import FormMatrix, ProductAccumulator, _integral_entries
+from .form_matrix import FormMatrix, ProductAccumulator
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,14 @@ def _pm_products(w: DGCategory, degree: int, row_family, col_family, products) -
     """The sum of sign * a.b over the (a, b, sign) in `products`.
 
     One accumulator per power of t collects every coefficient product,
-    and each power becomes a matrix once at the end.  Each coefficient
-    matrix is put over integer numerators once per product.
+    and each power becomes a matrix once at the end.
     """
     n = max((len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products), default=1)
     acc = [ProductAccumulator(w, degree, row_family, col_family) for _ in range(n)]
     for a, b, sign in products:
-        b_entries = [_integral_entries(mb) for mb in b.coeffs]
         for i, ma in enumerate(a.coeffs):
-            a_entries = _integral_entries(ma)
             for j, mb in enumerate(b.coeffs):
-                acc[i + j]._add(ma, mb, a_entries, b_entries[j], sign)
+                acc[i + j].add(ma, mb, sign)
     return poly_matrix([m.matrix() for m in acc])
 
 

@@ -409,13 +409,13 @@ def _category_doc(cat: Category) -> dict:
                     products.append({
                         "left": left,
                         "right": right,
-                        "result": {targets[k]: format_scalar(s) for k, s in fraction_terms(den, dict(entry))},
+                        "result": {targets[k]: format_scalar(s) for k, s in fraction_terms(den, entry)},
                     })
     identities = {}
     for x in range(nobj):
         names = cat.basis_labels(x, x)
         identities[cat.objects[x].label] = {
-            names[k]: format_scalar(s) for k, s in cat.identity[x]
+            names[k]: format_scalar(s) for k, s in fraction_terms(*cat.identity[x])
         }
     return {
         "objects": [o.label for o in cat.objects],
@@ -463,7 +463,7 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
                                 "left": address(p, x, y, i),
                                 "right": address(q, y, z, j),
                                 "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x],
-                                                     fraction_terms(den, dict(entry))),
+                                                     fraction_terms(den, entry)),
                             })
     differentials = []
     for n in range(0, dg.truncation):
@@ -474,7 +474,7 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
                     differentials.append({
                         "of": address(n, x, y, k),
                         "result": _term_docs(dg, n + 1, cat.objects[y], cat.objects[x],
-                                             fraction_terms(den, dict(entry))),
+                                             fraction_terms(den, entry)),
                     })
     return {
         "model": "tables",

@@ -19,7 +19,7 @@ from lincat.envelope import _Chains
 from lincat.errors import LincatError
 from lincat.exact_linalg import ONE, ZERO, build_quotient
 
-from law_oracle import compose_basis
+from law_oracle import compose_basis, identity_terms
 
 
 def _coordinates(target, v):
@@ -50,7 +50,7 @@ def merge(chains, p, q, x, y, z, u, v):
 
 def chain_d(chains, n, x, y, v):
     """The differential of a degree-n (x,y) sparse row of Fractions: alternating identity insertion."""
-    identity = chains.c.identity
+    identity = identity_terms(chains.c)
     src_elems, out_pos = chains.spaces[(n, x, y)].elems, chains.spaces[(n + 1, x, y)].pos
     out = {}
     for idx, s in v.items():

@@ -8,7 +8,8 @@ unit laws on every basis form of positive degree, and
 on its basis arrows.  `law_defects` computes what the unit laws, d.d = 0,
 Leibniz and associativity leave over with one given form on the left.
 They read the stored tables of `DGCategory` and `Category` alone, in
-`Fraction`s (`basis_products`, `comp_terms`, `diff_terms`), and share no code with `lincat.laws`, which writes the
+`Fraction`s (`basis_products`, `comp_terms`, `diff_terms`,
+`identity_terms`), and share no code with `lincat.laws`, which writes the
 laws once with one form on the left, over integer numerators, and runs
 them for `validate_dg` and `validate_category`; the two must agree.
 """
@@ -48,6 +49,11 @@ def comp_terms(c):
     """
     return {key: tuple(tuple(_fractions(den, terms) for terms in row) for row in rows)
             for key, (den, rows) in c.integral_comp.items()}
+
+
+def identity_terms(c):
+    """The identity of each object of a category in `Fraction`s, read from its numerators: x -> its terms."""
+    return {x: _fractions(den, nums) for x, (den, nums) in c.identity.items()}
 
 
 def compose_basis(c, x, y, z, i, j):
@@ -171,15 +177,16 @@ def law_violations(w):
 def unit_violations(w):
     """Unit-law failures on every basis form of positive degree, in loop order."""
     violations = []
+    identity = identity_terms(w.base)
     for n in range(1, w.truncation + 1):
         for (x, y) in hom_pairs(w, n):
             ox, oy = w.base.objects[x], w.base.objects[y]
             left, right = basis_products(w, 0, n, x, x, y), basis_products(w, n, 0, x, y, y)
             for k in range(w.dim(n, x, y)):
                 labels = w.space_labels(n, x, y)
-                if _contract(w.base.identity[x], [row[k] for row in left]) != {k: 1}:
+                if _contract(identity[x], [row[k] for row in left]) != {k: 1}:
                     violations.append(Violation("dg-identity-left", f"1_{ox.label} . {labels[k]}"))
-                if _contract(w.base.identity[y], right[k]) != {k: 1}:
+                if _contract(identity[y], right[k]) != {k: 1}:
                     violations.append(Violation("dg-identity-right", f"{labels[k]} . 1_{oy.label}"))
     return violations
 
@@ -188,7 +195,7 @@ def category_violations(c):
     """Unit and associativity failures on every basis arrow, pair and triple of a category, in loop order."""
     violations = []
     n = len(c.objects)
-    comp = comp_terms(c)
+    comp, identity = comp_terms(c), identity_terms(c)
 
     def product(x, y, z, u, v):
         """u.v for u at (x, y) and v at (y, z), both given as (k, s) pairs."""
@@ -204,9 +211,9 @@ def category_violations(c):
         for y in range(n):
             for k in range(c.dim(x, y)):
                 label = c.basis_labels(x, y)[k]
-                if product(x, x, y, c.identity[x], [(k, 1)]) != {k: 1}:
+                if product(x, x, y, identity[x], [(k, 1)]) != {k: 1}:
                     violations.append(Violation("identity-left", f"1_{c.objects[x].label} . {label}"))
-                if product(x, y, y, [(k, 1)], c.identity[y]) != {k: 1}:
+                if product(x, y, y, [(k, 1)], identity[y]) != {k: 1}:
                     violations.append(Violation("identity-right", f"{label} . 1_{c.objects[y].label}"))
 
     for x, y, z, u in itertools.product(range(n), repeat=4):
@@ -278,8 +285,9 @@ def law_defects(w, p, x, y, coefficients):
     def record(key, difference):
         defects.update(((key, k), s) for k, s in difference.items())
 
-    for law, product in (("dg-identity-left", _product(w, (0, x, x, dict(w.base.identity[x])), g)),
-                         ("dg-identity-right", _product(w, g, (0, y, y, dict(w.base.identity[y]))))):
+    identity = identity_terms(w.base)
+    for law, product in (("dg-identity-left", _product(w, (0, x, x, dict(identity[x])), g)),
+                         ("dg-identity-right", _product(w, g, (0, y, y, dict(identity[y]))))):
         record((law,), _plus(product[3], g[3], -1))
     dg = _d(w, g)
     if p < N:

@@ -38,7 +38,7 @@ from conftest import (
 )
 from test_dg import (UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_matrix_units, scaled_quiver,
                      weighted_matrix_units)
-from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
+from test_exact_linalg import DenseMatrix, as_numerators, dense_kernel, dense_rref, dense_solve
 
 
 def random_class(rh, n, rng):
@@ -86,13 +86,17 @@ def test_d_class_matches_ambient_d(dual5, two5):
             for _ in range(6):
                 amb = sparse([random_scalar(rng) for _ in range(rh.ambient_dim(n))])
                 via_class = rh.d_class(n, rh.quotients[n].coset_coordinates(amb))
-                directly = rh.quotients[n + 1].coset_coordinates(rh.ambient_d(n, amb))
+                # ambient rows are numerator rows, here over twice the least denominator
+                directly = rh.quotients[n + 1].coset_coordinates(rh.ambient_d(n, as_numerators(amb, 2)))
                 assert via_class == directly
     # a column outside the ambient space, or a degree outside 0..N, is refused
     rh = get_complex(two5)
     for n, j in ((0, rh.ambient_dim(0)), (0, -1), (-1, 0), (6, 0)):
         with pytest.raises(DimensionError, match=f"outside the ambient space of degree {n}"):
-            rh.ambient_d(n, {j: Fraction(1)})
+            rh.ambient_d(n, (1, {j: 1}))
+    # a sparse row of Fractions is refused by its type
+    with pytest.raises(ScalarTypeError, match="numerator row"):
+        rh.ambient_d(0, {0: Fraction(1)})
 
 
 def test_harmonic_representatives(dual5, two5, arrow3):
@@ -597,7 +601,8 @@ def test_trace_classes_match_dense_reduction():
                 cls = rh.class_of_trace(n, forms)
                 assert cls == dense_class(quotient, dense_diagonal(w, forms)), (n, k)
                 assert rh.render_class(n, cls) == dense_render(w, n, quotient, cls), (n, k)
-                d_row = rh.ambient_d(n, rh.ambient_row(n, forms))
+                d_den, d_nums = rh.ambient_d(n, rh.ambient_row(n, forms))
+                d_row = {j: Fraction(s, d_den) for j, s in d_nums.items()}
                 assert densify(d_row, rh.ambient_dim(n + 1)) == dense_trace_d(w, n, forms), (n, k)
                 if n < w.truncation:
                     assert rh.d_class(n, cls) == dense_class(quotients[n + 1], dense_trace_d(w, n, forms))

@@ -24,7 +24,8 @@ from lincat import (
     validate_dg,
 )
 from lincat.category import Category
-from lincat.dg import DGCategory, _generators
+from lincat.dg import DGCategory, Form, _generators
+from lincat.form_matrix import ProductAccumulator
 from lincat.envelope import _Chains
 from lincat.exact_linalg import ONE, Echelon, build_quotient, cut_rows, integral_terms
 from lincat.laws import law_violations, laws_hold_on
@@ -34,7 +35,7 @@ from lincat.workspace import fixture_names, load_fixture
 from envelope_oracle import direct_tables
 from test_exact_linalg import DenseMatrix, dense_kernel
 from law_oracle import law_violations as enumerated_violations
-from law_oracle import basis_products, category_violations, comp_terms, diff_terms, hom_pairs, law_defects
+from law_oracle import basis_products, category_violations, comp_terms, diff_terms, hom_pairs, identity_terms, law_defects
 from law_oracle import unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
@@ -490,19 +491,47 @@ def test_checked_constructor_keeps_only_the_integer_store(name):
             assert v._integral[(0, 0, *key)] is block, key
 
 
+def fractions_in(value) -> int:
+    """The number of `Fraction`s stored in a value of tuples, lists, dicts, forms and form matrices."""
+    if isinstance(value, Fraction):
+        return 1
+    if isinstance(value, (tuple, list)):
+        return sum(map(fractions_in, value))
+    if isinstance(value, dict):
+        return sum(fractions_in(k) + fractions_in(v) for k, v in value.items())
+    if isinstance(value, (Form, FormMatrix)):
+        return fractions_in(list(vars(value).values()))
+    return 0
+
+
 def test_no_fraction_table_is_kept_from_parse_to_chern():
     # every table has one store, of integer blocks: parsing (which writes
     # the canonical document), validation, the quotient complex and a
-    # Chern class derive no `Fraction` table from it and keep none
+    # Chern class derive no `Fraction` table from it and keep none; and
+    # the identities, the connections' forms, their curvature and the
+    # character forms store integer numerators, not `Fraction`s
+    found = 0
     for name in fixture_names():
         ws = load_fixture(name)
         validate_dg(ws.dg)
         get_complex(ws.dg)
+        q = 1 if ws.dg.truncation >= 2 else 0
         for conn in list(ws.connections.values())[:1]:
-            chern_class(conn, 1 if ws.dg.truncation >= 2 else 0)
+            chern_class(conn, q)
         assert "gr_comp" not in vars(ws.dg), name
         for holder in (ws.category, ws.dg):
             assert not hasattr(holder, "comp") and not hasattr(holder, "diff"), (name, holder)
+        assert fractions_in(ws.category.identity) == 0, name
+        for conn in ws.connections.values():
+            stored = [conn.module.idempotent, conn.gauge, conn.operational_matrix(), chern_form(conn, q)]
+            if q:
+                stored.append(conn.curvature())
+            assert fractions_in(stored) == 0, (name, conn.module.name)
+            # the walk does find the `Fraction`s of the derived terms
+            forms = [f for m in stored[:3] for row in m.entries for f in row]
+            assert fractions_in([f.terms for f in forms]) == sum(len(f.nums) for f in forms)
+            found += fractions_in([f.terms for f in forms])
+    assert found
 
 
 def test_chain_subspace_refuses_a_vector_outside_its_span():
@@ -642,8 +671,9 @@ def assert_reduced_block(den, entries):
 
 def test_stored_blocks_are_reduced_sorted_and_nonzero():
     # byte-identical export, `compose`, `d` and form equality rely on this
-    # shape: every product and differential block is stored over the least
-    # denominator of its entries, and every form as sorted nonzero Fractions
+    # shape: every product and differential block, every identity and every
+    # form is stored over the least denominator of its entries, and a form's
+    # terms are sorted nonzero Fractions
     m2 = universal_dg(m2_category(), 2)
     x = m2.base.objects[0]
     idem = FormMatrix(0, (x,), (x,), ((m2.form(0, x, x, (2, -2, 1, -1)),),))
@@ -661,11 +691,14 @@ def test_stored_blocks_are_reduced_sorted_and_nonzero():
         for den, entries in blocks:
             assert_reduced_block(den, entries)
             dens.add(den)
-        for terms in w.base.identity.values():
+        for den, nums in w.base.identity.values():
+            assert_reduced_block(den, [nums])
+        for terms in identity_terms(w.base).values():
             assert_sorted_nonzero_fractions(terms)
         forms = returned_forms(w, connections)
         assert any(not f.is_zero() for f in forms) or not connections
         for f in forms:
+            assert_reduced_block(f.den, [f.nums])
             assert_sorted_nonzero_fractions(f.terms)
     assert max(dens) > 1
     # the same tables with every entry's terms given in decreasing index order
@@ -676,6 +709,59 @@ def test_stored_blocks_are_reduced_sorted_and_nonzero():
             for n, level in diff_terms(m2).items()}
     again = DGCategory(m2.base, m2.truncation, m2.gr_basis, gr_comp, diff)
     assert (again._integral, again._diff) == (m2._integral, m2._diff)
+
+
+def assert_same_canonical_form(got, expected):
+    """Two forms with equal fields, hash and terms, each in lowest terms with a tuple of numerators."""
+    for f in (got, expected):
+        assert type(f.nums) is tuple, f
+        assert_reduced_block(f.den, [f.nums])
+    assert got == expected and hash(got) == hash(expected), (got, expected)
+    assert got.terms == expected.terms
+
+
+def test_forms_stay_canonical_along_every_route():
+    # a form holds (den, numerators) in lowest terms, so the same form
+    # reached by different sums, scalings and products is the same value;
+    # coefficients over 6 and scalars over 3 and 4 keep denominators in play,
+    # and without the gcd step f.scale(s).scale(1 / s) would keep a factor
+    rng = random.Random(26)
+    models = [universal_dg(m2_category(), 3), universal_dg(two_points_category(), 4),
+              universal_dg(dual_category(), 4)]
+    dens = set()
+    for w in models:
+        x = w.base.objects[0]
+        for n in range(w.truncation + 1):
+            f, g = (random_form(w, n, x, x, rng).scale(Fraction(1, 6)) for _ in range(2))
+            dens.add(f.den)
+            for s in (Fraction(2, 3), Fraction(-5, 4), Fraction(6)):
+                assert_same_canonical_form(f.scale(s).scale(1 / s), f)
+            assert_same_canonical_form((f + g) - g, f)
+            assert_same_canonical_form(f - f, w.zero_form(n, x, x))
+            assert_same_canonical_form(w.compose(w.identity_form(x), f), f)
+            assert_same_canonical_form(w.compose(f, w.identity_form(x)), f)
+        # form matrices: FormMatrix.mul against composes summed over the inner index
+        for p, q in ((0, 1), (1, 1), (1, 2)):
+            a = random_form_matrix(w, p, (x, x), (x, x, x), rng).scale(Fraction(1, 6))
+            b = random_form_matrix(w, q, (x, x, x), (x, x), rng).scale(Fraction(-1, 4))
+            ab = a.mul(w, b)
+            for i in range(2):
+                for j in range(2):
+                    expected = w.zero_form(p + q, x, x)
+                    for k in range(3):
+                        expected = expected + w.compose(a.entries[i][k], b.entries[k][j])
+                    assert_same_canonical_form(ab.entries[i][j], expected)
+            # a.b + a.b - a.b through one accumulator, and -a.b alone
+            acc, negated = (ProductAccumulator(w, p + q, (x, x), (x, x)) for _ in range(2))
+            acc.add(a, b)
+            acc.add(a, b)
+            acc.add(a, b, sign=-1)
+            negated.add(a, b, sign=-1)
+            for got, again, minus, want in zip(*(m.entries for m in (acc.matrix(), ab, negated.matrix(), -ab))):
+                for entries in zip(got, again, minus, want):
+                    assert_same_canonical_form(entries[0], entries[1])
+                    assert_same_canonical_form(entries[2], entries[3])
+    assert max(dens) > 1
 
 
 def test_dense_tables_survive_sparse_storage():
@@ -724,7 +810,7 @@ def test_dense_tables_survive_sparse_storage():
     labels = [o.label for o in c.objects]
     base_comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
                  for key, block in comp_terms(c).items()}
-    identity = {x: dict(terms) for x, terms in c.identity.items()}
+    identity = {x: dict(terms) for x, terms in identity_terms(c).items()}
     assert comp_terms(Category(labels, c.hom_basis, base_comp, identity)) == comp_terms(c)
     x, y, z = next(iter(base_comp))
     dxy, dyz, dxz = c.dim(x, y), c.dim(y, z), c.dim(x, z)
@@ -967,7 +1053,7 @@ def category_corruptions(c, rng, count):
         delta = random_scalar(rng) or Fraction(1)
         comp = {key: {(i, j): dict(terms) for i, row in enumerate(block) for j, terms in enumerate(row)}
                 for key, block in comp_terms(c).items()}
-        identity = {x: dict(terms) for x, terms in c.identity.items()}
+        identity = {x: dict(terms) for x, terms in identity_terms(c).items()}
         place = rng.choice(places)
         if place[0] == "comp":
             _, key, i, j, k = place
@@ -1008,7 +1094,7 @@ def single_corruptions(w, rng, count):
     """
     c = w.base
     labels = [o.label for o in c.objects]
-    identity = {x: dict(terms) for x, terms in c.identity.items()}
+    identity = {x: dict(terms) for x, terms in identity_terms(c).items()}
     comp, diff = dense_tables(w)
     tables = [
         [("comp", pq, key, i, j, k) for pq, table in comp.items() for key, block in table.items()

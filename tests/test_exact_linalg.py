@@ -394,8 +394,14 @@ def entry_points_match_dense_reference(m, rng):
         assert coset == tuple(red.get(c, 0) for c in q.free_columns)
         assert all(type(x) is Fraction for x in coset)
         assert (q.coordinates(sparse(v)) is None) == bool(red)
-        # as a numerator row too: a vector outside the span is refused
+        # as a numerator row too: a vector outside the span is refused, the
+        # reduction keeps the shape and the coset coordinates are Fractions
         assert (q.coordinates(as_numerators(sparse(v), 2)) is None) == bool(red)
+        red_den, red_nums = q.reduce_sparse(as_numerators(sparse(v), 2))
+        assert {j: Fraction(n, red_den) for j, n in red_nums.items()} == red
+        assert all(type(n) is int for n in red_nums.values())
+        numerator_coset = q.coset_coordinates(as_numerators(sparse(v), 2))
+        assert numerator_coset == coset and all(type(x) is Fraction for x in numerator_coset)
         # a combination of the rows has that combination as coordinates
         lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rank_)]
         combo = sparse([sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)])

@@ -83,3 +83,40 @@ def test_every_top_level_definition_is_exported_or_read():
     assert sorted(f"{defined[name]}:{name}" for name in unread - UNREAD_ALLOWED.keys()) == []
     # an allowed name that is gone or read again leaves the allowlist
     assert sorted(UNREAD_ALLOWED.keys() - unread) == []
+
+
+# the functions of src that read an attribute named `terms`, each with its
+# reason: `Form.terms` makes one `Fraction` per coefficient, so only the
+# places where coefficients leave the engine, rendering and export, read it
+TERMS_READERS = {
+    "dg.py:render_form": "renders a form in the labels of its basis",
+    "workspace.py:_form_doc": "exports a form as address terms with rational coefficients",
+    "module_algebra.py:ambient_of_column": "hands a column back as the sparse row of Fractions it promises",
+    "cli.py:cmd_chern": "reads CocycleCertificate.terms, the commutators a certificate cites, not a form's terms",
+}
+
+
+def terms_readers(tree: ast.Module, module: str) -> set[str]:
+    """The "module:function" names of the innermost functions that read an attribute named `terms`."""
+    found = set()
+
+    def walk(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "terms" and isinstance(child.ctx, ast.Load):
+                found.add(f"{module}:{function}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, child.name if is_function else function)
+
+    walk(tree, None)
+    return found
+
+
+def test_form_terms_are_read_only_where_coefficients_leave_the_engine():
+    # sums, products, d, traces and the ambient rows work on a form's
+    # numerators; a hot path that reads its `Fraction` terms again fails here
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        readers |= terms_readers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name)
+    assert sorted(readers - TERMS_READERS.keys()) == []
+    # an allowed reader that is gone leaves the allowlist
+    assert sorted(TERMS_READERS.keys() - readers) == []
