@@ -38,7 +38,6 @@ from .exact_linalg import (
     Vector,
     densify,
     is_zero_vector,
-    over_lcm,
     solve_rows,
     vec_sub,
     zero_vector,
@@ -114,23 +113,26 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     # the commutators, so x_j = D_j * y_j / t_den is their solution for
     # the target's numerators over t_den, free variables 0
     span, rows = commutator_system(w, degree)
-    y = solve_rows(rows, len(span), densify({i: Fraction(n) for i, n in target.items()}, len(rows)))
+    y = solve_rows(rows, len(span), (1, target))
     if y is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators) / t_den
-    y_den, y_nums = over_lcm([(j, s) for j, s in enumerate(y) if s])
+    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators) / t_den,
+    # with y the integers y_nums over y_den
+    y_den, y_nums = y
     combination: IntRow = {}
-    for j, s in y_nums:
+    for j, s in y_nums.items():
         for i, n in span[j][1].items():
             combination[i] = combination.get(i, 0) + s * n
     if {i: n for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
         raise CertificationError("commutator combination failed re-substitution")
-    if not is_zero_vector(rh.d_class(2 * q, rh.quotients[2 * q].coset_coordinates(omega))):
+    cls = densify(rh.quotients[2 * q].coset_coordinates(omega), rh.dim(2 * q))
+    if not is_zero_vector(rh.d_class(2 * q, cls)):
         raise CertificationError("character class is not closed despite the commutator combination")
-    terms = tuple(CommutatorTerm(j, span[j][0] * y[j] / t_den, commutator_label(w, degree, j)) for j, _ in y_nums)
+    terms = tuple(CommutatorTerm(j, Fraction(span[j][0] * s, y_den * t_den), commutator_label(w, degree, j))
+                  for j, s in sorted(y_nums.items()))
     return CocycleCertificate(q=q, degree=degree, terms=terms, spanning_size=len(span))
 
 

@@ -35,18 +35,20 @@ forms of all objects, stacked at `component_offsets[n]`) is a
 form enters by its numerators (`ambient_row`), d maps numerator rows to
 numerator rows (`ambient_d`), and a class is read off the reduced row at
 the free columns of the quotient (`class_of_trace`, and `render_class`
-the other way).  d is stored once per degree as sparse columns: on the
-ambient diagonal space as integer columns over one denominator, and,
-induced, on the classes as `Fraction`s (`d_columns`).  Cohomology runs
-on those columns through `echelon`: the image of d is their span, its kernel is
-read off the echelon form of the columns augmented by unit vectors, and
-a primitive is a `solve_rows` on their transpose, built once per degree
-on first use.  So is the system a cocycle certificate solves
+the other way).  d is stored once per degree in one shape, integer
+columns over one denominator: on the ambient diagonal space, and,
+induced, on the classes (`d_columns`), and `contract_into` applies
+either.  Cohomology eliminates those columns as numerator rows through
+`echelon`: the image of d is their span, its kernel is read off the
+echelon form of the columns augmented by unit vectors, and a primitive
+is a `solve_rows` on their transpose, built once per degree on first
+use.  So is the system a cocycle certificate solves
 (`commutator_system`), in the degree it asks for: the full span, one
 commutator of basis forms per pair, as numerator rows, with their
 integer transpose.  A certificate cites a commutator by its index in
 that span, and `commutator_label` names it.  Classes enter and leave as
-dense tuples of coordinates.
+dense tuples of `Fraction` coordinates, converted once at that door
+(`numerator_row` in, `densify` out).
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -71,28 +73,27 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .category import validate_category
 from .dg import DGCategory, Form, certified_generators, render_terms, stacked, validate_dg
-from .errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
+from .errors import CategoryAxiomError, DimensionError, LincatError
 from .exact_linalg import (
-    ONE,
     IntTerms,
     NumeratorRow,
     QuotientSpace,
-    SparseRow,
     Vector,
-    add_scaled,
     build_quotient,
+    checked_row,
     contract_into,
     densify,
     echelon,
     is_zero_vector,
+    numerator_row,
     offsets,
+    over_one,
     scalar,
     solve_rows,
-    sparse,
     vec,
     vec_add,
     vec_scale,
@@ -197,10 +198,10 @@ class DeRhamComplex:
         # column j is D times d of the j-th basis vector, zero out of the top
         self._ambient_columns: list[tuple[int, list[IntTerms]]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
 
-        # the induced differential, as sparse columns: column k of degree n
-        # is the class of d(e_c), e_c lifting the k-th unit class, indexed
-        # by the classes of degree n + 1; out of the top degree it is zero
-        self.d_columns: list[list[SparseRow]] = []
+        # the induced differential, as (D, columns): column k of degree n is
+        # D times the class of d(e_c), e_c lifting the k-th unit class,
+        # indexed by the classes of degree n + 1; out of the top degree zero
+        self.d_columns: list[tuple[int, list[IntTerms]]] = []
         for n in range(N):
             qn, qn1 = self.quotients[n], self.quotients[n + 1]
             # the echelon rows span the degree-n commutators and d is linear,
@@ -211,13 +212,13 @@ class DeRhamComplex:
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
             den, columns = self._ambient_columns[n]
-            self.d_columns.append([sparse(qn1.coset_coordinates((den, dict(columns[c])))) for c in qn.free_columns])
-        self.d_columns.append([{} for _ in range(self.dim(N))])
+            self.d_columns.append(over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns))
+        self.d_columns.append((1, [()] * self.dim(N)))
         # the two linear systems solved against this complex, each built on
         # first use in a degree and kept: the full commutator span of
         # `commutator_system`, with its rows, and d, by rows
         self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
-        self._d_rows: dict[int, list[SparseRow]] = {}
+        self._d_rows: dict[int, list[NumeratorRow]] = {}
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> tuple[int, list[IntTerms]]:
         # the blocks of the objects in object order, over the lcm of their
@@ -251,9 +252,7 @@ class DeRhamComplex:
 
     def ambient_d(self, n: int, v: NumeratorRow) -> NumeratorRow:
         """Apply d componentwise to an ambient diagonal vector of degree n, a `NumeratorRow`; its zeros dropped."""
-        if type(v) is not tuple:
-            raise ScalarTypeError("an ambient diagonal vector is a numerator row (d, {column: int})")
-        v_den, nums = v
+        v_den, nums = checked_row(v)
         if not nums:
             return 1, {}
         if not 0 <= n <= self.truncation or min(nums) < 0 or max(nums) >= len(self._ambient_columns[n][1]):
@@ -274,7 +273,7 @@ class DeRhamComplex:
         row = self.ambient_row(degree, forms)
         if degree < 0 or degree > self.truncation:
             return ()
-        return self.quotients[degree].coset_coordinates(row)
+        return densify(self.quotients[degree].coset_coordinates(row), self.dim(degree))
 
     def d_class(self, n: int, coords: Vector) -> Vector:
         """The induced differential on classes, degree n to n + 1."""
@@ -284,33 +283,34 @@ class DeRhamComplex:
         if n < 0 or n > self.truncation:
             # d out of a zero space: the zero class of degree n + 1
             return zero_vector(self.dim(n + 1))
-        out: SparseRow = {}
-        for x, col in zip(coords, self.d_columns[n]):
-            if x:
-                add_scaled(out, x, col)
-        return densify(out, self.dim(n + 1))
+        den, nums = numerator_row(coords)
+        d_den, columns = self.d_columns[n]
+        return densify((den * d_den, contract_into({}, nums.items(), columns)), self.dim(n + 1))
 
     # -- cohomology ----------------------------------------------------------
 
-    def image_basis(self, n: int) -> tuple[SparseRow, ...]:
-        """Reduced echelon basis of the image of d arriving in degree n, as sparse rows."""
+    def image_basis(self, n: int) -> tuple[NumeratorRow, ...]:
+        """Reduced echelon basis of the image of d arriving in degree n, as numerator rows."""
         if n <= 0 or n > self.truncation:
             return ()
-        return echelon(self.d_columns[n - 1], self.dim(n))[0]
+        den, columns = self.d_columns[n - 1]
+        return echelon(((den, dict(col)) for col in columns), self.dim(n))[0]
 
-    def kernel_basis_of_d(self, n: int) -> tuple[SparseRow, ...]:
-        """Reduced echelon basis of the kernel of d out of degree n, as sparse rows.
+    def kernel_basis_of_d(self, n: int) -> tuple[NumeratorRow, ...]:
+        """Reduced echelon basis of the kernel of d out of degree n, as numerator rows.
 
         An echelon row of the augmented rows [d(e_k) | e_k] has its pivot
         in the e-part exactly when its d-part is zero, so the e-parts of
-        those rows lie in the kernel, and they span it.
+        those rows lie in the kernel, and they span it.  Over the
+        denominator D of the columns, the unit e_k has numerator D.
         """
         if n < 0 or n > self.truncation:
             return ()
         m = self.dim(n + 1)
-        augmented = ({**col, m + k: ONE} for k, col in enumerate(self.d_columns[n]))
+        den, columns = self.d_columns[n]
+        augmented = ((den, dict(col + ((m + k, den),))) for k, col in enumerate(columns))
         rows, pivots = echelon(augmented, m + self.dim(n))
-        return tuple({j - m: x for j, x in row.items()} for row, p in zip(rows, pivots) if p >= m)
+        return tuple((d, {j - m: x for j, x in nums.items()}) for (d, nums), p in zip(rows, pivots) if p >= m)
 
     def betti(self, n: int) -> int:
         if n < 0 or n > self.truncation:
@@ -347,8 +347,10 @@ class DeRhamComplex:
         # the rows of d out of degree n - 1, read off its columns once
         rows = self._d_rows.get(n)
         if rows is None:
-            rows = self._d_rows[n] = _transpose(self.d_columns[n - 1], self.dim(n))
-        return solve_rows(rows, self.dim(n - 1), coords)
+            den, columns = self.d_columns[n - 1]
+            rows = self._d_rows[n] = [(den, row) for row in _transpose(columns, self.dim(n))]
+        x = solve_rows(rows, self.dim(n - 1), numerator_row(coords))
+        return None if x is None else densify(x, self.dim(n - 1))
 
     def euler_characteristics(self) -> tuple[int, int]:
         """Alternating sums of space dimensions and of cohomology ranks."""
@@ -380,11 +382,11 @@ class DeRhamComplex:
         return "; ".join(pieces) if pieces else "0"
 
 
-def _transpose(columns: Sequence[SparseRow], nrows: int) -> list[SparseRow]:
-    """The rows of the matrix with the given sparse columns."""
-    rows: list[SparseRow] = [{} for _ in range(nrows)]
+def _transpose(columns: Sequence[Iterable[tuple[int, int]]], nrows: int) -> list[dict[int, int]]:
+    """The rows of the matrix with the given sparse columns, each given by its (row, entry) pairs."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for j, column in enumerate(columns):
-        for i, x in column.items():
+        for i, x in column:
             rows[i][j] = x
     return rows
 
@@ -409,7 +411,7 @@ def commutator_system(w: DGCategory, n: int) -> tuple[list[NumeratorRow], list[N
     system = rh._commutator_systems.get(n)
     if system is None:
         span = generator_span(w, n, _basis_forms(w, n))
-        rows = [(1, row) for row in _transpose([nums for _, nums in span], rh.ambient_dim(n))]
+        rows = [(1, row) for row in _transpose([nums.items() for _, nums in span], rh.ambient_dim(n))]
         system = rh._commutator_systems[n] = span, rows
     return system
 

@@ -73,7 +73,7 @@ from math import gcd, lcm
 
 from .category import Category
 from .errors import LincatError
-from .exact_linalg import Echelon, IntRow, NumeratorRow, build_quotient, cut_rows
+from .exact_linalg import Echelon, IntRow, NumeratorRow, build_quotient, cut_rows, over_one
 
 # sparse vectors over one denominator: (D, rows), where rows holds, nested
 # by the block's indices, tuples of (key, n) pairs, n / D the coefficient at key
@@ -238,12 +238,6 @@ def _expressions(coords: list[NumeratorRow], dim: int) -> list[NumeratorRow]:
     return [out[k] for k in range(dim)]
 
 
-def _over_one(rows: list[NumeratorRow]) -> IntBlock:
-    """Numerator rows over the lcm of their denominators, as (D, [((k, n), ...)])."""
-    den = lcm(*(d for d, _ in rows))
-    return den, [tuple((k, n * (den // d)) for k, n in nums.items()) for d, nums in rows]
-
-
 def _settled(den: int, sums: list) -> IntBlock:
     """Integer sums over `den` as a block: sorted, nonzero and over the lcm of their denominators.
 
@@ -326,10 +320,10 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
             start = 0
             for w in objects:
                 size = dims[(n - 1, x, w)] * c.dim(w, y)
-                den, flat = _over_one(coords[start:start + size])
+                den, flat = over_one(coords[start:start + size])
                 right[(n, x, w, y)] = den, cut_rows(flat, c.dim(w, y))
                 start += size
-            expr[(n, x, y)] = _over_one([(d, {span[j][:3]: lam for j, lam in e.items()})
+            expr[(n, x, y)] = over_one([(d, {span[j][:3]: lam for j, lam in e.items()})
                                          for d, e in _expressions(coords, dim)])
             grown[(x, y)] = sub.numerator_rows
             if dim:

@@ -9,75 +9,67 @@ reproducible byte for byte.
 Dense vectors are plain tuples of Fractions: classes of the quotient
 complex enter and leave its methods this way.  Scalars given by a
 caller go through one conversion, `scalar`, which refuses floats.
-Sparse vectors come in three shapes, because the spaces of the package
-are mostly zero:
+Sparse vectors, because the spaces of the package are mostly zero, are
+integer numerators over one positive denominator:
 
-* integer numerators over one positive denominator, the shape of the
-  engine.  Forms and the identities of a category are stored as (D,
-  `IntTerms`): the nonzero (index, numerator) pairs, strictly
-  increasing in index, in lowest terms (`lowest_terms`), so two equal
-  vectors have equal pairs.  The product and differential blocks are
-  stored over one denominator per block (`integral_terms`, and
-  `integral_block` with `cut_rows` for a product block).  Elimination
-  takes a `NumeratorRow` (D, {column: int}), the mutable shape.
-* `Terms`, the nonzero (index, `Fraction`) pairs by increasing index:
-  input, checked by `checked_terms`, and the view of a form that
+* forms and the identities of a category are stored as (D, `IntTerms`):
+  the nonzero (index, numerator) pairs, strictly increasing in index,
+  in lowest terms (`lowest_terms`), so two equal vectors have equal
+  pairs.  The product and differential blocks are stored over one
+  denominator per block (`integral_terms`, and `integral_block` with
+  `cut_rows` for a product block; `over_one` for rows over several).
+* elimination takes and gives back a `NumeratorRow` (D, {column: int}),
+  the mutable shape.
+* `Terms`, the nonzero (index, `Fraction`) pairs by increasing index,
+  are input, checked by `checked_terms`, and the view of a form that
   rendering and export read.
-* `SparseRow`, a map from column index to `Fraction`: rows, remainders
-  and solutions handed back by elimination.
 
-Two conversions join them: `over_lcm` puts `Fraction`s over the lcm of
-their denominators, where scalars enter, and `fraction_terms` makes the
+Three conversions join them to the `Fraction`s of a caller: `over_lcm`
+puts `Fraction`s over the lcm of their denominators, where scalars
+enter (`numerator_row` for a dense vector), `densify` writes a
+`NumeratorRow` out as a dense vector, and `fraction_terms` makes the
 `Fraction` terms of integer pairs, where they leave.  One contraction,
 `contract_into`, adds combinations of sparse vectors into a sparse sum:
-products and differentials of forms, and every law check, are made of
-it, over integers.
+products and differentials of forms, the induced differential on
+classes and every law check are made of it, over integers.
 
-All elimination goes through one kernel, `echelon`, which takes sparse
-rows and a column count and adds them one at a time to an `Echelon`;
-a caller that grows a span row by row (the generating set of
-`validate_dg`, the expressions of the envelope builder) holds an
-`Echelon` itself.  The kernel runs over integer numerators: `Echelon`
-keeps each basis row as `int` numerators over one positive denominator,
-the numerator at its pivot equal to that denominator, with no common
-factor.  A new row is put over the lcm of its denominators and reduced
-by cross-multiplying, v.d - v[p].row, which is pure `int` arithmetic
-while every denominator is 1, the common case; a new pivot is then
-cleared only from the rows that a column index lists there.  A
-finished span is a `QuotientSpace`, built from sparse rows by
-`build_quotient`; it keeps the integer rows of its `Echelon` and reduces
-over them a sparse vector modulo the span (`reduce_sparse`), reads its
-coset coordinates, a dense tuple, off the free columns
-(`coset_coordinates`), and reads the coordinates of a vector of the
-span in its basis, or None outside it (`coordinates`), deciding
-membership on the integer remainder.  So `Echelon` (a basis being
-grown) and `QuotientSpace` (a finished one) are the two span types, and
-other modules see their integer rows only through `numerator_rows`:
-the envelope builder reads its chain bases and its expressions there.
-The chain subspaces of the envelope, the quotient complex and the
-fixed columns of a module are all `QuotientSpace`s.  `solve_rows`
-solves a linear system given by its rows and reads only the solution
-column of the reduced basis, and the cohomology of the quotient
-complex calls `echelon` itself.
+All elimination goes through one kernel, `echelon`, which takes
+`NumeratorRow`s and a column count and adds them one at a time to an
+`Echelon`; a caller that grows a span row by row (the generating set
+of `validate_dg`, the expressions of the envelope builder) holds an
+`Echelon` itself.  `Echelon` keeps each basis row as `int` numerators
+over one positive denominator, the numerator at its pivot equal to
+that denominator, with no common factor, so equal rows have equal
+pairs.  A new row is reduced by cross-multiplying, v.d - v[p].row,
+pure `int` arithmetic; a new pivot is then cleared only from the rows
+that a column index lists there.  A finished span is a `QuotientSpace`,
+built by `build_quotient`; it keeps the integer rows of its `Echelon`,
+reduces a vector modulo the span over them (`reduce_sparse`), reads its
+coset coordinates off the free columns (`coset_coordinates`), and reads
+the coordinates of a vector of the span in its basis, or None outside
+it (`coordinates`), deciding membership on the integer remainder.  So
+`Echelon` (a basis being grown) and `QuotientSpace` (a finished one)
+are the two span types, and other modules see their rows through
+`numerator_rows`.  The chain subspaces of the envelope, the quotient
+complex and the fixed columns of a module are all `QuotientSpace`s.
+`solve_rows` solves a linear system given by its rows and reads only
+the solution column of the reduced basis, and the cohomology of the
+quotient complex calls `echelon` itself.
 
-A row enters `Echelon.add`, `build_quotient`, `echelon` or `solve_rows`,
-and a vector a `QuotientSpace` method, as a sparse row of `Fraction`s
-or as a `NumeratorRow` (d, {column: int}), d > 0, whose scale a span
-ignores: G, the [g, v] commutators, the ambient rows of the quotient
-complex, the certificate's system and the envelope's chain products
-come in so.  Anything else, a float, a bool or a bare dict of ints, is
+Every row, vector and right-hand side that enters the kernel is a
+`NumeratorRow` (d, {column: int}) with d > 0, whose scale a span
+ignores, and every row, reduction, coordinate vector and solution it
+hands back is one, over a denominator of its own.  Anything else, a
+dict of `Fraction`s or of ints, a float or a bool among them, is
 refused with `ScalarTypeError`.  The ints of the kernel are never
-divided with `/` (only by an exact common factor, with `//`), and
-leave as `Fraction`s: every row, coset coordinate and solution handed
-back holds `Fraction`s, with each pivot entry exactly 1, except
-`numerator_rows`, and the coordinates and the reduction of a
-`NumeratorRow`, which keep its shape.
+divided with `/`, only by an exact common factor, with `//`.
 
 There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
 any dense matrix given by its `rows`, `cols` and `entries`, which must
-be Fractions.  No library module calls it; it stays because the
-benchmark's tracer (`perfbench/tracing.py`) wraps `exact_linalg.rref` by
-name and reads the shape of its argument.
+be Fractions, each row put over integers at its door.  No library
+module calls it; it stays because the benchmark's tracer
+(`perfbench/tracing.py`) wraps `exact_linalg.rref` by name and reads
+the shape of its argument.
 """
 
 from __future__ import annotations
@@ -93,11 +85,14 @@ from .errors import DimensionError, ScalarTypeError
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
-SparseRow = dict[int, Fraction]
 # the nonzero (index, coefficient) pairs of a vector, by increasing index
 Terms = tuple[tuple[int, Fraction], ...]
 # the nonzero (index, numerator) pairs of a vector over a denominator, by increasing index
 IntTerms = tuple[tuple[int, int], ...]
+# a sparse row of integer numerators, by column
+IntRow = dict[int, int]
+# a row as (d, numerators), d a positive int: the numerators divided by d
+NumeratorRow = tuple[int, IntRow]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,11 +189,11 @@ def fraction_terms(den: int, pairs: Iterable[tuple[int, int]]) -> Terms:
     return tuple((k, Fraction(n, den)) for k, n in sorted(pairs) if n)
 
 
-def contract_into(out: SparseRow, coefficients: Terms, vectors, m: int = 1) -> SparseRow:
+def contract_into(out: IntRow, coefficients: Iterable[tuple[int, int]], vectors, m: int = 1) -> IntRow:
     """Add m * s * vectors[a] to the sparse vector `out`, over (a, s) in `coefficients`.
 
-    The entries may be `Fraction`s or integer numerators; a sum may
-    leave cancelled zeros in `out`.
+    The entries are integer numerators; a sum may leave cancelled zeros
+    in `out`.
     """
     for a, s in coefficients:
         if m != 1:
@@ -213,19 +208,28 @@ def cut_rows(flat: list, width: int) -> list:
     return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
 
 
-def sparse(v: Sequence[Fraction]) -> SparseRow:
-    """The nonzero entries of a dense vector, by index."""
+def numerator_row(v: Sequence[Fraction]) -> NumeratorRow:
+    """The nonzero entries of a dense vector of Fractions as a `NumeratorRow` over the lcm of their denominators."""
     # `x is not ZERO` settles the common zero, the shared constant, without
     # calling into Fraction
-    return {j: x for j, x in enumerate(v) if x is not ZERO and x}
+    den, nums = over_lcm([(j, x) for j, x in enumerate(v) if x is not ZERO and x])
+    return den, dict(nums)
 
 
-def densify(row: SparseRow | Terms, n: int) -> Vector:
-    """The dense vector of length n with the entries of a sparse row or of terms."""
+def densify(row: NumeratorRow, n: int) -> Vector:
+    """The dense vector of length n of a `NumeratorRow`, one `Fraction` per entry."""
+    den, nums = row
     out = [ZERO] * n
-    for j, x in row.items() if isinstance(row, dict) else row:
-        out[j] = x
+    for j, x in nums.items():
+        out[j] = Fraction(x, den)
     return tuple(out)
+
+
+def over_one(rows: Iterable[NumeratorRow]) -> tuple[int, list[IntTerms]]:
+    """`NumeratorRow`s over the lcm of their denominators, as (D, [IntTerms]): each row as its sorted (k, n) pairs."""
+    rows = list(rows)
+    den = lcm(*[d for d, _ in rows])
+    return den, [tuple(sorted([(k, n * (den // d)) for k, n in nums.items()])) for d, nums in rows]
 
 
 def offsets(dims: Iterable[int]) -> tuple[int, ...]:
@@ -261,54 +265,25 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-def add_scaled(row: SparseRow, f: Fraction, other: SparseRow) -> None:
-    """row += f * other, in place, dropping the entries that cancel; f != 0."""
-    for j, y in other.items():
-        x = row.get(j)
-        if x is None:
-            row[j] = f * y
-        else:
-            x += f * y
-            if x:
-                row[j] = x
-            else:
-                del row[j]
-
-
 # -- the elimination kernel, over integer numerators -------------------------
 
-# a sparse row of integer numerators, by column
-IntRow = dict[int, int]
 # a reduced basis row as (d, numerators) with d > 0, the numerator at its
 # pivot equal to d and no common factor of d and the numerators: so the row
 # is the numerators divided by d, and equal rows have equal pairs
 IntBasis = dict[int, tuple[int, IntRow]]
-# a row as (d, numerators), d a positive int: the numerators divided by d
-NumeratorRow = tuple[int, IntRow]
 
 
-def _row(given: SparseRow | NumeratorRow) -> tuple[int, IntRow]:
-    """A sparse row of Fractions or a `NumeratorRow` as (d, a new dict of its nonzero numerators).
+def checked_row(given: NumeratorRow) -> tuple[int, IntRow]:
+    """A `NumeratorRow` as (d, a new dict of its nonzero numerators): the check at every door that takes one.
 
-    A sparse row goes over the lcm of its denominators.  An entry that is
-    not a Fraction raises `ScalarTypeError`: an int or a float is refused,
-    not reduced in whatever arithmetic it brings.
+    Anything else, a dict of `Fraction`s or a float or bool entry among
+    them, raises `ScalarTypeError`: it is refused, not reduced in
+    whatever arithmetic it brings.
     """
-    if type(given) is not tuple:
-        # map runs isinstance without a Python frame per entry
-        if not all(map(isinstance, given.values(), repeat(Fraction))):
-            raise ScalarTypeError("sparse row entries must be Fractions")
-        den, terms = over_lcm(given.items())
-        return den, {j: n for j, n in terms if n}
-    d, nums = given if len(given) == 2 else (0, None)
+    d, nums = given if type(given) is tuple and len(given) == 2 else (0, None)
     if type(d) is not int or d <= 0 or type(nums) is not dict or not {int}.issuperset(map(type, nums.values())):
-        raise ScalarTypeError("a numerator row is (d, {column: int}) with d a positive int")
+        raise ScalarTypeError(f"a row is a numerator row (d, {{column: int}}) with d a positive int, not {given!r:.60}")
     return d, {j: n for j, n in nums.items() if n}
-
-
-def _fractions(row: NumeratorRow) -> SparseRow:
-    """A `NumeratorRow` as a sparse row of `Fraction`s, its zeros dropped."""
-    return dict(fraction_terms(row[0], row[1].items()))
 
 
 def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
@@ -356,30 +331,35 @@ def _reduce(v: IntRow, basis: IntBasis) -> int:
     return scale
 
 
-def _spanned(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> "Echelon":
+def _in_range(nums: IntRow, n: int, what: str) -> None:
+    """Refuse, with `DimensionError` saying what "... has a column", numerators with an index outside 0..n-1."""
+    if nums and (min(nums) < 0 or max(nums) >= n):
+        raise DimensionError(f"{what} outside 0..{n - 1}")
+
+
+def _spanned(rows: Iterable[NumeratorRow], ncols: int) -> "Echelon":
     """An `Echelon` grown by the given rows, which must lie in 0..ncols-1."""
     basis = Echelon()
     for given in rows:
         basis.add(given)  # which checks the row first
-        columns = given[1] if type(given) is tuple else given
-        if columns and (min(columns) < 0 or max(columns) >= ncols):
-            raise DimensionError(f"sparse row has a column outside 0..{ncols - 1}")
+        _in_range(given[1], ncols, "sparse row has a column")
     return basis
 
 
-def echelon(rows: Iterable[SparseRow | NumeratorRow], ncols: int) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """Reduced row echelon basis of the span of sparse rows, and its pivots.
+def echelon(rows: Iterable[NumeratorRow], ncols: int) -> tuple[tuple[NumeratorRow, ...], tuple[int, ...]]:
+    """Reduced row echelon basis of the span of `NumeratorRow`s, as `NumeratorRow`s, and its pivots.
 
     This is the one elimination kernel of the package.  The rows are
     `ncols` wide, as `Echelon.add` takes them, and are left unmodified.
     They are taken one at a time by `Echelon.add`, so the basis is in
     reduced echelon form after every row.  That form is unique for a row
     space, so the result is a function of the span alone, and every
-    derived basis is reproducible byte for byte.
+    derived basis is reproducible byte for byte.  Each row comes back as
+    the basis keeps it, its pivot numerator equal to its denominator.
     """
     basis = _spanned(rows, ncols)._basis
     pivots = tuple(sorted(basis))
-    return tuple(_fractions(basis[p]) for p in pivots), pivots
+    return tuple(basis[p] for p in pivots), pivots
 
 
 class Echelon:
@@ -396,9 +376,9 @@ class Echelon:
     the pivots of the rows that may be nonzero in it, a superset, since
     an entry that cancels leaves its pivot listed.
 
-    `rows` maps each pivot to its row as `Fraction`s, 1 at the pivot, and
-    `numerator_rows` to its row as kept.  The unit vector e_k lies in the
-    span exactly when the row at pivot k is e_k itself (`spans_unit`).
+    `numerator_rows` maps each pivot to its row as kept.  The unit vector
+    e_k lies in the span exactly when the row at pivot k is e_k itself
+    (`spans_unit`).
     """
 
     def __init__(self) -> None:
@@ -406,19 +386,14 @@ class Echelon:
         self._users: dict[int, list[int]] = {}
 
     @property
-    def rows(self) -> dict[int, SparseRow]:
-        basis = self._basis
-        return {p: _fractions(basis[p]) for p in sorted(basis)}
-
-    @property
     def numerator_rows(self) -> dict[int, NumeratorRow]:
         """Each pivot's row as the `NumeratorRow` the basis keeps, by pivot; not to be modified, and valid until `add`."""
         return dict(sorted(self._basis.items()))
 
-    def add(self, given: SparseRow | NumeratorRow) -> Optional[int]:
-        """Add a row of `Fraction`s or a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
+    def add(self, given: NumeratorRow) -> Optional[int]:
+        """Add a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
         basis, users = self._basis, self._users
-        v = _row(given)[1]
+        v = checked_row(given)[1]
         _reduce(v, basis)
         if not v:
             return None
@@ -448,37 +423,46 @@ class Echelon:
         return row is not None and len(row[1]) == 1
 
 
-def rref(m) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """`echelon` of the nonzeros of a dense matrix with `rows`, `cols` and Fraction `entries`."""
-    return echelon(map(sparse, m.entries), m.cols)
+def rref(m) -> tuple[tuple[NumeratorRow, ...], tuple[int, ...]]:
+    """`echelon` of the nonzeros of a dense matrix with `rows`, `cols` and Fraction `entries`.
 
-
-def solve_rows(rows: Sequence[SparseRow | NumeratorRow], ncols: int, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution x of A x = b, A given by its rows, b by `Fraction`s, or None outside A's column span.
-
-    Each augmented row (b in column `ncols`) is put over integers by
-    itself, which leaves the solutions alone, and grows an `Echelon`; only
-    the column of b is read off it.  Free variables are set to zero, so
-    the solution is again a function of the input alone.
+    Each row is put over integers here; an entry that is not a Fraction,
+    an int or a float, raises `ScalarTypeError`.
     """
-    if len(b) != len(rows):
-        raise DimensionError(f"rhs length {len(b)} does not match {len(rows)} rows")
+    for row in m.entries:
+        # map runs isinstance without a Python frame per entry
+        if not all(map(isinstance, row, repeat(Fraction))):
+            raise ScalarTypeError("dense matrix entries must be Fractions")
+    return echelon(map(numerator_row, m.entries), m.cols)
+
+
+def solve_rows(rows: Sequence[NumeratorRow], ncols: int, b: NumeratorRow) -> Optional[NumeratorRow]:
+    """One exact solution x of A x = b, or None outside A's column span.
+
+    A is given by its rows and b by its entries over the row indices,
+    each a `NumeratorRow`.  Row i, (d, a), and b = (e, {i: b_i}) make the
+    augmented integer row (e * a | d * b_i), b in column `ncols`, which
+    has the solutions of a / d . x = b_i / e; the rows grow an
+    `Echelon`, and only the column of b is read off it.  Free variables
+    are set to zero, so the solution is again a function of the input
+    alone; it comes back over the lcm of the denominators of its entries.
+    """
+    e, rhs = checked_row(b)
+    _in_range(rhs, len(rows), "right-hand side has a row")
     augmented = []
-    for row, bb in zip(rows, b):
-        d, nums = _row(row)
-        if bb:
-            if type(bb) is not Fraction:
-                raise ScalarTypeError(f"rhs entry {bb!r} of type {type(bb).__name__} is not a Fraction")
-            nums = {j: n * bb.denominator for j, n in nums.items()}
-            nums[ncols] = bb.numerator * d
+    for i, row in enumerate(rows):
+        d, nums = checked_row(row)
+        if i in rhs:
+            if e != 1:
+                nums = {j: n * e for j, n in nums.items()}
+            nums[ncols] = rhs[i] * d
         augmented.append((1, nums))
     basis = _spanned(augmented, ncols + 1)._basis
     if ncols in basis:
         return None
-    x = [ZERO] * ncols
-    for p, (d, nums) in basis.items():
-        x[p] = Fraction(nums.get(ncols, 0), d)
-    return tuple(x)
+    solution = [(p, d, nums[ncols]) for p, (d, nums) in basis.items() if ncols in nums]
+    den = lcm(*[d for _, d, _ in solution])
+    return den, {p: n * (den // d) for p, d, n in solution}
 
 
 @dataclass(frozen=True)
@@ -486,15 +470,13 @@ class QuotientSpace:
     """Ambient space modulo the span of a set of vectors, and that span itself.
 
     The subspace basis is kept as `Echelon` keeps it, in reduced echelon
-    form over integer numerators (`_basis`, by pivot); `rows` reads it as
-    sparse rows of `Fraction`s, by increasing pivot.  A sparse vector is
-    reduced by eliminating its pivot entries, over its numerators, which
-    leaves entries at the free columns only and vanishes exactly on the
+    form over integer numerators (`_basis`, by pivot); `numerator_rows`
+    reads it by increasing pivot.  A vector, a `NumeratorRow`, is reduced
+    by eliminating its pivot entries, over its numerators, which leaves
+    entries at the free columns only and vanishes exactly on the
     subspace; its coset coordinates are the entries at the free columns,
     and a vector of the subspace has its coordinates in the basis at the
-    pivots (`coordinates`).  Every entry handed back is a `Fraction`,
-    except `numerator_rows`, and the coordinates and the reduction of a
-    `NumeratorRow`, which keep its shape.
+    pivots (`coordinates`).  Each comes back as a `NumeratorRow`.
     """
 
     ambient_dim: int
@@ -514,10 +496,6 @@ class QuotientSpace:
         return tuple(sorted(self._basis))
 
     @cached_property
-    def rows(self) -> tuple[SparseRow, ...]:
-        return tuple(_fractions(self._basis[p]) for p in self.pivots)
-
-    @property
     def numerator_rows(self) -> tuple[NumeratorRow, ...]:
         """The basis rows as the `NumeratorRow`s it keeps, by increasing pivot; not to be modified."""
         return tuple(self._basis[p] for p in self.pivots)
@@ -526,41 +504,40 @@ class QuotientSpace:
     def _position(self) -> dict[int, int]:
         return {p: i for i, p in enumerate(self.pivots)}
 
-    def coordinates(self, v: SparseRow | NumeratorRow) -> Optional[SparseRow | NumeratorRow]:
-        """The coordinates of a vector in the reduced basis, by row, in the shape of v; None outside the span.
+    @cached_property
+    def _free_position(self) -> dict[int, int]:
+        return {c: k for k, c in enumerate(self.free_columns)}
+
+    def coordinates(self, v: NumeratorRow) -> Optional[NumeratorRow]:
+        """The coordinates (D, {row: n}) of a vector (D, numerators) in the reduced basis; None outside the span.
 
         v lies in the span exactly when its reduction leaves nothing of it,
-        and then its coordinates are its entries at the pivots: a sparse
-        row, or (D, {row: n}) for a `NumeratorRow` (D, numerators).
+        and then its coordinates are its entries at the pivots.
         """
-        remainder = _row(v)[1]
+        den, remainder = checked_row(v)
         _reduce(remainder, self._basis)
         if remainder:
             return None
         position = self._position
-        if type(v) is tuple:
-            den, nums = v
-            return den, {position[j]: n for j, n in nums.items() if n and j in position}
-        return {position[j]: s for j, s in v.items() if j in position}
+        return den, {position[j]: n for j, n in v[1].items() if n and j in position}
 
-    def reduce_sparse(self, v: SparseRow | NumeratorRow) -> SparseRow | NumeratorRow:
-        """Canonical coset representative of a vector, in the shape of v (over a multiple of D for a `NumeratorRow`)."""
-        den, nums = _row(v)
+    def reduce_sparse(self, v: NumeratorRow) -> NumeratorRow:
+        """Canonical coset representative of a vector, over a multiple of its denominator."""
+        den, nums = checked_row(v)
         den *= _reduce(nums, self._basis)
-        return (den, nums) if type(v) is tuple else _fractions((den, nums))
+        return den, nums
 
-    def coset_coordinates(self, v: SparseRow | NumeratorRow) -> Vector:
-        """The coordinates of the coset of a vector, a dense tuple of `Fraction`s over the free columns."""
-        den, nums = _row(v)
-        columns = v[1] if type(v) is tuple else v
-        if columns and (min(columns) < 0 or max(columns) >= self.ambient_dim):
-            raise DimensionError(f"sparse vector has a column outside 0..{self.ambient_dim - 1}")
+    def coset_coordinates(self, v: NumeratorRow) -> NumeratorRow:
+        """The coset coordinates (D', {k: n}) of a vector, n / D' its entry at `free_columns[k]`; D' a multiple of D."""
+        den, nums = checked_row(v)
+        _in_range(nums, self.ambient_dim, "sparse vector has a column")
         den *= _reduce(nums, self._basis)
-        return tuple(Fraction(nums[c], den) if c in nums else ZERO for c in self.free_columns)
+        position = self._free_position
+        return den, {position[c]: n for c, n in nums.items()}
 
 
-def build_quotient(ambient_dim: int, spanning: Sequence[SparseRow | NumeratorRow]) -> QuotientSpace:
-    """The quotient by the span of the given rows, each a sparse row of `Fraction`s or a `NumeratorRow`."""
+def build_quotient(ambient_dim: int, spanning: Sequence[NumeratorRow]) -> QuotientSpace:
+    """The quotient by the span of the given `NumeratorRow`s."""
     basis = _spanned(spanning, ambient_dim)._basis
     free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
     return QuotientSpace(ambient_dim, free_cols, basis)

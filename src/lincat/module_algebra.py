@@ -25,7 +25,7 @@ from .category import ObjectId
 from .dg import DGCategory, Form, stacked
 from .derham import get_complex
 from .errors import DimensionError, IdempotentError, ModuleError
-from .exact_linalg import NumeratorRow, SparseRow, Vector, build_quotient, checked_terms, densify, offsets, over_lcm
+from .exact_linalg import NumeratorRow, Vector, build_quotient, checked_row, densify, lowest_terms, offsets
 from .form_matrix import FormMatrix, block_diag
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,11 @@ class EFixedComponent:
     The coordinate space stacks the form coordinates of the blocks
     `hom-forms(family[i], anchor)`.  Since e is idempotent, the columns
     it fixes, the kernel of (e - 1), are exactly its image: `span`, the
-    span of the e-images of the basis columns.  Its reduced echelon
-    basis, as sparse rows, is `rows`, with `pivots`, and a column is
-    fixed exactly when it has coordinates in that basis.
+    span of the e-images of the basis columns, each the `NumeratorRow`
+    of its stacked coordinates.  A column enters and leaves the span in
+    that shape (`ambient_of_column`, `column_of_ambient`); it is fixed
+    exactly when it has coordinates in the reduced basis of `span`, whose
+    row k is `basis_column(k)`.
     """
 
     def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
@@ -181,35 +183,35 @@ class EFixedComponent:
                 basis = w.basis_form(degree, anchor, oj, cidx)
                 images.append(stacked([w.compose(row[j], basis) for row in module.idempotent.entries], self.offsets))
         self.span = build_quotient(self.total_dim, images)
-        self.rows, self.pivots = self.span.rows, self.span.pivots
 
     @property
     def dim(self) -> int:
         return self.span.subspace_dim
 
-    def ambient_of_column(self, u: FormMatrix) -> SparseRow:
-        """The stacked coordinates of a column, as a sparse row."""
+    def ambient_of_column(self, u: FormMatrix) -> NumeratorRow:
+        """The stacked coordinates of a column, as a `NumeratorRow`."""
         if u.col_family != (self.anchor,) or u.row_family != self.module.family:
             raise DimensionError("column does not match this component")
         if u.degree != self.degree:
             raise DimensionError("column degree does not match this component")
-        return {off + k: s for off, (f,) in zip(self.offsets, u.entries) for k, s in f.terms}
+        return stacked([f for (f,) in u.entries], self.offsets)
 
-    def column_of_ambient(self, v: SparseRow) -> FormMatrix:
-        """The column with the given stacked coordinates, a sparse row."""
-        if v and (min(v) < 0 or max(v) >= self.total_dim):
+    def column_of_ambient(self, v: NumeratorRow) -> FormMatrix:
+        """The column with the given stacked coordinates, a `NumeratorRow` (D, {column: int})."""
+        den, nums = checked_row(v)
+        if nums and (min(nums) < 0 or max(nums) >= self.total_dim):
             raise DimensionError(f"sparse row has a column outside 0..{self.total_dim - 1}")
         rows = []
-        for i, (oi, off, d) in enumerate(zip(self.module.family, self.offsets, self.block_dims)):
-            block = {j - off: s for j, s in v.items() if off <= j < off + d}
-            rows.append((Form(self.degree, self.anchor, oi, *over_lcm(checked_terms(block, d, f"column block {i}"))),))
+        for oi, off, d in zip(self.module.family, self.offsets, self.block_dims):
+            block = lowest_terms(den, [(j - off, n) for j, n in nums.items() if off <= j < off + d])
+            rows.append((Form(self.degree, self.anchor, oi, *block),))
         return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
 
     def basis_column(self, k: int) -> FormMatrix:
-        return self.column_of_ambient(self.rows[k])
+        return self.column_of_ambient(self.span.numerator_rows[k])
 
     def coordinates(self, u: FormMatrix) -> Vector:
-        """Coordinates of an e-fixed column in the reduced basis."""
+        """Coordinates of an e-fixed column in the reduced basis, a dense tuple of `Fraction`s."""
         coords = self.span.coordinates(self.ambient_of_column(u))
         if coords is None:
             raise ModuleError("column is not fixed by the module idempotent")

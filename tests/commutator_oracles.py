@@ -13,9 +13,11 @@ from fractions import Fraction
 from lincat.derham import get_complex
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError
-from lincat.exact_linalg import ONE, ZERO, SparseRow, Vector, echelon
+from lincat.exact_linalg import ONE, ZERO, Vector, echelon
 from lincat.form_matrix import FormMatrix
 from lincat.tforms import PolyMatrix, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_mul
+
+from conftest import as_numerators
 
 
 def pm_shift(a: PolyMatrix, k: int = 1) -> PolyMatrix:
@@ -69,7 +71,7 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
     amb_n, amb_n1 = rh.ambient_dim(n), rh.ambient_dim(n - 1)
     strat_dim = (D + 1) * (amb_n + amb_n1)
 
-    def embed(out: SparseRow, g: TildeMatrix, x: int, sign: Fraction) -> None:
+    def embed(out: dict, g: TildeMatrix, x: int, sign: Fraction) -> None:
         """Add sign times g, a 1 x 1 matrix at object x, in stratified coordinates."""
         parts = [(g.part0, 0, amb_n, rh.component_offsets[n][x])]
         if g.part1 is not None:
@@ -99,7 +101,7 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
             out += [TildeMatrix(zero, basis_poly(p - 1, i)) for i in range(w.dim(p - 1, x, y))]
         return out
 
-    spanning: list[SparseRow] = []
+    spanning: list[dict] = []
     for p in range(0, n + 1):
         q = n - p
         sign = Fraction(-1 if (p * q) % 2 else 1)
@@ -111,12 +113,12 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
                             if u.part1 is not None and not u.part1.is_zero() \
                                     and v.part1 is not None and not v.part1.is_zero():
                                 continue  # both infinitesimal: product vanishes
-                            row: SparseRow = {}
+                            row: dict = {}
                             embed(row, tm_mul(w, u, v), x, ONE)
                             embed(row, tm_mul(w, v, u), y, -sign)
                             spanning.append(row)
 
-    literal = len(echelon(spanning, strat_dim)[1])
+    literal = len(echelon(map(as_numerators, spanning), strat_dim)[1])
     predicted = (D + 1) * (
         rh.quotients[n].subspace_dim + (rh.quotients[n - 1].subspace_dim if n >= 1 else 0)
     )

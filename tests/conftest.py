@@ -14,6 +14,7 @@ whose identity is not a basis arrow) and `linear_quiver_category(n)`
 """
 
 from fractions import Fraction
+from math import lcm
 import random
 
 import pytest
@@ -225,7 +226,19 @@ def pm_eval(a, t):
 
 def subspace_basis(q) -> tuple:
     """The echelon rows of a quotient's subspace, written out as dense vectors."""
-    return tuple(densify(r, q.ambient_dim) for r in q.rows)
+    return tuple(densify(r, q.ambient_dim) for r in q.numerator_rows)
+
+
+def fraction_row(row) -> dict:
+    """A numerator row (d, {column: int}) of the kernel read as {column: Fraction}, by column, its zeros dropped."""
+    d, nums = row
+    return {j: Fraction(n, d) for j, n in sorted(nums.items()) if n}
+
+
+def as_numerators(v, k=1):
+    """A sparse row of Fractions as a numerator row over k times the lcm of its denominators."""
+    d = k * lcm(*(x.denominator for x in v.values()))
+    return d, {j: int(x * d) for j, x in v.items()}
 
 
 def random_form_matrix(w, degree, row_family, col_family, rng):

@@ -19,15 +19,21 @@ from lincat.envelope import _Chains
 from lincat.errors import LincatError
 from lincat.exact_linalg import ONE, ZERO, build_quotient
 
+from conftest import as_numerators, fraction_row
 from law_oracle import compose_basis, identity_terms
 
 
 def _coordinates(target, v):
     """The coordinates of a chain vector in the basis of `target`, a span it must lie in."""
-    coords = target.coordinates(v)
+    coords = target.coordinates(as_numerators(v))
     if coords is None:
         raise LincatError("direct fill: vector left the expected span")
-    return coords
+    return fraction_row(coords)
+
+
+def rows(q):
+    """The basis rows of a chain subspace as sparse rows of Fractions."""
+    return [fraction_row(r) for r in q.numerator_rows]
 
 
 def merge(chains, p, q, x, y, z, u, v):
@@ -74,14 +80,14 @@ def direct_tables(c, truncation):
     sub = {}
     for x in objects:
         for y in objects:
-            sub[(0, x, y)] = build_quotient(chains.spaces[(0, x, y)].dim, [{k: ONE} for k in range(c.dim(x, y))])
+            sub[(0, x, y)] = build_quotient(chains.spaces[(0, x, y)].dim, [(1, {k: 1}) for k in range(c.dim(x, y))])
     d_arrow = {(z, y): [chain_d(chains, 0, z, y, {b: ONE}) for b in range(c.dim(z, y))] for z in objects for y in objects}
     for n in range(1, N + 1):
         for x in objects:
             for y in objects:
                 span = [merge(chains, n - 1, 1, x, z, y, omega, db)
-                        for z in objects for omega in sub[(n - 1, x, z)].rows for db in d_arrow[(z, y)]]
-                sub[(n, x, y)] = build_quotient(chains.spaces[(n, x, y)].dim, span)
+                        for z in objects for omega in rows(sub[(n - 1, x, z)]) for db in d_arrow[(z, y)]]
+                sub[(n, x, y)] = build_quotient(chains.spaces[(n, x, y)].dim, [as_numerators(v) for v in span])
 
     gr_comp = {}
     for p in range(0, N + 1):
@@ -91,9 +97,9 @@ def direct_tables(c, truncation):
             table = gr_comp[(p, q)] = {}
             for x in objects:
                 for y in objects:
-                    left = sub[(p, x, y)].rows
+                    left = rows(sub[(p, x, y)])
                     for z in objects:
-                        right = sub[(q, y, z)].rows
+                        right = rows(sub[(q, y, z)])
                         if not left or not right:
                             continue
                         target = sub[(p + q, x, z)]
@@ -111,7 +117,7 @@ def direct_tables(c, truncation):
             for y in objects:
                 target = sub[(n + 1, x, y)]
                 columns = level[(x, y)] = {}
-                for j, v in enumerate(sub[(n, x, y)].rows):
+                for j, v in enumerate(rows(sub[(n, x, y)])):
                     coords = _coordinates(target, chain_d(chains, n, x, y, v))
                     if coords:
                         columns[j] = coords

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from lincat.category import ObjectId
 from lincat.dg import Form
-from lincat.exact_linalg import ZERO, QuotientSpace, SparseRow, Terms, Vector, build_quotient, offsets
+from lincat.exact_linalg import ZERO, QuotientSpace, Terms, Vector, build_quotient, densify, offsets
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import EFixedComponent, ProjectiveModule
 
+from conftest import as_numerators
 from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref
 
 
@@ -69,7 +70,7 @@ class LiteralTensor:
         self.offsets = offsets(self.block_dims)
         self.total_dim = total = sum(self.block_dims)
 
-        spanning: list[SparseRow] = []
+        spanning: list[dict] = []
         for z in range(nobj):
             fib = self.fibers[z]
             if fib.dim == 0:
@@ -85,7 +86,7 @@ class LiteralTensor:
                         moved_coords = fib2.coordinates(moved)
                         for widx in range(w.dim(degree, z2, anchor.index)):
                             omega = w.basis_form(degree, anchor, oz2, widx)
-                            rel: SparseRow = {}
+                            rel: dict = {}
                             # v.f (x) w at the fiber over z2
                             for k, s in enumerate(moved_coords):
                                 if s != 0:
@@ -96,7 +97,7 @@ class LiteralTensor:
                                 pos = self._pos(z, uidx, k)
                                 rel[pos] = rel.get(pos, ZERO) - s
                             spanning.append({k: s for k, s in rel.items() if s})
-        self.quotient: QuotientSpace = build_quotient(total, spanning)
+        self.quotient: QuotientSpace = build_quotient(total, [as_numerators(r) for r in spanning])
 
     def _pos(self, z: int, fiber_index: int, form_index: int) -> int:
         w = self.module.w
@@ -112,14 +113,14 @@ class LiteralTensor:
         return self.quotient.dim
 
     def class_of_tensor(self, z: int, fiber_coords: Vector, form_terms: Terms) -> Vector:
-        amb: SparseRow = {}
+        amb: dict = {}
         for k, s in enumerate(fiber_coords):
             if s == 0:
                 continue
             for l, t in form_terms:
                 pos = self._pos(z, k, l)
                 amb[pos] = amb.get(pos, ZERO) + s * t
-        return self.quotient.coset_coordinates(amb)
+        return densify(self.quotient.coset_coordinates(as_numerators(amb)), self.dim)
 
     def iso_matrix(self, column_model: EFixedComponent) -> DenseMatrix:
         """Map the column-model basis into tensor classes: u -> sum m_i (x) u_i."""

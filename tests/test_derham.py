@@ -14,17 +14,19 @@ import lincat.dg
 from lincat.derham import TildeComplex, commutator_label, commutator_system, generator_span, get_complex
 from lincat.dg import DGCategory, _generators, certified_generators, render_terms, trivial_dg, validate_dg
 from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
-from lincat.exact_linalg import build_quotient, densify, is_zero_vector, sparse, zero_vector
+from lincat.exact_linalg import build_quotient, densify, is_zero_vector, numerator_row, zero_vector
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
+    as_numerators,
     broken_associativity_category,
     broken_unit_category,
     dense_ambient_d,
     dual_category,
     dense_diagonal,
     dense_trace_d,
+    fraction_row,
     line_module,
     linear_quiver_category,
     m2_category,
@@ -38,7 +40,7 @@ from conftest import (
 )
 from test_dg import (UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_matrix_units, scaled_quiver,
                      weighted_matrix_units)
-from test_exact_linalg import DenseMatrix, as_numerators, dense_kernel, dense_rref, dense_solve
+from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
 
 
 def random_class(rh, n, rng):
@@ -75,7 +77,7 @@ def test_commutators_annihilate_in_the_quotient(dual5, two5):
         rh = get_complex(w)
         for n in range(w.truncation + 1):
             for v, label in commutator_spanning_labeled(w, n):
-                assert is_zero_vector(rh.quotients[n].coset_coordinates(sparse(v))), label
+                assert is_zero_vector(densify(rh.quotients[n].coset_coordinates(numerator_row(v)), rh.dim(n))), label
 
 
 def test_d_class_matches_ambient_d(dual5, two5):
@@ -84,19 +86,22 @@ def test_d_class_matches_ambient_d(dual5, two5):
         rh = get_complex(w)
         for n in range(w.truncation):
             for _ in range(6):
-                amb = sparse([random_scalar(rng) for _ in range(rh.ambient_dim(n))])
-                via_class = rh.d_class(n, rh.quotients[n].coset_coordinates(amb))
+                amb = {j: s for j, s in enumerate(random_scalar(rng) for _ in range(rh.ambient_dim(n))) if s}
+                via_class = rh.d_class(n, densify(rh.quotients[n].coset_coordinates(as_numerators(amb)), rh.dim(n)))
                 # ambient rows are numerator rows, here over twice the least denominator
-                directly = rh.quotients[n + 1].coset_coordinates(rh.ambient_d(n, as_numerators(amb, 2)))
+                directly = densify(rh.quotients[n + 1].coset_coordinates(rh.ambient_d(n, as_numerators(amb, 2))),
+                                   rh.dim(n + 1))
                 assert via_class == directly
     # a column outside the ambient space, or a degree outside 0..N, is refused
     rh = get_complex(two5)
     for n, j in ((0, rh.ambient_dim(0)), (0, -1), (-1, 0), (6, 0)):
         with pytest.raises(DimensionError, match=f"outside the ambient space of degree {n}"):
             rh.ambient_d(n, (1, {j: 1}))
-    # a sparse row of Fractions is refused by its type
-    with pytest.raises(ScalarTypeError, match="numerator row"):
-        rh.ambient_d(0, {0: Fraction(1)})
+    # a sparse row of Fractions, or a Fraction among the numerators, is
+    # refused by its type
+    for bad in ({0: Fraction(1)}, (1, {0: Fraction(1, 2)})):
+        with pytest.raises(ScalarTypeError, match="numerator row"):
+            rh.ambient_d(0, bad)
 
 
 def test_harmonic_representatives(dual5, two5, arrow3):
@@ -341,7 +346,7 @@ def ambient_dim(w, n):
 
 def full_span_quotient(w, n):
     """The quotient by every commutator of basis forms, from the oracle's dense span."""
-    return build_quotient(ambient_dim(w, n), [sparse(v) for v, _ in commutator_spanning_labeled(w, n)])
+    return build_quotient(ambient_dim(w, n), [numerator_row(v) for v, _ in commutator_spanning_labeled(w, n)])
 
 
 GENERATOR_SPAN_MODELS = {
@@ -373,14 +378,14 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
         # and the system's rows are the transposed numerators
         span, rows = commutator_system(w, n)
         dim = rh.ambient_dim(n)
-        assert [densify({k: Fraction(s, d) for k, s in row.items()}, dim) for d, row in span] == [
+        assert [densify(row, dim) for row in span] == [
             v for v, _ in labeled], n
         assert [commutator_label(w, n, j) for j in range(len(labeled))] == [label for _, label in labeled], n
         with pytest.raises(DimensionError, match=f"no commutator {len(labeled)} in the degree-{n} span"):
             commutator_label(w, n, len(labeled))
         assert rows == [(1, {j: row[i] for j, (_, row) in enumerate(span) if i in row}) for i in range(dim)], n
         # the same echelon rows, pivots and free columns
-        assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [sparse(v) for v, _ in labeled]), n
+        assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [numerator_row(v) for v, _ in labeled]), n
 
 
 def test_generator_span_rows_are_the_commutators_over_their_denominators():
@@ -440,7 +445,7 @@ def test_generators_and_quotients_are_pinned(make, generators, quotients):
     gens = certified_generators(w)[0]
     g_repr = repr([(g.degree, g.dom.index, g.cod.index, g.terms) for g in gens])
     rh = get_complex(w)
-    q_repr = repr([([sorted(row.items()) for row in q.rows], q.pivots) for q in rh.quotients])
+    q_repr = repr([([sorted(fraction_row(row).items()) for row in q.numerator_rows], q.pivots) for q in rh.quotients])
     assert hashlib.sha256(g_repr.encode()).hexdigest() == generators
     assert hashlib.sha256(q_repr.encode()).hexdigest() == quotients
 
@@ -548,10 +553,11 @@ def test_quotient_complex_matches_dense_path():
             assert (subspace_basis(q), q.pivots, q.free_columns) == (rows, pivots, free), n
         for n in range(w.truncation):
             expected = dense_d_matrix(w, n, quotients[n], quotients[n + 1])
-            columns = [densify(c, rh.dim(n + 1)) for c in rh.d_columns[n]]
+            den, d_columns = rh.d_columns[n]
+            columns = [densify((den, dict(c)), rh.dim(n + 1)) for c in d_columns]
             assert len(columns) == rh.dim(n)
             assert tuple(tuple(c[i] for c in columns) for i in range(rh.dim(n + 1))) == expected, n
-        assert rh.d_columns[w.truncation] == [{}] * rh.dim(w.truncation)
+        assert rh.d_columns[w.truncation] == (1, [()] * rh.dim(w.truncation))
 
 
 def dense_class(quotient, v):
@@ -573,7 +579,7 @@ def dense_render(w, n, quotient, coords):
     pieces, off = [], 0
     for o in w.base.objects:
         d = w.dim(n, o.index, o.index)
-        comp = sparse(rep[off:off + d])
+        comp = {j: s for j, s in enumerate(rep[off:off + d]) if s}
         if comp:
             pieces.append(f"{o.label}: {render_terms(w.space_labels(n, o.index, o.index), tuple(comp.items()))}")
         off += d
@@ -601,8 +607,7 @@ def test_trace_classes_match_dense_reduction():
                 cls = rh.class_of_trace(n, forms)
                 assert cls == dense_class(quotient, dense_diagonal(w, forms)), (n, k)
                 assert rh.render_class(n, cls) == dense_render(w, n, quotient, cls), (n, k)
-                d_den, d_nums = rh.ambient_d(n, rh.ambient_row(n, forms))
-                d_row = {j: Fraction(s, d_den) for j, s in d_nums.items()}
+                d_row = rh.ambient_d(n, rh.ambient_row(n, forms))
                 assert densify(d_row, rh.ambient_dim(n + 1)) == dense_trace_d(w, n, forms), (n, k)
                 if n < w.truncation:
                     assert rh.d_class(n, cls) == dense_class(quotients[n + 1], dense_trace_d(w, n, forms))
@@ -728,12 +733,11 @@ def dense_cohomology(mats, n):
     return len(kernel) - len(image), reps
 
 
-def test_cohomology_matches_dense_path():
-    # betti numbers, representatives and primitives against a dense path
-    # that shares no elimination with the sparse one
-    rng = random.Random(76)
-    models = [load_fixture(name).dg for name in fixture_names()]
-    models += [universal_dg(m2_category(), 3), universal_dg(m2_category(), 4)]
+def cohomology_against_dense_path(models, rng) -> tuple[int, int]:
+    """Betti numbers, representatives and primitives of each model against `dense_cohomology` and `dense_solve`.
+
+    Returns the counts of targets that have a primitive and that have none.
+    """
     solved = refused = 0
     for w in models:
         rh = get_complex(w)
@@ -754,4 +758,23 @@ def test_cohomology_matches_dense_path():
                 else:
                     assert rh.d_class(n - 1, got) == target
                     solved += 1
-    assert (solved, refused) == (92, 73)
+    return solved, refused
+
+
+def test_cohomology_matches_dense_path():
+    # betti numbers, representatives and primitives against a dense path
+    # that shares no elimination with the sparse one
+    rng = random.Random(76)
+    models = [load_fixture(name).dg for name in fixture_names()]
+    models += [universal_dg(m2_category(), 3), universal_dg(m2_category(), 4)]
+    assert cohomology_against_dense_path(models, rng) == (92, 73)
+
+
+def test_cohomology_over_denominators_matches_dense_path():
+    # the induced differential of weighted M2 is kept over D = 6, so the
+    # class layer scales classes, kernel rows and primitives by D; every
+    # model above has D = 1
+    rng = random.Random(78)
+    w = universal_dg(weighted_matrix_units(2), 3)
+    assert [get_complex(w).d_columns[n][0] for n in range(3)] == [6, 6, 6]
+    assert cohomology_against_dense_path([w], rng) == (12, 25)

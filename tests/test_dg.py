@@ -39,10 +39,12 @@ from law_oracle import basis_products, category_violations, comp_terms, diff_ter
 from law_oracle import unit_violations as enumerated_unit_violations
 from conftest import (
     arrow_category,
+    as_numerators,
     broken_associativity_category,
     broken_unit_category,
     dense_coords,
     dual_category,
+    fraction_row,
     linear_quiver_category,
     m2_category,
     matrix_units_category,
@@ -545,18 +547,18 @@ def test_chain_subspace_refuses_a_vector_outside_its_span():
                                      for a in range(c.dim(0, 0)) for db in d_arrow])
     assert 0 < sub.subspace_dim < space.dim
     free = next(j for j in range(space.dim) if j not in sub.pivots)
-    for i, row in enumerate(sub.rows):
-        assert sub.coordinates(row) == {i: ONE}
+    for i, row in enumerate(sub.numerator_rows):
+        assert fraction_row(sub.coordinates(row)) == {i: ONE}
         # the same row as numerators over a multiple of its denominators,
         # whose coordinates come back over that denominator
-        d = 3 * lcm(*(s.denominator for s in row.values()))
-        nums = {j: int(s * d) for j, s in row.items()}
+        d = 3 * lcm(*(s.denominator for s in fraction_row(row).values()))
+        nums = {j: int(s * d) for j, s in fraction_row(row).items()}
         assert sub.coordinates((d, nums)) == (d, {i: d})
-        # one entry off a basis row, at a column that is no pivot, in
-        # either shape
-        moved = dict(row)
+        # one entry off a basis row, at a column that is no pivot, over the
+        # row's own denominator and over that multiple
+        moved = fraction_row(row)
         moved[free] = moved.get(free, 0) + ONE
-        assert sub.coordinates({j: s for j, s in moved.items() if s}) is None
+        assert sub.coordinates(as_numerators({j: s for j, s in moved.items() if s})) is None
         assert sub.coordinates((d, {**nums, free: nums.get(free, 0) + 1})) is None
 
 
@@ -1205,10 +1207,10 @@ def word_span_dims(w, gens):
     while todo:
         f = todo.pop()
         key = (f.degree, f.cod.index, f.dom.index)
-        if spans.setdefault(key, Echelon()).add(dict(f.terms)) is None:
+        if spans.setdefault(key, Echelon()).add((f.den, dict(f.nums))) is None:
             continue
         todo += [w.compose(f, g) for g in gens if g.cod == f.dom and f.degree + g.degree <= w.truncation]
-    return {key: len(basis.rows) for key, basis in spans.items()}
+    return {key: len(basis.numerator_rows) for key, basis in spans.items()}
 
 
 @pytest.mark.parametrize("name", fixture_names() + list(ENVELOPE_DIGESTS))

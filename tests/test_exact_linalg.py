@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd
 import random
 from typing import NamedTuple
 
@@ -13,17 +13,17 @@ from lincat.exact_linalg import (
     densify,
     echelon,
     format_scalar,
+    numerator_row,
     rref,
     scalar,
     solve_rows,
-    sparse,
     vec,
     vec_add,
     vec_scale,
     zero_vector,
 )
 
-from conftest import subspace_basis
+from conftest import as_numerators, fraction_row, subspace_basis
 
 
 class DenseMatrix(NamedTuple):
@@ -110,26 +110,31 @@ def test_rref_shape_and_idempotence():
             assert [densify(row, m.cols) for row in again] == rows
 
 
+def coset(q, v) -> tuple:
+    """The coset coordinates of a dense vector, written out densely."""
+    return densify(q.coset_coordinates(numerator_row(v)), q.dim)
+
+
 def test_quotient_space():
     # ambient Q^3 modulo span{(1,0,0)}
-    q = build_quotient(3, [{0: Fraction(1)}, {0: Fraction(2)}])
+    q = build_quotient(3, [(1, {0: 1}), (1, {0: 2})])
     assert q.dim == 2
     assert q.subspace_dim == 1
-    assert q.reduce_sparse(sparse(vec([5, 1, 2]))) == q.reduce_sparse(sparse(vec([0, 1, 2])))
-    assert q.coset_coordinates(sparse(vec([7, 3, -1]))) == (3, -1)
-    assert q.coset_coordinates({}) == (0, 0)
-    for outside in ({3: Fraction(1)}, {-1: Fraction(1)}):
+    assert q.reduce_sparse(numerator_row(vec([5, 1, 2]))) == q.reduce_sparse(numerator_row(vec([0, 1, 2])))
+    assert coset(q, vec([7, 3, -1])) == (3, -1)
+    assert coset(q, zero_vector(3)) == (0, 0)
+    for outside in ((1, {3: 1}), (1, {-1: 1})):
         with pytest.raises(DimensionError, match="outside 0..2"):
             q.coset_coordinates(outside)
 
 
 def test_quotient_zero_and_full():
-    q_all = build_quotient(2, [{0: Fraction(1)}, {1: Fraction(1)}])
+    q_all = build_quotient(2, [(1, {0: 1}), (1, {1: 1})])
     assert q_all.dim == 0
     q_none = build_quotient(2, [])
     assert q_none.dim == 2
-    assert q_all.coset_coordinates(sparse(vec([3, 4]))) == ()
-    assert q_none.coset_coordinates(sparse(vec([3, 4]))) == (3, 4)
+    assert coset(q_all, vec([3, 4])) == ()
+    assert coset(q_none, vec([3, 4])) == (3, 4)
 
 
 def test_echelon_basis_is_canonical():
@@ -137,11 +142,11 @@ def test_echelon_basis_is_canonical():
     rng = random.Random(15)
     for _ in range(20):
         cols = rng.randint(1, 4)
-        rows = [sparse(vec([rng.randint(-2, 2) for _ in range(cols)])) for _ in range(rng.randint(0, 4))]
+        rows = [numerator_row(vec([rng.randint(-2, 2) for _ in range(cols)])) for _ in range(rng.randint(0, 4))]
         basis1 = echelon(rows, cols)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        scaled = [{j: 3 * x for j, x in r.items()} for r in shuffled]
+        scaled = [(d, {j: 3 * x for j, x in r.items()}) for d, r in shuffled]
         assert echelon(scaled, cols) == basis1
         # so is a quotient, whose equality compares its integer rows
         assert build_quotient(cols, scaled) == build_quotient(cols, rows)
@@ -235,7 +240,7 @@ def test_sparse_rref_matches_dense_reference():
         assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:len(ref_pivots)])
         assert all(not any(r) for r in ref_rows[len(ref_pivots):])
         # rref is echelon of the nonzeros
-        assert (got_rows, got_pivots) == echelon([sparse(r) for r in m.entries], cols)
+        assert (got_rows, got_pivots) == echelon([numerator_row(r) for r in m.entries], cols)
 
 
 def apply(m, x):
@@ -250,9 +255,15 @@ def echelon_kernel(m):
     """
     columns = ({**{i: row[k] for i, row in enumerate(m.entries) if row[k] != 0}, m.rows + k: Fraction(1)}
                for k in range(m.cols))
-    basis, pivots = echelon(columns, m.rows + m.cols)
-    return tuple(densify({j - m.rows: x for j, x in row.items()}, m.cols)
-                 for row, p in zip(basis, pivots) if p >= m.rows)
+    basis, pivots = echelon(map(as_numerators, columns), m.rows + m.cols)
+    return tuple(densify((d, {j - m.rows: x for j, x in row.items()}), m.cols)
+                 for (d, row), p in zip(basis, pivots) if p >= m.rows)
+
+
+def solve(rows, ncols, b):
+    """`solve_rows` with b a dense vector, its solution written out densely, or None."""
+    x = solve_rows(rows, ncols, numerator_row(b))
+    return None if x is None else densify(x, ncols)
 
 
 def test_solve_in_span():
@@ -261,7 +272,7 @@ def test_solve_in_span():
     for _ in range(40):
         m = random_matrix(rng, 3, rng.randint(1, 3))
         target = vec([rng.randint(-3, 3) for _ in range(3)])
-        sol = solve_rows([sparse(r) for r in m.entries], m.cols, target)
+        sol = solve([numerator_row(r) for r in m.entries], m.cols, target)
         if sol is not None:
             assert apply(m, sol) == target
             hits += 1
@@ -273,15 +284,15 @@ def test_sparse_kernel_and_solve_match_dense_reference():
     solved = 0
     for rows, cols in oracle_shapes(rng):
         m = sparse_matrix(rng, rows, cols)
-        sparse_rows = [sparse(r) for r in m.entries]
+        given_rows = [numerator_row(r) for r in m.entries]
         kernel = echelon_kernel(m)
-        assert echelon([sparse(k) for k in kernel], cols) == echelon([sparse(k) for k in dense_kernel(m)], cols)
+        assert echelon(map(numerator_row, kernel), cols) == echelon(map(numerator_row, dense_kernel(m)), cols)
         assert len(kernel) == len(dense_kernel(m))
         assert all(apply(m, k) == zero_vector(rows) for k in kernel)
         # one right-hand side in the column span, one arbitrary
         x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
-            got = solve_rows(sparse_rows, cols, b)
+            got = solve(given_rows, cols, b)
             assert got == dense_solve(m, b)
             if got is not None:
                 assert apply(m, got) == b
@@ -293,7 +304,7 @@ def test_sparse_quotient_matches_dense_reference():
     rng = random.Random(103)
     for rows, cols in oracle_shapes(rng):
         m = sparse_matrix(rng, rows, cols)
-        q = build_quotient(cols, [sparse(r) for r in m.entries])
+        q = build_quotient(cols, [numerator_row(r) for r in m.entries])
         ref_rows, ref_pivots = dense_rref(m)
         rank_ = len(ref_pivots)
         assert q.pivots == tuple(ref_pivots)
@@ -305,79 +316,86 @@ def test_sparse_quotient_matches_dense_reference():
             for row, p in zip(ref_rows[:rank_], ref_pivots):
                 f = out[p]
                 out = [a - f * b for a, b in zip(out, row)]
-            assert q.reduce_sparse(sparse(v)) == sparse(out)
-            assert q.coset_coordinates(sparse(v)) == tuple(out[c] for c in q.free_columns)
+            assert densify(q.reduce_sparse(numerator_row(v)), cols) == tuple(out)
+            assert coset(q, v) == tuple(out[c] for c in q.free_columns)
             # coordinates exactly on the span
-            assert (q.coordinates(sparse(v)) is None) == bool(q.reduce_sparse(sparse(v)))
+            assert (q.coordinates(numerator_row(v)) is None) == bool(q.reduce_sparse(numerator_row(v))[1])
             # a random combination of the reference rows has that combination as coordinates
             lam = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rank_)]
             combo = [sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)]
-            assert q.coordinates(sparse(combo)) == {i: s for i, s in enumerate(lam) if s}
+            assert fraction_row(q.coordinates(numerator_row(combo))) == {i: s for i, s in enumerate(lam) if s}
 
 
-def assert_fraction_rows(rows, pivots):
-    """Every entry is a Fraction, not an int that compares equal, and each pivot entry is 1."""
-    for row, p in zip(rows, pivots):
-        assert all(type(x) is Fraction for x in row.values()), row
-        assert type(row[p]) is Fraction and row[p] == 1, (row, p)
+def assert_numerator_rows(rows, pivots):
+    """Each row is (d, {column: int}) with d a positive int, in lowest terms, its pivot numerator d.
+
+    `==` cannot tell 1 from Fraction(1), so the comparisons alone would
+    pass a Fraction leaking into the kernel's integer rows.
+    """
+    for (d, nums), p in zip(rows, pivots):
+        assert type(d) is int and d > 0 and {type(n) for n in nums.values()} == {int}, (d, nums)
+        assert nums[p] == d and gcd(d, *nums.values()) == 1, (d, nums, p)
 
 
-def as_numerators(v, k):
-    """A sparse row of Fractions as a numerator row over k times the lcm of its denominators."""
-    d = k * lcm(*(x.denominator for x in v.values()))
-    return d, {j: int(x * d) for j, x in v.items()}
+def assert_integers(row):
+    """A numerator row handed back: a positive int denominator and int numerators."""
+    d, nums = row
+    assert type(d) is int and d > 0 and all(type(n) is int for n in nums.values()), row
+
+
+def scaled_row(row, k, sign=1):
+    """The same vector over k times the denominator, with every numerator multiplied by sign * k."""
+    d, nums = row
+    return k * d, {j: n * k * sign for j, n in nums.items()}
 
 
 def entry_points_match_dense_reference(m, rng):
     """echelon, Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
 
-    Every entry they hand back must be a Fraction: `==` cannot tell 1 from
-    Fraction(1), so the comparisons alone would pass an int leaking out of
-    the kernel's integer rows.
+    Every row, reduction, coordinate vector and solution they hand back
+    must be a numerator row of ints (`assert_numerator_rows`,
+    `assert_integers`).
     """
     rows, cols = m.rows, m.cols
-    sparse_rows = [sparse(r) for r in m.entries]
+    given_rows = [numerator_row(r) for r in m.entries]
+    given = repr(given_rows)
     ref_rows, ref_pivots = dense_rref(m)
     rank_ = len(ref_pivots)
-    got_rows, got_pivots = echelon(sparse_rows, cols)
+    got_rows, got_pivots = echelon(given_rows, cols)
     assert got_pivots == tuple(ref_pivots)
     assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:rank_])
-    assert_fraction_rows(got_rows, got_pivots)
-    assert sparse_rows == [sparse(r) for r in m.entries]  # inputs left alone
+    assert_numerator_rows(got_rows, got_pivots)
+    assert repr(given_rows) == given  # inputs left alone
     # the same basis grown one row at a time, and unit-vector membership
     basis = Echelon()
-    assert sum(basis.add(r) is not None for r in sparse_rows) == rank_
-    assert basis.rows == dict(zip(got_pivots, got_rows))
-    assert_fraction_rows(basis.rows.values(), basis.rows)
+    assert sum(basis.add(r) is not None for r in given_rows) == rank_
+    assert basis.numerator_rows == dict(zip(got_pivots, got_rows))
     assert [basis.spans_unit(k) for k in range(cols)] == [
-        k in ref_pivots and sparse(ref_rows[ref_pivots.index(k)]) == {k: 1} for k in range(cols)
+        k in ref_pivots and numerator_row(ref_rows[ref_pivots.index(k)]) == (1, {k: 1}) for k in range(cols)
     ]
-    q = build_quotient(cols, sparse_rows)
-    assert (q.rows, q.pivots) == (got_rows, got_pivots)
-    assert_fraction_rows(q.rows, q.pivots)
+    q = build_quotient(cols, given_rows)
+    assert (q.numerator_rows, q.pivots) == (got_rows, got_pivots)
     # the integer rows as kept, by pivot: each over its pivot numerator
     assert tuple(basis.numerator_rows) == got_pivots
     for kept in (q.numerator_rows, tuple(basis.numerator_rows.values())):
-        assert [{j: Fraction(n, d) for j, n in nums.items()} for d, nums in kept] == list(got_rows)
-        assert all(nums[p] == d and {type(n) for n in nums.values()} == {int} for (d, nums), p in zip(kept, got_pivots))
-    # the same rows as numerator rows (d, {column: int}): each over a random
-    # multiple of its denominators, with a random sign and a zero numerator
-    # at a column it leaves out, none of which matters to the span
+        assert [fraction_row(r) for r in kept] == [fraction_row(numerator_row(r)) for r in ref_rows[:rank_]]
+        assert_numerator_rows(kept, got_pivots)
+    # the same rows over a random multiple of their denominators, with a
+    # random sign and a zero numerator at a column they leave out, none of
+    # which matters to the span
     numerator_rows = []
-    for r in sparse_rows:
-        d = lcm(*(x.denominator for x in r.values())) * rng.randint(1, 3)
-        sign = rng.choice((-1, 1))
-        nums = {j: int(x * d) * sign for j, x in r.items()}
+    for r in given_rows:
+        d, nums = scaled_row(r, rng.randint(1, 3), rng.choice((-1, 1)))
         if len(nums) < cols:
             nums[rng.choice([j for j in range(cols) if j not in nums])] = 0
         numerator_rows.append((d, nums))
-    given = repr(numerator_rows)
+    scaled_given = repr(numerator_rows)
     assert echelon(numerator_rows, cols) == (got_rows, got_pivots)
     grown = Echelon()
     assert sum(grown.add(r) is not None for r in numerator_rows) == rank_
-    assert grown.rows == basis.rows
+    assert grown.numerator_rows == basis.numerator_rows
     assert build_quotient(cols, numerator_rows) == q
-    assert repr(numerator_rows) == given  # inputs left alone
+    assert repr(numerator_rows) == scaled_given  # inputs left alone
     for _ in range(3):
         v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.4 else Fraction(0)
                   for _ in range(cols))
@@ -386,38 +404,37 @@ def entry_points_match_dense_reference(m, rng):
             f = out[p]
             out = [a - f * b for a, b in zip(out, row)]
         # reduction leaves entries at free columns only, which the coordinates read
-        red = q.reduce_sparse(sparse(v))
-        assert red == sparse(out)
-        assert set(red) <= set(q.free_columns)
-        assert all(type(x) is Fraction for x in red.values())
-        coset = q.coset_coordinates(sparse(v))
-        assert coset == tuple(red.get(c, 0) for c in q.free_columns)
-        assert all(type(x) is Fraction for x in coset)
-        assert (q.coordinates(sparse(v)) is None) == bool(red)
-        # as a numerator row too: a vector outside the span is refused, the
-        # reduction keeps the shape and the coset coordinates are Fractions
-        assert (q.coordinates(as_numerators(sparse(v), 2)) is None) == bool(red)
-        red_den, red_nums = q.reduce_sparse(as_numerators(sparse(v), 2))
-        assert {j: Fraction(n, red_den) for j, n in red_nums.items()} == red
-        assert all(type(n) is int for n in red_nums.values())
-        numerator_coset = q.coset_coordinates(as_numerators(sparse(v), 2))
-        assert numerator_coset == coset and all(type(x) is Fraction for x in numerator_coset)
+        red = q.reduce_sparse(numerator_row(v))
+        assert densify(red, cols) == tuple(out)
+        assert set(red[1]) <= set(q.free_columns)
+        assert_integers(red)
+        numerator_coset = q.coset_coordinates(numerator_row(v))
+        assert densify(numerator_coset, q.dim) == tuple(out[c] for c in q.free_columns)
+        assert_integers(numerator_coset)
+        assert (q.coordinates(numerator_row(v)) is None) == bool(red[1])
+        # over twice its denominator: a vector outside the span is refused,
+        # and the reduction and the coset coordinates are the same vectors
+        doubled = scaled_row(numerator_row(v), 2)
+        assert (q.coordinates(doubled) is None) == bool(red[1])
+        assert densify(q.reduce_sparse(doubled), cols) == tuple(out)
+        assert densify(q.coset_coordinates(doubled), q.dim) == densify(numerator_coset, q.dim)
         # a combination of the rows has that combination as coordinates
         lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rank_)]
-        combo = sparse([sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)])
+        combo = numerator_row([sum((s * row[j] for s, row in zip(lam, ref_rows)), Fraction(0)) for j in range(cols)])
         coords = q.coordinates(combo)
-        assert coords == {i: s for i, s in enumerate(lam) if s}
-        assert all(type(x) is Fraction for x in coords.values())
-        # and as a numerator row, over the row's own denominator
-        d, nums = as_numerators(combo, 3)
+        assert fraction_row(coords) == {i: s for i, s in enumerate(lam) if s}
+        assert_integers(coords)
+        # and over the row's own denominator
+        d, nums = scaled_row(combo, 3)
         assert q.coordinates((d, nums)) == (d, {i: int(s * d) for i, s in enumerate(lam) if s})
         x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols))
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
-            got = solve_rows(sparse_rows, cols, b)
-            assert got == dense_solve(m, b)
-            assert got is None or all(type(s) is Fraction for s in got)
-            # the same rows as numerator rows, each over its own denominator
-            assert solve_rows([as_numerators(r, 2) for r in sparse_rows], cols, b) == got
+            got = solve_rows(given_rows, cols, numerator_row(b))
+            assert (None if got is None else densify(got, cols)) == dense_solve(m, b)
+            if got is not None:
+                assert_integers(got)
+            # the same rows and right-hand side over twice their denominators
+            assert solve_rows([scaled_row(r, 2) for r in given_rows], cols, scaled_row(numerator_row(b), 2)) == got
 
 
 def test_sparse_entry_points_match_dense_front_doors():
@@ -450,26 +467,31 @@ def test_wide_dense_rows_match_dense_reference():
         entry_points_match_dense_reference(dense_random_matrix(rng, rng.randint(1, 40), rng.randint(1, 40)), rng)
 
 
+def fraction_rows(basis) -> dict:
+    """The rows of an `Echelon` by pivot, each read as {column: Fraction}."""
+    return {p: fraction_row(r) for p, r in basis.numerator_rows.items()}
+
+
 def test_a_stale_column_in_the_index_is_skipped():
     # row 1 is listed under column 3; its entry there cancels when pivot 2
     # is cleared from it, so pivot 3 visits a stale entry and skips it
-    f = Fraction
     basis = Echelon()
-    assert basis.add({0: f(1), 2: f(1)}) == 0
-    assert basis.add({1: f(1), 2: f(1), 3: f(1)}) == 1
-    assert basis.add({2: f(1), 3: f(1)}) == 2
-    assert basis.rows == {0: {0: 1, 3: -1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
+    assert basis.add((1, {0: 1, 2: 1})) == 0
+    assert basis.add((1, {1: 1, 2: 1, 3: 1})) == 1
+    assert basis.add((1, {2: 1, 3: 1})) == 2
+    assert fraction_rows(basis) == {0: {0: 1, 3: -1}, 1: {1: 1}, 2: {2: 1, 3: 1}}
     # a non-unit pivot over a denominator lands on the stale column
-    assert basis.add({3: f(-2, 3), 4: f(1)}) == 3
+    assert basis.add((3, {3: -2, 4: 3})) == 3
+    f = Fraction
     expected = {0: {0: 1, 4: f(-3, 2)}, 1: {1: 1}, 2: {2: 1, 4: f(3, 2)}, 3: {3: 1, 4: f(-3, 2)}}
-    assert basis.rows == expected
-    assert_fraction_rows(basis.rows.values(), basis.rows)
+    assert fraction_rows(basis) == expected
+    assert_numerator_rows(basis.numerator_rows.values(), basis.numerator_rows)
     m = DenseMatrix(4, 5, (vec([1, 0, 1, 0, 0]), vec([0, 1, 1, 1, 0]), vec([0, 0, 1, 1, 0]),
                            vec([0, 0, 0, "-2/3", 1])))
     ref_rows, ref_pivots = dense_rref(m)
-    assert {p: densify(r, 5) for p, r in basis.rows.items()} == dict(zip(ref_pivots, ref_rows))
-    assert basis.add({4: f(5, 7)}) == 4
-    assert basis.rows == {k: {k: 1} for k in range(5)}
+    assert {p: densify(r, 5) for p, r in basis.numerator_rows.items()} == dict(zip(ref_pivots, ref_rows))
+    assert basis.add((7, {4: 5})) == 4
+    assert fraction_rows(basis) == {k: {k: 1} for k in range(5)}
     assert all(basis.spans_unit(k) for k in range(5))
 
 
@@ -483,26 +505,49 @@ def test_inexact_entries_are_refused():
         build_quotient(2, [{0: 2, 1: Fraction(1)}])
     with pytest.raises(ScalarTypeError):
         solve_rows([{0: Fraction(3)}], 1, (1,))
-    # Echelon.add converts its row to integer numerators: a float would be
-    # reduced in float arithmetic, and an int would pass for a Fraction
+    # Echelon.add takes integer numerators only: a float would be reduced in
+    # float arithmetic, and an int would pass for a Fraction
     for bad in ({0: 0.5}, {0: 2}, {1: Fraction(1, 2), 0: 3}):
         basis = Echelon()
-        basis.add({2: Fraction(1)})
-        with pytest.raises(ScalarTypeError, match="must be Fractions"):
+        basis.add((1, {2: 1}))
+        with pytest.raises(ScalarTypeError, match="numerator row"):
             basis.add(bad)
-        assert basis.rows == {2: {2: Fraction(1)}}
+        assert basis.numerator_rows == {2: (1, {2: 1})}
     # a numerator row is (d, {column: int}) with d a positive int: a bare
     # dict of ints above, d <= 0, a float or bool d, and a float or bool
     # numerator are refused by both front doors
     for bad in ((0, {0: 1}), (-1, {0: 1}), (1.0, {0: 1}), (True, {0: 1}), (1, {0: 0.5}), (1, {0: True}),
                 (1, {0: 1, 1: Fraction(1)}), (1, [(0, 1)]), (1, {0: 1}, 2)):
         basis = Echelon()
-        basis.add({2: Fraction(1)})
+        basis.add((1, {2: 1}))
         with pytest.raises(ScalarTypeError, match="numerator row"):
             basis.add(bad)
-        assert basis.rows == {2: {2: Fraction(1)}}
+        assert basis.numerator_rows == {2: (1, {2: 1})}
         with pytest.raises(ScalarTypeError, match="numerator row"):
             build_quotient(3, [bad])
+    # a sparse row of Fractions, the shape the kernel no longer takes, is
+    # refused at every entry point, as a row, a vector or a right-hand side,
+    # and leaves the basis it was offered to unchanged
+    for fractions in ({0: Fraction(1, 2), 2: Fraction(1)}, {1: Fraction(3)}, {}):
+        basis = Echelon()
+        basis.add((1, {2: 1}))
+        q = build_quotient(3, [(1, {2: 1})])
+        calls = {
+            "Echelon.add": lambda: basis.add(fractions),
+            "echelon": lambda: echelon([(1, {0: 1}), fractions], 3),
+            "build_quotient": lambda: build_quotient(3, [(1, {0: 1}), fractions]),
+            "solve_rows, a row": lambda: solve_rows([(1, {0: 1}), fractions], 3, (1, {0: 1})),
+            "solve_rows, the right-hand side": lambda: solve_rows([(1, {0: 1}), (1, {2: 1})], 3, fractions),
+            "coordinates": lambda: q.coordinates(fractions),
+            "reduce_sparse": lambda: q.reduce_sparse(fractions),
+            "coset_coordinates": lambda: q.coset_coordinates(fractions),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ScalarTypeError, match="numerator row"):
+                call()
+                pytest.fail(f"{name} accepted {fractions!r}")
+            assert basis.numerator_rows == {2: (1, {2: 1})}, name
+            assert (q.numerator_rows, q.free_columns) == (((1, {2: 1}),), (0, 1)), name
     # the converting constructors share one rule: a float or a bool is refused
     assert scalar(3) == Fraction(3) and scalar("-1/2") == Fraction(-1, 2)
     for bad in (0.5, True, None):
@@ -514,6 +559,7 @@ def test_inexact_entries_are_refused():
         checked_terms({0: 0.1}, 1, "row 2")
     assert checked_terms({1: 2, 0: Fraction(0)}, 2, "row") == ((1, Fraction(2)),)
     # and stay exact
-    assert solve_rows([{0: Fraction(3)}], 1, vec([1])) == (Fraction(1, 3),)
-    assert rref(DenseMatrix(2, 2, (vec([2, 1]), vec([1, 1])))) == (({0: 1}, {1: 1}), (0, 1))
-    assert build_quotient(2, [{0: Fraction(2), 1: Fraction(1)}]).rows == ({0: Fraction(1), 1: Fraction(1, 2)},)
+    assert densify(solve_rows([(1, {0: 3})], 1, numerator_row(vec([1]))), 1) == (Fraction(1, 3),)
+    assert rref(DenseMatrix(2, 2, (vec([2, 1]), vec([1, 1])))) == (((1, {0: 1}), (1, {1: 1})), (0, 1))
+    q = build_quotient(2, [as_numerators({0: Fraction(2), 1: Fraction(1)})])
+    assert tuple(map(fraction_row, q.numerator_rows)) == ({0: Fraction(1), 1: Fraction(1, 2)},)

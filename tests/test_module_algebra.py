@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lincat.dg import universal_dg
-from lincat.errors import DimensionError, IdempotentError, ModuleError
+from lincat.errors import DimensionError, IdempotentError, ModuleError, ScalarTypeError
 from lincat.exact_linalg import build_quotient, densify, rref, zero_vector
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import (
@@ -209,16 +209,20 @@ def test_column_model_coordinates(dual5):
         ef0.coordinates(loose)
     # the quotient by the same span reduces the loose column to a nonzero
     # remainder, which is its class; a fixed column reduces to nothing
-    q = build_quotient(ef0.total_dim, ef0.rows)
-    remainder = q.reduce_sparse(ef0.ambient_of_column(loose))
+    q = build_quotient(ef0.total_dim, ef0.span.numerator_rows)
+    _, remainder = q.reduce_sparse(ef0.ambient_of_column(loose))
     assert remainder and set(remainder) <= set(q.free_columns)
-    assert q.coset_coordinates(ef0.ambient_of_column(loose)) != zero_vector(q.dim)
-    assert all(not q.reduce_sparse(row) for row in ef0.rows)
+    assert densify(q.coset_coordinates(ef0.ambient_of_column(loose)), q.dim) != zero_vector(q.dim)
+    assert all(not q.reduce_sparse(row)[1] for row in ef0.span.numerator_rows)
     # a stacked sparse row is split into the blocks of the family
     assert ef0.column_of_ambient(ef0.ambient_of_column(loose)) == loose
-    for outside in ({ef0.total_dim: Fraction(1)}, {-1: Fraction(1)}):
+    for outside in ((1, {ef0.total_dim: 1}), (1, {-1: 1})):
         with pytest.raises(DimensionError, match="outside"):
             ef0.column_of_ambient(outside)
+    # and so is a sparse row of Fractions, or a Fraction among the numerators
+    for bad in ({0: Fraction(1)}, (1, {0: Fraction(1, 2)})):
+        with pytest.raises(ScalarTypeError, match="numerator row"):
+            ef0.column_of_ambient(bad)
 
 
 def m2_modules(truncation):
@@ -240,8 +244,8 @@ def test_fixed_columns_match_the_dense_kernel_of_e_minus_one():
             for anchor in w.base.objects:
                 ef = EFixedComponent(m, n, anchor)
                 expected = dense_fixed_rows(m, n, anchor)
-                assert tuple(densify(r, ef.total_dim) for r in ef.rows) == expected, (m.name, n, anchor)
-                assert ef.pivots == tuple(next(j for j, s in enumerate(r) if s) for r in expected)
+                assert tuple(densify(r, ef.total_dim) for r in ef.span.numerator_rows) == expected, (m.name, n, anchor)
+                assert ef.span.pivots == tuple(next(j for j, s in enumerate(r) if s) for r in expected)
                 for k in range(ef.dim):
                     assert ef.coordinates(ef.basis_column(k)) == tuple(Fraction(int(i == k)) for i in range(ef.dim))
                 compared += 1

@@ -91,7 +91,6 @@ def test_every_top_level_definition_is_exported_or_read():
 TERMS_READERS = {
     "dg.py:render_form": "renders a form in the labels of its basis",
     "workspace.py:_form_doc": "exports a form as address terms with rational coefficients",
-    "module_algebra.py:ambient_of_column": "hands a column back as the sparse row of Fractions it promises",
     "cli.py:cmd_chern": "reads CocycleCertificate.terms, the commutators a certificate cites, not a form's terms",
 }
 
