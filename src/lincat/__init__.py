@@ -30,7 +30,6 @@ from .connection import (
     compress,
     conjugate,
     direct_sum_connection,
-    free_connection,
     tilde_curvature,
 )
 from .derham import (
@@ -62,12 +61,9 @@ from .exact_linalg import format_scalar
 from .form_matrix import FormMatrix, block_diag
 from .module_algebra import (
     DirectSumData,
-    EFixedComponent,
     ProjectiveModule,
     direct_sum,
-    evaluation_pairing,
     hs_trace,
-    rank_one,
 )
 from .workspace import (
     Workspace,
@@ -92,7 +88,6 @@ __all__ = [
     "DeRhamComplex",
     "DimensionError",
     "DirectSumData",
-    "EFixedComponent",
     "Form",
     "FormMatrix",
     "IdempotentError",
@@ -118,10 +113,8 @@ __all__ = [
     "conjugate",
     "direct_sum",
     "direct_sum_connection",
-    "evaluation_pairing",
     "fixture_names",
     "format_scalar",
-    "free_connection",
     "get_complex",
     "hs_trace",
     "invariance_certificate",
@@ -129,7 +122,6 @@ __all__ = [
     "load_fixture",
     "load_workspace",
     "parse_workspace",
-    "rank_one",
     "render_form",
     "serialize_workspace",
     "tilde_curvature",

@@ -102,11 +102,6 @@ class Connection:
         return self.curvature().power(w, q)
 
 
-def free_connection(module: ProjectiveModule, gauge: FormMatrix) -> Connection:
-    """A connection given directly by its coefficient matrix."""
-    return Connection(module, gauge)
-
-
 def canonical_connection(module: ProjectiveModule) -> Connection:
     """The connection with zero gauge matrix: v |-> e.d(v), C = e.d(e)."""
     zero = FormMatrix.zero(module.w, module.family, module.family, 1)

@@ -50,8 +50,8 @@ the coordinates of a vector of the span in its basis, or None outside
 it (`coordinates`), deciding membership on the integer remainder.  So
 `Echelon` (a basis being grown) and `QuotientSpace` (a finished one)
 are the two span types, and other modules see their rows through
-`numerator_rows`.  The chain subspaces of the envelope, the quotient
-complex and the fixed columns of a module are all `QuotientSpace`s.
+`numerator_rows`.  The chain subspaces of the envelope and the
+quotient complex are `QuotientSpace`s.
 `solve_rows` solves a linear system given by its rows and reads only
 the solution column of the reduced basis, and the cohomology of the
 quotient complex calls `echelon` itself.

@@ -79,6 +79,12 @@ def _get(doc, key: str, where: str):
     return doc[key]
 
 
+def _list(value, message: str) -> Sequence:
+    """The value, if it is a list; a string is refused, not read as the list of its characters."""
+    _require(isinstance(value, Sequence) and not isinstance(value, str), message)
+    return value
+
+
 def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
@@ -105,7 +111,7 @@ class _Parser:
 
     def parse_category(self) -> Category:
         cdoc = _get(self.doc, "category", "workspace")
-        labels = [str(s) for s in _get(cdoc, "objects", "category")]
+        labels = [str(s) for s in _list(_get(cdoc, "objects", "category"), "category: objects must be a list")]
         _require(len(labels) > 0, "category: needs at least one object")
 
         arrows: dict[tuple[str, str], list[str]] = {}
@@ -174,10 +180,11 @@ class _Parser:
             _require(1 <= degree <= truncation, f"form space: degree {degree} outside 1..{truncation}")
             cod = self._object(cat, str(_get(s, "cod", "form space")))
             dom = self._object(cat, str(_get(s, "dom", "form space")))
-            basis = tuple(str(b) for b in _get(s, "basis", "form space"))
+            where = f"form space degree {degree} at ({cod.label},{dom.label})"
+            basis = tuple(str(b) for b in _list(_get(s, "basis", "form space"), f"{where}: basis must be a list"))
             key = (cod.index, dom.index)
             level = gr_basis.setdefault(degree, {})
-            _require(key not in level, f"form space degree {degree} at ({cod.label},{dom.label}) given twice")
+            _require(key not in level, f"{where} given twice")
             _require(len(set(basis)) == len(basis), f"form space degree {degree}: duplicate basis labels")
             level[key] = basis
 
@@ -195,8 +202,7 @@ class _Parser:
 
         def expand(terms, degree: int, x: int, y: int, where: str) -> dict[int, Fraction]:
             out: dict[int, Fraction] = {}
-            _require(isinstance(terms, Sequence) and not isinstance(terms, str), f"{where}: expected a list of terms")
-            for t in terms:
+            for t in _list(terms, f"{where}: expected a list of terms"):
                 _require(isinstance(t, Mapping), f"{where}: each term must be an object")
                 coeff = _scalar(t.get("coeff", "1"), where)
                 d2, x2, y2, k = locate(t, where)
@@ -244,8 +250,7 @@ class _Parser:
             raise WorkspaceError(f"unknown object {label!r}") from exc
 
     def word_form(self, dg: DGCategory, word: Sequence, where: str) -> Form:
-        _require(isinstance(word, Sequence) and not isinstance(word, str), f"{where}: word must be a list")
-        _require(len(word) >= 1, f"{where}: empty word")
+        _require(len(_list(word, f"{where}: word must be a list")) >= 1, f"{where}: empty word")
         names = [str(a) for a in word]
         for a in names:
             _require(a in self.arrow_home, f"{where}: unknown arrow {a!r} in word")
@@ -272,9 +277,8 @@ class _Parser:
         return dg.basis_form(degree, dom, cod, names.index(label))
 
     def parse_form(self, dg: DGCategory, terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> Form:
-        _require(isinstance(terms, Sequence) and not isinstance(terms, str), f"{where}: expected a list of terms")
         total = dg.zero_form(degree, dom, cod)
-        for t in terms:
+        for t in _list(terms, f"{where}: expected a list of terms"):
             _require(isinstance(t, Mapping), f"{where}: each term must be an object")
             coeff = _scalar(t.get("coeff", "1"), where)
             if "word" in t:
@@ -298,12 +302,12 @@ class _Parser:
         entries,
         where: str,
     ) -> FormMatrix:
-        _require(isinstance(entries, Sequence), f"{where}: matrix must be a list of rows")
-        _require(len(entries) == len(row_family), f"{where}: expected {len(row_family)} rows")
+        _require(len(_list(entries, f"{where}: matrix must be a list of rows")) == len(row_family),
+                 f"{where}: expected {len(row_family)} rows")
         rows = []
         for i, row in enumerate(entries):
-            _require(isinstance(row, Sequence) and len(row) == len(col_family),
-                     f"{where}: row {i} must have {len(col_family)} entries")
+            shape = f"{where}: row {i} must have {len(col_family)} entries"
+            _require(len(_list(row, shape)) == len(col_family), shape)
             rows.append(tuple(
                 self.parse_form(dg, row[j], degree, col_family[j], row_family[i], f"{where}[{i}][{j}]")
                 for j in range(len(col_family))
@@ -317,7 +321,8 @@ class _Parser:
         for m in self.doc.get("modules", []):
             name = str(_get(m, "name", "module"))
             _require(name not in out, f"module {name!r} given twice")
-            family = tuple(self._object(dg.base, str(lbl)) for lbl in _get(m, "family", f"module {name!r}"))
+            labels = _list(_get(m, "family", f"module {name!r}"), f"module {name!r}: family must be a list")
+            family = tuple(self._object(dg.base, str(lbl)) for lbl in labels)
             _require(len(family) >= 1, f"module {name!r}: empty family")
             e = self.parse_matrix(dg, 0, family, family,
                                   _get(m, "idempotent", f"module {name!r}"), f"module {name!r} idempotent")
@@ -581,10 +586,9 @@ def fixture_names() -> list[str]:
 
 
 def load_fixture(name: str) -> Workspace:
-    root = resources.files("lincat").joinpath("fixtures")
-    path = root.joinpath(f"{name}.json")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise WorkspaceError(f"no fixture named {name!r}; available: {', '.join(fixture_names())}") from exc
+    # only a bundled name: a name is never read as a path, so "../x" reaches no other file
+    names = fixture_names()
+    if name not in names:
+        raise WorkspaceError(f"no fixture named {name!r}; available: {', '.join(names)}")
+    text = resources.files("lincat").joinpath("fixtures").joinpath(f"{name}.json").read_text(encoding="utf-8")
     return parse_workspace(text)

@@ -1,21 +1,41 @@
 """Cross-checks of the module layer that only the tests use.
 
+The module tensored with degree-n forms is modelled by columns: at
+each anchor object, the columns of degree-n forms fixed by e
+(`EFixedComponent`).  Since e is idempotent, the kernel of (e - 1) is
+the image of e, so the fixed columns are the span of the e-images of
+the basis columns, a `QuotientSpace` that gives their reduced echelon
+basis and the coordinates of a fixed column in it.
+
 `LiteralTensor` is the literal model of a module tensored with forms:
-fibers tensored with forms, modulo the actual bimodule relations.  It
-shares no elimination with `EFixedComponent`, the column model of
-`lincat.module_algebra`, so equal dimensions and a bijective
-`iso_matrix` check the column model independently.  `dense_fixed_rows`
-is the column model's former construction, the dense kernel of (e - 1)
-in reduced echelon form.
+fibers tensored with forms, modulo the bimodule relations
+v.f (x) w = v (x) f.w.  It is canonically isomorphic to the column
+model and shares no elimination with it, so equal dimensions and a
+bijective `iso_matrix` check the column model independently rather
+than taking the equivalence on faith.  `dense_fixed_rows` is the
+column model's former construction, the dense kernel of (e - 1) in
+reduced echelon form.
 """
 
 from fractions import Fraction
 
 from lincat.category import ObjectId
-from lincat.dg import Form
-from lincat.exact_linalg import ZERO, QuotientSpace, Terms, Vector, build_quotient, densify, offsets
+from lincat.dg import Form, stacked
+from lincat.errors import DimensionError, ModuleError
+from lincat.exact_linalg import (
+    ZERO,
+    NumeratorRow,
+    QuotientSpace,
+    Terms,
+    Vector,
+    build_quotient,
+    checked_row,
+    densify,
+    lowest_terms,
+    offsets,
+)
 from lincat.form_matrix import FormMatrix
-from lincat.module_algebra import EFixedComponent, ProjectiveModule
+from lincat.module_algebra import ProjectiveModule
 
 from conftest import as_numerators
 from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref
@@ -46,6 +66,70 @@ def dense_fixed_rows(module: ProjectiveModule, degree: int, anchor: ObjectId) ->
         return ()
     rows, pivots = dense_rref(DenseMatrix(len(kernel), total, kernel))
     return tuple(rows[:len(pivots)])
+
+
+class EFixedComponent:
+    """Columns of degree-n forms anchored at one object and fixed by e.
+
+    The coordinate space stacks the form coordinates of the blocks
+    `hom-forms(family[i], anchor)`.  Since e is idempotent, the columns
+    it fixes, the kernel of (e - 1), are exactly its image: `span`, the
+    span of the e-images of the basis columns, each the `NumeratorRow`
+    of its stacked coordinates.  A column enters and leaves the span in
+    that shape (`ambient_of_column`, `column_of_ambient`); it is fixed
+    exactly when it has coordinates in the reduced basis of `span`, whose
+    row k is `basis_column(k)`.
+    """
+
+    def __init__(self, module: ProjectiveModule, degree: int, anchor: ObjectId):
+        self.module = module
+        self.degree = degree
+        self.anchor = anchor
+        w = module.w
+        fam = module.family
+        self.block_dims = tuple(w.dim(degree, o.index, anchor.index) for o in fam)
+        self.offsets = offsets(self.block_dims)
+        self.total_dim = sum(self.block_dims)
+
+        images: list[NumeratorRow] = []
+        for j, oj in enumerate(fam):
+            for cidx in range(self.block_dims[j]):
+                basis = w.basis_form(degree, anchor, oj, cidx)
+                images.append(stacked([w.compose(row[j], basis) for row in module.idempotent.entries], self.offsets))
+        self.span = build_quotient(self.total_dim, images)
+
+    @property
+    def dim(self) -> int:
+        return self.span.subspace_dim
+
+    def ambient_of_column(self, u: FormMatrix) -> NumeratorRow:
+        """The stacked coordinates of a column, as a `NumeratorRow`."""
+        if u.col_family != (self.anchor,) or u.row_family != self.module.family:
+            raise DimensionError("column does not match this component")
+        if u.degree != self.degree:
+            raise DimensionError("column degree does not match this component")
+        return stacked([f for (f,) in u.entries], self.offsets)
+
+    def column_of_ambient(self, v: NumeratorRow) -> FormMatrix:
+        """The column with the given stacked coordinates, a `NumeratorRow` (D, {column: int})."""
+        den, nums = checked_row(v)
+        if nums and (min(nums) < 0 or max(nums) >= self.total_dim):
+            raise DimensionError(f"sparse row has a column outside 0..{self.total_dim - 1}")
+        rows = []
+        for oi, off, d in zip(self.module.family, self.offsets, self.block_dims):
+            block = lowest_terms(den, [(j - off, n) for j, n in nums.items() if off <= j < off + d])
+            rows.append((Form(self.degree, self.anchor, oi, *block),))
+        return FormMatrix(self.degree, self.module.family, (self.anchor,), tuple(rows))
+
+    def basis_column(self, k: int) -> FormMatrix:
+        return self.column_of_ambient(self.span.numerator_rows[k])
+
+    def coordinates(self, u: FormMatrix) -> Vector:
+        """Coordinates of an e-fixed column in the reduced basis, a dense tuple of `Fraction`s."""
+        coords = self.span.coordinates(self.ambient_of_column(u))
+        if coords is None:
+            raise ModuleError("column is not fixed by the module idempotent")
+        return densify(coords, self.dim)
 
 
 class LiteralTensor:
@@ -125,9 +209,11 @@ class LiteralTensor:
     def iso_matrix(self, column_model: EFixedComponent) -> DenseMatrix:
         """Map the column-model basis into tensor classes: u -> sum m_i (x) u_i."""
         fam = self.module.family
+        e = self.module.idempotent
         gen_coords = []
         for i, oi in enumerate(fam):
-            gen_coords.append(self.fibers[oi.index].coordinates(self.module.generator(i)))
+            # the generator m_i is column i of e
+            gen_coords.append(self.fibers[oi.index].coordinates(e.submatrix(range(len(fam)), (i,))))
         cols = []
         for k in range(column_model.dim):
             u = column_model.basis_column(k)

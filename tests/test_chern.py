@@ -12,10 +12,10 @@ from lincat.chern import (
     k0_character,
 )
 from lincat.connection import (
+    Connection,
     canonical_connection,
     conjugate,
     direct_sum_connection,
-    free_connection,
 )
 from lincat.derham import TildeComplex, get_complex
 from lincat.dg import universal_dg
@@ -151,7 +151,7 @@ def test_free_module_mechanism(dual5, two5):
             for _ in range(4):
                 lam = random_form_matrix(w, 1, m.family, m.family, rng)
                 c0 = canonical_connection(m)
-                c1 = free_connection(m, lam)
+                c1 = Connection(m, lam)
                 gamma = tm_power(w, tilde_curvature(c0, c1), q)
                 cochain = tc.cochain_from_traces(
                     2 * q,

@@ -8,7 +8,6 @@ from lincat.connection import (
     compress,
     conjugate,
     direct_sum_connection,
-    free_connection,
     tilde_curvature,
 )
 from lincat.dg import universal_dg
@@ -119,7 +118,7 @@ def test_free_curvature_closed_form(dual5, two5):
         x = w.base.objects[0]
         m = ProjectiveModule.free(w, "F", (x, x))
         lam = random_form_matrix(w, 1, m.family, m.family, rng)
-        conn = free_connection(m, lam)
+        conn = Connection(m, lam)
         assert conn.operational_matrix() == lam
         assert conn.curvature() == lam.d(w) + lam.mul(w, lam)
 
@@ -142,7 +141,7 @@ def test_bianchi_identity(dual7, two7):
         m = ProjectiveModule.free(w, "F", (x, x))
         for _ in range(3):
             lam = random_form_matrix(w, 1, m.family, m.family, rng)
-            conn = free_connection(m, lam)
+            conn = Connection(m, lam)
             for q in (1, 2, 3):
                 gq = conn.curvature_power(q)
                 assert gq.d(w) == gq.mul(w, lam) - lam.mul(w, gq)

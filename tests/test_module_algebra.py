@@ -3,18 +3,12 @@ import random
 
 import pytest
 
+from lincat.derham import get_complex
 from lincat.dg import universal_dg
 from lincat.errors import DimensionError, IdempotentError, ModuleError, ScalarTypeError
 from lincat.exact_linalg import build_quotient, densify, rref, zero_vector
 from lincat.form_matrix import FormMatrix
-from lincat.module_algebra import (
-    EFixedComponent,
-    ProjectiveModule,
-    direct_sum,
-    evaluation_pairing,
-    hs_trace,
-    rank_one,
-)
+from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
 
 from lincat.workspace import fixture_names, load_fixture
 
@@ -27,7 +21,7 @@ from conftest import (
     projective_two_points,
     random_form_matrix,
 )
-from module_oracles import LiteralTensor, dense_fixed_rows
+from module_oracles import EFixedComponent, LiteralTensor, dense_fixed_rows
 
 
 def random_endomorphism(w, m, rng):
@@ -61,22 +55,22 @@ def test_non_idempotent_rejected(dual5):
 def test_dual_basis_identity(dual5, two5, arrow3):
     # sum of generator(i).dual_generator(i) rebuilds the idempotent
     for w, m in bundled_modules(dual5, two5, arrow3):
+        e, every = m.idempotent, range(m.size)
         total = FormMatrix.zero(w, m.family, m.family, 0)
         for i in range(m.size):
-            # column i and row i of e
-            assert m.generator(i) == FormMatrix(0, m.family, (m.family[i],),
-                                                tuple((row[i],) for row in m.idempotent.entries))
-            assert m.dual_generator(i) == FormMatrix(0, (m.family[i],), m.family, (m.idempotent.entries[i],))
-            total = total + rank_one(m, m.generator(i), m.dual_generator(i))
+            # the generator is column i of e, the dual generator row i
+            col, row = e.submatrix(every, (i,)), e.submatrix((i,), every)
+            assert col == FormMatrix(0, m.family, (m.family[i],), tuple((r[i],) for r in e.entries))
+            assert row == FormMatrix(0, (m.family[i],), m.family, (e.entries[i],))
+            total = total + col.mul(w, row)
         assert total == m.idempotent
         assert m.idempotent.mul(w, m.idempotent) == m.idempotent
 
 
 def test_involution_squares_to_identity(dual5, two5, arrow3):
     for w, m in bundled_modules(dual5, two5, arrow3):
-        pi = m.involution()
+        pi = m.idempotent.scale(2) - FormMatrix.identity(w, m.family)
         assert pi.mul(w, pi) == FormMatrix.identity(w, m.family)
-        assert pi == m.idempotent.scale(2) - FormMatrix.identity(w, m.family)
 
 
 def test_normalize_endomorphism(dual5, two5, arrow3):
@@ -106,15 +100,16 @@ def test_trace_cyclicity_random_pairs(dual5, two5, arrow3):
 
 def test_trace_of_rank_one_matches_evaluation(dual5, two5, arrow3):
     rng = random.Random(53)
+    # the trace of col.row is the class of the scalar row.col at its anchor
     for w, m in bundled_modules(dual5, two5, arrow3):
-        for i in range(m.size):
-            col, row = m.generator(i), m.dual_generator(i)
-            assert hs_trace(m, rank_one(m, col, row)) == evaluation_pairing(m, row, col)
+        rh = get_complex(w)
+        e, every = m.idempotent, range(m.size)
+        pairs = [(e.submatrix(every, (i,)), e.submatrix((i,), every)) for i in range(m.size)]
         for _ in range(5):
             anchor = rng.choice(w.base.objects)
-            col = random_fixed_column(w, m, anchor, rng)
-            row = random_dual_row(w, m, anchor, rng)
-            assert hs_trace(m, rank_one(m, col, row)) == evaluation_pairing(m, row, col)
+            pairs.append((random_fixed_column(w, m, anchor, rng), random_dual_row(w, m, anchor, rng)))
+        for col, row in pairs:
+            assert hs_trace(m, col.mul(w, row)) == rh.class_of_trace(0, row.mul(w, col).diagonal_trace(w))
 
 
 def test_fixed_column_predicates(two5):

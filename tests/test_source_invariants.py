@@ -1,9 +1,13 @@
-"""Checks on the library source itself."""
+"""Checks on the library source itself, and on the example of its README."""
 
 import ast
+import contextlib
+import io
 from pathlib import Path
+import re
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lincat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lincat"
 
 
 def test_library_has_no_assert_statements():
@@ -85,6 +89,32 @@ def test_every_top_level_definition_is_exported_or_read():
     assert sorted(UNREAD_ALLOWED.keys() - unread) == []
 
 
+# exported names that no library module reads, each with its reason: the
+# library is the pipeline from a category to a character class, and an
+# export that only tests read belongs in tests/
+PUBLIC_WITHOUT_READER = {
+    "direct_sum": "the two_points_characters workload of perfbench builds its modules with it",
+    "compress": "the character is natural under compression to a sub-idempotent",
+    "conjugate": "the character is natural under a change of frame",
+    "direct_sum_connection": "the character is additive over direct sums of connections",
+}
+
+
+def test_every_public_name_has_a_reader():
+    # a name in `lincat.__all__` is read by a library module other than
+    # the package's __init__, or stays for the reason it is listed with
+    import lincat
+
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= names_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    unread = {name for name in lincat.__all__ if name not in read}
+    assert sorted(unread - PUBLIC_WITHOUT_READER.keys()) == []
+    # an allowed name that gains a reader or leaves `__all__` leaves the allowlist
+    assert sorted(PUBLIC_WITHOUT_READER.keys() - unread) == []
+
+
 # the functions of src that read an attribute named `terms`, each with its
 # reason: `Form.terms` makes one `Fraction` per coefficient, so only the
 # places where coefficients leave the engine, rendering and export, read it
@@ -119,3 +149,17 @@ def test_form_terms_are_read_only_where_coefficients_leave_the_engine():
     assert sorted(readers - TERMS_READERS.keys()) == []
     # an allowed reader that is gone leaves the allowlist
     assert sorted(TERMS_READERS.keys() - readers) == []
+
+
+def test_readme_library_overview_example_prints_its_comments():
+    # the `python` block under "Library overview" runs, and each print
+    # writes the line that its trailing comment shows
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library overview", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [m.group(1) for m in re.finditer(r"^print\(.*\)\s+# (.*)$", code, re.M)]
+    assert expected == ["(Fraction(1, 1),)", "x: c.dc.dc"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -56,8 +56,13 @@ def test_fixture_inventory():
 
 
 def test_unknown_fixture():
-    with pytest.raises(WorkspaceError):
-        load_fixture("no_such_fixture")
+    # a name is not a path: "../fixtures/circle_tables" leads back to a
+    # bundled file, yet only a listed name is loaded, so no name reaches a
+    # file outside the fixtures
+    for name in ("no_such_fixture", "../fixtures/circle_tables"):
+        with pytest.raises(WorkspaceError) as exc:
+            load_fixture(name)
+        assert str(exc.value) == f"no fixture named {name!r}; available: {', '.join(ALL_FIXTURES)}"
 
 
 def test_serialization_is_byte_stable():
@@ -155,6 +160,34 @@ def test_parse_rejects_malformed_documents():
     broken(lambda d: d["connections"].append(dict(d["connections"][0])))  # dup name
     broken(lambda d: d["endomorphisms"][0].update(module="ghost"))
     broken(lambda d: d["endomorphisms"][0].update(matrix=[[[], []]]))  # wrong shape
+
+
+def test_parse_refuses_a_string_where_a_list_is_expected():
+    # a string is a sequence too, but not a list of its characters
+    def refused(name, mutate, message):
+        doc = json.loads(serialize_workspace(load_fixture(name)))
+        mutate(doc)
+        with pytest.raises(WorkspaceError) as exc:
+            workspace_from_dict(doc)
+        assert str(exc.value) == message
+
+    refused("two_points_universal", lambda d: d["category"].update(objects="x"),
+            "category: objects must be a list")
+    refused("two_points_universal", lambda d: d["modules"][2].update(family="xx"),
+            "module 'P': family must be a list")
+    refused("circle_tables", lambda d: d["forms"]["spaces"][0].update(basis="th"),
+            "form space degree 1 at (x,x): basis must be a list")
+    # the checks that refused a string before keep their messages
+    refused("circle_tables", lambda d: d["forms"]["products"][0].update(result="th"),
+            "form product result: expected a list of terms")
+    refused("two_points_universal", lambda d: d["modules"][0]["idempotent"][0][0][0].update(word="c"),
+            "module 'M' idempotent[0][0]: word must be a list")
+    refused("two_points_universal", lambda d: d["modules"][0]["idempotent"][0].__setitem__(0, "c"),
+            "module 'M' idempotent[0][0]: expected a list of terms")
+    refused("two_points_universal", lambda d: d["modules"][0].update(idempotent="c"),
+            "module 'M' idempotent: matrix must be a list of rows")
+    refused("two_points_universal", lambda d: d["modules"][0]["idempotent"].__setitem__(0, "c"),
+            "module 'M' idempotent: row 0 must have 1 entries")
 
 
 def test_tables_refuse_a_repeated_product():
