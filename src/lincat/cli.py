@@ -6,9 +6,13 @@ and only then computes.  Output is `--output text` for reading or
 `--output machine` for tooling; machine output is canonical JSON
 (sorted keys, two-space indent) and is byte-stable across runs.
 
+`main` may be called any number of times in one process: the parser is
+built on the first call and reused by the later ones.
+
 Exit codes:
-  0  success
-  1  malformed workspace, failed identity checks, or unknown names
+  0  success, or `--help`
+  1  malformed command line, malformed workspace, failed identity checks,
+     or unknown names
   2  the truncation degree is too small for the requested computation
   3  a certificate could not be established
 """
@@ -16,6 +20,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -356,7 +361,13 @@ def cmd_fixtures(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process and shared by every `main` call; do not mutate it.
+
+    Sharing is safe: `parse_args` gives a fresh namespace on each call,
+    and the `append` action copies its list, so no value carries over.
+    """
     parser = argparse.ArgumentParser(
         prog="lincat",
         description="exact computations in finite linear categories with differential forms",
@@ -403,8 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the help (status 0), or the usage and the
+        # error to stderr; its status 2 is this CLI's truncation code
+        return EXIT_OK if not exc.code else EXIT_INVALID
     try:
         return args.func(args)
     except _ValidationFailed as exc:

@@ -115,7 +115,7 @@ class _Parser:
         _require(len(labels) > 0, "category: needs at least one object")
 
         arrows: dict[tuple[str, str], list[str]] = {}
-        for a in _get(cdoc, "arrows", "category"):
+        for a in _list(_get(cdoc, "arrows", "category"), "category: arrows must be a list"):
             label = str(_get(a, "label", "arrow"))
             dom = str(_get(a, "dom", f"arrow {label!r}"))
             cod = str(_get(a, "cod", f"arrow {label!r}"))
@@ -124,7 +124,7 @@ class _Parser:
             arrows.setdefault((cod, dom), []).append(label)
 
         products: dict[tuple[str, str], Mapping[str, object]] = {}
-        for p in cdoc.get("products", []):
+        for p in _list(cdoc.get("products", []), "category: products must be a list"):
             left = str(_get(p, "left", "product"))
             right = str(_get(p, "right", "product"))
             result = _get(p, "result", f"product ({left}, {right})")
@@ -175,7 +175,7 @@ class _Parser:
         _require(truncation >= 1, "forms: truncation must be at least 1")
 
         gr_basis: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
-        for s in fdoc.get("spaces", []):
+        for s in _list(fdoc.get("spaces", []), "forms: spaces must be a list"):
             degree = _int(_get(s, "degree", "form space"), "form space degree")
             _require(1 <= degree <= truncation, f"form space: degree {degree} outside 1..{truncation}")
             cod = self._object(cat, str(_get(s, "cod", "form space")))
@@ -214,7 +214,7 @@ class _Parser:
             return f"{ref['basis']} in degree {n} at ({cat.objects[x].label},{cat.objects[y].label})"
 
         gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], dict]] = {}
-        for p in fdoc.get("products", []):
+        for p in _list(fdoc.get("products", []), "forms: products must be a list"):
             left, right = _get(p, "left", "form product"), _get(p, "right", "form product")
             lp, lx, ly, li = locate(left, "form product left factor")
             rp, ry, rz, rj = locate(right, "form product right factor")
@@ -227,7 +227,7 @@ class _Parser:
             block[(li, rj)] = expand(_get(p, "result", "form product"), lp + rp, lx, rz, "form product result")
 
         diff: dict[int, dict[tuple[int, int], dict]] = {}
-        for dspec in fdoc.get("differentials", []):
+        for dspec in _list(fdoc.get("differentials", []), "forms: differentials must be a list"):
             source = _get(dspec, "of", "differential")
             n, x, y, k = locate(source, "differential source")
             _require(n < truncation, "differential: source degree must lie below the truncation")
@@ -318,7 +318,7 @@ class _Parser:
 
     def parse_modules(self, dg: DGCategory) -> dict[str, ProjectiveModule]:
         out: dict[str, ProjectiveModule] = {}
-        for m in self.doc.get("modules", []):
+        for m in _list(self.doc.get("modules", []), "workspace: modules must be a list"):
             name = str(_get(m, "name", "module"))
             _require(name not in out, f"module {name!r} given twice")
             labels = _list(_get(m, "family", f"module {name!r}"), f"module {name!r}: family must be a list")
@@ -335,7 +335,7 @@ class _Parser:
     def parse_connections(self, dg: DGCategory, modules: Mapping[str, ProjectiveModule]):
         conns: dict[str, Connection] = {}
         kinds: dict[str, str] = {}
-        for c in self.doc.get("connections", []):
+        for c in _list(self.doc.get("connections", []), "workspace: connections must be a list"):
             name = str(_get(c, "name", "connection"))
             _require(name not in conns, f"connection {name!r} given twice")
             module_name = str(_get(c, "module", f"connection {name!r}"))
@@ -359,7 +359,7 @@ class _Parser:
 
     def parse_endomorphisms(self, dg: DGCategory, modules: Mapping[str, ProjectiveModule]):
         out: dict[str, tuple[str, FormMatrix]] = {}
-        for u in self.doc.get("endomorphisms", []):
+        for u in _list(self.doc.get("endomorphisms", []), "workspace: endomorphisms must be a list"):
             name = str(_get(u, "name", "endomorphism"))
             _require(name not in out, f"endomorphism {name!r} given twice")
             module_name = str(_get(u, "module", f"endomorphism {name!r}"))

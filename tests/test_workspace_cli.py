@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 from fractions import Fraction
@@ -188,6 +189,25 @@ def test_parse_refuses_a_string_where_a_list_is_expected():
             "module 'M' idempotent: matrix must be a list of rows")
     refused("two_points_universal", lambda d: d["modules"][0]["idempotent"].__setitem__(0, "c"),
             "module 'M' idempotent: row 0 must have 1 entries")
+    # a top-level collection must be a list: "" or {} is not an empty one
+    collections = [
+        ("two_points_universal", ("category", "arrows")),
+        ("two_points_universal", ("category", "products")),
+        ("circle_tables", ("forms", "spaces")),
+        ("circle_tables", ("forms", "products")),
+        ("circle_tables", ("forms", "differentials")),
+        ("two_points_universal", ("modules",)),
+        ("two_points_universal", ("connections",)),
+        ("two_points_universal", ("endomorphisms",)),
+    ]
+    for name, path in collections:
+        owner = "workspace" if len(path) == 1 else path[0]
+        for value in ("", {}, "ab"):
+            def mutate(d, path=path, value=value):
+                for key in path[:-1]:
+                    d = d[key]
+                d[path[-1]] = value
+            refused(name, mutate, f"{owner}: {path[-1]} must be a list")
 
 
 def test_tables_refuse_a_repeated_product():
@@ -499,15 +519,86 @@ def test_cli_export_and_fixtures(capsys):
     assert json.loads(out)["fixtures"] == ALL_FIXTURES
 
 
-def test_cli_output_matches_recorded_fixture_runs():
+RECORDED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_fixtures.json"
+
+
+def recorded_cli_runs() -> dict:
     # every command of the benchmark's CLI mix, with the exit code and the
     # stdout recorded when that file was made; the file is read, never written
-    recorded = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_fixtures.json"
-    expected = json.loads(recorded.read_text(encoding="utf-8"))
+    expected = json.loads(RECORDED_CLI.read_text(encoding="utf-8"))
     assert len(expected) >= 60
-    for key, want in sorted(expected.items()):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(want["argv"]))
-        assert code == want["exit"], key
-        assert out.getvalue() == want["stdout"], key
+    return expected
+
+
+def quiet_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_recorded(key, want):
+    code, out, _ = quiet_main(want["argv"])
+    assert code == want["exit"], key
+    assert out == want["stdout"], key
+
+
+def test_cli_output_matches_recorded_fixture_runs():
+    for key, want in sorted(recorded_cli_runs().items()):
+        assert_recorded(key, want)
+
+
+# a command line argparse refuses: --q is required
+USAGE_ERROR = ["chern", "fixture:two_points_universal", "--connection", "levi_L"]
+CERTIFIED_CHERN = "chern fixture:two_points_universal --connection levi_L --q 1 --certify"
+
+
+def test_cli_usage_error_exits_invalid_and_the_parser_survives_it():
+    recorded = recorded_cli_runs()
+    code, out, err = quiet_main(USAGE_ERROR)
+    # not the truncation code 2 that argparse would exit with
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("usage: lincat chern [-h] ")
+    assert err.endswith("lincat chern: error: the following arguments are required: --q\n")
+    assert_recorded(CERTIFIED_CHERN, recorded[CERTIFIED_CHERN])
+
+
+def test_cli_help_exits_ok_and_the_parser_survives_it():
+    recorded = recorded_cli_runs()
+    for argv in (["--help"], ["invariance", "--help"]):
+        code, out, err = quiet_main(argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: lincat ")
+        assert err == ""
+        assert_recorded(CERTIFIED_CHERN, recorded[CERTIFIED_CHERN])
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch):
+    recorded = recorded_cli_runs()
+    assert_recorded(CERTIFIED_CHERN, recorded[CERTIFIED_CHERN])
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    runs = sorted(recorded.items())
+    for key, want in runs:
+        assert_recorded(key, want)
+    assert quiet_main(USAGE_ERROR)[0] == EXIT_INVALID
+    for key, want in reversed(runs):
+        assert_recorded(key, want)
+
+    # the append action copies its list: no --connection value carries over
+    pair = ["levi_L", "twist_L"]
+    for names in (pair, pair[::-1], pair):
+        argv = ["invariance", "fixture:two_points_universal", "--q", "1", "--output", "machine"]
+        for name in names:
+            argv += ["--connection", name]
+        code, out, _ = quiet_main(argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["connections"] == names
+    assert built == []
