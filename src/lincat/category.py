@@ -198,8 +198,10 @@ def build_category(
     must be globally unique.  ``products`` maps a pair of arrow names
     (left, right) to the sparse expansion of their composite; omitted
     pairs compose to zero.  ``identities`` maps each object label to the
-    sparse expansion of its identity.  Coefficients are converted by
-    `scalar`: a `Fraction`, an int or a "p/q" string, never a float.
+    sparse expansion of its identity.  An expansion that is not a
+    mapping raises `DimensionError`, naming its product or identity.
+    Coefficients are converted by `scalar`: a `Fraction`, an int or a
+    "p/q" string, never a float.
     """
     labels = [str(s) for s in object_labels]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -218,7 +220,9 @@ def build_category(
                 raise DimensionError(f"arrow label {a!r} is not globally unique")
             arrow_home[a] = (key[0], key[1], k)
 
-    def expand(pair: tuple[int, int], terms: Mapping[str, object]) -> dict[int, Fraction]:
+    def expand(pair: tuple[int, int], terms: Mapping[str, object], where: str) -> dict[int, Fraction]:
+        if not isinstance(terms, Mapping):
+            raise DimensionError(f"{where}: expected a mapping of arrow labels to coefficients, got {terms!r}")
         pos = {a: k for k, a in enumerate(hom_basis.get(pair, ()))}
         out = {}
         for a, s in terms.items():
@@ -240,13 +244,13 @@ def build_category(
         ry, rz, rj = arrow_home[right]
         if ly != ry:
             raise DimensionError(f"product ({left}, {right}) is not composable")
-        comp.setdefault((lx, ly, rz), {})[(li, rj)] = expand((lx, rz), terms)
+        comp.setdefault((lx, ly, rz), {})[(li, rj)] = expand((lx, rz), terms, f"product ({left}, {right})")
 
     identity: dict[int, dict[int, Fraction]] = {}
     for lab, terms in identities.items():
         if lab not in index:
             raise DimensionError(f"identity given for unknown object {lab!r}")
         x = index[lab]
-        identity[x] = expand((x, x), terms)
+        identity[x] = expand((x, x), terms, f"identity of {lab!r}")
 
     return Category(labels, hom_basis, comp, identity)

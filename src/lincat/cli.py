@@ -9,12 +9,15 @@ and only then computes.  Output is `--output text` for reading or
 `main` may be called any number of times in one process: the parser is
 built on the first call and reused by the later ones.
 
-Exit codes:
+Exit codes, with the kind of error reported (`error (KIND): MESSAGE` on
+stderr in text mode, {"error": {"kind", "message"}} on stdout in machine
+mode):
   0  success, or `--help`
-  1  malformed command line, malformed workspace, failed identity checks,
-     or unknown names
-  2  the truncation degree is too small for the requested computation
-  3  a certificate could not be established
+  1  `validation`: the engine's `CategoryAxiomError`, with its violations;
+     `workspace`: a malformed workspace, an unknown name or a bad value;
+     `computation`: any other engine error; or a malformed command line
+  2  `truncation`: the truncation degree is too small for the request
+  3  `certification`: a certificate could not be established
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import functools
 import json
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .category import validate_category
 from .chern import K0Entry, certify_cocycle, chern_class, chern_form, invariance_certificate, k0_character
@@ -41,38 +44,24 @@ EXIT_TRUNCATION = 2
 EXIT_CERTIFICATION = 3
 
 
-class _ValidationFailed(Exception):
-    def __init__(self, name: str, violations):
-        super().__init__(f"workspace {name!r} fails {len(violations)} identity check(s)")
-        self.name = name
-        self.violations = violations
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
 
 def _load(args) -> Workspace:
     ref: str = args.workspace
-    try:
-        if ref.startswith("fixture:"):
-            return load_fixture(ref[len("fixture:"):])
-        return load_workspace(ref)
-    except CategoryAxiomError as exc:
-        # a universal-model workspace stops at its broken category: report
-        # the category's violations like those of a workspace that loaded
-        raise _ValidationFailed(exc.workspace, exc.violations) from exc
-
-
-def _violations(ws: Workspace) -> list:
-    return validate_category(ws.category) + validate_dg(ws.dg)
+    if ref.startswith("fixture:"):
+        return load_fixture(ref[len("fixture:"):])
+    return load_workspace(ref)
 
 
 def _checked(args) -> Workspace:
+    """The workspace if its identities hold, else the `CategoryAxiomError` that
+    the parser already raises for a universal workspace's broken category."""
     ws = _load(args)
-    violations = _violations(ws)
+    violations = validate_category(ws.category) + validate_dg(ws.dg)
     if violations:
-        raise _ValidationFailed(ws.name, violations)
+        raise CategoryAxiomError(f"{len(violations)} identity check(s) fail", violations, ws.name)
     return ws
 
 
@@ -83,14 +72,16 @@ def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
+def _violation_docs(violations) -> list[dict]:
+    return [{"kind": v.kind, "where": v.where} for v in violations]
+
+
 def _emit_error(args, kind: str, message: str, violations=None) -> None:
     if getattr(args, "output", "text") == "machine":
-        payload: dict = {"error": {"kind": kind, "message": message}}
+        error = {"kind": kind, "message": message}
         if violations is not None:
-            payload["error"]["violations"] = [
-                {"kind": v.kind, "where": v.where} for v in violations
-            ]
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            error["violations"] = _violation_docs(violations)
+        _emit(args, {"error": error}, ())
     else:
         sys.stderr.write(f"error ({kind}): {message}\n")
         for v in violations or []:
@@ -102,7 +93,7 @@ def _coords(v: Vector) -> list[str]:
 
 
 def _render_vector(v: Vector) -> str:
-    return "(" + ", ".join(format_scalar(s) for s in v) + ")"
+    return "(" + ", ".join(_coords(v)) + ")"
 
 
 def _require_q(q: int) -> None:
@@ -110,11 +101,21 @@ def _require_q(q: int) -> None:
         raise WorkspaceError("q must be nonnegative")
 
 
-def _named_connection(ws: Workspace, name: str):
-    if name not in ws.connections:
-        known = ", ".join(sorted(ws.connections)) or "(none)"
-        raise WorkspaceError(f"no connection named {name!r}; available: {known}")
-    return ws.connections[name]
+def _named(kind: str, table: Mapping, name: str):
+    if name not in table:
+        known = ", ".join(sorted(table)) or "(none)"
+        raise WorkspaceError(f"no {kind} named {name!r}; available: {known}")
+    return table[name]
+
+
+def _class_fields(ws: Workspace, degree: int, coords: Vector) -> dict:
+    """The degree, class, zero and representative fields of a class report."""
+    return {
+        "degree": degree,
+        "class": _coords(coords),
+        "zero": all(s == 0 for s in coords),
+        "representative": get_complex(ws.dg).render_class(degree, coords),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +124,10 @@ def _named_connection(ws: Workspace, name: str):
 
 def cmd_validate(args) -> int:
     try:
-        ws = _load(args)
-    except _ValidationFailed as exc:
-        name, violations = exc.name, exc.violations
-    else:
-        name, violations = ws.name, _violations(ws)
-    payload = {
-        "workspace": name,
-        "ok": not violations,
-        "violations": [{"kind": v.kind, "where": v.where} for v in violations],
-    }
+        name, violations = _checked(args).name, []
+    except CategoryAxiomError as exc:
+        name, violations = exc.workspace, exc.violations
+    payload = {"workspace": name, "ok": not violations, "violations": _violation_docs(violations)}
     lines = [f"workspace {name}: checking category and graded identities"]
     if violations:
         lines += [f"  FAIL {v.kind}: {v.where}" for v in violations]
@@ -178,26 +173,14 @@ def cmd_cohomology(args) -> int:
 def cmd_trace(args) -> int:
     ws = _checked(args)
     name = args.endomorphism
-    if name not in ws.endomorphisms:
-        known = ", ".join(sorted(ws.endomorphisms)) or "(none)"
-        raise WorkspaceError(f"no endomorphism named {name!r}; available: {known}")
-    module_name, matrix = ws.endomorphisms[name]
-    module = ws.modules[module_name]
-    rh = get_complex(ws.dg)
-    coords = hs_trace(module, matrix)
-    payload = {
-        "workspace": ws.name,
-        "endomorphism": name,
-        "module": module_name,
-        "degree": 0,
-        "class": _coords(coords),
-        "zero": all(s == 0 for s in coords),
-        "representative": rh.render_class(0, coords),
-    }
+    module_name, matrix = _named("endomorphism", ws.endomorphisms, name)
+    coords = hs_trace(ws.modules[module_name], matrix)
+    report = _class_fields(ws, 0, coords)
+    payload = {"workspace": ws.name, "endomorphism": name, "module": module_name, **report}
     lines = [
         f"trace class of {name!r} on module {module_name!r}:",
         f"  coordinates {_render_vector(coords)}",
-        f"  representative {rh.render_class(0, coords)}",
+        f"  representative {report['representative']}",
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -206,8 +189,7 @@ def cmd_trace(args) -> int:
 def cmd_chern(args) -> int:
     ws = _checked(args)
     _require_q(args.q)
-    conn = _named_connection(ws, args.connection)
-    rh = get_complex(ws.dg)
+    conn = _named("connection", ws.connections, args.connection)
     q = args.q
     forms = chern_form(conn, q)
     trace_text = " ; ".join(
@@ -216,22 +198,20 @@ def cmd_chern(args) -> int:
         if not f.is_zero()
     ) or "0"
     coords = chern_class(conn, q)
+    report = _class_fields(ws, 2 * q, coords)
     payload = {
         "workspace": ws.name,
         "connection": args.connection,
         "module": conn.module.name,
         "q": q,
-        "degree": 2 * q,
         "trace_form": trace_text,
-        "class": _coords(coords),
-        "zero": all(s == 0 for s in coords),
-        "representative": rh.render_class(2 * q, coords),
+        **report,
     }
     lines = [
         f"character class (q = {q}) of connection {args.connection!r} on module {conn.module.name!r}:",
         f"  trace form {trace_text}",
         f"  degree {2 * q} coordinates {_render_vector(coords)}",
-        f"  class representative {rh.render_class(2 * q, coords)}",
+        f"  class representative {report['representative']}",
     ]
     if args.certify:
         cert = certify_cocycle(conn, q)
@@ -259,8 +239,8 @@ def cmd_invariance(args) -> int:
     if len(args.connection) != 2:
         raise WorkspaceError("invariance needs exactly two --connection names")
     name0, name1 = args.connection
-    conn0 = _named_connection(ws, name0)
-    conn1 = _named_connection(ws, name1)
+    conn0 = _named("connection", ws.connections, name0)
+    conn1 = _named("connection", ws.connections, name1)
     cert = invariance_certificate(conn0, conn1, args.q)
     equal = all(s == 0 for s in cert.difference)
     payload = {
@@ -317,28 +297,20 @@ def cmd_k0(args) -> int:
     ws = _checked(args)
     _require_q(args.q)
     terms = parse_k0_expression(args.expression)
-    entries = []
-    for coeff, name in terms:
-        if name not in ws.modules:
-            known = ", ".join(sorted(ws.modules)) or "(none)"
-            raise WorkspaceError(f"no module named {name!r}; available: {known}")
-        entries.append(K0Entry(coeff, ws.modules[name]))
-    rh = get_complex(ws.dg)
+    entries = [K0Entry(coeff, _named("module", ws.modules, name)) for coeff, name in terms]
     coords = k0_character(entries, args.q)
+    report = _class_fields(ws, 2 * args.q, coords)
     payload = {
         "workspace": ws.name,
         "expression": args.expression,
         "terms": [{"coefficient": c, "module": n} for c, n in terms],
         "q": args.q,
-        "degree": 2 * args.q,
-        "class": _coords(coords),
-        "zero": all(s == 0 for s in coords),
-        "representative": rh.render_class(2 * args.q, coords),
+        **report,
     }
     lines = [
         f"character (q = {args.q}) of {args.expression!r}:",
         f"  degree {2 * args.q} coordinates {_render_vector(coords)}",
-        f"  representative {rh.render_class(2 * args.q, coords)}",
+        f"  representative {report['representative']}",
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -422,8 +394,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if not exc.code else EXIT_INVALID
     try:
         return args.func(args)
-    except _ValidationFailed as exc:
-        _emit_error(args, "validation", str(exc), exc.violations)
+    except CategoryAxiomError as exc:
+        # before WorkspaceError, which it subclasses
+        message = f"workspace {exc.workspace!r} fails {len(exc.violations)} identity check(s)"
+        _emit_error(args, "validation", message, exc.violations)
         return EXIT_INVALID
     except TruncationError as exc:
         _emit_error(args, "truncation", str(exc))

@@ -64,8 +64,8 @@ class CategoryAxiomError(WorkspaceError):
     laws fail on the generating set of `validate_dg`, because the
     quotient complex needs a DG category.  `violations` are the failures
     that `validate_category` (and `validate_dg`) reports; `workspace` names
-    the document when a universal-model workspace is parsed, and is None
-    otherwise.
+    the document when a universal-model workspace is parsed or the CLI
+    re-checks a parsed workspace, and is None otherwise.
     """
 
     def __init__(self, message: str, violations: list, workspace: Optional[str] = None):

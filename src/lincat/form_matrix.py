@@ -80,10 +80,6 @@ class FormMatrix:
             rows.append(tuple(row))
         return cls(0, fam, fam, tuple(rows))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_family), len(self.col_family))
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "FormMatrix":
         """The matrix of the given rows and columns, in the given order."""
         return FormMatrix(self.degree, tuple(self.row_family[i] for i in rows),

@@ -9,10 +9,11 @@ naming the offending entry.  Structure constants and explicit tables go
 to the engine as sparse maps of their nonzero terms, the format the
 `Category` and `DGCategory` constructors take, with no dense detour.
 
-Serialization is canonical.  The parser normalizes every coefficient
-and rebuilds the document from the parsed objects, so serializing,
-re-parsing, and serializing again is byte-stable; reports built on top
-of workspaces inherit that determinism.
+Serialization is canonical.  `serialize_workspace` builds the document
+from the parsed objects when it is asked for, with every coefficient
+normalized, so serializing, re-parsing, and serializing again is
+byte-stable; reports built on top of workspaces inherit that
+determinism.  The parser keeps no copy of the document.
 
 Form literals come in two shapes, usable anywhere a form is expected:
 
@@ -24,13 +25,16 @@ Form literals come in two shapes, usable anywhere a form is expected:
   graded hom space.
 
 An entry is a list of such terms; the empty list is the zero form.
+The explicit tables of the `tables` model address their basis elements
+the same way.  An address term is read in one place, `_Parser.address`,
+and written in one, `_address_doc`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Sequence
@@ -49,7 +53,7 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Workspace:
-    """Parsed workspace with its canonical document."""
+    """Parsed workspace: the category, its graded extension and the named objects over it."""
 
     name: str
     category: Category
@@ -59,7 +63,6 @@ class Workspace:
     connections: dict[str, Connection]
     connection_kinds: dict[str, str]
     endomorphisms: dict[str, tuple[str, FormMatrix]]
-    document: dict = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,10 @@ def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise WorkspaceError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _place(degree: int, dom: ObjectId, cod: ObjectId) -> str:
+    return f"in degree {degree} at ({cod.label},{dom.label})"
 
 
 def _scalar(value, where: str) -> Fraction:
@@ -150,25 +157,20 @@ class _Parser:
     def parse_forms(self, cat: Category) -> tuple[DGCategory, str]:
         fdoc = _get(self.doc, "forms", "workspace")
         model = str(_get(fdoc, "model", "forms"))
-        if model == "universal":
-            truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
-            # universal_dg checks the category first, and the category keeps the verdict
-            try:
-                return universal_dg(cat, truncation), model
-            except CategoryAxiomError as exc:
-                exc.workspace = self.name
-                raise
-            except LincatError as exc:
-                raise WorkspaceError(f"forms: {exc}") from exc
-        if model == "trivial":
-            truncation = _int(fdoc.get("truncation", 1), "forms truncation")
-            try:
-                return trivial_dg(cat, truncation), model
-            except LincatError as exc:
-                raise WorkspaceError(f"forms: {exc}") from exc
         if model == "tables":
             return self.parse_tables(cat, fdoc), model
-        raise WorkspaceError(f"forms: unknown model {model!r}")
+        _require(model in ("universal", "trivial"), f"forms: unknown model {model!r}")
+        # a trivial model's truncation defaults to 1
+        given = _get(fdoc, "truncation", "forms") if model == "universal" else fdoc.get("truncation", 1)
+        truncation = _int(given, "forms truncation")
+        try:
+            return (universal_dg if model == "universal" else trivial_dg)(cat, truncation), model
+        except CategoryAxiomError as exc:
+            # universal_dg checks the category first, and the category keeps the verdict
+            exc.workspace = self.name
+            raise
+        except LincatError as exc:
+            raise WorkspaceError(f"forms: {exc}") from exc
 
     def parse_tables(self, cat: Category, fdoc: Mapping) -> DGCategory:
         truncation = _int(_get(fdoc, "truncation", "forms"), "forms truncation")
@@ -188,52 +190,40 @@ class _Parser:
             _require(len(set(basis)) == len(basis), f"form space degree {degree}: duplicate basis labels")
             level[key] = basis
 
-        def locate(ref: Mapping, where: str) -> tuple[int, int, int, int]:
-            degree = _int(_get(ref, "degree", where), where)
-            cod = self._object(cat, str(_get(ref, "cod", where)))
-            dom = self._object(cat, str(_get(ref, "dom", where)))
-            label = str(_get(ref, "basis", where))
-            if degree == 0:
-                names = cat.basis_labels(cod.index, dom.index)
-            else:
-                names = gr_basis.get(degree, {}).get((cod.index, dom.index), ())
-            _require(label in names, f"{where}: no basis element {label!r} in that space")
-            return degree, cod.index, dom.index, names.index(label)
-
-        def expand(terms, degree: int, x: int, y: int, where: str) -> dict[int, Fraction]:
+        def expand(terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> dict[int, Fraction]:
             out: dict[int, Fraction] = {}
             for t in _list(terms, f"{where}: expected a list of terms"):
                 _require(isinstance(t, Mapping), f"{where}: each term must be an object")
                 coeff = _scalar(t.get("coeff", "1"), where)
-                d2, x2, y2, k = locate(t, where)
-                _require((d2, x2, y2) == (degree, x, y), f"{where}: term lands in the wrong space")
+                n, dom_t, cod_t, k = self.address(cat, gr_basis, t, where)
+                _require((n, dom_t, cod_t) == (degree, dom, cod), f"{where}: term lands in the wrong space")
                 out[k] = out.get(k, 0) + coeff
             return out
 
-        def named(ref: Mapping, n: int, x: int, y: int) -> str:
-            return f"{ref['basis']} in degree {n} at ({cat.objects[x].label},{cat.objects[y].label})"
+        def named(ref: Mapping, n: int, dom: ObjectId, cod: ObjectId) -> str:
+            return f"{ref['basis']} {_place(n, dom, cod)}"
 
         gr_comp: dict[tuple[int, int], dict[tuple[int, int, int], dict]] = {}
         for p in _list(fdoc.get("products", []), "forms: products must be a list"):
             left, right = _get(p, "left", "form product"), _get(p, "right", "form product")
-            lp, lx, ly, li = locate(left, "form product left factor")
-            rp, ry, rz, rj = locate(right, "form product right factor")
+            lp, ly, lx, li = self.address(cat, gr_basis, left, "form product left factor")
+            rp, rz, ry, rj = self.address(cat, gr_basis, right, "form product right factor")
             _require(ly == ry, "form product: factors are not composable")
             _require(lp + rp <= truncation, "form product: total degree exceeds the truncation")
             _require(lp + rp > 0, "form product: degree-0 products belong in the category block")
-            block = gr_comp.setdefault((lp, rp), {}).setdefault((lx, ly, rz), {})
+            block = gr_comp.setdefault((lp, rp), {}).setdefault((lx.index, ly.index, rz.index), {})
             _require((li, rj) not in block,
-                     f"form product ({named(left, lp, lx, ly)}, {named(right, rp, ry, rz)}) given twice")
-            block[(li, rj)] = expand(_get(p, "result", "form product"), lp + rp, lx, rz, "form product result")
+                     f"form product ({named(left, lp, ly, lx)}, {named(right, rp, rz, ry)}) given twice")
+            block[(li, rj)] = expand(_get(p, "result", "form product"), lp + rp, rz, lx, "form product result")
 
         diff: dict[int, dict[tuple[int, int], dict]] = {}
         for dspec in _list(fdoc.get("differentials", []), "forms: differentials must be a list"):
             source = _get(dspec, "of", "differential")
-            n, x, y, k = locate(source, "differential source")
+            n, y, x, k = self.address(cat, gr_basis, source, "differential source")
             _require(n < truncation, "differential: source degree must lie below the truncation")
-            columns = diff.setdefault(n, {}).setdefault((x, y), {})
-            _require(k not in columns, f"differential of {named(source, n, x, y)} given twice")
-            columns[k] = expand(_get(dspec, "result", "differential"), n + 1, x, y, "differential result")
+            columns = diff.setdefault(n, {}).setdefault((x.index, y.index), {})
+            _require(k not in columns, f"differential of {named(source, n, y, x)} given twice")
+            columns[k] = expand(_get(dspec, "result", "differential"), n + 1, y, x, "differential result")
 
         try:
             return DGCategory(cat, truncation, gr_basis, gr_comp, diff)
@@ -267,14 +257,22 @@ class _Parser:
                 raise WorkspaceError(f"{where}: word does not compose ({exc})") from exc
         return form
 
-    def address_form(self, dg: DGCategory, term: Mapping, where: str) -> Form:
-        degree = _int(_get(term, "degree", where), where)
-        cod = self._object(dg.base, str(_get(term, "cod", where)))
-        dom = self._object(dg.base, str(_get(term, "dom", where)))
-        label = str(_get(term, "basis", where))
-        names = dg.space_labels(degree, cod.index, dom.index)
-        _require(label in names, f"{where}: no basis element {label!r} in degree {degree} at ({cod.label},{dom.label})")
-        return dg.basis_form(degree, dom, cod, names.index(label))
+    def address(self, cat: Category, gr_basis: Mapping, ref, where: str) -> tuple[int, ObjectId, ObjectId, int]:
+        """The degree, domain, codomain and basis index of an address term.
+
+        They come in the order `DGCategory.basis_form` takes.  Degree 0
+        is read in the hom spaces of `cat`, and a degree n above it in
+        ``gr_basis[n][(cod, dom)]``: the tables' own bases while they are
+        parsed, `DGCategory.gr_basis` once the graded category is built.
+        """
+        degree = _int(_get(ref, "degree", where), where)
+        cod = self._object(cat, str(_get(ref, "cod", where)))
+        dom = self._object(cat, str(_get(ref, "dom", where)))
+        label = str(_get(ref, "basis", where))
+        key = (cod.index, dom.index)
+        names = cat.basis_labels(*key) if degree == 0 else gr_basis.get(degree, {}).get(key, ())
+        _require(label in names, f"{where}: no basis element {label!r} {_place(degree, dom, cod)}")
+        return degree, dom, cod, names.index(label)
 
     def parse_form(self, dg: DGCategory, terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> Form:
         total = dg.zero_form(degree, dom, cod)
@@ -284,7 +282,7 @@ class _Parser:
             if "word" in t:
                 f = self.word_form(dg, t["word"], where)
             else:
-                f = self.address_form(dg, t, where)
+                f = dg.basis_form(*self.address(dg.base, dg.gr_basis, t, where))
             _require(
                 (f.degree, f.dom, f.cod) == (degree, dom, cod),
                 f"{where}: term has degree {f.degree} from {f.dom.label} to {f.cod.label}, "
@@ -375,23 +373,19 @@ class _Parser:
 # canonical document
 
 
-def _term_docs(dg: DGCategory, degree: int, dom: ObjectId, cod: ObjectId, terms) -> list[dict]:
-    """Address terms of the form with the given (index, coefficient) terms."""
-    labels = dg.space_labels(degree, cod.index, dom.index)
-    return [
-        {
-            "coeff": format_scalar(s),
-            "degree": degree,
-            "dom": dom.label,
-            "cod": cod.label,
-            "basis": labels[k],
-        }
-        for k, s in terms
-    ]
+def _address_doc(dg: DGCategory, n: int, x: int, y: int, k: int) -> dict:
+    """The address term of basis element k of the degree-n space at (x, y), as `_Parser.address` reads it."""
+    objects = dg.base.objects
+    return {"degree": n, "cod": objects[x].label, "dom": objects[y].label, "basis": dg.space_labels(n, x, y)[k]}
+
+
+def _term_docs(dg: DGCategory, n: int, x: int, y: int, terms) -> list[dict]:
+    """The address terms, with coefficients, of the (index, coefficient) terms of a form at degree n and (x, y)."""
+    return [{"coeff": format_scalar(s), **_address_doc(dg, n, x, y, k)} for k, s in terms]
 
 
 def _form_doc(dg: DGCategory, f: Form) -> list[dict]:
-    return _term_docs(dg, f.degree, f.dom, f.cod, f.terms)
+    return _term_docs(dg, f.degree, f.cod.index, f.dom.index, f.terms)
 
 
 def _matrix_doc(dg: DGCategory, m: FormMatrix) -> list[list[list[dict]]]:
@@ -448,10 +442,6 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
                         "basis": list(labels),
                     })
 
-    def address(n: int, x: int, y: int, k: int) -> dict:
-        label = dg.space_labels(n, x, y)[k]
-        return {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": label}
-
     # both written from the integer stores, in the order of their keys
     triples = list(itertools.product(range(nobj), repeat=3))
     products = []
@@ -465,10 +455,9 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
                     for j, entry in enumerate(row):
                         if entry:
                             products.append({
-                                "left": address(p, x, y, i),
-                                "right": address(q, y, z, j),
-                                "result": _term_docs(dg, p + q, cat.objects[z], cat.objects[x],
-                                                     fraction_terms(den, entry)),
+                                "left": _address_doc(dg, p, x, y, i),
+                                "right": _address_doc(dg, q, y, z, j),
+                                "result": _term_docs(dg, p + q, x, z, fraction_terms(den, entry)),
                             })
     differentials = []
     for n in range(0, dg.truncation):
@@ -477,9 +466,8 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
             for k, entry in enumerate(columns):
                 if entry:
                     differentials.append({
-                        "of": address(n, x, y, k),
-                        "result": _term_docs(dg, n + 1, cat.objects[y], cat.objects[x],
-                                             fraction_terms(den, entry)),
+                        "of": _address_doc(dg, n, x, y, k),
+                        "result": _term_docs(dg, n + 1, x, y, fraction_terms(den, entry)),
                     })
     return {
         "model": "tables",
@@ -490,40 +478,38 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
     }
 
 
-def _document(ws_name: str, cat: Category, dg: DGCategory, model: str,
-              modules: Mapping[str, ProjectiveModule],
-              connections: Mapping[str, Connection],
-              kinds: Mapping[str, str],
-              endomorphisms: Mapping[str, tuple[str, FormMatrix]]) -> dict:
+def _document(ws: Workspace) -> dict:
+    """The canonical document of a workspace, built from its parsed objects."""
+    dg = ws.dg
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "name": ws_name,
-        "category": _category_doc(cat),
-        "forms": _forms_doc(dg, model),
+        "name": ws.name,
+        "category": _category_doc(ws.category),
+        "forms": _forms_doc(dg, ws.model),
     }
-    if modules:
+    if ws.modules:
         doc["modules"] = [
             {
                 "name": name,
                 "family": [o.label for o in m.family],
                 "idempotent": _matrix_doc(dg, m.idempotent),
             }
-            for name, m in modules.items()
+            for name, m in ws.modules.items()
         ]
-    if connections:
+    if ws.connections:
         doc["connections"] = [
             {
                 "name": name,
                 "module": conn.module.name,
-                "gauge": "canonical" if kinds[name] == "canonical" else _matrix_doc(dg, conn.gauge),
+                "gauge": "canonical" if ws.connection_kinds[name] == "canonical" else _matrix_doc(dg, conn.gauge),
             }
-            for name, conn in connections.items()
+            for name, conn in ws.connections.items()
         ]
-    if endomorphisms:
+    if ws.endomorphisms:
         doc["endomorphisms"] = [
             {"name": name, "module": module_name, "matrix": _matrix_doc(dg, matrix)}
-            for name, (module_name, matrix) in endomorphisms.items()
+            for name, (module_name, matrix) in ws.endomorphisms.items()
         ]
     return doc
 
@@ -538,8 +524,6 @@ def workspace_from_dict(doc: Mapping) -> Workspace:
     dg, model = parser.parse_forms(cat)
     modules = parser.parse_modules(dg)
     connections, kinds = parser.parse_connections(dg, modules)
-    endomorphisms = parser.parse_endomorphisms(dg, modules)
-    document = _document(parser.name, cat, dg, model, modules, connections, kinds, endomorphisms)
     return Workspace(
         name=parser.name,
         category=cat,
@@ -548,8 +532,7 @@ def workspace_from_dict(doc: Mapping) -> Workspace:
         modules=modules,
         connections=connections,
         connection_kinds=kinds,
-        endomorphisms=endomorphisms,
-        document=document,
+        endomorphisms=parser.parse_endomorphisms(dg, modules),
     )
 
 
@@ -577,7 +560,7 @@ def load_workspace(path: str) -> Workspace:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    return json.dumps(ws.document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_document(ws), sort_keys=True, indent=2) + "\n"
 
 
 def fixture_names() -> list[str]:

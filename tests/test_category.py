@@ -170,3 +170,34 @@ def test_build_category_refuses_float_coefficients():
     for malformed in ("one", "1/0"):
         with pytest.raises(DimensionError, match="not a rational scalar"):
             one_object(malformed)
+
+
+ARROW_LABELS = ["s", "t"]
+ARROW_HOMS = {("s", "s"): ["es"], ("t", "t"): ["et"], ("t", "s"): ["a"]}
+ARROW_PRODUCTS = {("es", "es"): {"es": 1}, ("et", "et"): {"et": 1}, ("et", "a"): {"a": 1}, ("a", "es"): {"a": 1}}
+ARROW_IDENTITIES = {"s": {"es": 1}, "t": {"et": 1}}
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(object_labels=["s", "s"]), "object labels must be distinct"),
+    (dict(products={**ARROW_PRODUCTS, ("es", "a"): {"a": 1}}), r"product \(es, a\) is not composable"),
+    (dict(identities={**ARROW_IDENTITIES, "u": {"es": 1}}), "identity given for unknown object 'u'"),
+    (dict(identities={**ARROW_IDENTITIES, "s": {"a": 1}}), "arrow 'a' does not live in the expected hom space"),
+    (dict(products={**ARROW_PRODUCTS, ("a", "es"): ["a"]}),
+     r"product \(a, es\): expected a mapping of arrow labels to coefficients, got \['a'\]"),
+    (dict(identities={**ARROW_IDENTITIES, "t": "et"}),
+     "identity of 't': expected a mapping of arrow labels to coefficients, got 'et'"),
+], ids=["duplicate-objects", "not-composable", "unknown-identity", "outside-hom", "product-list", "identity-string"])
+def test_build_category_refusals(change, message):
+    inputs = dict(object_labels=ARROW_LABELS, arrows=ARROW_HOMS, products=ARROW_PRODUCTS,
+                  identities=ARROW_IDENTITIES)
+    assert validate_category(build_category(**inputs)) == []
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        build_category(**{**inputs, **change})
+
+
+def test_category_refuses_a_missing_identity():
+    c, labels, comp, identity = arrow_inputs()
+    del identity[1]
+    with pytest.raises(DimensionError, match="^object t: identity coordinates missing$"):
+        Category(labels, c.hom_basis, comp, identity)

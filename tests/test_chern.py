@@ -19,7 +19,7 @@ from lincat.connection import (
 )
 from lincat.derham import TildeComplex, get_complex
 from lincat.dg import universal_dg
-from lincat.errors import ModuleError, ScalarTypeError, TruncationError
+from lincat.errors import DimensionError, ModuleError, ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import ProjectiveModule, direct_sum
@@ -263,3 +263,17 @@ def test_truncation_refusals(two5):
     with pytest.raises(TruncationError):
         certify_cocycle(canonical_connection(m4), 2)  # needs degree 5
     assert chern_class(canonical_connection(m4), 2) == (Fraction(1),)
+
+
+def test_character_refusals(two5, dual5):
+    line = canonical_connection(line_module(two5))
+    for call in (chern_form, certify_cocycle):
+        with pytest.raises(DimensionError, match="^character index must be non-negative$"):
+            call(line, -1)
+    projective = canonical_connection(projective_two_points(two5))
+    with pytest.raises(ModuleError, match="^invariance compares two connections on the same module$"):
+        invariance_certificate(line, projective, 1)
+    with pytest.raises(DimensionError, match="^empty formal combination$"):
+        k0_character([], 1)
+    with pytest.raises(DimensionError, match="^all modules in a combination must share the graded category$"):
+        k0_character([K0Entry(1, line.module), K0Entry(1, dual_projective(dual5))], 1)

@@ -89,6 +89,38 @@ def test_every_top_level_definition_is_exported_or_read():
     assert sorted(UNREAD_ALLOWED.keys() - unread) == []
 
 
+# methods and properties of src classes that no library module reads, each
+# with its reason
+MEMBERS_WITHOUT_READER = {
+    "Connection.apply": "README's library overview applies a connection to a module element",
+    "ProjectiveModule.free": "README's library overview builds a free module with it",
+    "DGCategory.form": "the m2_envelope workload of perfbench builds its forms with it",
+    "DGCategory.gr_comp": "the benchmark's tracer, perfbench/tracing.py, counts the products through it",
+}
+
+
+def test_every_method_and_property_has_a_reader():
+    # a method or property that no library module reads as an attribute is
+    # dead code; dunder methods are read by Python itself
+    members: set[str] = set()
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members |= {
+                    f"{node.name}.{member.name}" for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                }
+    unread = {member for member in members if member.split(".")[1] not in read}
+    assert sorted(unread - MEMBERS_WITHOUT_READER.keys()) == []
+    # an allowed member that is gone or read again leaves the allowlist
+    assert sorted(MEMBERS_WITHOUT_READER.keys() - unread) == []
+
+
 # exported names that no library module reads, each with its reason: the
 # library is the pipeline from a category to a character class, and an
 # export that only tests read belongs in tests/

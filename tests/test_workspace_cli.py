@@ -210,6 +210,19 @@ def test_parse_refuses_a_string_where_a_list_is_expected():
             refused(name, mutate, f"{owner}: {path[-1]} must be a list")
 
 
+@pytest.mark.parametrize("identity", [["1"], "1", 1], ids=["list", "string", "number"])
+def test_an_identity_that_is_not_an_object_is_refused(identity, tmp_path):
+    # build_category read it with .items(): the parse died with an AttributeError
+    doc = json.loads(serialize_workspace(load_fixture("circle_tables")))
+    doc["category"]["identities"]["x"] = identity
+    message = f"category: identity of 'x': expected a mapping of arrow labels to coefficients, got {identity!r}"
+    with pytest.raises(WorkspaceError) as exc:
+        workspace_from_dict(doc)
+    assert str(exc.value) == message
+    code, out, err = quiet_main(["validate", write_doc(tmp_path, doc), "--output", "machine"])
+    assert (code, json.loads(out), err) == (EXIT_INVALID, {"error": {"kind": "workspace", "message": message}}, "")
+
+
 def test_tables_refuse_a_repeated_product():
     # the second entry for 1 . th would silently replace the first
     doc = json.loads(serialize_workspace(load_fixture("circle_tables")))
@@ -226,7 +239,7 @@ def test_tables_refuse_a_repeated_differential():
     d_one = {"of": {"degree": 0, "dom": "x", "cod": "x", "basis": "1"},
              "result": [{"coeff": "1", "degree": 1, "dom": "x", "cod": "x", "basis": "th"}]}
     doc["forms"]["differentials"] = [d_one]
-    assert workspace_from_dict(doc).document["forms"]["differentials"] == [d_one]
+    assert json.loads(serialize_workspace(workspace_from_dict(doc)))["forms"]["differentials"] == [d_one]
     doc["forms"]["differentials"].append(dict(d_one, result=[]))
     with pytest.raises(WorkspaceError, match=r"differential of 1 in degree 0 at \(x,x\) given twice"):
         workspace_from_dict(doc)
@@ -602,3 +615,126 @@ def test_cli_builds_one_parser_per_process(monkeypatch):
         assert code == EXIT_OK
         assert json.loads(out)["connections"] == names
     assert built == []
+
+
+# -- every error path of main, pinned byte for byte in both output modes ------
+
+
+def write_doc(tmp_path, doc) -> str:
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def broken_universal(tmp_path) -> str:
+    # 1 . c = 2c: the category breaks its unit law, so its envelope is never built
+    doc = json.loads(serialize_workspace(load_fixture("two_points_universal")))
+    for p in doc["category"]["products"]:
+        if (p["left"], p["right"]) == ("1", "c"):
+            p["result"] = {"c": "2"}
+    return write_doc(tmp_path, doc)
+
+
+def broken_tables(tmp_path) -> str:
+    # th . 1 is not given, so it composes to 0: the graded unit law fails after the parse
+    doc = json.loads(serialize_workspace(load_fixture("circle_tables")))
+    doc["forms"]["products"] = [p for p in doc["forms"]["products"] if p["left"]["degree"] == 0]
+    return write_doc(tmp_path, doc)
+
+
+UNIT_LAW_BROKEN = [("identity-left", "1_x . c"), ("associativity", "1 . 1 . c"), ("associativity", "c . 1 . c")]
+GRADED_UNIT_LAW_BROKEN = [("dg-identity-right", "th . 1_x")]
+
+
+def canonical(payload: dict) -> str:
+    # machine output is canonical JSON: sorted keys, two-space indent, one newline
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def assert_error(argv, code, text_stderr, kind, message, violations=None):
+    assert quiet_main(argv) == (code, "", text_stderr)
+    error = {"kind": kind, "message": message}
+    if violations is not None:
+        error["violations"] = [{"kind": k, "where": w} for k, w in violations]
+    assert quiet_main(argv + ["--output", "machine"]) == (code, canonical({"error": error}), "")
+
+
+def test_main_reports_a_category_that_fails_at_load(tmp_path):
+    path = broken_universal(tmp_path)
+    message = "workspace 'two_points_universal' fails 3 identity check(s)"
+    for argv in (["cohomology", path], ["chern", path, "--connection", "levi_L", "--q", "1"]):
+        assert_error(argv, EXIT_INVALID,
+                     f"error (validation): {message}\n"
+                     "  identity-left: 1_x . c\n"
+                     "  associativity: 1 . 1 . c\n"
+                     "  associativity: c . 1 . c\n",
+                     "validation", message, UNIT_LAW_BROKEN)
+
+
+def test_main_reports_graded_laws_that_fail_after_load(tmp_path):
+    # text mode writes the violations to stderr, one per line under the message
+    path = broken_tables(tmp_path)
+    message = "workspace 'circle_tables' fails 1 identity check(s)"
+    for argv in (["cohomology", path], ["chern", path, "--connection", "wind_M", "--q", "0"]):
+        assert_error(argv, EXIT_INVALID,
+                     f"error (validation): {message}\n  dg-identity-right: th . 1_x\n",
+                     "validation", message, GRADED_UNIT_LAW_BROKEN)
+
+
+def test_validate_reports_failures_at_and_after_load(tmp_path):
+    for path, name, violations in ((broken_universal(tmp_path), "two_points_universal", UNIT_LAW_BROKEN),
+                                   (broken_tables(tmp_path), "circle_tables", GRADED_UNIT_LAW_BROKEN)):
+        text = (f"workspace {name}: checking category and graded identities\n"
+                + "".join(f"  FAIL {k}: {w}\n" for k, w in violations)
+                + f"result: {len(violations)} violation(s)\n")
+        assert quiet_main(["validate", path]) == (EXIT_INVALID, text, "")
+        payload = {"workspace": name, "ok": False,
+                   "violations": [{"kind": k, "where": w} for k, w in violations]}
+        assert quiet_main(["validate", path, "--output", "machine"]) == (EXIT_INVALID, canonical(payload), "")
+
+
+def test_main_reports_truncation():
+    message = "Gamma^1 has degree 2; raise the truncation to at least 2"
+    assert_error(["chern", "fixture:circle_tables", "--connection", "wind_M", "--q", "1"], EXIT_TRUNCATION,
+                 f"error (truncation): {message}\n", "truncation", message)
+
+
+WORKSPACE_ERRORS = {
+    "unknown-connection": (["chern", "fixture:two_points_universal", "--connection", "ghost", "--q", "1"],
+                           "no connection named 'ghost'; available: flat_M, levi_L, levi_P, twist_L"),
+    "unknown-endomorphism": (["trace", "fixture:dual_numbers_universal", "--endomorphism", "ghost"],
+                             "no endomorphism named 'ghost'; available: mult_u"),
+    "unknown-module": (["k0", "fixture:two_points_universal", "--expression", "[P] - [ghost]", "--q", "1"],
+                       "no module named 'ghost'; available: L, M, P"),
+    "no-endomorphisms": (["trace", "fixture:circle_tables", "--endomorphism", "ghost"],
+                         "no endomorphism named 'ghost'; available: (none)"),
+    "negative-q": (["chern", "fixture:two_points_universal", "--connection", "levi_L", "--q", "-1"],
+                   "q must be nonnegative"),
+    "one-connection": (["invariance", "fixture:two_points_universal", "--connection", "levi_L", "--q", "1"],
+                       "invariance needs exactly two --connection names"),
+    "unknown-fixture": (["validate", "fixture:ghost"],
+                        "no fixture named 'ghost'; available: " + ", ".join(ALL_FIXTURES)),
+}
+
+
+@pytest.mark.parametrize("argv, message", WORKSPACE_ERRORS.values(), ids=WORKSPACE_ERRORS.keys())
+def test_main_reports_workspace_errors(argv, message):
+    assert_error(argv, EXIT_INVALID, f"error (workspace): {message}\n", "workspace", message)
+
+
+def test_main_reports_certification_and_computation(monkeypatch):
+    import lincat.cli
+    from lincat.errors import CertificationError, LincatError
+
+    def raising(error):
+        def fail(*args, **kwargs):
+            raise error
+        return fail
+
+    monkeypatch.setattr(lincat.cli, "certify_cocycle", raising(CertificationError("no commutator decomposition")))
+    assert_error(["chern", "fixture:two_points_universal", "--connection", "levi_L", "--q", "1", "--certify"],
+                 EXIT_CERTIFICATION, "error (certification): no commutator decomposition\n",
+                 "certification", "no commutator decomposition")
+    monkeypatch.setattr(lincat.cli, "hs_trace", raising(LincatError("trace failed")))
+    assert_error(["trace", "fixture:dual_numbers_universal", "--endomorphism", "mult_u"],
+                 EXIT_INVALID, "error (computation): trace failed\n", "computation", "trace failed")
