@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .connection import Connection, canonical_connection, tilde_curvature
 from .derham import TildeComplex, commutator_label, commutator_system, get_complex
@@ -222,18 +222,17 @@ def invariance_certificate(conn0: Connection, conn1: Connection, q: int) -> Inva
 class K0Entry:
     coefficient: int
     module: ProjectiveModule
-    connection: Optional[Connection] = None
 
 
 def k0_character(entries: Sequence[K0Entry], q: int) -> Vector:
     """Character of a formal integer combination of modules.
 
-    Each entry uses its attached connection, defaulting to the canonical
-    one; by the invariance certificate the result is independent of
-    those choices.  A connection on another module than its entry's
-    raises `ModuleError`.  A coefficient that is not an `int` (a `bool`,
-    a float, a `Fraction`) raises `ScalarTypeError`: K0 combinations are
-    integral.
+    Each module uses its canonical connection; by the invariance
+    certificate the result does not depend on that choice.  Before
+    anything is computed, a coefficient that is not an `int` (a `bool`,
+    a float, a `Fraction`) raises `ScalarTypeError`, since K0
+    combinations are integral, and modules over different graded
+    categories raise `DimensionError`.
     """
     if not entries:
         raise DimensionError("empty formal combination")
@@ -244,17 +243,12 @@ def k0_character(entries: Sequence[K0Entry], q: int) -> Vector:
                 f"K0 entry {i} (module {entry.module.name}): coefficient {c!r} "
                 f"of type {type(c).__name__} is not an integer"
             )
-        if entry.connection is not None and entry.connection.module is not entry.module:
-            raise ModuleError(
-                f"K0 entry {i} (module {entry.module.name}): its connection is on module {entry.connection.module.name}"
-            )
     w = entries[0].module.w
+    if any(entry.module.w is not w for entry in entries):
+        raise DimensionError("all modules in a combination must share the graded category")
     rh = get_complex(w)
     total = zero_vector(rh.dim(2 * q))
     for entry in entries:
-        if entry.module.w is not w:
-            raise DimensionError("all modules in a combination must share the graded category")
-        conn = entry.connection or canonical_connection(entry.module)
-        cls = chern_class(conn, q)
+        cls = chern_class(canonical_connection(entry.module), q)
         total = tuple(a + entry.coefficient * b for a, b in zip(total, cls))
     return total

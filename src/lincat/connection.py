@@ -147,15 +147,6 @@ def conjugate(conn: Connection, t: FormMatrix, t_inv: FormMatrix, name: str = ""
     return new_module, Connection(new_module, gauge)
 
 
-def path_operational(conn0: Connection, conn1: Connection):
-    """Polynomial operational matrix C0 + t.(C1 - C0) of the joining segment."""
-    if conn0.module is not conn1.module:
-        raise ModuleError("a connection path needs both endpoints on the same module")
-    c0 = conn0.operational_matrix()
-    c1 = conn1.operational_matrix()
-    return poly_matrix([c0, c1 - c0])
-
-
 def tilde_curvature(conn0: Connection, conn1: Connection) -> TildeMatrix:
     """Extended curvature of the segment joining two connections.
 
@@ -166,6 +157,10 @@ def tilde_curvature(conn0: Connection, conn1: Connection) -> TildeMatrix:
     w = conn0.w
     if w.truncation < 2:
         raise TruncationError("curvature needs degree-2 forms; raise the truncation to at least 2")
-    c_path = tilde_matrix(w, path_operational(conn0, conn1))
-    e_tilde = TildeMatrix(pm_const(conn0.module.idempotent), None)
+    if conn0.module is not conn1.module:
+        raise ModuleError("a connection path needs both endpoints on the same module")
+    c0 = conn0.operational_matrix()
+    # the operational matrix C0 + t.(C1 - C0) of the joining segment
+    c_path = tilde_matrix(w, poly_matrix([c0, conn1.operational_matrix() - c0]))
+    e_tilde = tilde_matrix(w, pm_const(conn0.module.idempotent))
     return tm_add(tm_mul(w, c_path, c_path), tm_mul(w, e_tilde, tm_partial(w, c_path)))

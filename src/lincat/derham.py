@@ -61,7 +61,9 @@ the truncated complex (differential out of the top treated as zero) and
 flagged as unreliable, since forms one degree higher were cut off.
 
 The stratified extension at the end of the module carries classes with
-polynomial coefficients plus an infinitesimal part.  It provides the
+polynomial coefficients plus an infinitesimal part one degree lower,
+present in every degree: under degree 0 its classes are the empty
+classes of degree -1, where the complex is zero.  It provides the
 evaluation maps at chosen parameter values and an integration operator
 whose homotopy identity against the differential is exact, which is the
 engine behind the invariance certificates.
@@ -426,12 +428,13 @@ class TildeCochain:
 
     `part0[i]` is the class multiplying t^i in the main component;
     `part1[i]` the class multiplying t^i.e, one degree lower.  Both run
-    over 0 <= i <= t_bound of the ambient complex.
+    over 0 <= i <= t_bound of the ambient complex.  Under degree 0 each
+    `part1[i]` is the empty class of degree -1.
     """
 
     degree: int
     part0: tuple[Vector, ...]
-    part1: Optional[tuple[Vector, ...]]
+    part1: tuple[Vector, ...]
 
 
 class TildeComplex:
@@ -460,31 +463,21 @@ class TildeComplex:
         pad = [zero_vector(dim)] * (D + 1 - len(classes))
         return tuple(vec(v) for v in classes) + tuple(pad)
 
-    def cochain(self, degree: int, part0: Sequence[Vector], part1: Optional[Sequence[Vector]]) -> TildeCochain:
-        p0 = self._pad(degree, 0, list(part0))
-        p1 = None
-        if degree >= 1:
-            p1 = self._pad(degree, 1, list(part1) if part1 is not None else [])
-        elif part1 is not None and any(not is_zero_vector(v) for v in part1):
-            raise DimensionError("degree-0 cochain cannot carry an infinitesimal part")
-        return TildeCochain(degree, p0, p1)
+    def cochain(self, degree: int, part0: Sequence[Vector], part1: Sequence[Vector]) -> TildeCochain:
+        return TildeCochain(degree, self._pad(degree, 0, list(part0)), self._pad(degree, 1, list(part1)))
 
     def cochain_from_traces(
         self,
         degree: int,
         part0_traces: Sequence[Sequence[Form]],
-        part1_traces: Optional[Sequence[Sequence[Form]]],
+        part1_traces: Sequence[Sequence[Form]],
     ) -> TildeCochain:
         p0 = [self.rh.class_of_trace(degree, comps) for comps in part0_traces]
-        p1 = None
-        if part1_traces is not None:
-            p1 = [self.rh.class_of_trace(degree - 1, comps) for comps in part1_traces]
+        p1 = [self.rh.class_of_trace(degree - 1, comps) for comps in part1_traces]
         return self.cochain(degree, p0, p1)
 
     def is_zero(self, a: TildeCochain) -> bool:
-        if any(not is_zero_vector(v) for v in a.part0):
-            return False
-        return a.part1 is None or all(is_zero_vector(v) for v in a.part1)
+        return all(is_zero_vector(v) for v in a.part0 + a.part1)
 
     def delta(self, a: TildeCochain) -> TildeCochain:
         """Differential: d on strata, with the t-derivative feeding the e-part."""
@@ -493,10 +486,8 @@ class TildeComplex:
         p0 = tuple(self.rh.d_class(n, v) for v in a.part0)
         sign = Fraction(1 if (n + 1) % 2 == 0 else -1)
         tdot = [vec_scale(Fraction(i + 1), a.part0[i + 1]) for i in range(D)] + [zero_vector(self.rh.dim(n))]
-        p1 = [vec_scale(sign, v) for v in tdot]
-        if a.part1 is not None:
-            p1 = [vec_add(u, self.rh.d_class(n - 1, v)) for u, v in zip(p1, a.part1)]
-        return TildeCochain(n + 1, p0, tuple(p1))
+        p1 = tuple(vec_add(vec_scale(sign, u), self.rh.d_class(n - 1, v)) for u, v in zip(tdot, a.part1))
+        return TildeCochain(n + 1, p0, p1)
 
     def ev_at(self, a: TildeCochain, t) -> Vector:
         """Evaluation of the main component at a parameter value."""
@@ -511,8 +502,6 @@ class TildeComplex:
     def integral_k(self, a: TildeCochain) -> Vector:
         """Integrate the e-part over [0, 1], with the degree sign."""
         n = a.degree
-        if a.part1 is None:
-            return zero_vector(self.rh.dim(n - 1))
         out = zero_vector(self.rh.dim(n - 1))
         for i, v in enumerate(a.part1):
             out = vec_add(out, vec_scale(Fraction(1, i + 1), v))

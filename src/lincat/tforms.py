@@ -8,6 +8,10 @@ coefficients, specializes at t = 0 and t = 1, and its e-component
 integrates to an explicit primitive.  A single form over the extension
 is a 1 x 1 matrix.
 
+Every extended matrix carries its e-part a1, one degree below a0.
+Under degree 0 that is the zero matrix of degree -1, where no forms
+live, so sums, products and D take one path in every degree.
+
 Sign conventions, fixed here once and exercised by the tests:
 
 * composition   (a0 + a1.e)(b0 + b1.e) = a0.b0 + (a0.b1 + (-1)^m a1.b0).e
@@ -30,7 +34,7 @@ lowest terms once, when its matrix is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .category import ObjectId
 from .dg import DGCategory, Form
@@ -124,52 +128,38 @@ def pm_diagonal_trace(w: DGCategory, a: PolyMatrix) -> tuple[tuple[Form, ...], .
 
 @dataclass(frozen=True)
 class TildeMatrix:
-    """part0 + part1.e; the e-part sits one degree lower, same families."""
+    """part0 + part1.e; the e-part sits one degree lower, same families.
+
+    Under degree 0 the e-part is the zero matrix of degree -1.
+    """
 
     part0: PolyMatrix
-    part1: Optional[PolyMatrix]
+    part1: PolyMatrix
 
     def __post_init__(self):
-        if self.part0.degree == 0:
-            if self.part1 is not None:
-                raise DimensionError("degree-0 extended matrix cannot carry an e-component")
-        else:
-            if self.part1 is None:
-                raise DimensionError("positive-degree extended matrix needs an explicit e-component")
-            if self.part1.degree != self.part0.degree - 1:
-                raise DimensionError("e-component must sit one degree lower")
-            if (self.part1.row_family, self.part1.col_family) != (self.part0.row_family, self.part0.col_family):
-                raise DimensionError("e-component families differ from the main component")
+        if self.part1.degree != self.part0.degree - 1:
+            raise DimensionError("e-component must sit one degree lower")
+        if (self.part1.row_family, self.part1.col_family) != (self.part0.row_family, self.part0.col_family):
+            raise DimensionError("e-component families differ from the main component")
 
     @property
     def degree(self) -> int:
         return self.part0.degree
 
 
-def tilde_matrix(w: DGCategory, part0: PolyMatrix, part1: Optional[PolyMatrix] = None) -> TildeMatrix:
-    if part0.degree >= 1 and part1 is None:
-        part1 = pm_const(FormMatrix.zero(w, part0.row_family, part0.col_family, part0.degree - 1))
-    return TildeMatrix(part0, part1)
+def tilde_matrix(w: DGCategory, part0: PolyMatrix) -> TildeMatrix:
+    """part0 + 0.e, the e-part the zero matrix one degree lower."""
+    return TildeMatrix(part0, pm_const(FormMatrix.zero(w, part0.row_family, part0.col_family, part0.degree - 1)))
 
 
 def tm_add(a: TildeMatrix, b: TildeMatrix) -> TildeMatrix:
-    p1 = None
-    if a.part1 is not None:
-        p1 = pm_add(a.part1, b.part1)
-    return TildeMatrix(pm_add(a.part0, b.part0), p1)
+    return TildeMatrix(pm_add(a.part0, b.part0), pm_add(a.part1, b.part1))
 
 
 def tm_mul(w: DGCategory, a: TildeMatrix, b: TildeMatrix) -> TildeMatrix:
-    part0 = pm_mul(w, a.part0, b.part0)
-    n = a.degree + b.degree
-    if n == 0:
-        return TildeMatrix(part0, None)
-    products = []
-    if b.part1 is not None:
-        products.append((a.part0, b.part1, 1))
-    if a.part1 is not None:
-        products.append((a.part1, b.part0, -1 if b.degree % 2 else 1))
-    return TildeMatrix(part0, _pm_products(w, n - 1, a.part0.row_family, b.part0.col_family, products))
+    products = [(a.part0, b.part1, 1), (a.part1, b.part0, -1 if b.degree % 2 else 1)]
+    return TildeMatrix(pm_mul(w, a.part0, b.part0),
+                       _pm_products(w, a.degree + b.degree - 1, a.part0.row_family, b.part0.col_family, products))
 
 
 def tm_power(w: DGCategory, a: TildeMatrix, k: int) -> TildeMatrix:
@@ -184,10 +174,5 @@ def tm_power(w: DGCategory, a: TildeMatrix, k: int) -> TildeMatrix:
 
 
 def tm_partial(w: DGCategory, a: TildeMatrix) -> TildeMatrix:
-    n = a.degree
-    part0 = pm_d(w, a.part0)
-    sign = 1 if (n + 1) % 2 == 0 else -1
-    part1 = pm_scale(pm_t_derivative(a.part0), sign)
-    if a.part1 is not None:
-        part1 = pm_add(part1, pm_d(w, a.part1))
-    return TildeMatrix(part0, part1)
+    sign = 1 if a.degree % 2 else -1
+    return TildeMatrix(pm_d(w, a.part0), pm_add(pm_scale(pm_t_derivative(a.part0), sign), pm_d(w, a.part1)))

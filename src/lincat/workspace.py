@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection
@@ -98,11 +98,15 @@ def _place(degree: int, dom: ObjectId, cod: ObjectId) -> str:
     return f"in degree {degree} at ({cod.label},{dom.label})"
 
 
-def _scalar(value, where: str) -> Fraction:
-    try:
-        return scalar(value, f"{where}: coefficient")
-    except ScalarTypeError as exc:
-        raise WorkspaceError(str(exc)) from exc
+def _coefficient_terms(terms, where: str) -> Iterator[tuple[Fraction, Mapping]]:
+    """Each term of a list of terms, an object, with its rational coefficient (1 when it names none)."""
+    for t in _list(terms, f"{where}: expected a list of terms"):
+        _require(isinstance(t, Mapping), f"{where}: each term must be an object")
+        try:
+            coeff = scalar(t.get("coeff", "1"), f"{where}: coefficient")
+        except ScalarTypeError as exc:
+            raise WorkspaceError(str(exc)) from exc
+        yield coeff, t
 
 
 class _Parser:
@@ -192,9 +196,7 @@ class _Parser:
 
         def expand(terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> dict[int, Fraction]:
             out: dict[int, Fraction] = {}
-            for t in _list(terms, f"{where}: expected a list of terms"):
-                _require(isinstance(t, Mapping), f"{where}: each term must be an object")
-                coeff = _scalar(t.get("coeff", "1"), where)
+            for coeff, t in _coefficient_terms(terms, where):
                 n, dom_t, cod_t, k = self.address(cat, gr_basis, t, where)
                 _require((n, dom_t, cod_t) == (degree, dom, cod), f"{where}: term lands in the wrong space")
                 out[k] = out.get(k, 0) + coeff
@@ -276,9 +278,7 @@ class _Parser:
 
     def parse_form(self, dg: DGCategory, terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> Form:
         total = dg.zero_form(degree, dom, cod)
-        for t in _list(terms, f"{where}: expected a list of terms"):
-            _require(isinstance(t, Mapping), f"{where}: each term must be an object")
-            coeff = _scalar(t.get("coeff", "1"), where)
+        for coeff, t in _coefficient_terms(terms, where):
             if "word" in t:
                 f = self.word_form(dg, t["word"], where)
             else:

@@ -72,9 +72,12 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
     strat_dim = (D + 1) * (amb_n + amb_n1)
 
     def embed(out: dict, g: TildeMatrix, x: int, sign: Fraction) -> None:
-        """Add sign times g, a 1 x 1 matrix at object x, in stratified coordinates."""
+        """Add sign times g, a 1 x 1 matrix at object x, in stratified coordinates.
+
+        Under degree 0 the e-part has degree -1, which has no offsets, so it is skipped.
+        """
         parts = [(g.part0, 0, amb_n, rh.component_offsets[n][x])]
-        if g.part1 is not None:
+        if n >= 1:
             parts.append((g.part1, (D + 1) * amb_n, amb_n1, rh.component_offsets[n - 1][x]))
         for part, base, width, off in parts:
             for i, m in enumerate(part.coeffs):
@@ -110,8 +113,7 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
                 for a in range(0, D + 1):
                     for u in monomials(p, x, y, a):
                         for v in monomials(q, y, x, 0):
-                            if u.part1 is not None and not u.part1.is_zero() \
-                                    and v.part1 is not None and not v.part1.is_zero():
+                            if not u.part1.is_zero() and not v.part1.is_zero():
                                 continue  # both infinitesimal: product vanishes
                             row: dict = {}
                             embed(row, tm_mul(w, u, v), x, ONE)

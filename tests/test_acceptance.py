@@ -94,9 +94,8 @@ def random_class(rh, n, rng):
 def random_cochain(tc, n, rng):
     rh = tc.rh
     part0 = [random_class(rh, n, rng) for _ in range(tc.t_bound + 1)]
-    part1 = None
-    if n >= 1:
-        part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
+    # under degree 0 the classes of part 1 are those of degree -1: empty, no draws
+    part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
     return tc.cochain(n, part0, part1)
 
 

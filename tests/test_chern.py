@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import lincat.chern
 from lincat.chern import (
     K0Entry,
     certify_cocycle,
@@ -224,15 +225,27 @@ def test_k0_refuses_a_coefficient_that_is_not_an_integer(two5, coefficient):
         k0_character([K0Entry(1, free), K0Entry(coefficient, line)], 1)
 
 
-def test_k0_refuses_a_connection_on_another_module():
-    # the connection of L would give [M] the class of L, (1,), where the
-    # canonical connection of M gives (0,)
-    ws = load_fixture("two_points_universal")
-    m, l = ws.modules["M"], ws.modules["L"]
-    assert k0_character([K0Entry(1, m)], 1) == (Fraction(0),)
-    assert k0_character([K0Entry(1, l, ws.connections["levi_L"])], 1) == (Fraction(1),)
-    with pytest.raises(ModuleError, match="K0 entry 1 \\(module M\\): its connection is on module L"):
-        k0_character([K0Entry(1, l), K0Entry(1, m, ws.connections["levi_L"])], 1)
+def test_k0_refuses_a_mixed_combination_before_computing_anything(two5, dual5, monkeypatch):
+    calls = []
+    for name in ("chern_class", "get_complex"):
+        original = getattr(lincat.chern, name)
+        monkeypatch.setattr(lincat.chern, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    with pytest.raises(DimensionError, match="^all modules in a combination must share the graded category$"):
+        k0_character([K0Entry(1, line_module(two5)), K0Entry(1, dual_projective(dual5))], 1)
+    assert calls == []
+    # the counters do count: the same combination over one category computes
+    k0_character([K0Entry(1, line_module(two5))], 1)
+    assert {"get_complex", "chern_class"} <= set(calls)
+
+
+def test_invariance_primitives_on_dual_numbers():
+    # the integrated primitives of flat_M to shift_M: the classes agree, the primitive is explicit
+    ws = load_fixture("dual_numbers_universal")
+    flat, shift = ws.connections["flat_M"], ws.connections["shift_M"]
+    for q, primitive in ((1, (Fraction(1),)), (2, (Fraction(2, 3),))):
+        cert = invariance_certificate(flat, shift, q)
+        assert cert.difference == (Fraction(0),)
+        assert cert.primitive_integral == primitive
 
 
 def test_conjugated_presentation_same_classes(dual5):

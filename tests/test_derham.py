@@ -47,12 +47,11 @@ def random_class(rh, n, rng):
     return tuple(random_scalar(rng) for _ in range(rh.dim(n)))
 
 
-def random_cochain(tc, n, rng, with_part1=True):
+def random_cochain(tc, n, rng):
+    # under degree 0 the classes of part 1 are those of degree -1: empty, no draws
     rh = tc.rh
     part0 = [random_class(rh, n, rng) for _ in range(tc.t_bound + 1)]
-    part1 = None
-    if n >= 1 and with_part1:
-        part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
+    part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
     return tc.cochain(n, part0, part1)
 
 
@@ -235,17 +234,18 @@ def test_cochain_validation(dual5):
     tc = TildeComplex(rh, 1)
     one = (Fraction(1),) * rh.dim(0)
     with pytest.raises(DimensionError):
-        tc.cochain(0, [one, one, one], None)  # t-degree above the bound
-    with pytest.raises(DimensionError):
-        tc.cochain(0, [one], [one])  # degree 0 has no infinitesimal part
+        tc.cochain(0, [one, one, one], [])  # t-degree above the bound
+    # the infinitesimal part of degree 0 has the classes of degree -1, which are empty
+    with pytest.raises(DimensionError, match=r"^degree-0 cochain, part 1, stratum t\^0: expected 0 class coordinates, got 2$"):
+        tc.cochain(0, [one], [one])
     with pytest.raises(DimensionError):
         TildeComplex(rh, -1)
     # the classes are converted exactly, so a float is refused
     with pytest.raises(ScalarTypeError):
-        tc.cochain(0, [(0.5,) * rh.dim(0)], None)
+        tc.cochain(0, [(0.5,) * rh.dim(0)], [])
     with pytest.raises(ScalarTypeError):
         tc.cochain(1, [zero_vector(rh.dim(1))], [(0.5,) * rh.dim(0)])
-    assert tc.ev_at(tc.cochain(0, [(1,) * rh.dim(0)], None), 1) == one
+    assert tc.ev_at(tc.cochain(0, [(1,) * rh.dim(0)], []), 1) == one
 
 
 def test_cochain_refuses_classes_of_the_wrong_length():
@@ -260,9 +260,24 @@ def test_cochain_refuses_classes_of_the_wrong_length():
         tc.cochain(2, [(1,)], [(1,), (1, 2)])
     # a class past the bound is checked too, zero or not
     with pytest.raises(DimensionError, match=r"part 0, stratum t\^2: expected 2 class coordinates, got 0"):
-        tc.cochain(0, [(1, 0), (0, 1), ()], None)
+        tc.cochain(0, [(1, 0), (0, 1), ()], [])
     a = tc.cochain(2, [(1,), (2,)], [(3,)])
     assert (a.part0, a.part1) == (((1,), (2,)), ((3,), (0,)))
+
+
+def test_degree_0_cochains_carry_the_empty_classes_of_degree_minus_1(two5):
+    w = two5
+    rh = get_complex(w)
+    tc = TildeComplex(rh, 2)
+    units = tuple(w.identity_form(o) for o in w.base.objects)
+    c = rh.class_of_trace(0, units)
+    a = tc.cochain_from_traces(0, [units, units], [tuple(w.zero_form(-1, o, o) for o in w.base.objects)])
+    assert a == tc.cochain(0, [c, c], []) and a.part1 == ((), (), ())
+    assert tc.integral_k(a) == () and tc.is_zero(tc.cochain(0, [], []))
+    # the t-derivative of the main part, with the sign -1 of degree 0, is the e-part of D(a)
+    zero = zero_vector(rh.dim(0))
+    assert not is_zero_vector(c)
+    assert tc.delta(a).part1 == (tuple(-s for s in c), zero, zero)
 
 
 def test_stratified_bracket_span_dimensions(dual5, two5):

@@ -63,7 +63,7 @@ def test_malformed_scalar_strings_raise_scalar_type_error():
     x = w.base.objects[0]
     rh = get_complex(w)
     tc = TildeComplex(rh, 1)
-    zero = tc.cochain(0, [(0, 0)], None)
+    zero = tc.cochain(0, [(0, 0)], [])
     calls = {
         "form": lambda: w.form(0, x, x, ("1/0", 0)),
         "Form.scale": lambda: w.basis_form(0, x, x, 0).scale("one"),
@@ -72,7 +72,7 @@ def test_malformed_scalar_strings_raise_scalar_type_error():
         "is_coboundary": lambda: rh.is_coboundary(0, ("1/0", 0)),
         "render_class": lambda: rh.render_class(0, ("x", 0)),
         "ev_at": lambda: tc.ev_at(zero, "1/0"),
-        "cochain": lambda: tc.cochain(0, [("abc", 0)], None),
+        "cochain": lambda: tc.cochain(0, [("abc", 0)], []),
     }
     for name, call in calls.items():
         with pytest.raises(ScalarTypeError, match="is '(1/0|one|x|abc)', not a rational scalar"):

@@ -46,29 +46,22 @@ def random_poly(w, n, dom, cod, rng, tdeg=2):
 
 
 def random_tilde(w, n, dom, cod, rng):
+    # under degree 0 the e-part has degree -1: no coordinates, no draws
     part0 = random_poly(w, n, dom, cod, rng)
-    part1 = random_poly(w, n - 1, dom, cod, rng) if n >= 1 else None
-    return tilde_matrix(w, part0, part1)
+    return TildeMatrix(part0, random_poly(w, n - 1, dom, cod, rng))
 
 
 def random_tilde_matrix(w, n, fam, rng):
     part0 = poly_matrix([random_form_matrix(w, n, fam, fam, rng) for _ in range(3)])
-    part1 = None
-    if n >= 1:
-        part1 = poly_matrix([random_form_matrix(w, n - 1, fam, fam, rng) for _ in range(2)])
-    return tilde_matrix(w, part0, part1)
+    return TildeMatrix(part0, poly_matrix([random_form_matrix(w, n - 1, fam, fam, rng) for _ in range(2)]))
 
 
 def tm_scale(a, s):
-    return TildeMatrix(pm_scale(a.part0, s), None if a.part1 is None else pm_scale(a.part1, s))
+    return TildeMatrix(pm_scale(a.part0, s), pm_scale(a.part1, s))
 
 
 def tm_sub_is_zero(a, b):
-    if not pm_add(a.part0, pm_scale(b.part0, -1)).is_zero():
-        return False
-    if a.part1 is None:
-        return b.part1 is None or b.part1.is_zero()
-    return pm_add(a.part1, pm_scale(b.part1, -1)).is_zero()
+    return pm_add(a.part0, pm_scale(b.part0, -1)).is_zero() and pm_add(a.part1, pm_scale(b.part1, -1)).is_zero()
 
 
 def test_poly_form_trims_and_validates(dual5):
@@ -154,14 +147,14 @@ def test_tilde_compose_epsilon_sign(dual5):
     x = w.base.objects[0]
     du = w.basis_form(1, x, x, 0)
     u = w.basis_form(0, x, x, 1)
-    a = tilde_matrix(w, pm_const(one(du)), pm_const(one(u)))
+    a = TildeMatrix(pm_const(one(du)), pm_const(one(u)))
 
-    b_even = tilde_matrix(w, pm_const(one(w.compose(du, du))), pm_const(one(du)))
+    b_even = TildeMatrix(pm_const(one(w.compose(du, du))), pm_const(one(du)))
     ab = tm_mul(w, a, b_even)
     expected = w.compose(du, du) + w.compose(u, w.compose(du, du))
     assert entry(ab.part1.coeffs[0]).terms == expected.terms
 
-    b_odd = tilde_matrix(w, pm_const(one(du)), pm_const(one(u)))
+    b_odd = TildeMatrix(pm_const(one(du)), pm_const(one(u)))
     ab2 = tm_mul(w, a, b_odd)
     expected2 = w.compose(du, u) - w.compose(u, du)
     assert entry(ab2.part1.coeffs[0]).terms == expected2.terms
@@ -181,6 +174,27 @@ def test_tilde_partial_t_derivative_sign(dual5):
     a0 = tilde_matrix(w, pm_shift(pm_const(one(u)), 1))  # degree 0: sign -1
     out0 = tm_partial(w, a0)
     assert entry(pm_eval(out0.part1, Fraction(1))).terms == u.scale(-1).terms
+
+
+def test_degree_0_carries_a_zero_e_part_of_degree_minus_1(dual5, arrow3):
+    w = dual5
+    x = w.base.objects[0]
+    u = w.basis_form(0, x, x, 1)
+    a = tilde_matrix(w, pm_shift(pm_const(one(u)), 1))  # u.t + 0.e
+    zero = pm_const(FormMatrix.zero(w, (x,), (x,), -1))
+    assert a.part1 == zero
+    product = tm_mul(w, a, a)
+    assert product.degree == 0 and product.part1 == zero
+    assert product.part0 == pm_mul(w, a.part0, a.part0)
+    with pytest.raises(DimensionError, match="^e-component must sit one degree lower$"):
+        TildeMatrix(a.part0, a.part0)
+    # a product of degree-0 matrices over mixed families, and its e-part
+    s, t = arrow3.base.objects
+    rng = random.Random(49)
+    b = random_tilde(arrow3, 0, s, t, rng)
+    c = random_tilde(arrow3, 0, t, t, rng)
+    cb = tm_mul(arrow3, c, b)
+    assert not cb.part0.is_zero() and cb.part1 == pm_const(FormMatrix.zero(arrow3, (t,), (s,), -1))
 
 
 def test_tilde_associativity(two5):
@@ -282,16 +296,9 @@ def oracle_pm_mul(w, a, b):
 
 
 def oracle_tm_mul(w, a, b):
-    part0 = oracle_pm_mul(w, a.part0, b.part0)
-    n = a.degree + b.degree
-    if n == 0:
-        return TildeMatrix(part0, None)
-    part1 = pm_const(FormMatrix.zero(w, a.part0.row_family, b.part0.col_family, n - 1))
-    if b.part1 is not None:
-        part1 = pm_add(part1, oracle_pm_mul(w, a.part0, b.part1))
-    if a.part1 is not None:
-        part1 = pm_add(part1, pm_scale(oracle_pm_mul(w, a.part1, b.part0), -1 if b.degree % 2 else 1))
-    return TildeMatrix(part0, part1)
+    part1 = pm_add(oracle_pm_mul(w, a.part0, b.part1),
+                   pm_scale(oracle_pm_mul(w, a.part1, b.part0), -1 if b.degree % 2 else 1))
+    return TildeMatrix(oracle_pm_mul(w, a.part0, b.part0), part1)
 
 
 def holey_matrix(w, degree, rows, cols, rng):
@@ -312,7 +319,10 @@ def holey_poly(w, degree, rows, cols, rng):
 
 
 def holey_tilde(w, degree, rows, cols, rng):
-    part1 = holey_poly(w, degree - 1, rows, cols, rng) if degree >= 1 else None
+    # holey_poly draws even where no forms live: a degree-0 e-part is built without draws
+    if degree == 0:
+        return tilde_matrix(w, holey_poly(w, 0, rows, cols, rng))
+    part1 = holey_poly(w, degree - 1, rows, cols, rng)
     return TildeMatrix(holey_poly(w, degree, rows, cols, rng), part1)
 
 
