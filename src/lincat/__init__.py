@@ -32,11 +32,7 @@ from .connection import (
     direct_sum_connection,
     tilde_curvature,
 )
-from .derham import (
-    DeRhamComplex,
-    TildeComplex,
-    get_complex,
-)
+from .derham import DeRhamComplex, get_complex
 from .dg import (
     DGCategory,
     Form,
@@ -98,7 +94,6 @@ __all__ = [
     "ObjectId",
     "ProjectiveModule",
     "ScalarTypeError",
-    "TildeComplex",
     "TruncationError",
     "Violation",
     "Workspace",

@@ -30,20 +30,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .connection import Connection, canonical_connection, tilde_curvature
-from .derham import TildeComplex, commutator_label, commutator_system, get_complex
+from .derham import commutator_label, commutator_system, get_complex
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
-from .exact_linalg import (
-    IntRow,
-    Vector,
-    densify,
-    is_zero_vector,
-    solve_rows,
-    vec_sub,
-    zero_vector,
-)
+from .exact_linalg import IntRow, Vector, is_zero_vector, solve_rows, vec_sub, zero_vector
 from .module_algebra import ProjectiveModule
-from .tforms import pm_diagonal_trace, tm_power
+from .tforms import tm_power, trace_cochain
 
 
 def chern_form(conn: Connection, q: int) -> tuple[Form, ...]:
@@ -105,8 +97,8 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
             f"certifying the degree-{2 * q} character needs truncation at least {degree}"
         )
     rh = get_complex(w)
-    omega = rh.ambient_row(2 * q, chern_form(conn, q))
-    t_den, target = rh.ambient_d(2 * q, omega)
+    forms = chern_form(conn, q)
+    t_den, target = rh.ambient_d(2 * q, rh.ambient_row(2 * q, forms))
 
     # one row per ambient coordinate, and column j the numerators of
     # commutator j, that is D_j times it: the pivot columns are those of
@@ -128,7 +120,7 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
             combination[i] = combination.get(i, 0) + s * n
     if {i: n for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
         raise CertificationError("commutator combination failed re-substitution")
-    cls = densify(rh.quotients[2 * q].coset_coordinates(omega), rh.dim(2 * q))
+    cls = rh.class_of_trace(2 * q, forms)
     if not is_zero_vector(rh.d_class(2 * q, cls)):
         raise CertificationError("character class is not closed despite the commutator combination")
     terms = tuple(CommutatorTerm(j, Fraction(span[j][0] * s, y_den * t_den), commutator_label(w, degree, j))
@@ -176,24 +168,15 @@ def invariance_certificate(conn0: Connection, conn1: Connection, q: int) -> Inva
     class1 = chern_class(conn1, q)
     difference = vec_sub(class1, class0)
 
-    t_bound = 2 * q
-    tc = TildeComplex(rh, t_bound)
-    gamma = tm_power(w, tilde_curvature(conn0, conn1), q)
-    cochain = tc.cochain_from_traces(
-        2 * q,
-        pm_diagonal_trace(w, gamma.part0),
-        pm_diagonal_trace(w, gamma.part1),
-    )
-
-    tilde_closed = tc.is_zero(tc.delta(cochain))
-    if not tilde_closed:
+    cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(conn0, conn1), q))
+    if not cochain.delta().is_zero():
         raise CertificationError("the extended character cochain is not closed")
-    if tc.ev_at(cochain, 0) != class0 or tc.ev_at(cochain, 1) != class1:
+    if cochain.ev_at(0) != class0 or cochain.ev_at(1) != class1:
         raise CertificationError("endpoint evaluation disagrees with the direct character classes")
-    if not is_zero_vector(tc.homotopy_defect(cochain)):
+    if not is_zero_vector(cochain.homotopy_defect()):
         raise CertificationError("the homotopy identity failed on the extended character")
 
-    eta = tc.integral_k(cochain)
+    eta = cochain.integral_k()
     if rh.d_class(2 * q - 1, eta) != difference:
         raise CertificationError("the integrated primitive does not hit the class difference")
 

@@ -283,7 +283,11 @@ def parse_k0_expression(text: str) -> list[tuple[int, str]]:
             raise WorkspaceError(f"cannot parse class expression near {stripped[pos:]!r}")
         if out and m.group("sign") is None:
             raise WorkspaceError("terms after the first need an explicit + or - sign")
-        coeff = int(m.group("num") or "1")
+        num = m.group("num") or "1"
+        if len(num) > (limit := sys.get_int_max_str_digits()) > 0:
+            raise WorkspaceError(f"coefficient of [{m.group('name').strip()}] has {len(num)} digits, "
+                                 f"more than the limit of {limit}")
+        coeff = int(num)
         if m.group("sign") == "-":
             coeff = -coeff
         out.append((coeff, m.group("name").strip()))

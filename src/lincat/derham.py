@@ -59,21 +59,11 @@ other implementation of it.
 The top truncation degree is special: its cohomology is computed for
 the truncated complex (differential out of the top treated as zero) and
 flagged as unreliable, since forms one degree higher were cut off.
-
-The stratified extension at the end of the module carries classes with
-polynomial coefficients plus an infinitesimal part one degree lower,
-present in every degree: under degree 0 its classes are the empty
-classes of degree -1, where the complex is zero.  It provides the
-evaluation maps at chosen parameter values and an integration operator
-whose homotopy identity against the differential is exact, which is the
-engine behind the invariance certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -94,17 +84,10 @@ from .exact_linalg import (
     numerator_row,
     offsets,
     over_one,
-    scalar,
     solve_rows,
     vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
-
-# ---------------------------------------------------------------------------
-# the quotient complex
 
 
 def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[NumeratorRow]:
@@ -417,101 +400,3 @@ def commutator_system(w: DGCategory, n: int) -> tuple[list[NumeratorRow], list[N
         system = rh._commutator_systems[n] = span, rows
     return system
 
-
-# ---------------------------------------------------------------------------
-# stratified classes with a polynomial parameter and an infinitesimal part
-
-
-@dataclass(frozen=True)
-class TildeCochain:
-    """Class-level cochain: polynomial strata plus an infinitesimal part.
-
-    `part0[i]` is the class multiplying t^i in the main component;
-    `part1[i]` the class multiplying t^i.e, one degree lower.  Both run
-    over 0 <= i <= t_bound of the ambient complex.  Under degree 0 each
-    `part1[i]` is the empty class of degree -1.
-    """
-
-    degree: int
-    part0: tuple[Vector, ...]
-    part1: tuple[Vector, ...]
-
-
-class TildeComplex:
-    """Cochain operations for the stratified extension of a quotient complex."""
-
-    def __init__(self, rh: DeRhamComplex, t_bound: int):
-        if t_bound < 0:
-            raise DimensionError("t-degree bound must be non-negative")
-        self.rh = rh
-        self.t_bound = t_bound
-
-    def _pad(self, degree: int, part: int, classes: Sequence[Vector]) -> tuple[Vector, ...]:
-        """The classes of part 0 or 1 of a degree-`degree` cochain, one per t^i, i = 0..t_bound."""
-        D, dim = self.t_bound, self.rh.dim(degree - part)
-        for i, v in enumerate(classes):
-            if len(v) != dim:
-                raise DimensionError(
-                    f"degree-{degree} cochain, part {part}, stratum t^{i}: "
-                    f"expected {dim} class coordinates, got {len(v)}"
-                )
-        if len(classes) > D + 1:
-            for extra in classes[D + 1:]:
-                if not is_zero_vector(extra):
-                    raise DimensionError("polynomial degree exceeds the stratification bound")
-            classes = classes[:D + 1]
-        pad = [zero_vector(dim)] * (D + 1 - len(classes))
-        return tuple(vec(v) for v in classes) + tuple(pad)
-
-    def cochain(self, degree: int, part0: Sequence[Vector], part1: Sequence[Vector]) -> TildeCochain:
-        return TildeCochain(degree, self._pad(degree, 0, list(part0)), self._pad(degree, 1, list(part1)))
-
-    def cochain_from_traces(
-        self,
-        degree: int,
-        part0_traces: Sequence[Sequence[Form]],
-        part1_traces: Sequence[Sequence[Form]],
-    ) -> TildeCochain:
-        p0 = [self.rh.class_of_trace(degree, comps) for comps in part0_traces]
-        p1 = [self.rh.class_of_trace(degree - 1, comps) for comps in part1_traces]
-        return self.cochain(degree, p0, p1)
-
-    def is_zero(self, a: TildeCochain) -> bool:
-        return all(is_zero_vector(v) for v in a.part0 + a.part1)
-
-    def delta(self, a: TildeCochain) -> TildeCochain:
-        """Differential: d on strata, with the t-derivative feeding the e-part."""
-        n = a.degree
-        D = self.t_bound
-        p0 = tuple(self.rh.d_class(n, v) for v in a.part0)
-        sign = Fraction(1 if (n + 1) % 2 == 0 else -1)
-        tdot = [vec_scale(Fraction(i + 1), a.part0[i + 1]) for i in range(D)] + [zero_vector(self.rh.dim(n))]
-        p1 = tuple(vec_add(vec_scale(sign, u), self.rh.d_class(n - 1, v)) for u, v in zip(tdot, a.part1))
-        return TildeCochain(n + 1, p0, p1)
-
-    def ev_at(self, a: TildeCochain, t) -> Vector:
-        """Evaluation of the main component at a parameter value."""
-        t = scalar(t)
-        out = zero_vector(self.rh.dim(a.degree))
-        power = Fraction(1)
-        for v in a.part0:
-            out = vec_add(out, vec_scale(power, v))
-            power *= t
-        return out
-
-    def integral_k(self, a: TildeCochain) -> Vector:
-        """Integrate the e-part over [0, 1], with the degree sign."""
-        n = a.degree
-        out = zero_vector(self.rh.dim(n - 1))
-        for i, v in enumerate(a.part1):
-            out = vec_add(out, vec_scale(Fraction(1, i + 1), v))
-        sign = Fraction(1 if n % 2 == 0 else -1)
-        return vec_scale(sign, out)
-
-    def homotopy_defect(self, a: TildeCochain) -> Vector:
-        """k(delta a) + d(k(a)) - ev_1(a) + ev_0(a); zero by the exact identity."""
-        n = a.degree
-        out = self.integral_k(self.delta(a))
-        out = vec_add(out, self.rh.d_class(n - 1, self.integral_k(a)))
-        out = vec_sub(out, self.ev_at(a, 1))
-        return vec_add(out, self.ev_at(a, 0))

@@ -74,6 +74,8 @@ the shape of its argument.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -98,6 +100,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# the decimal exponent that ends a scalar string such as "1.5e-3": its digits
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def scalar(value: object, where: str = "scalar") -> Fraction:
     """The one conversion of input scalars: exact values only.
 
@@ -105,11 +111,21 @@ def scalar(value: object, where: str = "scalar") -> Fraction:
     exactly.  Anything else, a float, a bool or a string that is no
     rational number included, raises `ScalarTypeError` naming `where`: a
     float is already rounded, so its `Fraction` would be exact about the
-    wrong number.
+    wrong number.  So does a string whose decimal exponent is larger in
+    magnitude than Python's limit on the digits of an integer string,
+    `sys.get_int_max_str_digits()` (0 for none), before any power of ten
+    is built: "1e999999999" would ask for an integer of a billion digits.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
+        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        if exponent and (limit := sys.get_int_max_str_digits()):
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+                raise ScalarTypeError(
+                    f"{where} is {value!r}, whose decimal exponent exceeds {limit} in magnitude, "
+                    "the limit on integer digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

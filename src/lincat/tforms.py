@@ -1,4 +1,4 @@
-"""Form matrices over Q[t] and Q[t]e, e^2 = 0.
+"""Form matrices and trace classes over Q[t] and Q[t]e, e^2 = 0.
 
 `PolyMatrix` is a form matrix with coefficients in Q[t], and
 `TildeMatrix` a pair (a0, a1) standing for a0 + a1.e.  They support the
@@ -6,22 +6,29 @@ interpolation argument behind homotopy invariance: a one-parameter
 family of connection data becomes a single matrix over the extended
 coefficients, specializes at t = 0 and t = 1, and its e-component
 integrates to an explicit primitive.  A single form over the extension
-is a 1 x 1 matrix.
+is a 1 x 1 matrix.  `TildeCochain` is the same pair one level down, a
+class of the quotient complex per power of t in each part, and
+`trace_cochain` takes an extended matrix to the cochain of its trace.
 
-Every extended matrix carries its e-part a1, one degree below a0.
-Under degree 0 that is the zero matrix of degree -1, where no forms
-live, so sums, products and D take one path in every degree.
+Every extended matrix and cochain carries its e-part a1, one degree
+below a0.  Under degree 0 that is the zero matrix of degree -1, where
+no forms live, and the empty classes of degree -1, where the complex is
+zero, so sums, products, D and the integral take one path in every
+degree.
 
-Sign conventions, fixed here once and exercised by the tests:
+Sign conventions, fixed here once and exercised by the tests, on total
+degree n, with a0' the derivative in t:
 
 * composition   (a0 + a1.e)(b0 + b1.e) = a0.b0 + (a0.b1 + (-1)^m a1.b0).e
   where m is the total degree of the right factor;
-* differential  D(a0 + a1.e) = d(a0) + (d(a1) + (-1)^(n+1) a0').e
-  on total degree n, where a0' is the derivative in t.
+* differential  D(a0 + a1.e) = d(a0) + (d(a1) + (-1)^(n+1) a0').e;
+* integral      k(a0 + a1.e) = (-1)^n times the integral of a1 over t
+  in [0, 1], a class one degree lower.
 
 With these choices D squares to zero and is a graded derivation for the
-composition above, and the integration operator on diagonal classes
-satisfies an exact homotopy identity (see the quotient-complex module).
+composition above, and on classes k(D a) + d(k(a)) = a0(1) - a0(0)
+holds exactly (`TildeCochain.homotopy_defect`), so k of a closed
+cochain is a primitive of the difference of its two ends.
 
 Products accumulate once per entry: a polynomial product keeps one
 `ProductAccumulator` of `lincat.form_matrix` per power of t, and the
@@ -33,12 +40,15 @@ lowest terms once, when its matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .category import ObjectId
-from .dg import DGCategory, Form
+from .derham import DeRhamComplex
+from .dg import DGCategory
 from .errors import DimensionError
+from .exact_linalg import Vector, is_zero_vector, scalar, vec_add, vec_scale, vec_sub, zero_vector
 from .form_matrix import FormMatrix, ProductAccumulator
 
 
@@ -57,9 +67,6 @@ class PolyMatrix:
         for m in self.coeffs:
             if (m.degree, m.row_family, m.col_family) != (self.degree, self.row_family, self.col_family):
                 raise DimensionError("polynomial matrix: inconsistent coefficient type")
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.coeffs)
 
 
 def poly_matrix(coeffs: Sequence[FormMatrix]) -> PolyMatrix:
@@ -121,11 +128,6 @@ def pm_t_derivative(a: PolyMatrix) -> PolyMatrix:
     return poly_matrix([a.coeffs[i].scale(i) for i in range(1, len(a.coeffs))])
 
 
-def pm_diagonal_trace(w: DGCategory, a: PolyMatrix) -> tuple[tuple[Form, ...], ...]:
-    """Per t-power, the object-indexed diagonal trace components."""
-    return tuple(m.diagonal_trace(w) for m in a.coeffs)
-
-
 @dataclass(frozen=True)
 class TildeMatrix:
     """part0 + part1.e; the e-part sits one degree lower, same families.
@@ -176,3 +178,82 @@ def tm_power(w: DGCategory, a: TildeMatrix, k: int) -> TildeMatrix:
 def tm_partial(w: DGCategory, a: TildeMatrix) -> TildeMatrix:
     sign = 1 if a.degree % 2 else -1
     return TildeMatrix(pm_d(w, a.part0), pm_add(pm_scale(pm_t_derivative(a.part0), sign), pm_d(w, a.part1)))
+
+
+@dataclass(frozen=True)
+class TildeCochain:
+    """A cochain of the extended quotient complex: part0 + part1.e, classes per power of t.
+
+    `part0[i]` is the class of degree `degree` multiplying t^i, and
+    `part1[i]` the class one degree lower multiplying t^i.e; both parts
+    hold the same number of classes.  Under degree 0 each `part1[i]` is
+    the empty class of degree -1.  The classes are those `rh` hands out,
+    tuples of `Fraction`s.
+    """
+
+    rh: DeRhamComplex = field(repr=False)
+    degree: int
+    part0: tuple[Vector, ...]
+    part1: tuple[Vector, ...]
+
+    def __post_init__(self):
+        if len(self.part0) != len(self.part1):
+            raise DimensionError(f"degree-{self.degree} cochain: part 0 has {len(self.part0)} classes, "
+                                 f"part 1 has {len(self.part1)}")
+        for part, classes in enumerate((self.part0, self.part1)):
+            dim = self.rh.dim(self.degree - part)
+            for i, v in enumerate(classes):
+                if len(v) != dim:
+                    raise DimensionError(
+                        f"degree-{self.degree} cochain, part {part}, stratum t^{i}: "
+                        f"expected {dim} class coordinates, got {len(v)}"
+                    )
+
+    def is_zero(self) -> bool:
+        return all(is_zero_vector(v) for v in self.part0 + self.part1)
+
+    def delta(self) -> TildeCochain:
+        """D on classes: d on every class, and (-1)^(n+1) times the t-derivative of part 0 into part 1."""
+        n, rh = self.degree, self.rh
+        sign = Fraction(1 if n % 2 else -1)
+        tdot = [vec_scale(Fraction(i), v) for i, v in enumerate(self.part0)][1:] + [zero_vector(rh.dim(n))]
+        part1 = tuple(vec_add(vec_scale(sign, u), rh.d_class(n - 1, v)) for u, v in zip(tdot, self.part1))
+        return TildeCochain(rh, n + 1, tuple(rh.d_class(n, v) for v in self.part0), part1)
+
+    def ev_at(self, t) -> Vector:
+        """Part 0 evaluated at the parameter value t, a class of degree `degree`."""
+        t = scalar(t)
+        out = zero_vector(self.rh.dim(self.degree))
+        power = Fraction(1)
+        for v in self.part0:
+            out = vec_add(out, vec_scale(power, v))
+            power *= t
+        return out
+
+    def integral_k(self) -> Vector:
+        """(-1)^n times the integral of part 1 over [0, 1], a class of degree n - 1."""
+        n = self.degree
+        out = zero_vector(self.rh.dim(n - 1))
+        for i, v in enumerate(self.part1):
+            out = vec_add(out, vec_scale(Fraction(1, i + 1), v))
+        return vec_scale(Fraction(1 if n % 2 == 0 else -1), out)
+
+    def homotopy_defect(self) -> Vector:
+        """k(D a) + d(k(a)) - a0(1) + a0(0), zero by the exact identity."""
+        out = vec_add(self.delta().integral_k(), self.rh.d_class(self.degree - 1, self.integral_k()))
+        return vec_add(vec_sub(out, self.ev_at(1)), self.ev_at(0))
+
+
+def trace_cochain(w: DGCategory, rh: DeRhamComplex, gamma: TildeMatrix) -> TildeCochain:
+    """The cochain of the diagonal trace of an extended square matrix.
+
+    Each part takes the class of the diagonal trace of each
+    t-coefficient, and the shorter part is padded with zero classes.
+    """
+    n = gamma.degree
+    part0 = [rh.class_of_trace(n, m.diagonal_trace(w)) for m in gamma.part0.coeffs]
+    part1 = [rh.class_of_trace(n - 1, m.diagonal_trace(w)) for m in gamma.part1.coeffs]
+    length = max(len(part0), len(part1))
+    return TildeCochain(rh, n,
+                        tuple(part0) + (zero_vector(rh.dim(n)),) * (length - len(part0)),
+                        tuple(part1) + (zero_vector(rh.dim(n - 1)),) * (length - len(part1)))

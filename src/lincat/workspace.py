@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -543,6 +544,10 @@ def parse_workspace(text: str) -> Workspace:
         doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the one other ValueError of `json.loads`: an integer literal with
+        # more digits than Python's limit on integer strings
+        raise WorkspaceError(f"a JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise WorkspaceError("cannot parse JSON nested this deeply") from exc
     return workspace_from_dict(doc)

@@ -113,7 +113,7 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
                 for a in range(0, D + 1):
                     for u in monomials(p, x, y, a):
                         for v in monomials(q, y, x, 0):
-                            if not u.part1.is_zero() and not v.part1.is_zero():
+                            if not all(m.is_zero() for m in u.part1.coeffs) and not all(m.is_zero() for m in v.part1.coeffs):
                                 continue  # both infinitesimal: product vanishes
                             row: dict = {}
                             embed(row, tm_mul(w, u, v), x, ONE)

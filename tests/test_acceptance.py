@@ -30,7 +30,7 @@ from lincat.connection import (
     direct_sum_connection,
     tilde_curvature,
 )
-from lincat.derham import TildeComplex, get_complex
+from lincat.derham import get_complex
 from lincat.dg import DGCategory, render_form, universal_dg, validate_dg
 from lincat.errors import IdempotentError, TruncationError
 from lincat.exact_linalg import (
@@ -43,7 +43,7 @@ from lincat.exact_linalg import (
 )
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
-from lincat.tforms import pm_diagonal_trace, tm_power
+from lincat.tforms import TildeCochain, tm_power, trace_cochain
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
@@ -91,12 +91,11 @@ def random_class(rh, n, rng):
     return tuple(random_scalar(rng) for _ in range(rh.dim(n)))
 
 
-def random_cochain(tc, n, rng):
-    rh = tc.rh
-    part0 = [random_class(rh, n, rng) for _ in range(tc.t_bound + 1)]
-    # under degree 0 the classes of part 1 are those of degree -1: empty, no draws
-    part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
-    return tc.cochain(n, part0, part1)
+def random_cochain(rh, n, rng):
+    # 1 to 4 strata; under degree 0 the classes of part 1 are those of degree -1: empty, no draws
+    strata = range(rng.randint(1, 4))
+    return TildeCochain(rh, n, tuple(random_class(rh, n, rng) for _ in strata),
+                        tuple(random_class(rh, n - 1, rng) for _ in strata))
 
 
 def test_criterion_01_axiom_validators():
@@ -339,21 +338,15 @@ def test_criterion_06_invariance(dual5, two5, arrow3):
         m = ProjectiveModule.free(w, "F", (x, x))
         rh = get_complex(w)
         for q in (1, 2):
-            tc = TildeComplex(rh, 2 * q)
             for _ in range(4):
                 lam = random_form_matrix(w, 1, m.family, m.family, rng)
                 c0 = canonical_connection(m)
                 c1 = Connection(m, lam)
-                gamma = tm_power(w, tilde_curvature(c0, c1), q)
-                cochain = tc.cochain_from_traces(
-                    2 * q,
-                    pm_diagonal_trace(w, gamma.part0),
-                    pm_diagonal_trace(w, gamma.part1),
-                )
-                jump = vec_sub(tc.ev_at(cochain, 1), tc.ev_at(cochain, 0))
+                cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(c0, c1), q))
+                jump = vec_sub(cochain.ev_at(1), cochain.ev_at(0))
                 hand = (lam.d(w) + lam.mul(w, lam)).power(w, q)
                 assert jump == rh.class_of_trace(2 * q, hand.diagonal_trace(w))
-                assert is_zero_vector(tc.ev_at(cochain, 0))
+                assert is_zero_vector(cochain.ev_at(0))
                 mechanism += 1
     ok(6, f"{certified} primitives found for random connection pairs, "
           f"{mechanism} interpolation jumps match the closed form")
@@ -365,14 +358,12 @@ def test_criterion_07_homotopy(dual5, two5, arrow3):
     for w in (dual5, two5, arrow3):
         rh = get_complex(w)
         checked = 0
-        for D in (1, 2, 3):
-            tc = TildeComplex(rh, D)
-            for n in range(1, w.truncation + 1):
-                for _ in range(3):
-                    a = random_cochain(tc, n, rng)
-                    # k(delta a) + d(k(a)) - ev1(a) + ev0(a) = 0
-                    assert is_zero_vector(tc.homotopy_defect(a))
-                    checked += 1
+        for n in range(1, w.truncation + 1):
+            for _ in range(9):
+                a = random_cochain(rh, n, rng)
+                # k(delta a) + d(k(a)) - ev1(a) + ev0(a) = 0
+                assert is_zero_vector(a.homotopy_defect())
+                checked += 1
         assert checked >= 20
         total += checked
 
@@ -380,13 +371,12 @@ def test_criterion_07_homotopy(dual5, two5, arrow3):
     evaluated = 0
     for w in (dual5, two5):
         rh = get_complex(w)
-        tc = TildeComplex(rh, 3)
         for n in range(0, w.truncation):
             for _ in range(3):
-                a = random_cochain(tc, n, rng)
-                da = tc.delta(a)
+                a = random_cochain(rh, n, rng)
+                da = a.delta()
                 for t in (0, 1, -1, 2):
-                    assert tc.ev_at(da, t) == rh.d_class(n, tc.ev_at(a, t))
+                    assert da.ev_at(t) == rh.d_class(n, a.ev_at(t))
                     evaluated += 1
 
     # stratified commutator ranks at the bound used for degree-2q classes

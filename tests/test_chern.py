@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 import random
 
 import pytest
@@ -18,14 +19,14 @@ from lincat.connection import (
     conjugate,
     direct_sum_connection,
 )
-from lincat.derham import TildeComplex, get_complex
+from lincat.derham import get_complex
 from lincat.dg import universal_dg
-from lincat.errors import DimensionError, ModuleError, ScalarTypeError, TruncationError
+from lincat.errors import DimensionError, LincatError, ModuleError, ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
 from lincat.form_matrix import FormMatrix
 from lincat.module_algebra import ProjectiveModule, direct_sum
-from lincat.tforms import pm_diagonal_trace, tm_power
-from lincat.workspace import load_fixture
+from lincat.tforms import tm_power, trace_cochain
+from lincat.workspace import fixture_names, load_fixture
 from lincat.connection import tilde_curvature
 
 from commutator_oracles import commutator_spanning_labeled
@@ -139,6 +140,30 @@ def test_invariance_certificate_q0(two5):
     assert is_zero_vector(cert.difference)
 
 
+# sha256 of the repr of `invariance_certificate` (or of the error it raises,
+# "TypeName: message") on every ordered pair of connections on one module of
+# every fixture, at q = 1 and 2, one line "fixture conn0 conn1 q=q repr" each
+INVARIANCE_REPRS_SHA256 = "cba21145397c98978915359b2fb9da8119ae91a12423f76eb5f29fa0f2a16ed0"
+
+
+def test_invariance_certificates_on_every_fixture_are_pinned():
+    lines = []
+    for name in fixture_names():
+        ws = load_fixture(name)
+        for a, c0 in ws.connections.items():
+            for b, c1 in ws.connections.items():
+                if c0.module is not c1.module:
+                    continue
+                for q in (1, 2):
+                    try:
+                        r = repr(invariance_certificate(c0, c1, q))
+                    except LincatError as exc:
+                        r = f"{type(exc).__name__}: {exc}"
+                    lines.append(f"{name} {a} {b} q={q} {r}")
+    assert len(lines) == 38
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == INVARIANCE_REPRS_SHA256
+
+
 def test_free_module_mechanism(dual5, two5):
     # on a free module the segment from the zero connection to L has
     # ev1 - ev0 equal to the class of Tr((dL + L.L)^q), computed by hand
@@ -148,22 +173,16 @@ def test_free_module_mechanism(dual5, two5):
         m = ProjectiveModule.free(w, "F", (x, x))
         rh = get_complex(w)
         for q in (1, 2):
-            tc = TildeComplex(rh, 2 * q)
             for _ in range(4):
                 lam = random_form_matrix(w, 1, m.family, m.family, rng)
                 c0 = canonical_connection(m)
                 c1 = Connection(m, lam)
-                gamma = tm_power(w, tilde_curvature(c0, c1), q)
-                cochain = tc.cochain_from_traces(
-                    2 * q,
-                    pm_diagonal_trace(w, gamma.part0),
-                    pm_diagonal_trace(w, gamma.part1),
-                )
-                jump = vec_sub(tc.ev_at(cochain, 1), tc.ev_at(cochain, 0))
+                cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(c0, c1), q))
+                jump = vec_sub(cochain.ev_at(1), cochain.ev_at(0))
                 hand = (lam.d(w) + lam.mul(w, lam)).power(w, q)
                 hand_class = rh.class_of_trace(2 * q, hand.diagonal_trace(w))
                 assert jump == hand_class
-                assert is_zero_vector(tc.ev_at(cochain, 0))
+                assert is_zero_vector(cochain.ev_at(0))
 
 
 def test_additivity_at_the_form_level(dual5, two5):

@@ -286,7 +286,7 @@ def test_two_points_payloads_unchanged_by_the_curvature_memo(two5):
     # values recorded before curvature was memoized and before products
     # accumulated per entry
     from lincat.chern import certify_cocycle, chern_class, chern_form, invariance_certificate
-    from lincat.tforms import pm_diagonal_trace, tm_power
+    from lincat.tforms import tm_power
 
     def coords(forms):
         return [str(s) for f in forms for s in dense_coords(two5, f)]
@@ -320,5 +320,5 @@ def test_two_points_payloads_unchanged_by_the_curvature_memo(two5):
         (2, [["1", "0"], ["-8", "0"], ["24", "0"], ["-32", "0"], ["16", "0"]], [["0", "-8"], ["0", "32"], ["0", "-32"]]),
     ]:
         gamma = tm_power(w, path, q)
-        assert [coords(t) for t in pm_diagonal_trace(w, gamma.part0)] == part0
-        assert [coords(t) for t in pm_diagonal_trace(w, gamma.part1)] == part1
+        assert [coords(m.diagonal_trace(w)) for m in gamma.part0.coeffs] == part0
+        assert [coords(m.diagonal_trace(w)) for m in gamma.part1.coeffs] == part1

@@ -6,15 +6,16 @@ import weakref
 
 import pytest
 
-from lincat import Connection, FormMatrix, ProjectiveModule, universal_dg
+from lincat import Connection, FormMatrix, ProjectiveModule, canonical_connection, tilde_curvature, universal_dg
 from lincat.category import validate_category
 from lincat.chern import certify_cocycle, chern_form
 import lincat.derham
 import lincat.dg
-from lincat.derham import TildeComplex, commutator_label, commutator_system, generator_span, get_complex
+from lincat.derham import commutator_label, commutator_system, generator_span, get_complex
 from lincat.dg import DGCategory, _generators, certified_generators, render_terms, trivial_dg, validate_dg
 from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
 from lincat.exact_linalg import build_quotient, densify, is_zero_vector, numerator_row, zero_vector
+from lincat.tforms import TildeCochain, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_power, trace_cochain
 from lincat.workspace import fixture_names, load_fixture
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
@@ -33,6 +34,7 @@ from conftest import (
     matrix_units_category,
     projective_two_points,
     random_form,
+    random_form_matrix,
     random_gauge_connection,
     random_scalar,
     subspace_basis,
@@ -47,12 +49,11 @@ def random_class(rh, n, rng):
     return tuple(random_scalar(rng) for _ in range(rh.dim(n)))
 
 
-def random_cochain(tc, n, rng):
-    # under degree 0 the classes of part 1 are those of degree -1: empty, no draws
-    rh = tc.rh
-    part0 = [random_class(rh, n, rng) for _ in range(tc.t_bound + 1)]
-    part1 = [random_class(rh, n - 1, rng) for _ in range(tc.t_bound + 1)]
-    return tc.cochain(n, part0, part1)
+def random_cochain(rh, n, rng):
+    # 1 to 4 strata; under degree 0 the classes of part 1 are those of degree -1: empty, no draws
+    strata = range(rng.randint(1, 4))
+    return TildeCochain(rh, n, tuple(random_class(rh, n, rng) for _ in strata),
+                        tuple(random_class(rh, n - 1, rng) for _ in strata))
 
 
 def test_quotient_dimensions_and_betti(point3, dual5, two5, arrow3):
@@ -178,14 +179,12 @@ def test_homotopy_defect_vanishes(dual5, two5, arrow3):
     for w in (dual5, two5, arrow3):
         rh = get_complex(w)
         checked = 0
-        for D in (1, 2, 3):
-            tc = TildeComplex(rh, D)
-            # degree 0 included: there d(k(a)) is d out of degree -1
-            for n in range(0, w.truncation + 1):
-                for _ in range(3):
-                    a = random_cochain(tc, n, rng)
-                    assert is_zero_vector(tc.homotopy_defect(a))
-                    checked += 1
+        # degree 0 included: there d(k(a)) is d out of degree -1
+        for n in range(0, w.truncation + 1):
+            for _ in range(9):
+                a = random_cochain(rh, n, rng)
+                assert is_zero_vector(a.homotopy_defect())
+                checked += 1
         assert checked >= 20
 
 
@@ -207,77 +206,90 @@ def test_evaluation_is_a_chain_map(dual5, two5):
     rng = random.Random(74)
     for w in (dual5, two5):
         rh = get_complex(w)
-        tc = TildeComplex(rh, 3)
         for n in range(0, w.truncation):
             for _ in range(4):
-                a = random_cochain(tc, n, rng)
-                da = tc.delta(a)
+                a = random_cochain(rh, n, rng)
+                da = a.delta()
                 for t in (0, 1, -1, 2):
-                    assert tc.ev_at(da, t) == rh.d_class(n, tc.ev_at(a, t))
+                    assert da.ev_at(t) == rh.d_class(n, a.ev_at(t))
 
 
 def test_delta_squares_to_zero(dual5, two5):
     rng = random.Random(75)
     for w in (dual5, two5):
         rh = get_complex(w)
-        tc = TildeComplex(rh, 2)
         for n in range(1, w.truncation - 1):
             for _ in range(4):
-                a = random_cochain(tc, n, rng)
-                dd = tc.delta(tc.delta(a))
+                a = random_cochain(rh, n, rng)
+                dd = a.delta().delta()
                 assert all(is_zero_vector(v) for v in dd.part0)
                 assert all(is_zero_vector(v) for v in dd.part1)
 
 
 def test_cochain_validation(dual5):
     rh = get_complex(dual5)
-    tc = TildeComplex(rh, 1)
     one = (Fraction(1),) * rh.dim(0)
-    with pytest.raises(DimensionError):
-        tc.cochain(0, [one, one, one], [])  # t-degree above the bound
+    # both parts hold one class per power of t
+    with pytest.raises(DimensionError, match=r"^degree-0 cochain: part 0 has 2 classes, part 1 has 1$"):
+        TildeCochain(rh, 0, (one, one), ((),))
+    with pytest.raises(DimensionError, match=r"^degree-1 cochain: part 0 has 0 classes, part 1 has 1$"):
+        TildeCochain(rh, 1, (), (one,))
     # the infinitesimal part of degree 0 has the classes of degree -1, which are empty
     with pytest.raises(DimensionError, match=r"^degree-0 cochain, part 1, stratum t\^0: expected 0 class coordinates, got 2$"):
-        tc.cochain(0, [one], [one])
-    with pytest.raises(DimensionError):
-        TildeComplex(rh, -1)
-    # the classes are converted exactly, so a float is refused
-    with pytest.raises(ScalarTypeError):
-        tc.cochain(0, [(0.5,) * rh.dim(0)], [])
-    with pytest.raises(ScalarTypeError):
-        tc.cochain(1, [zero_vector(rh.dim(1))], [(0.5,) * rh.dim(0)])
-    assert tc.ev_at(tc.cochain(0, [(1,) * rh.dim(0)], []), 1) == one
+        TildeCochain(rh, 0, (one,), (one,))
+    assert TildeCochain(rh, 0, ((1,) * rh.dim(0),), ((),)).ev_at(1) == one
 
 
 def test_cochain_refuses_classes_of_the_wrong_length():
-    # dual numbers at truncation 3: one class coordinate in degrees 0 to 3
+    # dual numbers at truncation 3: one class coordinate in degrees 1 to 3
     w = universal_dg(dual_category(), 3)
     rh = get_complex(w)
     assert [rh.dim(n) for n in range(4)] == [2, 1, 1, 1]
-    tc = TildeComplex(rh, 1)
     with pytest.raises(DimensionError, match=r"degree-1 cochain, part 0, stratum t\^0: expected 1 class coordinates, got 5"):
-        tc.cochain(1, [(1, 2, 3, 4, 5)], [])
+        TildeCochain(rh, 1, ((1, 2, 3, 4, 5),), ((0, 0),))
     with pytest.raises(DimensionError, match=r"degree-2 cochain, part 1, stratum t\^1: expected 1 class coordinates, got 2"):
-        tc.cochain(2, [(1,)], [(1,), (1, 2)])
-    # a class past the bound is checked too, zero or not
-    with pytest.raises(DimensionError, match=r"part 0, stratum t\^2: expected 2 class coordinates, got 0"):
-        tc.cochain(0, [(1, 0), (0, 1), ()], [])
-    a = tc.cochain(2, [(1,), (2,)], [(3,)])
+        TildeCochain(rh, 2, ((1,), (0,)), ((1,), (1, 2)))
+    a = TildeCochain(rh, 2, ((1,), (2,)), ((3,), (0,)))
     assert (a.part0, a.part1) == (((1,), (2,)), ((3,), (0,)))
 
 
 def test_degree_0_cochains_carry_the_empty_classes_of_degree_minus_1(two5):
     w = two5
     rh = get_complex(w)
-    tc = TildeComplex(rh, 2)
-    units = tuple(w.identity_form(o) for o in w.base.objects)
-    c = rh.class_of_trace(0, units)
-    a = tc.cochain_from_traces(0, [units, units], [tuple(w.zero_form(-1, o, o) for o in w.base.objects)])
-    assert a == tc.cochain(0, [c, c], []) and a.part1 == ((), (), ())
-    assert tc.integral_k(a) == () and tc.is_zero(tc.cochain(0, [], []))
+    units = FormMatrix.identity(w, w.base.objects)
+    c = rh.class_of_trace(0, units.diagonal_trace(w))
+    # the e-part of units + units.t is the zero matrix of degree -1, one coefficient
+    a = trace_cochain(w, rh, tilde_matrix(w, poly_matrix([units, units])))
+    assert a == TildeCochain(rh, 0, (c, c), ((), ())) and a.part1 == ((), ())
+    assert a.integral_k() == () and TildeCochain(rh, 0, (), ()).is_zero()
     # the t-derivative of the main part, with the sign -1 of degree 0, is the e-part of D(a)
     zero = zero_vector(rh.dim(0))
     assert not is_zero_vector(c)
-    assert tc.delta(a).part1 == (tuple(-s for s in c), zero, zero)
+    assert a.delta().part1 == (tuple(-s for s in c), zero)
+
+
+def test_trace_cochain_pads_the_shorter_part_with_zero_classes(two5):
+    w = two5
+    rh = get_complex(w)
+    conn = random_gauge_connection(projective_two_points(w), random.Random(17))
+    path = tilde_curvature(canonical_connection(conn.module), conn)
+    for q in (1, 2):
+        gamma = tm_power(w, path, q)
+        # the main part has degree 2q in t, the e-part 2q - 2
+        assert (len(gamma.part0.coeffs), len(gamma.part1.coeffs)) == (2 * q + 1, 2 * q - 1)
+        a = trace_cochain(w, rh, gamma)
+        assert a.degree == 2 * q
+        assert a.part0 == tuple(rh.class_of_trace(2 * q, m.diagonal_trace(w)) for m in gamma.part0.coeffs)
+        assert a.part1 == (tuple(rh.class_of_trace(2 * q - 1, m.diagonal_trace(w)) for m in gamma.part1.coeffs)
+                           + (zero_vector(rh.dim(2 * q - 1)),) * 2)
+    # a main part shorter than the e-part is padded the same way
+    x = w.base.objects[0]
+    rng = random.Random(76)
+    part1 = poly_matrix([random_form_matrix(w, 0, (x,), (x,), rng) for _ in range(3)])
+    assert len(part1.coeffs) == 3
+    a = trace_cochain(w, rh, TildeMatrix(pm_const(random_form_matrix(w, 1, (x,), (x,), rng)), part1))
+    assert a.part0[1:] == (zero_vector(rh.dim(1)),) * 2
+    assert a.part1 == tuple(rh.class_of_trace(0, m.diagonal_trace(w)) for m in part1.coeffs)
 
 
 def test_stratified_bracket_span_dimensions(dual5, two5):

@@ -158,6 +158,9 @@ def test_parse_rejects_malformed_documents():
         idempotent=[[[{"coeff": "2", "word": ["c"]}]]]))
     broken(lambda d: d["connections"][0].update(module="ghost"))
     broken(lambda d: d["connections"][0].update(gauge="sideways"))
+    # 10^4301 is refused before it is built: its exponent is past the limit on integer digits
+    broken(lambda d: [t.update(coeff="1e4301") for c in d["connections"] if c["name"] == "twist_L"
+                      for t in c["gauge"][0][0]])
     broken(lambda d: d["connections"].append(dict(d["connections"][0])))  # dup name
     broken(lambda d: d["endomorphisms"][0].update(module="ghost"))
     broken(lambda d: d["endomorphisms"][0].update(matrix=[[[], []]]))  # wrong shape
@@ -714,12 +717,36 @@ WORKSPACE_ERRORS = {
                        "invariance needs exactly two --connection names"),
     "unknown-fixture": (["validate", "fixture:ghost"],
                         "no fixture named 'ghost'; available: " + ", ".join(ALL_FIXTURES)),
+    # Python reads no integer string of more than 4300 digits
+    "k0-coefficient-past-the-digit-limit": (["k0", "fixture:two_points_universal", "--expression",
+                                             "7" * 5000 + "[L] - [P]", "--q", "1"],
+                                            "coefficient of [L] has 5000 digits, more than the limit of 4300"),
 }
 
 
 @pytest.mark.parametrize("argv, message", WORKSPACE_ERRORS.values(), ids=WORKSPACE_ERRORS.keys())
 def test_main_reports_workspace_errors(argv, message):
     assert_error(argv, EXIT_INVALID, f"error (workspace): {message}\n", "workspace", message)
+
+
+# a workspace holding a number past Python's limit of 4300 digits on integer
+# strings: the JSON text written for the one gauge coefficient of twist_L, c.dc
+PAST_THE_DIGIT_LIMIT = {
+    "json-integer": ("7" * 5000, "a JSON integer has more than 4300 digits"),
+    "decimal-exponent": ('"1e4301"', "connection 'twist_L' gauge[0][0]: coefficient is '1e4301', whose decimal "
+                                     "exponent exceeds 4300 in magnitude, the limit on integer digits"),
+}
+
+
+@pytest.mark.parametrize("coeff, message", PAST_THE_DIGIT_LIMIT.values(), ids=PAST_THE_DIGIT_LIMIT.keys())
+def test_main_refuses_a_number_past_the_digit_limit(coeff, message, tmp_path):
+    doc = base_doc()
+    (term,), = next(c for c in doc["connections"] if c["name"] == "twist_L")["gauge"][0]
+    assert (term["basis"], term["coeff"]) == ("c.dc", "1")
+    term["coeff"] = "@"
+    path = tmp_path / "past_the_limit.json"
+    path.write_text(json.dumps(doc).replace('"@"', coeff), encoding="utf-8")
+    assert_error(["validate", str(path)], EXIT_INVALID, f"error (workspace): {message}\n", "workspace", message)
 
 
 def test_main_reports_certification_and_computation(monkeypatch):
