@@ -38,16 +38,20 @@ the free columns of the quotient (`class_of_trace`, and `render_class`
 the other way).  d is stored once per degree in one shape, integer
 columns over one denominator: on the ambient diagonal space, and,
 induced, on the classes (`d_columns`), and `contract_into` applies
-either.  Cohomology eliminates those columns as numerator rows through
-`echelon`: the image of d is their span, its kernel is read off the
-echelon form of the columns augmented by unit vectors, and a primitive
-is a `solve_rows` on their transpose, built once per degree on first
-use.  So is the system a cocycle certificate solves
-(`commutator_system`), in the degree it asks for: the full span, one
+either.  Cohomology reads one span per degree n (`_span`), the
+`build_quotient` of the rows (d(e_k) | e_k) over the unit classes e_k,
+the e-block in reverse class order.  Its rows that pivot in the
+d-block give the image of d in degree n + 1, the others the kernel of
+d, each pivoting at the last class of its support; a class of degree
+n + 1 reduced by the span leaves minus a primitive, zero at those
+pivots, as a solve in natural order sets its free variables, or an
+entry in the d-block when it has none.  That span, and the system a
+cocycle certificate solves (`commutator_system`: the full span, one
 commutator of basis forms per pair, as numerator rows, with their
-integer transpose.  A certificate cites a commutator by its index in
-that span, and `commutator_label` names it.  Classes enter and leave as
-dense tuples of `Fraction` coordinates, converted once at that door
+integer transpose), are built on first use in a degree and kept.  A
+certificate cites a commutator by its index in the full span, and
+`commutator_label` names it.  Classes enter and leave as dense tuples
+of `Fraction` coordinates, converted once at that door
 (`numerator_row` in, `densify` out).
 
 Degree 0 of this complex is the plain trace quotient of the base
@@ -65,12 +69,13 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .category import validate_category
 from .dg import DGCategory, Form, certified_generators, render_terms, stacked, validate_dg
 from .errors import CategoryAxiomError, DimensionError, LincatError
 from .exact_linalg import (
+    IntRow,
     IntTerms,
     NumeratorRow,
     QuotientSpace,
@@ -79,12 +84,10 @@ from .exact_linalg import (
     checked_row,
     contract_into,
     densify,
-    echelon,
     is_zero_vector,
     numerator_row,
     offsets,
     over_one,
-    solve_rows,
     vec,
     zero_vector,
 )
@@ -199,11 +202,10 @@ class DeRhamComplex:
             den, columns = self._ambient_columns[n]
             self.d_columns.append(over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns))
         self.d_columns.append((1, [()] * self.dim(N)))
-        # the two linear systems solved against this complex, each built on
-        # first use in a degree and kept: the full commutator span of
-        # `commutator_system`, with its rows, and d, by rows
+        # built on first use in a degree and kept: the full commutator span
+        # of `commutator_system`, with its rows, and the span of d (`_span`)
         self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
-        self._d_rows: dict[int, list[NumeratorRow]] = {}
+        self._spans: dict[int, QuotientSpace] = {}
 
     def _ambient_d_columns(self, w: DGCategory, n: int) -> tuple[int, list[IntTerms]]:
         # the blocks of the objects in object order, over the lcm of their
@@ -274,28 +276,32 @@ class DeRhamComplex:
 
     # -- cohomology ----------------------------------------------------------
 
+    def _span(self, n: int) -> QuotientSpace:
+        """Span n, of the rows (d(e_k) | e_k) over the unit classes of degree n, e_k at column dim(n+1) + dim(n) - 1 - k."""
+        span = self._spans.get(n)
+        if span is None:
+            last = self.dim(n + 1) + self.dim(n) - 1
+            den, columns = self.d_columns[n]
+            rows = [(den, dict(col + ((last - k, den),))) for k, col in enumerate(columns)]
+            span = self._spans[n] = build_quotient(last + 1, rows)
+        return span
+
     def image_basis(self, n: int) -> tuple[NumeratorRow, ...]:
-        """Reduced echelon basis of the image of d arriving in degree n, as numerator rows."""
+        """Reduced echelon basis of the image of d in degree n, the d-blocks of span n - 1, as numerator rows."""
         if n <= 0 or n > self.truncation:
             return ()
-        den, columns = self.d_columns[n - 1]
-        return echelon(((den, dict(col)) for col in columns), self.dim(n))[0]
+        m, span = self.dim(n), self._span(n - 1)
+        return tuple((d, {j: x for j, x in nums.items() if j < m})
+                     for (d, nums), p in zip(span.numerator_rows, span.pivots) if p < m)
 
     def kernel_basis_of_d(self, n: int) -> tuple[NumeratorRow, ...]:
-        """Reduced echelon basis of the kernel of d out of degree n, as numerator rows.
-
-        An echelon row of the augmented rows [d(e_k) | e_k] has its pivot
-        in the e-part exactly when its d-part is zero, so the e-parts of
-        those rows lie in the kernel, and they span it.  Over the
-        denominator D of the columns, the unit e_k has numerator D.
-        """
+        """A basis of the kernel of d out of degree n, reduced in reverse class order, as numerator rows."""
         if n < 0 or n > self.truncation:
             return ()
-        m = self.dim(n + 1)
-        den, columns = self.d_columns[n]
-        augmented = ((den, dict(col + ((m + k, den),))) for k, col in enumerate(columns))
-        rows, pivots = echelon(augmented, m + self.dim(n))
-        return tuple((d, {j - m: x for j, x in nums.items()}) for (d, nums), p in zip(rows, pivots) if p >= m)
+        m, span = self.dim(n + 1), self._span(n)
+        last = m + self.dim(n) - 1
+        return tuple((d, {last - j: x for j, x in nums.items()})
+                     for (d, nums), p in zip(span.numerator_rows, span.pivots) if p >= m)
 
     def betti(self, n: int) -> int:
         if n < 0 or n > self.truncation:
@@ -313,7 +319,7 @@ class DeRhamComplex:
         image = self.image_basis(n)
         kernel = self.kernel_basis_of_d(n)
         quotient = build_quotient(self.dim(n), image)
-        reps, _ = echelon((quotient.reduce_sparse(v) for v in kernel), self.dim(n))
+        reps = build_quotient(self.dim(n), [quotient.reduce_sparse(v) for v in kernel]).numerator_rows
         if len(reps) != len(kernel) - len(image):
             raise LincatError(f"degree-{n} representative count disagrees with the rank computation")
         return tuple(densify(r, self.dim(n)) for r in reps)
@@ -321,21 +327,22 @@ class DeRhamComplex:
     def is_coboundary(self, n: int, coords: Vector) -> Optional[Vector]:
         """A primitive class one degree lower, or None when there is none.
 
-        No d arrives in degree 0 or outside the complex, so there only
-        the zero class has a primitive: the zero class of degree n - 1.
+        (y | 0) reduced by span n - 1 is (0 | -x) with d(x) = y, or keeps
+        an entry in its d-block.  No d arrives in degree 0 or outside the
+        complex, so there only the zero class has a primitive: the zero
+        class of degree n - 1.
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
         coords = vec(coords)
         if n <= 0 or n > self.truncation:
             return zero_vector(self.dim(n - 1)) if is_zero_vector(coords) else None
-        # the rows of d out of degree n - 1, read off its columns once
-        rows = self._d_rows.get(n)
-        if rows is None:
-            den, columns = self.d_columns[n - 1]
-            rows = self._d_rows[n] = [(den, row) for row in _transpose(columns, self.dim(n))]
-        x = solve_rows(rows, self.dim(n - 1), numerator_row(coords))
-        return None if x is None else densify(x, self.dim(n - 1))
+        m = self.dim(n)
+        den, nums = self._span(n - 1).reduce_sparse(numerator_row(coords))
+        if any(j < m for j in nums):
+            return None
+        last = m + self.dim(n - 1) - 1
+        return densify((den, {last - j: -x for j, x in nums.items()}), self.dim(n - 1))
 
     def euler_characteristics(self) -> tuple[int, int]:
         """Alternating sums of space dimensions and of cohomology ranks."""
@@ -367,15 +374,6 @@ class DeRhamComplex:
         return "; ".join(pieces) if pieces else "0"
 
 
-def _transpose(columns: Sequence[Iterable[tuple[int, int]]], nrows: int) -> list[dict[int, int]]:
-    """The rows of the matrix with the given sparse columns, each given by its (row, entry) pairs."""
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    for j, column in enumerate(columns):
-        for i, x in column:
-            rows[i][j] = x
-    return rows
-
-
 def get_complex(w: DGCategory) -> DeRhamComplex:
     """Memoized quotient complex of a graded category."""
     if w._derham is None:
@@ -396,7 +394,10 @@ def commutator_system(w: DGCategory, n: int) -> tuple[list[NumeratorRow], list[N
     system = rh._commutator_systems.get(n)
     if system is None:
         span = generator_span(w, n, _basis_forms(w, n))
-        rows = [(1, row) for row in _transpose([nums.items() for _, nums in span], rh.ambient_dim(n))]
-        system = rh._commutator_systems[n] = span, rows
+        rows: list[IntRow] = [{} for _ in range(rh.ambient_dim(n))]
+        for j, (_, nums) in enumerate(span):
+            for i, x in nums.items():
+                rows[i][j] = x
+        system = rh._commutator_systems[n] = span, [(1, row) for row in rows]
     return system
 

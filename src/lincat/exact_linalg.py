@@ -33,28 +33,27 @@ enter (`numerator_row` for a dense vector), `densify` writes a
 products and differentials of forms, the induced differential on
 classes and every law check are made of it, over integers.
 
-All elimination goes through one kernel, `echelon`, which takes
-`NumeratorRow`s and a column count and adds them one at a time to an
-`Echelon`; a caller that grows a span row by row (the generating set
-of `validate_dg`, the expressions of the envelope builder) holds an
-`Echelon` itself.  `Echelon` keeps each basis row as `int` numerators
-over one positive denominator, the numerator at its pivot equal to
-that denominator, with no common factor, so equal rows have equal
-pairs.  A new row is reduced by cross-multiplying, v.d - v[p].row,
-pure `int` arithmetic; a new pivot is then cleared only from the rows
-that a column index lists there.  A finished span is a `QuotientSpace`,
-built by `build_quotient`; it keeps the integer rows of its `Echelon`,
-reduces a vector modulo the span over them (`reduce_sparse`), reads its
-coset coordinates off the free columns (`coset_coordinates`), and reads
-the coordinates of a vector of the span in its basis, or None outside
-it (`coordinates`), deciding membership on the integer remainder.  So
-`Echelon` (a basis being grown) and `QuotientSpace` (a finished one)
-are the two span types, and other modules see their rows through
-`numerator_rows`.  The chain subspaces of the envelope and the
-quotient complex are `QuotientSpace`s.
-`solve_rows` solves a linear system given by its rows and reads only
-the solution column of the reduced basis, and the cohomology of the
-quotient complex calls `echelon` itself.
+All elimination goes through one kernel, `Echelon`, which takes
+`NumeratorRow`s one at a time; a caller that grows a span row by row
+(the generating set of `validate_dg`, the expressions of the envelope
+builder) holds an `Echelon` itself.  `Echelon` keeps each basis row as
+`int` numerators over one positive denominator, the numerator at its
+pivot equal to that denominator, with no common factor, so equal rows
+have equal pairs.  A new row is reduced by cross-multiplying,
+v.d - v[p].row, pure `int` arithmetic; a new pivot is then cleared
+only from the rows that a column index lists there.  A finished span
+is a `QuotientSpace`, built by `build_quotient` from `NumeratorRow`s
+and a column count; it keeps the integer rows of its `Echelon`,
+reduces a vector modulo the span over them (`reduce_sparse`), reads
+its coset coordinates off the free columns (`coset_coordinates`), and
+reads the coordinates of a vector of the span in its basis, or None
+outside it (`coordinates`), deciding membership on the integer
+remainder.  So `Echelon` (a basis being grown) and `QuotientSpace` (a
+finished one) are the only two span types, and other modules see their
+rows through `numerator_rows`.  The chain subspaces of the envelope,
+the quotient complex and the span of d that its cohomology reads are
+`QuotientSpace`s.  `solve_rows` solves a linear system given by its
+rows and reads only the solution column of the reduced basis.
 
 Every row, vector and right-hand side that enters the kernel is a
 `NumeratorRow` (d, {column: int}) with d > 0, whose scale a span
@@ -64,10 +63,11 @@ dict of `Fraction`s or of ints, a float or a bool among them, is
 refused with `ScalarTypeError`.  The ints of the kernel are never
 divided with `/`, only by an exact common factor, with `//`.
 
-There is no dense matrix type.  `rref` hands `echelon` the nonzeros of
-any dense matrix given by its `rows`, `cols` and `entries`, which must
-be Fractions, each row put over integers at its door.  No library
-module calls it; it stays because the benchmark's tracer
+There is no dense matrix type.  `rref` hands `build_quotient` the
+nonzeros of any dense matrix given by its `rows`, `cols` and
+`entries`, which must be Fractions, each row put over integers at its
+door, and returns the rows and pivots of the span.  No library module
+calls it; it stays because the benchmark's tracer
 (`perfbench/tracing.py`) wraps `exact_linalg.rref` by name and reads
 the shape of its argument.
 """
@@ -78,7 +78,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, Optional, Sequence
@@ -102,6 +101,15 @@ ONE = Fraction(1)
 
 # the decimal exponent that ends a scalar string such as "1.5e-3": its digits
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+# a run of digits, with the underscores Python allows between them
+_DIGITS = re.compile(r"[0-9][0-9_]*")
+
+
+def _shown(value: object) -> str:
+    """The repr of an input scalar for a message, cut after its first 60 characters."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 60 else value[:60] + "...")
+    return f"{value!r:.60}"
 
 
 def scalar(value: object, where: str = "scalar") -> Fraction:
@@ -111,26 +119,31 @@ def scalar(value: object, where: str = "scalar") -> Fraction:
     exactly.  Anything else, a float, a bool or a string that is no
     rational number included, raises `ScalarTypeError` naming `where`: a
     float is already rounded, so its `Fraction` would be exact about the
-    wrong number.  So does a string whose decimal exponent is larger in
-    magnitude than Python's limit on the digits of an integer string,
-    `sys.get_int_max_str_digits()` (0 for none), before any power of ten
-    is built: "1e999999999" would ask for an integer of a billion digits.
+    wrong number.  So does a string past Python's limit on the digits of
+    an integer string, `sys.get_int_max_str_digits()` (0 for none),
+    before `Fraction` reads it: a decimal exponent larger in magnitude
+    ("1e999999999" would build an integer of a billion digits), or a run
+    of more digits, underscores not counted.  A message shows at most 60
+    characters of the value.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-        if exponent and (limit := sys.get_int_max_str_digits()):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ScalarTypeError(
+            f"{where} is {_shown(value)} of type {type(value).__name__}, not a Fraction, an int or a string")
+    if isinstance(value, str) and (limit := sys.get_int_max_str_digits()):
+        if exponent := _EXPONENT.search(value):
             digits = exponent.group(1).replace("_", "").lstrip("0")
             if len(digits) > len(str(limit)) or int(digits or "0") > limit:
-                raise ScalarTypeError(
-                    f"{where} is {value!r}, whose decimal exponent exceeds {limit} in magnitude, "
-                    "the limit on integer digits")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarTypeError(f"{where} is {value!r}, not a rational scalar") from exc
-    raise ScalarTypeError(f"{where} is {value!r} of type {type(value).__name__}, not a Fraction, an int or a string")
+                raise ScalarTypeError(f"{where} is {_shown(value)}, whose decimal exponent exceeds {limit} in "
+                                      "magnitude, the limit on integer digits")
+        if len(value) > limit and any(len(run) - run.count("_") > limit for run in _DIGITS.findall(value)):
+            raise ScalarTypeError(
+                f"{where} is {_shown(value)}, with more than {limit} digits in a row, the limit on integer digits")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarTypeError(f"{where} is {_shown(value)}, not a rational scalar") from exc
 
 
 def vec(values: Iterable) -> Vector:
@@ -362,22 +375,6 @@ def _spanned(rows: Iterable[NumeratorRow], ncols: int) -> "Echelon":
     return basis
 
 
-def echelon(rows: Iterable[NumeratorRow], ncols: int) -> tuple[tuple[NumeratorRow, ...], tuple[int, ...]]:
-    """Reduced row echelon basis of the span of `NumeratorRow`s, as `NumeratorRow`s, and its pivots.
-
-    This is the one elimination kernel of the package.  The rows are
-    `ncols` wide, as `Echelon.add` takes them, and are left unmodified.
-    They are taken one at a time by `Echelon.add`, so the basis is in
-    reduced echelon form after every row.  That form is unique for a row
-    space, so the result is a function of the span alone, and every
-    derived basis is reproducible byte for byte.  Each row comes back as
-    the basis keeps it, its pivot numerator equal to its denominator.
-    """
-    basis = _spanned(rows, ncols)._basis
-    pivots = tuple(sorted(basis))
-    return tuple(basis[p] for p in pivots), pivots
-
-
 class Echelon:
     """A reduced echelon basis grown one row at a time.
 
@@ -440,16 +437,15 @@ class Echelon:
 
 
 def rref(m) -> tuple[tuple[NumeratorRow, ...], tuple[int, ...]]:
-    """`echelon` of the nonzeros of a dense matrix with `rows`, `cols` and Fraction `entries`.
+    """The reduced rows and pivots of a dense matrix with `rows`, `cols` and Fraction `entries`, from `build_quotient`.
 
     Each row is put over integers here; an entry that is not a Fraction,
-    an int or a float, raises `ScalarTypeError`.
+    an int or a float among them, raises `ScalarTypeError`.
     """
-    for row in m.entries:
-        # map runs isinstance without a Python frame per entry
-        if not all(map(isinstance, row, repeat(Fraction))):
-            raise ScalarTypeError("dense matrix entries must be Fractions")
-    return echelon(map(numerator_row, m.entries), m.cols)
+    if not all(isinstance(x, Fraction) for row in m.entries for x in row):
+        raise ScalarTypeError("dense matrix entries must be Fractions")
+    span = build_quotient(m.cols, [numerator_row(row) for row in m.entries])
+    return span.numerator_rows, span.pivots
 
 
 def solve_rows(rows: Sequence[NumeratorRow], ncols: int, b: NumeratorRow) -> Optional[NumeratorRow]:

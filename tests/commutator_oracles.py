@@ -13,7 +13,7 @@ from fractions import Fraction
 from lincat.derham import get_complex
 from lincat.dg import DGCategory
 from lincat.errors import DimensionError
-from lincat.exact_linalg import ONE, ZERO, Vector, echelon
+from lincat.exact_linalg import ONE, ZERO, Vector, build_quotient
 from lincat.form_matrix import FormMatrix
 from lincat.tforms import PolyMatrix, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_mul
 
@@ -120,7 +120,7 @@ def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, in
                             embed(row, tm_mul(w, v, u), y, -sign)
                             spanning.append(row)
 
-    literal = len(echelon(map(as_numerators, spanning), strat_dim)[1])
+    literal = len(build_quotient(strat_dim, list(map(as_numerators, spanning))).pivots)
     predicted = (D + 1) * (
         rh.quotients[n].subspace_dim + (rh.quotients[n - 1].subspace_dim if n >= 1 else 0)
     )

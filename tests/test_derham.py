@@ -793,8 +793,29 @@ def test_cohomology_matches_dense_path():
     # that shares no elimination with the sparse one
     rng = random.Random(76)
     models = [load_fixture(name).dg for name in fixture_names()]
-    models += [universal_dg(m2_category(), 3), universal_dg(m2_category(), 4)]
-    assert cohomology_against_dense_path(models, rng) == (92, 73)
+    # at N = 5 a primitive differs from the one of a span in natural class order
+    models += [universal_dg(m2_category(), n) for n in (3, 4, 5)]
+    assert cohomology_against_dense_path(models, rng) == (115, 195)
+
+
+def test_image_and_kernel_bases_are_the_image_and_kernel_of_d():
+    # each basis is independent, d of every kernel row is zero, every image
+    # row is a combination of the d of the unit classes, and the counts are
+    # the rank and the nullity of d, by dense row reduction
+    models = [load_fixture(name).dg for name in fixture_names()] + [universal_dg(m2_category(), 3)]
+    for w in models:
+        rh = get_complex(w)
+        ranks = [len(dense_rref(dense_class_d(w, rh, n))[1]) for n in range(w.truncation + 1)]
+        for n in range(w.truncation + 1):
+            dim = rh.dim(n)
+            kernel, image = rh.kernel_basis_of_d(n), rh.image_basis(n)
+            assert (len(kernel), len(image)) == (dim - ranks[n], ranks[n - 1] if n else 0), n
+            for basis in (kernel, image):
+                assert build_quotient(dim, basis).subspace_dim == len(basis)
+            assert all(is_zero_vector(rh.d_class(n, densify(row, dim))) for row in kernel)
+            units = [tuple(Fraction(int(i == k)) for i in range(rh.dim(n - 1))) for k in range(rh.dim(n - 1))]
+            d_of_units = build_quotient(dim, [numerator_row(rh.d_class(n - 1, u)) for u in units])
+            assert all(d_of_units.coordinates(row) is not None for row in image)
 
 
 def test_cohomology_over_denominators_matches_dense_path():

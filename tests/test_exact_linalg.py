@@ -12,7 +12,6 @@ from lincat.exact_linalg import (
     build_quotient,
     checked_terms,
     densify,
-    echelon,
     format_scalar,
     numerator_row,
     rref,
@@ -64,6 +63,28 @@ def test_scalar_refuses_a_decimal_exponent_past_the_digit_limit():
     for text in ("1e4301", "1e-4301", "1E+4_301", "1e999999999", " 1e" + "9" * 5000 + " "):
         with pytest.raises(ScalarTypeError, match="^here is '.*', whose decimal exponent exceeds 4300 in magnitude"):
             scalar(text, "here")
+
+
+def test_scalar_refuses_a_digit_run_past_the_limit():
+    # Fraction reads the integer part, the decimal part and the denominator
+    # as integer strings, each under the limit; underscores are not digits
+    assert scalar("1" * 4300) == int("1" * 4300)
+    assert scalar("0." + "1" * 4299) == Fraction(int("1" * 4299), 10 ** 4299)
+    assert scalar("1_" * 4299 + "1") == int("1" * 4300)
+    half = int("1" * 2200)
+    assert scalar("1" * 2200 + "." + "1" * 2200) == half + Fraction(half, 10 ** 2200)
+    # refused before Fraction reads it, with the limit named and at most 60 characters of the value
+    for text in ("1" * 4301, "0." + "1" * 5000, "1/" + "3" * 5000, "1_" * 4300 + "1", "1e" + "0" * 4300 + "1"):
+        with pytest.raises(ScalarTypeError) as exc:
+            scalar(text, "here")
+        message = str(exc.value)
+        assert message == f"here is {text[:60] + '...'!r}, with more than 4300 digits in a row, the limit on integer digits"
+        assert len(message) < 200
+    # so is every other refusal of a long value
+    for bad in (" 1e" + "9" * 5000, "x" * 5000, [1] * 5000):
+        with pytest.raises(ScalarTypeError) as exc:
+            scalar(bad, "here")
+        assert len(str(exc.value)) < 200
 
 
 def test_malformed_scalar_strings_raise_scalar_type_error():
@@ -155,13 +176,14 @@ def test_echelon_basis_is_canonical():
     for _ in range(20):
         cols = rng.randint(1, 4)
         rows = [numerator_row(vec([rng.randint(-2, 2) for _ in range(cols)])) for _ in range(rng.randint(0, 4))]
-        basis1 = echelon(rows, cols)
+        q = build_quotient(cols, rows)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         scaled = [(d, {j: 3 * x for j, x in r.items()}) for d, r in shuffled]
-        assert echelon(scaled, cols) == basis1
-        # so is a quotient, whose equality compares its integer rows
-        assert build_quotient(cols, scaled) == build_quotient(cols, rows)
+        scaled_q = build_quotient(cols, scaled)
+        assert (scaled_q.numerator_rows, scaled_q.pivots) == (q.numerator_rows, q.pivots)
+        # so is the quotient, whose equality compares its integer rows
+        assert scaled_q == q
 
 
 # -- the sparse kernel against the dense elimination it replaced -------------
@@ -251,8 +273,9 @@ def test_sparse_rref_matches_dense_reference():
         assert got_pivots == tuple(ref_pivots)
         assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:len(ref_pivots)])
         assert all(not any(r) for r in ref_rows[len(ref_pivots):])
-        # rref is echelon of the nonzeros
-        assert (got_rows, got_pivots) == echelon([numerator_row(r) for r in m.entries], cols)
+        # rref is the span of the nonzeros
+        q = build_quotient(cols, [numerator_row(r) for r in m.entries])
+        assert (got_rows, got_pivots) == (q.numerator_rows, q.pivots)
 
 
 def apply(m, x):
@@ -260,16 +283,31 @@ def apply(m, x):
     return tuple(sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m.entries)
 
 
-def echelon_kernel(m):
-    """Kernel of m read off the echelon form of the augmented columns [m e_k | e_k].
+def augmented_span(m):
+    """The span of the augmented columns [m e_k | e_k], e_k at column m.rows + m.cols - 1 - k.
 
-    This is the route the de Rham complex takes for the kernel of d.
+    This is the span the de Rham complex keeps for d, in reverse column order.
     """
-    columns = ({**{i: row[k] for i, row in enumerate(m.entries) if row[k] != 0}, m.rows + k: Fraction(1)}
-               for k in range(m.cols))
-    basis, pivots = echelon(map(as_numerators, columns), m.rows + m.cols)
-    return tuple(densify((d, {j - m.rows: x for j, x in row.items()}), m.cols)
-                 for (d, row), p in zip(basis, pivots) if p >= m.rows)
+    last = m.rows + m.cols - 1
+    columns = [{**{i: row[k] for i, row in enumerate(m.entries) if row[k] != 0}, last - k: Fraction(1)}
+               for k in range(m.cols)]
+    return build_quotient(last + 1, list(map(as_numerators, columns)))
+
+
+def echelon_kernel(m):
+    """Kernel of m: the e-parts of the rows of `augmented_span(m)` that pivot past the m-part, the route of d."""
+    span, last = augmented_span(m), m.rows + m.cols - 1
+    return tuple(densify((d, {last - j: x for j, x in row.items()}), m.cols)
+                 for (d, row), p in zip(span.numerator_rows, span.pivots) if p >= m.rows)
+
+
+def reduction_solve(m, b):
+    """A solution of m x = b read off the reduction of (b | 0) by `augmented_span(m)`, or None: the primitive of d."""
+    den, nums = augmented_span(m).reduce_sparse(numerator_row(b))
+    if any(j < m.rows for j in nums):
+        return None
+    last = m.rows + m.cols - 1
+    return densify((den, {last - j: -x for j, x in nums.items()}), m.cols)
 
 
 def solve(rows, ncols, b):
@@ -298,7 +336,8 @@ def test_sparse_kernel_and_solve_match_dense_reference():
         m = sparse_matrix(rng, rows, cols)
         given_rows = [numerator_row(r) for r in m.entries]
         kernel = echelon_kernel(m)
-        assert echelon(map(numerator_row, kernel), cols) == echelon(map(numerator_row, dense_kernel(m)), cols)
+        assert build_quotient(cols, list(map(numerator_row, kernel))) == build_quotient(
+            cols, list(map(numerator_row, dense_kernel(m))))
         assert len(kernel) == len(dense_kernel(m))
         assert all(apply(m, k) == zero_vector(rows) for k in kernel)
         # one right-hand side in the column span, one arbitrary
@@ -306,6 +345,8 @@ def test_sparse_kernel_and_solve_match_dense_reference():
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
             got = solve(given_rows, cols, b)
             assert got == dense_solve(m, b)
+            # the reduction in reverse column order leaves the same variables free
+            assert reduction_solve(m, b) == got
             if got is not None:
                 assert apply(m, got) == b
                 solved += 1
@@ -362,7 +403,7 @@ def scaled_row(row, k, sign=1):
 
 
 def entry_points_match_dense_reference(m, rng):
-    """echelon, Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
+    """Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
 
     Every row, reduction, coordinate vector and solution they hand back
     must be a numerator row of ints (`assert_numerator_rows`,
@@ -373,7 +414,8 @@ def entry_points_match_dense_reference(m, rng):
     given = repr(given_rows)
     ref_rows, ref_pivots = dense_rref(m)
     rank_ = len(ref_pivots)
-    got_rows, got_pivots = echelon(given_rows, cols)
+    q = build_quotient(cols, given_rows)
+    got_rows, got_pivots = q.numerator_rows, q.pivots
     assert got_pivots == tuple(ref_pivots)
     assert tuple(densify(r, cols) for r in got_rows) == tuple(ref_rows[:rank_])
     assert_numerator_rows(got_rows, got_pivots)
@@ -385,8 +427,6 @@ def entry_points_match_dense_reference(m, rng):
     assert [basis.spans_unit(k) for k in range(cols)] == [
         k in ref_pivots and numerator_row(ref_rows[ref_pivots.index(k)]) == (1, {k: 1}) for k in range(cols)
     ]
-    q = build_quotient(cols, given_rows)
-    assert (q.numerator_rows, q.pivots) == (got_rows, got_pivots)
     # the integer rows as kept, by pivot: each over its pivot numerator
     assert tuple(basis.numerator_rows) == got_pivots
     for kept in (q.numerator_rows, tuple(basis.numerator_rows.values())):
@@ -402,11 +442,12 @@ def entry_points_match_dense_reference(m, rng):
             nums[rng.choice([j for j in range(cols) if j not in nums])] = 0
         numerator_rows.append((d, nums))
     scaled_given = repr(numerator_rows)
-    assert echelon(numerator_rows, cols) == (got_rows, got_pivots)
+    scaled_q = build_quotient(cols, numerator_rows)
+    assert (scaled_q.numerator_rows, scaled_q.pivots) == (got_rows, got_pivots)
     grown = Echelon()
     assert sum(grown.add(r) is not None for r in numerator_rows) == rank_
     assert grown.numerator_rows == basis.numerator_rows
-    assert build_quotient(cols, numerator_rows) == q
+    assert scaled_q == q
     assert repr(numerator_rows) == scaled_given  # inputs left alone
     for _ in range(3):
         v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.4 else Fraction(0)
@@ -546,7 +587,6 @@ def test_inexact_entries_are_refused():
         q = build_quotient(3, [(1, {2: 1})])
         calls = {
             "Echelon.add": lambda: basis.add(fractions),
-            "echelon": lambda: echelon([(1, {0: 1}), fractions], 3),
             "build_quotient": lambda: build_quotient(3, [(1, {0: 1}), fractions]),
             "solve_rows, a row": lambda: solve_rows([(1, {0: 1}), fractions], 3, (1, {0: 1})),
             "solve_rows, the right-hand side": lambda: solve_rows([(1, {0: 1}), (1, {2: 1})], 3, fractions),

@@ -735,6 +735,9 @@ PAST_THE_DIGIT_LIMIT = {
     "json-integer": ("7" * 5000, "a JSON integer has more than 4300 digits"),
     "decimal-exponent": ('"1e4301"', "connection 'twist_L' gauge[0][0]: coefficient is '1e4301', whose decimal "
                                      "exponent exceeds 4300 in magnitude, the limit on integer digits"),
+    # a JSON number with a fraction reaches `scalar` as its text, which shows 60 characters of it
+    "json-decimal": ("0." + "1" * 5000, "connection 'twist_L' gauge[0][0]: coefficient is '0." + "1" * 58 + "...', "
+                                        "with more than 4300 digits in a row, the limit on integer digits"),
 }
 
 
@@ -747,6 +750,7 @@ def test_main_refuses_a_number_past_the_digit_limit(coeff, message, tmp_path):
     path = tmp_path / "past_the_limit.json"
     path.write_text(json.dumps(doc).replace('"@"', coeff), encoding="utf-8")
     assert_error(["validate", str(path)], EXIT_INVALID, f"error (workspace): {message}\n", "workspace", message)
+    assert len(quiet_main(["validate", str(path), "--output", "machine"])[1]) < 1024
 
 
 def test_main_reports_certification_and_computation(monkeypatch):
