@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError, ScalarTypeError
-from .exact_linalg import IntTerms, checked_terms, integral_block, over_lcm, scalar
+from .exact_linalg import IntTerms, checked_terms, cut_rows, integral_terms, over_lcm, scalar
 
 def checked_blocks(table: Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping[int, object]]],
                    nobj: int, shape, where: str, at: str) -> dict[tuple[int, int, int], tuple[int, tuple]]:
@@ -43,11 +43,12 @@ def checked_blocks(table: Mapping[tuple[int, int, int], Mapping[tuple[int, int],
     shape(x, y, z) gives its (rows, cols, dim): the dimensions of the
     left and right factors' spaces and of the products' space.  A triple
     whose factors' spaces are both nonzero gets its block, the input's
-    entries checked by `checked_terms` and stored by `integral_block`,
-    empty where the input gives no product.  An index outside the shape
-    or a target outside 0..dim-1 raises `DimensionError`, naming the
-    block by `at` formatted with its triple; a key the loop does not
-    read is refused by `refuse_unread`, naming the table `where`.
+    entries checked by `checked_terms` and put over one denominator by
+    `integral_terms`, empty where the input gives no product.  An index
+    outside the shape or a target outside 0..dim-1 raises
+    `DimensionError`, naming the block by `at` formatted with its triple;
+    a key the loop does not read is refused by `refuse_unread`, naming
+    the table `where`.
     """
     blocks = {}
     for x, y, z in itertools.product(range(nobj), repeat=3):
@@ -60,7 +61,8 @@ def checked_blocks(table: Mapping[tuple[int, int, int], Mapping[tuple[int, int],
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionError(f"{name}: product ({i}, {j}) out of range for shape ({rows}, {cols})")
             block[i][j] = checked_terms(entries, dim, f"{name}[{i}][{j}]")
-        blocks[(x, y, z)] = integral_block(block, cols)
+        den, flat = integral_terms(terms for row in block for terms in row)
+        blocks[(x, y, z)] = den, tuple(map(tuple, cut_rows(flat, cols)))
     refuse_unread(table, blocks, set(itertools.product(range(nobj), repeat=3)), where)
     return blocks
 

@@ -20,11 +20,12 @@ products are read through `integral_products`, the category's own
 blocks included, and the differential through `integral_diff`.  Every
 kernel reads these stores: `compose` and `d`, the law kernel of
 `lincat.laws` and the quotient complex sum their integers, and only the
-workspace export turns them into `Fraction`s.  `gr_comp`,
-the products as `Fraction` terms, is a view derived on first read that
-no library code reads.  A table key that the constructor's loops never
-read (out of range, or with entries at a zero space) raises
-`DimensionError` rather than being ignored.
+workspace export, through `stored_products` and `stored_differentials`,
+turns them into `Fraction`s.  `gr_comp`, the products as `Fraction`
+terms, is a view derived on first read that no library code reads.  A
+table key that the constructor's loops never read (out of range, or
+with entries at a zero space) raises `DimensionError` rather than being
+ignored.
 
 A `Form` holds integer numerators over one denominator, in lowest
 terms, as the tables do, so its sums, products and differentials are
@@ -152,8 +153,11 @@ class DGCategory:
     over the terms (i, s) of d of basis form j; D is the lcm of the
     block's denominators.  Entries are empty where the input gave
     nothing.  ``gr_comp[(p, q)][(x, y, z)][i][j]``, a view derived on
-    first read, holds the sorted nonzero terms of a product.  A key these
-    loops do not read is refused by `refuse_unread`: a degree outside the
+    first read, holds the sorted nonzero terms of a product.  The loops
+    walk, in increasing order, the degrees that hold forms (0 and each n
+    with a basis) and the in-range degrees and degree pairs the tables
+    name: the work follows the forms, not the truncation.  A key they do
+    not read is refused by `refuse_unread`: a degree outside the
     truncation, an object index out of range, or entries at a zero space.
 
     Only `universal_dg` skips the checks, handing over its builder's
@@ -193,11 +197,15 @@ class DGCategory:
         if type(gr_comp) is _Built:
             self._integral, self._diff = gr_comp
             return
+        in_range = range(truncation + 1)
+        forms = [0, *(n for n, level in self.gr_basis.items() if level)]
+        named = {tuple(map(int, key)) for key in gr_comp if isinstance(key, tuple) and len(key) == 2
+                 and all(n in in_range for n in key) and 0 < sum(key) <= truncation}
+        degree_pairs = named | {(p, q) for p in forms for q in forms if 0 < p + q <= truncation}
         # the one product store, that `universal_dg` hands over too: every
         # block of `integral_products` by (p, q, x, y, z), the category's included
         self._integral = {(0, 0, *key): block for key, block in base.integral_comp.items()}
-        degree_pairs = [(p, q) for p in range(truncation + 1) for q in range(truncation + 1 - p) if p or q]
-        for p, q in degree_pairs:
+        for p, q in sorted(degree_pairs):
             blocks = checked_blocks(gr_comp.get((p, q), {}), nobj,
                                     lambda x, y, z: (self.dim(p, x, y), self.dim(q, y, z), self.dim(p + q, x, z)),
                                     f"composition ({p},{q})", f"composition ({p},{q}) at {{}}")
@@ -209,7 +217,7 @@ class DGCategory:
         # top degree are checked, and all empty, so they are not stored
         pairs = list(itertools.product(range(nobj), repeat=2))
         self._diff: dict[tuple[int, int, int], tuple[int, tuple]] = {}
-        for n in range(truncation + 1):
+        for n in sorted({*forms, *(int(n) for n in diff if n in in_range)}):
             given = diff.get(n, {})
             read = set()
             for x, y in pairs:
@@ -228,7 +236,7 @@ class DGCategory:
                     den, flat = integral_terms(checked)
                     self._diff[(n, x, y)] = den, tuple(flat)
             refuse_unread(given, read, pairs, f"differential at degree {n}")
-        refuse_unread(diff, range(truncation + 1), (), f"differential at truncation {truncation}")
+        refuse_unread(diff, in_range, (), f"differential at truncation {truncation}")
 
     # -- dimensions and bases --------------------------------------------
 
@@ -290,10 +298,17 @@ class DGCategory:
         """
         N = self.truncation
         out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
-        for (p, q, x, y, z), (den, rows) in sorted(self._integral.items()):
-            if p or q:
-                out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, terms) for terms in row) for row in rows)
+        for (p, q, x, y, z), (den, rows) in self.stored_products():
+            out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, terms) for terms in row) for row in rows)
         return out
+
+    def stored_products(self) -> list[tuple[tuple[int, int, int, int, int], tuple[int, tuple]]]:
+        """The blocks `integral_products` reads at positive total degree, ((p, q, x, y, z), (D, rows)) by sorted key."""
+        return [(key, block) for key, block in sorted(self._integral.items()) if key[0] or key[1]]
+
+    def stored_differentials(self) -> list[tuple[tuple[int, int, int], tuple[int, tuple]]]:
+        """The blocks `integral_diff` reads, ((n, x, y), (D, columns)) by sorted key; one not listed is empty."""
+        return sorted(self._diff.items())
 
     def integral_products(self, p: int, q: int, x: int, y: int, z: int) -> tuple[int, tuple]:
         """The products of the basis forms of degree p at (x, y) with those of degree q at (y, z), as (D, rows).
@@ -386,7 +401,8 @@ def _generators(w: DGCategory) -> list[Form]:
     basis form, in basis order, that the words still do not reach.
     Every step follows the tables in a fixed order, so G is a function
     of the tables alone, and the words span every basis form by
-    construction.
+    construction.  Products of lower words walk the sorted keys of the
+    kept words, so only the degrees that hold forms are multiplied.
     """
     N, objs, dim = w.truncation, w.base.objects, w.dim
     nobj = len(objs)
@@ -440,12 +456,10 @@ def _generators(w: DGCategory) -> list[Form]:
                 pending.append(dg)
 
     for n in range(N + 1):
-        for k in range(1, n):
-            for x in range(nobj):
-                for y in range(nobj):
-                    for v in spanning.get((k, x, y), ()):
-                        for gid, g in by_source.get((n - k, y), ()):
-                            add(n, x, g.dom.index, times(k, x, y, v, gid, g))
+        for k, x, y in sorted(key for key in spanning if 0 < key[0] < n):
+            for v in spanning[(k, x, y)]:
+                for gid, g in by_source.get((n - k, y), ()):
+                    add(n, x, g.dom.index, times(k, x, y, v, gid, g))
         close()
         differentials, pending = pending, []
         for g in differentials:

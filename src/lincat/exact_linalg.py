@@ -16,8 +16,9 @@ integer numerators over one positive denominator:
   the nonzero (index, numerator) pairs, strictly increasing in index,
   in lowest terms (`lowest_terms`), so two equal vectors have equal
   pairs.  The product and differential blocks are stored over one
-  denominator per block (`integral_terms`, and `integral_block` with
-  `cut_rows` for a product block; `over_one` for rows over several).
+  denominator per block (`integral_terms`, its flat list cut into the
+  rows of a product block by `cut_rows`; `over_one` for rows over
+  several).
 * elimination takes and gives back a `NumeratorRow` (D, {column: int}),
   the mutable shape.
 * `Terms`, the nonzero (index, `Fraction`) pairs by increasing index,
@@ -174,12 +175,6 @@ def integral_terms(vectors: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[i
     vectors = [tuple(v) for v in vectors]
     den = lcm(*{s.denominator for v in vectors for _, s in v})
     return den, [tuple((k, s.numerator * (den // s.denominator)) for k, s in v) for v in vectors]
-
-
-def integral_block(rows: Iterable[Iterable[Terms]], width: int) -> tuple[int, tuple]:
-    """Rows of `width` terms each over one denominator: (D, rows), entry [i][j] holding (k, D * s) over its terms (k, s)."""
-    den, flat = integral_terms(terms for row in rows for terms in row)
-    return den, tuple(map(tuple, cut_rows(flat, width)))
 
 
 def over_lcm(terms: Collection[tuple[int, Fraction]]) -> tuple[int, IntTerms]:

@@ -32,7 +32,6 @@ and written in one, `_address_doc`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -429,47 +428,30 @@ def _forms_doc(dg: DGCategory, model: str) -> dict:
     if model in ("universal", "trivial"):
         return {"model": model, "truncation": dg.truncation}
     cat = dg.base
-    nobj = len(cat.objects)
-    spaces = []
-    for n in range(1, dg.truncation + 1):
-        for x in range(nobj):
-            for y in range(nobj):
-                labels = dg.space_labels(n, x, y)
-                if labels:
-                    spaces.append({
-                        "degree": n,
-                        "cod": cat.objects[x].label,
-                        "dom": cat.objects[y].label,
-                        "basis": list(labels),
-                    })
+    spaces = [
+        {"degree": n, "cod": cat.objects[x].label, "dom": cat.objects[y].label, "basis": list(labels)}
+        for n, level in sorted(dg.gr_basis.items())
+        for (x, y), labels in sorted(level.items())
+    ]
 
     # both written from the integer stores, in the order of their keys
-    triples = list(itertools.product(range(nobj), repeat=3))
-    products = []
-    for p in range(0, dg.truncation + 1):
-        for q in range(0, dg.truncation + 1 - p):
-            if p == 0 and q == 0:
-                continue
-            for x, y, z in triples:
-                den, rows = dg.integral_products(p, q, x, y, z)
-                for i, row in enumerate(rows):
-                    for j, entry in enumerate(row):
-                        if entry:
-                            products.append({
-                                "left": _address_doc(dg, p, x, y, i),
-                                "right": _address_doc(dg, q, y, z, j),
-                                "result": _term_docs(dg, p + q, x, z, fraction_terms(den, entry)),
-                            })
-    differentials = []
-    for n in range(0, dg.truncation):
-        for x, y in itertools.product(range(nobj), repeat=2):
-            den, columns = dg.integral_diff(n, x, y)
-            for k, entry in enumerate(columns):
-                if entry:
-                    differentials.append({
-                        "of": _address_doc(dg, n, x, y, k),
-                        "result": _term_docs(dg, n + 1, x, y, fraction_terms(den, entry)),
-                    })
+    products = [
+        {
+            "left": _address_doc(dg, p, x, y, i),
+            "right": _address_doc(dg, q, y, z, j),
+            "result": _term_docs(dg, p + q, x, z, fraction_terms(den, entry)),
+        }
+        for (p, q, x, y, z), (den, rows) in dg.stored_products()
+        for i, row in enumerate(rows)
+        for j, entry in enumerate(row)
+        if entry
+    ]
+    differentials = [
+        {"of": _address_doc(dg, n, x, y, k), "result": _term_docs(dg, n + 1, x, y, fraction_terms(den, entry))}
+        for (n, x, y), (den, columns) in dg.stored_differentials()
+        for k, entry in enumerate(columns)
+        if entry
+    ]
     return {
         "model": "tables",
         "truncation": dg.truncation,

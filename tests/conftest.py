@@ -14,6 +14,7 @@ whose identity is not a basis arrow) and `linear_quiver_category(n)`
 """
 
 from fractions import Fraction
+import json
 from math import lcm
 import random
 
@@ -24,6 +25,8 @@ from lincat import (
     FormMatrix,
     ProjectiveModule,
     build_category,
+    load_fixture,
+    serialize_workspace,
     universal_dg,
 )
 from lincat.exact_linalg import densify, scalar
@@ -165,6 +168,13 @@ def arrow3():
 @pytest.fixture(scope="session")
 def m2_3():
     return universal_dg(m2_category(), 3)
+
+
+def deepened(name: str, truncation: int) -> str:
+    """The export of a bundled fixture with its truncation raised: the same forms, and no forms above them."""
+    doc = json.loads(serialize_workspace(load_fixture(name)))
+    doc["forms"]["truncation"] = truncation
+    return json.dumps(doc)
 
 
 # -- random data -------------------------------------------------------------

@@ -23,14 +23,15 @@ from lincat import (
     validate_category,
     validate_dg,
 )
-from lincat.category import Category
+import lincat.dg
+from lincat.category import Category, checked_blocks
 from lincat.dg import DGCategory, Form, _generators
 from lincat.form_matrix import ProductAccumulator
 from lincat.envelope import _Chains
 from lincat.exact_linalg import ONE, Echelon, build_quotient, cut_rows, integral_terms
 from lincat.laws import law_violations, laws_hold_on
 from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
-from lincat.workspace import fixture_names, load_fixture
+from lincat.workspace import fixture_names, load_fixture, parse_workspace
 
 from envelope_oracle import direct_tables
 from test_exact_linalg import DenseMatrix, dense_kernel
@@ -42,6 +43,7 @@ from conftest import (
     as_numerators,
     broken_associativity_category,
     broken_unit_category,
+    deepened,
     dense_coords,
     dual_category,
     fraction_row,
@@ -1328,3 +1330,60 @@ def test_refuses_form_basis_above_truncation():
     w = load_fixture("circle_tables").dg
     gr_basis, gr_comp, diff = own_tables(w)
     refused(w, {**gr_basis, 2: {(0, 0): ("th2",)}}, gr_comp, diff)
+
+
+def test_degrees_without_forms_take_empty_tables_only():
+    # circle_tables raised to truncation 2: degree 2 holds no forms, so the
+    # in-range pair (2, 0) and degree 2 name zero spaces only
+    w = load_fixture("circle_tables").dg
+    gr_basis, gr_comp, diff = own_tables(w)
+    plain = DGCategory(w.base, 2, gr_basis, gr_comp, diff)
+    for empty in ({}, {(0, 0, 0): {}}):
+        again = DGCategory(w.base, 2, gr_basis, {**gr_comp, (2, 0): empty}, {**diff, 2: {(0, 0): {}}})
+        assert list(again._integral.items()) == list(plain._integral.items())
+        assert list(again._diff.items()) == list(plain._diff.items())
+    with pytest.raises(DimensionError) as exc:
+        DGCategory(w.base, 2, gr_basis, {**gr_comp, (2, 0): {(0, 0, 0): {(0, 0): {0: 1}}}}, diff)
+    assert str(exc.value) == "composition (2,0): (0, 0, 0) is a zero space, but the table gives it entries"
+    with pytest.raises(DimensionError) as exc:
+        DGCategory(w.base, 2, gr_basis, gr_comp, {**diff, 2: {(0, 0): {0: {0: 1}}}})
+    assert str(exc.value) == "differential at degree 2: (0, 0) is a zero space, but the table gives it entries"
+
+
+def test_checked_constructor_walks_the_degrees_that_hold_forms(monkeypatch):
+    # circle_tables has forms in degrees 0 and 1 only, a trivial model in
+    # degree 0 only: raised to truncation 200, the constructor checks the
+    # degree pairs among those degrees, not all 20300 pairs up to 200
+    calls = []
+
+    def counting(table, nobj, shape, where, at):
+        calls.append(where)
+        return checked_blocks(table, nobj, shape, where, at)
+
+    monkeypatch.setattr(lincat.dg, "checked_blocks", counting)
+    for name, checked in [("circle_tables", ["composition (0,1)", "composition (1,0)", "composition (1,1)"]),
+                          ("dual_numbers_trivial", [])]:
+        text = deepened(name, 200)
+        calls.clear()
+        parse_workspace(text)
+        assert calls == checked
+
+
+def test_stored_blocks_are_the_blocks_the_lookups_read():
+    # the two accessors list every nonempty block that `integral_products`
+    # and `integral_diff` read, in sorted key order, on both constructors
+    models = [load_fixture(name).dg for name in fixture_names()] + [universal_dg(m2_category(), 2)]
+    for w in models:
+        N, nobj = w.truncation, len(w.base.objects)
+        products, differentials = w.stored_products(), w.stored_differentials()
+        for stored, read in [(products, w.integral_products), (differentials, w.integral_diff)]:
+            assert [key for key, _ in stored] == sorted(key for key, _ in stored)
+            assert all(read(*key) is block for key, block in stored)
+        triples = list(itertools.product(range(nobj), repeat=3))
+        nonempty = {(p, q, *t) for p in range(N + 1) for q in range(N + 1 - p) if p or q for t in triples
+                    if any(map(any, w.integral_products(p, q, *t)[1]))}
+        assert nonempty <= {key for key, _ in products}
+        assert all(key[0] or key[1] for key, _ in products)
+        nonempty = {(n, *xy) for n in range(N + 1) for xy in itertools.product(range(nobj), repeat=2)
+                    if any(w.integral_diff(n, *xy)[1])}
+        assert nonempty <= {key for key, _ in differentials}

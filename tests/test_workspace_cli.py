@@ -4,10 +4,14 @@ import copy
 from fractions import Fraction
 import io
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import lincat
 from lincat.category import validate_category
 from lincat.cli import (
     EXIT_CERTIFICATION,
@@ -17,7 +21,7 @@ from lincat.cli import (
     main,
     parse_k0_expression,
 )
-from lincat.dg import validate_dg
+from lincat.dg import DGCategory, validate_dg
 from lincat.errors import WorkspaceError
 from lincat.workspace import (
     fixture_names,
@@ -28,6 +32,7 @@ from lincat.workspace import (
     workspace_from_dict,
 )
 
+from conftest import deepened
 from law_oracle import comp_terms
 
 ALL_FIXTURES = [
@@ -74,6 +79,72 @@ def test_serialization_is_byte_stable():
         s2 = serialize_workspace(ws2)
         assert s1 == s2
         assert serialize_workspace(parse_workspace(s2)) == s2
+
+
+def test_export_writes_the_stored_blocks(monkeypatch):
+    # the export walks the stored blocks, not every (p, q, x, y, z) up to
+    # the truncation, and writes what the fixture's own export writes
+    ws = parse_workspace(deepened("circle_tables", 200))
+    calls = []
+    lookup = DGCategory.integral_products
+
+    def counting(self, *key):
+        calls.append(key)
+        return lookup(self, *key)
+
+    monkeypatch.setattr(DGCategory, "integral_products", counting)
+    text = serialize_workspace(ws)
+    assert calls == []
+    forms = json.loads(text)["forms"]
+    own = json.loads(serialize_workspace(load_fixture("circle_tables")))["forms"]
+    assert forms["truncation"] == 200
+    for section in ("spaces", "products", "differentials"):
+        assert forms[section] == own[section]
+    assert serialize_workspace(parse_workspace(text)) == text
+
+
+# parse, validation, the quotient complex, and the CLI's cohomology and
+# export, on each workspace file named on the command line
+DEEP_RUN = """
+import contextlib, io, json, sys
+from lincat import get_complex, load_workspace, validate_dg
+from lincat.cli import main
+for path in sys.argv[1:]:
+    ws = load_workspace(path)
+    if validate_dg(ws.dg):
+        raise SystemExit(f"{path}: laws fail")
+    get_complex(ws.dg)
+    for argv in (["cohomology", path, "--output", "machine"], ["export", path]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code:
+            raise SystemExit(f"{argv}: exit {code}")
+        print(json.dumps(out.getvalue()))
+"""
+
+
+def test_work_follows_the_forms_at_truncation_20000(tmp_path):
+    # a trivial and a tables workspace of a few hundred bytes, raised to
+    # truncation 20000: every layer walks the degrees that hold forms, so
+    # the run takes seconds where a walk over every degree pair up to the
+    # truncation took minutes
+    paths = []
+    for name in ("dual_numbers_trivial", "circle_tables"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(deepened(name, 20000), encoding="utf-8")
+        paths.append(str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(lincat.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", DEEP_RUN, *paths],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    outputs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(outputs) == 4
+    for path, (cohomology, export) in zip(paths, zip(outputs[::2], outputs[1::2])):
+        degrees = json.loads(cohomology)["degrees"]
+        assert [d["degree"] for d in degrees] == list(range(20001))
+        assert all(d["betti"] == 0 for d in degrees[2:])
+        assert export == serialize_workspace(load_workspace(path))
 
 
 def test_load_workspace_from_file(tmp_path):
