@@ -174,6 +174,8 @@ class DGCategory:
         gr_comp: Mapping[tuple[int, int], Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping]]],
         diff: Mapping[int, Mapping[tuple[int, int], Mapping[int, Mapping]]],
     ):
+        if type(truncation) is not int:
+            raise DimensionError(f"truncation degree must be an int, got {truncation!r}")
         if truncation < 1:
             raise DimensionError("truncation degree must be at least 1")
         self.base = base
@@ -495,6 +497,8 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
         raise CategoryAxiomError(
             f"category fails {len(violations)} identity check(s); no universal envelope is built", violations
         )
+    if type(truncation) is not int:
+        raise DimensionError(f"truncation degree must be an int, got {truncation!r}")
     if truncation < 1:
         raise DimensionError("truncation degree must be at least 1")
     gr_basis, *stored = universal_tables(c, truncation)

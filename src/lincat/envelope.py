@@ -17,6 +17,17 @@ degree 0 is the hom space itself.  Inside it:
   span{a.db}, the kernel of the composition map, and degree n is the
   degree-(n-1) forms times dC.
 
+The walk ends where the forms end.  The builder checks every degree
+against the path count, dim(n, x, y) = sum over w of
+dim(n-1, x, w) * (dim hom(w, y) - [w = y]), so a degree whose forms are
+all zero has none above it, and a product of two nonzero factor spaces
+has forms in its total degree.  So the chain spaces are grown one degree
+at a time as the span walk reaches them (`_Chains.grow`), and the walk
+and the tables stop after the first degree without forms: for a category
+whose non-identity arrows cannot be chained past length k (a poset, an
+acyclic quiver), no chain space above degree k + 1 is built, whatever
+the truncation.
+
 Each basis is the reduced echelon basis of its span in a fixed column
 order, which is unique for the span, so composition tensors and
 differentials are reproducible.  Chain vectors are `NumeratorRow`s,
@@ -116,25 +127,44 @@ class _ChainSpace:
 
 
 class _Chains:
-    """The chain spaces of a category in degrees 0..N, with their product and the differential of an arrow."""
+    """The chain spaces of a category in degrees 0..top, with their product and the differential of an arrow.
+
+    `_Chains(c, N)` holds degrees 0..N, and `grow` adds the next one:
+    the universal builder starts from degrees 0 and 1 and grows one
+    degree when its span walk reaches it, so it builds no chain space
+    above the first degree whose forms are all zero.
+    """
 
     def __init__(self, c: Category, truncation: int):
         self.c = c
-        objects = range(len(c.objects))
         # the basis arrow that is an object's identity, where there is one
         self.unit = {x: nums[0][0] for x, (den, nums) in c.identity.items() if len(nums) == 1 and nums[0][1] == den}
         # the category's products over one denominator per block, and their lcm
         self.products: dict[tuple[int, int, int], IntBlock] = c.integral_comp
         self.den = lcm(*(den for den, _ in self.products.values()))
-        # chains by a walk: the degree-n interiors from x to y extend the
-        # degree-(n-1) interiors from each z to y by one nonzero hom (x, z)
         self.spaces: dict[tuple[int, int, int], _ChainSpace] = {}
-        for y in objects:
-            tails = {x: [()] for x in objects if c.dim(x, y)}
-            for n in range(truncation + 1):
-                for x in objects:
-                    self.spaces[(n, x, y)] = _ChainSpace(c, x, y, tails.get(x, []), self.unit)
-                tails = {x: [(z,) + t for z in objects if c.dim(x, z) for t in tails.get(z, ())] for x in objects}
+        self.top = -1
+        self._interiors: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for _ in range(truncation + 1):
+            self.grow()
+
+    def grow(self) -> None:
+        """Add the chain spaces of degree top + 1, found by a walk.
+
+        Degree 0 has the empty interior wherever hom(x, y) is nonzero;
+        the degree-n interiors from x to y extend the degree-(n-1)
+        interiors from each z to y by one nonzero hom (x, z).
+        """
+        c, objects, below = self.c, range(len(self.c.objects)), self._interiors
+        self.top += 1
+        if self.top == 0:
+            self._interiors = {(x, y): [()] for x in objects for y in objects if c.dim(x, y)}
+        else:
+            self._interiors = {(x, y): [(z,) + t for z in objects if c.dim(x, z) for t in below.get((z, y), ())]
+                               for x in objects for y in objects}
+        for x in objects:
+            for y in objects:
+                self.spaces[(self.top, x, y)] = _ChainSpace(c, x, y, self._interiors.get((x, y), []), self.unit)
 
     def merge(self, p: int, q: int, x: int, y: int, z: int, u: NumeratorRow, v: NumeratorRow) -> NumeratorRow:
         """Chain-level product of a degree-p (x,y) and a degree-q (y,z) numerator row, over du * dv * `den`.
@@ -259,9 +289,13 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
     Degree 0 is the chain space of the arrows themselves, with the unit
     rows as basis.  Every degree n >= 1, up to `truncation`, is the
     reduced echelon span of the products omega.db, over the
-    degree-(n-1) basis rows omega and the basis arrows b.  The products
-    and differentials of basis forms follow from the coordinates of
-    those spanning products by the three rules of the module docstring.
+    degree-(n-1) basis rows omega and the basis arrows b, until the
+    first degree whose forms are all zero: by the path count no degree
+    above it holds forms and no product above it has two nonzero
+    factors, so gr_basis names the degrees up to that one and the
+    tables are those of the whole truncation.  The products and
+    differentials of basis forms follow from the coordinates of those
+    spanning products by the three rules of the module docstring.
     gr_basis is in the input format of `DGCategory`; blocks holds every
     product block, those of the category included, by (p, q, x, y, z), as
     `DGCategory.integral_products` hands them out, and diff every block
@@ -271,19 +305,21 @@ def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
     `lincat.dg.universal_dg` checks first.
     """
     gr_basis, dims, right, expr = _spans(c, truncation)
-    return gr_basis, *_derived_tables(c, truncation, dims, right, expr)
+    return gr_basis, *_derived_tables(c, max(gr_basis), dims, right, expr)
 
 
 def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
-    """The bases of every degree, from the span rule, and what the tables need of their spans.
+    """The bases of the degrees 1..N the walk reaches, from the span rule, and what the tables need of their spans.
 
     Returns gr_basis, the dimensions by (n, x, y), and the blocks `right`
-    and `expr` described below.  The chain vectors of a degree are
-    dropped once the next degree has taken its products.
+    and `expr` described below, up to the first degree whose forms are
+    all zero (or N).  The chain spaces of a degree are built when the
+    walk reaches it, and its chain vectors are dropped once the next
+    degree has taken its products.
     """
     objects = range(len(c.objects))
     pairs = [(x, y) for x in objects for y in objects]
-    chains = _Chains(c, N)
+    chains = _Chains(c, 1)
     dims = {(0, x, y): c.dim(x, y) for x, y in pairs}
 
     # right[(n, x, w, y)]: the degree-n coordinates of omega.db, for the
@@ -300,6 +336,8 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
     basis = {(x, y): [(1, {k: 1}) for k in range(c.dim(x, y))] for x, y in pairs}
     d_arrow = {(w, y): [chains.d_arrow(w, y, b) for b in range(c.dim(w, y))] for w, y in pairs}
     for n in range(1, N + 1):
+        if n > chains.top:
+            chains.grow()
         level, grown = {}, {}
         for x, y in pairs:
             # the path count: the first step of a path spans its hom space,
@@ -335,16 +373,19 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
                     )
                 level[(x, y)] = names
         gr_basis[n] = level
+        if not level:
+            break
         basis = grown
     return gr_basis, dims, right, expr
 
 
-def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
+def _derived_tables(c: Category, top: int, dims: dict, right: dict, expr: dict) -> tuple[dict, dict]:
     """The integer product and differential blocks of the envelope, by the three rules.
 
-    `dims`, `right` and `expr` are those of `_spans`.  The blocks
-    of one total degree are made from those of the degree below, over one
-    denominator each, and all of them are kept.
+    `dims`, `right` and `expr` are those of `_spans`, and `top` the last
+    degree it walked, above which no product has two nonzero factors.
+    The blocks of one total degree are made from those of the degree
+    below, over one denominator each, and all of them are kept.
     """
     objects, base = range(len(c.objects)), c.integral_comp
 
@@ -429,11 +470,11 @@ def _derived_tables(c: Category, N: int, dims: dict, right: dict, expr: dict) ->
         return _settled(den, times_db(e_rows, d_w, r_wy))
 
     # every product block and every differential block out of degrees
-    # 0..N-1, each over one denominator, by (p, q, x, y, z) and (n, x, y)
+    # 0..top-1, each over one denominator, by (p, q, x, y, z) and (n, x, y)
     blocks = {(0, 0, *key): block for key, block in base.items()}
     diff: dict[tuple[int, int, int], IntBlock] = {}
     d_below: dict[tuple[int, int], IntBlock] = {}  # differential blocks out of degree n-1
-    for n in range(1, N + 1):
+    for n in range(1, top + 1):
         # the differential out of degree n-1, through degree-n right multiplications
         d_level = {}
         for x in objects:

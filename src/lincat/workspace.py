@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection
@@ -98,15 +98,28 @@ def _place(degree: int, dom: ObjectId, cod: ObjectId) -> str:
     return f"in degree {degree} at ({cod.label},{dom.label})"
 
 
-def _coefficient_terms(terms, where: str) -> Iterator[tuple[Fraction, Mapping]]:
-    """Each term of a list of terms, an object, with its rational coefficient (1 when it names none)."""
+def _coefficient_terms(
+    terms, space: tuple[int, ObjectId, ObjectId], resolve, where: str
+) -> Iterator[tuple[Fraction, Any]]:
+    """Each term of a form literal, resolved, with its rational coefficient (1 when it names none).
+
+    A term is an object; `resolve` maps it to (degree, dom, cod, value),
+    and a term whose (degree, dom, cod) is not `space` is refused.
+    """
+    degree, dom, cod = space
     for t in _list(terms, f"{where}: expected a list of terms"):
         _require(isinstance(t, Mapping), f"{where}: each term must be an object")
         try:
             coeff = scalar(t.get("coeff", "1"), f"{where}: coefficient")
         except ScalarTypeError as exc:
             raise WorkspaceError(str(exc)) from exc
-        yield coeff, t
+        n, t_dom, t_cod, value = resolve(t)
+        _require(
+            (n, t_dom, t_cod) == space,
+            f"{where}: term has degree {n} from {t_dom.label} to {t_cod.label}, "
+            f"expected degree {degree} from {dom.label} to {cod.label}",
+        )
+        yield coeff, value
 
 
 class _Parser:
@@ -196,9 +209,8 @@ class _Parser:
 
         def expand(terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> dict[int, Fraction]:
             out: dict[int, Fraction] = {}
-            for coeff, t in _coefficient_terms(terms, where):
-                n, dom_t, cod_t, k = self.address(cat, gr_basis, t, where)
-                _require((n, dom_t, cod_t) == (degree, dom, cod), f"{where}: term lands in the wrong space")
+            for coeff, k in _coefficient_terms(terms, (degree, dom, cod),
+                                               lambda t: self.address(cat, gr_basis, t, where), where):
                 out[k] = out.get(k, 0) + coeff
             return out
 
@@ -277,17 +289,13 @@ class _Parser:
         return degree, dom, cod, names.index(label)
 
     def parse_form(self, dg: DGCategory, terms, degree: int, dom: ObjectId, cod: ObjectId, where: str) -> Form:
+        def resolve(t: Mapping) -> tuple[int, ObjectId, ObjectId, Form]:
+            f = self.word_form(dg, t["word"], where) if "word" in t else (
+                dg.basis_form(*self.address(dg.base, dg.gr_basis, t, where)))
+            return f.degree, f.dom, f.cod, f
+
         total = dg.zero_form(degree, dom, cod)
-        for coeff, t in _coefficient_terms(terms, where):
-            if "word" in t:
-                f = self.word_form(dg, t["word"], where)
-            else:
-                f = dg.basis_form(*self.address(dg.base, dg.gr_basis, t, where))
-            _require(
-                (f.degree, f.dom, f.cod) == (degree, dom, cod),
-                f"{where}: term has degree {f.degree} from {f.dom.label} to {f.cod.label}, "
-                f"expected degree {degree} from {dom.label} to {cod.label}",
-            )
+        for coeff, f in _coefficient_terms(terms, (degree, dom, cod), resolve, where):
             total = total + f.scale(coeff)
         return total
 

@@ -404,6 +404,9 @@ ORACLE_ENVELOPES = {
     **{f"M2-{n}": (lambda n=n: (m2_category(), n)) for n in range(1, 5)},
     "M3-2": lambda: (matrix_units_category(3), 2),
     "A4-4": lambda: (linear_quiver_category(4), 4),
+    # forms end at degree 3: the walk stops at degree 4; the direct fill
+    # builds every degree up to the truncation itself, so it stays small
+    "A4-7": lambda: (linear_quiver_category(4), 7),
     "A6-6": lambda: (linear_quiver_category(6), 6),
     "two_points-8": lambda: (two_points_category(), 8),
     "dual-6": lambda: (dual_category(), 6),
@@ -433,6 +436,10 @@ HANDOFF_ENVELOPES = {
     "two_points-8": lambda: (two_points_category(), 8),
     "dual-6": lambda: (dual_category(), 6),
     "A4-4": lambda: (linear_quiver_category(4), 4),
+    # truncations far above the last degree with forms (3 for A4, 1 for an arrow)
+    "A4-12": lambda: (linear_quiver_category(4), 12),
+    "A4-scaled-10": lambda: (scaled_quiver(4), 10),
+    "arrow_universal-15": lambda: (fixture_category("arrow_universal")[0], 15),
     # product blocks whose two factors have hom spaces of different dimensions
     "kronecker-3": lambda: (kronecker_category(), 3),
     # coefficients with denominators
@@ -1367,6 +1374,46 @@ def test_checked_constructor_walks_the_degrees_that_hold_forms(monkeypatch):
         calls.clear()
         parse_workspace(text)
         assert calls == checked
+
+
+def test_envelope_builder_stops_where_its_forms_stop(monkeypatch):
+    # A3's forms end at degree 2, so the builder grows chain spaces up to
+    # degree 3, the first degree without forms, and no further: at
+    # truncation 40 it builds the chain spaces of degrees 0..3 only, and
+    # stores the blocks it stores at truncation 5
+    import lincat.envelope
+
+    degrees = []
+    chain_space = lincat.envelope._ChainSpace
+
+    def counting(c, x, y, interiors, unit):
+        degrees.append(len(interiors[0]) if interiors else None)
+        return chain_space(c, x, y, interiors, unit)
+
+    monkeypatch.setattr(lincat.envelope, "_ChainSpace", counting)
+    c = linear_quiver_category(3)
+    deep = universal_dg(c, 40)
+    assert len(degrees) == 4 * 3 * 3
+    assert {n for n in degrees if n is not None} == {0, 1, 2, 3}
+    assert deep.dim(2, 2, 0) == 1 and all(deep.dim(3, x, y) == 0 for x in range(3) for y in range(3))
+    shallow = universal_dg(c, 5)
+    assert deep.stored_products() == shallow.stored_products()
+    assert deep.stored_differentials() == shallow.stored_differentials()
+
+
+@pytest.mark.parametrize("truncation", [2.0, "3", True, 0])
+@pytest.mark.parametrize("build", [universal_dg, trivial_dg])
+def test_constructors_refuse_a_truncation_that_is_not_a_positive_int(build, truncation, monkeypatch):
+    # refused with a typed error before any chain is built; a bool is no
+    # truncation, although it is an int
+    import lincat.envelope
+
+    monkeypatch.setattr(lincat.envelope, "_Chains", None)
+    with pytest.raises(DimensionError) as caught:
+        build(arrow_category(), truncation)
+    message = ("truncation degree must be at least 1" if truncation == 0 and type(truncation) is int
+               else f"truncation degree must be an int, got {truncation!r}")
+    assert str(caught.value) == message
 
 
 def test_stored_blocks_are_the_blocks_the_lookups_read():

@@ -125,12 +125,13 @@ for path in sys.argv[1:]:
 
 
 def test_work_follows_the_forms_at_truncation_20000(tmp_path):
-    # a trivial and a tables workspace of a few hundred bytes, raised to
-    # truncation 20000: every layer walks the degrees that hold forms, so
-    # the run takes seconds where a walk over every degree pair up to the
-    # truncation took minutes
+    # a trivial, a tables and two universal workspaces of a few hundred
+    # bytes, raised to truncation 20000: every layer walks the degrees that
+    # hold forms, and the envelope builder stops after the first degree
+    # without forms, so the run takes seconds where a walk over every
+    # degree, or every degree pair, up to the truncation took minutes
     paths = []
-    for name in ("dual_numbers_trivial", "circle_tables"):
+    for name in ("dual_numbers_trivial", "circle_tables", "point_universal", "arrow_universal"):
         path = tmp_path / f"{name}.json"
         path.write_text(deepened(name, 20000), encoding="utf-8")
         paths.append(str(path))
@@ -139,7 +140,7 @@ def test_work_follows_the_forms_at_truncation_20000(tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     outputs = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(outputs) == 4
+    assert len(outputs) == 2 * len(paths)
     for path, (cohomology, export) in zip(paths, zip(outputs[::2], outputs[1::2])):
         degrees = json.loads(cohomology)["degrees"]
         assert [d["degree"] for d in degrees] == list(range(20001))
@@ -317,6 +318,26 @@ def test_tables_refuse_a_repeated_differential():
     doc["forms"]["differentials"].append(dict(d_one, result=[]))
     with pytest.raises(WorkspaceError, match=r"differential of 1 in degree 0 at \(x,x\) given twice"):
         workspace_from_dict(doc)
+
+
+def test_form_literals_refuse_a_term_in_another_space():
+    # the tables' results and the forms over a graded category are read by
+    # one loop, which names the term's space and the one expected
+    def refused(name, mutate, message):
+        doc = json.loads(serialize_workspace(load_fixture(name)))
+        mutate(doc)
+        with pytest.raises(WorkspaceError) as exc:
+            workspace_from_dict(doc)
+        assert str(exc.value) == message
+
+    unit = {"degree": 0, "dom": "x", "cod": "x", "basis": "1"}
+    refused("circle_tables", lambda d: d["forms"]["products"][0]["result"].append(dict(unit, coeff="1")),
+            "form product result: term has degree 0 from x to x, expected degree 1 from x to x")
+    refused("circle_tables", lambda d: d["forms"].update(differentials=[{"of": unit, "result": [unit]}]),
+            "differential result: term has degree 0 from x to x, expected degree 1 from x to x")
+    refused("two_points_universal", lambda d: d["modules"][0]["idempotent"][0][0].append(
+        {"coeff": "1", "degree": 1, "dom": "x", "cod": "x", "basis": "dc"}),
+            "module 'M' idempotent[0][0]: term has degree 1 from x to x, expected degree 0 from x to x")
 
 
 def test_k0_expression_parser():
