@@ -1,51 +1,55 @@
 """The universal differential envelope of a category, chain model.
 
 `universal_tables` computes the bases, the differential and the integer
-product blocks of the universal envelope concretely inside "chain"
-spaces; `lincat.dg.universal_dg` builds the envelope from them.  The
-degree-n chain space for the endpoint pair (x, y) is the direct sum,
-over the length-n interior object paths whose steps are all nonzero hom
-spaces, of tensor products of the n+1 hom spaces strung along the path;
-degree 0 is the hom space itself.  Inside it:
+product blocks of the universal envelope inside "chain" spaces;
+`lincat.dg.universal_dg` builds the envelope from them.  A degree-n
+chain from x to y strings n+1 basis arrows along a walk of n interior
+objects through nonzero hom spaces; in degree 0 it is a basis arrow.
+The product is the middle merge (compose the arrows that meet), and the
+differential of an arrow is d(b) = 1.b - b.1.  One span rule gives
+every basis: degree 0 has the unit rows, and degree n >= 1 is the span
+of the products omega.db, over the degree-(n-1) basis rows omega and
+the basis arrows b.  So degree 1 is span{a.db}, the kernel of the
+composition map, and degree n is the degree-(n-1) forms times dC.
 
-* the product is the middle merge: compose the arrows that meet;
-* the differential is the alternating sum of identity insertions, which
-  on degree 0 reduces to d(f) = 1.f - f.1;
-* one span rule gives every basis: degree 0 has the unit rows, and
-  degree n >= 1 is the span of the products omega.db, over the
-  degree-(n-1) basis rows omega and the basis arrows b.  So degree 1 is
-  span{a.db}, the kernel of the composition map, and degree n is the
-  degree-(n-1) forms times dC.
+The chain spaces are normalized, as in the bar model C (x) Cbar^(x)n
+with Cbar = C modulo the identities (Cuntz-Quillen, J. AMS 8 (1995),
+section 1; Loday, Cyclic Homology, sections 1.1 and 2.6): a chain with
+an identity basis arrow in a differential slot (every slot but the
+first) is never built, and a term of a product or of d(b) that lands on
+one is dropped.  Where every identity is a basis arrow, a0.da1...dan is
+the kept chain a0 (x) a1 (x) ... (x) an plus dropped chains, and a
+dropped chain times db is a sum of dropped chains, so the forms multiply
+exactly on the kept chains and each kept chain is its own basis row: two
+in each degree of the dual numbers, of 2^(n+1) chains.  An identity off
+the basis (M_n) drops no chain, nor does that of an object w from which
+a walk reaches one: a.1_w.db = a.1_w.b - a.b.1_y, for b from w to y,
+would leave the terms of 1_y on kept chains.
 
-The walk ends where the forms end.  The builder checks every degree
-against the path count, dim(n, x, y) = sum over w of
-dim(n-1, x, w) * (dim hom(w, y) - [w = y]), so a degree whose forms are
-all zero has none above it, and a product of two nonzero factor spaces
-has forms in its total degree.  So the chain spaces are grown one degree
-at a time as the span walk reaches them (`_Chains.grow`), and the walk
-and the tables stop after the first degree without forms: for a category
-whose non-identity arrows cannot be chained past length k (a poset, an
-acyclic quiver), no chain space above degree k + 1 is built, whatever
-the truncation.
+The walk ends where the forms end.  Every degree is checked against the
+path count, dim(n, x, y) = sum over w of dim(n-1, x, w) *
+(dim hom(w, y) - [w = y]), so a degree whose forms are all zero has
+none above it, and a product of two nonzero factor spaces has forms in
+its total degree.  So the chain spaces are grown one degree at a time
+(`_Chains.grow`), and the walk and the tables stop after the first
+degree without forms: for a category whose non-identity arrows cannot
+be chained past length k (a poset, an acyclic quiver), no chain space
+above degree k + 1 is built, whatever the truncation.
 
 Each basis is the reduced echelon basis of its span in a fixed column
-order, which is unique for the span, so composition tensors and
-differentials are reproducible.  Chain vectors are `NumeratorRow`s,
-(d, {chain: int}): the merge multiplies them over the category's integer
-product blocks, each basis of a degree is read off the integer rows of
-its span (`QuotientSpace.numerator_rows`), and no coefficient becomes a
-`Fraction` while the tables are built.
+order, which is unique for the span, so the tables are reproducible.
+Chain vectors are `NumeratorRow`s, (d, {chain: int}), multiplied over
+the category's integer product blocks; each basis is read off the
+integer rows of its span (`QuotientSpace.numerator_rows`), and no
+coefficient becomes a `Fraction` while the tables are built.
 
 The span is the only place where chains are multiplied.  Its products
-give two things, and the chain vectors are dropped after them:
-
-* the right multiplications by db: the coordinates of every spanning
-  product omega.db in the degree-n basis;
-* an expression of every degree-n basis row as a combination of
-  spanning products, over the integers as well.
-
-The tables then follow by linearity from three rules, in the envelope
-of a category (associative, with units):
+give the right multiplications by db (the coordinates of every spanning
+product omega.db in the degree-n basis) and an expression of every
+degree-n basis row as an integer combination of spanning products; the
+chain vectors are dropped after them.  The tables then follow by
+linearity from three rules, in the envelope of a category (associative,
+with units):
 
 1. u.(omega.db) = (u.omega).db, so the product block (p, q), q >= 1, is
    block (p, q-1) followed by the right multiplications;
@@ -60,21 +64,20 @@ Each derived entry is covered by these checks:
   category that `validate_category` rejects (`CategoryAxiomError`)
   before any chain is built;
 * every spanning product is reduced by the basis over the whole chain
-  space, and must leave nothing (`QuotientSpace.coordinates`), so its
-  coordinates are exact; every expression is substituted back in
-  coordinates, which with the former makes it an identity of chain
-  vectors; the entries follow from these identities and the rules in
-  exact arithmetic;
+  space, and must leave nothing (`QuotientSpace.coordinates`), and every
+  expression is substituted back in coordinates, which with the former
+  makes it an identity of chain vectors; the entries follow from these
+  identities and the rules in exact arithmetic;
 * the tests pin the table digests of six envelopes, and compare the
   tables of more with a direct fill (one chain merge and reduction per
-  pair of basis forms, in `Fraction`s) that they keep as an oracle.
+  pair of basis forms, in `Fraction`s, over every chain) that they keep
+  as an oracle.
 
-The contraction sums Python ints over one denominator per block, in
-the manner of `lincat.form_matrix.ProductAccumulator`, starting from
-the category's own blocks (`Category.integral_comp`).  Those integer
-blocks, and those of the differential, are the one store of
-`DGCategory`, which the checked constructor fills too: no table of the
-envelope is kept as `Fraction`s.
+The contraction sums Python ints over one denominator per block, in the
+manner of `lincat.form_matrix.ProductAccumulator`, starting from the
+category's own blocks (`Category.integral_comp`).  Those integer blocks,
+and those of the differential, are the one store of `DGCategory`, which
+the checked constructor fills too: no table is kept as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -92,33 +95,26 @@ IntBlock = tuple[int, list]
 
 
 class _ChainSpace:
-    """Flat enumeration of the degree-n chains for one endpoint pair.
+    """The kept degree-n chains for one endpoint pair: a basis of the normalized bar model.
 
     A chain is (interior objects, arrow basis indices): n interior
-    objects and n+1 arrows strung from x to y through them.  The
-    interiors are the given walks through nonzero hom spaces.  The
-    enumeration runs over them (lexicographic), then row-major in the
-    arrow indices, and is then sorted, stably, by the number of
-    differential slots (every slot but the first) that hold the
-    identity arrow of their object: such a chain makes a poor pivot, so
-    these come last.  Every reduced basis is taken in this column
-    order, which makes it deterministic and puts pivots on clean
-    monomials whenever possible.  A degree-0 chain has no differential
-    slot, so in degree 0 the chains are ((), (k,)) in order, and chain k
-    is basis arrow k.
+    objects, from the given walks, and n+1 arrows strung from x to y
+    through them.  Only the chains with no identity named in `unit` in a
+    differential slot are built, over the interiors, then row-major in
+    the arrow indices; every reduced basis is taken in this order.  Where
+    every identity is a basis arrow, a0.da1...dan is the kept chain
+    a0 (x) ... (x) an plus dropped chains, so each kept chain is its own
+    basis row (Cuntz-Quillen, section 1; Loday, sections 1.1 and 2.6).
+    In degree 0 the chains are ((), (k,)) in order: chain k is arrow k.
     """
 
     def __init__(self, c: Category, x: int, y: int, interiors: list[tuple[int, ...]], unit: dict[int, int]):
-        elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.elems: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for interior in interiors:
-            steps = itertools.pairwise((x,) + interior + (y,))
-            elems += ((interior, arrows) for arrows in itertools.product(*(range(c.dim(a, b)) for a, b in steps)))
-
-        def identities(elem) -> int:
-            interior, arrows = elem
             path = (x,) + interior + (y,)
-            return sum(1 for i in range(1, len(arrows)) if path[i] == path[i + 1] and unit.get(path[i]) == arrows[i])
-        self.elems = sorted(elems, key=identities) if unit else elems
+            slots = [[k for k in range(c.dim(a, b)) if not (i and a == b and unit.get(a) == k)]
+                     for i, (a, b) in enumerate(itertools.pairwise(path))]
+            self.elems += ((interior, arrows) for arrows in itertools.product(*slots))
         self.pos = {e: k for k, e in enumerate(self.elems)}
 
     @property
@@ -127,26 +123,31 @@ class _ChainSpace:
 
 
 class _Chains:
-    """The chain spaces of a category in degrees 0..top, with their product and the differential of an arrow.
+    """The chain spaces of a category from degree 0 up, with their product and the differential of an arrow.
 
-    `_Chains(c, N)` holds degrees 0..N, and `grow` adds the next one:
-    the universal builder starts from degrees 0 and 1 and grows one
-    degree when its span walk reaches it, so it builds no chain space
-    above the first degree whose forms are all zero.
+    `_Chains(c)` holds degrees 0 and 1, where d(b) lies; `grow` adds the
+    next one, when the universal builder's span walk reaches it.
     """
 
-    def __init__(self, c: Category, truncation: int):
+    def __init__(self, c: Category):
         self.c = c
         # the basis arrow that is an object's identity, where there is one
         self.unit = {x: nums[0][0] for x, (den, nums) in c.identity.items() if len(nums) == 1 and nums[0][1] == den}
+        # the identities that drop chains: those of the objects from which no
+        # walk reaches an identity that is not a basis arrow (module docstring)
+        objects = range(len(c.objects))
+        reach = {x for x in objects if x not in self.unit}
+        while more := {x for x in objects if x not in reach and any(c.dim(x, y) for y in reach)}:
+            reach |= more
+        self.dropped = {x: k for x, k in self.unit.items() if x not in reach}
         # the category's products over one denominator per block, and their lcm
         self.products: dict[tuple[int, int, int], IntBlock] = c.integral_comp
         self.den = lcm(*(den for den, _ in self.products.values()))
         self.spaces: dict[tuple[int, int, int], _ChainSpace] = {}
         self.top = -1
         self._interiors: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for _ in range(truncation + 1):
-            self.grow()
+        self.grow()
+        self.grow()
 
     def grow(self) -> None:
         """Add the chain spaces of degree top + 1, found by a walk.
@@ -164,13 +165,14 @@ class _Chains:
                                for x in objects for y in objects}
         for x in objects:
             for y in objects:
-                self.spaces[(self.top, x, y)] = _ChainSpace(c, x, y, self._interiors.get((x, y), []), self.unit)
+                self.spaces[(self.top, x, y)] = _ChainSpace(c, x, y, self._interiors.get((x, y), []), self.dropped)
 
     def merge(self, p: int, q: int, x: int, y: int, z: int, u: NumeratorRow, v: NumeratorRow) -> NumeratorRow:
         """Chain-level product of a degree-p (x,y) and a degree-q (y,z) numerator row, over du * dv * `den`.
 
         The arrows that meet are multiplied in the category's integer
-        blocks (`products`), each scaled up to their lcm `den`.
+        blocks (`products`), each scaled up to their lcm `den`; a term on
+        a dropped chain is left out.
         """
         products, den = self.products, self.den
         u_elems, v_elems = self.spaces[(p, x, y)].elems, self.spaces[(q, y, z)].elems
@@ -186,18 +188,20 @@ class _Chains:
                 m = uc * vc if block_den == den else uc * vc * (den // block_den)
                 interior, tail = u_int + v_int, v_arr[1:]
                 for k, s in rows[last][v_arr[0]]:
-                    key = out_pos[(interior, head + (k,) + tail)]
-                    out[key] = out.get(key, 0) + m * s
+                    key = out_pos.get((interior, head + (k,) + tail))
+                    if key is not None:
+                        out[key] = out.get(key, 0) + m * s
         return du * dv * den, {k: n for k, n in out.items() if n}
 
     def d_arrow(self, x: int, y: int, b: int) -> NumeratorRow:
-        """d of basis arrow b at (x, y), a degree-1 numerator row: 1.b - b.1 with the identity in a slot of its own."""
+        """d of basis arrow b at (x, y), a numerator row on the kept degree-1 chains: 1.b - b.1."""
         (dx, ix), (dy, iy) = self.c.identity[x], self.c.identity[y]
         den, pos = lcm(dx, dy), self.spaces[(1, x, y)].pos
-        out: IntRow = {pos[((x,), (k, b))]: n * (den // dx) for k, n in ix}
-        for k, n in iy:
-            key = pos[((y,), (b, k))]
-            out[key] = out.get(key, 0) - n * (den // dy)
+        terms = [(((x,), (k, b)), n * (den // dx)) for k, n in ix] + [(((y,), (b, k)), -n * (den // dy)) for k, n in iy]
+        out: IntRow = {}
+        for chain, n in terms:
+            if chain in pos:
+                out[pos[chain]] = out.get(pos[chain], 0) + n
         return den, {k: n for k, n in out.items() if n}
 
     def label(self, n: int, x: int, y: int, pivot: int) -> str:
@@ -286,23 +290,19 @@ def _settled(den: int, sums: list) -> IntBlock:
 def universal_tables(c: Category, truncation: int) -> tuple[dict, dict, dict]:
     """The tables (gr_basis, blocks, diff) of the universal envelope of `c`.
 
-    Degree 0 is the chain space of the arrows themselves, with the unit
-    rows as basis.  Every degree n >= 1, up to `truncation`, is the
-    reduced echelon span of the products omega.db, over the
-    degree-(n-1) basis rows omega and the basis arrows b, until the
-    first degree whose forms are all zero: by the path count no degree
-    above it holds forms and no product above it has two nonzero
-    factors, so gr_basis names the degrees up to that one and the
-    tables are those of the whole truncation.  The products and
-    differentials of basis forms follow from the coordinates of those
-    spanning products by the three rules of the module docstring.
-    gr_basis is in the input format of `DGCategory`; blocks holds every
-    product block, those of the category included, by (p, q, x, y, z), as
-    `DGCategory.integral_products` hands them out, and diff every block
-    of the differential out of a degree below the truncation, by
-    (n, x, y), as `DGCategory.integral_diff` does.  The rules hold in a
-    category only: `c` must pass `validate_category`, which
-    `lincat.dg.universal_dg` checks first.
+    Degree 0 has the unit rows as basis, and every degree n >= 1, up to
+    `truncation`, is the reduced echelon span of the products omega.db,
+    until the first degree whose forms are all zero, above which no
+    degree holds forms and no product has two nonzero factors.  The
+    products and differentials of basis forms follow from the
+    coordinates of those spanning products by the three rules of the
+    module docstring.  gr_basis is in the input format of `DGCategory`;
+    blocks holds every product block, those of the category included,
+    by (p, q, x, y, z), as `DGCategory.integral_products` hands them out,
+    and diff every block of the differential out of a degree below the
+    truncation, by (n, x, y), as `DGCategory.integral_diff` does.  The
+    rules hold in a category only: `c` must pass `validate_category`,
+    which `lincat.dg.universal_dg` checks first.
     """
     gr_basis, dims, right, expr = _spans(c, truncation)
     return gr_basis, *_derived_tables(c, max(gr_basis), dims, right, expr)
@@ -319,7 +319,7 @@ def _spans(c: Category, N: int) -> tuple[dict, dict, dict, dict]:
     """
     objects = range(len(c.objects))
     pairs = [(x, y) for x in objects for y in objects]
-    chains = _Chains(c, 1)
+    chains = _Chains(c)
     dims = {(0, x, y): c.dim(x, y) for x, y in pairs}
 
     # right[(n, x, w, y)]: the degree-n coordinates of omega.db, for the

@@ -1,26 +1,79 @@
 """The direct fill of the universal envelope's tables, as an oracle.
 
-`direct_tables` builds the same bases as `lincat.envelope` (the chain
-spaces and the span rule), then fills the product table and the
+`direct_tables` builds the bases of `lincat.envelope` (the span rule)
+inside chain spaces of its own, then fills the product table and the
 differential the direct way: one chain merge or identity insertion per
 pair of basis forms, or per basis form, with its coordinates read off
-after a reduction that must leave nothing.  It shares no table rule with
-the builder, which derives both tables from the span's own products, and
-no chain arithmetic either: only the enumeration of the chain spaces is
-the builder's, and the merge and the insertion here are written in
-`Fraction`s, straight from `law_oracle.compose_basis` and the identities,
-where the builder's run over integer blocks.  So the two must agree
-entry for entry.
+after a reduction that must leave nothing.  Its chain spaces hold every
+chain, the unnormalized bar model, where the builder keeps only the
+chains without an identity in a differential slot; they are enumerated
+here, by a walk of their own, in a column order whose first columns are
+the builder's kept chains, so its reduced bases pivot where the
+builder's do, and its basis forms are the builder's.  The
+merge and the insertion here are written in `Fraction`s, straight from
+`law_oracle.compose_basis` and the identities, where the builder's run
+over integer blocks, and the builder derives both tables from the span's
+own products.  So the two share no code, and must agree entry for entry.
 """
 
+import itertools
 from fractions import Fraction
 
-from lincat.envelope import _Chains
 from lincat.errors import LincatError
 from lincat.exact_linalg import ONE, ZERO, build_quotient
 
 from conftest import as_numerators, fraction_row
 from law_oracle import compose_basis, identity_terms
+
+
+class ChainSpace:
+    """The chains (interior objects, arrow basis indices) of one degree and endpoint pair, with their positions."""
+
+    def __init__(self, elems):
+        self.elems = elems
+        self.pos = {e: k for k, e in enumerate(elems)}
+        self.dim = len(elems)
+
+
+class Chains:
+    """Every chain of a category in degrees 0..N, by (n, x, y).
+
+    A degree-n chain from x to y strings n + 1 basis arrows along a walk
+    x, z1, ..., zn, y through nonzero hom spaces.  They are listed by
+    walk, then row-major in the arrows, and then sorted, stably, so that
+    the chains the builder drops come last: those with an identity basis
+    arrow in a differential slot (every slot but the first), at an
+    object from which every walk leads to objects whose identities are
+    basis arrows.
+    """
+
+    def __init__(self, c, truncation):
+        self.c = c
+        objects = range(len(c.objects))
+        units = {x: t[0][0] for x, t in identity_terms(c).items() if len(t) == 1 and t[0][1] == ONE}
+
+        def walks(x, steps):
+            """The walks of `steps` steps through nonzero hom spaces from x, in lexicographic order."""
+            if not steps:
+                return [(x,)]
+            return [(x,) + rest for z in objects if c.dim(x, z) for rest in walks(z, steps - 1)]
+
+        dropping = {x: k for x, k in units.items()
+                    if all(w[-1] in units for n in range(len(c.objects)) for w in walks(x, n))}
+
+        def dropped(path, arrows):
+            return any(path[i] == path[i + 1] and dropping.get(path[i]) == arrows[i] for i in range(1, len(arrows)))
+
+        self.spaces = {}
+        for n in range(truncation + 1):
+            for x in objects:
+                elems = {y: [] for y in objects}
+                for path in walks(x, n + 1):
+                    steps = [range(c.dim(a, b)) for a, b in itertools.pairwise(path)]
+                    elems[path[-1]] += [(path[1:-1], arrows) for arrows in itertools.product(*steps)]
+                for y in objects:
+                    ordered = sorted(elems[y], key=lambda e: dropped((x,) + e[0] + (y,), e[1]))
+                    self.spaces[(n, x, y)] = ChainSpace(ordered)
 
 
 def _coordinates(target, v):
@@ -76,7 +129,7 @@ def direct_tables(c, truncation):
     """(gr_comp, diff) of the universal envelope of `c`, one chain vector per entry."""
     N = truncation
     objects = range(len(c.objects))
-    chains = _Chains(c, N)
+    chains = Chains(c, N)
     sub = {}
     for x in objects:
         for y in objects:

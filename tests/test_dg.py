@@ -397,6 +397,28 @@ def kronecker_category():
     )
 
 
+def dual_and_matrices(rows):
+    """The dual numbers at P (identity p, a basis arrow) and M2 at X (identity e11 + e22, not one), and arrows between.
+
+    With `rows`, r1 and r2 from X to P, r_i e_ij = r_j; else v1 and v2
+    from P to X, e_ij v_j = v_i; u kills them on either side.
+    """
+    units = [f"e{i}{j}" for i in (1, 2) for j in (1, 2)]
+    comp = {(a, b): ({f"e{a[1]}{b[2]}": 1} if a[2] == b[1] else {}) for a in units for b in units}
+    comp.update({("p", "p"): {"p": 1}, ("p", "u"): {"u": 1}, ("u", "p"): {"u": 1}, ("u", "u"): {}})
+    homs = {("P", "P"): ["p", "u"], ("X", "X"): units}
+    for k in (1, 2):
+        if rows:
+            homs[("P", "X")] = ["r1", "r2"]
+            comp.update({("p", f"r{k}"): {f"r{k}": 1}, ("u", f"r{k}"): {}})
+            comp.update({(f"r{k}", e): ({f"r{e[2]}": 1} if e[1] == str(k) else {}) for e in units})
+        else:
+            homs[("X", "P")] = ["v1", "v2"]
+            comp.update({(f"v{k}", "p"): {f"v{k}": 1}, (f"v{k}", "u"): {}})
+            comp.update({(e, f"v{k}"): ({f"v{e[1]}": 1} if e[2] == str(k) else {}) for e in units})
+    return build_category(["P", "X"], homs, comp, {"P": {"p": 1}, "X": {"e11": 1, "e22": 1}})
+
+
 # the derived tables against the direct fill, one chain merge per pair of
 # basis forms; each entry makes (category, truncation)
 ORACLE_ENVELOPES = {
@@ -415,6 +437,12 @@ ORACLE_ENVELOPES = {
     "M2-halves-3": lambda: (scaled_matrix_units(2, 2), 3),
     "M2-weighted-3": lambda: (weighted_matrix_units(2), 3),
     "A4-scaled-4": lambda: (scaled_quiver(4), 4),
+    # identities on and off the basis: the chains with p in a differential
+    # slot are dropped with the arrows v, and kept with the arrows r, where
+    # a.p.dr = a.p.r - a.r.(e11 + e22) would leave a.r.e11 + a.r.e22 on
+    # kept chains
+    "dual-M2-3": lambda: (dual_and_matrices(rows=False), 3),
+    "M2-dual-3": lambda: (dual_and_matrices(rows=True), 3),
 }
 
 
@@ -549,7 +577,7 @@ def test_chain_subspace_refuses_a_vector_outside_its_span():
     # degree 1 of M2: the span of a.db inside the chains of one object, from
     # the builder's numerator rows
     c = m2_category()
-    chains = _Chains(c, 1)
+    chains = _Chains(c)
     space = chains.spaces[(1, 0, 0)]
     d_arrow = [chains.d_arrow(0, 0, b) for b in range(c.dim(0, 0))]
     sub = build_quotient(space.dim, [chains.merge(0, 1, 0, 0, 0, (1, {a: 1}), db)
@@ -1399,6 +1427,48 @@ def test_envelope_builder_stops_where_its_forms_stop(monkeypatch):
     shallow = universal_dg(c, 5)
     assert deep.stored_products() == shallow.stored_products()
     assert deep.stored_differentials() == shallow.stored_differentials()
+
+
+def path_counts(c, truncation):
+    """The forms of each degree by the path count, summed over endpoint pairs, up to the first degree without any."""
+    objects = range(len(c.objects))
+    pairs = [(x, y) for x in objects for y in objects]
+    dims = {(x, y): c.dim(x, y) for x, y in pairs}
+    counts = [sum(dims.values())]
+    while counts[-1] and len(counts) <= truncation:
+        dims = {(x, y): sum(dims[(x, w)] * (c.dim(w, y) - (w == y)) for w in objects) for x, y in pairs}
+        counts.append(sum(dims.values()))
+    return counts
+
+
+@pytest.mark.parametrize("make, truncation, expected", [
+    *[(make, 6, path_counts) for make in (two_points_category, dual_category, point_category, arrow_category)],
+    *[(lambda n=n: linear_quiver_category(n), n + 2, path_counts) for n in range(3, 7)],
+    (m2_category, 3, lambda c, truncation: [4 ** (n + 1) for n in range(truncation + 1)]),
+], ids=["two_points", "dual", "point", "arrow", "A3", "A4", "A5", "A6", "M2"])
+def test_builder_enumerates_the_kept_chains_only(make, truncation, expected, monkeypatch):
+    # where every identity is a basis arrow, the chains with an identity in a
+    # differential slot are never built, so each degree up to the first
+    # without forms has as many chains as the path count gives forms (two
+    # for two_points and the dual numbers, where every chain was 2^(n+1));
+    # M2's identity is no basis arrow, and it keeps all 4^(n+1) chains
+    import lincat.envelope
+
+    built = {}
+    chain_space = lincat.envelope._ChainSpace
+
+    def counting(c, x, y, interiors, unit):
+        space = chain_space(c, x, y, interiors, unit)
+        if interiors:
+            built[len(interiors[0])] = built.get(len(interiors[0]), 0) + space.dim
+        return space
+
+    monkeypatch.setattr(lincat.envelope, "_ChainSpace", counting)
+    c = make()
+    universal_dg(c, truncation)
+    counts = expected(c, truncation)
+    assert max(built) == len(counts) - 1
+    assert [built.get(n, 0) for n in range(len(counts))] == counts
 
 
 @pytest.mark.parametrize("truncation", [2.0, "3", True, 0])
