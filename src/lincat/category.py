@@ -28,9 +28,9 @@ implementation here.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import DimensionError, LincatError, ScalarTypeError
 from .exact_linalg import IntTerms, checked_terms, cut_rows, integral_terms, over_lcm, scalar

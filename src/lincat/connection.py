@@ -20,8 +20,9 @@ The square of a connection is right-linear over forms, and is
 implemented directly by the matrix Gamma = C.C + e.d(C); agreement of
 that closed form with literally applying the connection twice is one of
 the certified properties, not an assumption.  A connection is
-immutable, so Gamma is computed once, on the first call, with both
-products accumulated into one matrix.
+immutable, so C and Gamma are each computed once, on first read: a
+connection that is only parsed, exported or traced never multiplies
+out C, and Gamma accumulates both of its products into one matrix.
 
 The one-parameter family joining two connections on the same module is
 handled by matrices over the polynomial extension; `tilde_curvature`
@@ -43,15 +44,13 @@ class Connection:
     """A connection on a projective module, stored as a gauge matrix."""
 
     def __init__(self, module: ProjectiveModule, gauge: FormMatrix):
-        w = module.w
         if gauge.degree != 1:
             raise DimensionError("connection gauge matrix must consist of degree-1 forms")
         if (gauge.row_family, gauge.col_family) != (module.family, module.family):
             raise DimensionError("connection gauge matrix does not match the module family")
         self.module = module
         self.gauge = gauge
-        e = module.idempotent
-        self._operational = e.mul(w, gauge.mul(w, e) + e.d(w))
+        self._operational = None
         self._curvature = None
 
     @property
@@ -59,7 +58,10 @@ class Connection:
         return self.module.w
 
     def operational_matrix(self) -> FormMatrix:
-        """e.(L.e + d e): the part of the gauge matrix that acts."""
+        """e.(L.e + d e): the part of the gauge matrix that acts, computed on the first call."""
+        if self._operational is None:
+            w, e = self.w, self.module.idempotent
+            self._operational = e.mul(w, self.gauge.mul(w, e) + e.d(w))
         return self._operational
 
     def apply(self, column: FormMatrix) -> FormMatrix:
@@ -71,7 +73,7 @@ class Connection:
             raise TruncationError(
                 f"derivative of a degree-{column.degree} column needs truncation {column.degree + 1}"
             )
-        return self._operational.mul(w, column) + self.module.idempotent.mul(w, column.d(w))
+        return self.operational_matrix().mul(w, column) + self.module.idempotent.mul(w, column.d(w))
 
     def curvature(self) -> FormMatrix:
         """Gamma = C.C + e.d(C); the square of the connection acts by it.
@@ -83,7 +85,7 @@ class Connection:
         if w.truncation < 2:
             raise TruncationError("curvature needs degree-2 forms; raise the truncation to at least 2")
         if self._curvature is None:
-            c = self._operational
+            c = self.operational_matrix()
             acc = ProductAccumulator(w, 2, self.module.family, self.module.family)
             acc.add(c, c)
             acc.add(self.module.idempotent, c.d(w))

@@ -17,10 +17,13 @@ degree n - |g| (`generator_span`, numerator rows summed over integer
 blocks); truncation is a quotient by an ideal, so the identity holds
 in the truncated category too.  It needs associativity, so the
 quotient is built only when the laws hold on G (`certified_generators`,
-which `validate_dg` shares).  Tables that fail a law there are no DG
-category, and their quotient is not the complex of the paper, so
-`get_complex` refuses them with `CategoryAxiomError`, naming the first
-violation of `validate_category` and `validate_dg`.
+which `validate_dg` shares); then the rows [1_x, v] of an identity in
+G are v - v = 0, so the identities are left out of the span, and a
+degree with no diagonal forms is the zero space, whose quotient and d
+columns are empty, with no span built.  Tables that fail a law on G
+are no DG category, and their quotient is not the complex of the
+paper, so `get_complex` refuses them with `CategoryAxiomError`, naming
+the first violation of `validate_category` and `validate_dg`.
 
 The differential descends to the quotient, and that it does is checked
 rather than assumed: the reduced echelon rows of each commutator
@@ -178,19 +181,24 @@ class DeRhamComplex:
             raise CategoryAxiomError(
                 f"laws fail ({len(violations)} violation(s), first {violations[0].kind} at "
                 f"{violations[0].where}); no quotient complex is built", violations)
-        # the commutators of each degree, spanned by [g, v] with g in G
-        self.quotients: list[QuotientSpace] = [
-            build_quotient(self.ambient_dim(n), generator_span(w, n, gens)) for n in range(N + 1)
-        ]
+        # the commutators of each degree, spanned by [g, v] with g in G; once
+        # the laws hold, [1_x, v] = v - v = 0, so the identities in G are
+        # left out, and a degree with no diagonal forms is the zero space
+        gens = [g for g in gens if g != w.identity_form(g.cod)]
+        held = [n for n in range(N + 1) if self.ambient_dim(n)]
+        self.quotients: list[QuotientSpace] = [QuotientSpace(0, (), {})] * (N + 1)
         # d on the ambient diagonal space of each degree, as (D, columns):
         # column j is D times d of the j-th basis vector, zero out of the top
-        self._ambient_columns: list[tuple[int, list[IntTerms]]] = [self._ambient_d_columns(w, n) for n in range(N + 1)]
+        self._ambient_columns: list[tuple[int, list[IntTerms]]] = [(1, [])] * (N + 1)
+        for n in held:
+            self.quotients[n] = build_quotient(self.ambient_dim(n), generator_span(w, n, gens))
+            self._ambient_columns[n] = self._ambient_d_columns(w, n)
 
         # the induced differential, as (D, columns): column k of degree n is
         # D times the class of d(e_c), e_c lifting the k-th unit class,
         # indexed by the classes of degree n + 1; out of the top degree zero
-        self.d_columns: list[tuple[int, list[IntTerms]]] = []
-        for n in range(N):
+        self.d_columns: list[tuple[int, list[IntTerms]]] = [(1, [])] * N + [(1, [()] * self.dim(N))]
+        for n in (n for n in held if n < N):
             qn, qn1 = self.quotients[n], self.quotients[n + 1]
             # the echelon rows span the degree-n commutators and d is linear,
             # so d preserves commutators exactly when it does on these rows
@@ -200,8 +208,7 @@ class DeRhamComplex:
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
             den, columns = self._ambient_columns[n]
-            self.d_columns.append(over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns))
-        self.d_columns.append((1, [()] * self.dim(N)))
+            self.d_columns[n] = over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns)
         # built on first use in a degree and kept: the full commutator span
         # of `commutator_system`, with its rows, and the span of d (`_span`)
         self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}

@@ -362,11 +362,15 @@ def validate_dg(w: DGCategory) -> list[Violation]:
     associativity, the forms that satisfy the Leibniz rule with every y
     are closed under products too, so Leibniz on the pairs (g, y) gives
     it everywhere; then d.d is a derivation, and d.d = 0 on G gives it
-    everywhere.  No product is sampled: y and z run over every basis
-    form, and in the worst case G is the whole basis.  Only when a check
-    on G fails does the same check run with every basis form on the
-    left, so the failures are reported on basis forms, sorted by law,
-    degrees, objects and basis indices.
+    everywhere.  An identity 1_x in G is held to the unit law on all of
+    its object instead, 1_x.v = v for every basis form v with codomain
+    x, and d(1_x) = 0, which give every law above with 1_x on the left:
+    (1.y).z = y.z = 1.(y.z) and d(1.y) = dy = d1.y + 1.dy.  No product
+    is sampled: y and z run over every basis form, and in the worst
+    case G is the whole basis.  Only when a check on G fails does the
+    same check run with every basis form on the left, so the failures
+    are reported on basis forms, sorted by law, degrees, objects and
+    basis indices.
 
     The one check of every law, on G and on the basis, is that of
     `lincat.laws`; `_generators` is here, because G is made of forms.
@@ -404,7 +408,10 @@ def _generators(w: DGCategory) -> list[Form]:
     Every step follows the tables in a fixed order, so G is a function
     of the tables alone, and the words span every basis form by
     construction.  Products of lower words walk the sorted keys of the
-    kept words, so only the degrees that hold forms are multiplied.
+    kept words, so only the degrees that hold forms are multiplied, and
+    a space that already holds dim(n, x, y) kept words is full: no word
+    is multiplied into it or added to its echelon basis, which would
+    reject it anyway.
     """
     N, objs, dim = w.truncation, w.base.objects, w.dim
     nobj = len(objs)
@@ -416,14 +423,20 @@ def _generators(w: DGCategory) -> list[Form]:
     pending: list[Form] = []  # d of the generators of the degree below
     fresh: deque = deque()  # words not yet multiplied by the degree-0 generators
 
-    def times(n: int, x: int, y: int, v: IntRow, gid: int, g: Form) -> IntRow:
-        """The word v of degree n at (x, y) times the generator g at (y, z), up to a nonzero scale."""
+    def full(n: int, x: int, y: int) -> bool:
+        return len(spanning.get((n, x, y), ())) == dim(n, x, y)
+
+    def multiply(n: int, x: int, y: int, v: IntRow, gid: int, g: Form) -> None:
+        """Add the word v of degree n at (x, y) times the generator g at (y, z), unless the words fill its space."""
+        m, z = n + g.degree, g.dom.index
+        if full(m, x, z):
+            return
         key = (gid, n, x)
         rows = rows_of.get(key)
         if rows is None:
-            _, products = w.integral_products(n, g.degree, x, y, g.dom.index)
+            _, products = w.integral_products(n, g.degree, x, y, z)
             rows = rows_of[key] = [contract_into({}, g.nums, row).items() for row in products]
-        return contract_into({}, v.items(), rows)
+        add(m, x, z, contract_into({}, v.items(), rows))
 
     def add(n: int, x: int, y: int, v: IntRow) -> bool:
         basis = words.get((n, x, y))
@@ -440,7 +453,7 @@ def _generators(w: DGCategory) -> list[Form]:
         while fresh:
             n, x, y, v = fresh.popleft()
             for gid, g in by_source.get((0, y), ()):
-                add(n, x, g.dom.index, times(n, x, y, v, gid, g))
+                multiply(n, x, y, v, gid, g)
 
     def join(g: Form) -> None:
         """Make g, already added as a word, a generator: the degree-0 words times g."""
@@ -450,7 +463,7 @@ def _generators(w: DGCategory) -> list[Form]:
         by_source.setdefault((n, x), []).append((gid, g))
         for x0 in range(nobj):
             for u in list(spanning.get((0, x0, x), ())):
-                add(n, x0, y, times(0, x0, x, u, gid, g))
+                multiply(0, x0, x, u, gid, g)
         close()
         if n < N:
             dg = w.d(g)
@@ -461,11 +474,11 @@ def _generators(w: DGCategory) -> list[Form]:
         for k, x, y in sorted(key for key in spanning if 0 < key[0] < n):
             for v in spanning[(k, x, y)]:
                 for gid, g in by_source.get((n - k, y), ()):
-                    add(n, x, g.dom.index, times(k, x, y, v, gid, g))
+                    multiply(k, x, y, v, gid, g)
         close()
         differentials, pending = pending, []
         for g in differentials:
-            if add(n, g.cod.index, g.dom.index, dict(g.nums)):
+            if not full(n, g.cod.index, g.dom.index) and add(n, g.cod.index, g.dom.index, dict(g.nums)):
                 join(g)
         for x in range(nobj):
             for y in range(nobj):

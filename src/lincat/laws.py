@@ -4,12 +4,16 @@ Every law is written once, in `_failures`, with one form g on the left
 and every basis form on the right: the unit laws 1.g = g and g.1 = g,
 d.d = 0, Leibniz and associativity.  `laws_hold_on` runs it on a
 generating set, and `_report` runs it with every basis form on the left
-and names what fails.  Two reports share `_report`: `law_violations`,
-its failures that involve d or a form of positive degree, which
-`validate_dg` in `lincat.dg` returns once the check on its generating
-set has failed, and `validate_category` in `lincat.category`, the report
-on `trivial_dg(c)`, where d = 0 and no form lies above degree 0, so
-only the unit and associativity laws of the category can fail.  All of
+and names what fails.  An identity 1_x in the generating set takes the
+whole-object unit law instead (`_unit_holds`): 1_x.v = v for every
+basis form v with codomain x, and d(1_x) = 0, which imply every law
+`_failures` checks on 1_x, in linear rather than quadratic time.  Two
+reports share `_report`: `law_violations`, its failures that involve d
+or a form of positive degree, which `validate_dg` in `lincat.dg`
+returns once the check on its generating set has failed, and
+`validate_category` in `lincat.category`, the report on
+`trivial_dg(c)`, where d = 0 and no form lies above degree 0, so only
+the unit and associativity laws of the category can fail.  All of
 them read the products and differentials of basis forms straight from
 the tables of a `DGCategory` and contract them into sparse sums with
 `lincat.exact_linalg.contract_into`, the contraction that `compose` and
@@ -174,17 +178,44 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, dims) -> Iterat
                                 yield 4, (p, q, r), (x, y, z, u), (j, k)
 
 
+def _unit_holds(w: DGCategory, x: int, columns, dims) -> bool:
+    """Whether 1_x.v = v for every basis form v with codomain x, and d(1_x) = 0.
+
+    These imply every law of `_failures` on g = 1_x: (1.b).c = b.c =
+    1.(b.c), and d(1.b) = db = d1.b + 1.db, each side a form with
+    codomain x, and 1.1 = 1 is the case v in degree 0.  The check is
+    linear in the basis forms, where `_failures` on 1_x is quadratic.
+    """
+    one_den, one = w.base.identity[x]
+    if any(contract_into({}, one, w.integral_diff(0, x, x)[1]).values()):
+        return False
+    for q, dims_q in enumerate(dims):
+        for z, dq in enumerate(dims_q[x] if dims_q else ()):
+            if dq:
+                den, cols = columns(0, q, x, x, z)
+                if any(any(contract_into({j: -one_den * den}, one, cols[j]).values()) for j in range(dq)):
+                    return False
+    return True
+
+
 def laws_hold_on(w: DGCategory, gens: Sequence[Form]) -> bool:
     """Whether `_failures` finds nothing with any g in `gens` on the left.
 
     Stops at the first failure.  The unit laws and associativity include
     degree 0, which the lemma of `validate_dg` needs though
-    `validate_category` reports its failures.
+    `validate_category` reports its failures.  A g that is the identity
+    1_x of an object is checked by `_unit_holds` instead, the stronger
+    unit law on every basis form with codomain x, so for an identity
+    form `laws_hold_on(w, [g])` can be False where `_failures` finds
+    nothing.
     """
     columns, dims = _columns(w), _dims(w)
     for g in gens:
+        if g == w.identity_form(g.cod):
+            if not _unit_holds(w, g.cod.index, columns, dims):
+                return False
         # the laws are linear in g, so its denominator drops out
-        for _ in _failures(w, g.degree, g.cod.index, g.dom.index, g.nums, columns, dims):
+        elif next(_failures(w, g.degree, g.cod.index, g.dom.index, g.nums, columns, dims), None) is not None:
             return False
     return True
 

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any
 
 from .category import Category, ObjectId, build_category
 from .connection import Connection, canonical_connection

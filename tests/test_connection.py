@@ -14,7 +14,7 @@ from lincat.dg import universal_dg
 from lincat.errors import DimensionError, ModuleError, TruncationError
 from lincat.form_matrix import FormMatrix, block_diag
 from lincat.module_algebra import ProjectiveModule, direct_sum, hs_trace
-from lincat.workspace import load_fixture
+from lincat.workspace import fixture_names, load_fixture
 
 from conftest import (
     bundled_modules,
@@ -280,6 +280,19 @@ def test_curvature_is_computed_once(dual5, two5, arrow3):
         assert conn.curvature_power(1) is gamma
         c, e = conn.operational_matrix(), conn.module.idempotent
         assert gamma == c.mul(w, c) + e.mul(w, c.d(w))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_operational_matrix_is_computed_on_first_read(name):
+    # parsing builds every connection of a workspace, and none multiplies out
+    # C = e.(L.e + de) until it is read; then C is that product, kept
+    ws = load_fixture(name)
+    assert ws.connections and all(conn._operational is None for conn in ws.connections.values())
+    for conn in ws.connections.values():
+        w, e, gauge = conn.w, conn.module.idempotent, conn.gauge
+        c = conn.operational_matrix()
+        assert c == e.mul(w, gauge).mul(w, e) + e.mul(w, e.d(w))
+        assert conn.operational_matrix() is c
 
 
 def test_two_points_payloads_unchanged_by_the_curvature_memo(two5):

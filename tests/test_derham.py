@@ -14,15 +14,16 @@ import lincat.dg
 from lincat.derham import commutator_label, commutator_system, generator_span, get_complex
 from lincat.dg import DGCategory, _generators, certified_generators, render_terms, trivial_dg, validate_dg
 from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
-from lincat.exact_linalg import build_quotient, densify, is_zero_vector, numerator_row, zero_vector
+from lincat.exact_linalg import Echelon, QuotientSpace, build_quotient, densify, is_zero_vector, numerator_row, zero_vector
 from lincat.tforms import TildeCochain, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_power, trace_cochain
-from lincat.workspace import fixture_names, load_fixture
+from lincat.workspace import fixture_names, load_fixture, parse_workspace
 
 from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
 from conftest import (
     as_numerators,
     broken_associativity_category,
     broken_unit_category,
+    deepened,
     dense_ambient_d,
     dual_category,
     dense_diagonal,
@@ -475,6 +476,62 @@ def test_generators_and_quotients_are_pinned(make, generators, quotients):
     q_repr = repr([([sorted(fraction_row(row).items()) for row in q.numerator_rows], q.pivots) for q in rh.quotients])
     assert hashlib.sha256(g_repr.encode()).hexdigest() == generators
     assert hashlib.sha256(q_repr.encode()).hexdigest() == quotients
+
+
+@pytest.mark.parametrize("make, generators, quotients", GENERATOR_QUOTIENT_DIGESTS.values(),
+                         ids=GENERATOR_QUOTIENT_DIGESTS.keys())
+def test_generators_never_add_a_word_to_a_full_space(make, generators, quotients, monkeypatch):
+    # every space the words reach ends spanned, so the rank each echelon basis
+    # of `_generators` ends with is its dimension: no add may come at that rank
+    made = []
+
+    class Watched(Echelon):
+        def __init__(self):
+            super().__init__()
+            self.ranks = []
+            made.append(self)
+
+        def add(self, given):
+            self.ranks.append(len(self.numerator_rows))
+            return super().add(given)
+
+    monkeypatch.setattr(lincat.dg, "Echelon", Watched)
+    gens = _generators(make())
+    assert made and all(basis.ranks and max(basis.ranks) < len(basis.numerator_rows) for basis in made)
+    g_repr = repr([(g.degree, g.dom.index, g.cod.index, g.terms) for g in gens])
+    assert hashlib.sha256(g_repr.encode()).hexdigest() == generators
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_quotient_spans_only_degrees_with_forms_and_no_identity(name, monkeypatch):
+    # raised to truncation 60, the degrees above the forms of a tables or
+    # trivial model, a point or an arrow hold no diagonal forms: they get
+    # the zero quotient without a span; and once the laws hold,
+    # [1_x, v] = 0, so no identity in G enters a span
+    calls = []
+
+    def counted(w, n, gens):
+        calls.append((n, gens))
+        return generator_span(w, n, gens)
+
+    monkeypatch.setattr(lincat.derham, "generator_span", counted)
+    w = parse_workspace(deepened(name, 60)).dg
+    rh = get_complex(w)
+    held = [n for n in range(61) if rh.ambient_dim(n)]
+    assert [n for n, _ in calls] == held
+    assert (len(held) == 61) == (name in ("dual_numbers_universal", "two_points_universal"))
+    gens = certified_generators(w)[0]
+    spanning = [g for g in gens if g != w.identity_form(g.cod)]
+    assert all(used == spanning for _, used in calls)
+    for n in range(held[-1] + 1, 61):
+        assert rh.quotients[n] == QuotientSpace(0, (), {}) and rh.d_columns[n] == (1, [])
+    # the identities left out span nothing, and add nothing to the quotients
+    for n in held:
+        identities = [g for g in gens if g not in spanning]
+        assert all(not nums for _, nums in generator_span(w, n, identities))
+        assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), generator_span(w, n, gens))
+    if name.endswith("_universal"):
+        assert len(spanning) < len(gens)
 
 
 def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):

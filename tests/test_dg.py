@@ -25,11 +25,11 @@ from lincat import (
 )
 import lincat.dg
 from lincat.category import Category, checked_blocks
-from lincat.dg import DGCategory, Form, _generators
+from lincat.dg import DGCategory, Form, _generators, certified_generators
 from lincat.form_matrix import ProductAccumulator
 from lincat.envelope import _Chains
 from lincat.exact_linalg import ONE, Echelon, build_quotient, cut_rows, integral_terms
-from lincat.laws import law_violations, laws_hold_on
+from lincat.laws import _columns, _dims, _failures, law_violations, laws_hold_on
 from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture, parse_workspace
 
@@ -1231,6 +1231,61 @@ def test_law_kernel_over_denominators_equals_the_enumeration():
     assert failing >= 25, failing
     assert min(outcomes.values()) >= 40, outcomes
     assert cancelled >= 3, cancelled
+
+
+# -- identities in the generating set take the whole-object unit law -----------
+
+
+def full_sweep_holds(w, gens):
+    """The generator check with `_failures` run on every g in `gens`, identities included."""
+    columns, dims = _columns(w), _dims(w)
+    return all(next(_failures(w, g.degree, g.cod.index, g.dom.index, g.nums, columns, dims), None) is None
+               for g in gens)
+
+
+@pytest.mark.parametrize("name", ["two_points_universal", "dual_numbers_universal"])
+def test_identity_generator_is_held_to_the_unit_law(name):
+    # 1 is the first generator, so its unit law replaces its sweep: one
+    # wrong entry of 1.v at the top degree, or d(1) != 0, must still be
+    # seen, by the check on 1 alone and by the check on G
+    w = load_fixture(name).dg
+    N, one = w.truncation, w.identity_form(w.base.objects[0])
+    assert one in certified_generators(w)[0] and certified_generators(w)[1]
+    assert laws_hold_on(w, [one])
+    top = w.space_labels(N, 0, 0)
+    for spec, expected in ((f"comp:0:{N}:0:0:0:0:0:1", ("dg-identity-left", f"1_x . {top[0]}")),
+                           ("diff:0:0:0:0:0", ("dg-leibniz", "1 . 1"))):
+        v = corrupted(w, spec)
+        gens, lawful = certified_generators(v)
+        assert one in gens and not lawful and not laws_hold_on(v, [one]), spec
+        assert expected in [(u.kind, u.where) for u in validate_dg(v)], spec
+        with pytest.raises(CategoryAxiomError):
+            get_complex(v)
+
+
+def test_identity_generators_keep_the_verdict_of_the_full_sweep():
+    # the single corruptions the other tests build, one entry moved at a
+    # time, on models whose generating sets hold an identity and on M2,
+    # whose identity is no basis arrow
+    models = {
+        "m2": universal_dg(m2_category(), 2),
+        "two_points": universal_dg(two_points_category(), 3),
+        "circle_tables": load_fixture("circle_tables").dg,
+        "dual_numbers_universal": load_fixture("dual_numbers_universal").dg,
+    }
+    rng = random.Random(46)
+    outcomes, identities = {True: 0, False: 0}, 0
+    for name, w in models.items():
+        family = [corrupted(w, spec) for spec, _ in CORRUPTIONS.get(name, ())]
+        family += [v for _, v in single_corruptions(w, rng, 30)]
+        for v in [w] + family:
+            gens = _generators(v)
+            identities += any(g == v.identity_form(g.cod) for g in gens)
+            verdict = laws_hold_on(v, gens)
+            assert verdict == full_sweep_holds(v, gens), name
+            outcomes[verdict] += 1
+    assert identities >= 60, identities
+    assert outcomes[True] >= len(models) and outcomes[False] >= 100, outcomes
 
 
 def word_span_dims(w, gens):
