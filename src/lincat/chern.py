@@ -161,8 +161,6 @@ def invariance_certificate(conn0: Connection, conn1: Connection, q: int) -> Inva
     if q == 0:
         cls = chern_class(conn0, 0)
         return InvarianceCertificate(0, cls, cls, zero_vector(rh.dim(0)), (), (), True)
-    if 2 * q > w.truncation:
-        raise TruncationError(f"the degree-{2 * q} character needs truncation at least {2 * q}")
 
     class0 = chern_class(conn0, q)
     class1 = chern_class(conn1, q)

@@ -18,12 +18,11 @@ blocks); truncation is a quotient by an ideal, so the identity holds
 in the truncated category too.  It needs associativity, so the
 quotient is built only when the laws hold on G (`certified_generators`,
 which `validate_dg` shares); then the rows [1_x, v] of an identity in
-G are v - v = 0, so the identities are left out of the span, and a
-degree with no diagonal forms is the zero space, whose quotient and d
-columns are empty, with no span built.  Tables that fail a law on G
-are no DG category, and their quotient is not the complex of the
-paper, so `get_complex` refuses them with `CategoryAxiomError`, naming
-the first violation of `validate_category` and `validate_dg`.
+G are v - v = 0, so the identities are left out of the span.  Tables
+that fail a law on G are no DG category, and their quotient is not
+the complex of the paper, so `get_complex` refuses them with
+`CategoryAxiomError`, naming the first violation of `validate_category`
+and `validate_dg`.
 
 The differential descends to the quotient, and that it does is checked
 rather than assumed: the reduced echelon rows of each commutator
@@ -63,16 +62,20 @@ of a differential graded algebra.  So `get_complex(trivial_dg(c))` at
 degree 0 is the trace quotient of a category c; the package has no
 other implementation of it.
 
-The top truncation degree is special: its cohomology is computed for
-the truncated complex (differential out of the top treated as zero) and
-flagged as unreliable, since forms one degree higher were cut off.
+Every method reads a degree through `_degree`, which answers each
+degree outside 0..N with one zero record: no block, class or d column
+at any object.  A degree in range without diagonal forms holds the
+same, with no span built.  So d into degree 0 and out of the top degree
+N is zero along the ordinary path, and the top cohomology is that of
+the truncated complex, flagged unreliable (`truncation_reliable`): the
+forms one degree higher were cut off.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .category import validate_category
 from .dg import DGCategory, Form, certified_generators, render_terms, stacked, validate_dg
@@ -87,12 +90,10 @@ from .exact_linalg import (
     checked_row,
     contract_into,
     densify,
-    is_zero_vector,
     numerator_row,
     offsets,
     over_one,
     vec,
-    zero_vector,
 )
 
 
@@ -155,6 +156,16 @@ def commutator_label(w: DGCategory, n: int, j: int) -> str:
     raise DimensionError(f"no commutator {j} in the degree-{n} span")
 
 
+class _Degree(NamedTuple):
+    """One degree: its quotient, the offsets and labels of its object blocks, and d on ambient vectors and classes."""
+
+    quotient: QuotientSpace
+    offsets: tuple[int, ...]
+    labels: tuple[tuple[str, ...], ...]
+    ambient_d: tuple[int, list[IntTerms]]
+    d: tuple[int, list[IntTerms]]
+
+
 class DeRhamComplex:
     """Diagonal forms modulo graded commutators, with induced differential."""
 
@@ -165,14 +176,17 @@ class DeRhamComplex:
         self.truncation = N = w.truncation
         self.base = w.base
         nobj = len(w.base.objects)
-        self._labels = [tuple(w.space_labels(n, x, x) for x in range(nobj)) for n in range(N + 1)]
-
-        self.component_dims: list[tuple[int, ...]] = []
-        self.component_offsets: list[tuple[int, ...]] = []
+        # a degree outside 0..N, and one without diagonal forms, is the zero
+        # space, one record: no block, class or d column.  d is kept as
+        # (D, columns): column j is D times d(e_j), ambient, or its class, e_j
+        # lifting unit class j; out of the top degree every column is empty,
+        # so every top class is closed
+        self._zero = _Degree(QuotientSpace(0, (), {}), (0,) * nobj, ((),) * nobj, (1, []), (1, []))
+        self._degrees: list[_Degree] = []
         for n in range(N + 1):
-            dims = tuple(w.dim(n, x, x) for x in range(nobj))
-            self.component_dims.append(dims)
-            self.component_offsets.append(offsets(dims))
+            labels = tuple(w.space_labels(n, x, x) for x in range(nobj))
+            self._degrees.append(self._zero if not any(labels) else
+                                 _Degree(self._zero.quotient, offsets(map(len, labels)), labels, (1, []), (1, [])))
 
         gens, lawful = certified_generators(w)
         if not lawful:
@@ -183,23 +197,21 @@ class DeRhamComplex:
                 f"{violations[0].where}); no quotient complex is built", violations)
         # the commutators of each degree, spanned by [g, v] with g in G; once
         # the laws hold, [1_x, v] = v - v = 0, so the identities in G are
-        # left out, and a degree with no diagonal forms is the zero space
+        # left out
         gens = [g for g in gens if g != w.identity_form(g.cod)]
-        held = [n for n in range(N + 1) if self.ambient_dim(n)]
-        self.quotients: list[QuotientSpace] = [QuotientSpace(0, (), {})] * (N + 1)
-        # d on the ambient diagonal space of each degree, as (D, columns):
-        # column j is D times d of the j-th basis vector, zero out of the top
-        self._ambient_columns: list[tuple[int, list[IntTerms]]] = [(1, [])] * (N + 1)
+        held = [n for n, degree in enumerate(self._degrees) if degree is not self._zero]
         for n in held:
-            self.quotients[n] = build_quotient(self.ambient_dim(n), generator_span(w, n, gens))
-            self._ambient_columns[n] = self._ambient_d_columns(w, n)
-
-        # the induced differential, as (D, columns): column k of degree n is
-        # D times the class of d(e_c), e_c lifting the k-th unit class,
-        # indexed by the classes of degree n + 1; out of the top degree zero
-        self.d_columns: list[tuple[int, list[IntTerms]]] = [(1, [])] * N + [(1, [()] * self.dim(N))]
-        for n in (n for n in held if n < N):
-            qn, qn1 = self.quotients[n], self.quotients[n + 1]
+            quotient = build_quotient(self.ambient_dim(n), generator_span(w, n, gens))
+            # d of the object blocks in object order, over the lcm of their
+            # denominators, each shifted to its object's block of degree n + 1
+            blocks = [w.integral_diff(n, x, x) for x in range(nobj)]
+            den = lcm(*[block_den for block_den, _ in blocks])
+            columns: list[IntTerms] = []
+            for off1, (block_den, cols) in zip(self._degree(n + 1).offsets, blocks):
+                columns.extend(tuple((off1 + i, s * (den // block_den)) for i, s in col) for col in cols)
+            self._degrees[n] = self._degrees[n]._replace(quotient=quotient, ambient_d=(den, columns))
+        for n in held:
+            qn, qn1 = self._degrees[n].quotient, self._degree(n + 1).quotient
             # the echelon rows span the degree-n commutators and d is linear,
             # so d preserves commutators exactly when it does on these rows
             for row in qn.numerator_rows:
@@ -207,30 +219,26 @@ class DeRhamComplex:
                     raise LincatError(
                         f"degree-{n} commutators are not closed under d; the graded tables are inconsistent"
                     )
-            den, columns = self._ambient_columns[n]
-            self.d_columns[n] = over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns)
+            den, columns = self._degrees[n].ambient_d
+            d = over_one(qn1.coset_coordinates((den, dict(columns[c]))) for c in qn.free_columns)
+            self._degrees[n] = self._degrees[n]._replace(d=d)
+        # the quotients, induced d and offsets by degree, for readers outside the class
+        self.quotients = [degree.quotient for degree in self._degrees]
+        self.d_columns = [degree.d for degree in self._degrees]
+        self.component_offsets = [degree.offsets for degree in self._degrees]
         # built on first use in a degree and kept: the full commutator span
         # of `commutator_system`, with its rows, and the span of d (`_span`)
         self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
         self._spans: dict[int, QuotientSpace] = {}
 
-    def _ambient_d_columns(self, w: DGCategory, n: int) -> tuple[int, list[IntTerms]]:
-        # the blocks of the objects in object order, over the lcm of their
-        # denominators; out of the top degree every column is empty
-        blocks = [w.integral_diff(n, x, x) for x in range(len(self.base.objects))]
-        den = lcm(*[block_den for block_den, _ in blocks])
-        columns: list[IntTerms] = []
-        for x, (block_den, cols) in enumerate(blocks):
-            off1 = self.component_offsets[n + 1][x] if n < self.truncation else 0
-            columns.extend(tuple((off1 + i, s * (den // block_den)) for i, s in col) for col in cols)
-        return den, columns
+    def _degree(self, n: int) -> _Degree:
+        """Degree n of the complex, for any integer n: outside 0..N the one zero record."""
+        return self._degrees[n] if 0 <= n <= self.truncation else self._zero
 
     # -- ambient diagonal vectors -----------------------------------------
 
     def ambient_dim(self, n: int) -> int:
-        if n < 0 or n > self.truncation:
-            return 0
-        return sum(self.component_dims[n])
+        return sum(map(len, self._degree(n).labels))
 
     def ambient_row(self, degree: int, forms: Sequence[Form]) -> NumeratorRow:
         """The ambient diagonal vector of one degree-n endomorphism form per object, as a `NumeratorRow`."""
@@ -239,46 +247,35 @@ class DeRhamComplex:
         for x, f in enumerate(forms):
             if f.degree != degree or f.dom.index != x or f.cod.index != x:
                 raise DimensionError(f"component {x} is not a degree-{degree} endomorphism form of object {x}")
-        if degree < 0 or degree > self.truncation:
-            # no forms live there, so every component is zero
-            return 1, {}
-        return stacked(forms, self.component_offsets[degree])
+        return stacked(forms, self._degree(degree).offsets)
 
     def ambient_d(self, n: int, v: NumeratorRow) -> NumeratorRow:
         """Apply d componentwise to an ambient diagonal vector of degree n, a `NumeratorRow`; its zeros dropped."""
         v_den, nums = checked_row(v)
         if not nums:
             return 1, {}
-        if not 0 <= n <= self.truncation or min(nums) < 0 or max(nums) >= len(self._ambient_columns[n][1]):
+        den, columns = self._degree(n).ambient_d
+        if min(nums) < 0 or max(nums) >= len(columns):
             raise DimensionError(f"sparse vector has a column outside the ambient space of degree {n}")
-        den, columns = self._ambient_columns[n]
         out = contract_into({}, nums.items(), columns)
         return v_den * den, {i: s for i, s in out.items() if s}
 
     # -- classes ------------------------------------------------------------
 
     def dim(self, n: int) -> int:
-        if n < 0 or n > self.truncation:
-            return 0
-        return self.quotients[n].dim
+        return self._degree(n).quotient.dim
 
     def class_of_trace(self, degree: int, forms: Sequence[Form]) -> Vector:
         """The class of the diagonal form with one degree-n endomorphism form per object."""
         row = self.ambient_row(degree, forms)
-        if degree < 0 or degree > self.truncation:
-            return ()
-        return densify(self.quotients[degree].coset_coordinates(row), self.dim(degree))
+        return densify(self._degree(degree).quotient.coset_coordinates(row), self.dim(degree))
 
     def d_class(self, n: int, coords: Vector) -> Vector:
         """The induced differential on classes, degree n to n + 1."""
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
-        coords = vec(coords)
-        if n < 0 or n > self.truncation:
-            # d out of a zero space: the zero class of degree n + 1
-            return zero_vector(self.dim(n + 1))
-        den, nums = numerator_row(coords)
-        d_den, columns = self.d_columns[n]
+        den, nums = numerator_row(vec(coords))
+        d_den, columns = self._degree(n).d
         return densify((den * d_den, contract_into({}, nums.items(), columns)), self.dim(n + 1))
 
     # -- cohomology ----------------------------------------------------------
@@ -288,31 +285,25 @@ class DeRhamComplex:
         span = self._spans.get(n)
         if span is None:
             last = self.dim(n + 1) + self.dim(n) - 1
-            den, columns = self.d_columns[n]
+            den, columns = self._degree(n).d
             rows = [(den, dict(col + ((last - k, den),))) for k, col in enumerate(columns)]
             span = self._spans[n] = build_quotient(last + 1, rows)
         return span
 
     def image_basis(self, n: int) -> tuple[NumeratorRow, ...]:
         """Reduced echelon basis of the image of d in degree n, the d-blocks of span n - 1, as numerator rows."""
-        if n <= 0 or n > self.truncation:
-            return ()
         m, span = self.dim(n), self._span(n - 1)
         return tuple((d, {j: x for j, x in nums.items() if j < m})
                      for (d, nums), p in zip(span.numerator_rows, span.pivots) if p < m)
 
     def kernel_basis_of_d(self, n: int) -> tuple[NumeratorRow, ...]:
         """A basis of the kernel of d out of degree n, reduced in reverse class order, as numerator rows."""
-        if n < 0 or n > self.truncation:
-            return ()
         m, span = self.dim(n + 1), self._span(n)
         last = m + self.dim(n) - 1
         return tuple((d, {last - j: x for j, x in nums.items()})
                      for (d, nums), p in zip(span.numerator_rows, span.pivots) if p >= m)
 
     def betti(self, n: int) -> int:
-        if n < 0 or n > self.truncation:
-            return 0
         return len(self.kernel_basis_of_d(n)) - len(self.image_basis(n))
 
     def truncation_reliable(self, n: int) -> bool:
@@ -321,8 +312,6 @@ class DeRhamComplex:
 
     def harmonic_representatives(self, n: int) -> tuple[Vector, ...]:
         """One closed class per cohomology generator, canonically reduced."""
-        if n < 0 or n > self.truncation:
-            return ()
         image = self.image_basis(n)
         kernel = self.kernel_basis_of_d(n)
         quotient = build_quotient(self.dim(n), image)
@@ -335,17 +324,14 @@ class DeRhamComplex:
         """A primitive class one degree lower, or None when there is none.
 
         (y | 0) reduced by span n - 1 is (0 | -x) with d(x) = y, or keeps
-        an entry in its d-block.  No d arrives in degree 0 or outside the
-        complex, so there only the zero class has a primitive: the zero
-        class of degree n - 1.
+        an entry in its d-block.  Where no d arrives, no row of span n - 1
+        pivots in the d-block, so only the zero class has a primitive, the
+        zero class of degree n - 1.
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
-        coords = vec(coords)
-        if n <= 0 or n > self.truncation:
-            return zero_vector(self.dim(n - 1)) if is_zero_vector(coords) else None
         m = self.dim(n)
-        den, nums = self._span(n - 1).reduce_sparse(numerator_row(coords))
+        den, nums = self._span(n - 1).reduce_sparse(numerator_row(vec(coords)))
         if any(j < m for j in nums):
             return None
         last = m + self.dim(n - 1) - 1
@@ -368,14 +354,11 @@ class DeRhamComplex:
         """
         if len(coords) != self.dim(n):
             raise DimensionError(f"expected {self.dim(n)} class coordinates, got {len(coords)}")
-        coords = vec(coords)
-        if n < 0 or n > self.truncation:
-            return "0"
-        entries = [(c, s) for c, s in zip(self.quotients[n].free_columns, coords) if s]
+        degree = self._degree(n)
+        entries = [(c, s) for c, s in zip(degree.quotient.free_columns, vec(coords)) if s]
         pieces = []
-        for o, labels, off, d in zip(self.base.objects, self._labels[n], self.component_offsets[n],
-                                     self.component_dims[n]):
-            terms = tuple((c - off, s) for c, s in entries if off <= c < off + d)
+        for o, labels, off in zip(self.base.objects, degree.labels, degree.offsets):
+            terms = tuple((c - off, s) for c, s in entries if off <= c < off + len(labels))
             if terms:
                 pieces.append(f"{o.label}: {render_terms(labels, terms)}")
         return "; ".join(pieces) if pieces else "0"

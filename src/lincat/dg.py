@@ -127,6 +127,14 @@ def stacked(forms: Sequence[Form], offs: Iterable[int]) -> NumeratorRow:
     return den, {off + k: n * (den // f.den) for off, f in zip(offs, forms) for k, n in f.nums}
 
 
+def _check_truncation(truncation: int) -> None:
+    """Refuse, with `DimensionError`, a truncation degree that is no int, or is below 1."""
+    if type(truncation) is not int:
+        raise DimensionError(f"truncation degree must be an int, got {truncation!r}")
+    if truncation < 1:
+        raise DimensionError("truncation degree must be at least 1")
+
+
 class _Built(tuple):
     """(product blocks, differential blocks) of `universal_tables`, already stored; only `universal_dg` makes one."""
 
@@ -174,10 +182,7 @@ class DGCategory:
         gr_comp: Mapping[tuple[int, int], Mapping[tuple[int, int, int], Mapping[tuple[int, int], Mapping]]],
         diff: Mapping[int, Mapping[tuple[int, int], Mapping[int, Mapping]]],
     ):
-        if type(truncation) is not int:
-            raise DimensionError(f"truncation degree must be an int, got {truncation!r}")
-        if truncation < 1:
-            raise DimensionError("truncation degree must be at least 1")
+        _check_truncation(truncation)
         self.base = base
         self.truncation = truncation
         nobj = len(base.objects)
@@ -243,11 +248,7 @@ class DGCategory:
     # -- dimensions and bases --------------------------------------------
 
     def dim(self, n: int, x: int, y: int) -> int:
-        if n < 0 or n > self.truncation:
-            return 0
-        if n == 0:
-            return self.base.dim(x, y)
-        return len(self.gr_basis.get(n, {}).get((x, y), ()))
+        return len(self.space_labels(n, x, y))
 
     def space_labels(self, n: int, x: int, y: int) -> tuple[str, ...]:
         if n == 0:
@@ -295,13 +296,12 @@ class DGCategory:
 
         A read-only view, which no library code reads:
         ``gr_comp[(p, q)][(x, y, z)][i][j]`` holds the terms of the
-        product of basis forms i and j.  The keys come in the sorted order
-        of the blocks' keys, as the checked constructor reads its input.
+        product of basis forms i and j.  It holds the degree pairs and
+        blocks of `stored_products`, in its order, and no other key.
         """
-        N = self.truncation
-        out = {(p, q): {} for p in range(N + 1) for q in range(N + 1 - p) if p or q}
+        out: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
         for (p, q, x, y, z), (den, rows) in self.stored_products():
-            out[(p, q)][(x, y, z)] = tuple(tuple(fraction_terms(den, terms) for terms in row) for row in rows)
+            out.setdefault((p, q), {})[(x, y, z)] = tuple(tuple(fraction_terms(den, t) for t in row) for row in rows)
         return out
 
     def stored_products(self) -> list[tuple[tuple[int, int, int, int, int], tuple[int, tuple]]]:
@@ -510,10 +510,7 @@ def universal_dg(c: Category, truncation: int) -> DGCategory:
         raise CategoryAxiomError(
             f"category fails {len(violations)} identity check(s); no universal envelope is built", violations
         )
-    if type(truncation) is not int:
-        raise DimensionError(f"truncation degree must be an int, got {truncation!r}")
-    if truncation < 1:
-        raise DimensionError("truncation degree must be at least 1")
+    _check_truncation(truncation)
     gr_basis, *stored = universal_tables(c, truncation)
     return DGCategory(c, truncation, gr_basis, _Built(stored), {})
 

@@ -85,7 +85,6 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionError, ScalarTypeError
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 # the nonzero (index, coefficient) pairs of a vector, by increasing index
 Terms = tuple[tuple[int, Fraction], ...]

@@ -191,7 +191,9 @@ def test_homotopy_defect_vanishes(dual5, two5, arrow3):
 
 def test_class_maps_return_the_zero_class_at_the_ends_of_the_complex():
     # two points at truncation 4: class dimensions 2, 0, 1, 0, 1
-    rh = get_complex(universal_dg(two_points_category(), 4))
+    w = universal_dg(two_points_category(), 4)
+    rh = get_complex(w)
+    objs = w.base.objects
     assert [rh.dim(n) for n in range(-1, 6)] == [0, 2, 0, 1, 0, 1, 0]
     # d out of degree -1 lands in degree 0, the primitive of a degree-5
     # class lives in degree 4
@@ -201,6 +203,35 @@ def test_class_maps_return_the_zero_class_at_the_ends_of_the_complex():
     assert rh.is_coboundary(-1, ()) == ()
     # so the round trip through the top degree closes
     assert rh.d_class(4, rh.is_coboundary(5, ())) == ()
+    # every degree outside 0..4 is the zero space, through every method
+    for n in (-1, 5):
+        zeros = [w.zero_form(n, o, o) for o in objs]
+        assert rh.ambient_dim(n) == 0
+        assert rh.ambient_row(n, zeros) == (1, {})
+        assert rh.ambient_d(n, (1, {})) == (1, {})
+        with pytest.raises(DimensionError, match=f"outside the ambient space of degree {n}"):
+            rh.ambient_d(n, (1, {0: 1}))
+        assert rh.class_of_trace(n, zeros) == ()
+        assert rh.image_basis(n) == ()
+        assert rh.kernel_basis_of_d(n) == ()
+        assert rh.betti(n) == 0
+        assert rh.harmonic_representatives(n) == ()
+        assert rh.render_class(n, ()) == "0"
+        with pytest.raises(DimensionError, match="expected 0 class coordinates, got 1"):
+            rh.d_class(n, (1,))
+        with pytest.raises(DimensionError, match="expected 0 class coordinates, got 1"):
+            rh.is_coboundary(n, (1,))
+        with pytest.raises(DimensionError, match="expected 0 class coordinates, got 1"):
+            rh.render_class(n, (1,))
+    # no d arrives in degree 0, so only its zero class has a primitive
+    assert rh.image_basis(0) == ()
+    assert rh.is_coboundary(0, zero_vector(2)) == ()
+    assert rh.is_coboundary(0, (1, 0)) is None
+    assert rh.is_coboundary(0, (0, Fraction(1, 2))) is None
+    # d out of the top degree is zero, so every top class is closed
+    assert rh.kernel_basis_of_d(4) == ((1, {0: 1}),)
+    assert rh.d_class(4, (Fraction(3, 2),)) == ()
+    assert rh.betti(4) == 1
 
 
 def test_evaluation_is_a_chain_map(dual5, two5):

@@ -343,7 +343,24 @@ ENVELOPE_DIGESTS = {
 def test_envelope_tables_are_pinned(build, truncation, forms, digest):
     w = universal_dg(build(), truncation)
     assert sum(len(labels) for level in w.gr_basis.values() for labels in level.values()) == forms
-    assert hashlib.sha256(repr((w.gr_basis, w.gr_comp, diff_terms(w))).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr((w.gr_basis, every_degree_pair(w), diff_terms(w))).encode()).hexdigest() == digest
+
+
+def every_degree_pair(w):
+    """`gr_comp` with every (p, q) of total degree 1..N, in (p, q) order, a pair it does not hold as an empty dict."""
+    N = w.truncation
+    return {(p, q): w.gr_comp.get((p, q), {}) for p in range(N + 1) for q in range(N + 1 - p) if p or q}
+
+
+def test_gr_comp_holds_only_the_stored_degree_pairs():
+    # the point has no product of positive degree, so at truncation 500 its
+    # view is empty, not one empty dict for each of 125,750 degree pairs
+    point = universal_dg(fixture_category("point_universal")[0], 500)
+    assert point.gr_comp == {}
+    arrow = universal_dg(fixture_category("arrow_universal")[0], 500)
+    stored = [key for key, _ in arrow.stored_products()]
+    assert list(arrow.gr_comp) == sorted({key[:2] for key in stored})
+    assert [(*pq, *xyz) for pq, table in arrow.gr_comp.items() for xyz in table] == stored
 
 
 def fixture_category(name):

@@ -92,8 +92,10 @@ def test_every_top_level_definition_is_exported_or_read():
 # methods and properties of src classes that no library module reads, each
 # with its reason
 MEMBERS_WITHOUT_READER = {
-    "Connection.apply": "README's library overview applies a connection to a module element",
-    "ProjectiveModule.free": "README's library overview builds a free module with it",
+    "Connection.apply": "README's lincat.connection paragraph keeps it as the connection itself, and "
+                        "tests/test_connection.py checks the curvature against applying it twice",
+    "ProjectiveModule.free": "README's lincat.module_algebra paragraph keeps it as the constructor of the free "
+                             "module that every projective is a summand of",
     "DGCategory.form": "the m2_envelope workload of perfbench builds its forms with it",
     "DGCategory.gr_comp": "the benchmark's tracer, perfbench/tracing.py, counts the products through it",
 }
