@@ -158,7 +158,7 @@ def cmd_cohomology(args) -> int:
         if args.representatives and entry["betti"] > 0 and reliable:
             for c in rh.harmonic_representatives(n):
                 lines.append(f"    class: {rh.render_class(n, c)}")
-    lhs, rhs = rh.euler_characteristics()
+    lhs, rhs = (sum((-1) ** e["degree"] * e[key] for e in degrees) for key in ("space_dim", "betti"))
     payload = {
         "workspace": ws.name,
         "truncation": n_max,

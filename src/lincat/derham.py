@@ -133,7 +133,7 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[Numerato
                     row[off_x + k] = row.get(off_x + k, 0) + a * s
                 for k, s in bwd_block[j][i]:
                     row[off_y + k] = row.get(off_y + k, 0) + b * s
-            out.append((g.den * den, {k: s for k, s in row.items() if s}))
+            out.append((g.den * den, row if 0 not in row.values() else {k: s for k, s in row.items() if s}))
     return out
 
 
@@ -336,12 +336,6 @@ class DeRhamComplex:
             return None
         last = m + self.dim(n - 1) - 1
         return densify((den, {last - j: -x for j, x in nums.items()}), self.dim(n - 1))
-
-    def euler_characteristics(self) -> tuple[int, int]:
-        """Alternating sums of space dimensions and of cohomology ranks."""
-        lhs = sum((-1) ** n * self.dim(n) for n in range(self.truncation + 1))
-        rhs = sum((-1) ** n * self.betti(n) for n in range(self.truncation + 1))
-        return lhs, rhs
 
     # -- rendering ------------------------------------------------------------
 

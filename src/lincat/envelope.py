@@ -278,12 +278,11 @@ def _settled(den: int, sums: list) -> IntBlock:
     The common factor of den and all entries is cancelled, so the block
     is the one `integral_terms` makes of the same entries.
     """
-    rows = tuple(tuple((k, n) for k, n in sorted(s.items()) if n) for s in sums)
-    if den != 1:
-        g = gcd(den, *(n for r in rows for _, n in r))
-        if g != 1:
-            den //= g
-            rows = tuple(tuple((k, n // g) for k, n in r) for r in rows)
+    rows = tuple([tuple(sorted(s.items() if 0 not in s.values() else [(k, n) for k, n in s.items() if n]))
+                  for s in sums])
+    if den != 1 and (g := gcd(den, *itertools.chain.from_iterable(map(dict.values, sums)))) != 1:
+        den //= g
+        rows = tuple([tuple([(k, n // g) for k, n in r]) for r in rows])
     return den, rows
 
 

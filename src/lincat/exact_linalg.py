@@ -31,8 +31,10 @@ enter (`numerator_row` for a dense vector), `densify` writes a
 `NumeratorRow` out as a dense vector, and `fraction_terms` makes the
 `Fraction` terms of integer pairs, where they leave.  One contraction,
 `contract_into`, adds combinations of sparse vectors into a sparse sum:
-products and differentials of forms, the induced differential on
-classes and every law check are made of it, over integers.
+products and differentials of forms and the induced differential on
+classes are made of it, over integers, and so is every law check but
+associativity, which runs the same sum over a whole product block in
+one call (`contract_block`).
 
 All elimination goes through one kernel, `Echelon`, which takes
 `NumeratorRow`s one at a time; a caller that grows a span row by row
@@ -97,6 +99,7 @@ NumeratorRow = tuple[int, IntRow]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = frozenset({int})  # the one type of a numerator
 
 
 # the decimal exponent that ends a scalar string such as "1.5e-3": its digits
@@ -226,6 +229,30 @@ def contract_into(out: IntRow, coefficients: Iterable[tuple[int, int]], vectors,
     return out
 
 
+def contract_block(lefts: Iterable, columns: Sequence, block: Iterable, vectors, m: int = 1) -> list:
+    """The entries (j, k), by j, then k, where lefts[j].columns[k] + m * block[j][k].vectors is nonzero.
+
+    u.A is the sum of s * A[a] over (a, s) in u, as in `contract_into`,
+    for a whole block in one call; an entry where lefts[j] and block[j][k]
+    both have no terms is 0 and skipped.
+    """
+    found = []
+    for j, (left, row) in enumerate(zip(lefts, block)):
+        for k, (column, entry) in enumerate(zip(columns, row)):
+            if left or entry:
+                out: IntRow = {}
+                for a, s in left:
+                    for c, t in column[a]:
+                        out[c] = out.get(c, 0) + s * t
+                for a, s in entry:
+                    s *= m
+                    for c, t in vectors[a]:
+                        out[c] = out.get(c, 0) + s * t
+                if any(out.values()):
+                    found.append((j, k))
+    return found
+
+
 def cut_rows(flat: list, width: int) -> list:
     """A flat list cut into rows of the given width; no rows when it is 0."""
     return [flat[i:i + width] for i in range(0, len(flat), width)] if width else []
@@ -301,12 +328,13 @@ def checked_row(given: NumeratorRow) -> tuple[int, IntRow]:
 
     Anything else, a dict of `Fraction`s or a float or bool entry among
     them, raises `ScalarTypeError`: it is refused, not reduced in
-    whatever arithmetic it brings.
+    whatever arithmetic it brings.  Every entry's type is checked; the
+    row is then copied, and its zeros filtered only where there are any.
     """
     d, nums = given if type(given) is tuple and len(given) == 2 else (0, None)
-    if type(d) is not int or d <= 0 or type(nums) is not dict or not {int}.issuperset(map(type, nums.values())):
+    if type(d) is not int or d <= 0 or type(nums) is not dict or not _INT.issuperset(map(type, nums.values())):
         raise ScalarTypeError(f"a row is a numerator row (d, {{column: int}}) with d a positive int, not {given!r:.60}")
-    return d, {j: n for j, n in nums.items() if n}
+    return d, {j: n for j, n in nums.items() if n} if 0 in nums.values() else nums.copy()
 
 
 def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:

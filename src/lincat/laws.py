@@ -17,7 +17,9 @@ the unit and associativity laws of the category can fail.  All of
 them read the products and differentials of basis forms straight from
 the tables of a `DGCategory` and contract them into sparse sums with
 `lincat.exact_linalg.contract_into`, the contraction that `compose` and
-`d` run too, without building a form per factor.
+`d` run too, without building a form per factor.  Associativity sums
+each block of triples (g, b, c) in one `contract_block`, which skips a
+triple where g.b and b.c have no terms: both sides are 0 there.
 
 The checks sum integer numerators, with no `Fraction` arithmetic.
 Each product block comes over one denominator from
@@ -38,7 +40,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .category import Violation
-from .exact_linalg import contract_into
+from .exact_linalg import contract_block, contract_into
 
 if TYPE_CHECKING:
     from .dg import DGCategory, Form
@@ -100,8 +102,9 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, dims) -> Iterat
     `_LAWS`, the degrees of the factors, the objects they pass through,
     and the indices of the basis forms on the right.  The products of g
     with the basis forms of one block are summed once, so a pair or a
-    triple costs what it costs on basis forms.  Associativity includes
-    the degree-0 triples.
+    triple costs what it costs on basis forms, and the triples of one
+    block are one `contract_block`.  Associativity includes the degree-0
+    triples.
     """
     N, nobj, block, diff = w.truncation, len(w.base.objects), w.integral_products, w.integral_diff
     rows: dict[tuple[int, int], tuple[int, tuple]] = {}
@@ -171,11 +174,9 @@ def _failures(w: DGCategory, p: int, x: int, y: int, g, columns, dims) -> Iterat
                     lhs, rhs = gb_den * gb_c_den, bc_den * g_bc_den
                     common = lcm(lhs, rhs)
                     m, m_rhs = common // lhs, -(common // rhs)
-                    for j in range(dq):
-                        for k in range(dr):
-                            out = contract_into({}, gb[j], gb_c[k], m)
-                            if any(contract_into(out, bc[j][k], g_bc, m_rhs).values()):
-                                yield 4, (p, q, r), (x, y, z, u), (j, k)
+                    lefts = gb if m == 1 else [[(a, s * m) for a, s in gb_j] for gb_j in gb]
+                    for j, k in contract_block(lefts, gb_c, bc, g_bc, m_rhs):
+                        yield 4, (p, q, r), (x, y, z, u), (j, k)
 
 
 def _unit_holds(w: DGCategory, x: int, columns, dims) -> bool:

@@ -34,7 +34,7 @@ from lincat.errors import CategoryAxiomError, DimensionError, ScalarTypeError
 from lincat.workspace import fixture_names, load_fixture, parse_workspace
 
 from envelope_oracle import direct_tables
-from test_exact_linalg import DenseMatrix, dense_kernel
+from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref
 from law_oracle import law_violations as enumerated_violations
 from law_oracle import basis_products, category_violations, comp_terms, diff_terms, hom_pairs, identity_terms, law_defects
 from law_oracle import unit_violations as enumerated_unit_violations
@@ -470,6 +470,84 @@ def test_derived_tables_equal_the_direct_fill(make):
     direct = DGCategory(c, truncation, w.gr_basis, *direct_tables(c, truncation))
     assert direct.gr_comp == w.gr_comp
     assert diff_terms(direct) == diff_terms(w)
+
+
+def _inverse(m):
+    """The inverse of a square integer matrix in `Fraction`s, read off the reduced rows of (m | 1); None if singular."""
+    d = len(m)
+    rows, pivots = dense_rref(DenseMatrix(d, 2 * d, tuple(
+        tuple(map(Fraction, row)) + tuple(Fraction(int(i == j)) for j in range(d)) for i, row in enumerate(m))))
+    return [row[d:] for row in rows] if pivots[:d] == list(range(d)) else None
+
+
+def rebased(c, rng):
+    """`c` in a random invertible integer basis of each hom space, each label now naming a combination of old arrows.
+
+    In an endomorphism space whose identity has integer coordinates, one
+    new arrow is the identity itself half of the time, so identities
+    move on and off the basis, object by object.
+    """
+    nobj = len(c.objects)
+    change, inverse = {}, {}
+    for x, y in itertools.product(range(nobj), repeat=2):
+        d = c.dim(x, y)
+        if not d:
+            continue
+        den, nums = c.identity[x] if x == y else (1, ())
+        unit = [Fraction(dict(nums).get(k, 0), den) for k in range(d)]
+        while inverse.get((x, y)) is None:
+            m = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            if x == y and all(s.denominator == 1 for s in unit) and rng.random() < 0.5:
+                m[rng.randrange(d)] = unit
+            change[(x, y)], inverse[(x, y)] = m, _inverse(m)
+    labels = {(x, y): c.basis_labels(x, y) for x, y in change}
+
+    def new_terms(x, y, old):
+        """A vector over the old basis of (x, y), as the coefficients of its new labels."""
+        inv = inverse[(x, y)]
+        terms = {labels[(x, y)][k]: sum(s * inv[j][k] for j, s in old.items()) for k in range(c.dim(x, y))}
+        return {a: s for a, s in terms.items() if s}
+
+    products = {}
+    for (x, y, z), (den, rows) in c.integral_comp.items():
+        for i, k in itertools.product(range(c.dim(x, y)), range(c.dim(y, z))):
+            old: dict[int, Fraction] = {}
+            for j, a in enumerate(change[(x, y)][i]):
+                for l, b in enumerate(change[(y, z)][k]):
+                    for m, n in rows[j][l]:
+                        old[m] = old.get(m, 0) + a * b * Fraction(n, den)
+            products[(labels[(x, y)][i], labels[(y, z)][k])] = new_terms(x, z, old)
+    identities = {c.objects[x].label: new_terms(x, x, {k: Fraction(n, den) for k, n in nums})
+                  for x, (den, nums) in c.identity.items()}
+    return build_category([o.label for o in c.objects],
+                          {(c.objects[x].label, c.objects[y].label): names for (x, y), names in labels.items()},
+                          products, identities)
+
+
+# categories whose identities are basis arrows, off the basis, or both
+REBASED_ENVELOPES = {
+    "M2-2": lambda: (m2_category(), 2),
+    "dual-3": lambda: (dual_category(), 3),
+    "two_points-3": lambda: (two_points_category(), 3),
+    "A4-3": lambda: (linear_quiver_category(4), 3),
+    "dual-M2-2": lambda: (dual_and_matrices(rows=False), 2),
+    "M2-dual-2": lambda: (dual_and_matrices(rows=True), 2),
+}
+
+
+@pytest.mark.parametrize("make", REBASED_ENVELOPES.values(), ids=REBASED_ENVELOPES.keys())
+def test_rebased_tables_equal_the_direct_fill(make):
+    # a wrong chain product passes the builder's own checks and validate_dg:
+    # random changes of basis move the identities on and off the basis
+    # object by object, and each must give the tables of the direct fill
+    rng = random.Random(7)
+    c, truncation = make()
+    for _ in range(3):
+        r = rebased(c, rng)
+        w = universal_dg(r, truncation)
+        direct = DGCategory(r, truncation, w.gr_basis, *direct_tables(r, truncation))
+        assert direct.gr_comp == w.gr_comp
+        assert diff_terms(direct) == diff_terms(w)
 
 
 # the universal builder hands `DGCategory` its stored tables and integer
@@ -1026,6 +1104,37 @@ def test_validation_reports_single_corruptions_exactly():
         for spec, expected in CORRUPTIONS[name]:
             got = validate_dg(corrupted(w, spec))
             assert [(v.kind, v.where) for v in got] == expected, (name, spec)
+
+
+def test_corruptions_beside_a_product_without_terms_are_named_as_the_enumeration_names_them():
+    # the law check skips a triple (g, b, c) where g.b and b.c both have no
+    # terms, both sides being 0 there; a corrupted b.c at a triple where
+    # just one of the two has none is still seen, and named as the full
+    # enumeration names it.  M2 at truncation 3, g a generator of degree p,
+    # b of degree q and c of degree r, at the one object
+    w = universal_dg(m2_category(), 3)
+    found = {}
+    for g in _generators(w):
+        if g == w.identity_form(g.cod):
+            continue
+        for q, r in itertools.product(range(4), repeat=2):
+            # the degree-0 products are the category's, outside the envelope's tables
+            if not 0 < q + r <= 3 - g.degree:
+                continue
+            # a unit vector of degree q + r that g does not annihilate
+            m = next(m for m in range(w.dim(q + r, 0, 0)) if w.compose(g, w.basis_form(q + r, g.dom, g.dom, m)).nums)
+            for j, k in itertools.product(range(w.dim(q, 0, 0)), range(w.dim(r, 0, 0))):
+                gb = bool(w.compose(g, w.basis_form(q, g.dom, g.dom, j)).nums)
+                bc = bool(w.integral_products(q, r, 0, 0, 0)[1][j][k])
+                if gb != bc:
+                    found.setdefault(gb, f"comp:{q}:{r}:0:0:0:{j}:{k}:{m}")
+    assert set(found) == {False, True}
+    for spec in found.values():
+        v = corrupted(w, spec)
+        full = enumerated_unit_violations(v) + enumerated_violations(v)
+        assert any(v.kind == "dg-associativity" for v in full), spec
+        assert validate_dg(v) == full, spec
+        assert not laws_hold_on(v, _generators(v)), spec
 
 
 # -- the generation certificate ----------------------------------------------

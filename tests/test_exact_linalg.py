@@ -548,6 +548,42 @@ def test_a_stale_column_in_the_index_is_skipped():
     assert all(basis.spans_unit(k) for k in range(5))
 
 
+def test_every_door_that_takes_a_row_checks_it_drops_zeros_and_leaves_it_as_given():
+    # the six doors of the kernel, each taking one row from its caller and
+    # giving back the rows it makes of it
+    q = build_quotient(4, [(1, {0: 1, 2: -1}), (1, {1: 2})])
+
+    def echelon_add(row):
+        basis = Echelon()
+        basis.add((1, {0: 1, 1: 1}))
+        basis.add(row)
+        return list(basis.numerator_rows.values())
+
+    doors = {
+        "build_quotient": lambda row: list(build_quotient(4, [(1, {3: 1}), row]).numerator_rows),
+        "Echelon.add": echelon_add,
+        "solve_rows, a row": lambda row: [solve_rows([(1, {0: 1}), row], 4, (1, {1: 2}))],
+        "solve_rows, the right-hand side": lambda row: [solve_rows([(1, {0: 2})] * 4, 1, row)],
+        "coordinates": lambda row: [q.coordinates(row)],
+        "reduce_sparse": lambda row: [q.reduce_sparse(row)],
+        "coset_coordinates": lambda row: [q.coset_coordinates(row)],
+    }
+    bad = [(1, {0: True}), (1, {0: 1, 2: False}), (1, {0: 0.5}), (1, {0: 2, 1: Fraction(1)}), (0, {0: 1}),
+           (-3, {0: 1}), (1, [(0, 1)]), (1, ((0, 1),)), (1, None), {0: 1}]
+    for name, door in doors.items():
+        for row in bad:
+            with pytest.raises(ScalarTypeError, match="numerator row"):
+                door(row)
+                pytest.fail(f"{name} accepted {row!r}")
+        # a row with zeros gives what the row without them gives, and stays as given
+        for given, plain in [((2, {0: 4, 1: 0, 2: -4, 3: 0}), (2, {0: 4, 2: -4})), ((3, {1: 0}), (3, {}))]:
+            copy = dict(given[1])
+            got = door(given)
+            assert got == door(plain), name
+            assert given[1] == copy, name
+            assert all(0 not in nums.values() for _, nums in filter(None, got)), name
+
+
 def test_inexact_entries_are_refused():
     # an int or float entry would turn exact division into float division
     with pytest.raises(ScalarTypeError):

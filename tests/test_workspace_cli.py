@@ -21,6 +21,7 @@ from lincat.cli import (
     main,
     parse_k0_expression,
 )
+from lincat.derham import DeRhamComplex
 from lincat.dg import DGCategory, validate_dg
 from lincat.errors import WorkspaceError
 from lincat.workspace import (
@@ -501,6 +502,16 @@ def test_cli_machine_output_is_byte_stable(capsys):
     assert [d["space_dim"] for d in payload["degrees"]] == [2, 0, 1, 0, 1, 0]
     assert [d["betti"] for d in payload["degrees"]] == [2, 0, 1, 0, 1, 0]
     assert payload["euler"]["equal"] is True
+
+
+def test_cli_cohomology_computes_each_betti_number_once(capsys, monkeypatch):
+    # the Euler sums read the Betti numbers of the degree loop
+    calls = []
+    betti = DeRhamComplex.betti
+    monkeypatch.setattr(DeRhamComplex, "betti", lambda rh, n: calls.append(n) or betti(rh, n))
+    code, out, _ = run(capsys, "cohomology", "fixture:two_points_universal", "--output", "machine")
+    assert code == EXIT_OK and json.loads(out)["euler"] == {"from_dimensions": 4, "from_betti": 4, "equal": True}
+    assert calls == list(range(6))
 
 
 def test_cli_cohomology_representatives(capsys):
