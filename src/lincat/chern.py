@@ -35,7 +35,7 @@ from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
 from .exact_linalg import IntRow, Vector, is_zero_vector, solve_rows, vec_sub, zero_vector
 from .module_algebra import ProjectiveModule
-from .tforms import tm_power, trace_cochain
+from .tforms import trace_cochain_of_power
 
 
 def chern_form(conn: Connection, q: int) -> tuple[Form, ...]:
@@ -166,7 +166,7 @@ def invariance_certificate(conn0: Connection, conn1: Connection, q: int) -> Inva
     class1 = chern_class(conn1, q)
     difference = vec_sub(class1, class0)
 
-    cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(conn0, conn1), q))
+    cochain = trace_cochain_of_power(w, rh, tilde_curvature(conn0, conn1), q)
     if not cochain.delta().is_zero():
         raise CertificationError("the extended character cochain is not closed")
     if cochain.ev_at(0) != class0 or cochain.ev_at(1) != class1:

@@ -41,7 +41,7 @@ from .tforms import TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_add, tm
 
 
 class Connection:
-    """A connection on a projective module, stored as a gauge matrix."""
+    """A connection on a projective module, stored as a gauge matrix; C, Gamma and each Gamma^q are kept once read."""
 
     def __init__(self, module: ProjectiveModule, gauge: FormMatrix):
         if gauge.degree != 1:
@@ -51,7 +51,7 @@ class Connection:
         self.module = module
         self.gauge = gauge
         self._operational = None
-        self._curvature = None
+        self._powers: dict[int, FormMatrix] = {}  # Gamma^q by q, Gamma itself at 1
 
     @property
     def w(self) -> DGCategory:
@@ -84,16 +84,16 @@ class Connection:
         w = self.w
         if w.truncation < 2:
             raise TruncationError("curvature needs degree-2 forms; raise the truncation to at least 2")
-        if self._curvature is None:
+        if 1 not in self._powers:
             c = self.operational_matrix()
             acc = ProductAccumulator(w, 2, self.module.family, self.module.family)
             acc.add(c, c)
             acc.add(self.module.idempotent, c.d(w))
-            self._curvature = acc.matrix()
-        return self._curvature
+            self._powers[1] = acc.matrix()
+        return self._powers[1]
 
     def curvature_power(self, q: int) -> FormMatrix:
-        """Gamma^q, refusing exponents whose degree exceeds the truncation."""
+        """Gamma^q = Gamma^(q-1).Gamma, multiplied out once per q and kept; a degree past the truncation is refused."""
         w = self.w
         if q < 1:
             raise DimensionError("curvature power needs q >= 1")
@@ -101,7 +101,9 @@ class Connection:
             raise TruncationError(
                 f"Gamma^{q} has degree {2 * q}; raise the truncation to at least {2 * q}"
             )
-        return self.curvature().power(w, q)
+        if q not in self._powers:
+            self._powers[q] = self.curvature() if q == 1 else self.curvature_power(q - 1).mul(w, self.curvature())
+        return self._powers[q]
 
 
 def canonical_connection(module: ProjectiveModule) -> Connection:

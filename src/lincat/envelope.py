@@ -143,6 +143,7 @@ class _Chains:
         # the category's products over one denominator per block, and their lcm
         self.products: dict[tuple[int, int, int], IntBlock] = c.integral_comp
         self.den = lcm(*(den for den, _ in self.products.values()))
+        self.labels = {(x, y): c.basis_labels(x, y) for x in objects for y in objects}
         self.spaces: dict[tuple[int, int, int], _ChainSpace] = {}
         self.top = -1
         self._interiors: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -206,14 +207,14 @@ class _Chains:
 
     def label(self, n: int, x: int, y: int, pivot: int) -> str:
         """A basis row named by its pivot chain: a0.da1...dan, with an identity head elided."""
-        c = self.c
+        labels = self.labels
         interior, arrows = self.spaces[(n, x, y)].elems[pivot]
         path = (x,) + interior + (y,)
-        head_label = c.basis_labels(path[0], path[1])[arrows[0]]
-        head_is_unit = path[0] == path[1] and self.unit.get(path[0]) == arrows[0]
+        head_label = labels[(x, path[1])][arrows[0]]
+        head_is_unit = x == path[1] and self.unit.get(x) == arrows[0]
         pieces = [] if head_is_unit else [head_label]
         for i in range(1, len(arrows)):
-            pieces.append("d" + c.basis_labels(path[i], path[i + 1])[arrows[i]])
+            pieces.append("d" + labels[(path[i], path[i + 1])][arrows[i]])
         return ".".join(pieces) if pieces else head_label
 
 

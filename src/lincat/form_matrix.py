@@ -109,18 +109,6 @@ class FormMatrix:
         acc.add(self, other)
         return acc.matrix()
 
-    def power(self, w: DGCategory, k: int) -> "FormMatrix":
-        if self.row_family != self.col_family:
-            raise DimensionError("only square form matrices have powers")
-        if k < 0:
-            raise DimensionError("negative matrix power")
-        if k == 0:
-            return FormMatrix.identity(w, self.row_family)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc.mul(w, self)
-        return acc
-
     def d(self, w: DGCategory) -> "FormMatrix":
         return FormMatrix(self.degree + 1, self.row_family, self.col_family, tuple(
             tuple(w.d(f) for f in row) for row in self.entries
@@ -151,7 +139,7 @@ class ProductAccumulator:
     `matrix()` then builds one `Form` per entry, in lowest terms, so a
     product or a sum of products costs no intermediate form and no
     rational arithmetic.  Each entry equals the sum of
-    `DGCategory.compose` over the inner index.
+    `DGCategory.compose` over the inner index (`of_diagonal`: r = c only).
     """
 
     def __init__(self, w: DGCategory, degree: int, row_family, col_family):
@@ -161,22 +149,30 @@ class ProductAccumulator:
         self.col_family = tuple(col_family)
         self.sums: list[list[dict[int, int]]] = [[{} for _ in self.col_family] for _ in self.row_family]
         self.dens: list[list[int]] = [[1] * len(self.col_family) for _ in self.row_family]
+        self.diagonal = False
+
+    @classmethod
+    def of_diagonal(cls, w: DGCategory, degree: int, family) -> "ProductAccumulator":
+        """An accumulator of the diagonal entries of a square sum, which a trace reads alone."""
+        acc = cls(w, degree, family, family)
+        acc.diagonal = True
+        return acc
 
     def add(self, a: FormMatrix, b: FormMatrix, sign: int = 1) -> None:
         if a.col_family != b.row_family:
             raise DimensionError("form matrix product: inner families differ")
         if (a.degree + b.degree, a.row_family, b.col_family) != (self.degree, self.row_family, self.col_family):
             raise DimensionError("form matrix product: factors do not match the accumulated sum")
-        integral, p, q = self.w.integral_products, a.degree, b.degree
+        integral, p, q, diagonal = self.w.integral_products, a.degree, b.degree, self.diagonal
         cols = [oj.index for oj in b.col_family]
-        for oi, a_row, out_row, den_row in zip(a.row_family, a.entries, self.sums, self.dens):
+        for r, (oi, a_row, out_row, den_row) in enumerate(zip(a.row_family, a.entries, self.sums, self.dens)):
             x = oi.index
             for ok, f, b_row in zip(a.col_family, a_row, b.entries):
                 if not f.nums:
                     continue
                 f_nums = f.nums if sign == 1 else [(i, sign * n) for i, n in f.nums]
                 y = ok.index
-                for c, (z, g) in enumerate(zip(cols, b_row)):
+                for c, (z, g) in ((r, (cols[r], b_row[r])),) if diagonal else enumerate(zip(cols, b_row)):
                     g_nums = g.nums
                     if not g_nums:
                         continue
@@ -201,11 +197,20 @@ class ProductAccumulator:
                                 out[k] = out.get(k, 0) + st * n
 
     def matrix(self) -> FormMatrix:
+        if self.diagonal:
+            raise DimensionError("a diagonal accumulator holds no off-diagonal entries; read its traces")
         deg, rf, cf = self.degree, self.row_family, self.col_family
         return FormMatrix(deg, rf, cf, tuple(
             tuple(Form(deg, oj, oi, *lowest_terms(den, out.items())) for oj, out, den in zip(cf, row, dens))
             for oi, row, dens in zip(rf, self.sums, self.dens)
         ))
+
+    def traces(self) -> tuple[Form, ...]:
+        """The diagonal trace of the sum, grouped per object as `FormMatrix.diagonal_trace` groups it."""
+        comps = [self.w.zero_form(self.degree, o, o) for o in self.w.base.objects]
+        for r, oi in enumerate(self.row_family):
+            comps[oi.index] += Form(self.degree, oi, oi, *lowest_terms(self.dens[r][r], self.sums[r][r].items()))
+        return tuple(comps)
 
 
 def block_diag(w: DGCategory, a: FormMatrix, b: FormMatrix) -> FormMatrix:

@@ -31,11 +31,11 @@ holds exactly (`TildeCochain.homotopy_defect`), so k of a closed
 cochain is a primitive of the difference of its two ends.
 
 Products accumulate once per entry: a polynomial product keeps one
-`ProductAccumulator` of `lincat.form_matrix` per power of t, and the
-e-part of a product adds a0.b1 and (-1)^m a1.b0 into the same
-accumulators.  They sum the integer numerators of the forms over one
-denominator per entry, so the coefficient of each power of t is put in
-lowest terms once, when its matrix is built.
+`ProductAccumulator` of `lincat.form_matrix` per power of t, summing
+integer numerators over one denominator per entry, and the e-part adds
+a0.b1 and (-1)^m a1.b0 into the same accumulators; each coefficient is
+put in lowest terms once.  A trace reads only the diagonal, so the last
+product of `trace_cochain_of_power` contracts no entry off it.
 """
 
 from __future__ import annotations
@@ -103,19 +103,23 @@ def pm_mul(w: DGCategory, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return _pm_products(w, a.degree + b.degree, a.row_family, b.col_family, [(a, b, 1)])
 
 
+def _accumulated(products, accumulator, *args) -> list[ProductAccumulator]:
+    """The sum of sign * a.b over the (a, b, sign) in `products`, in one `accumulator(*args)` per power of t."""
+    acc = [accumulator(*args) for _ in range(max(len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products))]
+    for a, b, sign in products:
+        for i, ma in enumerate(a.coeffs):
+            for j, mb in enumerate(b.coeffs):
+                acc[i + j].add(ma, mb, sign)
+    return acc
+
+
 def _pm_products(w: DGCategory, degree: int, row_family, col_family, products) -> PolyMatrix:
     """The sum of sign * a.b over the (a, b, sign) in `products`.
 
     One accumulator per power of t collects every coefficient product,
     and each power becomes a matrix once at the end.
     """
-    n = max((len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products), default=1)
-    acc = [ProductAccumulator(w, degree, row_family, col_family) for _ in range(n)]
-    for a, b, sign in products:
-        for i, ma in enumerate(a.coeffs):
-            for j, mb in enumerate(b.coeffs):
-                acc[i + j].add(ma, mb, sign)
-    return poly_matrix([m.matrix() for m in acc])
+    return poly_matrix([m.matrix() for m in _accumulated(products, ProductAccumulator, w, degree, row_family, col_family)])
 
 
 def pm_d(w: DGCategory, a: PolyMatrix) -> PolyMatrix:
@@ -158,10 +162,15 @@ def tm_add(a: TildeMatrix, b: TildeMatrix) -> TildeMatrix:
     return TildeMatrix(pm_add(a.part0, b.part0), pm_add(a.part1, b.part1))
 
 
+def _e_products(a: TildeMatrix, b: TildeMatrix) -> list[tuple[PolyMatrix, PolyMatrix, int]]:
+    """The products that sum to the e-part of a.b."""
+    return [(a.part0, b.part1, 1), (a.part1, b.part0, -1 if b.degree % 2 else 1)]
+
+
 def tm_mul(w: DGCategory, a: TildeMatrix, b: TildeMatrix) -> TildeMatrix:
-    products = [(a.part0, b.part1, 1), (a.part1, b.part0, -1 if b.degree % 2 else 1)]
     return TildeMatrix(pm_mul(w, a.part0, b.part0),
-                       _pm_products(w, a.degree + b.degree - 1, a.part0.row_family, b.part0.col_family, products))
+                       _pm_products(w, a.degree + b.degree - 1, a.part0.row_family, b.part0.col_family,
+                                    _e_products(a, b)))
 
 
 def tm_power(w: DGCategory, a: TildeMatrix, k: int) -> TildeMatrix:
@@ -247,13 +256,26 @@ class TildeCochain:
 def trace_cochain(w: DGCategory, rh: DeRhamComplex, gamma: TildeMatrix) -> TildeCochain:
     """The cochain of the diagonal trace of an extended square matrix.
 
-    Each part takes the class of the diagonal trace of each
-    t-coefficient, and the shorter part is padded with zero classes.
+    Each part takes the class of the diagonal trace of each t-coefficient
+    up to the last nonzero trace, the shorter part padded with zero classes.
     """
-    n = gamma.degree
-    part0 = [rh.class_of_trace(n, m.diagonal_trace(w)) for m in gamma.part0.coeffs]
-    part1 = [rh.class_of_trace(n - 1, m.diagonal_trace(w)) for m in gamma.part1.coeffs]
-    length = max(len(part0), len(part1))
-    return TildeCochain(rh, n,
-                        tuple(part0) + (zero_vector(rh.dim(n)),) * (length - len(part0)),
-                        tuple(part1) + (zero_vector(rh.dim(n - 1)),) * (length - len(part1)))
+    return _cochain_of(rh, gamma.degree, [[m.diagonal_trace(w) for m in p.coeffs] for p in (gamma.part0, gamma.part1)])
+
+
+def trace_cochain_of_power(w: DGCategory, rh: DeRhamComplex, a: TildeMatrix, q: int) -> TildeCochain:
+    """`trace_cochain(w, rh, tm_power(w, a, q))`, the last product contracted on its diagonal only."""
+    if q < 2:
+        return trace_cochain(w, rh, tm_power(w, a, q))
+    head = tm_power(w, a, q - 1)
+    n, fam = head.degree + a.degree, a.part0.row_family
+    parts = ((n, [(head.part0, a.part0, 1)]), (n - 1, _e_products(head, a)))
+    return _cochain_of(rh, n, [[m.traces() for m in _accumulated(ps, ProductAccumulator.of_diagonal, w, d, fam)]
+                               for d, ps in parts])
+
+
+def _cochain_of(rh: DeRhamComplex, n: int, traces: list) -> TildeCochain:
+    """The cochain of per-object traces, per part and power of t, up to the last nonzero one in either part."""
+    length = 1 + max((i for ts in traces for i, t in enumerate(ts) if any(f.nums for f in t)), default=0)
+    part0, part1 = (tuple(rh.class_of_trace(m, ts[i]) if i < len(ts) else zero_vector(rh.dim(m)) for i in range(length))
+                    for m, ts in zip((n, n - 1), traces))
+    return TildeCochain(rh, n, part0, part1)

@@ -1,11 +1,12 @@
 """Shared builders for the test suite.
 
-Four small categories cover the behaviors under test:
+Five small categories cover the behaviors under test:
 
 * point: one object, identity only; no forms in positive degree.
 * dual numbers: one object, hom = span{1, u} with u.u = 0.
 * two points: one object, hom = span{1, c} with c.c = c.
 * arrow: two objects s, t and a single arrow a between them.
+* iso pair: two objects a, b joined by inverse isomorphisms.
 
 Two families scale them up: `matrix_units_category(n)` (M_n, one object
 whose identity is not a basis arrow) and `linear_quiver_category(n)`
@@ -14,6 +15,7 @@ whose identity is not a basis arrow) and `linear_quiver_category(n)`
 """
 
 from fractions import Fraction
+import itertools
 import json
 from math import lcm
 import random
@@ -25,6 +27,7 @@ from lincat import (
     FormMatrix,
     ProjectiveModule,
     build_category,
+    direct_sum,
     load_fixture,
     serialize_workspace,
     universal_dg,
@@ -112,6 +115,25 @@ def arrow_category():
     )
 
 
+def iso_pair_category():
+    """Two objects a, b joined by inverse isomorphisms f: a -> b and g: b -> a."""
+    return build_category(
+        ["a", "b"],
+        {("a", "a"): ["1a"], ("b", "b"): ["1b"], ("b", "a"): ["f"], ("a", "b"): ["g"]},
+        {
+            ("1a", "1a"): {"1a": 1},
+            ("1b", "1b"): {"1b": 1},
+            ("1b", "f"): {"f": 1},
+            ("f", "1a"): {"f": 1},
+            ("1a", "g"): {"g": 1},
+            ("g", "1b"): {"g": 1},
+            ("g", "f"): {"1a": 1},
+            ("f", "g"): {"1b": 1},
+        },
+        {"a": {"1a": 1}, "b": {"1b": 1}},
+    )
+
+
 def broken_unit_category():
     """The dual numbers with u named as the identity: the unit laws fail."""
     return build_category(
@@ -158,6 +180,11 @@ def dual5():
 @pytest.fixture(scope="session")
 def two5():
     return universal_dg(two_points_category(), 5)
+
+
+@pytest.fixture(scope="session")
+def two8():
+    return universal_dg(two_points_category(), 8)
 
 
 @pytest.fixture(scope="session")
@@ -267,6 +294,36 @@ def random_form_matrix(w, degree, row_family, col_family, rng):
 def random_gauge_connection(module: ProjectiveModule, rng) -> Connection:
     gauge = random_form_matrix(module.w, 1, module.family, module.family, rng)
     return Connection(module, gauge)
+
+
+def seeded_two_points_sums(w, seed: int) -> list[tuple[str, Connection]]:
+    """Every sum of one to three of F, L and P over two points, each with a seeded degree-1 gauge.
+
+    F is free of rank one, L the image of c and P the rank-two
+    presentation [[c, 0], [1, 1-c]].  As in the two_points_characters
+    benchmark, the seed draws the order of the summands and the gauge's
+    integer coordinates in [-2, 2]; every call builds new modules and
+    connections.  Returns (summand names, connection) pairs.
+    """
+    rng = random.Random(seed)
+    x = w.base.objects[0]
+    one, c, zero = w.basis_form(0, x, x, 0), w.basis_form(0, x, x, 1), w.zero_form(0, x, x)
+    rows = {"F": ((one,),), "L": ((c,),), "P": ((c, zero), (one, one - c))}
+    out = []
+    for k in (1, 2, 3):
+        for kinds in itertools.combinations_with_replacement("FLP", k):
+            names = rng.sample(kinds, k)
+            parts = [ProjectiveModule(w, n, FormMatrix(0, (x,) * len(rows[n]), (x,) * len(rows[n]), rows[n]))
+                     for n in names]
+            total = parts[0]
+            for part in parts[1:]:
+                total = direct_sum(total, part).module
+            fam = total.family
+            gauge = FormMatrix(1, fam, fam, tuple(
+                tuple(w.form(1, x, x, [rng.randint(-2, 2) for _ in range(2)]) for _ in fam) for _ in fam
+            ))
+            out.append(("".join(names), Connection(total, gauge)))
+    return out
 
 
 def projective_two_points(w) -> ProjectiveModule:

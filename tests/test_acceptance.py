@@ -344,7 +344,8 @@ def test_criterion_06_invariance(dual5, two5, arrow3):
                 c1 = Connection(m, lam)
                 cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(c0, c1), q))
                 jump = vec_sub(cochain.ev_at(1), cochain.ev_at(0))
-                hand = (lam.d(w) + lam.mul(w, lam)).power(w, q)
+                gamma = lam.d(w) + lam.mul(w, lam)
+                hand = gamma if q == 1 else gamma.mul(w, gamma)
                 assert jump == rh.class_of_trace(2 * q, hand.diagonal_trace(w))
                 assert is_zero_vector(cochain.ev_at(0))
                 mechanism += 1

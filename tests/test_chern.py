@@ -23,9 +23,9 @@ from lincat.derham import get_complex
 from lincat.dg import universal_dg
 from lincat.errors import DimensionError, LincatError, ModuleError, ScalarTypeError, TruncationError
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
-from lincat.form_matrix import FormMatrix
+from lincat.form_matrix import FormMatrix, ProductAccumulator
 from lincat.module_algebra import ProjectiveModule, direct_sum
-from lincat.tforms import tm_power, trace_cochain
+from lincat.tforms import tm_power, trace_cochain, trace_cochain_of_power
 from lincat.workspace import fixture_names, load_fixture
 from lincat.connection import tilde_curvature
 
@@ -36,10 +36,12 @@ from conftest import (
     dual_category,
     dual_projective,
     graph_module,
+    iso_pair_category,
     line_module,
     projective_two_points,
     random_form_matrix,
     random_gauge_connection,
+    seeded_two_points_sums,
     two_points_category,
 )
 
@@ -164,6 +166,140 @@ def test_invariance_certificates_on_every_fixture_are_pinned():
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == INVARIANCE_REPRS_SHA256
 
 
+# sha256 over the seeded sums of F, L and P over two points at truncation 8
+# (`seeded_two_points_sums(w, 40)`), at q = 1, 2 and 3, of three lines per
+# case: the repr of `chern_form`, the terms (index, coefficient, label) of
+# `certify_cocycle`, and the repr of `invariance_certificate` from the
+# canonical connection; recorded before the curvature powers were kept
+SEEDED_CHARACTERS_SHA256 = "7ba5d4995d32fa8f1ce1181c797bc9df2b6d42de0556919075a57de2d191d0ce"
+
+
+def test_characters_of_seeded_sums_up_to_q3_are_pinned(two8):
+    lines = []
+    for names, conn in seeded_two_points_sums(two8, 40):
+        canonical = canonical_connection(conn.module)
+        for q in (1, 2, 3):
+            terms = [(t.index, str(t.coefficient), t.label) for t in certify_cocycle(conn, q).terms]
+            lines += [f"{names} q={q} form {chern_form(conn, q)!r}",
+                      f"{names} q={q} cocycle {terms}",
+                      f"{names} q={q} invariance {invariance_certificate(canonical, conn, q)!r}"]
+    assert len(lines) == 19 * 3 * 3
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == SEEDED_CHARACTERS_SHA256
+
+
+def counted_adds(monkeypatch) -> list:
+    """The right factor of every `ProductAccumulator.add` call from now on, in call order."""
+    factors = []
+    original = ProductAccumulator.add
+
+    def add(self, a, b, sign=1):
+        factors.append(b)
+        return original(self, a, b, sign)
+
+    monkeypatch.setattr(ProductAccumulator, "add", add)
+    return factors
+
+
+def test_curvature_powers_multiply_out_once_per_connection(two8, monkeypatch):
+    # every case is a new connection, so no power comes from an earlier case
+    cases, operations = seeded_two_points_sums(two8, 41), seeded_two_points_sums(two8, 41)
+    factors = counted_adds(monkeypatch)
+    for names, conn in cases:
+        w = conn.w
+        # refusals come first, with nothing multiplied out or kept
+        with pytest.raises(DimensionError, match=r"^curvature power needs q >= 1$"):
+            conn.curvature_power(0)
+        with pytest.raises(TruncationError, match=r"^Gamma\^5 has degree 10; raise the truncation to at least 10$"):
+            conn.curvature_power(5)
+        assert factors == []
+        # past C, Gamma takes two products (C.C and e.dC), then Gamma^q one more per q above 1
+        conn.operational_matrix()
+        factors.clear()
+        g3 = conn.curvature_power(3)
+        gamma = conn.curvature()
+        assert len(factors) == 4 and factors[2:] == [gamma, gamma]
+        assert conn.curvature_power(3) is g3 and conn.curvature_power(1) is gamma
+        g2 = conn.curvature_power(2)
+        assert len(factors) == 4
+        assert conn.curvature_power(4) == g3.mul(w, gamma) and len(factors) == 6
+        assert (g2, g3) == (gamma.mul(w, gamma), gamma.mul(w, gamma).mul(w, gamma))
+        factors.clear()
+    # the character, its cocycle certificate and the invariance certificate
+    # of one operation, and `lincat chern --certify`, share one Gamma^q
+    for names, conn in operations:
+        canonical = canonical_connection(conn.module)
+        chern_class(conn, 3)
+        certify_cocycle(conn, 3)
+        invariance_certificate(canonical, conn, 3)
+        assert sum(b is conn.curvature() for b in factors) == 2, names
+        assert sum(b is canonical.curvature() for b in factors) == 2, names
+        factors.clear()
+
+
+def test_trace_of_a_power_equals_the_trace_of_the_full_power(two8):
+    # every ordered pair of connections on one module of every fixture, and
+    # the seeded sums from their canonical connection, at every q the
+    # truncation allows
+    pairs = []
+    for name in fixture_names():
+        ws = load_fixture(name)
+        pairs += [(c0, c1) for c0 in ws.connections.values() for c1 in ws.connections.values()
+                  if c0.module is c1.module and c0.w.truncation >= 2]
+    pairs += [(canonical_connection(conn.module), conn) for _, conn in seeded_two_points_sums(two8, 42)]
+    checked = []
+    for c0, c1 in pairs:
+        w = c0.w
+        rh = get_complex(w)
+        gamma = tilde_curvature(c0, c1)
+        for q in range(1, w.truncation // 2 + 1):
+            assert trace_cochain_of_power(w, rh, gamma, q) == trace_cochain(w, rh, tm_power(w, gamma, q))
+            checked.append(q)
+    assert (len(checked), checked.count(3), checked.count(4)) == (102, 19, 19)
+
+
+def test_the_last_product_of_a_traced_power_contracts_no_off_diagonal_entry(monkeypatch):
+    # over the free module on both objects of the iso pair, entry (r, c) of
+    # a product is off the diagonal exactly when its two objects differ; the
+    # kernel looks up one block of stored products for each pair of nonzero
+    # factor forms it contracts into an entry, so counting the lookups by
+    # their endpoints counts the contractions on and off the diagonal
+    w = universal_dg(iso_pair_category(), 6)
+    rh = get_complex(w)
+    m = ProjectiveModule.free(w, "F", tuple(w.base.objects))
+    rng = random.Random(86)
+    lookups = {True: 0, False: 0}
+    original = w.integral_products
+
+    def integral_products(p, q, x, y, z):
+        lookups[x == z] += 1
+        return original(p, q, x, y, z)
+
+    monkeypatch.setattr(w, "integral_products", integral_products)
+
+    def count(run) -> tuple[int, int]:
+        """(diagonal, off-diagonal) contractions of the call."""
+        lookups.update({True: 0, False: 0})
+        run()
+        return lookups[True], lookups[False]
+
+    for q in (2, 3):
+        for _ in range(3):
+            gamma = tilde_curvature(canonical_connection(m), random_gauge_connection(m, rng))
+            head = count(lambda: tm_power(w, gamma, q - 1))
+            full = count(lambda: tm_power(w, gamma, q))
+            # the powers below q are built in full; the last product makes the
+            # diagonal contractions of the full one and no other
+            assert full[0] > head[0] and full[1] > head[1]
+            assert count(lambda: trace_cochain_of_power(w, rh, gamma, q)) == (full[0], head[1])
+    # a diagonal accumulator hands out traces, never a matrix with false zeros
+    a = random_form_matrix(w, 2, m.family, m.family, rng)
+    acc = ProductAccumulator.of_diagonal(w, 4, m.family)
+    acc.add(a, a)
+    assert acc.traces() == a.mul(w, a).diagonal_trace(w)
+    with pytest.raises(DimensionError, match="diagonal accumulator"):
+        acc.matrix()
+
+
 def test_free_module_mechanism(dual5, two5):
     # on a free module the segment from the zero connection to L has
     # ev1 - ev0 equal to the class of Tr((dL + L.L)^q), computed by hand
@@ -179,7 +315,8 @@ def test_free_module_mechanism(dual5, two5):
                 c1 = Connection(m, lam)
                 cochain = trace_cochain(w, rh, tm_power(w, tilde_curvature(c0, c1), q))
                 jump = vec_sub(cochain.ev_at(1), cochain.ev_at(0))
-                hand = (lam.d(w) + lam.mul(w, lam)).power(w, q)
+                gamma = lam.d(w) + lam.mul(w, lam)
+                hand = gamma if q == 1 else gamma.mul(w, gamma)
                 hand_class = rh.class_of_trace(2 * q, hand.diagonal_trace(w))
                 assert jump == hand_class
                 assert is_zero_vector(cochain.ev_at(0))

@@ -323,6 +323,23 @@ def test_trace_cochain_pads_the_shorter_part_with_zero_classes(two5):
     assert a.part1 == tuple(rh.class_of_trace(0, m.diagonal_trace(w)) for m in part1.coeffs)
 
 
+def test_trace_cochain_ends_at_the_last_nonzero_trace(two5):
+    # the coefficient of t is nonzero off the diagonal only, so its trace
+    # vanishes and the cochain of the trace has one power of t
+    w = two5
+    rh = get_complex(w)
+    x = w.base.objects[0]
+    one, c, zero = w.basis_form(0, x, x, 0), w.basis_form(0, x, x, 1), w.zero_form(0, x, x)
+    head = FormMatrix(0, (x, x), (x, x), ((c, zero), (zero, one)))
+    tail = FormMatrix(0, (x, x), (x, x), ((zero, one), (zero, zero)))
+    gamma = tilde_matrix(w, poly_matrix([head, tail]))
+    assert len(gamma.part0.coeffs) == 2
+    assert trace_cochain(w, rh, gamma) == TildeCochain(rh, 0, (rh.class_of_trace(0, head.diagonal_trace(w)),), ((),))
+    # a trace that vanishes below a nonzero one keeps its zero class
+    gamma = tilde_matrix(w, poly_matrix([tail, head]))
+    assert trace_cochain(w, rh, gamma).part0 == (zero_vector(rh.dim(0)), rh.class_of_trace(0, head.diagonal_trace(w)))
+
+
 def test_stratified_bracket_span_dimensions(dual5, two5):
     # the literal stratified bracket span is exactly one commutator
     # subspace per stratum: important for splitting the extension
