@@ -100,32 +100,34 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     forms = chern_form(conn, q)
     t_den, target = rh.ambient_d(2 * q, rh.ambient_row(2 * q, forms))
 
-    # one row per ambient coordinate, and column j the numerators of
-    # commutator j, that is D_j times it: the pivot columns are those of
-    # the commutators, so x_j = D_j * y_j / t_den is their solution for
-    # the target's numerators over t_den, free variables 0
-    span, rows = commutator_system(w, degree)
-    y = solve_rows(rows, len(span), (1, target))
+    # one row per ambient coordinate, and column k the numerators of pivot
+    # commutator k, that is D_j times commutator j: the columns are
+    # independent, so x_j = D_j * y_k / t_den is the one solution for the
+    # target's numerators over t_den, and every other commutator's is 0
+    pivots, rows, size = commutator_system(w, degree)
+    y = solve_rows(rows, len(pivots), (1, target))
     if y is None:
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    # re-substitution: sum x_j (commutator j) = sum y_j (its numerators) / t_den,
+    # re-substitution: sum x_j (commutator j) = sum y_k (its numerators) / t_den,
     # with y the integers y_nums over y_den
     y_den, y_nums = y
     combination: IntRow = {}
-    for j, s in y_nums.items():
-        for i, n in span[j][1].items():
+    for k, s in y_nums.items():
+        for i, n in pivots[k][1][1].items():
             combination[i] = combination.get(i, 0) + s * n
     if {i: n for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
         raise CertificationError("commutator combination failed re-substitution")
     cls = rh.class_of_trace(2 * q, forms)
     if not is_zero_vector(rh.d_class(2 * q, cls)):
         raise CertificationError("character class is not closed despite the commutator combination")
-    terms = tuple(CommutatorTerm(j, Fraction(span[j][0] * s, y_den * t_den), commutator_label(w, degree, j))
-                  for j, s in sorted(y_nums.items()))
-    return CocycleCertificate(q=q, degree=degree, terms=terms, spanning_size=len(span))
+    terms = []
+    for k, s in sorted(y_nums.items()):
+        j, (den, _) = pivots[k]
+        terms.append(CommutatorTerm(j, Fraction(den * s, y_den * t_den), commutator_label(w, degree, j)))
+    return CocycleCertificate(q=q, degree=degree, terms=tuple(terms), spanning_size=size)
 
 
 # ---------------------------------------------------------------------------

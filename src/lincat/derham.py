@@ -48,13 +48,17 @@ d, each pivoting at the last class of its support; a class of degree
 n + 1 reduced by the span leaves minus a primitive, zero at those
 pivots, as a solve in natural order sets its free variables, or an
 entry in the d-block when it has none.  That span, and the system a
-cocycle certificate solves (`commutator_system`: the full span, one
-commutator of basis forms per pair, as numerator rows, with their
-integer transpose), are built on first use in a degree and kept.  A
-certificate cites a commutator by its index in the full span, and
-`commutator_label` names it.  Classes enter and leave as dense tuples
-of `Fraction` coordinates, converted once at that door
-(`numerator_row` in, `densify` out).
+cocycle certificate solves, are built on first use in a degree and
+kept.  The system (`commutator_system`) holds the pivot commutators of
+the full span, one commutator of basis forms per pair: those that no
+earlier one spans, as numerator rows, with their integer transpose.
+Once the laws hold on G the full span is the commutator subspace of
+the quotient, so they are made only until their rank is its
+dimension, and a solve over them with free variables zero is the solve
+over the full span.  A certificate cites a commutator by its index in
+the full span, and `commutator_label` names it.  Classes enter and
+leave as dense tuples of `Fraction` coordinates, converted once at
+that door (`numerator_row` in, `densify` out).
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -75,12 +79,13 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .category import validate_category
 from .dg import DGCategory, Form, certified_generators, render_terms, stacked, validate_dg
 from .errors import CategoryAxiomError, DimensionError, LincatError
 from .exact_linalg import (
+    Echelon,
     IntRow,
     IntTerms,
     NumeratorRow,
@@ -97,21 +102,20 @@ from .exact_linalg import (
 )
 
 
-def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[NumeratorRow]:
+def generator_span(w: DGCategory, n: int, gens: Iterable[Form]) -> Iterator[NumeratorRow]:
     """The graded commutators [g, v] of degree n, g in `gens` and v a basis form, embedded diagonally.
 
     For g of degree p from y to x, v runs over the basis forms of degree
     q = n - p from x to y, and g.v - (-1)^(pq) v.g has g.v at x and v.g
     at y.  Each is a `NumeratorRow` of its nonzero entries, summed over
     the blocks of `integral_products`, each block cross-multiplied by the
-    other's denominator.  Every [g, v] is a combination of the
-    commutators of basis forms, and when G is the generating set of
-    `validate_dg` and the laws hold on it, they span all of them, by the
-    identity in the module docstring.
+    other's denominator, and made only when it is read, in that order.
+    Every [g, v] is a combination of the commutators of basis forms, and
+    when G is the generating set of `validate_dg` and the laws hold on
+    it, they span all of them, by the identity in the module docstring.
     """
     nobj = len(w.base.objects)
     offs = offsets(w.dim(n, x, x) for x in range(nobj))
-    out: list[NumeratorRow] = []
     for g in gens:
         p, x, y = g.degree, g.cod.index, g.dom.index
         q = n - p
@@ -133,14 +137,13 @@ def generator_span(w: DGCategory, n: int, gens: Sequence[Form]) -> list[Numerato
                     row[off_x + k] = row.get(off_x + k, 0) + a * s
                 for k, s in bwd_block[j][i]:
                     row[off_y + k] = row.get(off_y + k, 0) + b * s
-            out.append((g.den * den, row if 0 not in row.values() else {k: s for k, s in row.items() if s}))
-    return out
+            yield g.den * den, row if 0 not in row.values() else {k: s for k, s in row.items() if s}
 
 
-def _basis_forms(w: DGCategory, n: int) -> list[Form]:
+def _basis_forms(w: DGCategory, n: int) -> Iterator[Form]:
     """Every basis form of degree 0..n, by degree, endpoints (x, y) and index: the generators of the full span."""
     blocks = itertools.product(range(n + 1), enumerate(w.base.objects), enumerate(w.base.objects))
-    return [Form(p, oy, ox, 1, ((i, 1),)) for p, (x, ox), (y, oy) in blocks for i in range(w.dim(p, x, y))]
+    return (Form(p, oy, ox, 1, ((i, 1),)) for p, (x, ox), (y, oy) in blocks for i in range(w.dim(p, x, y)))
 
 
 def commutator_label(w: DGCategory, n: int, j: int) -> str:
@@ -201,7 +204,7 @@ class DeRhamComplex:
         gens = [g for g in gens if g != w.identity_form(g.cod)]
         held = [n for n, degree in enumerate(self._degrees) if degree is not self._zero]
         for n in held:
-            quotient = build_quotient(self.ambient_dim(n), generator_span(w, n, gens))
+            quotient = build_quotient(self.ambient_dim(n), list(generator_span(w, n, gens)))
             # d of the object blocks in object order, over the lcm of their
             # denominators, each shifted to its object's block of degree n + 1
             blocks = [w.integral_diff(n, x, x) for x in range(nobj)]
@@ -226,9 +229,9 @@ class DeRhamComplex:
         self.quotients = [degree.quotient for degree in self._degrees]
         self.d_columns = [degree.d for degree in self._degrees]
         self.component_offsets = [degree.offsets for degree in self._degrees]
-        # built on first use in a degree and kept: the full commutator span
-        # of `commutator_system`, with its rows, and the span of d (`_span`)
-        self._commutator_systems: dict[int, tuple[list[NumeratorRow], list[NumeratorRow]]] = {}
+        # built on first use in a degree and kept: the pivot commutators of
+        # `commutator_system`, with their rows, and the span of d (`_span`)
+        self._commutator_systems: dict[int, tuple[list[tuple[int, NumeratorRow]], list[NumeratorRow], int]] = {}
         self._spans: dict[int, QuotientSpace] = {}
 
     def _degree(self, n: int) -> _Degree:
@@ -365,23 +368,38 @@ def get_complex(w: DGCategory) -> DeRhamComplex:
     return w._derham
 
 
-def commutator_system(w: DGCategory, n: int) -> tuple[list[NumeratorRow], list[NumeratorRow]]:
-    """The full commutator span of degree n, and its numerators as a linear system, by rows.
+def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[int, NumeratorRow]], list[NumeratorRow], int]:
+    """The pivot commutators of degree n, their numerators as a linear system by rows, and the size of the full span.
 
-    The span is `generator_span` over every basis form, one `NumeratorRow`
-    (D_j, numerators) per pair of opposed basis forms.  Row i of the
-    system is (1, {j: n}), n the numerator of commutator j at coordinate
-    i.  Both are built on first use in a degree and kept on
-    `get_complex(w)`; they are not to be modified.
+    The full span is `generator_span` over every basis form, one
+    `NumeratorRow` (D_j, numerators) per pair of opposed basis forms, in
+    the order `commutator_label` decodes.  Its pivot commutators, those
+    that no earlier one spans, come as (j, (D_j, numerators)) by
+    increasing index j; they are made in order into an `Echelon`, and
+    none once its rank is that of the quotient's commutator subspace.
+    Row i of the system is (1, {k: n}), n the numerator of pivot
+    commutator k at coordinate i.  All three are built on first use in a
+    degree and kept on `get_complex(w)`; they are not to be modified.
     """
     rh = get_complex(w)
     system = rh._commutator_systems.get(n)
     if system is None:
-        span = generator_span(w, n, _basis_forms(w, n))
+        rank = rh._degree(n).quotient.subspace_dim
+        basis, pivots = Echelon(), []
+        if rank:
+            for j, commutator in enumerate(generator_span(w, n, _basis_forms(w, n))):
+                if basis.add(commutator) is not None:
+                    pivots.append((j, commutator))
+                    if len(pivots) == rank:
+                        break
+        if len(pivots) < rank:
+            raise LincatError(f"the degree-{n} commutators of basis forms have rank {len(pivots)}, "
+                              f"under the {rank} of the quotient complex")
         rows: list[IntRow] = [{} for _ in range(rh.ambient_dim(n))]
-        for j, (_, nums) in enumerate(span):
+        for k, (_, (_, nums)) in enumerate(pivots):
             for i, x in nums.items():
-                rows[i][j] = x
-        system = rh._commutator_systems[n] = span, [(1, row) for row in rows]
+                rows[i][k] = x
+        objs = range(len(w.base.objects))
+        size = sum(w.dim(p, x, y) * w.dim(n - p, y, x) for p in range(n + 1) for x in objs for y in objs)
+        system = rh._commutator_systems[n] = pivots, [(1, row) for row in rows], size
     return system
-

@@ -248,7 +248,7 @@ class DGCategory:
     # -- dimensions and bases --------------------------------------------
 
     def dim(self, n: int, x: int, y: int) -> int:
-        return len(self.space_labels(n, x, y))
+        return self.base.dim(x, y) if n == 0 else len(self.gr_basis.get(n, {}).get((x, y), ()))
 
     def space_labels(self, n: int, x: int, y: int) -> tuple[str, ...]:
         if n == 0:
@@ -265,7 +265,9 @@ class DGCategory:
             raise DimensionError(
                 f"degree-{n} form {dom.label}->{cod.label}: expected {self.dim(n, cod.index, dom.index)} coordinates"
             )
-        return Form(n, dom, cod, *over_lcm([(k, s) for k, s in enumerate(v) if s]))
+        terms = [(k, s) for k, s in enumerate(v) if s]
+        # integer coordinates, the common case, are their own numerators over 1
+        return Form(n, dom, cod, *((1, tuple(terms)) if all(type(s) is int for _, s in terms) else over_lcm(terms)))
 
     def basis_form(self, n: int, dom: ObjectId, cod: ObjectId, k: int) -> Form:
         d = self.dim(n, cod.index, dom.index)
@@ -353,8 +355,11 @@ def validate_dg(w: DGCategory) -> list[Violation]:
 
     Every law is certified on a generating set.  Let G be a set of forms
     whose left-normed words (..(g1.g2)...).gk, taken with the stored
-    product, span every basis form; `_generators` builds one.  The forms
-    x with (x.y).z = x.(y.z) for all y, z make a subspace closed under
+    product, span every basis form; `_generators` builds one, and drops
+    from its degree-0 forms those that the words of the others reach:
+    the lemma below holds for any such G, so a smaller G is checked as
+    strongly, with fewer forms on the left.  The forms x with
+    (x.y).z = x.(y.z) for all y, z make a subspace closed under
     products, so associativity on the triples (g, y, z), g in G, gives
     it on all triples.  Then the unit laws on G give them on every word:
     1.(v.g) = (1.v).g = v.g and (v.g).1 = v.(g.1) = v.g, by induction
@@ -405,6 +410,10 @@ def _generators(w: DGCategory) -> list[Form]:
     words of degree n that lower words and generators reach, then d(g)
     of each degree-(n-1) generator g that they do not reach, then each
     basis form, in basis order, that the words still do not reach.
+    After degree 0, its generators are thinned by reverse deletion: last
+    first, each one that the others' words still reach goes, and the
+    words are then made again from those left (`pruned`); on M2,
+    e11 = e12.e21 goes.  d(g) of a generator that went is not added.
     Every step follows the tables in a fixed order, so G is a function
     of the tables alone, and the words span every basis form by
     construction.  Products of lower words walk the sorted keys of the
@@ -470,6 +479,44 @@ def _generators(w: DGCategory) -> list[Form]:
             if dg.nums:
                 pending.append(dg)
 
+    def pruned() -> None:
+        """Drop, last first, each degree-0 generator that the words of the others reach; start over from the rest.
+
+        g is tried only where two others, neither an identity, have a
+        product with a term at g, so nothing is tried where nothing can go.
+        """
+        one = w.base.identity
+        plain = [g for g in gens if g.dom is not g.cod or (g.den, g.nums) != one[g.cod.index]]
+        if len(plain) < 2:
+            return
+
+        def restart(zero: list[Form]) -> bool:
+            """Start over from the words of the degree-0 generators `zero`, in order; whether they fill degree 0."""
+            for table in (words, spanning, gens, by_source, rows_of, pending):
+                table.clear()
+            for g in zero:
+                add(0, g.cod.index, g.dom.index, dict(g.nums))
+                join(g)
+            return all(full(0, x, y) for x in range(nobj) for y in range(nobj))
+
+        zero = list(gens)
+        hits = []  # (a, b, c): the generator c is a term of a.b
+        for a in plain:
+            for b in plain:
+                if a is not b and a.dom is b.cod:
+                    _, block = w.integral_products(0, 0, a.cod.index, a.dom.index, b.dom.index)
+                    terms = {k for k, _ in block[a.nums[0][0]][b.nums[0][0]]}
+                    hits += [(a, b, c) for c in zero if c.dom is b.dom and c.cod is a.cod and c.nums[0][0] in terms
+                             and c is not a and c is not b]
+        kept = held = zero  # the generators left, and those whose words are held now
+        for g in reversed(zero):
+            if any(c is g and a in kept and b in kept for a, b, c in hits):
+                held = [h for h in kept if h is not g]
+                if restart(held):
+                    kept = held
+        if held is not kept:
+            restart(kept)
+
     for n in range(N + 1):
         for k, x, y in sorted(key for key in spanning if 0 < key[0] < n):
             for v in spanning[(k, x, y)]:
@@ -486,6 +533,8 @@ def _generators(w: DGCategory) -> list[Form]:
                     if (n, x, y) not in words or not words[(n, x, y)].spans_unit(k):
                         add(n, x, y, {k: 1})
                         join(Form(n, objs[y], objs[x], 1, ((k, 1),)))
+        if n == 0 and len(gens) > 2:
+            pruned()
     return gens
 
 

@@ -388,15 +388,6 @@ def _in_range(nums: IntRow, n: int, what: str) -> None:
         raise DimensionError(f"{what} outside 0..{n - 1}")
 
 
-def _spanned(rows: Iterable[NumeratorRow], ncols: int) -> "Echelon":
-    """An `Echelon` grown by the given rows, which must lie in 0..ncols-1."""
-    basis = Echelon()
-    for given in rows:
-        basis.add(given)  # which checks the row first
-        _in_range(given[1], ncols, "sparse row has a column")
-    return basis
-
-
 class Echelon:
     """A reduced echelon basis grown one row at a time.
 
@@ -427,8 +418,11 @@ class Echelon:
 
     def add(self, given: NumeratorRow) -> Optional[int]:
         """Add a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
+        return self._insert(checked_row(given)[1])
+
+    def _insert(self, v: IntRow) -> Optional[int]:
+        """Add numerators that `checked_row` has passed and the kernel owns, reducing them in place; as `add`."""
         basis, users = self._basis, self._users
-        v = checked_row(given)[1]
         _reduce(v, basis)
         if not v:
             return None
@@ -483,15 +477,17 @@ def solve_rows(rows: Sequence[NumeratorRow], ncols: int, b: NumeratorRow) -> Opt
     """
     e, rhs = checked_row(b)
     _in_range(rhs, len(rows), "right-hand side has a row")
-    augmented = []
+    echelon = Echelon()
     for i, row in enumerate(rows):
+        # checked and copied once, here: the echelon takes the copy as it is
         d, nums = checked_row(row)
+        _in_range(nums, ncols, "sparse row has a column")
         if i in rhs:
             if e != 1:
                 nums = {j: n * e for j, n in nums.items()}
             nums[ncols] = rhs[i] * d
-        augmented.append((1, nums))
-    basis = _spanned(augmented, ncols + 1)._basis
+        echelon._insert(nums)
+    basis = echelon._basis
     if ncols in basis:
         return None
     solution = [(p, d, nums[ncols]) for p, (d, nums) in basis.items() if ncols in nums]
@@ -571,8 +567,12 @@ class QuotientSpace:
 
 
 def build_quotient(ambient_dim: int, spanning: Sequence[NumeratorRow]) -> QuotientSpace:
-    """The quotient by the span of the given `NumeratorRow`s."""
-    basis = _spanned(spanning, ambient_dim)._basis
+    """The quotient by the span of the given `NumeratorRow`s, which must lie in 0..ambient_dim-1."""
+    echelon = Echelon()
+    for given in spanning:
+        echelon.add(given)  # which checks the row first
+        _in_range(given[1], ambient_dim, "sparse row has a column")
+    basis = echelon._basis
     free_cols = tuple(c for c in range(ambient_dim) if c not in basis)
     return QuotientSpace(ambient_dim, free_cols, basis)
 

@@ -65,9 +65,12 @@ class FormMatrix:
     @classmethod
     def zero(cls, w: DGCategory, row_family, col_family, degree: int) -> "FormMatrix":
         rf, cf = tuple(row_family), tuple(col_family)
-        return cls(degree, rf, cf, tuple(
-            tuple(w.zero_form(degree, d_, c_) for d_ in cf) for c_ in rf
-        ))
+        # the rows of one object are one row of zero forms, which are immutable
+        rows: dict[int, tuple[Form, ...]] = {}
+        for c_ in rf:
+            if c_.index not in rows:
+                rows[c_.index] = tuple(w.zero_form(degree, d_, c_) for d_ in cf)
+        return cls(degree, rf, cf, tuple(rows[c_.index] for c_ in rf))
 
     @classmethod
     def identity(cls, w: DGCategory, family) -> "FormMatrix":

@@ -1,7 +1,10 @@
 """Cross-checks of the quotient complex that only the tests use.
 
-`commutator_spanning_labeled` writes the commutator spanning set of
-`lincat.derham` out densely, with `DGCategory.compose`, and
+`commutators_labeled` writes the commutator spanning set of
+`lincat.derham` out one commutator at a time, with `DGCategory.compose`,
+and `commutator_spanning_labeled` all of it densely; `pivot_solve`
+solves against such columns with the free variables of a dense solve
+zero, reading them only until the target lies in their span;
 `tilde_commutator_ranks` multiplies out the bracket span of the
 stratified extension literally, with the product of `lincat.tforms`, to
 compare its rank with the one the quotient complex predicts; `pm_shift`
@@ -9,6 +12,7 @@ multiplies a polynomial matrix by a power of t for its monomials.
 """
 
 from fractions import Fraction
+from typing import Iterable, Iterator, Optional
 
 from lincat.derham import get_complex
 from lincat.dg import DGCategory
@@ -26,17 +30,16 @@ def pm_shift(a: PolyMatrix, k: int = 1) -> PolyMatrix:
     return poly_matrix((zero,) * k + a.coeffs)
 
 
-def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:
-    """Every commutator of basis forms of degree n, dense, with its label.
+def commutators_labeled(w: DGCategory, n: int) -> Iterator[tuple[dict[int, Fraction], str]]:
+    """Every commutator of basis forms of degree n, as its sparse entries {coordinate: s}, with its label.
 
-    The commutators and labels of `lincat.derham.commutator_span`, in its
-    order, written out one pair u, v of opposed basis forms at a time with
-    `DGCategory.compose`: u.v at the codomain x of u, minus (-1)^(pq) v.u
-    at its domain y.
+    The commutators and labels of the full span of `lincat.derham`, in its
+    order, written out one pair u, v of opposed basis forms at a time, and
+    only when read, with `DGCategory.compose`: u.v at the codomain x of u,
+    minus (-1)^(pq) v.u at its domain y.
     """
     objs = w.base.objects
     dims = [w.dim(n, x, x) for x in range(len(objs))]
-    out = []
     for p in range(n + 1):
         q = n - p
         sign = -1 if (p * q) % 2 else 1
@@ -46,13 +49,59 @@ def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str
                     u = w.basis_form(p, oy, ox, i)
                     for j, label_v in enumerate(w.space_labels(q, y, x)):
                         v = w.basis_form(q, ox, oy, j)
-                        vec = [ZERO] * sum(dims)
+                        vec: dict[int, Fraction] = {}
                         for k, s in w.compose(u, v).terms:
-                            vec[sum(dims[:x]) + k] += s
+                            vec[sum(dims[:x]) + k] = vec.get(sum(dims[:x]) + k, ZERO) + s
                         for k, s in w.compose(v, u).terms:
-                            vec[sum(dims[:y]) + k] -= sign * s
-                        out.append((tuple(vec), f"[{label_u}, {label_v}]@({ox.label},{oy.label})"))
-    return out
+                            vec[sum(dims[:y]) + k] = vec.get(sum(dims[:y]) + k, ZERO) - sign * s
+                        yield vec, f"[{label_u}, {label_v}]@({ox.label},{oy.label})"
+
+
+def commutator_spanning_labeled(w: DGCategory, n: int) -> list[tuple[Vector, str]]:
+    """Every commutator of `commutators_labeled`, dense, with its label."""
+    width = sum(w.dim(n, x, x) for x in range(len(w.base.objects)))
+    return [(tuple(vec.get(k, ZERO) for k in range(width)), label) for vec, label in commutators_labeled(w, n)]
+
+
+def pivot_solve(columns: Iterable[dict[int, Fraction]], target: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
+    """The solution x of sum_j x_j columns[j] = target that is zero off the pivot columns, or None.
+
+    A column is a pivot column when no earlier column spans it, and the
+    solution of a dense solve with its free variables zero lives on the
+    pivot columns, which are independent: so it is the one combination of
+    them that gives the target, and the columns are read, by elimination
+    over sparse `Fraction` vectors, only until the target lies in their
+    span.  x comes back as {j: x_j} over its nonzero entries.
+    """
+    rank_of: dict[int, int] = {}  # pivot coordinate -> the order in which its vector came
+    # vectors 1 at their pivot and 0 at every earlier pivot, each with its
+    # combination of columns, so a vector is cleared in that order
+    basis: list[tuple[int, dict, dict]] = []
+
+    def cleared(v: dict, combination: dict) -> dict:
+        while ranks := [rank_of[i] for i, s in v.items() if s and i in rank_of]:
+            p, u, c = basis[min(ranks)]
+            s = v[p]
+            for i, t in u.items():
+                v[i] = v.get(i, ZERO) - s * t
+            for j, t in c.items():
+                combination[j] = combination.get(j, ZERO) - s * t
+        return {i: s for i, s in v.items() if s}
+
+    # the residual is the target plus sum_j m_j columns[j]
+    m: dict = {}
+    residual = cleared(dict(target), m)
+    for j, column in enumerate(columns):
+        if not residual:
+            break
+        combination = {j: ONE}
+        v = cleared(dict(column), combination)
+        if v:
+            p = min(v)
+            rank_of[p] = len(basis)
+            basis.append((p, {i: s / v[p] for i, s in v.items()}, {k: s / v[p] for k, s in combination.items()}))
+            residual = cleared(residual, m)
+    return None if residual else {j: -s for j, s in m.items() if s}
 
 
 def tilde_commutator_ranks(w: DGCategory, n: int, t_bound: int) -> tuple[int, int]:

@@ -250,6 +250,18 @@ def dense_trace_d(w, n, forms) -> tuple:
     return tuple(sum((s * a for s, a in zip(r, v)), Fraction(0)) for r in dense_ambient_d(w, n))
 
 
+def sparse_trace_d(w, n, forms) -> dict:
+    """`dense_trace_d` as its nonzero entries {coordinate: s}, summed over the terms of the components alone."""
+    level, out, off1 = diff_terms(w)[n], {}, 0
+    for x, f in enumerate(forms):
+        columns = level.get((x, x), ())
+        for j, s in f.terms:
+            for i, t in columns[j]:
+                out[off1 + i] = out.get(off1 + i, 0) + s * t
+        off1 += w.dim(n + 1, x, x)
+    return {i: s for i, s in out.items() if s}
+
+
 def pm_eval(a, t):
     """The form matrix a(t) of a polynomial matrix a at a rational t."""
     t = scalar(t)

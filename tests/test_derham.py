@@ -11,14 +11,14 @@ from lincat.category import validate_category
 from lincat.chern import certify_cocycle, chern_form
 import lincat.derham
 import lincat.dg
-from lincat.derham import commutator_label, commutator_system, generator_span, get_complex
+from lincat.derham import _basis_forms, commutator_label, commutator_system, generator_span, get_complex
 from lincat.dg import DGCategory, _generators, certified_generators, render_terms, trivial_dg, validate_dg
 from lincat.errors import CategoryAxiomError, DimensionError, LincatError, ScalarTypeError
 from lincat.exact_linalg import Echelon, QuotientSpace, build_quotient, densify, is_zero_vector, numerator_row, zero_vector
 from lincat.tforms import TildeCochain, TildeMatrix, pm_const, poly_matrix, tilde_matrix, tm_power, trace_cochain
 from lincat.workspace import fixture_names, load_fixture, parse_workspace
 
-from commutator_oracles import commutator_spanning_labeled, tilde_commutator_ranks
+from commutator_oracles import commutator_spanning_labeled, commutators_labeled, pivot_solve, tilde_commutator_ranks
 from conftest import (
     as_numerators,
     broken_associativity_category,
@@ -38,12 +38,13 @@ from conftest import (
     random_form_matrix,
     random_gauge_connection,
     random_scalar,
+    sparse_trace_d,
     subspace_basis,
     two_points_category,
 )
 from test_dg import (UNIVERSAL_FIXTURES, dense_tables, rebuilt, scaled_matrix_units, scaled_quiver,
                      weighted_matrix_units)
-from test_exact_linalg import DenseMatrix, dense_kernel, dense_rref, dense_solve
+from test_exact_linalg import DenseMatrix, apply, dense_kernel, dense_rref, dense_solve, oracle_shapes, sparse_matrix
 
 
 def random_class(rh, n, rng):
@@ -447,18 +448,23 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
     rh = get_complex(w)
     for n in range(w.truncation + 1):
         labeled = commutator_spanning_labeled(w, n)
-        # the full span of the certificates, `generator_span` over every
-        # basis form, is the oracle's commutators of composed basis forms,
-        # in its order; the label decoded from each index is the oracle's;
-        # and the system's rows are the transposed numerators
-        span, rows = commutator_system(w, n)
+        # the full span, `generator_span` over every basis form, is the
+        # oracle's commutators of composed basis forms, in its order, and the
+        # label decoded from each index is the oracle's
+        span = list(generator_span(w, n, _basis_forms(w, n)))
         dim = rh.ambient_dim(n)
         assert [densify(row, dim) for row in span] == [
             v for v, _ in labeled], n
         assert [commutator_label(w, n, j) for j in range(len(labeled))] == [label for _, label in labeled], n
         with pytest.raises(DimensionError, match=f"no commutator {len(labeled)} in the degree-{n} span"):
             commutator_label(w, n, len(labeled))
-        assert rows == [(1, {j: row[i] for j, (_, row) in enumerate(span) if i in row}) for i in range(dim)], n
+        # the certificates' system: the commutators of the full span that no
+        # earlier one spans, at their indices, and their transposed numerators
+        pivots, rows, size = commutator_system(w, n)
+        grown = Echelon()
+        first = [(j, row) for j, row in enumerate(span) if grown.add(row) is not None]
+        assert pivots == first and size == len(span), n
+        assert rows == [(1, {k: row[i] for k, (_, (_, row)) in enumerate(pivots) if i in row}) for i in range(dim)], n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [numerator_row(v) for v, _ in labeled]), n
 
@@ -496,10 +502,10 @@ def test_generator_span_rows_are_the_commutators_over_their_denominators():
 # depend on the order in which elimination filled its dict
 GENERATOR_QUOTIENT_DIGESTS = {
     "M2-3": (lambda: universal_dg(m2_category(), 3),
-             "b39e602ae4aee8e5278e229d8b57082ade30b73d44ab33c317f54ad4de2694d2",
+             "fdcc848d21f90d056623b0f1e68435b91cbe3354f1f834e41f5ad15f8c304488",
              "c19d08570ff2e912465848499f74b547c77defef627b23dff2a7a426cc5dfdc7"),
     "M3-2": (lambda: universal_dg(matrix_units_category(3), 2),
-             "ed78f5207469d78b80262930488f7603884517c032fa19d369fb1a38c66a470c",
+             "47e440beeeaeed2a9e6196beb72613d415843f638a833ea2e98fddde1e6f28bb",
              "4333e34c489db1a555c269fc42c0838339bfa104e562b04bc5936793381b21e4"),
     "two_points-8": (lambda: universal_dg(two_points_category(), 8),
                      "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
@@ -508,7 +514,7 @@ GENERATOR_QUOTIENT_DIGESTS = {
                "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
                "4e33facb55de8785e1652e9a1e03bf763b6cd8b472616b396072aac67dc4c0b9"),
     "A4-4": (lambda: universal_dg(linear_quiver_category(4), 4),
-             "1c8f178ecce483b5f2e80119b172273f596350fc60e52b6497f76702d70c5a4f",
+             "061ff5b4664fd8de0da18d445465a5d06f00c317298b5000ae146b8af26545e9",
              "a2d91a893c2dac3ab946ff1b2b03a6998d4fd1da7a756514c79fa6a3a7709260"),
 }
 
@@ -520,7 +526,8 @@ GENERATOR_QUOTIENT_DIGESTS = {
 M2_CERTIFICATE_DIGEST = "328d4008a74aacba3597391cf07d48081dee8ecbde6a2549dca57d0212daba19"
 
 
-def m2_certificates():
+def m2_seeded_connections():
+    """Three connections over M2 at truncation 3: seeded rank-one idempotents v.u^T / (u^T v) and degree-1 gauges."""
     rng = random.Random(11)
     w = universal_dg(m2_category(), 3)
     x = w.base.objects[0]
@@ -534,7 +541,14 @@ def m2_certificates():
         idempotent = [Fraction(v[i] * u[j], s) for i in range(2) for j in range(2)]
         e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, idempotent),),))
         gauge = FormMatrix(1, (x,), (x,), ((w.form(1, x, x, [rng.randint(-2, 2) for _ in range(12)]),),))
-        cert = certify_cocycle(Connection(ProjectiveModule(w, "P", e), gauge), 1)
+        out.append(Connection(ProjectiveModule(w, "P", e), gauge))
+    return out
+
+
+def m2_certificates():
+    out = []
+    for conn in m2_seeded_connections():
+        cert = certify_cocycle(conn, 1)
         out.append((cert.spanning_size, [(t.index, str(t.coefficient), t.label) for t in cert.terms]))
     return out
 
@@ -618,7 +632,7 @@ def test_quotient_spans_only_degrees_with_forms_and_no_identity(name, monkeypatc
 
 def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):
     # the rows the quotient eliminates on M2 at truncation 3, against one per
-    # pair of opposed basis forms: G holds 3 forms of degree 0 and 2 of
+    # pair of opposed basis forms: G holds 2 forms of degree 0 and 2 of
     # degree 1, and degree n has 4 * 3^n basis forms
     spanning = []
 
@@ -630,8 +644,8 @@ def test_generator_span_has_fewer_rows_than_the_full_span(monkeypatch):
     w = universal_dg(m2_category(), 3)
     rh = get_complex(w)
     full = [len(commutator_spanning_labeled(w, n)) for n in range(4)]
-    assert spanning == [3 * 4, 3 * 12 + 2 * 4, 3 * 36 + 2 * 12, 3 * 108 + 2 * 36]
-    assert (sum(spanning), sum(full)) == (584, 2272)
+    assert spanning == [2 * 4, 2 * 12 + 2 * 4, 2 * 36 + 2 * 12, 2 * 108 + 2 * 36]
+    assert (sum(spanning), sum(full)) == (424, 2272)
     assert sum(q.subspace_dim for q in rh.quotients) == 142
 
 
@@ -797,6 +811,113 @@ def certificate_against_dense_solve(conn, q):
     expected = [(j, s, labeled[j][1]) for j, s in enumerate(solution) if s != 0]
     assert cert.spanning_size == len(labeled)
     return cert, [(t.index, t.coefficient, t.label) for t in cert.terms], expected
+
+
+def certificate_against_pivot_solve(conn, q):
+    """A cocycle certificate, its (index, coefficient, label) terms and those of `pivot_solve`.
+
+    `pivot_solve` reads the oracle's commutators of composed basis forms,
+    in the order of the full span, only until d of the character form
+    lies in their span, and its solution is that of the dense solve over
+    all of them; so it stands in for `certificate_against_dense_solve`
+    where the full span is too large to write out densely.
+    """
+    w = conn.w
+    cert = certify_cocycle(conn, q)
+    n = 2 * q + 1
+    target = sparse_trace_d(w, 2 * q, chern_form(conn, q))
+    labels = []
+
+    def columns():
+        for vec, label in commutators_labeled(w, n):
+            labels.append(label)
+            yield vec
+
+    solution = pivot_solve(columns(), target)
+    assert solution is not None
+    expected = [(j, s, labels[j]) for j, s in sorted(solution.items())]
+    objs = range(len(w.base.objects))
+    assert cert.spanning_size == sum(w.dim(p, x, y) * w.dim(n - p, y, x) for p in range(n + 1) for x in objs for y in objs)
+    return cert, [(t.index, t.coefficient, t.label) for t in cert.terms], expected
+
+
+def test_pivot_solve_is_the_dense_solve():
+    # on random sparse systems, with targets in and out of the column span
+    rng = random.Random(85)
+    solved = 0
+    for rows, cols in oracle_shapes(rng):
+        m = sparse_matrix(rng, rows, cols)
+        columns = [{i: m.entries[i][j] for i in range(rows) if m.entries[i][j]} for j in range(cols)]
+        for target in (apply(m, [random_scalar(rng) for _ in range(cols)]), [random_scalar(rng) for _ in range(rows)]):
+            expected = dense_solve(m, tuple(target))
+            got = pivot_solve(columns, dict(enumerate(target)))
+            assert (None if got is None else tuple(got.get(j, 0) for j in range(cols))) == expected
+            solved += got is not None
+    assert solved > 60
+
+
+def test_seeded_m2_certificates_match_the_dense_solve():
+    # the pinned M2 certificates, term by term, and `pivot_solve` against
+    # the dense solve it stands in for
+    for conn in m2_seeded_connections():
+        _, got, expected = certificate_against_dense_solve(conn, 1)
+        assert got == expected and expected
+        assert certificate_against_pivot_solve(conn, 1)[1:] == (got, expected)
+
+
+def test_m3_certificate_matches_the_pivot_solve():
+    # M3 at truncation 3 has 165,888 commutators of degree 3, too many to
+    # write out densely; the rank-one module e11 + e21, canonical and with
+    # a seeded gauge
+    w = universal_dg(matrix_units_category(3), 3)
+    x = w.base.objects[0]
+    e = FormMatrix(0, (x,), (x,), ((w.form(0, x, x, [1, 0, 0, 1, 0, 0, 0, 0, 0]),),))
+    module = ProjectiveModule(w, "P", e)
+    for conn in (canonical_connection(module), random_gauge_connection(module, random.Random(5))):
+        cert, got, expected = certificate_against_pivot_solve(conn, 1)
+        assert got == expected and expected
+        assert cert.spanning_size == 4 * 9 * 4608
+
+
+def test_two_points_certificates_match_the_dense_solve():
+    w = universal_dg(two_points_category(), 8)
+    rng = random.Random(84)
+    cited = 0
+    for m in (line_module(w), projective_two_points(w)):
+        for q in (1, 2, 3):
+            _, got, expected = certificate_against_dense_solve(random_gauge_connection(m, rng), q)
+            assert got == expected, (m.name, q)
+            cited += len(got)
+    assert cited
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_certificates_match_the_dense_solve(name):
+    ws = load_fixture(name)
+    for conn in ws.connections.values():
+        for q in range((ws.dg.truncation + 1) // 2):
+            _, got, expected = certificate_against_dense_solve(conn, q)
+            assert got == expected, (conn, q)
+
+
+def test_commutator_system_makes_no_commutator_past_the_rank(monkeypatch):
+    # on M2 at truncation 3 the 97th and last pivot commutator of degree 3
+    # is the 587th of the 1,728: no later one is made
+    made = []
+
+    def counted(w, n, gens):
+        for row in generator_span(w, n, gens):
+            made.append(row)
+            yield row
+
+    w = universal_dg(m2_category(), 3)
+    rank = get_complex(w).quotients[3].subspace_dim
+    monkeypatch.setattr(lincat.derham, "generator_span", counted)
+    pivots, rows, size = commutator_system(w, 3)
+    assert (len(made), len(pivots), rank, size) == (587, 97, 97, 1728)
+    assert pivots[-1] == (586, made[-1])
+    # the kept system is read again without making one more
+    assert commutator_system(w, 3)[0] is pivots and len(made) == 587
 
 
 def test_m2_cocycle_certificate_matches_dense_solve():

@@ -47,6 +47,7 @@ from conftest import (
     dense_coords,
     dual_category,
     fraction_row,
+    iso_pair_category,
     linear_quiver_category,
     m2_category,
     matrix_units_category,
@@ -1451,9 +1452,10 @@ def test_generator_words_span_every_basis(name):
 def test_generating_set_is_a_function_of_the_tables():
     w = universal_dg(m2_category(), 3)
     gens = _generators(w)
-    # e11, e12, e21 and two forms of degree 1 generate M2 at truncation 3
-    assert [g.degree for g in gens] == [0, 0, 0, 1, 1]
-    assert [render_form(w, g) for g in gens[:3]] == ["e11", "e12", "e21"]
+    # e12, e21 and two forms of degree 1 generate M2 at truncation 3:
+    # e11 = e12.e21 is a word of the others
+    assert [g.degree for g in gens] == [0, 0, 1, 1]
+    assert [render_form(w, g) for g in gens[:2]] == ["e12", "e21"]
     # a second build, and the same tables handed over in reversed order
     gr_basis, gr_comp, diff = own_tables(w)
 
@@ -1465,6 +1467,59 @@ def test_generating_set_is_a_function_of_the_tables():
     for again in (universal_dg(m2_category(), 3),
                   DGCategory(w.base, w.truncation, reverse(gr_basis), reverse(gr_comp), reverse(diff))):
         assert _generators(again) == gens
+
+
+# G's degree-0 forms after reverse deletion, against the basis forms of degree
+# 0 that the greedy pass makes generators: on M2 e11 = e12.e21 goes, on M3
+# e11 = e12.e21, on A4 every path of length 2 or 3, and on the iso pair
+# 1a = g.f
+IRREDUNDANT_MODELS = {
+    "M2-3": (lambda: universal_dg(m2_category(), 3), ["e12", "e21"], 4),
+    "M3-2": (lambda: universal_dg(matrix_units_category(3), 2), ["e12", "e13", "e21", "e31"], 7),
+    "A4-4": (lambda: universal_dg(linear_quiver_category(4), 4), ["p00", "p01", "p11", "p12", "p22", "p23", "p33"], 10),
+    "iso-2": (lambda: universal_dg(iso_pair_category(), 2), ["g", "f"], 3),
+}
+
+
+@pytest.mark.parametrize("make, degree_zero, size", IRREDUNDANT_MODELS.values(), ids=IRREDUNDANT_MODELS.keys())
+def test_generating_set_is_irredundant_in_degree_0(make, degree_zero, size):
+    # the words of G span every basis form, and the words of G's degree-0
+    # forms without any one of them leave a degree-0 basis form unreached
+    w = make()
+    gens = _generators(w)
+    zero = [g for g in gens if g.degree == 0]
+    assert ([render_form(w, g) for g in zero], len(gens)) == (degree_zero, size)
+    nobj = len(w.base.objects)
+    filled = {(0, x, y): w.dim(0, x, y) for x in range(nobj) for y in range(nobj) if w.dim(0, x, y)}
+    assert {key: d for key, d in word_span_dims(w, zero).items() if key[0] == 0} == filled
+    for g in zero:
+        assert word_span_dims(w, [h for h in zero if h is not g]) != filled, render_form(w, g)
+
+
+# sha256 of the repr of G on each bundled fixture, recorded before reverse
+# deletion: nothing is dropped there
+FIXTURE_GENERATOR_DIGESTS = {
+    "arrow_universal": "c4141e4a298b54b7da23e8caabd4a8e12f6ed694cd95dfb0e1e8e40bba517693",
+    "circle_tables": "31d2e5ccb3832543a6eb0a2b9ef7b78d080c8f474fc684af6bd2d6067a52b32f",
+    "dual_numbers_trivial": "759a6dbfc2e3f7262a85bb858677b1872123f0ab36e145e84de001a8291c1df7",
+    "dual_numbers_universal": "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
+    "point_universal": "b75fc4d068f9aae432e270253605e0bf621abfe9c15be0bda7676668379c91f1",
+    "two_points_universal": "8b249dbc56602caf625f05540d86fac0ee3c4cf5e54cd6e07abcd925e8d9e528",
+}
+
+
+def test_generating_set_is_unchanged_where_nothing_can_go():
+    # the bundled fixtures, and two points and the dual numbers raised to
+    # truncation 8 and 6, whose G of 1, c, dc and 1, u, du reads as on
+    # their fixtures: each degree-0 generator but one is an identity there,
+    # so none is tried
+    assert fixture_names() == list(FIXTURE_GENERATOR_DIGESTS)
+    models = [(load_fixture(name).dg, digest) for name, digest in FIXTURE_GENERATOR_DIGESTS.items()]
+    models += [(universal_dg(two_points_category(), 8), FIXTURE_GENERATOR_DIGESTS["two_points_universal"]),
+               (universal_dg(dual_category(), 6), FIXTURE_GENERATOR_DIGESTS["dual_numbers_universal"])]
+    for w, digest in models:
+        g_repr = repr([(g.degree, g.dom.index, g.cod.index, g.terms) for g in _generators(w)])
+        assert hashlib.sha256(g_repr.encode()).hexdigest() == digest, w.base.objects
 
 
 # -- table keys the constructor never reads are refused ------------------------

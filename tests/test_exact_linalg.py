@@ -6,10 +6,12 @@ from typing import NamedTuple
 
 import pytest
 
+import lincat.exact_linalg
 from lincat.errors import DimensionError, ScalarTypeError
 from lincat.exact_linalg import (
     Echelon,
     build_quotient,
+    checked_row,
     checked_terms,
     densify,
     format_scalar,
@@ -314,6 +316,26 @@ def solve(rows, ncols, b):
     """`solve_rows` with b a dense vector, its solution written out densely, or None."""
     x = solve_rows(rows, ncols, numerator_row(b))
     return None if x is None else densify(x, ncols)
+
+
+def test_solve_rows_checks_each_row_once_at_its_door(monkeypatch):
+    # each row and the right-hand side pass `checked_row` once, and the
+    # echelon basis takes the copies without checking them again; a row
+    # with an entry at the column of b is refused, not read as part of b
+    seen = []
+
+    def counted(given):
+        seen.append(given)
+        return checked_row(given)
+
+    monkeypatch.setattr(lincat.exact_linalg, "checked_row", counted)
+    rows = [(2, {0: 1, 1: 1}), (1, {1: 3}), (1, {})]
+    b = (3, {0: 1, 1: 2})
+    assert densify(solve_rows(rows, 2, b), 2) == (Fraction(4, 9), Fraction(2, 9))
+    assert seen == [b] + rows
+    assert rows == [(2, {0: 1, 1: 1}), (1, {1: 3}), (1, {})] and b == (3, {0: 1, 1: 2})
+    with pytest.raises(DimensionError, match="sparse row has a column outside 0..1"):
+        solve_rows([(1, {0: 1, 2: 1})], 2, (1, {0: 1}))
 
 
 def test_solve_in_span():
