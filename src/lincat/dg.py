@@ -422,8 +422,9 @@ def _generators(w: DGCategory) -> list[Form]:
     is multiplied into it or added to its echelon basis, which would
     reject it anyway.
     """
-    N, objs, dim = w.truncation, w.base.objects, w.dim
+    N, objs = w.truncation, w.base.objects
     nobj = len(objs)
+    sizes = {(n, x, y): w.dim(n, x, y) for n in range(N + 1) for x in range(nobj) for y in range(nobj)}
     words: dict[tuple[int, int, int], Echelon] = {}
     spanning: dict[tuple[int, int, int], list[IntRow]] = {}  # the words added to it, zeros dropped
     gens: list[Form] = []
@@ -433,7 +434,7 @@ def _generators(w: DGCategory) -> list[Form]:
     fresh: deque = deque()  # words not yet multiplied by the degree-0 generators
 
     def full(n: int, x: int, y: int) -> bool:
-        return len(spanning.get((n, x, y), ())) == dim(n, x, y)
+        return len(spanning.get((n, x, y), ())) == sizes.get((n, x, y), 0)
 
     def multiply(n: int, x: int, y: int, v: IntRow, gid: int, g: Form) -> None:
         """Add the word v of degree n at (x, y) times the generator g at (y, z), unless the words fill its space."""
@@ -529,7 +530,7 @@ def _generators(w: DGCategory) -> list[Form]:
                 join(g)
         for x in range(nobj):
             for y in range(nobj):
-                for k in range(dim(n, x, y)):
+                for k in range(sizes[(n, x, y)]):
                     if (n, x, y) not in words or not words[(n, x, y)].spans_unit(k):
                         add(n, x, y, {k: 1})
                         join(Form(n, objs[y], objs[x], 1, ((k, 1),)))

@@ -279,7 +279,8 @@ def _settled(den: int, sums: list) -> IntBlock:
     The common factor of den and all entries is cancelled, so the block
     is the one `integral_terms` makes of the same entries.
     """
-    rows = tuple([tuple(sorted(s.items() if 0 not in s.values() else [(k, n) for k, n in s.items() if n]))
+    rows = tuple([tuple(s.items()) if len(s) < 2 and 0 not in s.values() else
+                  tuple(sorted(s.items() if 0 not in s.values() else [(k, n) for k, n in s.items() if n]))
                   for s in sums])
     if den != 1 and (g := gcd(den, *itertools.chain.from_iterable(map(dict.values, sums)))) != 1:
         den //= g

@@ -42,21 +42,22 @@ All elimination goes through one kernel, `Echelon`, which takes
 builder) holds an `Echelon` itself.  `Echelon` keeps each basis row as
 `int` numerators over one positive denominator, the numerator at its
 pivot equal to that denominator, with no common factor, so equal rows
-have equal pairs.  A new row is reduced by cross-multiplying,
-v.d - v[p].row, pure `int` arithmetic; a new pivot is then cleared
-only from the rows that a column index lists there.  A finished span
-is a `QuotientSpace`, built by `build_quotient` from `NumeratorRow`s
-and a column count; it keeps the integer rows of its `Echelon`,
-reduces a vector modulo the span over them (`reduce_sparse`), reads
-its coset coordinates off the free columns (`coset_coordinates`), and
-reads the coordinates of a vector of the span in its basis, or None
-outside it (`coordinates`), deciding membership on the integer
-remainder.  So `Echelon` (a basis being grown) and `QuotientSpace` (a
-finished one) are the only two span types, and other modules see their
-rows through `numerator_rows`.  The chain subspaces of the envelope,
-the quotient complex and the span of d that its cohomology reads are
-`QuotientSpace`s.  `solve_rows` solves a linear system given by its
-rows and reads only the solution column of the reduced basis.
+have equal pairs.  A row is reduced in one loop, v.d - v[p].row in
+`int`s, with no gcd by a row over d = 1 (`_reduce`); `_eliminate`
+clears a new pivot only from the rows that a column index lists there,
+the back-substitution.  A finished span is a `QuotientSpace`, built by
+`build_quotient` from `NumeratorRow`s and a column count; it keeps the
+integer rows of its `Echelon`, reduces a vector modulo the span over
+them (`reduce_sparse`), reads its coset coordinates off the free
+columns (`coset_coordinates`), and reads the coordinates of a vector
+of the span in its basis, or None outside it (`coordinates`), deciding
+membership on the integer remainder.  So `Echelon` (a basis being
+grown) and `QuotientSpace` (a finished one) are the only two span
+types, and other modules see their rows through `numerator_rows`.  The
+chain subspaces of the envelope, the quotient complex and the span of
+d that its cohomology reads are `QuotientSpace`s.  `solve_rows` solves
+a linear system given by its rows and reads only the solution column
+of the reduced basis.
 
 Every row, vector and right-hand side that enters the kernel is a
 `NumeratorRow` (d, {column: int}) with d > 0, whose scale a span
@@ -248,7 +249,7 @@ def contract_block(lefts: Iterable, columns: Sequence, block: Iterable, vectors,
                     s *= m
                     for c, t in vectors[a]:
                         out[c] = out.get(c, 0) + s * t
-                if any(out.values()):
+                if out and any(out.values()):
                     found.append((j, k))
     return found
 
@@ -345,14 +346,14 @@ def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
 
 
 def _eliminate(v: IntRow, p: int, den: int, row: IntRow) -> int:
-    """Clear column p of v, in place, by a row whose numerator there is den; the factor by which v was scaled.
+    """Clear column p of a basis row v, in place, by a new row whose numerator there is den; v's scale factor.
 
-    With g the gcd of den and v[p], v becomes v * den / g - v[p] / g * row,
-    so the arithmetic stays in `int`s and the factor is den / g; the
-    entries that cancel are dropped.
+    Back-substitution only: with g the gcd of den and v[p], v becomes
+    v * den / g - v[p] / g * row, so the arithmetic stays in `int`s and
+    the factor is den / g; the entries that cancel are dropped.
     """
     f = v[p]
-    g = gcd(den, f)
+    g = gcd(den, f) if den != 1 else 1
     m, f = den // g, f // g
     if m != 1:
         for j in v:
@@ -372,13 +373,32 @@ def _reduce(v: IntRow, basis: IntBasis) -> int:
     """Reduce numerators v in place by a reduced basis; the factor by which v was scaled.
 
     Each basis row vanishes at every pivot but its own, so one pass over
-    the pivots in v's support clears them all (`_eliminate`).  So v ends
-    up as the remainder times the returned factor, with no entry at a
-    pivot, and is empty exactly when it lay in the span.
+    the pivots p in v's support clears them all: v becomes v * den / g -
+    v[p] / g * row, with g = gcd(den, v[p]) taken only when den is not 1.
+    So v ends up as the remainder times the returned factor, with no
+    entry at a pivot, and is empty exactly when it lay in the span.
     """
     scale = 1
-    for p in [p for p in v if p in basis]:
-        scale *= _eliminate(v, p, *basis[p])
+    for p in list(v):
+        if (b := basis.get(p)) is None:
+            continue
+        den, row = b
+        f = v[p]
+        if den != 1:
+            g = gcd(den, f)
+            m, f = den // g, f // g
+            if m != 1:
+                scale *= m
+                for j in v:
+                    v[j] *= m
+        for j, x in row.items():
+            y = v.get(j)
+            if y is None:
+                v[j] = -f * x
+            elif y := y - f * x:
+                v[j] = y
+            else:
+                del v[j]
     return scale
 
 
@@ -394,13 +414,15 @@ class Echelon:
     The basis is kept over integer numerators: each row as (d,
     numerators), its pivot numerator equal to d, so the row is 1 at its
     pivot and 0 at every other pivot; the row is sign-normalised and
-    divided by the gcd of d and its numerators.  `add` reduces a row by
-    the basis, cross-multiplying, which is pure `int` arithmetic while
-    every denominator is 1.  A nonzero remainder joins the basis with its
-    first column p as pivot, and p is cleared from the older rows that
-    `_users` lists there, not from every row: `_users` maps a column to
-    the pivots of the rows that may be nonzero in it, a superset, since
-    an entry that cancels leaves its pivot listed.
+    divided by the gcd of d and its numerators.  `add` gives None for an
+    empty row once `checked_row` has passed it, and reduces any other in
+    one loop (`_reduce`), cross-multiplying only by a row over d > 1.  A
+    nonzero remainder joins the basis with its first column p as pivot,
+    over a gcd only where its numerator there is not 1, and p is cleared
+    from the older rows that `_users` lists there (`_eliminate`), not
+    from every row: `_users` maps a column to the pivots of the rows that
+    may be nonzero in it, a superset, since an entry that cancels leaves
+    its pivot listed.
 
     `numerator_rows` maps each pivot to its row as kept.  The unit vector
     e_k lies in the span exactly when the row at pivot k is e_k itself
@@ -418,7 +440,8 @@ class Echelon:
 
     def add(self, given: NumeratorRow) -> Optional[int]:
         """Add a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
-        return self._insert(checked_row(given)[1])
+        v = checked_row(given)[1]
+        return self._insert(v) if v else None
 
     def _insert(self, v: IntRow) -> Optional[int]:
         """Add numerators that `checked_row` has passed and the kernel owns, reducing them in place; as `add`."""
@@ -431,7 +454,8 @@ class Echelon:
         if d < 0:
             d = -d
             v = {j: -n for j, n in v.items()}
-        d, v = _primitive(d, v)
+        if d != 1:
+            d, v = _primitive(d, v)
         for q in users.pop(p, ()):
             dq, row = basis[q]
             if p not in row:
@@ -506,7 +530,9 @@ class QuotientSpace:
     entries at the free columns only and vanishes exactly on the
     subspace; its coset coordinates are the entries at the free columns,
     and a vector of the subspace has its coordinates in the basis at the
-    pivots (`coordinates`).  Each comes back as a `NumeratorRow`.
+    pivots (`coordinates`).  Each comes back as a `NumeratorRow`; each
+    door reduces through `reduce_sparse`, which refuses a column outside
+    0..ambient_dim-1 with `DimensionError`.
     """
 
     ambient_dim: int
@@ -544,24 +570,21 @@ class QuotientSpace:
         v lies in the span exactly when its reduction leaves nothing of it,
         and then its coordinates are its entries at the pivots.
         """
-        den, remainder = checked_row(v)
-        _reduce(remainder, self._basis)
-        if remainder:
+        if self.reduce_sparse(v)[1]:
             return None
         position = self._position
-        return den, {position[j]: n for j, n in v[1].items() if n and j in position}
+        return v[0], {position[j]: n for j, n in v[1].items() if n and j in position}
 
     def reduce_sparse(self, v: NumeratorRow) -> NumeratorRow:
         """Canonical coset representative of a vector, over a multiple of its denominator."""
         den, nums = checked_row(v)
+        _in_range(nums, self.ambient_dim, "sparse vector has a column")
         den *= _reduce(nums, self._basis)
         return den, nums
 
     def coset_coordinates(self, v: NumeratorRow) -> NumeratorRow:
         """The coset coordinates (D', {k: n}) of a vector, n / D' its entry at `free_columns[k]`; D' a multiple of D."""
-        den, nums = checked_row(v)
-        _in_range(nums, self.ambient_dim, "sparse vector has a column")
-        den *= _reduce(nums, self._basis)
+        den, nums = self.reduce_sparse(v)
         position = self._free_position
         return den, {position[c]: n for c, n in nums.items()}
 

@@ -24,6 +24,7 @@ from lincat import (
     validate_dg,
 )
 import lincat.dg
+import lincat.envelope
 from lincat.category import Category, checked_blocks
 from lincat.dg import DGCategory, Form, _generators, certified_generators
 from lincat.form_matrix import ProductAccumulator
@@ -1467,6 +1468,47 @@ def test_generating_set_is_a_function_of_the_tables():
     for again in (universal_dg(m2_category(), 3),
                   DGCategory(w.base, w.truncation, reverse(gr_basis), reverse(gr_comp), reverse(diff))):
         assert _generators(again) == gens
+
+
+@pytest.mark.parametrize("name", ["M2-3", "A4-4"])
+def test_generators_read_each_dimension_once(name, monkeypatch):
+    # `full` asked DGCategory.dim for every word it multiplied: 444 calls
+    # per build of M2 at truncation 3
+    w = IRREDUNDANT_MODELS[name][0]()
+    gens = _generators(w)
+    reads = []
+    dim = DGCategory.dim
+    monkeypatch.setattr(DGCategory, "dim", lambda self, n, x, y: reads.append((n, x, y)) or dim(self, n, x, y))
+    assert _generators(w) == gens
+    assert reads and len(reads) == len(set(reads))
+
+
+def settled_oracle(den, sums):
+    """The block `_settled` made before it wrote short sums as they are: every sum sorted and filtered."""
+    rows = tuple([tuple(sorted(s.items() if 0 not in s.values() else [(k, n) for k, n in s.items() if n]))
+                  for s in sums])
+    if den != 1 and (g := gcd(den, *itertools.chain.from_iterable(map(dict.values, sums)))) != 1:
+        den //= g
+        rows = tuple([tuple([(k, n // g) for k, n in r]) for r in rows])
+    return den, rows
+
+
+def test_settled_writes_the_block_of_the_sorted_and_filtered_sums():
+    # sums of zero, one and more terms, with cancelled zeros, over
+    # denominators that share a factor with every entry or with none
+    rng = random.Random(107)
+    cases = [(1, []), (1, [{}]), (3, [{4: 0}]), (1, [{2: 0}, {5: 3}, {}]), (6, [{3: 4, 1: -2}, {0: 0, 2: 8}, {7: 6}]),
+             (4, [{1: 0}, {0: 2}])]
+    for _ in range(300):
+        sums = [{k: rng.choice([0, -2, 3, 4, 6]) for k in rng.sample(range(9), rng.choice([0, 1, 1, 2, 3, 5]))}
+                for _ in range(rng.randint(0, 6))]
+        cases.append((rng.choice([1, 2, 3, 6, 12]), sums))
+    for den, sums in cases:
+        given = repr(sums)
+        assert lincat.envelope._settled(den, sums) == settled_oracle(den, sums), (den, sums)
+        assert repr(sums) == given
+    assert lincat.envelope._settled(3, [{4: 0}]) == (1, ((),))
+    assert lincat.envelope._settled(6, [{3: 4, 1: -2}, {}, {7: 6}]) == (3, (((1, -1), (3, 2)), (), ((7, 3),)))
 
 
 # G's degree-0 forms after reverse deletion, against the basis forms of degree

@@ -518,6 +518,75 @@ def test_sparse_entry_points_match_dense_front_doors():
         entry_points_match_dense_reference(sparse_matrix(rng, rows, cols), rng)
 
 
+def kernel_stream(rng, cols, length):
+    """Dense rows for `Echelon.add`: zero rows, single entries, negative leading entries, rows that cancel
+    against earlier ones, and entries over 2 and 3, which make pivot rows over d > 1."""
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+    rows = []
+    for _ in range(length):
+        kind = rng.randrange(5)
+        row = [Fraction(0)] * cols
+        if kind == 1:
+            row[rng.randrange(cols)] = entry()
+        elif kind == 2 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = entry(), entry()
+            row = [s * x + t * y for x, y in zip(a, b)]
+        elif kind >= 3:
+            for j in range(rng.randrange(cols), cols):
+                if rng.random() < 0.5:
+                    row[j] = entry()
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is not None and rng.random() < 0.5:
+                row[lead] = -abs(row[lead])
+        rows.append(tuple(row))
+    return rows
+
+
+def test_echelon_answers_each_row_as_the_dense_reference():
+    # after each row, the pivot `add` returns, or None, and the kept rows
+    # are those of the dense reduction of the rows so far; the m2 workload
+    # reduces by pivot rows over 1 only, so the rescale by a pivot row over
+    # d > 1 is covered here
+    rng = random.Random(106)
+    over_d = 0
+    for _ in range(60):
+        cols = rng.randint(1, 9)
+        rows = kernel_stream(rng, cols, rng.randint(1, 14))
+        basis, pivots = Echelon(), []
+        for i, row in enumerate(rows):
+            ref_rows, ref_pivots = dense_rref(DenseMatrix(i + 1, cols, tuple(rows[:i + 1])))
+            new = [p for p in ref_pivots if p not in pivots]
+            assert basis.add(numerator_row(row)) == (new[0] if new else None)
+            kept = basis.numerator_rows
+            assert {p: densify(r, cols) for p, r in kept.items()} == dict(zip(ref_pivots, ref_rows))
+            assert_numerator_rows(kept.values(), kept)
+            over_d += sum(d != 1 for d, _ in kept.values())
+            pivots = ref_pivots
+        # the finished span: reduce_sparse, coordinates and coset_coordinates
+        # of random vectors against the dense reduction
+        entry_points_match_dense_reference(DenseMatrix(len(rows), cols, tuple(rows)), rng)
+    assert over_d > 0
+
+
+def test_rows_over_one_take_no_gcd(monkeypatch):
+    # the m2 workload's case: every row and pivot row over 1, so neither
+    # a reduction, a back-substitution nor a new basis row takes a gcd
+    calls = []
+    monkeypatch.setattr(lincat.exact_linalg, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    rows = [(1, {1: 1, 3: -1}), (1, {0: 1, 1: 1}), (1, {}), (1, {0: -1, 3: -1}), (1, {3: 1, 4: 1}),
+            (1, {0: 1, 1: 1, 3: 1, 4: 1})]
+    q = build_quotient(5, rows)
+    # pivot 3 was cleared from the rows at pivots 1 and 0: two back-substitutions
+    assert q.numerator_rows == ((1, {0: 1, 4: -1}), (1, {1: 1, 4: 1}), (1, {3: 1, 4: 1}))
+    assert q.reduce_sparse((1, {0: 1, 2: 1, 4: 2})) == (1, {2: 1, 4: 3})
+    assert q.coordinates((1, {0: 2, 1: 1, 3: -1, 4: -2})) == (1, {0: 2, 1: 1, 2: -1})
+    assert q.coset_coordinates((1, {0: 1, 2: 1, 4: 2})) == (1, {0: 1, 1: 3})
+    assert calls == []
+
+
 def dense_random_matrix(rng, rows, cols):
     """About 30 % fill, denominators up to 7, negative and non-unit entries; some rows combine others."""
     entries = [
@@ -604,6 +673,13 @@ def test_every_door_that_takes_a_row_checks_it_drops_zeros_and_leaves_it_as_give
             assert got == door(plain), name
             assert given[1] == copy, name
             assert all(0 not in nums.values() for _, nums in filter(None, got)), name
+        # a column outside the space is refused, not reduced or read as
+        # lying outside the span; an `Echelon` has no column count
+        if name != "Echelon.add":
+            for row in [(1, {0: 1, 4: 1}), (1, {-1: 1, 2: 1})]:
+                with pytest.raises(DimensionError, match=r"has a (column|row) outside 0\.\.3"):
+                    door(row)
+                    pytest.fail(f"{name} accepted {row!r}")
 
 
 def test_inexact_entries_are_refused():
