@@ -43,21 +43,21 @@ builder) holds an `Echelon` itself.  `Echelon` keeps each basis row as
 `int` numerators over one positive denominator, the numerator at its
 pivot equal to that denominator, with no common factor, so equal rows
 have equal pairs.  A row is reduced in one loop, v.d - v[p].row in
-`int`s, with no gcd by a row over d = 1 (`_reduce`); `_eliminate`
-clears a new pivot only from the rows that a column index lists there,
-the back-substitution.  A finished span is a `QuotientSpace`, built by
-`build_quotient` from `NumeratorRow`s and a column count; it keeps the
-integer rows of its `Echelon`, reduces a vector modulo the span over
-them (`reduce_sparse`), reads its coset coordinates off the free
-columns (`coset_coordinates`), and reads the coordinates of a vector
-of the span in its basis, or None outside it (`coordinates`), deciding
-membership on the integer remainder.  So `Echelon` (a basis being
-grown) and `QuotientSpace` (a finished one) are the only two span
-types, and other modules see their rows through `numerator_rows`.  The
-chain subspaces of the envelope, the quotient complex and the span of
-d that its cohomology reads are `QuotientSpace`s.  `solve_rows` solves
-a linear system given by its rows and reads only the solution column
-of the reduced basis.
+`int`s, with no gcd by a row over d = 1 (`_reduce`); the same loop, by
+the new row alone, clears a new pivot only from the rows that a column
+index lists there, the back-substitution.  A finished span is a
+`QuotientSpace`, built by `build_quotient` from `NumeratorRow`s and a
+column count; it keeps the integer rows of its `Echelon`, reduces a
+vector modulo the span over them (`reduce_sparse`), reads its coset
+coordinates off the free columns (`coset_coordinates`), and reads the
+coordinates of a vector of the span in its basis, or None outside it
+(`coordinates`), deciding membership on the integer remainder.  So
+`Echelon` (a basis being grown) and `QuotientSpace` (a finished one)
+are the only two span types, and other modules see their rows through
+`numerator_rows`.  The chain subspaces of the envelope, the quotient
+complex and the span of d that its cohomology reads are
+`QuotientSpace`s.  `solve_rows` solves a linear system given by its
+rows and reads only the solution column of the reduced basis.
 
 Every row, vector and right-hand side that enters the kernel is a
 `NumeratorRow` (d, {column: int}) with d > 0, whose scale a span
@@ -345,38 +345,15 @@ def _primitive(den: int, nums: IntRow) -> tuple[int, IntRow]:
     return den, nums
 
 
-def _eliminate(v: IntRow, p: int, den: int, row: IntRow) -> int:
-    """Clear column p of a basis row v, in place, by a new row whose numerator there is den; v's scale factor.
-
-    Back-substitution only: with g the gcd of den and v[p], v becomes
-    v * den / g - v[p] / g * row, so the arithmetic stays in `int`s and
-    the factor is den / g; the entries that cancel are dropped.
-    """
-    f = v[p]
-    g = gcd(den, f) if den != 1 else 1
-    m, f = den // g, f // g
-    if m != 1:
-        for j in v:
-            v[j] *= m
-    for j, x in row.items():
-        y = v.get(j)
-        if y is None:
-            v[j] = -f * x
-        elif y := y - f * x:
-            v[j] = y
-        else:
-            del v[j]
-    return m
-
-
 def _reduce(v: IntRow, basis: IntBasis) -> int:
     """Reduce numerators v in place by a reduced basis; the factor by which v was scaled.
 
     Each basis row vanishes at every pivot but its own, so one pass over
     the pivots p in v's support clears them all: v becomes v * den / g -
     v[p] / g * row, with g = gcd(den, v[p]) taken only when den is not 1.
-    So v ends up as the remainder times the returned factor, with no
-    entry at a pivot, and is empty exactly when it lay in the span.
+    The entries that cancel are dropped, so v ends up as the remainder
+    times the returned factor, with no entry at a pivot, and is empty
+    exactly when it lay in the span.
     """
     scale = 1
     for p in list(v):
@@ -419,10 +396,10 @@ class Echelon:
     one loop (`_reduce`), cross-multiplying only by a row over d > 1.  A
     nonzero remainder joins the basis with its first column p as pivot,
     over a gcd only where its numerator there is not 1, and p is cleared
-    from the older rows that `_users` lists there (`_eliminate`), not
-    from every row: `_users` maps a column to the pivots of the rows that
-    may be nonzero in it, a superset, since an entry that cancels leaves
-    its pivot listed.
+    from the older rows that `_users` lists there (`_reduce` by the new
+    row alone), not from every row: `_users` maps a column to the pivots
+    of the rows that may be nonzero in it, a superset, since an entry
+    that cancels leaves its pivot listed.
 
     `numerator_rows` maps each pivot to its row as kept.  The unit vector
     e_k lies in the span exactly when the row at pivot k is e_k itself
@@ -454,14 +431,13 @@ class Echelon:
         if d < 0:
             d = -d
             v = {j: -n for j, n in v.items()}
-        if d != 1:
-            d, v = _primitive(d, v)
+        d, v = _primitive(d, v)
         for q in users.pop(p, ()):
             dq, row = basis[q]
             if p not in row:
                 continue
             new = v.keys() - row.keys()
-            dq *= _eliminate(row, p, d, v)
+            dq *= _reduce(row, {p: (d, v)})
             for j in new:
                 users.setdefault(j, []).append(q)
             basis[q] = _primitive(dq, row)

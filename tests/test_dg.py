@@ -1472,8 +1472,8 @@ def test_generating_set_is_a_function_of_the_tables():
 
 @pytest.mark.parametrize("name", ["M2-3", "A4-4"])
 def test_generators_read_each_dimension_once(name, monkeypatch):
-    # `full` asked DGCategory.dim for every word it multiplied: 444 calls
-    # per build of M2 at truncation 3
+    # `_generators` asked DGCategory.dim again for every word it multiplied:
+    # 448 calls per build of M2 at truncation 3
     w = IRREDUNDANT_MODELS[name][0]()
     gens = _generators(w)
     reads = []
@@ -1484,13 +1484,9 @@ def test_generators_read_each_dimension_once(name, monkeypatch):
 
 
 def settled_oracle(den, sums):
-    """The block `_settled` made before it wrote short sums as they are: every sum sorted and filtered."""
-    rows = tuple([tuple(sorted(s.items() if 0 not in s.values() else [(k, n) for k, n in s.items() if n]))
-                  for s in sums])
-    if den != 1 and (g := gcd(den, *itertools.chain.from_iterable(map(dict.values, sums)))) != 1:
-        den //= g
-        rows = tuple([tuple([(k, n // g) for k, n in r]) for r in rows])
-    return den, rows
+    """The block of integer sums over den by way of Fractions: each nonzero n / den, put over one lcm."""
+    lcm_den, rows = integral_terms([[(k, Fraction(n, den)) for k, n in sorted(s.items()) if n] for s in sums])
+    return lcm_den, tuple(rows)
 
 
 def test_settled_writes_the_block_of_the_sorted_and_filtered_sums():
