@@ -7,8 +7,8 @@ checkable data rather than a boolean:
 
 * `certify_cocycle`: the differential of the character form is an
   explicit rational combination of graded commutators, so its class is
-  closed.  The combination is found by exact linear algebra over the
-  commutator spanning set and re-verified by substitution.
+  closed.  The combination is read off a span of commutators beside
+  unit vectors, as a primitive is, and re-verified by substitution.
 
 * `invariance_certificate`: for two connections on the same module, an
   explicit primitive whose differential is the difference of the two
@@ -33,7 +33,7 @@ from .connection import Connection, canonical_connection, tilde_curvature
 from .derham import commutator_label, commutator_system, get_complex
 from .dg import Form
 from .errors import CertificationError, DimensionError, ModuleError, ScalarTypeError, TruncationError
-from .exact_linalg import IntRow, Vector, is_zero_vector, solve_rows, vec_sub, zero_vector
+from .exact_linalg import IntRow, Vector, is_zero_vector, vec_sub, zero_vector
 from .module_algebra import ProjectiveModule
 from .tforms import trace_cochain_of_power
 
@@ -100,33 +100,30 @@ def certify_cocycle(conn: Connection, q: int) -> CocycleCertificate:
     forms = chern_form(conn, q)
     t_den, target = rh.ambient_d(2 * q, rh.ambient_row(2 * q, forms))
 
-    # one row per ambient coordinate, and column k the numerators of pivot
-    # commutator k, that is D_j times commutator j: the columns are
-    # independent, so x_j = D_j * y_k / t_den is the one solution for the
-    # target's numerators over t_den, and every other commutator's is 0
-    pivots, rows, size = commutator_system(w, degree)
-    y = solve_rows(rows, len(pivots), (1, target))
-    if y is None:
+    # minus the entry at column A + k of (target | 0) reduced is the coefficient
+    # y_k of the numerators of pivot commutator k, D_k times it: x_j = D_k * y_k
+    pivots, span, size = commutator_system(w, degree)
+    ambient = rh.ambient_dim(degree)
+    y_den, y_nums = span.reduce_sparse((t_den, target))
+    if any(c < ambient for c in y_nums):
         raise CertificationError(
             f"d of the degree-{2 * q} character is not a commutator combination; "
             "the closedness theorem fails on this input"
         )
-    # re-substitution: sum x_j (commutator j) = sum y_k (its numerators) / t_den,
-    # with y the integers y_nums over y_den
-    y_den, y_nums = y
+    # re-substitution: sum y_k (numerators of k) = target / t_den, y = -y_nums / y_den
     combination: IntRow = {}
-    for k, s in y_nums.items():
-        for i, n in pivots[k][1][1].items():
-            combination[i] = combination.get(i, 0) + s * n
-    if {i: n for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
+    for c, s in y_nums.items():
+        for i, n in pivots[c - ambient][1][1].items():
+            combination[i] = combination.get(i, 0) - s * n
+    if {i: n * t_den for i, n in combination.items() if n} != {i: n * y_den for i, n in target.items()}:
         raise CertificationError("commutator combination failed re-substitution")
     cls = rh.class_of_trace(2 * q, forms)
     if not is_zero_vector(rh.d_class(2 * q, cls)):
         raise CertificationError("character class is not closed despite the commutator combination")
     terms = []
-    for k, s in sorted(y_nums.items()):
-        j, (den, _) = pivots[k]
-        terms.append(CommutatorTerm(j, Fraction(den * s, y_den * t_den), commutator_label(w, degree, j)))
+    for c, s in sorted(y_nums.items()):
+        j, (den, _) = pivots[c - ambient]
+        terms.append(CommutatorTerm(j, Fraction(-den * s, y_den), commutator_label(w, degree, j)))
     return CocycleCertificate(q=q, degree=degree, terms=tuple(terms), spanning_size=size)
 
 

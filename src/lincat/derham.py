@@ -47,18 +47,17 @@ d-block give the image of d in degree n + 1, the others the kernel of
 d, each pivoting at the last class of its support; a class of degree
 n + 1 reduced by the span leaves minus a primitive, zero at those
 pivots, as a solve in natural order sets its free variables, or an
-entry in the d-block when it has none.  That span, and the system a
-cocycle certificate solves, are built on first use in a degree and
-kept.  The system (`commutator_system`) holds the pivot commutators of
-the full span, one commutator of basis forms per pair: those that no
-earlier one spans, as numerator rows, with their integer transpose.
-Once the laws hold on G the full span is the commutator subspace of
-the quotient, so they are made only until their rank is its
-dimension, and a solve over them with free variables zero is the solve
-over the full span.  A certificate cites a commutator by its index in
-the full span, and `commutator_label` names it.  Classes enter and
-leave as dense tuples of `Fraction` coordinates, converted once at
-that door (`numerator_row` in, `densify` out).
+entry in the d-block when it has none.  A cocycle certificate reads
+its combination off a span so (`commutator_system`): the pivot
+commutators of the full span, one commutator of basis forms per pair,
+those that no earlier one spans, each beside a unit vector.  Once the
+laws hold on G the full span is the commutator subspace of the
+quotient, so they are made only until their rank is its dimension, and
+a vector of it is one combination of them.  Both spans are built on
+first use in a degree and kept.  A certificate cites a commutator by
+its index in the full span, named by `commutator_label`.  Classes
+enter and leave as dense tuples of `Fraction` coordinates, converted
+once at that door (`numerator_row` in, `densify` out).
 
 Degree 0 of this complex is the plain trace quotient of the base
 category, and for a one-object category it is the usual abelianization
@@ -86,7 +85,6 @@ from .dg import DGCategory, Form, certified_generators, render_terms, stacked, v
 from .errors import CategoryAxiomError, DimensionError, LincatError
 from .exact_linalg import (
     Echelon,
-    IntRow,
     IntTerms,
     NumeratorRow,
     QuotientSpace,
@@ -230,8 +228,8 @@ class DeRhamComplex:
         self.d_columns = [degree.d for degree in self._degrees]
         self.component_offsets = [degree.offsets for degree in self._degrees]
         # built on first use in a degree and kept: the pivot commutators of
-        # `commutator_system`, with their rows, and the span of d (`_span`)
-        self._commutator_systems: dict[int, tuple[list[tuple[int, NumeratorRow]], list[NumeratorRow], int]] = {}
+        # `commutator_system`, with their span, and the span of d (`_span`)
+        self._commutator_systems: dict[int, tuple[list[tuple[int, NumeratorRow]], QuotientSpace, int]] = {}
         self._spans: dict[int, QuotientSpace] = {}
 
     def _degree(self, n: int) -> _Degree:
@@ -368,8 +366,8 @@ def get_complex(w: DGCategory) -> DeRhamComplex:
     return w._derham
 
 
-def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[int, NumeratorRow]], list[NumeratorRow], int]:
-    """The pivot commutators of degree n, their numerators as a linear system by rows, and the size of the full span.
+def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[int, NumeratorRow]], QuotientSpace, int]:
+    """The pivot commutators of degree n, their span beside unit vectors, and the size of the full span.
 
     The full span is `generator_span` over every basis form, one
     `NumeratorRow` (D_j, numerators) per pair of opposed basis forms, in
@@ -377,9 +375,12 @@ def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[int, NumeratorR
     that no earlier one spans, come as (j, (D_j, numerators)) by
     increasing index j; they are made in order into an `Echelon`, and
     none once its rank is that of the quotient's commutator subspace.
-    Row i of the system is (1, {k: n}), n the numerator of pivot
-    commutator k at coordinate i.  All three are built on first use in a
-    degree and kept on `get_complex(w)`; they are not to be modified.
+    The span is that of the numerators of pivot commutator k beside the
+    unit vector at column A + k, A the ambient dimension: they are
+    independent, so (v | 0) reduces to minus the one combination of them
+    that is v at those columns, or keeps an entry among the first A.  All
+    three are built on first use in a degree and kept on `get_complex(w)`;
+    they are not to be modified.
     """
     rh = get_complex(w)
     system = rh._commutator_systems.get(n)
@@ -395,11 +396,9 @@ def commutator_system(w: DGCategory, n: int) -> tuple[list[tuple[int, NumeratorR
         if len(pivots) < rank:
             raise LincatError(f"the degree-{n} commutators of basis forms have rank {len(pivots)}, "
                               f"under the {rank} of the quotient complex")
-        rows: list[IntRow] = [{} for _ in range(rh.ambient_dim(n))]
-        for k, (_, (_, nums)) in enumerate(pivots):
-            for i, x in nums.items():
-                rows[i][k] = x
+        m = rh.ambient_dim(n)
+        span = build_quotient(m + rank, [(1, {**nums, m + k: 1}) for k, (_, (_, nums)) in enumerate(pivots)])
         objs = range(len(w.base.objects))
         size = sum(w.dim(p, x, y) * w.dim(n - p, y, x) for p in range(n + 1) for x in objs for y in objs)
-        system = rh._commutator_systems[n] = pivots, [(1, row) for row in rows], size
+        system = rh._commutator_systems[n] = pivots, span, size
     return system

@@ -271,8 +271,9 @@ class DGCategory:
 
     def basis_form(self, n: int, dom: ObjectId, cod: ObjectId, k: int) -> Form:
         d = self.dim(n, cod.index, dom.index)
-        if not (0 <= k < d):
-            raise DimensionError(f"basis index {k} out of range for dimension {d}")
+        # a `Form`'s fields are trusted, so an index that is no int is refused here
+        if type(k) is not int or not 0 <= k < d:
+            raise DimensionError(f"basis index {k!r} out of range for dimension {d}")
         return Form(n, dom, cod, 1, ((k, 1),))
 
     def identity_form(self, x: ObjectId) -> Form:
@@ -426,7 +427,7 @@ def _generators(w: DGCategory) -> list[Form]:
     nobj = len(objs)
     sizes = {(n, x, y): w.dim(n, x, y) for n in range(N + 1) for x in range(nobj) for y in range(nobj)}
     words: dict[tuple[int, int, int], Echelon] = {}
-    spanning: dict[tuple[int, int, int], list[IntRow]] = {}  # the words added to it, zeros dropped
+    spanning: dict[tuple[int, int, int], list[IntRow]] = {}  # the words added to it, as built: a zero changes no span
     gens: list[Form] = []
     by_source: dict[tuple[int, int], list[tuple[int, Form]]] = {}  # (degree, x) -> generators at (x, .)
     rows_of: dict[tuple[int, int, int], list] = {}  # (generator, n, x) -> g's products by row
@@ -454,7 +455,6 @@ def _generators(w: DGCategory) -> list[Form]:
             basis = words[(n, x, y)] = Echelon()
         if basis.add((1, v)) is None:
             return False
-        v = {k: s for k, s in v.items() if s}
         spanning.setdefault((n, x, y), []).append(v)
         fresh.append((n, x, y, v))
         return True

@@ -55,17 +55,16 @@ coordinates of a vector of the span in its basis, or None outside it
 `Echelon` (a basis being grown) and `QuotientSpace` (a finished one)
 are the only two span types, and other modules see their rows through
 `numerator_rows`.  The chain subspaces of the envelope, the quotient
-complex and the span of d that its cohomology reads are
-`QuotientSpace`s.  `solve_rows` solves a linear system given by its
-rows and reads only the solution column of the reduced basis.
+complex, the span of d that its cohomology reads and the span of the
+commutators a cocycle certificate reads are `QuotientSpace`s.
 
-Every row, vector and right-hand side that enters the kernel is a
-`NumeratorRow` (d, {column: int}) with d > 0, whose scale a span
-ignores, and every row, reduction, coordinate vector and solution it
-hands back is one, over a denominator of its own.  Anything else, a
-dict of `Fraction`s or of ints, a float or a bool among them, is
-refused with `ScalarTypeError`.  The ints of the kernel are never
-divided with `/`, only by an exact common factor, with `//`.
+Every row and vector that enters the kernel is a `NumeratorRow` (d,
+{column: int}) with d > 0, whose scale a span ignores, and every row,
+reduction and coordinate vector it hands back is one, over a
+denominator of its own.  Anything else, a dict of `Fraction`s or of
+ints, a float or a bool among them, is refused with `ScalarTypeError`.
+The ints of the kernel are never divided with `/`, only by an exact
+common factor, with `//`.
 
 There is no dense matrix type.  `rref` hands `build_quotient` the
 nonzeros of any dense matrix given by its `rows`, `cols` and
@@ -391,9 +390,9 @@ class Echelon:
     The basis is kept over integer numerators: each row as (d,
     numerators), its pivot numerator equal to d, so the row is 1 at its
     pivot and 0 at every other pivot; the row is sign-normalised and
-    divided by the gcd of d and its numerators.  `add` gives None for an
-    empty row once `checked_row` has passed it, and reduces any other in
-    one loop (`_reduce`), cross-multiplying only by a row over d > 1.  A
+    divided by the gcd of d and its numerators.  `add` reduces the copy
+    of a row that `checked_row` passes in one loop (`_reduce`),
+    cross-multiplying only by a row over d > 1.  A
     nonzero remainder joins the basis with its first column p as pivot,
     over a gcd only where its numerator there is not 1, and p is cleared
     from the older rows that `_users` lists there (`_reduce` by the new
@@ -418,10 +417,6 @@ class Echelon:
     def add(self, given: NumeratorRow) -> Optional[int]:
         """Add a `NumeratorRow`, left unmodified; its pivot, or None if in the span."""
         v = checked_row(given)[1]
-        return self._insert(v) if v else None
-
-    def _insert(self, v: IntRow) -> Optional[int]:
-        """Add numerators that `checked_row` has passed and the kernel owns, reducing them in place; as `add`."""
         basis, users = self._basis, self._users
         _reduce(v, basis)
         if not v:
@@ -462,37 +457,6 @@ def rref(m) -> tuple[tuple[NumeratorRow, ...], tuple[int, ...]]:
         raise ScalarTypeError("dense matrix entries must be Fractions")
     span = build_quotient(m.cols, [numerator_row(row) for row in m.entries])
     return span.numerator_rows, span.pivots
-
-
-def solve_rows(rows: Sequence[NumeratorRow], ncols: int, b: NumeratorRow) -> Optional[NumeratorRow]:
-    """One exact solution x of A x = b, or None outside A's column span.
-
-    A is given by its rows and b by its entries over the row indices,
-    each a `NumeratorRow`.  Row i, (d, a), and b = (e, {i: b_i}) make the
-    augmented integer row (e * a | d * b_i), b in column `ncols`, which
-    has the solutions of a / d . x = b_i / e; the rows grow an
-    `Echelon`, and only the column of b is read off it.  Free variables
-    are set to zero, so the solution is again a function of the input
-    alone; it comes back over the lcm of the denominators of its entries.
-    """
-    e, rhs = checked_row(b)
-    _in_range(rhs, len(rows), "right-hand side has a row")
-    echelon = Echelon()
-    for i, row in enumerate(rows):
-        # checked and copied once, here: the echelon takes the copy as it is
-        d, nums = checked_row(row)
-        _in_range(nums, ncols, "sparse row has a column")
-        if i in rhs:
-            if e != 1:
-                nums = {j: n * e for j, n in nums.items()}
-            nums[ncols] = rhs[i] * d
-        echelon._insert(nums)
-    basis = echelon._basis
-    if ncols in basis:
-        return None
-    solution = [(p, d, nums[ncols]) for p, (d, nums) in basis.items() if ncols in nums]
-    den = lcm(*[d for _, d, _ in solution])
-    return den, {p: n * (den // d) for p, d, n in solution}
 
 
 @dataclass(frozen=True)

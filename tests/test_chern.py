@@ -19,9 +19,16 @@ from lincat.connection import (
     conjugate,
     direct_sum_connection,
 )
-from lincat.derham import get_complex
+from lincat.derham import DeRhamComplex, commutator_system, get_complex
 from lincat.dg import universal_dg
-from lincat.errors import DimensionError, LincatError, ModuleError, ScalarTypeError, TruncationError
+from lincat.errors import (
+    CertificationError,
+    DimensionError,
+    LincatError,
+    ModuleError,
+    ScalarTypeError,
+    TruncationError,
+)
 from lincat.exact_linalg import is_zero_vector, vec_add, vec_scale, vec_sub, zero_vector
 from lincat.form_matrix import FormMatrix, ProductAccumulator
 from lincat.module_algebra import ProjectiveModule, direct_sum
@@ -432,6 +439,42 @@ def test_truncation_refusals(two5):
     with pytest.raises(TruncationError):
         certify_cocycle(canonical_connection(m4), 2)  # needs degree 5
     assert chern_class(canonical_connection(m4), 2) == (Fraction(1),)
+
+
+def test_certificate_refuses_a_broken_combination(monkeypatch):
+    # each refusal of `certify_cocycle` on a fixture connection, reached by
+    # breaking one input of its check after the quotient complex is built
+    ws = load_fixture("dual_numbers_universal")
+    conn, rh = ws.connections["shift_M"], get_complex(ws.dg)
+    assert certify_cocycle(conn, 1).terms == ()
+    free = rh.quotients[3].free_columns[0]
+    ambient_d = DeRhamComplex.ambient_d
+
+    def off_the_span(self, n, v):
+        # d of the character form with one more entry at a free column of degree 3
+        den, nums = ambient_d(self, n, v)
+        return den, {**nums, free: nums.get(free, 0) + den}
+
+    monkeypatch.setattr(DeRhamComplex, "ambient_d", off_the_span)
+    with pytest.raises(CertificationError, match="^d of the degree-2 character is not a commutator combination;"):
+        certify_cocycle(conn, 1)
+    monkeypatch.undo()
+
+    ws = load_fixture("two_points_universal")
+    conn = ws.connections["levi_L"]
+    cert = certify_cocycle(conn, 1)
+    pivots = commutator_system(ws.dg, 3)[0]
+    _, (_, nums) = next(p for p in pivots if p[0] == cert.terms[0].index)
+    monkeypatch.setattr(DeRhamComplex, "d_class", lambda self, n, coords: (Fraction(1),))
+    with pytest.raises(CertificationError, match="^character class is not closed despite the commutator combination$"):
+        certify_cocycle(conn, 1)
+    monkeypatch.undo()
+    assert certify_cocycle(conn, 1) == cert
+    # a pivot commutator with a nonzero coefficient, scaled after its span was built
+    for i in nums:
+        nums[i] *= 2
+    with pytest.raises(CertificationError, match="^commutator combination failed re-substitution$"):
+        certify_cocycle(conn, 1)
 
 
 def test_character_refusals(two5, dual5):

@@ -459,12 +459,18 @@ def test_generator_span_quotient_equals_the_full_span_quotient(make):
         with pytest.raises(DimensionError, match=f"no commutator {len(labeled)} in the degree-{n} span"):
             commutator_label(w, n, len(labeled))
         # the certificates' system: the commutators of the full span that no
-        # earlier one spans, at their indices, and their transposed numerators
-        pivots, rows, size = commutator_system(w, n)
+        # earlier one spans, at their indices, and their span beside unit
+        # vectors, which pivots where theirs does and reduces the numerators
+        # of pivot commutator k to minus the unit vector at column dim + k
+        pivots, system, size = commutator_system(w, n)
         grown = Echelon()
         first = [(j, row) for j, row in enumerate(span) if grown.add(row) is not None]
         assert pivots == first and size == len(span), n
-        assert rows == [(1, {k: row[i] for k, (_, (_, row)) in enumerate(pivots) if i in row}) for i in range(dim)], n
+        width = dim + len(pivots)
+        assert system.ambient_dim == width and system.pivots == tuple(grown.numerator_rows), n
+        for k, (_, (_, nums)) in enumerate(pivots):
+            unit = tuple(-1 if c == dim + k else 0 for c in range(width))
+            assert densify(system.reduce_sparse((1, nums)), width) == unit, n
         # the same echelon rows, pivots and free columns
         assert rh.quotients[n] == build_quotient(rh.ambient_dim(n), [numerator_row(v) for v, _ in labeled]), n
 
@@ -913,8 +919,9 @@ def test_commutator_system_makes_no_commutator_past_the_rank(monkeypatch):
     w = universal_dg(m2_category(), 3)
     rank = get_complex(w).quotients[3].subspace_dim
     monkeypatch.setattr(lincat.derham, "generator_span", counted)
-    pivots, rows, size = commutator_system(w, 3)
+    pivots, span, size = commutator_system(w, 3)
     assert (len(made), len(pivots), rank, size) == (587, 97, 97, 1728)
+    assert span.ambient_dim == get_complex(w).ambient_dim(3) + 97
     assert pivots[-1] == (586, made[-1])
     # the kept system is read again without making one more
     assert commutator_system(w, 3)[0] is pivots and len(made) == 587

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 from math import gcd, lcm
 import random
+import re
 
 import pytest
 
@@ -307,6 +308,17 @@ def test_dense_input_drops_zeros_and_checks_its_length(dual5):
         w.form(0, x, x, (0.1, 0))
     with pytest.raises(ScalarTypeError, match="0.1 of type float"):
         f.scale(0.1)
+
+
+def test_basis_form_refuses_an_index_that_is_not_an_int(two5):
+    # 1.0 and True pass 0 <= k < 2, but a `Form`'s fields are trusted: a
+    # float index would fail later in `compose` and `d` with a TypeError
+    w = two5
+    x = w.base.objects[0]
+    assert w.basis_form(0, x, x, 1).nums == ((1, 1),)
+    for k in (1.0, True, Fraction(1), "1", -1, 2):
+        with pytest.raises(DimensionError, match=re.escape(f"basis index {k!r} out of range for dimension 2")):
+            w.basis_form(0, x, x, k)
 
 
 def test_render_form(dual5):

@@ -11,14 +11,12 @@ from lincat.errors import DimensionError, ScalarTypeError
 from lincat.exact_linalg import (
     Echelon,
     build_quotient,
-    checked_row,
     checked_terms,
     densify,
     format_scalar,
     numerator_row,
     rref,
     scalar,
-    solve_rows,
     vec,
     vec_add,
     vec_scale,
@@ -312,39 +310,13 @@ def reduction_solve(m, b):
     return densify((den, {last - j: -x for j, x in nums.items()}), m.cols)
 
 
-def solve(rows, ncols, b):
-    """`solve_rows` with b a dense vector, its solution written out densely, or None."""
-    x = solve_rows(rows, ncols, numerator_row(b))
-    return None if x is None else densify(x, ncols)
-
-
-def test_solve_rows_checks_each_row_once_at_its_door(monkeypatch):
-    # each row and the right-hand side pass `checked_row` once, and the
-    # echelon basis takes the copies without checking them again; a row
-    # with an entry at the column of b is refused, not read as part of b
-    seen = []
-
-    def counted(given):
-        seen.append(given)
-        return checked_row(given)
-
-    monkeypatch.setattr(lincat.exact_linalg, "checked_row", counted)
-    rows = [(2, {0: 1, 1: 1}), (1, {1: 3}), (1, {})]
-    b = (3, {0: 1, 1: 2})
-    assert densify(solve_rows(rows, 2, b), 2) == (Fraction(4, 9), Fraction(2, 9))
-    assert seen == [b] + rows
-    assert rows == [(2, {0: 1, 1: 1}), (1, {1: 3}), (1, {})] and b == (3, {0: 1, 1: 2})
-    with pytest.raises(DimensionError, match="sparse row has a column outside 0..1"):
-        solve_rows([(1, {0: 1, 2: 1})], 2, (1, {0: 1}))
-
-
 def test_solve_in_span():
     rng = random.Random(14)
     hits = 0
     for _ in range(40):
         m = random_matrix(rng, 3, rng.randint(1, 3))
         target = vec([rng.randint(-3, 3) for _ in range(3)])
-        sol = solve([numerator_row(r) for r in m.entries], m.cols, target)
+        sol = reduction_solve(m, target)
         if sol is not None:
             assert apply(m, sol) == target
             hits += 1
@@ -356,7 +328,6 @@ def test_sparse_kernel_and_solve_match_dense_reference():
     solved = 0
     for rows, cols in oracle_shapes(rng):
         m = sparse_matrix(rng, rows, cols)
-        given_rows = [numerator_row(r) for r in m.entries]
         kernel = echelon_kernel(m)
         assert build_quotient(cols, list(map(numerator_row, kernel))) == build_quotient(
             cols, list(map(numerator_row, dense_kernel(m))))
@@ -365,10 +336,9 @@ def test_sparse_kernel_and_solve_match_dense_reference():
         # one right-hand side in the column span, one arbitrary
         x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols))
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
-            got = solve(given_rows, cols, b)
+            # the reduction in reverse column order leaves the variables free that the dense solve does
+            got = reduction_solve(m, b)
             assert got == dense_solve(m, b)
-            # the reduction in reverse column order leaves the same variables free
-            assert reduction_solve(m, b) == got
             if got is not None:
                 assert apply(m, got) == b
                 solved += 1
@@ -425,9 +395,9 @@ def scaled_row(row, k, sign=1):
 
 
 def entry_points_match_dense_reference(m, rng):
-    """Echelon, QuotientSpace and solve_rows on the rows of m against the dense reference.
+    """Echelon, QuotientSpace and a solve read off the augmented span on the rows of m against the dense reference.
 
-    Every row, reduction, coordinate vector and solution they hand back
+    Every row, reduction and coordinate vector they hand back
     must be a numerator row of ints (`assert_numerator_rows`,
     `assert_integers`).
     """
@@ -471,6 +441,7 @@ def entry_points_match_dense_reference(m, rng):
     assert grown.numerator_rows == basis.numerator_rows
     assert scaled_q == q
     assert repr(numerator_rows) == scaled_given  # inputs left alone
+    span = augmented_span(m)
     for _ in range(3):
         v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 7)) if rng.random() < 0.4 else Fraction(0)
                   for _ in range(cols))
@@ -504,12 +475,12 @@ def entry_points_match_dense_reference(m, rng):
         assert q.coordinates((d, nums)) == (d, {i: int(s * d) for i, s in enumerate(lam) if s})
         x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols))
         for b in (apply(m, x), tuple(Fraction(rng.randint(-1, 1)) for _ in range(rows))):
-            got = solve_rows(given_rows, cols, numerator_row(b))
-            assert (None if got is None else densify(got, cols)) == dense_solve(m, b)
-            if got is not None:
-                assert_integers(got)
-            # the same rows and right-hand side over twice their denominators
-            assert solve_rows([scaled_row(r, 2) for r in given_rows], cols, scaled_row(numerator_row(b), 2)) == got
+            assert reduction_solve(m, b) == dense_solve(m, b)
+            # the reduction it reads, and the same one of b over twice its denominator
+            red = span.reduce_sparse(numerator_row(b))
+            assert_integers(red)
+            doubled = span.reduce_sparse(scaled_row(numerator_row(b), 2))
+            assert densify(doubled, rows + cols) == densify(red, rows + cols)
 
 
 def test_sparse_entry_points_match_dense_front_doors():
@@ -640,7 +611,7 @@ def test_a_stale_column_in_the_index_is_skipped():
 
 
 def test_every_door_that_takes_a_row_checks_it_drops_zeros_and_leaves_it_as_given():
-    # the six doors of the kernel, each taking one row from its caller and
+    # the five doors of the kernel, each taking one row from its caller and
     # giving back the rows it makes of it
     q = build_quotient(4, [(1, {0: 1, 2: -1}), (1, {1: 2})])
 
@@ -653,8 +624,6 @@ def test_every_door_that_takes_a_row_checks_it_drops_zeros_and_leaves_it_as_give
     doors = {
         "build_quotient": lambda row: list(build_quotient(4, [(1, {3: 1}), row]).numerator_rows),
         "Echelon.add": echelon_add,
-        "solve_rows, a row": lambda row: [solve_rows([(1, {0: 1}), row], 4, (1, {1: 2}))],
-        "solve_rows, the right-hand side": lambda row: [solve_rows([(1, {0: 2})] * 4, 1, row)],
         "coordinates": lambda row: [q.coordinates(row)],
         "reduce_sparse": lambda row: [q.reduce_sparse(row)],
         "coset_coordinates": lambda row: [q.coset_coordinates(row)],
@@ -677,7 +646,7 @@ def test_every_door_that_takes_a_row_checks_it_drops_zeros_and_leaves_it_as_give
         # lying outside the span; an `Echelon` has no column count
         if name != "Echelon.add":
             for row in [(1, {0: 1, 4: 1}), (1, {-1: 1, 2: 1})]:
-                with pytest.raises(DimensionError, match=r"has a (column|row) outside 0\.\.3"):
+                with pytest.raises(DimensionError, match=r"has a column outside 0\.\.3"):
                     door(row)
                     pytest.fail(f"{name} accepted {row!r}")
 
@@ -690,8 +659,6 @@ def test_inexact_entries_are_refused():
         rref(DenseMatrix(1, 2, ((Fraction(1), 0.5),)))
     with pytest.raises(ScalarTypeError):
         build_quotient(2, [{0: 2, 1: Fraction(1)}])
-    with pytest.raises(ScalarTypeError):
-        solve_rows([{0: Fraction(3)}], 1, (1,))
     # Echelon.add takes integer numerators only: a float would be reduced in
     # float arithmetic, and an int would pass for a Fraction
     for bad in ({0: 0.5}, {0: 2}, {1: Fraction(1, 2), 0: 3}):
@@ -713,7 +680,7 @@ def test_inexact_entries_are_refused():
         with pytest.raises(ScalarTypeError, match="numerator row"):
             build_quotient(3, [bad])
     # a sparse row of Fractions, the shape the kernel no longer takes, is
-    # refused at every entry point, as a row, a vector or a right-hand side,
+    # refused at every entry point, as a row or a vector,
     # and leaves the basis it was offered to unchanged
     for fractions in ({0: Fraction(1, 2), 2: Fraction(1)}, {1: Fraction(3)}, {}):
         basis = Echelon()
@@ -722,8 +689,6 @@ def test_inexact_entries_are_refused():
         calls = {
             "Echelon.add": lambda: basis.add(fractions),
             "build_quotient": lambda: build_quotient(3, [(1, {0: 1}), fractions]),
-            "solve_rows, a row": lambda: solve_rows([(1, {0: 1}), fractions], 3, (1, {0: 1})),
-            "solve_rows, the right-hand side": lambda: solve_rows([(1, {0: 1}), (1, {2: 1})], 3, fractions),
             "coordinates": lambda: q.coordinates(fractions),
             "reduce_sparse": lambda: q.reduce_sparse(fractions),
             "coset_coordinates": lambda: q.coset_coordinates(fractions),
@@ -745,7 +710,7 @@ def test_inexact_entries_are_refused():
         checked_terms({0: 0.1}, 1, "row 2")
     assert checked_terms({1: 2, 0: Fraction(0)}, 2, "row") == ((1, Fraction(2)),)
     # and stay exact
-    assert densify(solve_rows([(1, {0: 3})], 1, numerator_row(vec([1]))), 1) == (Fraction(1, 3),)
+    assert reduction_solve(DenseMatrix(1, 1, ((Fraction(3),),)), vec([1])) == (Fraction(1, 3),)
     assert rref(DenseMatrix(2, 2, (vec([2, 1]), vec([1, 1])))) == (((1, {0: 1}), (1, {1: 1})), (0, 1))
     q = build_quotient(2, [as_numerators({0: Fraction(2), 1: Fraction(1)})])
     assert tuple(map(fraction_row, q.numerator_rows)) == ({0: Fraction(1), 1: Fraction(1, 2)},)
